@@ -2,6 +2,8 @@
 
 Trains, runs every requested unlearning method, re-derives the certified
 claims, and writes the comparison report.  Exit status follows verification.
+By default every method runs, except ifu when a request names more than one
+client.
 
     python3 scripts/run_pipeline.py scripts/ridge_benchmark.json
 """
@@ -12,25 +14,28 @@ from pathlib import Path
 
 from fedunlearn.config import load_config
 from fedunlearn.runner import cmd_report, cmd_train, cmd_unlearn, cmd_verify, run_dir_for
-
-METHODS = ("sifu", "ifu", "scratch", "finetune", "last")
+from fedunlearn.unlearn import METHODS
 
 
 def main():
     parser = argparse.ArgumentParser(description="train, unlearn, verify and report one experiment")
     parser.add_argument("config", help="experiment config (json)")
     parser.add_argument("--out", default=None, help="output root (default FEDUNLEARN_OUT or ./runs)")
-    parser.add_argument("--methods", nargs="+", default=list(METHODS), choices=METHODS)
+    parser.add_argument("--methods", nargs="+", default=None, choices=METHODS)
     args = parser.parse_args()
 
     config = load_config(args.config)
+    methods = args.methods
+    if methods is None:
+        singletons = all(len(req) == 1 for req in config.requests)
+        methods = [m for m in METHODS if m != "ifu" or singletons]
     out_root = Path(args.out) if args.out is not None else None
 
     t0 = time.perf_counter()
     cmd_train(config, out_root)
     print(f"train: {config.rounds} rounds in {time.perf_counter() - t0:.2f}s")
 
-    for method in args.methods:
+    for method in methods:
         t0 = time.perf_counter()
         out = cmd_unlearn(config, method, out_root)
         print(f"unlearn/{method}: {out} in {time.perf_counter() - t0:.2f}s")

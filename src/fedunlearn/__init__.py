@@ -25,9 +25,6 @@ from .unlearn import (
     UnlearningOutcome,
     UnlearningRequest,
     UnlearningState,
-    baseline_finetune,
-    baseline_last,
-    baseline_scratch,
     ifu,
     sifu,
 )
@@ -49,9 +46,6 @@ __all__ = [
     "UnlearningOutcome",
     "UnlearningRequest",
     "UnlearningState",
-    "baseline_finetune",
-    "baseline_last",
-    "baseline_scratch",
     "check_bound",
     "contraction_factor",
     "empirical_sensitivity",

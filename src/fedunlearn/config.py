@@ -39,7 +39,6 @@ class ExperimentConfig:
     checkpoint_interval: int
     requests: tuple[tuple[int, ...], ...]
     stopping: StoppingRule
-    batch_size: int | None = None
 
     def __post_init__(self):
         if not self.name or any(ch in self.name for ch in "/\\ "):
@@ -61,12 +60,19 @@ class ExperimentConfig:
                 raise ConfigError("weights length must match the client count")
             if abs(sum(self.weights) - 1.0) > 1e-12:
                 raise ConfigError("weights must sum to 1 within 1e-12")
+        named: set[int] = set()
         for req in self.requests:
             if not req:
                 raise ConfigError("each request must name at least one client")
             for c in req:
                 if not 0 <= c < self.data.clients:
                     raise ConfigError(f"request names unknown client {c}")
+            repeated = named.intersection(req)
+            if repeated:
+                raise ConfigError(f"clients {sorted(repeated)} are named by more than one request")
+            named.update(req)
+        if len(named) == self.data.clients:
+            raise ConfigError("requests would remove every client from the federation")
 
     def resolve_eta(self, constants: RegimeConstants) -> float:
         if isinstance(self.eta, str):
@@ -187,7 +193,7 @@ def parse_config(text: str) -> ExperimentConfig:
         top["federation"],
         "federation",
         required={"eta": "float_or_str", "local_steps": "int", "rounds": "int", "seed": "int"},
-        optional={"init": "str", "weights": "list", "batch_size": "int"},
+        optional={"init": "str", "weights": "list"},
     )
     weights = fed_raw.get("weights")
     if weights is not None:
@@ -245,7 +251,6 @@ def parse_config(text: str) -> ExperimentConfig:
             checkpoint_interval=top["checkpoint_interval"],
             requests=tuple(requests),
             stopping=stopping,
-            batch_size=fed_raw.get("batch_size"),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -285,7 +290,6 @@ def serialize_config(config: ExperimentConfig) -> str:
             "seed": config.federation_seed,
             "init": config.init,
             **({"weights": list(config.weights)} if config.weights is not None else {}),
-            **({"batch_size": config.batch_size} if config.batch_size is not None else {}),
         },
         "budget": {
             "epsilon": config.budget.epsilon,

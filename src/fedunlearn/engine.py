@@ -2,9 +2,7 @@
 
 Determinism contract: client updates run in ascending client-index order and
 the aggregation is a sequential weighted sum in that same order, so repeated
-runs on the same platform are bit-identical.  An optional stochastic mode
-(batch_size set) subsamples rows per local step from the config seed; it is
-excluded from every sensitivity-bound guarantee.
+runs on the same platform are bit-identical.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ class FederationConfig:
     local_steps: int
     rounds: int
     seed: int = 0
-    batch_size: int | None = None
 
     def __post_init__(self):
         clients = tuple(self.clients)
@@ -63,8 +60,6 @@ class FederationConfig:
             raise ValueError("local_steps must be >= 1")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 when set")
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
 
@@ -77,13 +72,12 @@ class FederationConfig:
         rounds: int,
         seed: int = 0,
         weights=None,
-        batch_size: int | None = None,
     ) -> "FederationConfig":
         clients = tuple(clients)
         if weights is None:
             counts = np.array([c.sample_count for c in clients], dtype=np.float64)
             weights = counts / counts.sum()
-        return cls(clients, np.asarray(weights, dtype=np.float64), eta, local_steps, rounds, seed, batch_size)
+        return cls(clients, np.asarray(weights, dtype=np.float64), eta, local_steps, rounds, seed)
 
     @property
     def client_count(self) -> int:
@@ -106,23 +100,13 @@ def local_update(
     theta: Params,
     eta: float,
     local_steps: int,
-    *,
-    batch_size: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Params:
     """Run `local_steps` gradient steps on one client's loss from theta."""
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1")
-    if batch_size is not None and rng is None:
-        raise ValueError("stochastic mode needs an rng")
     current = models.as_params(theta).copy()
     for _ in range(local_steps):
-        if batch_size is None:
-            step_data = data
-        else:
-            rows = rng.integers(0, data.sample_count, size=min(batch_size, data.sample_count))
-            step_data = ClientDataset(data.features[rows], data.targets[rows])
-        current = current - eta * models.grad(spec, step_data, current)
+        current = current - eta * models.grad(spec, data, current)
         _guard_finite(current)
     return current
 
@@ -177,7 +161,6 @@ def fedavg_round(
     theta: Params,
     active: tuple[int, ...],
     round_index: int,
-    rng: np.random.Generator | None = None,
 ) -> RoundRecord:
     """One FedAvg round over the active client subset."""
     active = tuple(sorted(active))
@@ -188,15 +171,7 @@ def fedavg_round(
     theta = models.as_params(theta)
     try:
         client_models = {
-            idx: local_update(
-                spec,
-                config.clients[idx],
-                theta,
-                config.eta,
-                config.local_steps,
-                batch_size=config.batch_size,
-                rng=rng,
-            )
+            idx: local_update(spec, config.clients[idx], theta, config.eta, config.local_steps)
             for idx in active
         }
     except DivergedTrainingError as err:
@@ -217,11 +192,10 @@ def run_fedavg(
     """Run config.rounds FedAvg rounds; returns the per-round records."""
     if active is None:
         active = tuple(range(config.client_count))
-    rng = np.random.default_rng(config.seed) if config.batch_size is not None else None
     theta = models.as_params(theta0).copy()
     records = []
     for n in range(config.rounds):
-        record = fedavg_round(spec, config, theta, active, n, rng)
+        record = fedavg_round(spec, config, theta, active, n)
         records.append(record)
         theta = record.global_after
     return records

@@ -5,13 +5,18 @@ config name:
 
     <run>/config.json                canonical config copy
     <run>/train/                     manifest, metrics.jsonl, ledger.csv,
-                                     checkpoints/round_*.ckpt,
-                                     rollback/client_*.ckpt, timings.json
+                                     checkpoints/round_*.ckpt, timings.json
     <run>/unlearn_<method>/          manifest, outcomes.json, metrics.jsonl,
                                      ledger.csv (ledger-backed methods),
                                      final_model.ckpt, timings.json
     <run>/verify_report.json
     <run>/report/*.csv
+
+Training is one fixed-round `unlearn.retrain_until` call that records the
+ledger and the model history.  Every unlearning method runs the same
+per-request step, `unlearn.sifu`; the command only picks which training
+artifacts the method loads (scratch needs none, finetune only the
+checkpoints, the ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -20,6 +25,7 @@ outputs.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import time
@@ -34,11 +40,9 @@ from .config import ExperimentConfig, config_hash, serialize_config
 from .datagen import generate_data
 from .engine import (
     FederationConfig,
-    fedavg_round,
     federation_loss,
     init_params,
     read_checkpoint,
-    renormalized_weights,
     run_fedavg,
     write_checkpoint,
 )
@@ -55,15 +59,15 @@ from .sensitivity import (
 )
 from .serialize import dumps17, fmt17
 from .unlearn import (
+    LEDGER_METHODS,
+    METHODS,
+    StoppingRule,
     UnlearningRequest,
     UnlearningState,
-    gaussian_perturb,
-    perturbation_stream,
     retrain_until,
     sifu,
 )
 
-METHODS = ("sifu", "ifu", "scratch", "finetune", "last")
 _PSI_CAP_FACTOR = 1e6
 
 
@@ -93,15 +97,14 @@ class PreparedExperiment:
     def client_count(self) -> int:
         return len(self.datasets)
 
-    def federation(self, rounds: int | None = None) -> FederationConfig:
+    def federation(self) -> FederationConfig:
         return FederationConfig(
             clients=tuple(self.datasets),
             weights=self.weights,
             eta=self.eta,
             local_steps=self.config.local_steps,
-            rounds=self.config.rounds if rounds is None else rounds,
+            rounds=self.config.rounds,
             seed=self.config.federation_seed,
-            batch_size=self.config.batch_size,
         )
 
 
@@ -191,77 +194,48 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     if train_dir.exists():
         shutil.rmtree(train_dir)
     (train_dir / "checkpoints").mkdir(parents=True)
-    (train_dir / "rollback").mkdir()
     _store_config(run_dir, config)
     _write_manifest(
         train_dir,
         prepared,
         "train",
-        [
-            "checkpoints/",
-            "ledger.csv",
-            "manifest.json",
-            "metrics.jsonl",
-            "rollback/",
-            "timings.json",
-        ],
+        ["checkpoints/", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"],
     )
 
-    spec = prepared.spec
-    fed = prepared.federation()
     everyone = tuple(range(prepared.client_count))
     history = TrainingHistory(prepared.theta0)
-    ledger = SensitivityLedger(
-        prepared.contraction,
-        config.local_steps,
-        psi_star=config.budget.psi_star,
-        clients=everyone,
-        initial_model=prepared.theta0,
-    )
-    write_checkpoint(
-        train_dir / "checkpoints" / "round_00000.ckpt", 0, prepared.theta0, prepared.digest
+    ledger = SensitivityLedger(prepared.contraction, config.local_steps, clients=everyone)
+    result = retrain_until(
+        prepared.spec,
+        prepared.federation(),
+        prepared.theta0,
+        everyone,
+        StoppingRule(math.inf, config.rounds, config.rounds),
+        ledger=ledger,
+        history=history,
     )
 
-    rng = np.random.default_rng(config.federation_seed) if config.batch_size is not None else None
-    theta = prepared.theta0.copy()
-    metric_rows = []
-    for n in range(config.rounds):
-        record = fedavg_round(spec, fed, theta, everyone, n, rng)
-        theta = record.global_after
-        deltas = (
-            {c: client_increment_fast(record, prepared.weights, c) for c in everyone}
-            if prepared.client_count > 1
-            else {}
-        )
-        ledger.record_round(deltas, 0, theta)
-        history.append_model(theta)
-        metric_rows.append(
-            {
-                "round": n,
-                "segment": 0,
-                "global_loss": federation_loss(spec, fed.clients, fed.weights, theta),
-                "delta": {str(c): deltas.get(c, 0.0) for c in everyone},
-                "psi": {str(c): ledger.psi_online(c) for c in everyone},
-            }
-        )
-        position = n + 1
+    psi = {c: ledger.psi_series(c) for c in everyone}
+    metric_rows = [
+        {
+            "round": record.position,
+            "segment": record.segment,
+            "global_loss": loss,
+            "delta": {str(c): record.delta(c) for c in everyone},
+            "psi": {str(c): float(psi[c][record.position + 1]) for c in everyone},
+        }
+        for record, (_, loss) in zip(ledger.increments, result.loss_trace[1:])
+    ]
+    _write_text(train_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
+    ledger.export_csv(train_dir / "ledger.csv")
+    for position in range(config.rounds + 1):
         if position % config.checkpoint_interval == 0 or position == config.rounds:
             write_checkpoint(
                 train_dir / "checkpoints" / f"round_{position:05d}.ckpt",
                 position,
-                theta,
+                history.model_at(position),
                 prepared.digest,
             )
-
-    _write_text(train_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
-    ledger.export_csv(train_dir / "ledger.csv")
-    for client, slot in sorted(ledger.per_client_rollback.items()):
-        write_checkpoint(
-            train_dir / "rollback" / f"client_{client}.ckpt",
-            slot.position,
-            slot.model,
-            prepared.digest,
-        )
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
     return train_dir
 
@@ -288,12 +262,7 @@ def _load_ledger(train_dir: Path, prepared: PreparedExperiment) -> SensitivityLe
     path = train_dir / "ledger.csv"
     if not path.exists():
         raise MissingArtifactsError(f"missing ledger: {path}")
-    ledger, _ = SensitivityLedger.from_csv(
-        path,
-        prepared.contraction,
-        prepared.config.local_steps,
-        psi_star=prepared.config.budget.psi_star,
-    )
+    ledger, _ = SensitivityLedger.from_csv(path, prepared.contraction, prepared.config.local_steps)
     return ledger
 
 
@@ -306,6 +275,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     """Process the config's request sequence with one unlearning method."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == "ifu" and any(len(req) != 1 for req in config.requests):
+        raise ConfigError("method 'ifu' handles single-client requests only")
     t_start = time.perf_counter()
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
@@ -316,147 +287,43 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     out_dir.mkdir(parents=True)
     _store_config(run_dir, config)
 
-    ledger_backed = method in ("sifu", "ifu", "last")
-    if method == "ifu":
-        for req in config.requests:
-            if len(req) != 1:
-                raise ConfigError("method 'ifu' handles single-client requests only")
-
     if method == "scratch":
-        history = None
-        ledger = None
+        history = TrainingHistory(prepared.theta0)
     else:
         _check_manifest_hash(train_dir, prepared)
         history = _load_history(train_dir)
-        ledger = _load_ledger(train_dir, prepared) if ledger_backed else None
+    ledger = _load_ledger(train_dir, prepared) if method in LEDGER_METHODS else None
 
     outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
-    if ledger_backed:
+    if ledger is not None:
         outputs.append("ledger.csv")
     _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
 
-    spec = prepared.spec
-    stopping = config.stopping
+    state = UnlearningState.from_training(
+        history, ledger, config.budget, prepared.client_count, config.federation_seed, method
+    )
     retrain_cfg = prepared.federation()
     outcome_rows = []
     metric_rows = []
-
-    if method in ("sifu", "ifu"):
-        state = UnlearningState.from_training(
-            history, ledger, config.budget, prepared.client_count, config.federation_seed
+    for u, targets in enumerate(config.requests, start=1):
+        outcome = sifu(
+            state, UnlearningRequest(u, frozenset(targets)), prepared.spec, retrain_cfg, config.stopping
         )
-        final_model = state.current_model
-        for u, targets in enumerate(config.requests, start=1):
-            outcome = sifu(state, UnlearningRequest(u, frozenset(targets)), spec, retrain_cfg, stopping)
-            final_model = outcome.final_model
-            outcome_rows.append(_outcome_row(outcome))
-            metric_rows.extend(
-                {"request": u, "position": pos, "retained_loss": loss}
-                for pos, loss in outcome.loss_trace
-            )
-        final_position = len(ledger)
-    elif method == "scratch":
-        removed: set[int] = set()
-        final_model = prepared.theta0.copy()
-        final_position = 0
-        for u, targets in enumerate(config.requests, start=1):
-            removed |= set(targets)
-            remaining = set(range(prepared.client_count)) - removed
-            result = retrain_until(spec, retrain_cfg, prepared.theta0, remaining, stopping)
-            final_model = result.final_model
-            final_position = result.rounds
-            outcome_rows.append(
-                {
-                    "request_index": u,
-                    "targets": sorted(targets),
-                    "rollback_position": 0,
-                    "sigma": 0.0,
-                    "retrain_rounds": result.rounds,
-                    "final_retained_loss": result.final_loss,
-                    "converged": result.converged,
-                }
-            )
-            metric_rows.extend(
-                {"request": u, "position": pos, "retained_loss": loss}
-                for pos, loss in result.loss_trace
-            )
-    elif method == "finetune":
-        removed = set()
-        final_model = history.final_model.copy()
-        final_position = history.end_position
-        for u, targets in enumerate(config.requests, start=1):
-            removed |= set(targets)
-            remaining = set(range(prepared.client_count)) - removed
-            result = retrain_until(
-                spec, retrain_cfg, final_model, remaining, stopping, start_position=final_position
-            )
-            outcome_rows.append(
-                {
-                    "request_index": u,
-                    "targets": sorted(targets),
-                    "rollback_position": final_position,
-                    "sigma": 0.0,
-                    "retrain_rounds": result.rounds,
-                    "final_retained_loss": result.final_loss,
-                    "converged": result.converged,
-                }
-            )
-            metric_rows.extend(
-                {"request": u, "position": pos, "retained_loss": loss}
-                for pos, loss in result.loss_trace
-            )
-            final_model = result.final_model
-            final_position += result.rounds
-    else:  # last: noise the final model, no rollback, ledger keeps growing
-        removed = set()
-        final_model = history.final_model.copy()
-        for u, targets in enumerate(config.requests, start=1):
-            removed |= set(targets)
-            remaining = set(range(prepared.client_count)) - removed
-            final_position = len(ledger)
-            psi_final = ledger.set_sensitivity(set(targets), final_position)
-            sigma = noise_std(psi_final, config.budget.epsilon, config.budget.delta)
-            perturbed = gaussian_perturb(
-                history.final_model, sigma, perturbation_stream(config.federation_seed, u)
-            )
-            history.start_segment(u, perturbed)
-            result = retrain_until(
-                spec,
-                retrain_cfg,
-                perturbed,
-                remaining,
-                stopping,
-                ledger=ledger,
-                history=history,
-                segment=u,
-                start_position=final_position,
-            )
-            outcome_rows.append(
-                {
-                    "request_index": u,
-                    "targets": sorted(targets),
-                    "rollback_position": final_position,
-                    "sigma": sigma,
-                    "retrain_rounds": result.rounds,
-                    "final_retained_loss": result.final_loss,
-                    "converged": result.converged,
-                }
-            )
-            metric_rows.extend(
-                {"request": u, "position": pos, "retained_loss": loss}
-                for pos, loss in result.loss_trace
-            )
-            final_model = result.final_model
-        final_position = len(ledger)
+        outcome_rows.append(_outcome_row(outcome))
+        metric_rows.extend(
+            {"request": u, "position": pos, "retained_loss": loss} for pos, loss in outcome.loss_trace
+        )
 
     _write_text(
         out_dir / "outcomes.json",
         dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
     )
     _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
-    if ledger_backed:
+    if ledger is not None:
         ledger.export_csv(out_dir / "ledger.csv")
-    write_checkpoint(out_dir / "final_model.ckpt", final_position, final_model, prepared.digest)
+    write_checkpoint(
+        out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
+    )
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
     return out_dir
 
@@ -548,7 +415,7 @@ def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dic
     import json
 
     checks = []
-    for method in ("sifu", "ifu", "last"):
+    for method in LEDGER_METHODS:
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue

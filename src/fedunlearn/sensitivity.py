@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import RoundRecord, aggregate, renormalized_weights
 from .errors import SingularRemovalError, StepSizeError
-from .models import Params, Regime, RegimeConstants
+from .models import Regime, RegimeConstants
 
 _PSI_STAR_TOL = 1e-12
 
@@ -162,47 +162,24 @@ class IncrementRecord:
         return self.per_client_delta.get(client, 0.0)
 
 
-@dataclass
-class RollbackSlot:
-    position: int
-    model: Params
-
-
 CSV_HEADER = ("round", "segment", "client", "delta", "psi")
 
 
 class SensitivityLedger:
     """Online sensitivity accounting for every client across all segments.
 
-    Maintains the running Psi per client via the decay recurrence and, when a
-    threshold psi_star is configured, the latest checkpoint position per
-    client whose Psi stays within the threshold (the frugal one-checkpoint-
-    per-client retention policy).
+    Maintains the running Psi per client via the decay recurrence.
     """
 
-    def __init__(
-        self,
-        contraction: float,
-        local_steps: int,
-        psi_star: float | None = None,
-        clients=(),
-        initial_model: Params | None = None,
-    ):
+    def __init__(self, contraction: float, local_steps: int, clients=()):
         if contraction <= 0:
             raise ValueError("contraction factor must be positive")
         if local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        if psi_star is not None and psi_star < 0:
-            raise ValueError("psi_star must be non-negative")
         self.contraction = float(contraction)
         self.local_steps = int(local_steps)
-        self.psi_star = psi_star
         self.increments: list[IncrementRecord] = []
         self._psi: dict[int, float] = {int(c): 0.0 for c in clients}
-        self.per_client_rollback: dict[int, RollbackSlot] = {}
-        if psi_star is not None and initial_model is not None:
-            for c in self._psi:
-                self.per_client_rollback[c] = RollbackSlot(0, np.array(initial_model, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.increments)
@@ -214,12 +191,7 @@ class SensitivityLedger:
     def tracked_clients(self) -> list[int]:
         return sorted(self._psi)
 
-    def record_round(
-        self,
-        per_client_delta: dict[int, float],
-        segment: int,
-        model_after: Params | None = None,
-    ) -> IncrementRecord:
+    def record_round(self, per_client_delta: dict[int, float], segment: int) -> IncrementRecord:
         """Append one round of increments and advance the online recurrence."""
         for client, delta in per_client_delta.items():
             if delta < 0:
@@ -233,13 +205,6 @@ class SensitivityLedger:
         decay = self.round_decay
         for client in self._psi:
             self._psi[client] = decay * self._psi[client] + record.delta(client)
-        if self.psi_star is not None and model_after is not None:
-            position = len(self.increments)
-            for client, value in self._psi.items():
-                if value <= self.psi_star:
-                    self.per_client_rollback[client] = RollbackSlot(
-                        position, np.array(model_after, dtype=np.float64)
-                    )
         return record
 
     def psi_online(self, client: int) -> float:
@@ -289,22 +254,17 @@ class SensitivityLedger:
                 return n
         raise AssertionError("unreachable: position 0 always satisfies the threshold")
 
-    def truncate(self, position: int, model_at=None) -> None:
+    def truncate(self, position: int) -> None:
         """Drop increments at positions >= position and rebuild online state.
 
-        model_at: position -> model callable, required to rebuild the
-        per-client rollback checkpoints when a psi_star is configured.
+        Truncating at the current length drops nothing and returns at once.
         """
         self._check_prefix(position)
+        if position == len(self.increments):
+            return
         self.increments = self.increments[:position]
         for client in self._psi:
-            series = self.psi_series(client)
-            self._psi[client] = float(series[-1])
-            if self.psi_star is not None and model_at is not None:
-                feasible = int(np.flatnonzero(series <= self.psi_star)[-1])
-                self.per_client_rollback[client] = RollbackSlot(
-                    feasible, np.array(model_at(feasible), dtype=np.float64)
-                )
+            self._psi[client] = float(self.psi_series(client)[-1])
 
     def _check_prefix(self, n: int) -> None:
         if not 0 <= n <= len(self.increments):
@@ -337,11 +297,7 @@ class SensitivityLedger:
 
     @classmethod
     def from_csv(
-        cls,
-        path,
-        contraction: float,
-        local_steps: int,
-        psi_star: float | None = None,
+        cls, path, contraction: float, local_steps: int
     ) -> tuple["SensitivityLedger", dict[tuple[int, int], float]]:
         """Rebuild a ledger from an exported CSV.
 
@@ -361,7 +317,7 @@ class SensitivityLedger:
                 entry = rows.setdefault(position, {"segment": int(segment_s), "deltas": {}})
                 entry["deltas"][client] = float(delta_s)
                 recorded[(position, client)] = float(psi_s)
-        ledger = cls(contraction, local_steps, psi_star=psi_star)
+        ledger = cls(contraction, local_steps)
         for position in range(len(rows)):
             if position not in rows:
                 raise ValueError(f"ledger file missing round {position}")

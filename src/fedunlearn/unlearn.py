@@ -5,9 +5,11 @@ sensitivity ledger.  Each request finds the latest checkpoint whose bounded
 sensitivity for the departing clients stays within the budget threshold,
 perturbs that checkpoint with noise calibrated to the actual bound there,
 truncates everything after it, and retrains on the surviving clients until a
-loss threshold (or round cap) is met.  Single-request unlearning is the
-special case with one request, and three reference baselines (scratch,
-fine-tune, noise-the-final-model) share the same retraining loop.
+loss threshold (or round cap) is met.  Single-request unlearning (ifu) is the
+special case with one request.  The three reference baselines are the same
+request step with the rollback pinned: scratch rolls back to the initial
+model, fine-tune and noise-the-final-model (last) to the end of the timeline;
+scratch and fine-tune carry no ledger and so add no noise.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .errors import EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
 from .sensitivity import NoiseBudget, SensitivityLedger, client_increment_fast, noise_std
+
+METHODS = ("sifu", "ifu", "scratch", "finetune", "last")
+# methods that read the training ledger, calibrate noise to it and extend it
+LEDGER_METHODS = ("sifu", "ifu", "last")
 
 _PERTURB_TAG = 0x5EED
 
@@ -85,25 +91,37 @@ class UnlearningRequest:
 
 @dataclass
 class UnlearningState:
-    """Mutable record of a sequential unlearning session."""
+    """Mutable record of a sequential unlearning session with one method.
+
+    The ledger-backed methods (LEDGER_METHODS) need a ledger; the others
+    take none.
+    """
 
     remaining: set[int]
     processed: set[int]
     budget: NoiseBudget
-    ledger: SensitivityLedger
+    ledger: SensitivityLedger | None
     history: TrainingHistory
     current_model: Params
     seed: int
     next_request_index: int = 1
+    method: str = "sifu"
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if (self.ledger is not None) != (self.method in LEDGER_METHODS):
+            raise ValueError(f"method {self.method!r} takes a ledger iff it is in {LEDGER_METHODS}")
 
     @classmethod
     def from_training(
         cls,
         history: TrainingHistory,
-        ledger: SensitivityLedger,
+        ledger: SensitivityLedger | None,
         budget: NoiseBudget,
         client_count: int,
         seed: int,
+        method: str = "sifu",
     ) -> "UnlearningState":
         return cls(
             remaining=set(range(client_count)),
@@ -113,6 +131,7 @@ class UnlearningState:
             history=history,
             current_model=history.final_model.copy(),
             seed=seed,
+            method=method,
         )
 
 
@@ -127,7 +146,6 @@ class UnlearningOutcome:
     final_retained_loss: float
     converged: bool
     final_model: Params
-    history_after: TrainingHistory
     loss_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -163,17 +181,12 @@ def retrain_until(
         raise EmptyFederationError("retraining needs at least one active client")
     removed = set(range(config.client_count)) - set(active)
     q = renormalized_weights(config.weights, removed) if removed else config.weights
-    rng = (
-        np.random.default_rng(np.random.SeedSequence([int(config.seed), int(segment)]))
-        if config.batch_size is not None
-        else None
-    )
     theta = models.as_params(theta_start).copy()
     loss = federation_loss(spec, config.clients, config.weights, theta, active)
     rounds = 0
     trace: list[tuple[int, float]] = [(start_position, loss)]
     while not stopping_criterion(rounds, loss, stopping):
-        record = fedavg_round(spec, config, theta, active, start_position + rounds, rng)
+        record = fedavg_round(spec, config, theta, active, start_position + rounds)
         theta = record.global_after
         rounds += 1
         if ledger is not None:
@@ -182,7 +195,7 @@ def retrain_until(
                 if len(active) > 1
                 else {}
             )
-            ledger.record_round(deltas, segment, theta)
+            ledger.record_round(deltas, segment)
         if history is not None:
             history.append_model(theta)
         loss = federation_loss(spec, config.clients, config.weights, theta, active)
@@ -199,11 +212,14 @@ def sifu(
 ) -> UnlearningOutcome:
     """Process one sequential unlearning request, mutating `state`.
 
-    Rolls the history back to the latest position whose set sensitivity for
-    the request targets stays within the budget threshold, perturbs that
-    checkpoint with noise calibrated to the bound actually attained there,
-    drops the discarded suffix from the ledger, and retrains on the
-    surviving clients.
+    Rolls the history back, perturbs the model there with noise calibrated
+    to the bound the ledger attains at that position, drops the discarded
+    suffix from the ledger, and retrains on the surviving clients.  This is
+    the request step of every method: sifu and ifu roll back to the latest
+    position whose set sensitivity for the targets stays within the budget
+    threshold, the baselines pin the position (see _rollback_position), and
+    a state without a ledger (scratch, finetune) adds no noise and records
+    nothing.
     """
     if request.request_index != state.next_request_index:
         raise InvalidRequestError(
@@ -219,14 +235,17 @@ def sifu(
     if not survivors:
         raise EmptyFederationError("request would empty the federation")
 
-    position = state.ledger.rollback_index(request.targets, state.budget.psi_star)
-    psi_here = state.ledger.set_sensitivity(request.targets, position)
-    sigma = noise_std(psi_here, state.budget.epsilon, state.budget.delta)
+    position = _rollback_position(state, request.targets)
+    sigma = 0.0
+    if state.ledger is not None:
+        psi_here = state.ledger.set_sensitivity(request.targets, position)
+        sigma = noise_std(psi_here, state.budget.epsilon, state.budget.delta)
     source_segment = state.history.segment_at(position)
     base = state.history.model_at(position)
 
     state.history.truncate(position)
-    state.ledger.truncate(position, state.history.model_at)
+    if state.ledger is not None:
+        state.ledger.truncate(position)
     perturbed = gaussian_perturb(base, sigma, perturbation_stream(state.seed, request.request_index))
     state.history.start_segment(request.request_index, perturbed)
 
@@ -255,9 +274,18 @@ def sifu(
         final_retained_loss=result.final_loss,
         converged=result.converged,
         final_model=result.final_model,
-        history_after=state.history,
         loss_trace=result.loss_trace,
     )
+
+
+def _rollback_position(state: UnlearningState, targets: frozenset[int]) -> int:
+    """Where a request rolls back to: the latest in-budget position for sifu
+    and ifu, the initial model for scratch, the timeline end otherwise."""
+    if state.method == "scratch":
+        return 0
+    if state.method in ("finetune", "last"):
+        return state.history.end_position
+    return state.ledger.rollback_index(targets, state.budget.psi_star)
 
 
 def ifu(
@@ -275,68 +303,3 @@ def ifu(
     """
     state = UnlearningState.from_training(history, ledger, budget, retrain.client_count, retrain.seed)
     return sifu(state, UnlearningRequest(1, frozenset({client})), spec, retrain, stopping)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-
-def baseline_scratch(
-    spec: ModelSpec,
-    retrain: FederationConfig,
-    theta0: Params,
-    remaining,
-    stopping: StoppingRule,
-) -> Params:
-    """Retrain from the initial model on the remaining clients."""
-    return retrain_until(spec, retrain, theta0, remaining, stopping).final_model
-
-
-def baseline_finetune(
-    spec: ModelSpec,
-    history: TrainingHistory,
-    remaining,
-    retrain: FederationConfig,
-    stopping: StoppingRule,
-) -> Params:
-    """Keep training the final model on the remaining clients; no noise."""
-    return retrain_until(spec, retrain, history.final_model, remaining, stopping).final_model
-
-
-def baseline_last(
-    spec: ModelSpec,
-    history: TrainingHistory,
-    ledger: SensitivityLedger,
-    targets,
-    budget: NoiseBudget,
-    retrain: FederationConfig,
-    stopping: StoppingRule,
-    request_index: int = 1,
-) -> Params:
-    """Perturb the final model with noise calibrated to Psi at the final round,
-    then retrain on the remaining clients.  No rollback: the history only grows,
-    and the ledger is extended with the retraining increments."""
-    targets = frozenset(int(c) for c in targets)
-    if not targets:
-        raise InvalidRequestError("baseline_last needs at least one target client")
-    final_position = len(ledger)
-    psi_final = ledger.set_sensitivity(targets, final_position)
-    sigma = noise_std(psi_final, budget.epsilon, budget.delta)
-    perturbed = gaussian_perturb(
-        history.final_model, sigma, perturbation_stream(retrain.seed, request_index)
-    )
-    history.start_segment(request_index, perturbed)
-    remaining = set(range(retrain.client_count)) - targets
-    result = retrain_until(
-        spec,
-        retrain,
-        perturbed,
-        remaining,
-        stopping,
-        ledger=ledger,
-        history=history,
-        segment=request_index,
-        start_position=final_position,
-    )
-    return result.final_model

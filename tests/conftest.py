@@ -76,20 +76,14 @@ def fed_for(spec, datasets, *, frac=1.0, local_steps=1, rounds=10, seed=1, weigh
     return fed, constants
 
 
-def train_world(spec, fed, rounds, *, budget=None, theta0=None, init_mode="normal"):
+def train_world(spec, fed, rounds, *, theta0=None, init_mode="normal"):
     """Train `rounds` FedAvg rounds recording history and ledger from scratch."""
     constants = regime_constants(spec, list(fed.clients))
     contraction = contraction_factor(constants, fed.eta)
     if theta0 is None:
         theta0 = init_params(spec, fed.seed, init_mode)
     history = TrainingHistory(theta0)
-    ledger = SensitivityLedger(
-        contraction,
-        fed.local_steps,
-        psi_star=(budget.psi_star if budget is not None else None),
-        clients=range(fed.client_count),
-        initial_model=(theta0 if budget is not None else None),
-    )
+    ledger = SensitivityLedger(contraction, fed.local_steps, clients=range(fed.client_count))
     retrain_until(
         spec,
         fed,

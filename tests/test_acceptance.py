@@ -34,7 +34,6 @@ from fedunlearn.unlearn import (
     StoppingRule,
     UnlearningRequest,
     UnlearningState,
-    baseline_scratch,
     retrain_until,
     sifu,
 )
@@ -278,16 +277,16 @@ def test_criterion_7_degenerate_budgets():
     fed, _ = fed_for(spec, datasets, rounds=12, seed=1)
 
     zero = NoiseBudget(1.0, 0.05, 0.0)
-    theta0, _, history, ledger = train_world(spec, fed, 12, budget=zero)
+    theta0, _, history, ledger = train_world(spec, fed, 12)
     state = UnlearningState.from_training(history, ledger, zero, 4, fed.seed)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(8))
-    scratch = baseline_scratch(spec, fed, theta0, {1, 2, 3}, exactly(8))
+    scratch = retrain_until(spec, fed, theta0, {1, 2, 3}, exactly(8)).final_model
     assert outcome.rollback_position == 0
     assert outcome.noise_sigma == 0.0
     assert outcome.final_model.tobytes() == scratch.tobytes()
 
     huge = NoiseBudget(1.0, 0.05, SQ * 1e9)
-    theta0, _, history, ledger = train_world(spec, fed, 12, budget=huge)
+    theta0, _, history, ledger = train_world(spec, fed, 12)
     psi_final = ledger.set_sensitivity({0}, 12)
     state = UnlearningState.from_training(history, ledger, huge, 4, fed.seed)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(5))

@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 
 from fedunlearn.cli import main
-from fedunlearn.engine import read_checkpoint
+from fedunlearn.config import load_config
+from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, write_checkpoint
+from fedunlearn.runner import prepare
+from fedunlearn.sensitivity import SensitivityLedger, client_increment_fast
+from fedunlearn.serialize import dumps17
 
 
 def base_doc(name="cli_unit"):
@@ -71,8 +75,48 @@ def test_train_writes_the_advertised_artifacts(workdir):
     assert len(metrics) == 6
     first = json.loads(metrics[0])
     assert set(first) == {"round", "segment", "global_loss", "delta", "psi"}
-    rollback = sorted((train / "rollback").glob("client_*.ckpt"))
-    assert len(rollback) == 3
+    assert not (train / "rollback").exists()
+
+
+def test_train_artifacts_match_a_hand_written_round_loop(workdir):
+    doc = base_doc("cli_hand")
+    doc["federation"]["rounds"] = 7
+    doc["checkpoint_interval"] = 2
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    train = run_dir(workdir, doc) / "train"
+
+    prepared = prepare(load_config(config))
+    spec, fed = prepared.spec, prepared.federation()
+    everyone = tuple(range(fed.client_count))
+    ledger = SensitivityLedger(prepared.contraction, fed.local_steps, clients=everyone)
+    reference = workdir / "reference"
+    reference.mkdir()
+    write_checkpoint(reference / "round_00000.ckpt", 0, prepared.theta0, prepared.digest)
+    theta, rows = prepared.theta0, []
+    for n in range(fed.rounds):
+        record = fedavg_round(spec, fed, theta, everyone, n)
+        theta = record.global_after
+        deltas = {c: client_increment_fast(record, fed.weights, c) for c in everyone}
+        ledger.record_round(deltas, 0)
+        rows.append(
+            {
+                "round": n,
+                "segment": 0,
+                "global_loss": federation_loss(spec, fed.clients, fed.weights, theta),
+                "delta": {str(c): deltas[c] for c in everyone},
+                "psi": {str(c): ledger.psi_online(c) for c in everyone},
+            }
+        )
+        if (n + 1) % 2 == 0 or n + 1 == fed.rounds:
+            write_checkpoint(reference / f"round_{n + 1:05d}.ckpt", n + 1, theta, prepared.digest)
+    ledger.export_csv(reference / "ledger.csv")
+
+    assert (train / "ledger.csv").read_bytes() == (reference / "ledger.csv").read_bytes()
+    assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
+    written = snapshot(train / "checkpoints")
+    assert written == snapshot(reference, skip=("ledger.csv",))
+    assert sorted(written) == [f"round_{k:05d}.ckpt" for k in (0, 2, 4, 6, 7)]
 
 
 def test_train_twice_is_byte_identical(workdir):
@@ -222,6 +266,7 @@ def test_ifu_requires_singleton_requests(workdir):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", "ifu"]) == 2
+    assert not (run_dir(workdir, doc) / "unlearn_ifu").exists()
 
 
 def test_usage_errors(workdir, tmp_path):
@@ -232,6 +277,15 @@ def test_usage_errors(workdir, tmp_path):
     bad.write_text("{")
     assert main(["train", str(bad)]) == 2
     assert main(["report", str(tmp_path / "nowhere")]) == 2
+    # a client forgotten twice, and a request list that forgets everyone
+    for requests in ([[0], [0]], [[0, 1], [2]]):
+        doc = base_doc("cli_bad_requests")
+        doc["requests"] = requests
+        config = write_doc(workdir, doc)
+        assert main(["train", config]) == 2
+        for method in ("sifu", "scratch"):
+            assert main(["unlearn", config, "--method", method]) == 2
+        assert not run_dir(workdir, doc).exists()
 
 
 def test_unlearn_before_train_is_a_usage_error(workdir):

@@ -56,7 +56,6 @@ def test_basic_fields_land_where_expected():
     assert config.federation_seed == 3
     assert config.weights is None
     assert config.requests == ((0,), (2, 3))
-    assert config.batch_size is None
 
 
 def test_logistic_kind_implies_classification_data():
@@ -70,7 +69,6 @@ def test_serialize_round_trips_exactly():
     doc = base_doc()
     doc["federation"]["eta"] = "2/(beta+mu)"
     doc["federation"]["weights"] = [0.5, 0.25, 0.125, 0.125]
-    doc["federation"]["batch_size"] = 4
     doc["stopping"]["loss_threshold"] = "inf"
     config = parse(doc)
     text = serialize_config(config)
@@ -132,6 +130,10 @@ def test_unknown_and_missing_keys_rejected():
     with pytest.raises(ConfigError, match="unknown keys"):
         parse(doc)
     doc = base_doc()
+    doc["federation"]["batch_size"] = 4  # the removed stochastic mode
+    with pytest.raises(ConfigError, match="unknown keys"):
+        parse(doc)
+    doc = base_doc()
     del doc["budget"]
     with pytest.raises(ConfigError, match="missing keys"):
         parse(doc)
@@ -185,6 +187,12 @@ def test_requests_must_name_known_clients():
         parse(doc)
     doc["requests"] = [[]]
     with pytest.raises(ConfigError, match="at least one client"):
+        parse(doc)
+    doc["requests"] = [[0], [0]]
+    with pytest.raises(ConfigError, match="more than one request"):
+        parse(doc)
+    doc["requests"] = [[0, 1], [2, 3]]
+    with pytest.raises(ConfigError, match="every client"):
         parse(doc)
 
 

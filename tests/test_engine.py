@@ -65,20 +65,6 @@ def test_local_update_does_not_mutate_input():
 def test_local_update_validation():
     with pytest.raises(ValueError):
         local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), 1.0, 0)
-    with pytest.raises(ValueError):
-        local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), 1.0, 1, batch_size=1)
-
-
-def test_local_update_stochastic_is_seed_deterministic():
-    spec, datasets = make_ridge(seed=2)
-    a = local_update(spec, datasets[0], np.zeros(4), 0.1, 5,
-                     batch_size=4, rng=np.random.default_rng(42))
-    b = local_update(spec, datasets[0], np.zeros(4), 0.1, 5,
-                     batch_size=4, rng=np.random.default_rng(42))
-    c = local_update(spec, datasets[0], np.zeros(4), 0.1, 5,
-                     batch_size=4, rng=np.random.default_rng(43))
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_local_update_divergence_guard():

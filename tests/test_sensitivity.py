@@ -306,20 +306,6 @@ def test_rollback_index_matches_brute_force(rows, contraction, threshold):
     assert ledger.rollback_index({0, 1}, threshold) == want
 
 
-def test_rollback_slots_follow_the_threshold():
-    theta0 = np.zeros(2)
-    ledger = SensitivityLedger(1.0, 1, psi_star=0.9, clients=[0], initial_model=theta0)
-    assert ledger.per_client_rollback[0].position == 0
-    models = [np.full(2, float(k)) for k in (1, 2, 3)]
-    for k, model in enumerate(models):
-        ledger.record_round({0: 0.4}, 0, model_after=model)
-        slot = ledger.per_client_rollback[0]
-        assert slot.position == ledger.rollback_index({0}, 0.9)
-    slot = ledger.per_client_rollback[0]
-    assert slot.position == 2
-    np.testing.assert_array_equal(slot.model, models[1])
-
-
 def test_truncate_refolds_online_state():
     deltas = [0.3, 0.5, 0.2, 0.7, 0.1]
     ledger = ledger_from_deltas(0.8, 2, [{0: d} for d in deltas])
@@ -330,15 +316,17 @@ def test_truncate_refolds_online_state():
     np.testing.assert_array_equal(ledger.psi_series(0), fresh.psi_series(0))
 
 
-def test_truncate_rebuilds_slots_through_model_lookup():
-    theta0 = np.zeros(1)
-    ledger = SensitivityLedger(1.0, 1, psi_star=0.9, clients=[0], initial_model=theta0)
-    for _ in range(4):
-        ledger.record_round({0: 0.4}, 0, model_after=np.ones(1))
-    ledger.truncate(1, model_at=lambda p: np.full(1, 10.0 + p))
-    slot = ledger.per_client_rollback[0]
-    assert slot.position == 1
-    np.testing.assert_array_equal(slot.model, [11.0])
+def test_truncate_at_the_end_keeps_everything_without_refolding(monkeypatch):
+    ledger = ledger_from_deltas(0.8, 2, [{0: d} for d in (0.3, 0.5, 0.2)])
+    kept, psi = ledger.increments, ledger.psi_online(0)
+
+    def no_refold(client):
+        raise AssertionError("truncating at the end must not rebuild the series")
+
+    monkeypatch.setattr(ledger, "psi_series", no_refold)
+    ledger.truncate(len(ledger))
+    assert ledger.increments is kept
+    assert ledger.psi_online(0) == psi
 
 
 # ---------------------------------------------------------------------------
@@ -382,5 +370,3 @@ def test_ledger_constructor_validation():
         SensitivityLedger(0.0, 1)
     with pytest.raises(ValueError):
         SensitivityLedger(1.0, 0)
-    with pytest.raises(ValueError):
-        SensitivityLedger(1.0, 1, psi_star=-0.5)

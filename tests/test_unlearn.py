@@ -23,9 +23,6 @@ from fedunlearn.unlearn import (
     StoppingRule,
     UnlearningRequest,
     UnlearningState,
-    baseline_finetune,
-    baseline_last,
-    baseline_scratch,
     gaussian_perturb,
     ifu,
     perturbation_stream,
@@ -39,7 +36,7 @@ def sc_world(budget_sigma=0.4, rounds=12, clients=4, seed=21, fed_seed=9, **fed_
     spec, datasets = make_ridge(clients=clients, samples=15, features=3, seed=seed, l2=0.1)
     fed, _ = fed_for(spec, datasets, frac=0.8, rounds=rounds, seed=fed_seed, **fed_kw)
     budget = NoiseBudget(1.0, 0.05, budget_sigma)
-    theta0, contraction, history, ledger = train_world(spec, fed, rounds, budget=budget)
+    theta0, contraction, history, ledger = train_world(spec, fed, rounds)
     return spec, fed, budget, theta0, contraction, history, ledger
 
 
@@ -267,7 +264,7 @@ def test_sifu_with_zero_budget_equals_scratch_bitwise():
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(8))
     assert outcome.rollback_position == 0
     assert outcome.noise_sigma == 0.0
-    scratch = baseline_scratch(spec, fed, theta0, {1, 2, 3}, exactly(8))
+    scratch = retrain_until(spec, fed, theta0, {1, 2, 3}, exactly(8)).final_model
     np.testing.assert_array_equal(outcome.final_model, scratch)
 
 
@@ -285,13 +282,13 @@ def test_sifu_ignores_a_client_that_never_contributed():
         datasets, eta=0.4, local_steps=1, rounds=10, seed=4, weights=[0.0, 0.5, 0.5]
     )
     budget = NoiseBudget(1.0, 0.05, 0.3)
-    theta0, _, history, ledger = train_world(spec, fed, 10, budget=budget)
+    theta0, _, history, ledger = train_world(spec, fed, 10)
     final = history.final_model.copy()
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(5))
     assert outcome.rollback_position == 10
     assert outcome.noise_sigma == 0.0
-    want = baseline_finetune(spec, TrainingHistory(final), {1, 2}, fed, exactly(5))
+    want = retrain_until(spec, fed, final, {1, 2}, exactly(5)).final_model
     np.testing.assert_array_equal(outcome.final_model, want)
 
 
@@ -320,8 +317,21 @@ def test_ifu_is_the_single_request_case_of_sifu():
 
 
 # ---------------------------------------------------------------------------
-# baselines
+# baselines: the same request step with the rollback pinned
 # ---------------------------------------------------------------------------
+
+
+def baseline(method, spec, fed, history, ledger, targets, stopping, budget=NoiseBudget(1.0, 0.05, 0.4)):
+    """Run one request of a baseline method through the shared step."""
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed, method)
+    return sifu(state, UnlearningRequest(1, frozenset(targets)), spec, fed, stopping)
+
+
+def test_state_method_must_match_its_ledger():
+    spec, fed, budget, theta0, _, history, ledger = sc_world()
+    for method, wrong in (("sifu", None), ("last", None), ("finetune", ledger), ("redo", ledger)):
+        with pytest.raises(ValueError):
+            UnlearningState.from_training(history, wrong, budget, fed.client_count, fed.seed, method)
 
 
 def test_baseline_scratch_matches_manual_loop():
@@ -330,7 +340,9 @@ def test_baseline_scratch_matches_manual_loop():
         datasets, eta=0.2, local_steps=1, rounds=0, weights=[0.5, 0.3, 0.2]
     )
     theta0 = np.zeros(4)
-    out = baseline_scratch(spec, fed, theta0, {1, 2}, exactly(6))
+    outcome = baseline("scratch", spec, fed, TrainingHistory(theta0), None, {0}, exactly(6))
+    assert (outcome.rollback_position, outcome.noise_sigma) == (0, 0.0)
+    out = outcome.final_model
     theta = theta0.copy()
     for _ in range(6):
         locals_ = [local_update(spec, datasets[i], theta, 0.2, 1) for i in (1, 2)]
@@ -341,11 +353,12 @@ def test_baseline_scratch_matches_manual_loop():
 def test_baseline_finetune_continues_from_the_final_model():
     spec, fed, budget, theta0, _, history, ledger = sc_world()
     final = history.final_model.copy()
-    out = baseline_finetune(spec, history, {1, 2, 3}, fed, exactly(0))
-    np.testing.assert_array_equal(out, final)
-    out = baseline_finetune(spec, history, {1, 2, 3}, fed, exactly(3))
+    outcome = baseline("finetune", spec, fed, copy.deepcopy(history), None, {0}, exactly(0))
+    np.testing.assert_array_equal(outcome.final_model, final)
+    outcome = baseline("finetune", spec, fed, history, None, {0}, exactly(3))
+    assert (outcome.rollback_position, outcome.noise_sigma) == (len(ledger), 0.0)
     want = retrain_until(spec, fed, final, {1, 2, 3}, exactly(3)).final_model
-    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(outcome.final_model, want)
 
 
 def test_baseline_last_uses_final_round_sensitivity():
@@ -354,9 +367,10 @@ def test_baseline_last_uses_final_round_sensitivity():
     psi_final = ledger.set_sensitivity({2}, end)
     sigma = noise_std(psi_final, budget.epsilon, budget.delta)
     final = history.final_model.copy()
-    out = baseline_last(spec, history, ledger, {2}, budget, fed, exactly(0))
+    outcome = baseline("last", spec, fed, history, ledger, {2}, exactly(0), budget)
+    assert (outcome.rollback_position, outcome.noise_sigma) == (end, sigma)
     want = gaussian_perturb(final, sigma, perturbation_stream(fed.seed, 1))
-    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(outcome.final_model, want)
     assert history.segments[-1].index == 1
     assert len(ledger) == end
 
@@ -364,19 +378,19 @@ def test_baseline_last_uses_final_round_sensitivity():
 def test_baseline_last_extends_the_records():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=10)
     end = len(ledger)
-    baseline_last(spec, history, ledger, {2}, budget, fed, exactly(4))
+    baseline("last", spec, fed, history, ledger, {2}, exactly(4), budget)
     assert len(ledger) == end + 4
     assert history.end_position == end + 4
     history.validate()
     with pytest.raises(InvalidRequestError):
-        baseline_last(spec, history, ledger, set(), budget, fed, exactly(1))
+        baseline("last", spec, fed, history, ledger, set(), exactly(1), budget)
 
 
 def test_last_noise_never_below_ifu_noise_without_contraction():
     spec, datasets = make_logistic(clients=4, samples=15, features=3, seed=50)
     fed, constants = fed_for(spec, datasets, frac=0.5, local_steps=1, rounds=20, seed=3)
     budget = NoiseBudget(1.0, 0.05, 0.4)
-    theta0, contraction, history, ledger = train_world(spec, fed, 20, budget=budget)
+    theta0, contraction, history, ledger = train_world(spec, fed, 20)
     assert contraction == 1.0
     psi_roll = ledger.set_sensitivity({1}, ledger.rollback_index({1}, budget.psi_star))
     psi_last = ledger.set_sensitivity({1}, len(ledger))
