@@ -25,7 +25,6 @@ from .unlearn import (
     UnlearningOutcome,
     UnlearningRequest,
     UnlearningState,
-    ifu,
     sifu,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "contraction_factor",
     "empirical_sensitivity",
     "generate_data",
-    "ifu",
     "noise_std",
     "psi_star",
     "regime_constants",

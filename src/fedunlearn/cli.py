@@ -71,7 +71,10 @@ def main(argv=None) -> int:
             report, ok = cmd_verify(load_config(args.config))
             for check in report["checks"]:
                 state = "PASS" if check["pass"] else "FAIL"
-                print(f"{state} {check['name']} worst_slack={check['worst_slack']}")
+                line = f"{state} {check['name']} worst_slack={check['worst_slack']}"
+                if "first_violation" in check:
+                    line += f" first_violation=round {check['first_violation']}"
+                print(line)
             if not ok:
                 print("verification FAILED")
                 return EXIT_CHECK_FAILED

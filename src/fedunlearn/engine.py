@@ -8,7 +8,7 @@ runs on the same platform are bit-identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

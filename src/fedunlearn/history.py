@@ -1,96 +1,63 @@
-"""Segmented history of global models across training and unlearning epochs.
+"""History of global models across training and unlearning epochs.
 
 Positions are global 0-based round counts over the concatenated timeline:
 position p is the model after p recorded rounds.  Each unlearning request
 truncates the timeline at its rollback position and starts a new segment
-whose first model is the perturbed checkpoint, so consecutive segments
-overlap at exactly one position.  Lookups at an overlapping position return
-the newest segment's model (the live, perturbed one).
+whose first model, the perturbed checkpoint, replaces the model at that
+position.  The history keeps one live model per position and the index of
+the segment that owns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from . import models
-from .models import Params
-
-
-@dataclass
-class Segment:
-    index: int
-    start: int
-    model_list: list[Params] = field(default_factory=list)
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.model_list) - 1
+from .models import Params, as_params
 
 
 class TrainingHistory:
-    """Ordered global-model checkpoints, one segment per unlearning epoch."""
+    """Live global models by position, each tagged with its owning segment."""
 
     def __init__(self, theta0: Params, segment_index: int = 0):
-        theta0 = models.as_params(theta0)
-        self.segments: list[Segment] = [Segment(segment_index, 0, [theta0.copy()])]
+        self.models: list[Params] = [as_params(theta0).copy()]
+        self.owners: list[int] = [segment_index]
 
     @property
     def end_position(self) -> int:
-        return self.segments[-1].end
+        return len(self.models) - 1
 
     @property
     def final_model(self) -> Params:
-        return self.segments[-1].model_list[-1]
+        return self.models[-1]
 
     def append_model(self, model: Params) -> int:
         """Record the model after one more round; returns its position."""
-        self.segments[-1].model_list.append(models.as_params(model).copy())
+        self.models.append(as_params(model).copy())
+        self.owners.append(self.owners[-1])
         return self.end_position
 
     def model_at(self, position: int) -> Params:
-        """Model at a global position; newest segment wins at overlaps."""
+        """Live model at a global position."""
         self._check_position(position)
-        for segment in reversed(self.segments):
-            if segment.start <= position <= segment.end:
-                return segment.model_list[position - segment.start]
-        raise IndexError(f"position {position} not covered by any segment")
+        return self.models[position]
 
     def segment_at(self, position: int) -> int:
         """Segment index owning the model returned by model_at(position)."""
         self._check_position(position)
-        for segment in reversed(self.segments):
-            if segment.start <= position <= segment.end:
-                return segment.index
-        raise IndexError(f"position {position} not covered by any segment")
+        return self.owners[position]
 
     def truncate(self, position: int) -> None:
         """Discard every model strictly after `position`."""
         self._check_position(position)
-        kept: list[Segment] = []
-        for segment in self.segments:
-            if segment.start > position:
-                continue
-            if segment.end > position:
-                segment.model_list = segment.model_list[: position - segment.start + 1]
-            kept.append(segment)
-        self.segments = kept
+        del self.models[position + 1 :], self.owners[position + 1 :]
 
     def start_segment(self, index: int, first_model: Params) -> None:
-        """Open a new segment at the current end position."""
-        first_model = models.as_params(first_model)
-        self.segments.append(Segment(index, self.end_position, [first_model.copy()]))
+        """Open segment `index` at the end position with `first_model` there.
 
-    def validate(self) -> None:
-        """Raise if segment starts are not contiguous with predecessor ends."""
-        for prev, cur in zip(self.segments, self.segments[1:]):
-            if cur.start != prev.end:
-                raise ValueError(
-                    f"segment {cur.index} starts at {cur.start}, expected {prev.end}"
-                )
-            if cur.index <= prev.index:
-                raise ValueError("segment indices must increase")
+        Segment indices must increase along the timeline.
+        """
+        if index <= self.owners[-1]:
+            raise ValueError(f"segment {index} must follow segment {self.owners[-1]}")
+        self.models[-1] = as_params(first_model).copy()
+        self.owners[-1] = index
 
     def _check_position(self, position: int) -> None:
         if not 0 <= position <= self.end_position:

@@ -64,10 +64,9 @@ def empirical_sensitivity(
     with_all = run_fedavg(config, spec, theta0, everyone)
     without = run_fedavg(config, spec, theta0, tuple(i for i in everyone if i != client))
 
-    ledger = SensitivityLedger(contraction, config.local_steps, clients=everyone)
+    ledger = SensitivityLedger(contraction, config.local_steps, config.client_count)
     for record in with_all:
-        deltas = {c: client_increment_fast(record, config.weights, c) for c in everyone}
-        ledger.record_round(deltas, 0)
+        ledger.record_round([client_increment_fast(record, config.weights, c) for c in everyone], 0)
 
     alphas = np.empty(config.rounds + 1)
     alphas[0] = 0.0
@@ -75,7 +74,7 @@ def empirical_sensitivity(
         alphas[n + 1] = float(
             np.linalg.norm(with_all[n].global_after - without[n].global_after)
         )
-    return SensitivityTrace(client, alphas, ledger.psi_series(client))
+    return SensitivityTrace(client, alphas, ledger.psi[:, client])
 
 
 def check_bound(

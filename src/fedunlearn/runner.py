@@ -204,7 +204,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
 
     everyone = tuple(range(prepared.client_count))
     history = TrainingHistory(prepared.theta0)
-    ledger = SensitivityLedger(prepared.contraction, config.local_steps, clients=everyone)
+    ledger = SensitivityLedger(prepared.contraction, config.local_steps, prepared.client_count)
     result = retrain_until(
         prepared.spec,
         prepared.federation(),
@@ -215,16 +215,16 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         history=history,
     )
 
-    psi = {c: ledger.psi_series(c) for c in everyone}
+    rounds = zip(ledger.segments.tolist(), ledger.deltas.tolist(), ledger.psi[1:].tolist(), result.loss_trace[1:])
     metric_rows = [
         {
-            "round": record.position,
-            "segment": record.segment,
+            "round": position,
+            "segment": segment,
             "global_loss": loss,
-            "delta": {str(c): record.delta(c) for c in everyone},
-            "psi": {str(c): float(psi[c][record.position + 1]) for c in everyone},
+            "delta": dict(enumerate(deltas)),
+            "psi": dict(enumerate(psi)),
         }
-        for record, (_, loss) in zip(ledger.increments, result.loss_trace[1:])
+        for position, (segment, deltas, psi, (_, loss)) in enumerate(rounds)
     ]
     _write_text(train_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
     ledger.export_csv(train_dir / "ledger.csv")
@@ -240,13 +240,15 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     return train_dir
 
 
-def _load_history(train_dir: Path) -> TrainingHistory:
+def _load_history(train_dir: Path, prepared: PreparedExperiment) -> TrainingHistory:
     ckpt_dir = train_dir / "checkpoints"
     if not ckpt_dir.is_dir():
         raise MissingArtifactsError(f"missing checkpoint directory: {ckpt_dir}")
     positions = {}
     for path in sorted(ckpt_dir.glob("round_*.ckpt")):
-        position, values, _ = read_checkpoint(path)
+        position, values, digest = read_checkpoint(path)
+        if digest != prepared.digest:
+            raise ConfigError(f"checkpoint {path} was produced by a different config")
         positions[position] = values
     if not positions:
         raise MissingArtifactsError(f"no checkpoints found in {ckpt_dir}")
@@ -258,12 +260,12 @@ def _load_history(train_dir: Path) -> TrainingHistory:
         ) from err
 
 
-def _load_ledger(train_dir: Path, prepared: PreparedExperiment) -> SensitivityLedger:
-    path = train_dir / "ledger.csv"
+def _read_ledger(path: Path, prepared: PreparedExperiment) -> tuple[SensitivityLedger, np.ndarray]:
     if not path.exists():
         raise MissingArtifactsError(f"missing ledger: {path}")
-    ledger, _ = SensitivityLedger.from_csv(path, prepared.contraction, prepared.config.local_steps)
-    return ledger
+    return SensitivityLedger.from_csv(
+        path, prepared.contraction, prepared.config.local_steps, prepared.client_count
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +284,23 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     run_dir = run_dir_for(config, out_root)
     train_dir = run_dir / "train"
     out_dir = run_dir / f"unlearn_{method}"
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    out_dir.mkdir(parents=True)
-    _store_config(run_dir, config)
 
+    # load and check every train artifact before the run directory is touched
     if method == "scratch":
         history = TrainingHistory(prepared.theta0)
     else:
         _check_manifest_hash(train_dir, prepared)
-        history = _load_history(train_dir)
-    ledger = _load_ledger(train_dir, prepared) if method in LEDGER_METHODS else None
+        history = _load_history(train_dir, prepared)
+    ledger = _read_ledger(train_dir / "ledger.csv", prepared)[0] if method in LEDGER_METHODS else None
+    if ledger is not None and len(ledger) != history.end_position:
+        raise MissingArtifactsError(
+            f"ledger.csv records {len(ledger)} rounds but the checkpoints {history.end_position}"
+        )
+
+    if out_dir.exists():
+        shutil.rmtree(out_dir)
+    out_dir.mkdir(parents=True)
+    _store_config(run_dir, config)
 
     outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
     if ledger is not None:
@@ -359,14 +367,15 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     for client in range(prepared.client_count):
         trace = empirical_sensitivity(fed, prepared.spec, prepared.theta0, client)
         report = check_bound(trace, tol=1e-8, psi_cap=psi_cap)
-        checks.append(
-            {
-                "name": f"bound:client{client}",
-                "pass": report.passed,
-                "worst_slack": report.worst_slack,
-                "tightness": report.tightness,
-            }
-        )
+        check = {
+            "name": f"bound:client{client}",
+            "pass": report.passed,
+            "worst_slack": report.worst_slack,
+            "tightness": report.tightness,
+        }
+        if not report.passed:
+            check["first_violation"] = report.first_violation
+        checks.append(check)
 
     checks.append(_check_proxy_equivalence(prepared, fed))
     checks.append(_check_contractivity(prepared))
@@ -425,9 +434,7 @@ def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dic
             raise MissingArtifactsError(
                 f"{out_dir} is missing ledger.csv or outcomes.json; re-run the unlearn command"
             )
-        ledger, recorded = SensitivityLedger.from_csv(
-            ledger_path, prepared.contraction, prepared.config.local_steps
-        )
+        ledger, recorded = _read_ledger(ledger_path, prepared)
         outcomes = json.loads(outcomes_path.read_text())["outcomes"]
         checks.append(
             _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback=method != "last")
@@ -441,14 +448,12 @@ def _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback: bool)
     worst = float("-inf")
 
     # recorded psi column must match a fresh recomputation from the deltas
-    for client in ledger.tracked_clients():
-        series = ledger.psi_series(client)
-        for position in range(len(ledger)):
-            fresh = float(series[position + 1])
-            stored = recorded.get((position, client))
-            if stored is None or abs(stored - fresh) > 1e-12 * max(1.0, abs(fresh)):
-                passed = False
-                worst = max(worst, abs((stored or 0.0) - fresh))
+    fresh = ledger.psi[1:]
+    gap = np.abs(recorded - fresh)
+    drifted = gap > 1e-12 * np.maximum(1.0, np.abs(fresh))
+    if drifted.any():
+        passed = False
+        worst = float(gap[drifted].max())
 
     positions = [row["rollback_position"] for row in outcomes]
     for u, row in enumerate(outcomes):
@@ -457,17 +462,15 @@ def _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback: bool)
             # the perturbation covering request u in the surviving history sits
             # at the smallest rollback position among request u and all later ones
             audit_pos = min(positions[u:])
-            for client in targets:
-                psi_here = ledger.bounded_sensitivity(audit_pos, client)
-                slack = psi_here - budget.psi_star
-                worst = max(worst, slack)
-                if slack > 1e-9:
-                    passed = False
+            slack = ledger.bounded_sensitivity(audit_pos, targets) - budget.psi_star
+            worst = max(worst, float(slack.max()))
+            if (slack > 1e-9).any():
+                passed = False
             survived = audit_pos == row["rollback_position"]
         else:
             survived = True  # no truncation: every prefix is intact
         if survived:
-            psi_at = max(ledger.bounded_sensitivity(row["rollback_position"], c) for c in targets)
+            psi_at = ledger.set_sensitivity(targets, row["rollback_position"])
             expected = noise_std(psi_at, budget.epsilon, budget.delta)
             if abs(expected - row["sigma"]) > 1e-9 * max(1.0, expected):
                 passed = False

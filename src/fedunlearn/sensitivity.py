@@ -149,178 +149,164 @@ class NoiseBudget:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncrementRecord:
-    """Per-round aggregation gaps: position in the concatenated timeline,
-    unlearning-epoch segment, and one non-negative delta per active client."""
-
-    position: int
-    segment: int
-    per_client_delta: dict[int, float]
-
-    def delta(self, client: int) -> float:
-        return self.per_client_delta.get(client, 0.0)
-
-
 CSV_HEADER = ("round", "segment", "client", "delta", "psi")
 
 
 class SensitivityLedger:
-    """Online sensitivity accounting for every client across all segments.
+    """Sensitivity accounting over a dense rounds x clients timeline.
 
-    Maintains the running Psi per client via the decay recurrence.
+    Round s holds one delta row over all clients (zero for a client absent
+    from the round) and the unlearning-epoch segment that recorded it.  The
+    Psi rows follow the recurrence: row 0 is zero and each recorded round
+    appends round_decay * (previous row) + (delta row).
     """
 
-    def __init__(self, contraction: float, local_steps: int, clients=()):
+    def __init__(self, contraction: float, local_steps: int, client_count: int):
         if contraction <= 0:
             raise ValueError("contraction factor must be positive")
         if local_steps < 1:
             raise ValueError("local_steps must be >= 1")
+        if client_count < 1:
+            raise ValueError("client_count must be >= 1")
         self.contraction = float(contraction)
         self.local_steps = int(local_steps)
-        self.increments: list[IncrementRecord] = []
-        self._psi: dict[int, float] = {int(c): 0.0 for c in clients}
+        self.client_count = int(client_count)
+        self._deltas: list[np.ndarray] = []
+        self._segments: list[int] = []
+        self._psi: list[np.ndarray] = [np.zeros(self.client_count)]
 
     def __len__(self) -> int:
-        return len(self.increments)
+        return len(self._deltas)
 
     @property
     def round_decay(self) -> float:
         return self.contraction**self.local_steps
 
-    def tracked_clients(self) -> list[int]:
-        return sorted(self._psi)
+    @property
+    def deltas(self) -> np.ndarray:
+        """Per-round increments, shape (rounds, clients)."""
+        return np.array(self._deltas).reshape(len(self), self.client_count)
 
-    def record_round(self, per_client_delta: dict[int, float], segment: int) -> IncrementRecord:
-        """Append one round of increments and advance the online recurrence."""
-        for client, delta in per_client_delta.items():
-            if delta < 0:
-                raise ValueError(f"negative increment for client {client}")
-            if client not in self._psi:
-                self._psi[int(client)] = 0.0
-        record = IncrementRecord(
-            len(self.increments), segment, {int(c): float(d) for c, d in per_client_delta.items()}
-        )
-        self.increments.append(record)
-        decay = self.round_decay
-        for client in self._psi:
-            self._psi[client] = decay * self._psi[client] + record.delta(client)
-        return record
+    @property
+    def segments(self) -> np.ndarray:
+        """Segment index of each recorded round."""
+        return np.array(self._segments, dtype=np.int64)
 
-    def psi_online(self, client: int) -> float:
-        """Current Psi at the end of the recorded timeline."""
-        return self._psi.get(int(client), 0.0)
+    @property
+    def psi(self) -> np.ndarray:
+        """Psi(n, c) for n = 0..len, shape (rounds + 1, clients)."""
+        return np.array(self._psi)
 
-    def bounded_sensitivity(self, n: int, client: int) -> float:
-        """Psi(n, c) from the explicit decayed sum over the first n increments."""
+    def record_round(self, deltas, segment: int) -> None:
+        """Append one round's delta row and advance the recurrence."""
+        row = np.array(deltas, dtype=np.float64)
+        if row.shape != (self.client_count,):
+            raise ValueError(f"delta row must have shape ({self.client_count},), got {row.shape}")
+        if np.any(row < 0):
+            raise ValueError(f"negative increment for client {int(np.flatnonzero(row < 0)[0])}")
+        self._deltas.append(row)
+        self._segments.append(int(segment))
+        self._psi.append(self.round_decay * self._psi[-1] + row)
+
+    def bounded_sensitivity(self, n: int, clients) -> np.ndarray:
+        """Psi(n, c) for each c in sorted(set(clients)) from the explicit
+        decayed sum over the first n increments (the value sigma is
+        calibrated from)."""
         self._check_prefix(n)
-        steps = self.local_steps
-        total = 0.0
-        for s in range(n):
-            total += self.contraction ** ((n - s - 1) * steps) * self.increments[s].delta(client)
+        columns = self.deltas[:n][:, self._client_set(clients)]
+        total = np.zeros(columns.shape[1])
+        for s, row in enumerate(columns):
+            total += self.contraction ** ((n - s - 1) * self.local_steps) * row
         return total
-
-    def psi_series(self, client: int) -> np.ndarray:
-        """Psi(n, c) for n = 0..len via the online recurrence (one pass)."""
-        decay = self.round_decay
-        series = np.empty(len(self.increments) + 1)
-        series[0] = 0.0
-        for s, record in enumerate(self.increments):
-            series[s + 1] = decay * series[s] + record.delta(client)
-        return series
 
     def set_sensitivity(self, clients, n: int) -> float:
         """Psi(n, S) = max over the client set of the individual bounds."""
-        clients = sorted(set(clients))
-        if not clients:
-            raise ValueError("client set must be non-empty")
-        return max(self.bounded_sensitivity(n, c) for c in clients)
+        return float(self.bounded_sensitivity(n, clients).max())
 
     def rollback_index(self, clients, threshold: float) -> int:
-        """Largest position n with Psi(n, S) <= threshold.
+        """Largest position n with max over S of the recurrence Psi(n, c) <= threshold.
 
         Position 0 always qualifies (Psi(0, c) = 0), so the scan cannot fail
-        for non-negative thresholds.  Uses the recurrence series for the scan,
-        consistent with the online bookkeeping.
+        for non-negative thresholds.
         """
+        clients = self._client_set(clients)
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        worst = self.psi[:, clients].max(axis=1)
+        return int(np.flatnonzero(worst <= threshold)[-1])
+
+    def truncate(self, position: int) -> None:
+        """Drop the rounds at positions >= position."""
+        self._check_prefix(position)
+        del self._deltas[position:], self._segments[position:], self._psi[position + 1 :]
+
+    def _client_set(self, clients) -> list[int]:
         clients = sorted(set(clients))
         if not clients:
             raise ValueError("client set must be non-empty")
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        worst = np.maximum.reduce([self.psi_series(c) for c in clients])
-        for n in range(len(worst) - 1, -1, -1):
-            if worst[n] <= threshold:
-                return n
-        raise AssertionError("unreachable: position 0 always satisfies the threshold")
-
-    def truncate(self, position: int) -> None:
-        """Drop increments at positions >= position and rebuild online state.
-
-        Truncating at the current length drops nothing and returns at once.
-        """
-        self._check_prefix(position)
-        if position == len(self.increments):
-            return
-        self.increments = self.increments[:position]
-        for client in self._psi:
-            self._psi[client] = float(self.psi_series(client)[-1])
+        if not 0 <= clients[0] <= clients[-1] < self.client_count:
+            raise IndexError(f"clients {clients} outside [0, {self.client_count})")
+        return clients
 
     def _check_prefix(self, n: int) -> None:
-        if not 0 <= n <= len(self.increments):
-            raise IndexError(f"prefix length {n} outside [0, {len(self.increments)}]")
+        if not 0 <= n <= len(self):
+            raise IndexError(f"prefix length {n} outside [0, {len(self)}]")
 
     # -- CSV round-trip ------------------------------------------------------
 
     def export_csv(self, path) -> None:
-        """One row per (round, tracked client): round, segment, client, delta, psi.
+        """One row per (round, client): round, segment, client, delta, psi.
 
         psi is the running bound after that round, i.e. Psi(round + 1, client).
         Floats carry 17 significant digits so the file round-trips exactly.
         """
-        clients = self.tracked_clients()
-        series = {c: self.psi_series(c) for c in clients}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for record in self.increments:
-                for client in clients:
-                    writer.writerow(
-                        [
-                            record.position,
-                            record.segment,
-                            client,
-                            format(record.delta(client), ".17g"),
-                            format(float(series[client][record.position + 1]), ".17g"),
-                        ]
-                    )
+            for position, (segment, deltas, psi) in enumerate(
+                zip(self._segments, self._deltas, self._psi[1:])
+            ):
+                writer.writerows(
+                    [position, segment, client, format(d, ".17g"), format(p, ".17g")]
+                    for client, (d, p) in enumerate(zip(deltas.tolist(), psi.tolist()))
+                )
 
     @classmethod
     def from_csv(
-        cls, path, contraction: float, local_steps: int
-    ) -> tuple["SensitivityLedger", dict[tuple[int, int], float]]:
+        cls, path, contraction: float, local_steps: int, client_count: int
+    ) -> tuple["SensitivityLedger", np.ndarray]:
         """Rebuild a ledger from an exported CSV.
 
-        Returns the ledger plus the psi column as recorded in the file keyed
-        by (position, client), so auditors can compare recomputed values
-        against recorded ones.
+        The file must hold exactly one row per (round, client) cell of a
+        rounds x client_count grid.  Returns the ledger plus the psi column as
+        recorded in the file, shape (rounds, clients), so auditors can compare
+        it against the recomputed ledger.psi[1:].
         """
-        rows: dict[int, dict[str, object]] = {}
-        recorded: dict[tuple[int, int], float] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader))
             if header != CSV_HEADER:
                 raise ValueError(f"unexpected ledger header {header!r}")
-            for position_s, segment_s, client_s, delta_s, psi_s in reader:
-                position, client = int(position_s), int(client_s)
-                entry = rows.setdefault(position, {"segment": int(segment_s), "deltas": {}})
-                entry["deltas"][client] = float(delta_s)
-                recorded[(position, client)] = float(psi_s)
-        ledger = cls(contraction, local_steps)
-        for position in range(len(rows)):
-            if position not in rows:
-                raise ValueError(f"ledger file missing round {position}")
-            entry = rows[position]
-            ledger.record_round(entry["deltas"], entry["segment"])
+            cells = [(int(p), int(s), int(c), float(d), float(q)) for p, s, c, d, q in reader]
+        table = np.array(cells, dtype=np.float64).reshape(-1, 5)
+        position, segment, client = table[:, :3].astype(np.int64).T
+        delta, psi = table[:, 3], table[:, 4]
+        rounds = int(position.max()) + 1 if cells else 0
+        if cells and (position.min() < 0 or client.min() < 0 or client.max() >= client_count):
+            raise ValueError(f"ledger file has a round or client outside [0, {client_count})")
+        filled = np.zeros((rounds, client_count), dtype=bool)
+        filled[position, client] = True
+        if not filled.all():
+            p, c = np.argwhere(~filled)[0]
+            raise ValueError(f"ledger file missing round {p} for client {c}")
+        if len(cells) != filled.size:
+            raise ValueError("ledger file repeats a (round, client) cell")
+        deltas, recorded = np.zeros(filled.shape), np.zeros(filled.shape)
+        deltas[position, client] = delta
+        recorded[position, client] = psi
+        segments = np.zeros(rounds, dtype=np.int64)
+        segments[position] = segment
+        ledger = cls(contraction, local_steps, client_count)
+        for row, seg in zip(deltas, segments.tolist()):
+            ledger.record_round(row, seg)
         return ledger, recorded

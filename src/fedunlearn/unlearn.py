@@ -174,7 +174,7 @@ def retrain_until(
 
     Recording computes per-active-client increments with the closed-form
     proxy against the weights actually used in each round's aggregation.
-    Inactive clients implicitly contribute zero.
+    Inactive clients contribute zero.
     """
     active = tuple(sorted(active))
     if not active:
@@ -190,11 +190,9 @@ def retrain_until(
         theta = record.global_after
         rounds += 1
         if ledger is not None:
-            deltas = (
-                {c: client_increment_fast(record, q, c) for c in active}
-                if len(active) > 1
-                else {}
-            )
+            deltas = np.zeros(config.client_count)
+            if len(active) > 1:
+                deltas[list(active)] = [client_increment_fast(record, q, c) for c in active]
             ledger.record_round(deltas, segment)
         if history is not None:
             history.append_model(theta)
@@ -287,19 +285,3 @@ def _rollback_position(state: UnlearningState, targets: frozenset[int]) -> int:
         return state.history.end_position
     return state.ledger.rollback_index(targets, state.budget.psi_star)
 
-
-def ifu(
-    spec: ModelSpec,
-    history: TrainingHistory,
-    ledger: SensitivityLedger,
-    client: int,
-    budget: NoiseBudget,
-    retrain: FederationConfig,
-    stopping: StoppingRule,
-) -> UnlearningOutcome:
-    """Single-request unlearning of one client; the request-count-1 case of sifu.
-
-    Mutates the passed history and ledger exactly as one sifu request would.
-    """
-    state = UnlearningState.from_training(history, ledger, budget, retrain.client_count, retrain.seed)
-    return sifu(state, UnlearningRequest(1, frozenset({client})), spec, retrain, stopping)

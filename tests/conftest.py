@@ -13,7 +13,6 @@ from fedunlearn.models import (
     ClientDataset,
     ModelKind,
     ModelSpec,
-    Regime,
     loss,
     regime_constants,
     step_size_bound,
@@ -83,7 +82,7 @@ def train_world(spec, fed, rounds, *, theta0=None, init_mode="normal"):
     if theta0 is None:
         theta0 = init_params(spec, fed.seed, init_mode)
     history = TrainingHistory(theta0)
-    ledger = SensitivityLedger(contraction, fed.local_steps, clients=range(fed.client_count))
+    ledger = SensitivityLedger(contraction, fed.local_steps, fed.client_count)
     retrain_until(
         spec,
         fed,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fedunlearn import oracle
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, write_checkpoint
@@ -89,7 +90,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     prepared = prepare(load_config(config))
     spec, fed = prepared.spec, prepared.federation()
     everyone = tuple(range(fed.client_count))
-    ledger = SensitivityLedger(prepared.contraction, fed.local_steps, clients=everyone)
+    ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference"
     reference.mkdir()
     write_checkpoint(reference / "round_00000.ckpt", 0, prepared.theta0, prepared.digest)
@@ -98,14 +99,14 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
         deltas = {c: client_increment_fast(record, fed.weights, c) for c in everyone}
-        ledger.record_round(deltas, 0)
+        ledger.record_round([deltas[c] for c in everyone], 0)
         rows.append(
             {
                 "round": n,
                 "segment": 0,
                 "global_loss": federation_loss(spec, fed.clients, fed.weights, theta),
                 "delta": {str(c): deltas[c] for c in everyone},
-                "psi": {str(c): ledger.psi_online(c) for c in everyone},
+                "psi": {str(c): float(ledger.psi[-1, c]) for c in everyone},
             }
         )
         if (n + 1) % 2 == 0 or n + 1 == fed.rounds:
@@ -250,6 +251,83 @@ def test_verify_flags_partial_unlearn_directories(workdir):
     assert main(["verify", config]) == 2
 
 
+def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
+    doc = base_doc("cli_violation")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["verify", config]) == 0
+    honest = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    assert all("first_violation" not in check for check in honest["checks"])
+    capsys.readouterr()
+
+    # a bound built from a shrunk contraction factor undershoots the true gap
+    monkeypatch.setattr(oracle, "contraction_factor", lambda constants, eta: 0.01)
+    assert main(["verify", config]) == 1
+    out = capsys.readouterr().out
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    prepared = prepare(load_config(config))
+    failed = [check for check in report["checks"] if not check["pass"]]
+    assert failed and all(check["name"].startswith("bound:client") for check in failed)
+    for check in failed:
+        client = int(check["name"].removeprefix("bound:client"))
+        trace = oracle.empirical_sensitivity(
+            prepared.federation(), prepared.spec, prepared.theta0, client
+        )
+        first = oracle.check_bound(trace, tol=1e-8).first_violation
+        assert check["first_violation"] == first >= 1
+        assert f"FAIL {check['name']} worst_slack=" in out
+        assert f"first_violation=round {first}\n" in out
+    for check in report["checks"]:
+        assert ("first_violation" in check) == (not check["pass"])
+
+
+def test_refused_unlearn_leaves_the_run_untouched(workdir, capsys):
+    doc = base_doc("cli_refused")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    before = snapshot(run_dir(workdir, doc), skip=())
+
+    changed = json.loads(json.dumps(doc))
+    changed["budget"]["sigma"] = 0.2
+    other = workdir / "cli_refused_sigma.json"
+    other.write_text(json.dumps(changed))
+    assert main(["unlearn", str(other), "--method", "sifu"]) == 2
+    assert "different config" in capsys.readouterr().err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before
+    assert main(["verify", config]) == 0
+
+
+def test_checkpoints_from_another_config_are_refused(workdir, capsys):
+    doc = base_doc("cli_digest")
+    config = write_doc(workdir, doc)
+    other = base_doc("cli_digest_other")
+    other["budget"]["sigma"] = 0.2
+    assert main(["train", config]) == 0
+    assert main(["train", write_doc(workdir, other)]) == 0
+    foreign = run_dir(workdir, other) / "train" / "checkpoints" / "round_00003.ckpt"
+    own = run_dir(workdir, doc) / "train" / "checkpoints" / "round_00003.ckpt"
+    assert foreign.read_bytes()[52:] == own.read_bytes()[52:]
+    own.write_bytes(foreign.read_bytes())
+    for method in ("sifu", "finetune"):
+        assert main(["unlearn", config, "--method", method]) == 2
+        assert "round_00003.ckpt was produced by a different config" in capsys.readouterr().err
+        assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
+
+
+def test_a_ledger_shorter_than_the_checkpoints_is_refused(workdir, capsys):
+    doc = base_doc("cli_short_ledger")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    ledger_path = run_dir(workdir, doc) / "train" / "ledger.csv"
+    lines = ledger_path.read_text().splitlines(keepends=True)
+    ledger_path.write_text("".join(lines[:-3]))  # drop the last round's three clients
+    for method in ("sifu", "last"):
+        assert main(["unlearn", config, "--method", method]) == 2
+        assert "ledger.csv records 5 rounds but the checkpoints 6" in capsys.readouterr().err
+        assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
+
+
 def test_sparse_checkpoints_block_rollback_unlearning(workdir, capsys):
     doc = base_doc("cli_sparse")
     doc["checkpoint_interval"] = 2
@@ -292,6 +370,7 @@ def test_unlearn_before_train_is_a_usage_error(workdir):
     doc = base_doc("cli_order")
     config = write_doc(workdir, doc)
     assert main(["unlearn", config, "--method", "sifu"]) == 2
+    assert not run_dir(workdir, doc).exists()
 
 
 @pytest.mark.filterwarnings("ignore:smooth regime")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fedunlearn.config import (
-    ExperimentConfig,
     config_hash,
     load_config,
     parse_config,

@@ -76,7 +76,6 @@ def test_new_segment_overlays_the_boundary_position():
     hist.append_model(vec(200))
     assert hist.end_position == 4
     assert hist.segment_at(4) == 1
-    hist.validate()
 
 
 def test_truncate_across_segments_drops_whole_suffix():
@@ -88,9 +87,11 @@ def test_truncate_across_segments_drops_whole_suffix():
     assert hist.end_position == 4
     hist.truncate(1)
     assert hist.end_position == 1
-    assert [s.index for s in hist.segments] == [0]
+    assert [hist.segment_at(p) for p in range(2)] == [0, 0]
     np.testing.assert_array_equal(hist.final_model, vec(1))
-    hist.validate()
+    hist.start_segment(2, vec(60))
+    np.testing.assert_array_equal(hist.model_at(0), vec(0))
+    np.testing.assert_array_equal(hist.model_at(1), vec(60))
 
 
 def test_truncate_to_segment_boundary_keeps_newer_owner():
@@ -103,16 +104,19 @@ def test_truncate_to_segment_boundary_keeps_newer_owner():
     np.testing.assert_array_equal(hist.model_at(2), vec(70))
 
 
-def test_validate_rejects_gaps_and_unordered_indices():
+def test_start_segment_requires_increasing_indices():
     hist = linear_history(2)
-    hist.start_segment(1, vec(9))
-    hist.segments[1].start = 5
     with pytest.raises(ValueError):
-        hist.validate()
-    hist.segments[1].start = 2
-    hist.segments[1].index = 0
-    with pytest.raises(ValueError):
-        hist.validate()
+        hist.start_segment(0, vec(9))
+    hist.start_segment(3, vec(9))
+    for index in (3, 2):
+        with pytest.raises(ValueError, match="must follow segment 3"):
+            hist.start_segment(index, vec(10))
+    # a refused segment leaves the history as it was
+    np.testing.assert_array_equal(hist.final_model, vec(9))
+    assert hist.segment_at(2) == 3
+    hist.start_segment(4, vec(10))
+    assert [hist.segment_at(p) for p in range(3)] == [0, 0, 4]
 
 
 def test_from_positions_round_trip():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SQ
-from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights
+from fedunlearn.engine import RoundRecord, aggregate
 from fedunlearn.errors import SingularRemovalError, StepSizeError
 from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
@@ -195,42 +195,51 @@ def test_noise_budget_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def ledger_from_deltas(contraction, local_steps, rows, **kwargs):
-    ledger = SensitivityLedger(contraction, local_steps, **kwargs)
+def ledger_from_deltas(contraction, local_steps, rows):
+    ledger = SensitivityLedger(contraction, local_steps, len(rows[0]))
     for row in rows:
         ledger.record_round(row, 0)
     return ledger
 
 
 def test_two_round_recurrence_by_hand():
-    ledger = ledger_from_deltas(0.5, 1, [{0: 1.0}, {0: 1.0}])
-    assert ledger.psi_online(0) == 1.5
-    assert ledger.bounded_sensitivity(2, 0) == 1.5
-    assert ledger.bounded_sensitivity(1, 0) == 1.0
-    assert ledger.bounded_sensitivity(0, 0) == 0.0
+    ledger = ledger_from_deltas(0.5, 1, [[1.0], [1.0]])
+    assert ledger.psi[-1, 0] == 1.5
+    assert ledger.bounded_sensitivity(2, [0])[0] == 1.5
+    assert ledger.bounded_sensitivity(1, [0])[0] == 1.0
+    assert ledger.bounded_sensitivity(0, [0])[0] == 0.0
 
 
 def test_no_decay_ledger_is_a_cumulative_sum():
-    ledger = ledger_from_deltas(1.0, 3, [{0: 0.4}, {0: 0.4}, {0: 0.4}])
-    np.testing.assert_allclose(ledger.psi_series(0), [0.0, 0.4, 0.8, 1.2], rtol=1e-15)
+    ledger = ledger_from_deltas(1.0, 3, [[0.4], [0.4], [0.4]])
+    np.testing.assert_allclose(ledger.psi[:, 0], [0.0, 0.4, 0.8, 1.2], rtol=1e-15)
 
 
 def test_decay_uses_contraction_to_the_local_steps():
-    ledger = ledger_from_deltas(0.5, 2, [{0: 1.0}, {0: 0.0}])
+    ledger = ledger_from_deltas(0.5, 2, [[1.0], [0.0]])
     assert ledger.round_decay == 0.25
-    assert ledger.psi_online(0) == 0.25
+    assert ledger.psi[-1, 0] == 0.25
 
 
 def test_untracked_client_reads_zero():
-    ledger = ledger_from_deltas(0.5, 1, [{0: 1.0}])
-    assert ledger.psi_online(9) == 0.0
-    assert ledger.bounded_sensitivity(1, 9) == 0.0
+    # client 1 never contributed an increment
+    ledger = ledger_from_deltas(0.5, 1, [[1.0, 0.0]])
+    assert ledger.psi[-1, 1] == 0.0
+    assert ledger.bounded_sensitivity(1, [1])[0] == 0.0
+    for outside in ([2], [-1], [0, 5]):
+        with pytest.raises(IndexError):
+            ledger.bounded_sensitivity(1, outside)
+        with pytest.raises(IndexError):
+            ledger.rollback_index(outside, 1.0)
 
 
 def test_negative_increment_rejected():
-    ledger = SensitivityLedger(1.0, 1)
-    with pytest.raises(ValueError):
-        ledger.record_round({0: -0.1}, 0)
+    ledger = SensitivityLedger(1.0, 1, 2)
+    with pytest.raises(ValueError, match="client 1"):
+        ledger.record_round([0.0, -0.1], 0)
+    with pytest.raises(ValueError, match="shape"):
+        ledger.record_round([0.1], 0)
+    assert len(ledger) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,13 +249,12 @@ def test_negative_increment_rejected():
     local_steps=st.integers(1, 3),
 )
 def test_series_matches_explicit_decayed_sum(deltas, contraction, local_steps):
-    ledger = ledger_from_deltas(contraction, local_steps, [{0: d} for d in deltas])
-    series = ledger.psi_series(0)
+    ledger = ledger_from_deltas(contraction, local_steps, [[d] for d in deltas])
+    series = ledger.psi[:, 0]
     assert series.shape == (len(deltas) + 1,)
     for n in range(len(deltas) + 1):
-        explicit = ledger.bounded_sensitivity(n, 0)
+        explicit = ledger.bounded_sensitivity(n, [0])[0]
         assert series[n] == pytest.approx(explicit, rel=1e-12, abs=1e-15)
-    assert ledger.psi_online(0) == pytest.approx(series[-1], rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,21 +263,20 @@ def test_series_matches_explicit_decayed_sum(deltas, contraction, local_steps):
     contraction=st.floats(1.0, 2.0),
 )
 def test_series_is_monotone_without_contraction(deltas, contraction):
-    ledger = ledger_from_deltas(contraction, 1, [{0: d} for d in deltas])
-    series = ledger.psi_series(0)
-    assert np.all(np.diff(series) >= 0.0)
+    ledger = ledger_from_deltas(contraction, 1, [[d] for d in deltas])
+    assert np.all(np.diff(ledger.psi[:, 0]) >= 0.0)
 
 
 def test_prefix_bounds_checked():
-    ledger = ledger_from_deltas(1.0, 1, [{0: 1.0}])
+    ledger = ledger_from_deltas(1.0, 1, [[1.0]])
     with pytest.raises(IndexError):
-        ledger.bounded_sensitivity(2, 0)
+        ledger.bounded_sensitivity(2, [0])
     with pytest.raises(IndexError):
         ledger.truncate(5)
 
 
 def test_set_sensitivity_takes_the_worst_client():
-    ledger = ledger_from_deltas(1.0, 1, [{0: 1.5, 1: 0.7}])
+    ledger = ledger_from_deltas(1.0, 1, [[1.5, 0.7]])
     assert ledger.set_sensitivity({0, 1}, 1) == 1.5
     assert ledger.set_sensitivity({1}, 1) == 0.7
     with pytest.raises(ValueError):
@@ -277,14 +284,14 @@ def test_set_sensitivity_takes_the_worst_client():
 
 
 def test_rollback_index_hand_example():
-    ledger = ledger_from_deltas(1.0, 1, [{0: 0.4}, {0: 0.4}, {0: 0.4}])
+    ledger = ledger_from_deltas(1.0, 1, [[0.4], [0.4], [0.4]])
     assert ledger.rollback_index({0}, 0.9) == 2
     assert ledger.rollback_index({0}, 1.21) == 3
     assert ledger.rollback_index({0}, 0.0) == 0
 
 
 def test_rollback_index_validation():
-    ledger = ledger_from_deltas(1.0, 1, [{0: 0.4}])
+    ledger = ledger_from_deltas(1.0, 1, [[0.4]])
     with pytest.raises(ValueError):
         ledger.rollback_index(set(), 1.0)
     with pytest.raises(ValueError):
@@ -300,33 +307,139 @@ def test_rollback_index_validation():
     threshold=st.floats(0, 3.0),
 )
 def test_rollback_index_matches_brute_force(rows, contraction, threshold):
-    ledger = ledger_from_deltas(contraction, 1, [{0: a, 1: b} for a, b in rows])
-    series = np.maximum(ledger.psi_series(0), ledger.psi_series(1))
+    ledger = ledger_from_deltas(contraction, 1, [list(row) for row in rows])
+    series = np.maximum(ledger.psi[:, 0], ledger.psi[:, 1])
     want = max(n for n in range(len(series)) if series[n] <= threshold)
     assert ledger.rollback_index({0, 1}, threshold) == want
 
 
 def test_truncate_refolds_online_state():
     deltas = [0.3, 0.5, 0.2, 0.7, 0.1]
-    ledger = ledger_from_deltas(0.8, 2, [{0: d} for d in deltas])
+    ledger = ledger_from_deltas(0.8, 2, [[d] for d in deltas])
     ledger.truncate(3)
     assert len(ledger) == 3
-    fresh = ledger_from_deltas(0.8, 2, [{0: d} for d in deltas[:3]])
-    assert ledger.psi_online(0) == fresh.psi_online(0)
-    np.testing.assert_array_equal(ledger.psi_series(0), fresh.psi_series(0))
+    fresh = ledger_from_deltas(0.8, 2, [[d] for d in deltas[:3]])
+    np.testing.assert_array_equal(ledger.psi, fresh.psi)
+    np.testing.assert_array_equal(ledger.deltas, fresh.deltas)
 
 
-def test_truncate_at_the_end_keeps_everything_without_refolding(monkeypatch):
-    ledger = ledger_from_deltas(0.8, 2, [{0: d} for d in (0.3, 0.5, 0.2)])
-    kept, psi = ledger.increments, ledger.psi_online(0)
-
-    def no_refold(client):
-        raise AssertionError("truncating at the end must not rebuild the series")
-
-    monkeypatch.setattr(ledger, "psi_series", no_refold)
+def test_truncate_keeps_a_prefix_and_recording_resumes_from_it():
+    ledger = SensitivityLedger(0.8, 2, 2)
+    for k, row in enumerate([[0.3, 0.1], [0.5, 0.0], [0.2, 0.4]]):
+        ledger.record_round(row, k)
+    psi, deltas = ledger.psi, ledger.deltas
     ledger.truncate(len(ledger))
-    assert ledger.increments is kept
-    assert ledger.psi_online(0) == psi
+    np.testing.assert_array_equal(ledger.psi, psi)
+    ledger.truncate(1)
+    np.testing.assert_array_equal(ledger.psi, psi[:2])
+    np.testing.assert_array_equal(ledger.deltas, deltas[:1])
+    np.testing.assert_array_equal(ledger.segments, [0])
+    ledger.record_round([0.0, 0.6], 7)
+    np.testing.assert_array_equal(ledger.psi[2], ledger.round_decay * psi[1] + [0.0, 0.6])
+    np.testing.assert_array_equal(ledger.segments, [0, 7])
+    ledger.truncate(0)
+    assert len(ledger) == 0
+    assert ledger.psi.shape == (1, 2) and not ledger.psi.any()
+
+
+class ScalarLedger:
+    """Naive reference: per-client scalar folds over a list of rounds."""
+
+    def __init__(self, contraction, local_steps, client_count):
+        self.contraction, self.local_steps, self.client_count = contraction, local_steps, client_count
+        self.rounds = []  # (segment, [delta of client 0, client 1, ...])
+
+    def series(self, client):
+        decay = self.contraction**self.local_steps
+        out = [0.0]
+        for _, deltas in self.rounds:
+            out.append(decay * out[-1] + deltas[client])
+        return out
+
+    def bound(self, n, client):
+        total = 0.0
+        for s in range(n):
+            total += self.contraction ** ((n - s - 1) * self.local_steps) * self.rounds[s][1][client]
+        return total
+
+    def rollback_index(self, clients, threshold):
+        series = [self.series(c) for c in clients]
+        return max(n for n in range(len(self.rounds) + 1) if max(x[n] for x in series) <= threshold)
+
+    def csv_bytes(self):
+        series = [self.series(c) for c in range(self.client_count)]
+        lines = [",".join(CSV_HEADER)]
+        for position, (segment, deltas) in enumerate(self.rounds):
+            for client in range(self.client_count):
+                delta, psi = format(deltas[client], ".17g"), format(series[client][position + 1], ".17g")
+                lines.append(f"{position},{segment},{client},{delta},{psi}")
+        return "".join(line + "\r\n" for line in lines).encode()
+
+
+@st.composite
+def ledger_scripts(draw):
+    clients = draw(st.integers(1, 4))
+    row = st.lists(st.floats(0, 2.0), min_size=clients, max_size=clients)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("record"), row, st.integers(0, 5)),
+                st.tuples(st.just("truncate"), st.floats(0, 1)),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    targets = draw(st.sets(st.integers(0, clients - 1), min_size=1))
+    return clients, ops, sorted(targets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    script=ledger_scripts(),
+    contraction=st.floats(0.3, 1.5),
+    local_steps=st.integers(1, 3),
+    threshold=st.floats(0, 3.0),
+    dropped=st.integers(0, 10**6),
+)
+def test_dense_ledger_matches_a_scalar_reference_bitwise(
+    tmp_path_factory, script, contraction, local_steps, threshold, dropped
+):
+    clients, ops, targets = script
+    ledger = SensitivityLedger(contraction, local_steps, clients)
+    ref = ScalarLedger(contraction, local_steps, clients)
+    for op in ops:
+        if op[0] == "record":
+            ledger.record_round(op[1], op[2])
+            ref.rounds.append((op[2], list(op[1])))
+        else:
+            position = int(op[1] * len(ref.rounds))
+            ledger.truncate(position)
+            del ref.rounds[position:]
+
+    n = len(ref.rounds)
+    assert len(ledger) == n
+    for client in range(clients):
+        assert ledger.psi[:, client].tolist() == ref.series(client)
+    assert ledger.rollback_index(targets, threshold) == ref.rollback_index(targets, threshold)
+    for m in range(n + 1):
+        assert ledger.set_sensitivity(targets, m) == max(ref.bound(m, c) for c in targets)
+    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
+    ledger.export_csv(path)
+    assert path.read_bytes() == ref.csv_bytes()
+    loaded, recorded = SensitivityLedger.from_csv(path, contraction, local_steps, clients)
+    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    np.testing.assert_array_equal(loaded.segments, ledger.segments)
+    np.testing.assert_array_equal(loaded.psi, ledger.psi)
+    np.testing.assert_array_equal(recorded, ledger.psi[1:])
+    cell = dropped % max(1, n * clients)
+    # with one client, dropping the last round's only cell leaves a valid shorter ledger
+    if n and not (clients == 1 and cell == n - 1):
+        lines = path.read_bytes().splitlines(keepends=True)
+        del lines[1 + cell]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match="missing round"):
+            SensitivityLedger.from_csv(path, contraction, local_steps, clients)
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +449,57 @@ def test_truncate_at_the_end_keeps_everything_without_refolding(monkeypatch):
 
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(40)
-    ledger = SensitivityLedger(0.93, 2, clients=[0, 1])
+    ledger = SensitivityLedger(0.93, 2, 2)
     for k in range(7):
-        ledger.record_round({0: float(rng.random()), 1: float(rng.random())}, k % 2)
+        ledger.record_round([float(rng.random()), float(rng.random())], k % 2)
     path = tmp_path / "ledger.csv"
     ledger.export_csv(path)
-    loaded, recorded = SensitivityLedger.from_csv(path, 0.93, 2)
+    loaded, recorded = SensitivityLedger.from_csv(path, 0.93, 2, 2)
     assert len(loaded) == 7
-    for rec, orig in zip(loaded.increments, ledger.increments):
-        assert rec.position == orig.position
-        assert rec.segment == orig.segment
-        assert rec.per_client_delta == orig.per_client_delta
-    for client in (0, 1):
-        np.testing.assert_array_equal(loaded.psi_series(client), ledger.psi_series(client))
-        series = ledger.psi_series(client)
-        for position in range(7):
-            assert recorded[(position, client)] == float(series[position + 1])
+    np.testing.assert_array_equal(loaded.segments, [k % 2 for k in range(7)])
+    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    np.testing.assert_array_equal(loaded.psi, ledger.psi)
+    assert recorded.shape == (7, 2)
+    np.testing.assert_array_equal(recorded, ledger.psi[1:])
 
 
 def test_csv_header_and_gap_detection(tmp_path):
     path = tmp_path / "ledger.csv"
     path.write_text("wrong,header,entirely,now,here\n")
     with pytest.raises(ValueError, match="header"):
-        SensitivityLedger.from_csv(path, 1.0, 1)
+        SensitivityLedger.from_csv(path, 1.0, 1, 1)
     rows = [",".join(CSV_HEADER), "0,0,0,0.5,0.5", "2,0,0,0.5,1.5"]
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="missing round"):
-        SensitivityLedger.from_csv(path, 1.0, 1)
+    with pytest.raises(ValueError, match="missing round 1"):
+        SensitivityLedger.from_csv(path, 1.0, 1, 1)
+
+
+def test_csv_must_be_a_complete_grid(tmp_path):
+    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    path = tmp_path / "ledger.csv"
+    ledger.export_csv(path)
+    header, *rows = path.read_text().splitlines()
+    assert SensitivityLedger.from_csv(path, 0.9, 1, 3)[0].deltas.tolist() == ledger.deltas.tolist()
+    broken = {
+        "missing round 1 for client 2": rows[:-1],
+        "missing round 0 for client 1": rows[:1] + rows[2:],
+        "repeats": rows + rows[-1:],
+        "outside": rows + ["2,0,3,0.1,0.1"],
+    }
+    for message, body in broken.items():
+        path.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            SensitivityLedger.from_csv(path, 0.9, 1, 3)
+    # the file names clients 0..2 only; a four-client federation misses client 3
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError, match="missing round 0 for client 3"):
+        SensitivityLedger.from_csv(path, 0.9, 1, 4)
 
 
 def test_ledger_constructor_validation():
     with pytest.raises(ValueError):
-        SensitivityLedger(0.0, 1)
+        SensitivityLedger(0.0, 1, 1)
     with pytest.raises(ValueError):
-        SensitivityLedger(1.0, 0)
+        SensitivityLedger(1.0, 0, 1)
+    with pytest.raises(ValueError):
+        SensitivityLedger(1.0, 1, 0)

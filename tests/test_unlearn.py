@@ -1,12 +1,9 @@
 import copy
-import math
 
 import numpy as np
 import pytest
 
 from conftest import (
-    SQ,
-    converged_after,
     exactly,
     fed_for,
     make_logistic,
@@ -14,17 +11,15 @@ from conftest import (
     ridge_opt,
     train_world,
 )
-from fedunlearn.engine import FederationConfig, aggregate, federation_loss, local_update
+from fedunlearn.engine import FederationConfig, aggregate, local_update
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import grad
 from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, noise_std
 from fedunlearn.unlearn import (
     StoppingRule,
     UnlearningRequest,
     UnlearningState,
     gaussian_perturb,
-    ifu,
     perturbation_stream,
     retrain_until,
     sifu,
@@ -132,22 +127,23 @@ def test_retrain_records_history_and_ledger():
     spec, datasets = make_ridge(seed=3)
     fed, constants = fed_for(spec, datasets, frac=0.5, rounds=6)
     history = TrainingHistory(np.zeros(4))
-    ledger = SensitivityLedger(1.0, fed.local_steps, clients=range(3))
+    ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), range(3), exactly(6),
                   ledger=ledger, history=history, segment=0)
     assert history.end_position == 6
     assert len(ledger) == 6
-    assert all(rec.segment == 0 for rec in ledger.increments)
+    assert ledger.deltas.shape == (6, 3)
+    np.testing.assert_array_equal(ledger.segments, np.zeros(6))
 
 
 def test_retrain_single_active_client_records_empty_deltas():
     spec, datasets = make_ridge(seed=3)
     fed, _ = fed_for(spec, datasets, frac=0.5, rounds=4)
-    ledger = SensitivityLedger(1.0, fed.local_steps, clients=range(3))
+    ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), [1], exactly(4), ledger=ledger)
     assert len(ledger) == 4
-    assert all(rec.per_client_delta == {} for rec in ledger.increments)
-    assert ledger.psi_online(1) == 0.0
+    np.testing.assert_array_equal(ledger.deltas, np.zeros((4, 3)))
+    assert ledger.psi[-1, 1] == 0.0
 
 
 def test_retrain_subset_matches_manual_renormalised_loop():
@@ -219,7 +215,7 @@ def test_sifu_cannot_empty_the_federation():
 
 def test_sifu_rollback_matches_hand_scan():
     spec, fed, budget, theta0, _, history, ledger = sc_world()
-    series = ledger.psi_series(2).copy()
+    series = ledger.psi[:, 2]
     want = max(n for n in range(len(series)) if series[n] <= budget.psi_star)
     psi_at = float(series[want])
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
@@ -249,13 +245,12 @@ def test_sifu_truncates_history_and_ledger_consistently():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=15)
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
     outcome = sifu(state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
-    history.validate()
     assert history.end_position == outcome.rollback_position + 4
     assert len(ledger) == outcome.rollback_position + 4
     assert history.segment_at(history.end_position) == 1
-    tail = ledger.increments[outcome.rollback_position :]
-    assert all(rec.segment == 1 for rec in tail)
-    assert all(1 not in rec.per_client_delta for rec in tail)
+    assert history.segment_at(outcome.rollback_position) == 1
+    np.testing.assert_array_equal(ledger.segments[outcome.rollback_position :], 1)
+    np.testing.assert_array_equal(ledger.deltas[outcome.rollback_position :, 1], 0.0)
 
 
 def test_sifu_with_zero_budget_equals_scratch_bitwise():
@@ -297,11 +292,10 @@ def test_sequential_requests_accumulate_segments():
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
     first = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(3))
     second = sifu(state, UnlearningRequest(2, frozenset({4})), spec, fed, exactly(3))
-    history.validate()
     assert second.rollback_position <= first.rollback_position + 3
-    indices = [seg.index for seg in history.segments]
-    assert indices == sorted(set(indices))
-    assert indices[-1] == 2
+    owners = [history.segment_at(p) for p in range(history.end_position + 1)]
+    assert owners == sorted(owners)
+    assert owners[-1] == 2
     np.testing.assert_array_equal(state.current_model, second.final_model)
 
 
@@ -309,11 +303,13 @@ def test_ifu_is_the_single_request_case_of_sifu():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=12)
     h2, l2_ = copy.deepcopy(history), copy.deepcopy(ledger)
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    ifu_state = UnlearningState.from_training(h2, l2_, budget, fed.client_count, fed.seed, "ifu")
     a = sifu(state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
-    b = ifu(spec, h2, l2_, 1, budget, fed, exactly(4))
+    b = sifu(ifu_state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
     assert a.rollback_position == b.rollback_position
     assert a.noise_sigma == b.noise_sigma
     np.testing.assert_array_equal(a.final_model, b.final_model)
+    np.testing.assert_array_equal(ledger.psi, l2_.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +367,7 @@ def test_baseline_last_uses_final_round_sensitivity():
     assert (outcome.rollback_position, outcome.noise_sigma) == (end, sigma)
     want = gaussian_perturb(final, sigma, perturbation_stream(fed.seed, 1))
     np.testing.assert_array_equal(outcome.final_model, want)
-    assert history.segments[-1].index == 1
+    assert history.segment_at(end) == 1
     assert len(ledger) == end
 
 
@@ -381,7 +377,6 @@ def test_baseline_last_extends_the_records():
     baseline("last", spec, fed, history, ledger, {2}, exactly(4), budget)
     assert len(ledger) == end + 4
     assert history.end_position == end + 4
-    history.validate()
     with pytest.raises(InvalidRequestError):
         baseline("last", spec, fed, history, ledger, set(), exactly(1), budget)
 
