@@ -9,7 +9,7 @@ certificates by brute-force retraining without the client.
 __version__ = "0.1.0"
 
 from .datagen import DataRecipe, generate_data
-from .engine import FederationConfig, RoundRecord, run_fedavg
+from .engine import FederationConfig, RoundRecord
 from .history import TrainingHistory
 from .models import ClientDataset, ModelKind, ModelSpec, Regime, RegimeConstants, regime_constants
 from .oracle import check_bound, empirical_sensitivity
@@ -52,6 +52,5 @@ __all__ = [
     "noise_std",
     "psi_star",
     "regime_constants",
-    "run_fedavg",
     "sifu",
 ]

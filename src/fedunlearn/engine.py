@@ -37,8 +37,6 @@ class FederationConfig:
     weights: np.ndarray
     eta: float
     local_steps: int
-    rounds: int
-    seed: int = 0
 
     def __post_init__(self):
         clients = tuple(self.clients)
@@ -58,8 +56,6 @@ class FederationConfig:
             raise ValueError("eta must be positive")
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
 
@@ -69,15 +65,13 @@ class FederationConfig:
         clients,
         eta: float,
         local_steps: int,
-        rounds: int,
-        seed: int = 0,
         weights=None,
     ) -> "FederationConfig":
         clients = tuple(clients)
         if weights is None:
             counts = np.array([c.sample_count for c in clients], dtype=np.float64)
             weights = counts / counts.sum()
-        return cls(clients, np.asarray(weights, dtype=np.float64), eta, local_steps, rounds, seed)
+        return cls(clients, np.asarray(weights, dtype=np.float64), eta, local_steps)
 
     @property
     def client_count(self) -> int:
@@ -181,24 +175,6 @@ def fedavg_round(
     new_theta = aggregate([client_models[i] for i in active], q[list(active)])
     _guard_finite(new_theta, round_index)
     return RoundRecord(round_index, theta.copy(), client_models, new_theta)
-
-
-def run_fedavg(
-    config: FederationConfig,
-    spec: ModelSpec,
-    theta0: Params,
-    active: tuple[int, ...] | None = None,
-) -> list[RoundRecord]:
-    """Run config.rounds FedAvg rounds; returns the per-round records."""
-    if active is None:
-        active = tuple(range(config.client_count))
-    theta = models.as_params(theta0).copy()
-    records = []
-    for n in range(config.rounds):
-        record = fedavg_round(spec, config, theta, active, n)
-        records.append(record)
-        theta = record.global_after
-    return records
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:

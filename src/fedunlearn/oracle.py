@@ -1,24 +1,28 @@
-"""Brute-force verification: retrain without a client and compare trajectories.
+"""Brute-force verification: retrain without each client and compare trajectories.
 
-empirical_sensitivity trains the federation twice from the same start, once
-with every client and once with the target client removed (weights
-renormalised), and records the true model gap alongside the ledger bound at
-every round.  check_bound then asserts gap <= bound within a tolerance.
-reference_gd is an independently written plain gradient-descent loop used as
-a duplicate oracle for the engine's local update.
+empirical_sensitivity takes the all-client run as training recorded it (the
+model history and the sensitivity ledger), retrains the federation from the
+same start once per client with that client removed (weights renormalised),
+and pairs the true model gap with the recorded ledger bound at every round.
+check_bound then asserts gap <= bound within a tolerance.  reference_gd is
+an independently written plain gradient-descent loop used as a duplicate
+oracle for the engine's local update.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .engine import FederationConfig, run_fedavg
+from .engine import FederationConfig
 from .errors import DivergedTrainingError
-from .models import ClientDataset, ModelSpec, Params, regime_constants
-from .sensitivity import SensitivityLedger, client_increment_fast, contraction_factor
+from .history import TrainingHistory
+from .models import ClientDataset, ModelSpec, Params
+from .sensitivity import SensitivityLedger
+from .unlearn import StoppingRule, retrain_until
 
 
 @dataclass(frozen=True)
@@ -46,35 +50,37 @@ class BoundReport:
 def empirical_sensitivity(
     config: FederationConfig,
     spec: ModelSpec,
-    theta0: Params,
-    client: int,
-) -> SensitivityTrace:
-    """True model sensitivity of one client over config.rounds rounds.
+    history: TrainingHistory,
+    ledger: SensitivityLedger,
+) -> list[SensitivityTrace]:
+    """True model sensitivity of every client along a recorded all-client run.
 
-    Runs FedAvg with all clients and with `client` removed, both from theta0,
-    and returns alpha(n) = ||theta_n - theta_n_without|| next to the ledger
-    bound psi(n) built from the full run's increments.
+    `history` and `ledger` are what one fixed-round all-client retrain_until
+    recorded from history.models[0].  For each client c the federation is
+    retrained as many rounds without c from the same start; the trace pairs
+    alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's Psi(n, c).
     """
-    if not 0 <= client < config.client_count:
-        raise IndexError(f"client {client} out of range")
-    constants = regime_constants(spec, list(config.clients))
-    contraction = contraction_factor(constants, config.eta)
-
-    everyone = tuple(range(config.client_count))
-    with_all = run_fedavg(config, spec, theta0, everyone)
-    without = run_fedavg(config, spec, theta0, tuple(i for i in everyone if i != client))
-
-    ledger = SensitivityLedger(contraction, config.local_steps, config.client_count)
-    for record in with_all:
-        ledger.record_round([client_increment_fast(record, config.weights, c) for c in everyone], 0)
-
-    alphas = np.empty(config.rounds + 1)
-    alphas[0] = 0.0
-    for n in range(config.rounds):
-        alphas[n + 1] = float(
-            np.linalg.norm(with_all[n].global_after - without[n].global_after)
+    rounds, psi = len(ledger), ledger.psi
+    if history.end_position != rounds or ledger.client_count != config.client_count:
+        raise ValueError("history, ledger and federation do not describe one run")
+    theta0 = history.models[0]
+    everyone = range(config.client_count)
+    traces = []
+    for client in everyone:
+        without = TrainingHistory(theta0)
+        retrain_until(
+            spec,
+            config,
+            theta0,
+            [c for c in everyone if c != client],
+            StoppingRule(math.inf, rounds, rounds),
+            history=without,
         )
-    return SensitivityTrace(client, alphas, ledger.psi[:, client])
+        alphas = np.array(
+            [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)]
+        )
+        traces.append(SensitivityTrace(client, alphas, psi[:, client]))
+    return traces
 
 
 def check_bound(

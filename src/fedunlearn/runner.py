@@ -12,11 +12,13 @@ config name:
     <run>/verify_report.json
     <run>/report/*.csv
 
-Training is one fixed-round `unlearn.retrain_until` call that records the
-ledger and the model history.  Every unlearning method runs the same
-per-request step, `unlearn.sifu`; the command only picks which training
-artifacts the method loads (scratch needs none, finetune only the
-checkpoints, the ledger-backed methods the ledger too).
+Training is one fixed-round all-client `unlearn.retrain_until` call that
+records the ledger and the model history; verify makes the same call and
+hands that ledger and history to the oracle, so it certifies the Psi that
+train writes.  Every unlearning method runs the same per-request step,
+`unlearn.sifu`; the command only picks which training artifacts the method
+loads (scratch needs none, finetune only the checkpoints, the ledger-backed
+methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -25,6 +27,7 @@ outputs.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
@@ -36,14 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .config import ExperimentConfig, config_hash, serialize_config
+from .config import ExperimentConfig, config_hash, parse_config, serialize_config
 from .datagen import generate_data
 from .engine import (
     FederationConfig,
     federation_loss,
+    fedavg_round,
     init_params,
     read_checkpoint,
-    run_fedavg,
     write_checkpoint,
 )
 from .errors import ConfigError, MissingArtifactsError
@@ -53,7 +56,6 @@ from .oracle import check_bound, empirical_sensitivity
 from .sensitivity import (
     SensitivityLedger,
     client_increment_direct,
-    client_increment_fast,
     contraction_factor,
     noise_std,
 )
@@ -61,6 +63,7 @@ from .serialize import dumps17, fmt17
 from .unlearn import (
     LEDGER_METHODS,
     METHODS,
+    RetrainResult,
     StoppingRule,
     UnlearningRequest,
     UnlearningState,
@@ -103,8 +106,6 @@ class PreparedExperiment:
             weights=self.weights,
             eta=self.eta,
             local_steps=self.config.local_steps,
-            rounds=self.config.rounds,
-            seed=self.config.federation_seed,
         )
 
 
@@ -168,8 +169,6 @@ def _store_config(run_dir: Path, config: ExperimentConfig) -> None:
 
 
 def _check_manifest_hash(directory: Path, prepared: PreparedExperiment) -> None:
-    import json
-
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise MissingArtifactsError(f"missing manifest: {manifest_path}")
@@ -202,19 +201,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         ["checkpoints/", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"],
     )
 
-    everyone = tuple(range(prepared.client_count))
-    history = TrainingHistory(prepared.theta0)
-    ledger = SensitivityLedger(prepared.contraction, config.local_steps, prepared.client_count)
-    result = retrain_until(
-        prepared.spec,
-        prepared.federation(),
-        prepared.theta0,
-        everyone,
-        StoppingRule(math.inf, config.rounds, config.rounds),
-        ledger=ledger,
-        history=history,
-    )
-
+    result, ledger, history = _run_federation(prepared)
     rounds = zip(ledger.segments.tolist(), ledger.deltas.tolist(), ledger.psi[1:].tolist(), result.loss_trace[1:])
     metric_rows = [
         {
@@ -238,6 +225,26 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
             )
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
     return train_dir
+
+
+def _run_federation(
+    prepared: PreparedExperiment,
+) -> tuple[RetrainResult, SensitivityLedger, TrainingHistory]:
+    """The all-client run that train records and verify certifies: config.rounds
+    rounds from theta0, recording the ledger and the model history."""
+    rounds = prepared.config.rounds
+    history = TrainingHistory(prepared.theta0)
+    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
+    result = retrain_until(
+        prepared.spec,
+        prepared.federation(),
+        prepared.theta0,
+        range(prepared.client_count),
+        StoppingRule(math.inf, rounds, rounds),
+        ledger=ledger,
+        history=history,
+    )
+    return result, ledger, history
 
 
 def _load_history(train_dir: Path, prepared: PreparedExperiment) -> TrainingHistory:
@@ -358,17 +365,18 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     t_start = time.perf_counter()
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
+    audits = _audit_unlearn_runs(prepared, run_dir)  # refuse bad artifacts before the oracle runs
     checks = []
 
     psi_cap = None
     if prepared.constants.regime is Regime.SMOOTH:
         psi_cap = _PSI_CAP_FACTOR * max(1.0, float(np.linalg.norm(prepared.theta0)))
     fed = prepared.federation()
-    for client in range(prepared.client_count):
-        trace = empirical_sensitivity(fed, prepared.spec, prepared.theta0, client)
+    _, ledger, history = _run_federation(prepared)
+    for trace in empirical_sensitivity(fed, prepared.spec, history, ledger):
         report = check_bound(trace, tol=1e-8, psi_cap=psi_cap)
         check = {
-            "name": f"bound:client{client}",
+            "name": f"bound:client{trace.client}",
             "pass": report.passed,
             "worst_slack": report.worst_slack,
             "tightness": report.tightness,
@@ -377,9 +385,9 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
             check["first_violation"] = report.first_violation
         checks.append(check)
 
-    checks.append(_check_proxy_equivalence(prepared, fed))
+    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger))
     checks.append(_check_contractivity(prepared))
-    checks.extend(_audit_unlearn_runs(prepared, run_dir))
+    checks.extend(audits)
 
     ok = all(c["pass"] for c in checks)
     report = {"config_hash": prepared.digest.hex(), "pass": ok, "checks": checks}
@@ -388,14 +396,16 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     return report, ok
 
 
-def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig) -> dict:
-    records = run_fedavg(fed, prepared.spec, prepared.theta0)
+def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger) -> dict:
+    """The ledger's recorded closed-form deltas against the direct increments
+    of the same rounds, replayed from the history's models."""
+    everyone = tuple(range(prepared.client_count))
     worst = 0.0
     passed = True
-    for record in records:
-        for client in range(prepared.client_count):
+    for n, fast_row in enumerate(ledger.deltas.tolist()):
+        record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
+        for client, fast in enumerate(fast_row):
             direct = client_increment_direct(record, prepared.weights, client)
-            fast = client_increment_fast(record, prepared.weights, client)
             gap = abs(fast - direct)
             worst = max(worst, gap)
             if gap > 1e-10 * max(abs(direct), abs(fast)) and gap > 1e-12:
@@ -421,21 +431,30 @@ def _check_contractivity(prepared: PreparedExperiment, pairs: int = 200) -> dict
 
 
 def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dict]:
-    import json
-
     checks = []
     for method in LEDGER_METHODS:
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue
-        ledger_path = out_dir / "ledger.csv"
-        outcomes_path = out_dir / "outcomes.json"
-        if not ledger_path.exists() or not outcomes_path.exists():
+        _check_manifest_hash(out_dir, prepared)
+        paths = [out_dir / name for name in ("ledger.csv", "outcomes.json", "final_model.ckpt")]
+        if not all(path.exists() for path in paths):
             raise MissingArtifactsError(
-                f"{out_dir} is missing ledger.csv or outcomes.json; re-run the unlearn command"
+                f"{out_dir} is missing ledger.csv, outcomes.json or final_model.ckpt; "
+                "re-run the unlearn command"
             )
-        ledger, recorded = _read_ledger(ledger_path, prepared)
-        outcomes = json.loads(outcomes_path.read_text())["outcomes"]
+        ledger, recorded = _read_ledger(paths[0], prepared)
+        outcomes = json.loads(paths[1].read_text())["outcomes"]
+        # the ledger must cover the whole timeline the outcomes and the final model describe
+        end = prepared.config.rounds
+        if outcomes:
+            end = outcomes[-1]["rollback_position"] + outcomes[-1]["retrain_rounds"]
+        final_position = read_checkpoint(paths[2])[0]
+        if not len(ledger) == end == final_position:
+            raise MissingArtifactsError(
+                f"{paths[0]} records {len(ledger)} rounds but the timeline ends at {end} "
+                f"and final_model.ckpt at {final_position}"
+            )
         checks.append(
             _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback=method != "last")
         )
@@ -491,10 +510,6 @@ def cmd_report(run_dir: Path) -> Path:
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise MissingArtifactsError(f"missing config copy: {config_path}")
-    import json as _json
-
-    from .config import parse_config
-
     config = parse_config(config_path.read_text())
     prepared = prepare(config)
     spec = prepared.spec
@@ -502,11 +517,12 @@ def cmd_report(run_dir: Path) -> Path:
     methods = {}
     for out_dir in sorted(run_dir.glob("unlearn_*")):
         method = out_dir.name.removeprefix("unlearn_")
+        _check_manifest_hash(out_dir, prepared)
         outcomes_path = out_dir / "outcomes.json"
         final_path = out_dir / "final_model.ckpt"
         if not outcomes_path.exists() or not final_path.exists():
             raise MissingArtifactsError(f"{out_dir} is incomplete; re-run the unlearn command")
-        outcomes = _json.loads(outcomes_path.read_text())["outcomes"]
+        outcomes = json.loads(outcomes_path.read_text())["outcomes"]
         _, final_model, _ = read_checkpoint(final_path)
         methods[method] = (outcomes, final_model)
     if not methods:

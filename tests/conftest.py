@@ -17,6 +17,7 @@ from fedunlearn.models import (
     regime_constants,
     step_size_bound,
 )
+from fedunlearn.oracle import empirical_sensitivity
 from fedunlearn.sensitivity import SensitivityLedger, contraction_factor
 from fedunlearn.unlearn import StoppingRule, retrain_until
 
@@ -59,7 +60,7 @@ def make_logistic(clients=3, samples=20, features=4, het=0.5, seed=0, l2=0.0, no
     return ModelSpec(ModelKind.LOGISTIC, (features,), l2), generate_data(recipe)
 
 
-def fed_for(spec, datasets, *, frac=1.0, local_steps=1, rounds=10, seed=1, weights=None):
+def fed_for(spec, datasets, *, frac=1.0, local_steps=1, weights=None):
     """Federation with eta at `frac` of the regime's admissible bound.
 
     Smooth regime has no bound; frac is taken relative to 1/beta there.
@@ -69,18 +70,19 @@ def fed_for(spec, datasets, *, frac=1.0, local_steps=1, rounds=10, seed=1, weigh
     if bound is None or not np.isfinite(bound):
         bound = 2.0 / constants.beta
     eta = frac * bound
-    fed = FederationConfig.from_datasets(
-        datasets, eta=eta, local_steps=local_steps, rounds=rounds, seed=seed, weights=weights
-    )
+    fed = FederationConfig.from_datasets(datasets, eta=eta, local_steps=local_steps, weights=weights)
     return fed, constants
 
 
-def train_world(spec, fed, rounds, *, theta0=None, init_mode="normal"):
-    """Train `rounds` FedAvg rounds recording history and ledger from scratch."""
+def train_world(spec, fed, rounds, *, seed=1, theta0=None, init_mode="normal"):
+    """Train `rounds` FedAvg rounds recording history and ledger from scratch.
+
+    Without theta0 the start is init_params(spec, seed, init_mode).
+    """
     constants = regime_constants(spec, list(fed.clients))
     contraction = contraction_factor(constants, fed.eta)
     if theta0 is None:
-        theta0 = init_params(spec, fed.seed, init_mode)
+        theta0 = init_params(spec, seed, init_mode)
     history = TrainingHistory(theta0)
     ledger = SensitivityLedger(contraction, fed.local_steps, fed.client_count)
     retrain_until(
@@ -93,6 +95,12 @@ def train_world(spec, fed, rounds, *, theta0=None, init_mode="normal"):
         history=history,
     )
     return theta0, contraction, history, ledger
+
+
+def oracle_traces(spec, fed, rounds, theta0):
+    """Train `rounds` all-client rounds from theta0, then run the oracle on them."""
+    _, _, history, ledger = train_world(spec, fed, rounds, theta0=theta0)
+    return empirical_sensitivity(fed, spec, history, ledger)
 
 
 def ridge_opt(datasets, weights, active, l2):

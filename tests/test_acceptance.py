@@ -9,18 +9,22 @@ import math
 import time
 
 import numpy as np
-from conftest import SQ, exactly, fed_for, make_logistic, make_ridge, ridge_opt, train_world
+from conftest import (
+    SQ,
+    exactly,
+    fed_for,
+    make_logistic,
+    make_ridge,
+    oracle_traces,
+    ridge_opt,
+    train_world,
+)
 
 from fedunlearn.config import parse_config
-from fedunlearn.engine import (
-    FederationConfig,
-    fedavg_round,
-    init_params,
-    local_update,
-    run_fedavg,
-)
+from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
+from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ModelKind, ModelSpec, regime_constants, step_size_bound
-from fedunlearn.oracle import check_bound, empirical_sensitivity
+from fedunlearn.oracle import check_bound
 from fedunlearn.runner import cmd_report, cmd_train, cmd_unlearn, cmd_verify, run_dir_for
 from fedunlearn.sensitivity import (
     NoiseBudget,
@@ -51,11 +55,8 @@ def test_criterion_1_logistic_sensitivity_bound():
     theta0 = init_params(spec, 2)
     worst = -math.inf
     for local_steps in (1, 3):
-        fed = FederationConfig.from_datasets(
-            datasets, eta=1.0 / constants.beta, local_steps=local_steps, rounds=40, seed=2
-        )
-        for client in range(fed.client_count):
-            trace = empirical_sensitivity(fed, spec, theta0, client)
+        fed = FederationConfig.from_datasets(datasets, eta=1.0 / constants.beta, local_steps=local_steps)
+        for trace in oracle_traces(spec, fed, 40, theta0):
             report = check_bound(trace, tol=1e-8)
             assert report.checked_rounds == 41
             assert report.first_violation is None
@@ -75,10 +76,9 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
     for clients in (3, 10):
         spec, datasets = make_ridge(clients=clients, samples=20, features=6, het=0.5, seed=6, l2=0.1)
         for local_steps in (1, 5):
-            fed, _ = fed_for(spec, datasets, local_steps=local_steps, rounds=60, seed=3)
+            fed, _ = fed_for(spec, datasets, local_steps=local_steps)
             theta0 = init_params(spec, 3)
-            for client in range(clients):
-                trace = empirical_sensitivity(fed, spec, theta0, client)
+            for trace in oracle_traces(spec, fed, 60, theta0):
                 report = check_bound(trace, tol=1e-8)
                 assert report.checked_rounds == 61
                 assert report.first_violation is None
@@ -86,7 +86,7 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
 
     # once a client is gone, the gap to any other start contracts by B each round
     spec, datasets = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    fed, constants = fed_for(spec, datasets, rounds=60, seed=3)
+    fed, constants = fed_for(spec, datasets)
     factor = contraction_factor(constants, fed.eta)
     theta0 = init_params(spec, 3)
     branch = retrain_until(spec, fed, theta0, range(3), exactly(30)).final_model
@@ -152,9 +152,12 @@ def test_criterion_4_increment_proxy_equivalence():
 
     def sweep(spec, datasets, *, local_steps, rounds, weights=None):
         nonlocal worst
-        fed, _ = fed_for(spec, datasets, local_steps=local_steps, rounds=rounds, seed=3, weights=weights)
+        fed, _ = fed_for(spec, datasets, local_steps=local_steps, weights=weights)
         theta0 = init_params(spec, 3)
-        records = run_fedavg(fed, spec, theta0)
+        history = TrainingHistory(theta0)
+        retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds), history=history)
+        everyone = tuple(range(fed.client_count))
+        records = [fedavg_round(spec, fed, history.models[n], everyone, n) for n in range(rounds)]
         for record in records:
             for client in range(fed.client_count):
                 direct = client_increment_direct(record, fed.weights, client)
@@ -219,12 +222,12 @@ def test_criterion_6_interior_rollback_sequence():
     eta = 0.5 / constants.beta
     assert eta <= step_size_bound(constants)
     fed = FederationConfig.from_datasets(
-        datasets, eta=eta, local_steps=1, rounds=30, seed=17, weights=weights
+        datasets, eta=eta, local_steps=1, weights=weights
     )
-    theta0, _, history, ledger = train_world(spec, fed, 30)
+    theta0, _, history, ledger = train_world(spec, fed, 30, seed=17)
     plateau_light = ledger.set_sensitivity((0, 1), 30)
     budget = NoiseBudget(1.0, 0.05, SQ * plateau_light * 2.2)
-    state = UnlearningState.from_training(history, ledger, budget, 6, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, 6, 17)
     stopping = StoppingRule(math.inf, 6, 50)
 
     one = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, stopping)
@@ -273,11 +276,11 @@ def test_criterion_6_interior_rollback_sequence():
 
 def test_criterion_7_degenerate_budgets():
     spec, datasets = make_ridge(clients=4)
-    fed, _ = fed_for(spec, datasets, rounds=12, seed=1)
+    fed, _ = fed_for(spec, datasets)
 
     zero = NoiseBudget(1.0, 0.05, 0.0)
     theta0, _, history, ledger = train_world(spec, fed, 12)
-    state = UnlearningState.from_training(history, ledger, zero, 4, fed.seed)
+    state = UnlearningState.from_training(history, ledger, zero, 4, 1)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(8))
     scratch = retrain_until(spec, fed, theta0, {1, 2, 3}, exactly(8)).final_model
     assert outcome.rollback_position == 0
@@ -287,7 +290,7 @@ def test_criterion_7_degenerate_budgets():
     huge = NoiseBudget(1.0, 0.05, SQ * 1e9)
     theta0, _, history, ledger = train_world(spec, fed, 12)
     psi_final = ledger.set_sensitivity({0}, 12)
-    state = UnlearningState.from_training(history, ledger, huge, 4, fed.seed)
+    state = UnlearningState.from_training(history, ledger, huge, 4, 1)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(5))
     assert outcome.rollback_position == 12
     assert outcome.source_segment == 0
@@ -305,8 +308,8 @@ def test_criterion_8_unlearning_beats_scratch():
     scratch_rounds = []
     for seed in range(101, 106):
         spec, datasets = make_ridge(clients=5, samples=30, features=8, het=0.3, seed=seed, l2=0.05)
-        fed, _ = fed_for(spec, datasets, rounds=40, seed=seed + 1000)
-        theta0, _, history, ledger = train_world(spec, fed, 40)
+        fed, _ = fed_for(spec, datasets)
+        theta0, _, history, ledger = train_world(spec, fed, 40, seed=seed + 1000)
         plateau = ledger.set_sensitivity((0, 3), 40)
         budget = NoiseBudget(10.0, 0.05, noise_std(1.3 * plateau, 10.0, 0.05))
         threshold = 1.002 * max(
@@ -315,7 +318,7 @@ def test_criterion_8_unlearning_beats_scratch():
         )
         stopping = StoppingRule(threshold, 0, 400)
 
-        state = UnlearningState.from_training(history, ledger, budget, 5, fed.seed)
+        state = UnlearningState.from_training(history, ledger, budget, 5, seed + 1000)
         one = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, stopping)
         two = sifu(state, UnlearningRequest(2, frozenset({3})), spec, fed, stopping)
         assert one.converged and two.converged

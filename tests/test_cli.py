@@ -1,9 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from fedunlearn import oracle
+from fedunlearn import oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, write_checkpoint
@@ -88,14 +89,14 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     train = run_dir(workdir, doc) / "train"
 
     prepared = prepare(load_config(config))
-    spec, fed = prepared.spec, prepared.federation()
+    spec, fed, rounds = prepared.spec, prepared.federation(), prepared.config.rounds
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference"
     reference.mkdir()
     write_checkpoint(reference / "round_00000.ckpt", 0, prepared.theta0, prepared.digest)
     theta, rows = prepared.theta0, []
-    for n in range(fed.rounds):
+    for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
         deltas = {c: client_increment_fast(record, fed.weights, c) for c in everyone}
@@ -109,7 +110,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
                 "psi": {str(c): float(ledger.psi[-1, c]) for c in everyone},
             }
         )
-        if (n + 1) % 2 == 0 or n + 1 == fed.rounds:
+        if (n + 1) % 2 == 0 or n + 1 == rounds:
             write_checkpoint(reference / f"round_{n + 1:05d}.ckpt", n + 1, theta, prepared.digest)
     ledger.export_csv(reference / "ledger.csv")
 
@@ -260,25 +261,107 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     assert all("first_violation" not in check for check in honest["checks"])
     capsys.readouterr()
 
-    # a bound built from a shrunk contraction factor undershoots the true gap
-    monkeypatch.setattr(oracle, "contraction_factor", lambda constants, eta: 0.01)
+    # a ledger built with a shrunk per-round decay undershoots the true gap
+    monkeypatch.setattr(SensitivityLedger, "round_decay", 0.01)
     assert main(["verify", config]) == 1
     out = capsys.readouterr().out
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     prepared = prepare(load_config(config))
+    _, ledger, history = runner._run_federation(prepared)
+    traces = oracle.empirical_sensitivity(prepared.federation(), prepared.spec, history, ledger)
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and all(check["name"].startswith("bound:client") for check in failed)
     for check in failed:
         client = int(check["name"].removeprefix("bound:client"))
-        trace = oracle.empirical_sensitivity(
-            prepared.federation(), prepared.spec, prepared.theta0, client
-        )
-        first = oracle.check_bound(trace, tol=1e-8).first_violation
+        first = oracle.check_bound(traces[client], tol=1e-8).first_violation
         assert check["first_violation"] == first >= 1
         assert f"FAIL {check['name']} worst_slack=" in out
         assert f"first_violation=round {first}\n" in out
     for check in report["checks"]:
         assert ("first_violation" in check) == (not check["pass"])
+
+
+def test_verify_runs_the_federation_once_plus_once_per_client(workdir, monkeypatch):
+    doc = base_doc("cli_calls")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    calls = {"retrain_until": 0, "all-client rounds": 0}
+    real_retrain, real_round = unlearn.retrain_until, unlearn.fedavg_round
+
+    def retrain(*args, **kwargs):
+        calls["retrain_until"] += 1
+        return real_retrain(*args, **kwargs)
+
+    def round_(spec, fed, theta, active, n):
+        calls["all-client rounds"] += tuple(active) == (0, 1, 2)
+        return real_round(spec, fed, theta, active, n)
+
+    for module in (runner, oracle):
+        monkeypatch.setattr(module, "retrain_until", retrain)
+    for module in (runner, unlearn):
+        monkeypatch.setattr(module, "fedavg_round", round_)
+    assert main(["verify", config]) == 0
+    # one shared all-client run, one leave-one-out run per client, and the
+    # proxy check's replay of the shared run's rounds
+    assert calls == {"retrain_until": 3 + 1, "all-client rounds": 2 * doc["federation"]["rounds"]}
+
+
+def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
+    doc = base_doc("cli_same_psi")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    traces = []
+    original = runner.empirical_sensitivity
+
+    def recording(*args):
+        traces.extend(original(*args))
+        return traces
+
+    monkeypatch.setattr(runner, "empirical_sensitivity", recording)
+    assert main(["verify", config]) == 0
+    prepared = prepare(load_config(config))
+    _, recorded = SensitivityLedger.from_csv(
+        run_dir(workdir, doc) / "train" / "ledger.csv",
+        prepared.contraction,
+        prepared.config.local_steps,
+        prepared.client_count,
+    )
+    assert [trace.client for trace in traces] == [0, 1, 2]
+    for trace in traces:
+        assert trace.psis[0] == 0.0
+        assert trace.psis[1:].tobytes() == recorded[:, trace.client].tobytes()
+
+
+def test_verify_and_report_refuse_unlearn_runs_of_another_config(workdir, capsys):
+    doc = base_doc("cli_stale")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    doc["budget"]["sigma"] = 0.01
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "unlearn_sifu were produced by a different config" in capsys.readouterr().err
+    assert not (run_dir(workdir, doc) / "verify_report.json").exists()
+    assert main(["report", str(run_dir(workdir, doc))]) == 2
+    assert "unlearn_sifu were produced by a different config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["sifu", "last"])
+def test_verify_refuses_an_unlearn_ledger_missing_its_last_round(workdir, capsys, method):
+    doc = base_doc(f"cli_cut_{method}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["verify", config]) == 0
+    ledger_path = run_dir(workdir, doc) / f"unlearn_{method}" / "ledger.csv"
+    lines = ledger_path.read_text().splitlines(keepends=True)
+    ledger_path.write_text("".join(lines[:-3]))  # drop the last round's three clients
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    cut = re.search(r"records (\d+) rounds but the timeline ends at (\d+)", capsys.readouterr().err)
+    assert cut and int(cut[1]) + 1 == int(cut[2])
 
 
 def test_refused_unlearn_leaves_the_run_untouched(workdir, capsys):

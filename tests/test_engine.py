@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import fed_for, make_ridge, ridge_opt, two_client_toy
+from conftest import exactly, fed_for, make_ridge, ridge_opt, train_world, two_client_toy
 from fedunlearn.engine import (
     FederationConfig,
     aggregate,
@@ -14,7 +16,6 @@ from fedunlearn.engine import (
     local_update,
     read_checkpoint,
     renormalized_weights,
-    run_fedavg,
     write_checkpoint,
 )
 from fedunlearn.errors import (
@@ -22,7 +23,9 @@ from fedunlearn.errors import (
     DivergedTrainingError,
     EmptyFederationError,
 )
+from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, loss, regime_constants
+from fedunlearn.unlearn import retrain_until
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
 RIDGE_ID = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
@@ -126,11 +129,24 @@ def test_renormalized_weights_cannot_drop_everyone():
 # ---------------------------------------------------------------------------
 
 
+def rounds_of(spec, fed, theta0, rounds, active=None):
+    """The run's RoundRecords, replayed with fedavg_round from the models
+    retrain_until recorded."""
+    active = tuple(range(fed.client_count)) if active is None else active
+    history = TrainingHistory(theta0)
+    retrain_until(spec, fed, theta0, active, exactly(rounds), history=history)
+    return [fedavg_round(spec, fed, history.models[n], active, n) for n in range(rounds)]
+
+
+def final_model(spec, fed, theta0, rounds):
+    return retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds)).final_model
+
+
 def test_round_record_chains_and_covers_active_set():
     spec, datasets = make_ridge(clients=4, seed=1)
-    fed, _ = fed_for(spec, datasets, frac=0.5, rounds=6, seed=3)
+    fed, _ = fed_for(spec, datasets, frac=0.5)
     theta0 = init_params(spec, 3)
-    records = run_fedavg(fed, spec, theta0, active=(0, 2, 3))
+    records = rounds_of(spec, fed, theta0, 6, active=(0, 2, 3))
     assert len(records) == 6
     np.testing.assert_array_equal(records[0].global_before, theta0)
     for prev, cur in zip(records, records[1:]):
@@ -140,52 +156,53 @@ def test_round_record_chains_and_covers_active_set():
 
 def test_single_client_federation_is_plain_gd():
     spec, datasets = make_ridge(clients=2, seed=4)
-    fed = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=1, rounds=30)
-    records = run_fedavg(fed, spec, np.zeros(4))
+    fed = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=1)
     manual = np.zeros(4)
     for _ in range(30):
         manual = manual - 0.2 * grad(spec, datasets[0], manual)
-    np.testing.assert_array_equal(records[-1].global_after, manual)
+    np.testing.assert_array_equal(final_model(spec, fed, np.zeros(4), 30), manual)
 
 
 def test_identical_clients_match_centralized_run():
     spec, datasets = make_ridge(clients=2, seed=6)
     twin = FederationConfig.from_datasets(
-        [datasets[0], datasets[0]], eta=0.2, local_steps=3, rounds=10,
-        weights=[0.5, 0.5],
+        [datasets[0], datasets[0]], eta=0.2, local_steps=3, weights=[0.5, 0.5]
     )
-    solo = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=3, rounds=10)
+    solo = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=3)
     theta0 = init_params(spec, 9)
-    twin_out = run_fedavg(twin, spec, theta0)[-1].global_after
-    solo_out = run_fedavg(solo, spec, theta0)[-1].global_after
+    twin_out = final_model(spec, twin, theta0, 10)
+    solo_out = final_model(spec, solo, theta0, 10)
     np.testing.assert_array_equal(twin_out, solo_out)
 
 
-def test_run_fedavg_is_bit_reproducible():
+def test_training_is_bit_reproducible():
     spec, datasets = make_ridge(clients=3, seed=10)
-    fed, _ = fed_for(spec, datasets, frac=0.8, local_steps=2, rounds=12, seed=7)
+    fed, _ = fed_for(spec, datasets, frac=0.8, local_steps=2)
     theta0 = init_params(spec, 7)
-    a = run_fedavg(fed, spec, theta0)
-    b = run_fedavg(fed, spec, theta0)
-    for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.global_after, rb.global_after)
+    _, _, a, ledger_a = train_world(spec, fed, 12, theta0=theta0)
+    _, _, b, ledger_b = train_world(spec, fed, 12, theta0=theta0)
+    assert len(a.models) == len(b.models) == 13
+    for ma, mb in zip(a.models, b.models):
+        np.testing.assert_array_equal(ma, mb)
+    np.testing.assert_array_equal(ledger_a.psi, ledger_b.psi)
 
 
 def test_zero_rounds_returns_no_records():
     spec, datasets = make_ridge(seed=0)
-    fed, _ = fed_for(spec, datasets, rounds=0)
-    assert run_fedavg(fed, spec, np.zeros(4)) == []
+    fed, _ = fed_for(spec, datasets)
+    _, _, history, ledger = train_world(spec, fed, 0, theta0=np.zeros(4))
+    assert len(ledger) == 0
+    assert history.end_position == 0
+    np.testing.assert_array_equal(history.final_model, np.zeros(4))
 
 
 def test_single_step_descent_on_weighted_objective():
     spec, datasets = make_ridge(clients=4, seed=12, het=0.8)
     constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.9 / constants.beta, local_steps=1, rounds=25
-    )
+    fed = FederationConfig.from_datasets(datasets, eta=0.9 / constants.beta, local_steps=1)
     theta = init_params(spec, 1)
     losses = [federation_loss(spec, fed.clients, fed.weights, theta)]
-    for record in run_fedavg(fed, spec, theta):
+    for record in rounds_of(spec, fed, theta, 25):
         losses.append(federation_loss(spec, fed.clients, fed.weights, record.global_after))
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-10)
@@ -194,11 +211,9 @@ def test_single_step_descent_on_weighted_objective():
 def test_divergence_error_carries_round_index():
     spec, datasets = make_ridge(seed=3)
     constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=1000.0 / constants.beta, local_steps=5, rounds=20
-    )
+    fed = FederationConfig.from_datasets(datasets, eta=1000.0 / constants.beta, local_steps=5)
     with pytest.raises(DivergedTrainingError) as exc:
-        run_fedavg(fed, spec, init_params(spec, 0))
+        final_model(spec, fed, init_params(spec, 0), 20)
     assert exc.value.round_index is not None
     assert exc.value.round_index >= 0
 
@@ -218,25 +233,26 @@ def test_empty_active_set_rejected():
 def test_federation_config_validation():
     data = two_client_toy()
     with pytest.raises(EmptyFederationError):
-        FederationConfig.from_datasets([], eta=0.1, local_steps=1, rounds=1)
+        FederationConfig.from_datasets([], eta=0.1, local_steps=1)
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, rounds=1, weights=[0.6, 0.6])
+        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[0.6, 0.6])
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, rounds=1, weights=[-0.2, 1.2])
+        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[-0.2, 1.2])
     with pytest.raises(DimensionMismatchError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, rounds=1, weights=[1.0])
+        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[1.0])
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.0, local_steps=1, rounds=1)
+        FederationConfig.from_datasets(data, eta=0.0, local_steps=1)
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=0, rounds=1)
-    with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, rounds=-1)
+        FederationConfig.from_datasets(data, eta=0.1, local_steps=0)
+    assert sorted(f.name for f in dataclasses.fields(FederationConfig)) == [
+        "clients", "eta", "local_steps", "weights"
+    ]
 
 
 def test_default_weights_proportional_to_samples():
     spec, datasets = make_ridge(clients=3, seed=1)
     big = ClientDataset(np.vstack([datasets[0].features] * 3), np.hstack([datasets[0].targets] * 3))
-    fed = FederationConfig.from_datasets([datasets[1], big], eta=0.1, local_steps=1, rounds=1)
+    fed = FederationConfig.from_datasets([datasets[1], big], eta=0.1, local_steps=1)
     np.testing.assert_allclose(fed.weights, [0.25, 0.75], rtol=1e-15)
 
 

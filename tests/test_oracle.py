@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import fed_for, make_logistic, make_ridge
+from conftest import fed_for, make_logistic, make_ridge, oracle_traces, train_world
 from fedunlearn.datagen import DataRecipe, generate_data
-from fedunlearn.engine import FederationConfig, init_params, local_update
+from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, regime_constants
 from fedunlearn.oracle import (
@@ -26,10 +26,11 @@ from conftest import exactly
 @pytest.mark.parametrize("clients", [3, 5])
 def test_bound_holds_for_strongly_convex_ridge(local_steps, clients):
     spec, datasets = make_ridge(clients=clients, samples=12, features=4, seed=60 + clients, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=1.0, local_steps=local_steps, rounds=20, seed=2)
+    fed, _ = fed_for(spec, datasets, frac=1.0, local_steps=local_steps)
     theta0 = init_params(spec, 2)
-    for client in range(clients):
-        trace = empirical_sensitivity(fed, spec, theta0, client)
+    traces = oracle_traces(spec, fed, 20, theta0)
+    assert [trace.client for trace in traces] == list(range(clients))
+    for client, trace in enumerate(traces):
         report = check_bound(trace, tol=1e-8)
         assert report.passed, (client, report)
         assert report.checked_rounds == 21
@@ -39,10 +40,9 @@ def test_bound_holds_for_strongly_convex_ridge(local_steps, clients):
 @pytest.mark.parametrize("local_steps", [1, 3])
 def test_bound_holds_for_convex_logistic(local_steps):
     spec, datasets = make_logistic(clients=4, samples=12, features=4, seed=70)
-    fed, _ = fed_for(spec, datasets, frac=0.5, local_steps=local_steps, rounds=20, seed=3)
+    fed, _ = fed_for(spec, datasets, frac=0.5, local_steps=local_steps)
     theta0 = init_params(spec, 3)
-    for client in range(4):
-        trace = empirical_sensitivity(fed, spec, theta0, client)
+    for client, trace in enumerate(oracle_traces(spec, fed, 20, theta0)):
         report = check_bound(trace, tol=1e-8)
         assert report.passed, (client, report)
 
@@ -50,11 +50,11 @@ def test_bound_holds_for_convex_logistic(local_steps):
 def test_bound_holds_under_skewed_weights():
     spec, datasets = make_ridge(clients=4, samples=10, features=3, seed=61, l2=0.1)
     fed = FederationConfig.from_datasets(
-        datasets, eta=0.3, local_steps=2, rounds=15, weights=[0.55, 0.25, 0.15, 0.05]
+        datasets, eta=0.3, local_steps=2, weights=[0.55, 0.25, 0.15, 0.05]
     )
     theta0 = init_params(spec, 5)
-    for client in range(4):
-        report = check_bound(empirical_sensitivity(fed, spec, theta0, client), tol=1e-8)
+    for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
+        report = check_bound(trace, tol=1e-8)
         assert report.passed, (client, report)
 
 
@@ -64,13 +64,10 @@ def test_smooth_mlp_bound_with_horizon_cap():
     datasets = generate_data(recipe)
     spec = ModelSpec(ModelKind.TINY_MLP, (3, 4, 1), 0.05)
     constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.1 / constants.beta, local_steps=1, rounds=15, seed=4
-    )
+    fed = FederationConfig.from_datasets(datasets, eta=0.1 / constants.beta, local_steps=1)
     theta0 = init_params(spec, 4)
     cap = 1e6 * max(1.0, float(np.linalg.norm(theta0)))
-    for client in range(3):
-        trace = empirical_sensitivity(fed, spec, theta0, client)
+    for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
         report = check_bound(trace, tol=1e-8, psi_cap=cap)
         assert report.passed, (client, report)
         assert report.checked_rounds >= 2
@@ -79,9 +76,9 @@ def test_smooth_mlp_bound_with_horizon_cap():
 def test_identical_twin_clients_have_zero_sensitivity():
     spec, datasets = make_ridge(clients=2, samples=10, features=3, seed=62, l2=0.1)
     fed = FederationConfig.from_datasets(
-        [datasets[0], datasets[0]], eta=0.3, local_steps=2, rounds=12, weights=[0.5, 0.5]
+        [datasets[0], datasets[0]], eta=0.3, local_steps=2, weights=[0.5, 0.5]
     )
-    trace = empirical_sensitivity(fed, spec, init_params(spec, 1), 0)
+    trace = oracle_traces(spec, fed, 12, init_params(spec, 1))[0]
     np.testing.assert_array_equal(trace.alphas, np.zeros(13))
     report = check_bound(trace)
     assert report.passed
@@ -90,7 +87,7 @@ def test_identical_twin_clients_have_zero_sensitivity():
 
 def test_strongly_convex_gap_contracts_once_the_target_is_gone():
     spec, datasets = make_ridge(clients=3, samples=12, features=4, seed=63, l2=0.2)
-    fed, constants = fed_for(spec, datasets, frac=0.9, local_steps=2, rounds=0, seed=6)
+    fed, constants = fed_for(spec, datasets, frac=0.9, local_steps=2)
     decay = contraction_factor(constants, fed.eta) ** fed.local_steps
     theta0 = init_params(spec, 6)
     survivors = [1, 2]
@@ -107,11 +104,31 @@ def test_strongly_convex_gap_contracts_once_the_target_is_gone():
         assert after <= decay * before * (1.0 + 1e-10)
 
 
-def test_empirical_sensitivity_rejects_unknown_client():
+def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_ledger():
+    spec, datasets = make_ridge(clients=3, samples=12, features=4, seed=64, l2=0.1)
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    theta0, _, history, ledger = train_world(spec, fed, 6, theta0=init_params(spec, 64))
+    traces = empirical_sensitivity(fed, spec, history, ledger)
+    for client, trace in enumerate(traces):
+        np.testing.assert_array_equal(trace.psis, ledger.psi[:, client])
+        without = [theta0]
+        for n in range(6):
+            survivors = tuple(c for c in range(3) if c != client)
+            without.append(fedavg_round(spec, fed, without[-1], survivors, n).global_after)
+        want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
+        np.testing.assert_array_equal(trace.alphas, want)
+
+
+def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
     spec, datasets = make_ridge(seed=64)
-    fed, _ = fed_for(spec, datasets, rounds=2)
-    with pytest.raises(IndexError):
-        empirical_sensitivity(fed, spec, np.zeros(4), 7)
+    fed, _ = fed_for(spec, datasets)
+    _, _, history, ledger = train_world(spec, fed, 3)
+    _, _, short_history, _ = train_world(spec, fed, 2)
+    with pytest.raises(ValueError, match="one run"):
+        empirical_sensitivity(fed, spec, short_history, ledger)
+    other, _ = fed_for(spec, datasets[:2])
+    with pytest.raises(ValueError, match="one run"):
+        empirical_sensitivity(other, spec, history, ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,15 @@ from fedunlearn.unlearn import (
 )
 
 
-def sc_world(budget_sigma=0.4, rounds=12, clients=4, seed=21, fed_seed=9, **fed_kw):
+# init and perturbation seed of the sc_world scenarios
+FED_SEED = 9
+
+
+def sc_world(budget_sigma=0.4, rounds=12, clients=4, seed=21, **fed_kw):
     spec, datasets = make_ridge(clients=clients, samples=15, features=3, seed=seed, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.8, rounds=rounds, seed=fed_seed, **fed_kw)
+    fed, _ = fed_for(spec, datasets, frac=0.8, **fed_kw)
     budget = NoiseBudget(1.0, 0.05, budget_sigma)
-    theta0, contraction, history, ledger = train_world(spec, fed, rounds)
+    theta0, contraction, history, ledger = train_world(spec, fed, rounds, seed=FED_SEED)
     return spec, fed, budget, theta0, contraction, history, ledger
 
 
@@ -104,7 +108,7 @@ def test_stopping_criterion_edges():
 
 def test_retrain_zero_rounds_returns_start():
     spec, datasets = make_ridge(seed=2)
-    fed, _ = fed_for(spec, datasets, rounds=5)
+    fed, _ = fed_for(spec, datasets)
     theta0 = np.ones(4)
     result = retrain_until(spec, fed, theta0, range(3), exactly(0))
     np.testing.assert_array_equal(result.final_model, theta0)
@@ -115,7 +119,7 @@ def test_retrain_zero_rounds_returns_start():
 
 def test_retrain_trace_is_contiguous_and_starts_at_offset():
     spec, datasets = make_ridge(seed=2)
-    fed, _ = fed_for(spec, datasets, frac=0.5, rounds=5)
+    fed, _ = fed_for(spec, datasets, frac=0.5)
     result = retrain_until(spec, fed, np.zeros(4), range(3), exactly(4), start_position=7)
     positions = [p for p, _ in result.loss_trace]
     assert positions == [7, 8, 9, 10, 11]
@@ -125,7 +129,7 @@ def test_retrain_trace_is_contiguous_and_starts_at_offset():
 
 def test_retrain_records_history_and_ledger():
     spec, datasets = make_ridge(seed=3)
-    fed, constants = fed_for(spec, datasets, frac=0.5, rounds=6)
+    fed, constants = fed_for(spec, datasets, frac=0.5)
     history = TrainingHistory(np.zeros(4))
     ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), range(3), exactly(6),
@@ -138,7 +142,7 @@ def test_retrain_records_history_and_ledger():
 
 def test_retrain_single_active_client_records_empty_deltas():
     spec, datasets = make_ridge(seed=3)
-    fed, _ = fed_for(spec, datasets, frac=0.5, rounds=4)
+    fed, _ = fed_for(spec, datasets, frac=0.5)
     ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), [1], exactly(4), ledger=ledger)
     assert len(ledger) == 4
@@ -149,7 +153,7 @@ def test_retrain_single_active_client_records_empty_deltas():
 def test_retrain_subset_matches_manual_renormalised_loop():
     spec, datasets = make_ridge(clients=3, seed=4)
     fed = FederationConfig.from_datasets(
-        datasets, eta=0.3, local_steps=2, rounds=5, weights=[0.5, 0.3, 0.2]
+        datasets, eta=0.3, local_steps=2, weights=[0.5, 0.3, 0.2]
     )
     result = retrain_until(spec, fed, np.zeros(4), [1, 2], exactly(5))
     theta = np.zeros(4)
@@ -161,7 +165,7 @@ def test_retrain_subset_matches_manual_renormalised_loop():
 
 def test_retrain_converges_at_closed_form_threshold():
     spec, datasets = make_ridge(clients=3, seed=6, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.9, rounds=0, seed=2)
+    fed, _ = fed_for(spec, datasets, frac=0.9)
     _, floor = ridge_opt(datasets, fed.weights, [0, 1, 2], spec.l2)
     rule = StoppingRule(floor * 1.01, 0, 500)
     result = retrain_until(spec, fed, np.zeros(4), range(3), rule)
@@ -191,7 +195,7 @@ def test_request_validation():
 
 def test_sifu_rejects_out_of_order_and_stale_requests():
     spec, fed, budget, theta0, _, history, ledger = sc_world()
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     with pytest.raises(InvalidRequestError):
         sifu(state, UnlearningRequest(2, frozenset({0})), spec, fed, exactly(1))
     sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(1))
@@ -203,7 +207,7 @@ def test_sifu_rejects_out_of_order_and_stale_requests():
 
 def test_sifu_cannot_empty_the_federation():
     spec, fed, budget, theta0, _, history, ledger = sc_world(clients=2)
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     with pytest.raises(EmptyFederationError):
         sifu(state, UnlearningRequest(1, frozenset({0, 1})), spec, fed, exactly(1))
 
@@ -218,7 +222,7 @@ def test_sifu_rollback_matches_hand_scan():
     series = ledger.psi[:, 2]
     want = max(n for n in range(len(series)) if series[n] <= budget.psi_star)
     psi_at = float(series[want])
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     outcome = sifu(state, UnlearningRequest(1, frozenset({2})), spec, fed, exactly(3))
     assert outcome.rollback_position == want
     assert outcome.noise_sigma == noise_std(psi_at, budget.epsilon, budget.delta)
@@ -233,17 +237,17 @@ def test_sifu_perturbs_the_rollback_model_with_its_own_stream():
     spec, fed, budget, theta0, _, history, ledger = sc_world()
     base = history.model_at(ledger.rollback_index({2}, budget.psi_star)).copy()
     psi_at = ledger.set_sensitivity({2}, ledger.rollback_index({2}, budget.psi_star))
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     outcome = sifu(state, UnlearningRequest(1, frozenset({2})), spec, fed, exactly(0))
     sigma = noise_std(psi_at, budget.epsilon, budget.delta)
-    want = gaussian_perturb(base, sigma, perturbation_stream(fed.seed, 1))
+    want = gaussian_perturb(base, sigma, perturbation_stream(FED_SEED, 1))
     np.testing.assert_array_equal(outcome.final_model, want)
     assert outcome.loss_trace[0][0] == outcome.rollback_position
 
 
 def test_sifu_truncates_history_and_ledger_consistently():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=15)
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     outcome = sifu(state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
     assert history.end_position == outcome.rollback_position + 4
     assert len(ledger) == outcome.rollback_position + 4
@@ -255,7 +259,7 @@ def test_sifu_truncates_history_and_ledger_consistently():
 
 def test_sifu_with_zero_budget_equals_scratch_bitwise():
     spec, fed, budget, theta0, _, history, ledger = sc_world(budget_sigma=0.0)
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(8))
     assert outcome.rollback_position == 0
     assert outcome.noise_sigma == 0.0
@@ -266,7 +270,7 @@ def test_sifu_with_zero_budget_equals_scratch_bitwise():
 def test_sifu_with_huge_budget_restarts_from_the_final_round():
     spec, fed, budget, theta0, _, history, ledger = sc_world(budget_sigma=1e9, rounds=10)
     end = history.end_position
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     outcome = sifu(state, UnlearningRequest(1, frozenset({3})), spec, fed, exactly(2))
     assert outcome.rollback_position == end
 
@@ -274,12 +278,12 @@ def test_sifu_with_huge_budget_restarts_from_the_final_round():
 def test_sifu_ignores_a_client_that_never_contributed():
     spec, datasets = make_ridge(clients=3, samples=15, features=3, seed=30, l2=0.1)
     fed = FederationConfig.from_datasets(
-        datasets, eta=0.4, local_steps=1, rounds=10, seed=4, weights=[0.0, 0.5, 0.5]
+        datasets, eta=0.4, local_steps=1, weights=[0.0, 0.5, 0.5]
     )
     budget = NoiseBudget(1.0, 0.05, 0.3)
-    theta0, _, history, ledger = train_world(spec, fed, 10)
+    theta0, _, history, ledger = train_world(spec, fed, 10, seed=4)
     final = history.final_model.copy()
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, 4)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(5))
     assert outcome.rollback_position == 10
     assert outcome.noise_sigma == 0.0
@@ -289,7 +293,7 @@ def test_sifu_ignores_a_client_that_never_contributed():
 
 def test_sequential_requests_accumulate_segments():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=15, clients=5)
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     first = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(3))
     second = sifu(state, UnlearningRequest(2, frozenset({4})), spec, fed, exactly(3))
     assert second.rollback_position <= first.rollback_position + 3
@@ -302,8 +306,8 @@ def test_sequential_requests_accumulate_segments():
 def test_ifu_is_the_single_request_case_of_sifu():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=12)
     h2, l2_ = copy.deepcopy(history), copy.deepcopy(ledger)
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed)
-    ifu_state = UnlearningState.from_training(h2, l2_, budget, fed.client_count, fed.seed, "ifu")
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
+    ifu_state = UnlearningState.from_training(h2, l2_, budget, fed.client_count, FED_SEED, "ifu")
     a = sifu(state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
     b = sifu(ifu_state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
     assert a.rollback_position == b.rollback_position
@@ -319,7 +323,7 @@ def test_ifu_is_the_single_request_case_of_sifu():
 
 def baseline(method, spec, fed, history, ledger, targets, stopping, budget=NoiseBudget(1.0, 0.05, 0.4)):
     """Run one request of a baseline method through the shared step."""
-    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, fed.seed, method)
+    state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED, method)
     return sifu(state, UnlearningRequest(1, frozenset(targets)), spec, fed, stopping)
 
 
@@ -327,13 +331,13 @@ def test_state_method_must_match_its_ledger():
     spec, fed, budget, theta0, _, history, ledger = sc_world()
     for method, wrong in (("sifu", None), ("last", None), ("finetune", ledger), ("redo", ledger)):
         with pytest.raises(ValueError):
-            UnlearningState.from_training(history, wrong, budget, fed.client_count, fed.seed, method)
+            UnlearningState.from_training(history, wrong, budget, fed.client_count, FED_SEED, method)
 
 
 def test_baseline_scratch_matches_manual_loop():
     spec, datasets = make_ridge(clients=3, seed=40)
     fed = FederationConfig.from_datasets(
-        datasets, eta=0.2, local_steps=1, rounds=0, weights=[0.5, 0.3, 0.2]
+        datasets, eta=0.2, local_steps=1, weights=[0.5, 0.3, 0.2]
     )
     theta0 = np.zeros(4)
     outcome = baseline("scratch", spec, fed, TrainingHistory(theta0), None, {0}, exactly(6))
@@ -365,7 +369,7 @@ def test_baseline_last_uses_final_round_sensitivity():
     final = history.final_model.copy()
     outcome = baseline("last", spec, fed, history, ledger, {2}, exactly(0), budget)
     assert (outcome.rollback_position, outcome.noise_sigma) == (end, sigma)
-    want = gaussian_perturb(final, sigma, perturbation_stream(fed.seed, 1))
+    want = gaussian_perturb(final, sigma, perturbation_stream(FED_SEED, 1))
     np.testing.assert_array_equal(outcome.final_model, want)
     assert history.segment_at(end) == 1
     assert len(ledger) == end
@@ -383,9 +387,9 @@ def test_baseline_last_extends_the_records():
 
 def test_last_noise_never_below_ifu_noise_without_contraction():
     spec, datasets = make_logistic(clients=4, samples=15, features=3, seed=50)
-    fed, constants = fed_for(spec, datasets, frac=0.5, local_steps=1, rounds=20, seed=3)
+    fed, constants = fed_for(spec, datasets, frac=0.5, local_steps=1)
     budget = NoiseBudget(1.0, 0.05, 0.4)
-    theta0, contraction, history, ledger = train_world(spec, fed, 20)
+    theta0, contraction, history, ledger = train_world(spec, fed, 20, seed=3)
     assert contraction == 1.0
     psi_roll = ledger.set_sensitivity({1}, ledger.rollback_index({1}, budget.psi_star))
     psi_last = ledger.set_sensitivity({1}, len(ledger))
