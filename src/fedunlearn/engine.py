@@ -1,8 +1,15 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
-Determinism contract: client updates run in ascending client-index order and
-the aggregation is a sequential weighted sum in that same order, so repeated
-runs on the same platform are bit-identical.
+A round advances every active client at once: clients of one data shape are
+stacked, and each local step is one call of the models kernel on the stack.
+
+Determinism contract: a round equals the per-client loop it replaces bit for
+bit, and repeated runs on the same platform are bit-identical.  Each stacked
+product is one BLAS call per client slice (see models), so client i's local
+model does not depend on which other clients share its stack.  The
+aggregation is np.add.accumulate along the client axis: the sequential sum
+q_0 theta_0 + q_1 theta_1 + ... in ascending client order, never a pairwise
+or BLAS reduction.
 """
 
 from __future__ import annotations
@@ -58,6 +65,18 @@ class FederationConfig:
             raise ValueError("local_steps must be >= 1")
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for idx, data in enumerate(clients):
+            shapes.setdefault(data.features.shape, []).append(idx)
+        groups = tuple(
+            (
+                np.array(members),
+                np.stack([clients[i].features for i in members]),
+                np.stack([clients[i].targets for i in members]),
+            )
+            for members in shapes.values()
+        )
+        object.__setattr__(self, "_groups", groups)
 
     @classmethod
     def from_datasets(
@@ -77,15 +96,60 @@ class FederationConfig:
     def client_count(self) -> int:
         return len(self.clients)
 
+    def stacked(self, active) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The active clients' data, one stack per data shape.
+
+        `active` is ascending.  Each entry is (rows, features, targets): rows
+        are the positions in `active` of the stacked clients, features is
+        (g, n, d) and targets (g, n).
+        """
+        active = np.asarray(active, dtype=np.int64)
+        chosen = np.zeros(self.client_count, dtype=bool)
+        chosen[active] = True
+        stacks = []
+        for members, features, targets in self._groups:
+            keep = chosen[members]
+            if not keep.all():
+                members, features, targets = members[keep], features[keep], targets[keep]
+            if members.size:
+                stacks.append((np.searchsorted(active, members), features, targets))
+        return stacks
+
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """One aggregation round: model before, per-client local models, model after."""
+    """One aggregation round: model before, local models, model after.
+
+    client_models[i] is the local model of client active[i].
+    """
 
     round_index: int
     global_before: Params
-    client_models: dict[int, Params]
+    active: tuple[int, ...]
+    client_models: np.ndarray
     global_after: Params
+
+
+def local_updates(
+    spec: ModelSpec,
+    features: np.ndarray,
+    targets: np.ndarray,
+    theta: Params,
+    eta: float,
+    local_steps: int,
+    round_index: int | None = None,
+) -> np.ndarray:
+    """Run `local_steps` gradient steps from theta on each stacked client.
+
+    One kernel call and one divergence check per step; returns (g, p).
+    """
+    if local_steps < 1:
+        raise ValueError("local_steps must be >= 1")
+    current = np.repeat(models.as_params(theta)[None], features.shape[0], axis=0)
+    for _ in range(local_steps):
+        current = current - eta * models.stacked_grad(spec, features, targets, current)
+        _guard_finite(current, round_index)
+    return current
 
 
 def local_update(
@@ -96,17 +160,11 @@ def local_update(
     local_steps: int,
 ) -> Params:
     """Run `local_steps` gradient steps on one client's loss from theta."""
-    if local_steps < 1:
-        raise ValueError("local_steps must be >= 1")
-    current = models.as_params(theta).copy()
-    for _ in range(local_steps):
-        current = current - eta * models.grad(spec, data, current)
-        _guard_finite(current)
-    return current
+    return local_updates(spec, data.features[None], data.targets[None], theta, eta, local_steps)[0]
 
 
-def _guard_finite(theta: Params, round_index: int | None = None) -> None:
-    if not np.all(np.isfinite(theta)) or float(np.linalg.norm(theta)) > _DIVERGENCE_NORM:
+def _guard_finite(rows: np.ndarray, round_index: int | None = None) -> None:
+    if not np.isfinite(rows).all() or (models.norms(rows) > _DIVERGENCE_NORM).any():
         raise DivergedTrainingError(
             "training diverged: parameter vector is non-finite or exceeds norm 1e8",
             round_index=round_index,
@@ -114,24 +172,19 @@ def _guard_finite(theta: Params, round_index: int | None = None) -> None:
 
 
 def aggregate(client_models, weights) -> Params:
-    """Weighted sum of client models, accumulated in the given (ascending) order."""
-    client_models = list(client_models)
+    """Weighted sum of the client models (rows), added in row order."""
+    client_models = np.asarray(client_models, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(client_models) != weights.shape[0]:
+    if client_models.shape[:1] != weights.shape:
         raise DimensionMismatchError(
-            f"{len(client_models)} models vs {weights.shape[0]} weights"
+            f"{client_models.shape[0]} models vs {weights.shape[0]} weights"
         )
-    if not client_models:
+    if not client_models.size:
         raise EmptyFederationError("cannot aggregate zero models")
     if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"aggregation weights sum to {weights.sum()!r}, expected 1")
-    total = np.zeros_like(np.asarray(client_models[0], dtype=np.float64))
-    for model, weight in zip(client_models, weights):
-        model = np.asarray(model, dtype=np.float64)
-        if model.shape != total.shape:
-            raise DimensionMismatchError("client models have mismatched shapes")
-        total = total + weight * model
-    return total
+    # accumulate is sequential by construction; a reduce over one column is pairwise
+    return np.add.accumulate(weights[:, None] * client_models, axis=0)[-1]
 
 
 def renormalized_weights(weights, removed) -> np.ndarray:
@@ -163,18 +216,14 @@ def fedavg_round(
     removed = set(range(config.client_count)) - set(active)
     q = renormalized_weights(config.weights, removed)
     theta = models.as_params(theta)
-    try:
-        client_models = {
-            idx: local_update(spec, config.clients[idx], theta, config.eta, config.local_steps)
-            for idx in active
-        }
-    except DivergedTrainingError as err:
-        if err.round_index is None:
-            err.round_index = round_index
-        raise
-    new_theta = aggregate([client_models[i] for i in active], q[list(active)])
-    _guard_finite(new_theta, round_index)
-    return RoundRecord(round_index, theta.copy(), client_models, new_theta)
+    client_models = np.empty((len(active), theta.shape[0]))
+    for rows, features, targets in config.stacked(active):
+        client_models[rows] = local_updates(
+            spec, features, targets, theta, config.eta, config.local_steps, round_index
+        )
+    new_theta = aggregate(client_models, q[list(active)])
+    _guard_finite(new_theta[None], round_index)
+    return RoundRecord(round_index, theta.copy(), active, client_models, new_theta)
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
@@ -188,20 +237,22 @@ def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
 
 def federation_loss(
     spec: ModelSpec,
-    clients,
-    weights,
+    config: FederationConfig,
     theta: Params,
     active: tuple[int, ...] | None = None,
 ) -> float:
     """Aggregation-weighted loss over the active clients (all by default)."""
-    clients = list(clients)
-    weights = np.asarray(weights, dtype=np.float64)
     if active is None:
-        active = tuple(range(len(clients)))
+        active = range(config.client_count)
     active = tuple(sorted(active))
-    removed = set(range(len(clients))) - set(active)
-    q = renormalized_weights(weights, removed) if removed else weights
-    return float(sum(q[i] * models.loss(spec, clients[i], theta) for i in active))
+    removed = set(range(config.client_count)) - set(active)
+    q = renormalized_weights(config.weights, removed) if removed else config.weights
+    theta = models.as_params(theta)
+    losses = np.empty(len(active))
+    for rows, features, targets in config.stacked(active):
+        thetas = np.broadcast_to(theta, (len(rows), theta.shape[0]))
+        losses[rows] = models.stacked_loss(spec, features, targets, thetas)
+    return float(np.add.accumulate(q[list(active)] * losses)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,9 @@ class ClientDataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        # C order, as in a stacked array, so one client and its stack slice
+        # make the same BLAS calls
+        feats = np.ascontiguousarray(self.features, dtype=np.float64)
         targs = np.asarray(self.targets, dtype=np.float64)
         if feats.ndim != 2:
             raise DimensionMismatchError(f"features must be 2-D, got shape {feats.shape}")
@@ -149,77 +151,109 @@ def step_size_bound(constants: RegimeConstants) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# loss / gradient dispatch
+# loss / gradient: one stacked kernel, a lone client is a stack of one
 # ---------------------------------------------------------------------------
+#
+# The kernel takes m clients of one sample count at once: features (m, n, d),
+# targets (m, n) and parameters (m, p).  Every product is a stacked np.matmul,
+# which makes one BLAS call per slice with that slice's own strides, and every
+# mean runs along the contiguous sample axis of each slice, so row i equals
+# the result for client i alone bit for bit.
+
+
+def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
+    """Regularised per-sample-mean loss of each thetas[i] on client i, shape (m,)."""
+    thetas = _checked(spec, features, thetas)
+    return _data_loss(spec, features, targets, thetas) + 0.5 * spec.l2 * _sqnorms(thetas)
+
+
+def stacked_grad(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
+    """Gradient of stacked_loss for each client, shape (m, p)."""
+    thetas = _checked(spec, features, thetas)
+    if spec.kind is ModelKind.RIDGE:
+        g = _ridge_data_grad(features, targets, thetas)
+    elif spec.kind is ModelKind.LOGISTIC:
+        g = _logistic_data_grad(features, targets, thetas)
+    else:
+        g = _mlp_data_grad(spec, features, targets, thetas)
+    return g + spec.l2 * thetas
+
+
+def norms(rows) -> np.ndarray:
+    """Euclidean norm of each row; equals np.linalg.norm(row) bit for bit."""
+    return np.sqrt(_sqnorms(rows))
 
 
 def loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
     """Regularised per-sample-mean loss of theta on one client's data."""
-    theta = _checked(spec, data, theta)
-    if spec.kind is ModelKind.RIDGE:
-        value = _ridge_data_loss(data, theta)
-    elif spec.kind is ModelKind.LOGISTIC:
-        value = _logistic_data_loss(data, theta)
-    else:
-        value = _mlp_data_loss(spec, data, theta)
-    return float(value + 0.5 * spec.l2 * float(theta @ theta))
+    return float(stacked_loss(spec, *_one(data, theta))[0])
 
 
 def grad(spec: ModelSpec, data: ClientDataset, theta: Params) -> Params:
     """Gradient of `loss` with respect to theta."""
-    theta = _checked(spec, data, theta)
-    if spec.kind is ModelKind.RIDGE:
-        g = _ridge_data_grad(data, theta)
-    elif spec.kind is ModelKind.LOGISTIC:
-        g = _logistic_data_grad(data, theta)
-    else:
-        g = _mlp_data_grad(spec, data, theta)
-    return g + spec.l2 * theta
+    return stacked_grad(spec, *_one(data, theta))[0]
 
 
 def data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
     """Unregularised data term only (reporting metric)."""
-    theta = _checked(spec, data, theta)
-    if spec.kind is ModelKind.RIDGE:
-        return float(_ridge_data_loss(data, theta))
-    if spec.kind is ModelKind.LOGISTIC:
-        return float(_logistic_data_loss(data, theta))
-    return float(_mlp_data_loss(spec, data, theta))
+    features, targets, thetas = _one(data, theta)
+    return float(_data_loss(spec, features, targets, _checked(spec, features, thetas))[0])
 
 
 def accuracy(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
     """Fraction of correct 0/1 predictions; logistic models only."""
     if spec.kind is not ModelKind.LOGISTIC:
         raise ValueError("accuracy is defined for logistic models only")
-    theta = _checked(spec, data, theta)
+    features, _, thetas = _one(data, theta)
+    theta = _checked(spec, features, thetas)[0]
     predicted = data.features @ theta > 0.0
     return float(np.mean(predicted == (data.targets > 0.5)))
 
 
-def _checked(spec: ModelSpec, data: ClientDataset, theta) -> Params:
-    theta = as_params(theta)
-    if theta.shape[0] != spec.param_count:
+def _one(data: ClientDataset, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return data.features[None], data.targets[None], as_params(theta)[None]
+
+
+def _checked(spec: ModelSpec, features: np.ndarray, thetas) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.shape[1] != spec.param_count:
         raise DimensionMismatchError(
-            f"theta has {theta.shape[0]} entries, spec expects {spec.param_count}"
+            f"theta has {thetas.shape[1]} entries, spec expects {spec.param_count}"
         )
-    if data.feature_dim != spec.dims[0]:
+    if features.shape[2] != spec.dims[0]:
         raise DimensionMismatchError(
-            f"data has {data.feature_dim} features, spec expects {spec.dims[0]}"
+            f"data has {features.shape[2]} features, spec expects {spec.dims[0]}"
         )
-    return theta
+    return thetas
+
+
+def _sqnorms(rows: np.ndarray) -> np.ndarray:
+    # a (1, p) @ (p, 1) slice is the same BLAS dot that theta @ theta makes
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices[i] @ vectors[i] for every i: one gemv per slice."""
+    return np.matmul(matrices, vectors[:, :, None])[:, :, 0]
+
+
+def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    if spec.kind is ModelKind.RIDGE:
+        return 0.5 * np.mean((_matvec(X, thetas) - y) ** 2, axis=1)
+    if spec.kind is ModelKind.LOGISTIC:
+        z = _matvec(X, thetas)
+        # mean of softplus(z) - y*z, stable for large |z|
+        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+    pred, _, _ = _mlp_forward(spec, X, thetas)
+    return 0.5 * np.mean((pred - y) ** 2, axis=1)
 
 
 # -- ridge ------------------------------------------------------------------
 
 
-def _ridge_data_loss(data: ClientDataset, theta: Params) -> float:
-    residual = data.features @ theta - data.targets
-    return 0.5 * float(np.mean(residual**2))
-
-
-def _ridge_data_grad(data: ClientDataset, theta: Params) -> Params:
-    residual = data.features @ theta - data.targets
-    return data.features.T @ residual / data.sample_count
+def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    residual = _matvec(X, thetas) - y
+    return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
 
 
 # -- logistic ---------------------------------------------------------------
@@ -230,27 +264,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _logistic_data_loss(data: ClientDataset, theta: Params) -> float:
-    z = data.features @ theta
-    # mean of softplus(z) - y*z, stable for large |z|
-    return float(np.mean(np.logaddexp(0.0, z) - data.targets * z))
-
-
-def _logistic_data_grad(data: ClientDataset, theta: Params) -> Params:
-    z = data.features @ theta
-    return data.features.T @ (_sigmoid(z) - data.targets) / data.sample_count
+def _logistic_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    z = _matvec(X, thetas)
+    return _matvec(X.transpose(0, 2, 1), _sigmoid(z) - y) / X.shape[1]
 
 
 # -- tiny MLP ---------------------------------------------------------------
 
 
-def _mlp_unpack(spec: ModelSpec, theta: Params) -> list[tuple[np.ndarray, np.ndarray]]:
+def _mlp_unpack(spec: ModelSpec, thetas: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stacked (W, b) views: W (m, fan_in, fan_out), b (m, 1, fan_out)."""
+    m = thetas.shape[0]
     layers = []
     offset = 0
     for fan_in, fan_out in zip(spec.dims, spec.dims[1:]):
-        w = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = thetas[:, offset : offset + fan_in * fan_out].reshape(m, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = theta[offset : offset + fan_out]
+        b = thetas[:, None, offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
@@ -268,33 +298,28 @@ def pack_mlp(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> Pa
     return theta
 
 
-def _mlp_forward(spec: ModelSpec, X: np.ndarray, theta: Params):
-    layers = _mlp_unpack(spec, theta)
+def _mlp_forward(spec: ModelSpec, X: np.ndarray, thetas: np.ndarray):
+    layers = _mlp_unpack(spec, thetas)
     activations = [X]
     for w, b in layers[:-1]:
-        activations.append(np.tanh(activations[-1] @ w + b))
+        activations.append(np.tanh(np.matmul(activations[-1], w) + b))
     w_out, b_out = layers[-1]
-    pred = (activations[-1] @ w_out + b_out)[:, 0]
+    pred = (np.matmul(activations[-1], w_out) + b_out)[:, :, 0]
     return pred, activations, layers
 
 
-def _mlp_data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
-    pred, _, _ = _mlp_forward(spec, data.features, theta)
-    return 0.5 * float(np.mean((pred - data.targets) ** 2))
-
-
-def _mlp_data_grad(spec: ModelSpec, data: ClientDataset, theta: Params) -> Params:
-    n = data.sample_count
-    pred, activations, layers = _mlp_forward(spec, data.features, theta)
-    delta = ((pred - data.targets) / n)[:, None]
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+def _mlp_data_grad(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    pred, activations, layers = _mlp_forward(spec, X, thetas)
+    delta = ((pred - y) / X.shape[1])[:, :, None]
+    grads: list[np.ndarray] = []
     for level in range(len(layers) - 1, -1, -1):
         w, _ = layers[level]
-        grads.append((activations[level].T @ delta, delta.sum(axis=0)))
+        grads.append(delta.sum(axis=1))
+        grads.append(np.matmul(activations[level].transpose(0, 2, 1), delta).reshape(X.shape[0], -1))
         if level > 0:
-            delta = (delta @ w.T) * (1.0 - activations[level] ** 2)
-    grads.reverse()
-    return pack_mlp(spec, grads)
+            delta = np.matmul(delta, w.transpose(0, 2, 1)) * (1.0 - activations[level] ** 2)
+    # collected output layer first, bias before weights: reversed, W_0 b_0 W_1 b_1 ...
+    return np.concatenate(grads[::-1], axis=1)
 
 
 # ---------------------------------------------------------------------------

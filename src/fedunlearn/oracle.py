@@ -75,6 +75,7 @@ def empirical_sensitivity(
             [c for c in everyone if c != client],
             StoppingRule(math.inf, rounds, rounds),
             history=without,
+            track_loss=False,
         )
         alphas = np.array(
             [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)]

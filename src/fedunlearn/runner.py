@@ -55,7 +55,7 @@ from .models import ModelKind, Regime, regime_constants
 from .oracle import check_bound, empirical_sensitivity
 from .sensitivity import (
     SensitivityLedger,
-    client_increment_direct,
+    client_increments_direct,
     contraction_factor,
     noise_std,
 )
@@ -386,7 +386,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
         checks.append(check)
 
     checks.append(_check_proxy_equivalence(prepared, fed, history, ledger))
-    checks.append(_check_contractivity(prepared))
+    checks.append(_check_contractivity(prepared, fed))
     checks.extend(audits)
 
     ok = all(c["pass"] for c in checks)
@@ -402,31 +402,35 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig
     everyone = tuple(range(prepared.client_count))
     worst = 0.0
     passed = True
-    for n, fast_row in enumerate(ledger.deltas.tolist()):
+    for n, fast in enumerate(ledger.deltas):
         record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
-        for client, fast in enumerate(fast_row):
-            direct = client_increment_direct(record, prepared.weights, client)
-            gap = abs(fast - direct)
-            worst = max(worst, gap)
-            if gap > 1e-10 * max(abs(direct), abs(fast)) and gap > 1e-12:
-                passed = False
+        direct = client_increments_direct(record, prepared.weights)
+        gap = np.abs(fast - direct)
+        worst = max(worst, float(gap.max()))
+        if ((gap > 1e-10 * np.maximum(np.abs(direct), np.abs(fast))) & (gap > 1e-12)).any():
+            passed = False
     return {"name": "proxy_equivalence", "pass": passed, "worst_slack": worst, "tightness": None}
 
 
-def _check_contractivity(prepared: PreparedExperiment, pairs: int = 200) -> dict:
+def _check_contractivity(prepared: PreparedExperiment, fed: FederationConfig, pairs: int = 200) -> dict:
     rng = np.random.default_rng(8_191)
-    d = prepared.spec.param_count
+    spec, d = prepared.spec, prepared.spec.param_count
+    stacks = fed.stacked(range(fed.client_count))
     worst = 0.0
     factor = prepared.contraction
     for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         phi = theta + 0.2 * rng.standard_normal(d)
-        for data in prepared.datasets:
-            step_theta = theta - prepared.eta * models.grad(prepared.spec, data, theta)
-            step_phi = phi - prepared.eta * models.grad(prepared.spec, data, phi)
-            lhs = float(np.linalg.norm(step_theta - step_phi))
-            rhs = factor * float(np.linalg.norm(theta - phi))
-            worst = max(worst, lhs - rhs)
+        rhs = factor * float(np.linalg.norm(theta - phi))
+        for _, features, targets in stacks:
+            shape = (features.shape[0], d)
+            step_theta = theta - prepared.eta * models.stacked_grad(
+                spec, features, targets, np.broadcast_to(theta, shape)
+            )
+            step_phi = phi - prepared.eta * models.stacked_grad(
+                spec, features, targets, np.broadcast_to(phi, shape)
+            )
+            worst = max(worst, float((models.norms(step_theta - step_phi) - rhs).max()))
     return {"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None}
 
 
@@ -540,7 +544,7 @@ def cmd_report(run_dir: Path) -> Path:
         outcomes, final_model = methods[method]
         total_rounds = sum(row["retrain_rounds"] for row in outcomes)
         retained = (
-            federation_loss(spec, prepared.datasets, prepared.weights, final_model, remaining)
+            federation_loss(spec, prepared.federation(), final_model, remaining)
             if remaining
             else float("nan")
         )

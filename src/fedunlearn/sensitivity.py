@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RoundRecord, aggregate, renormalized_weights
+from .engine import RoundRecord
 from .errors import SingularRemovalError, StepSizeError
-from .models import Regime, RegimeConstants
+from .models import Regime, RegimeConstants, norms
 
 _PSI_STAR_TOL = 1e-12
 
@@ -63,36 +63,46 @@ def contraction_factor(constants: RegimeConstants, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def client_increment_direct(record: RoundRecord, weights, client: int) -> float:
-    """||aggregate(all) - aggregate(without client)|| for one round.
+def client_increments_fast(record: RoundRecord, weights) -> np.ndarray:
+    """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg||.
 
     `weights` is the weight vector used by the round's aggregation (zeros for
-    inactive clients).  A client absent from the round contributes 0.
+    inactive clients).  Returns one entry per client; a client absent from
+    the round contributes 0.
     """
-    if client not in record.client_models:
-        return 0.0
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights[client] >= 1.0:
-        raise SingularRemovalError(f"client {client} carries the full aggregation weight")
-    q = renormalized_weights(weights, {client})
-    active = sorted(record.client_models)
-    remaining = [i for i in active if i != client]
-    without = aggregate([record.client_models[i] for i in remaining], q[remaining])
-    return float(np.linalg.norm(record.global_after - without))
+    weights, active, p = _round_weights(record, weights)
+    out = np.zeros(weights.shape[0])
+    out[active] = p / (1.0 - p) * norms(record.client_models - record.global_after)
+    return out
 
 
-def client_increment_fast(record: RoundRecord, weights, client: int) -> float:
-    """Closed-form increment: (p_c / (1 - p_c)) * ||theta_c - theta_agg||."""
-    if client not in record.client_models:
-        return 0.0
+def client_increments_direct(record: RoundRecord, weights) -> np.ndarray:
+    """||aggregate(all) - aggregate(without c)|| for every client c of a round.
+
+    The reference the closed form is checked against: row r of the stacked
+    computation renormalises the weights without client active[r], exactly as
+    renormalized_weights does, and aggregates the other clients in ascending
+    order (its own term is an exact zero, which leaves the running sum alone).
+    """
+    weights, active, _ = _round_weights(record, weights)
+    m = len(active)
+    rest = np.tile(weights, (m, 1))
+    rest[np.arange(m), active] = 0.0
+    rest = (rest / rest.sum(axis=1)[:, None])[:, active]
+    without = np.add.accumulate(rest[:, :, None] * record.client_models[None], axis=1)[:, -1]
+    out = np.zeros(weights.shape[0])
+    out[active] = norms(record.global_after - without)
+    return out
+
+
+def _round_weights(record: RoundRecord, weights) -> tuple[np.ndarray, list[int], np.ndarray]:
     weights = np.asarray(weights, dtype=np.float64)
-    p = float(weights[client])
-    if p >= 1.0:
+    active = list(record.active)
+    p = weights[active]
+    if (p >= 1.0).any():
+        client = active[int(np.argmax(p >= 1.0))]
         raise SingularRemovalError(f"client {client} carries the full aggregation weight")
-    if p == 0.0:
-        return 0.0
-    gap = float(np.linalg.norm(record.client_models[client] - record.global_after))
-    return p / (1.0 - p) * gap
+    return weights, active, p
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .engine import FederationConfig, federation_loss, fedavg_round, renormalize
 from .errors import EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
-from .sensitivity import NoiseBudget, SensitivityLedger, client_increment_fast, noise_std
+from .sensitivity import NoiseBudget, SensitivityLedger, client_increments_fast, noise_std
 
 METHODS = ("sifu", "ifu", "scratch", "finetune", "last")
 # methods that read the training ledger, calibrate noise to it and extend it
@@ -169,35 +169,45 @@ def retrain_until(
     history: TrainingHistory | None = None,
     segment: int = 0,
     start_position: int = 0,
+    track_loss: bool = True,
 ) -> RetrainResult:
     """Shared retraining loop; optionally records into a ledger and history.
 
     Recording computes per-active-client increments with the closed-form
     proxy against the weights actually used in each round's aggregation.
-    Inactive clients contribute zero.
+    Inactive clients contribute zero.  track_loss=False skips the retained
+    loss (final_loss is then NaN and the trace empty); it needs a fixed-round
+    rule, since the loss is what an early stop would read.
     """
     active = tuple(sorted(active))
     if not active:
         raise EmptyFederationError("retraining needs at least one active client")
+    if not track_loss and stopping.min_rounds != stopping.max_rounds:
+        raise ValueError("skipping the loss needs a fixed-round stopping rule")
     removed = set(range(config.client_count)) - set(active)
     q = renormalized_weights(config.weights, removed) if removed else config.weights
+
+    def retained_loss(theta: Params) -> float:
+        return federation_loss(spec, config, theta, active) if track_loss else math.nan
+
     theta = models.as_params(theta_start).copy()
-    loss = federation_loss(spec, config.clients, config.weights, theta, active)
+    loss = retained_loss(theta)
     rounds = 0
-    trace: list[tuple[int, float]] = [(start_position, loss)]
+    trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
     while not stopping_criterion(rounds, loss, stopping):
         record = fedavg_round(spec, config, theta, active, start_position + rounds)
         theta = record.global_after
         rounds += 1
         if ledger is not None:
-            deltas = np.zeros(config.client_count)
-            if len(active) > 1:
-                deltas[list(active)] = [client_increment_fast(record, q, c) for c in active]
+            # a lone client carries the full weight: no run without it to bound
+            many = len(active) > 1
+            deltas = client_increments_fast(record, q) if many else np.zeros(config.client_count)
             ledger.record_round(deltas, segment)
         if history is not None:
             history.append_model(theta)
-        loss = federation_loss(spec, config.clients, config.weights, theta, active)
-        trace.append((start_position + rounds, loss))
+        loss = retained_loss(theta)
+        if track_loss:
+            trace.append((start_position + rounds, loss))
     return RetrainResult(theta, rounds, loss <= stopping.loss_threshold, loss, trace)
 
 

@@ -9,7 +9,7 @@ from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, write_checkpoint
 from fedunlearn.runner import prepare
-from fedunlearn.sensitivity import SensitivityLedger, client_increment_fast
+from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.serialize import dumps17
 
 
@@ -99,13 +99,13 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
-        deltas = {c: client_increment_fast(record, fed.weights, c) for c in everyone}
+        deltas = dict(enumerate(client_increments_fast(record, fed.weights).tolist()))
         ledger.record_round([deltas[c] for c in everyone], 0)
         rows.append(
             {
                 "round": n,
                 "segment": 0,
-                "global_loss": federation_loss(spec, fed.clients, fed.weights, theta),
+                "global_loss": federation_loss(spec, fed, theta),
                 "delta": {str(c): deltas[c] for c in everyone},
                 "psi": {str(c): float(ledger.psi[-1, c]) for c in everyone},
             }

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import exactly, fed_for, make_ridge, ridge_opt, train_world, two_client_toy
+from conftest import (
+    exactly,
+    fed_for,
+    make_logistic,
+    make_ridge,
+    ridge_opt,
+    train_world,
+    two_client_toy,
+)
+from fedunlearn import models
 from fedunlearn.engine import (
     FederationConfig,
     aggregate,
@@ -25,6 +34,7 @@ from fedunlearn.errors import (
 )
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, loss, regime_constants
+from fedunlearn.sensitivity import SensitivityLedger
 from fedunlearn.unlearn import retrain_until
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
@@ -151,7 +161,8 @@ def test_round_record_chains_and_covers_active_set():
     np.testing.assert_array_equal(records[0].global_before, theta0)
     for prev, cur in zip(records, records[1:]):
         np.testing.assert_array_equal(prev.global_after, cur.global_before)
-        assert sorted(cur.client_models) == [0, 2, 3]
+        assert cur.active == (0, 2, 3)
+        assert cur.client_models.shape == (3, 4)
 
 
 def test_single_client_federation_is_plain_gd():
@@ -201,9 +212,9 @@ def test_single_step_descent_on_weighted_objective():
     constants = regime_constants(spec, datasets)
     fed = FederationConfig.from_datasets(datasets, eta=0.9 / constants.beta, local_steps=1)
     theta = init_params(spec, 1)
-    losses = [federation_loss(spec, fed.clients, fed.weights, theta)]
+    losses = [federation_loss(spec, fed, theta)]
     for record in rounds_of(spec, fed, theta, 25):
-        losses.append(federation_loss(spec, fed.clients, fed.weights, record.global_after))
+        losses.append(federation_loss(spec, fed, record.global_after))
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-10)
 
@@ -216,6 +227,120 @@ def test_divergence_error_carries_round_index():
         final_model(spec, fed, init_params(spec, 0), 20)
     assert exc.value.round_index is not None
     assert exc.value.round_index >= 0
+
+
+# ---------------------------------------------------------------------------
+# the stacked round against a per-client reference
+# ---------------------------------------------------------------------------
+
+
+def per_client_round(spec, fed, theta, active):
+    """One round the way a client-by-client loop computes it: local models,
+    aggregate, closed-form ledger row and retained loss."""
+    removed = set(range(fed.client_count)) - set(active)
+    q = renormalized_weights(fed.weights, removed)
+    # the ledger row and the loss weigh by the config's weights when no
+    # client is out, as retrain_until does
+    w = q if removed else fed.weights
+    local_models = []
+    for c in active:
+        local = theta.copy()
+        for _ in range(fed.local_steps):
+            local = local - fed.eta * grad(spec, fed.clients[c], local)
+        local_models.append(local)
+    total = np.zeros_like(theta)
+    for c, local in zip(active, local_models):
+        total = total + q[c] * local
+    deltas = np.zeros(fed.client_count)
+    for c, local in zip(active, local_models):
+        p = float(w[c])
+        deltas[c] = p / (1.0 - p) * float(np.linalg.norm(local - total))
+    retained = sum(w[c] * loss(spec, fed.clients[c], total) for c in active)
+    return local_models, total, deltas, float(retained)
+
+
+def round_world(model, ragged):
+    if model == "logistic":
+        spec, datasets = make_logistic(clients=10, samples=16, features=4, seed=21, l2=0.05)
+    else:
+        spec, datasets = make_ridge(clients=10, samples=16, features=4, seed=21)
+        if model != "ridge":
+            dims = (4, 5, 1) if model == "mlp2" else (4, 3, 2, 1)
+            spec = ModelSpec(ModelKind.TINY_MLP, dims, 0.01)
+    if ragged:  # clients 1, 3 and 8 keep 11 of their 16 samples
+        datasets = [
+            ClientDataset(d.features[:11], d.targets[:11]) if i in (1, 3, 8) else d
+            for i, d in enumerate(datasets)
+        ]
+    return spec, datasets
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
+@pytest.mark.parametrize("active", [tuple(range(10)), (0, 2, 3, 5, 6, 7, 8, 9)], ids=["all", "subset"])
+@pytest.mark.parametrize("local_steps", [1, 3])
+@pytest.mark.parametrize("model", ["ridge", "logistic", "mlp2", "mlp3"])
+def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps, active, ragged):
+    spec, datasets = round_world(model, ragged)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    theta0 = 0.3 * np.random.default_rng(5).standard_normal(spec.param_count)
+    rounds = 4
+    history = TrainingHistory(theta0)
+    ledger = SensitivityLedger(0.9, local_steps, fed.client_count)
+    result = retrain_until(
+        spec, fed, theta0, active, exactly(rounds), ledger=ledger, history=history
+    )
+    theta = theta0
+    for n in range(rounds):
+        record = fedavg_round(spec, fed, theta, active, n)
+        local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
+        assert record.active == active
+        assert record.client_models.tobytes() == np.array(local_models).tobytes()
+        assert record.global_after.tobytes() == total.tobytes()
+        assert history.models[n + 1].tobytes() == total.tobytes()
+        assert ledger.deltas[n].tobytes() == deltas.tobytes()
+        assert np.float64(result.loss_trace[n + 1][1]).tobytes() == np.float64(retained).tobytes()
+        theta = total
+
+
+def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
+    spec, datasets = make_ridge(clients=6, samples=10, seed=2)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
+    calls = []
+    real = models.stacked_grad
+
+    def counted(spec, features, targets, thetas):
+        calls.append(features.shape[0])
+        return real(spec, features, targets, thetas)
+
+    monkeypatch.setattr(models, "stacked_grad", counted)
+    fedavg_round(spec, fed, np.zeros(4), range(6), 0)
+    assert calls == [6, 6, 6]  # K calls over all C clients, not C * K
+    calls.clear()
+    fedavg_round(spec, fed, np.zeros(4), (1, 4), 0)
+    assert calls == [2, 2, 2]
+
+
+def test_a_lone_diverging_client_stops_training_in_its_round():
+    spec, datasets = make_ridge(clients=4, samples=20, seed=3)
+    fed, _ = fed_for(spec, datasets, frac=0.5)
+    # client 2's features scaled up: its step size is far past its own bound
+    datasets[2] = ClientDataset(6.0 * datasets[2].features, datasets[2].targets)
+    fed = FederationConfig.from_datasets(datasets, eta=fed.eta, local_steps=2)
+    theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
+    expected = None
+    for n in range(start, start + 50):
+        local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)
+        too_far = [
+            c for c, m in enumerate(local_models) if not np.isfinite(m).all() or np.linalg.norm(m) > 1e8
+        ]
+        if too_far:
+            assert too_far == [2]
+            expected = n
+            break
+    assert expected is not None and expected > start + 1
+    with pytest.raises(DivergedTrainingError) as exc:
+        retrain_until(spec, fed, init_params(spec, 0), everyone, exactly(50), start_position=start)
+    assert exc.value.round_index == expected
 
 
 def test_empty_active_set_rejected():
@@ -271,9 +396,10 @@ def test_federation_loss_matches_manual_weighted_sum():
     weights = np.array([0.5, 0.3, 0.2])
     theta = init_params(spec, 2)
     want = sum(w * loss(spec, d, theta) for w, d in zip(weights, datasets))
-    got = federation_loss(spec, datasets, weights, theta)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1, weights=weights)
+    got = federation_loss(spec, fed, theta)
     assert got == pytest.approx(want, rel=1e-15)
-    partial = federation_loss(spec, datasets, weights, theta, active=(1, 2))
+    partial = federation_loss(spec, fed, theta, active=(1, 2))
     want = 0.6 * loss(spec, datasets[1], theta) + 0.4 * loss(spec, datasets[2], theta)
     assert partial == pytest.approx(want, rel=1e-15)
 

@@ -18,8 +18,11 @@ from fedunlearn.models import (
     data_loss,
     grad,
     loss,
+    norms,
     pack_mlp,
     regime_constants,
+    stacked_grad,
+    stacked_loss,
     step_size_bound,
 )
 
@@ -127,6 +130,67 @@ def test_gradient_matches_finite_differences(kind, dims, l2):
         got = grad(spec, data, theta)
         want = central_difference(spec, data, theta)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
+
+
+def unstacked_loss_and_grad(spec, X, y, theta):
+    """The one-client formulas the stacked kernel replaced, as 2-D products."""
+    n = X.shape[0]
+    if spec.kind is ModelKind.RIDGE:
+        residual = X @ theta - y
+        value = 0.5 * float(np.mean(residual**2))
+        g = X.T @ residual / n
+    elif spec.kind is ModelKind.LOGISTIC:
+        z = X @ theta
+        value = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        g = X.T @ (0.5 * (1.0 + np.tanh(0.5 * z)) - y) / n
+    else:
+        layers, offset = [], 0
+        for fan_in, fan_out in zip(spec.dims, spec.dims[1:]):
+            w = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            offset += fan_in * fan_out
+            layers.append((w, theta[offset : offset + fan_out]))
+            offset += fan_out
+        activations = [X]
+        for w, b in layers[:-1]:
+            activations.append(np.tanh(activations[-1] @ w + b))
+        pred = (activations[-1] @ layers[-1][0] + layers[-1][1])[:, 0]
+        value = 0.5 * float(np.mean((pred - y) ** 2))
+        delta = ((pred - y) / n)[:, None]
+        grads = []
+        for level in range(len(layers) - 1, -1, -1):
+            grads.append((activations[level].T @ delta, delta.sum(axis=0)))
+            if level > 0:
+                delta = (delta @ layers[level][0].T) * (1.0 - activations[level] ** 2)
+        g = pack_mlp(spec, grads[::-1])
+    return float(value + 0.5 * spec.l2 * float(theta @ theta)), g + spec.l2 * theta
+
+
+@pytest.mark.parametrize(
+    "kind,dims",
+    [
+        (ModelKind.RIDGE, (5,)),
+        (ModelKind.LOGISTIC, (5,)),
+        (ModelKind.TINY_MLP, (5, 4, 1)),
+        (ModelKind.TINY_MLP, (5, 3, 2, 1)),
+    ],
+)
+def test_kernel_matches_the_unstacked_formulas_bitwise(kind, dims):
+    spec = ModelSpec(kind, dims, 0.07)
+    rng = np.random.default_rng(12)
+    for n in (1, 7, 33, 130):
+        X = rng.standard_normal((4, n, 5))
+        y = rng.standard_normal((4, n))
+        thetas = 0.8 * rng.standard_normal((4, spec.param_count))
+        stacked_values = stacked_loss(spec, X, y, thetas)
+        stacked_grads = stacked_grad(spec, X, y, thetas)
+        for i in range(4):
+            value, g = unstacked_loss_and_grad(spec, X[i], y[i], thetas[i])
+            data = ClientDataset(X[i], y[i])
+            assert loss(spec, data, thetas[i]) == value
+            assert grad(spec, data, thetas[i]).tobytes() == g.tobytes()
+            assert np.float64(value).tobytes() == stacked_values[i].tobytes()
+            assert stacked_grads[i].tobytes() == g.tobytes()
+        assert norms(thetas).tolist() == [float(np.linalg.norm(t)) for t in thetas]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fed_for, make_logistic, make_ridge, oracle_traces, train_world
+from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
 from fedunlearn.errors import DivergedTrainingError
@@ -117,6 +118,29 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
             without.append(fedavg_round(spec, fed, without[-1], survivors, n).global_after)
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_array_equal(trace.alphas, want)
+
+
+def test_the_oracle_evaluates_no_loss(monkeypatch):
+    spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=65, l2=0.1)
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    _, _, history, ledger = train_world(spec, fed, 5, theta0=init_params(spec, 65))
+    calls = []
+    real = models.stacked_loss
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(models, "stacked_loss", counted)
+    traces = empirical_sensitivity(fed, spec, history, ledger)
+    assert calls == []
+    assert [t.client for t in traces] == [0, 1, 2, 3]
+    # the all-client run it checks does evaluate the loss every round
+    retrain_until(spec, fed, history.models[0], range(4), exactly(5))
+    assert calls == [4] * 6
+    # skipping the loss is refused where the loss decides when to stop
+    with pytest.raises(ValueError, match="fixed-round"):
+        retrain_until(spec, fed, history.models[0], range(4), exactly(5), track_loss=False)
 
 
 def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():

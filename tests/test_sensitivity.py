@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SQ
-from fedunlearn.engine import RoundRecord, aggregate
+from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights
 from fedunlearn.errors import SingularRemovalError, StepSizeError
 from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
     CSV_HEADER,
     NoiseBudget,
     SensitivityLedger,
-    client_increment_direct,
-    client_increment_fast,
+    client_increments_direct,
+    client_increments_fast,
     contraction_factor,
     noise_std,
     psi_star,
@@ -25,11 +25,11 @@ SC_UNIT = RegimeConstants(Regime.STRONGLY_CONVEX, 1.0, 1.0, 0.0)
 SMOOTH_2 = RegimeConstants(Regime.SMOOTH, 2.0, 0.0, 0.0)
 
 
-def toy_record(client_models, weights, round_index=0):
-    models = {i: np.asarray(m, dtype=np.float64) for i, m in enumerate(client_models)}
-    active = sorted(models)
-    agg = aggregate([models[i] for i in active], np.asarray(weights)[active])
-    return RoundRecord(round_index, np.zeros_like(agg), models, agg)
+def toy_record(client_models, weights, round_index=0, active=None):
+    models = np.asarray(client_models, dtype=np.float64)
+    active = tuple(range(len(models))) if active is None else tuple(active)
+    agg = aggregate(models, np.asarray(weights)[list(active)])
+    return RoundRecord(round_index, np.zeros_like(agg), active, models, agg)
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +91,27 @@ def test_contraction_strongly_convex_stays_in_unit_interval(beta, ratio, frac):
 def test_increment_two_uniform_clients_by_hand():
     record = toy_record([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     want = math.sqrt(0.5)
-    assert client_increment_fast(record, [0.5, 0.5], 1) == pytest.approx(want, rel=1e-15)
-    assert client_increment_direct(record, [0.5, 0.5], 1) == pytest.approx(want, rel=1e-15)
+    assert client_increments_fast(record, [0.5, 0.5])[1] == pytest.approx(want, rel=1e-15)
+    assert client_increments_direct(record, [0.5, 0.5])[1] == pytest.approx(want, rel=1e-15)
 
 
 def test_increment_zero_weight_and_absent_client():
-    record = toy_record([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-    assert client_increment_fast(record, [1.0, 0.0], 1) == 0.0
-    del record.client_models[1]
-    assert client_increment_fast(record, [1.0, 0.0], 1) == 0.0
-    assert client_increment_direct(record, [1.0, 0.0], 1) == 0.0
+    # a vector over every client: the zero-weight client 1 needs company
+    # that does not carry the full weight
+    weights = [0.5, 0.0, 0.5]
+    record = toy_record([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], weights)
+    assert client_increments_fast(record, weights)[1] == 0.0
+    absent = toy_record([[1.0, 0.0], [1.0, 1.0]], weights, active=(0, 2))
+    assert client_increments_fast(absent, weights)[1] == 0.0
+    assert client_increments_direct(absent, weights)[1] == 0.0
 
 
 def test_increment_full_weight_client_is_singular():
     record = toy_record([[1.0, 0.0]], [1.0])
     with pytest.raises(SingularRemovalError):
-        client_increment_fast(record, [1.0], 0)
+        client_increments_fast(record, [1.0])
     with pytest.raises(SingularRemovalError):
-        client_increment_direct(record, [1.0], 0)
+        client_increments_direct(record, [1.0])
 
 
 def test_uniform_weights_reduce_to_one_over_m_minus_one():
@@ -119,7 +122,7 @@ def test_uniform_weights_reduce_to_one_over_m_minus_one():
         record = toy_record(models, weights)
         for c in range(m):
             gap = np.linalg.norm(models[c] - record.global_after)
-            got = client_increment_fast(record, weights, c)
+            got = client_increments_fast(record, weights)[c]
             assert got == pytest.approx(gap / (m - 1), rel=1e-15)
 
 
@@ -128,7 +131,7 @@ def test_uniform_factor_is_exact_for_dyadic_counts():
     models = rng.standard_normal((4, 3))
     record = toy_record(models, np.full(4, 0.25))
     gap = float(np.linalg.norm(models[2] - record.global_after))
-    assert client_increment_fast(record, np.full(4, 0.25), 2) == gap / 3.0
+    assert client_increments_fast(record, np.full(4, 0.25))[2] == gap / 3.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,9 +144,33 @@ def test_fast_increment_equals_direct_recomputation(values, raw, client):
     models = np.asarray(values).reshape(4, 3)
     weights = np.asarray(raw) / np.sum(raw)
     record = toy_record(models, weights)
-    fast = client_increment_fast(record, weights, client)
-    direct = client_increment_direct(record, weights, client)
+    fast = client_increments_fast(record, weights)[client]
+    direct = client_increments_direct(record, weights)[client]
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("active", [(0, 1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 4, 7)])
+@pytest.mark.parametrize("dim", [1, 6])
+def test_stacked_increments_match_a_per_client_reference_bitwise(active, dim):
+    rng = np.random.default_rng(33)
+    raw = np.zeros(9)
+    raw[list(active)] = rng.random(len(active)) + 0.05
+    weights = raw / raw.sum()
+    record = toy_record(rng.standard_normal((len(active), dim)), weights, active=active)
+    fast, direct = np.zeros(9), np.zeros(9)
+    for row, c in enumerate(active):
+        p = float(weights[c])
+        gap = float(np.linalg.norm(record.client_models[row] - record.global_after))
+        fast[c] = p / (1.0 - p) * gap
+        # the direct increment as one aggregation per removed client
+        q = renormalized_weights(weights, {c})
+        total = np.zeros(dim)
+        for other, model in zip(active, record.client_models):
+            if other != c:
+                total = total + q[other] * model
+        direct[c] = float(np.linalg.norm(record.global_after - total))
+    assert client_increments_fast(record, weights).tobytes() == fast.tobytes()
+    assert client_increments_direct(record, weights).tobytes() == direct.tobytes()
 
 
 # ---------------------------------------------------------------------------
