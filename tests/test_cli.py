@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -464,3 +465,22 @@ def test_diverging_training_is_a_runtime_error(workdir):
     doc["federation"]["rounds"] = 60
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:smooth regime")
+def test_diverging_training_leaves_no_empty_output_files(workdir):
+    # train creates its checkpoint and metric files while the rounds run; a
+    # run that stops early removes them again
+    doc = base_doc("cli_diverge_outputs")
+    doc["model"] = {"kind": "tiny_mlp", "dims": [3, 2, 1], "l2": 0.0}
+    doc["federation"]["eta"] = 80.0
+    doc["federation"]["rounds"] = 60
+    assert main(["train", write_doc(workdir, doc)]) == 3
+    train = run_dir(workdir, doc) / "train"
+    assert sorted(p.relative_to(train).as_posix() for p in train.rglob("*")) == ["checkpoints", "manifest.json"]
+
+
+def test_train_leaves_no_thread_running(workdir):
+    before = threading.active_count()
+    assert main(["train", write_doc(workdir, base_doc())]) == 0
+    assert threading.active_count() == before
