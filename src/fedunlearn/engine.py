@@ -256,32 +256,47 @@ def federation_loss(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint files: magic, round index, dimension, config hash, raw values
+# checkpoint files: a 52-byte header (magic, end position, dimension d, config
+# hash), then one or more models as little-endian float64 rows of d values
 # ---------------------------------------------------------------------------
 
 
-def write_checkpoint(path, round_index: int, values: Params, config_hash: bytes) -> None:
-    """Binary model checkpoint: little-endian float64 values plus metadata."""
-    values = models.as_params(values)
+def write_checkpoint(path, position: int, values, config_hash: bytes) -> None:
+    """Write one model (d,) or a block of models (rows, d) with its metadata.
+
+    `position` is the timeline position of the last model written.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim not in (1, 2) or not values.size:
+        raise DimensionMismatchError(f"checkpoint needs (d,) or (rows, d) values, got shape {values.shape}")
     if len(config_hash) != 32:
         raise ValueError("config_hash must be a 32-byte digest")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<qq", int(round_index), values.shape[0]))
+        fh.write(struct.pack("<qq", int(position), values.shape[-1]))
         fh.write(bytes(config_hash))
         fh.write(values.astype("<f8").tobytes())
 
 
-def read_checkpoint(path) -> tuple[int, Params, bytes]:
-    """Inverse of write_checkpoint; validates magic and length."""
+def read_checkpoint(path) -> tuple[int, np.ndarray, bytes]:
+    """Inverse of write_checkpoint; validates magic and length.
+
+    values is (d,) for a file holding one model and (rows, d) otherwise.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    round_index, dim = struct.unpack("<qq", blob[4:20])
+    if len(blob) < 52:
+        raise ValueError(f"{path}: truncated checkpoint header ({len(blob)} of 52 bytes)")
+    position, dim = struct.unpack("<qq", blob[4:20])
     digest = blob[20:52]
-    expected = 52 + 8 * dim
-    if len(blob) != expected:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} vs {expected} bytes)")
+    if dim < 1:
+        raise ValueError(f"{path}: checkpoint dimension {dim}")
+    rows, rest = divmod(len(blob) - 52, 8 * dim)
+    if rest or not rows:
+        raise ValueError(
+            f"{path}: truncated checkpoint ({len(blob)} bytes, not 52 + a multiple of {8 * dim})"
+        )
     values = np.frombuffer(blob[52:], dtype="<f8").astype(np.float64)
-    return round_index, values, digest
+    return position, values if rows == 1 else values.reshape(rows, dim), digest

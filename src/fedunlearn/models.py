@@ -373,6 +373,12 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
 
 
 def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
+    # one stacked gradient call per pair and data shape; each row equals the
+    # lone client's gradient bit for bit, so the max is the per-client loop's
+    shapes: dict[tuple[int, int], list[ClientDataset]] = {}
+    for data in all_data:
+        shapes.setdefault(data.features.shape, []).append(data)
+    stacks = [(np.stack([d.features for d in g]), np.stack([d.targets for d in g])) for g in shapes.values()]
     rng = np.random.default_rng(_PROBE_SEED)
     d = spec.param_count
     worst = 0.0
@@ -382,7 +388,8 @@ def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
         gap = float(np.linalg.norm(offset))
         if gap == 0.0:
             continue
-        for data in all_data:
-            diff = grad(spec, data, theta + offset) - grad(spec, data, theta)
-            worst = max(worst, float(np.linalg.norm(diff)) / gap)
+        for features, targets in stacks:
+            near = np.repeat(theta[None], features.shape[0], axis=0)
+            diff = stacked_grad(spec, features, targets, near + offset) - stacked_grad(spec, features, targets, near)
+            worst = max(worst, float((norms(diff) / gap).max()))
     return _PROBE_SAFETY * worst

@@ -4,8 +4,8 @@ Artifact layout under $FEDUNLEARN_OUT (default ./runs), one directory per
 config name:
 
     <run>/config.json                canonical config copy
-    <run>/train/                     manifest, metrics.jsonl, ledger.csv,
-                                     checkpoints/round_*.ckpt, timings.json
+    <run>/train/                     history.ckpt, ledger.csv, metrics.jsonl,
+                                     timings.json, manifest (written last)
     <run>/unlearn_<method>/          manifest, outcomes.json, metrics.jsonl,
                                      ledger.csv (ledger-backed methods),
                                      final_model.ckpt, timings.json
@@ -17,7 +17,7 @@ records the ledger and the model history; verify makes the same call and
 hands that ledger and history to the oracle, so it certifies the Psi that
 train writes.  Every unlearning method runs the same per-request step,
 `unlearn.sifu`; the command only picks which training artifacts the method
-loads (scratch needs none, finetune only the checkpoints, the ledger-backed
+loads (scratch needs none, finetune only the history, the ledger-backed
 methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
@@ -33,9 +33,6 @@ import os
 import shutil
 import time
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,88 +185,46 @@ def _check_manifest_hash(directory: Path, prepared: PreparedExperiment) -> None:
 
 
 def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
-    """Train the full federation, recording ledger, metrics, and checkpoints."""
+    """Train the full federation, recording the ledger, metrics and model history.
+
+    The manifest is written last, so a train that stops early leaves a
+    directory that later commands refuse.
+    """
     t_start = time.perf_counter()
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
     train_dir = run_dir / "train"
     if train_dir.exists():
         shutil.rmtree(train_dir)
-    (train_dir / "checkpoints").mkdir(parents=True)
-    checkpoints = {
-        position: train_dir / "checkpoints" / f"round_{position:05d}.ckpt"
-        for position in range(config.rounds + 1)
-        if position % config.checkpoint_interval == 0 or position == config.rounds
-    }
-    # created empty while the block below runs, filled after it
-    written_later = [train_dir / "metrics.jsonl", train_dir / "timings.json", *checkpoints.values()]
-    with _created_meanwhile(written_later):
-        _store_config(run_dir, config)
-        _write_manifest(
-            train_dir,
-            prepared,
-            "train",
-            ["checkpoints/", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"],
-        )
-        result, ledger, history = _run_federation(prepared)
-        ledger.export_csv(train_dir / "ledger.csv")
-        rounds = zip(ledger.segments.tolist(), ledger.deltas.tolist(), ledger.psi[1:].tolist(), result.loss_trace[1:])
-        metric_rows = [
-            {
-                "round": position,
-                "segment": segment,
-                "global_loss": loss,
-                "delta": dict(enumerate(deltas)),
-                "psi": dict(enumerate(psi)),
-            }
-            for position, (segment, deltas, psi, (_, loss)) in enumerate(rounds)
-        ]
-        metrics = "".join(dumps17(row) + "\n" for row in metric_rows)
+    train_dir.mkdir(parents=True)
+    _store_config(run_dir, config)
+    result, ledger, history = _run_federation(prepared)
 
+    kept = np.array([history.model_at(position) for position in _checkpointed_positions(config)])
+    write_checkpoint(train_dir / "history.ckpt", config.rounds, kept, prepared.digest)
+    ledger.export_csv(train_dir / "ledger.csv")
+    rounds = zip(
+        ledger.segments.tolist(),
+        result.loss_trace[1:],
+        ledger.deltas.max(axis=1).tolist(),
+        ledger.psi[1:].max(axis=1).tolist(),
+    )
+    metrics = "".join(
+        dumps17({"round": n, "segment": segment, "global_loss": loss, "max_delta": delta, "max_psi": psi})
+        + "\n"
+        for n, (segment, (_, loss), delta, psi) in enumerate(rounds)
+    )
     _write_text(train_dir / "metrics.jsonl", metrics)
-    for position, path in checkpoints.items():
-        write_checkpoint(path, position, history.model_at(position), prepared.digest)
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
+    outputs = ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
+    _write_manifest(train_dir, prepared, "train", outputs)
     return train_dir
 
 
-@contextmanager
-def _created_meanwhile(paths: list[Path]):
-    """Create empty files at `paths` on a helper thread while the block runs.
-
-    Creating a file allocates an inode, and ext4 without a journal skips
-    every inode freed in the last 60 s (360 s while its inode-table block is
-    dirty) in that search, so the cost follows what was deleted lately:
-    0.03 ms to ~1 ms a file on a 2-vCPU Xeon VM.  Done alongside the rounds,
-    that cost and its swings stay out of the training time.  The rounds are
-    mostly numpy calls, which release the GIL; during pure-Python work the
-    helper gets it once per switch interval.  When the block ends, this
-    thread joins in on the files still pending.  They are filled in place
-    afterwards, so the block must not write them.  If anything raises, the
-    empty files are removed.
-    """
-    pending = deque(paths)
-
-    def create() -> None:
-        while True:
-            try:
-                path = pending.popleft()
-            except IndexError:  # all taken, by this thread or the other
-                return
-            path.touch(exist_ok=False)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        created = pool.submit(create)
-        try:
-            yield
-            create()
-            created.result()
-        except BaseException:
-            pending.clear()
-            wait([created])
-            for path in paths:
-                path.unlink(missing_ok=True)
-            raise
+def _checkpointed_positions(config: ExperimentConfig) -> list[int]:
+    """Positions whose global model train keeps: every checkpoint_interval-th and the last."""
+    rounds, interval = config.rounds, config.checkpoint_interval
+    return [position for position in range(rounds + 1) if position % interval == 0 or position == rounds]
 
 
 def _run_federation(
@@ -293,23 +248,32 @@ def _run_federation(
 
 
 def _load_history(train_dir: Path, prepared: PreparedExperiment) -> TrainingHistory:
-    ckpt_dir = train_dir / "checkpoints"
-    if not ckpt_dir.is_dir():
-        raise MissingArtifactsError(f"missing checkpoint directory: {ckpt_dir}")
-    positions = {}
-    for path in sorted(ckpt_dir.glob("round_*.ckpt")):
-        position, values, digest = read_checkpoint(path)
-        if digest != prepared.digest:
-            raise ConfigError(f"checkpoint {path} was produced by a different config")
-        positions[position] = values
-    if not positions:
-        raise MissingArtifactsError(f"no checkpoints found in {ckpt_dir}")
+    path = train_dir / "history.ckpt"
+    if not path.exists():
+        raise MissingArtifactsError(f"missing model history: {path}")
+    _, kept, digest = _read_checkpoint(path)
+    if digest != prepared.digest:
+        raise ConfigError(f"checkpoint {path} was produced by a different config")
+    positions = _checkpointed_positions(prepared.config)
+    kept = kept.reshape(-1, prepared.spec.param_count)
+    if len(kept) != len(positions):
+        raise MissingArtifactsError(
+            f"{path} holds {len(kept)} models but the config checkpoints {len(positions)} positions"
+        )
     try:
-        return TrainingHistory.from_positions(positions)
+        return TrainingHistory.from_positions(dict(zip(positions, kept)))
     except ValueError as err:
         raise MissingArtifactsError(
             f"{err}; full-history unlearning needs checkpoint_interval=1 train artifacts"
         ) from err
+
+
+def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
+    """read_checkpoint, refusing a damaged file as missing artifacts."""
+    try:
+        return read_checkpoint(path)
+    except ValueError as err:
+        raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
 
 
 def _read_ledger(path: Path, prepared: PreparedExperiment) -> tuple[SensitivityLedger, np.ndarray]:
@@ -498,7 +462,7 @@ def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dic
         end = prepared.config.rounds
         if outcomes:
             end = outcomes[-1]["rollback_position"] + outcomes[-1]["retrain_rounds"]
-        final_position = read_checkpoint(paths[2])[0]
+        final_position = _read_checkpoint(paths[2])[0]
         if not len(ledger) == end == final_position:
             raise MissingArtifactsError(
                 f"{paths[0]} records {len(ledger)} rounds but the timeline ends at {end} "
@@ -572,7 +536,7 @@ def cmd_report(run_dir: Path) -> Path:
         if not outcomes_path.exists() or not final_path.exists():
             raise MissingArtifactsError(f"{out_dir} is incomplete; re-run the unlearn command")
         outcomes = json.loads(outcomes_path.read_text())["outcomes"]
-        _, final_model, _ = read_checkpoint(final_path)
+        _, final_model, _ = _read_checkpoint(final_path)
         methods[method] = (outcomes, final_model)
     if not methods:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")

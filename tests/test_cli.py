@@ -1,14 +1,14 @@
 import json
 import re
-import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedunlearn import oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
-from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, write_checkpoint
+from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint
 from fedunlearn.runner import prepare
 from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.serialize import dumps17
@@ -72,12 +72,12 @@ def test_train_writes_the_advertised_artifacts(workdir):
     assert (train / "manifest.json").exists()
     assert (train / "timings.json").exists()
     assert (run_dir(workdir, doc) / "config.json").exists()
-    checkpoints = sorted((train / "checkpoints").glob("*.ckpt"))
-    assert [p.name for p in checkpoints] == [f"round_{k:05d}.ckpt" for k in range(7)]
+    end, models_kept, _ = read_checkpoint(train / "history.ckpt")
+    assert (end, models_kept.shape) == (6, (7, 3))
     metrics = (train / "metrics.jsonl").read_text().splitlines()
     assert len(metrics) == 6
     first = json.loads(metrics[0])
-    assert set(first) == {"round", "segment", "global_loss", "delta", "psi"}
+    assert set(first) == {"round", "segment", "global_loss", "max_delta", "max_psi"}
     assert not (train / "rollback").exists()
 
 
@@ -93,10 +93,8 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     spec, fed, rounds = prepared.spec, prepared.federation(), prepared.config.rounds
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
-    reference = workdir / "reference"
-    reference.mkdir()
-    write_checkpoint(reference / "round_00000.ckpt", 0, prepared.theta0, prepared.digest)
-    theta, rows = prepared.theta0, []
+    reference = workdir / "reference.csv"
+    theta, rows, kept = prepared.theta0, [], {0: prepared.theta0}
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
@@ -107,19 +105,20 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
                 "round": n,
                 "segment": 0,
                 "global_loss": federation_loss(spec, fed, theta),
-                "delta": {str(c): deltas[c] for c in everyone},
-                "psi": {str(c): float(ledger.psi[-1, c]) for c in everyone},
+                "max_delta": max(deltas.values()),
+                "max_psi": float(ledger.psi[-1].max()),
             }
         )
         if (n + 1) % 2 == 0 or n + 1 == rounds:
-            write_checkpoint(reference / f"round_{n + 1:05d}.ckpt", n + 1, theta, prepared.digest)
-    ledger.export_csv(reference / "ledger.csv")
+            kept[n + 1] = theta
+    ledger.export_csv(reference)
 
-    assert (train / "ledger.csv").read_bytes() == (reference / "ledger.csv").read_bytes()
+    assert (train / "ledger.csv").read_bytes() == reference.read_bytes()
     assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
-    written = snapshot(train / "checkpoints")
-    assert written == snapshot(reference, skip=("ledger.csv",))
-    assert sorted(written) == [f"round_{k:05d}.ckpt" for k in (0, 2, 4, 6, 7)]
+    end, written, digest = read_checkpoint(train / "history.ckpt")
+    assert (end, digest) == (7, prepared.digest)
+    assert sorted(kept) == [0, 2, 4, 6, 7]
+    assert written.tobytes() == np.array(list(kept.values())).tobytes()
 
 
 def test_train_twice_is_byte_identical(workdir):
@@ -136,9 +135,12 @@ def test_zero_round_training(workdir):
     doc = base_doc("cli_zero")
     doc["federation"]["rounds"] = 0
     doc["requests"] = []
-    assert main(["train", write_doc(workdir, doc)]) == 0
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
     train = run_dir(workdir, doc) / "train"
-    assert (train / "checkpoints" / "round_00000.ckpt").exists()
+    end, theta0, _ = read_checkpoint(train / "history.ckpt")
+    assert end == 0
+    assert theta0.tobytes() == prepare(load_config(config)).theta0.tobytes()
     assert (train / "ledger.csv").read_text().splitlines() == ["round,segment,client,delta,psi"]
     assert (train / "metrics.jsonl").read_text() == ""
 
@@ -389,13 +391,13 @@ def test_checkpoints_from_another_config_are_refused(workdir, capsys):
     other["budget"]["sigma"] = 0.2
     assert main(["train", config]) == 0
     assert main(["train", write_doc(workdir, other)]) == 0
-    foreign = run_dir(workdir, other) / "train" / "checkpoints" / "round_00003.ckpt"
-    own = run_dir(workdir, doc) / "train" / "checkpoints" / "round_00003.ckpt"
+    foreign = run_dir(workdir, other) / "train" / "history.ckpt"
+    own = run_dir(workdir, doc) / "train" / "history.ckpt"
     assert foreign.read_bytes()[52:] == own.read_bytes()[52:]
     own.write_bytes(foreign.read_bytes())
     for method in ("sifu", "finetune"):
         assert main(["unlearn", config, "--method", method]) == 2
-        assert "round_00003.ckpt was produced by a different config" in capsys.readouterr().err
+        assert "history.ckpt was produced by a different config" in capsys.readouterr().err
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
 
 
@@ -469,18 +471,56 @@ def test_diverging_training_is_a_runtime_error(workdir):
 
 @pytest.mark.filterwarnings("ignore:smooth regime")
 def test_diverging_training_leaves_no_empty_output_files(workdir):
-    # train creates its checkpoint and metric files while the rounds run; a
-    # run that stops early removes them again
+    # train writes its outputs, the manifest last, only after the rounds
     doc = base_doc("cli_diverge_outputs")
     doc["model"] = {"kind": "tiny_mlp", "dims": [3, 2, 1], "l2": 0.0}
     doc["federation"]["eta"] = 80.0
     doc["federation"]["rounds"] = 60
-    assert main(["train", write_doc(workdir, doc)]) == 3
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 3
     train = run_dir(workdir, doc) / "train"
-    assert sorted(p.relative_to(train).as_posix() for p in train.rglob("*")) == ["checkpoints", "manifest.json"]
+    assert list(train.rglob("*")) == []
+    assert main(["unlearn", config, "--method", "sifu"]) == 2
+    assert not (run_dir(workdir, doc) / "unlearn_sifu").exists()
 
 
-def test_train_leaves_no_thread_running(workdir):
-    before = threading.active_count()
-    assert main(["train", write_doc(workdir, base_doc())]) == 0
-    assert threading.active_count() == before
+@pytest.mark.parametrize("rounds", [0, 6])
+def test_train_writes_exactly_the_files_its_manifest_lists(workdir, rounds):
+    doc = base_doc(f"cli_layout_{rounds}")
+    doc["federation"]["rounds"] = rounds
+    doc["requests"] = []
+    assert main(["train", write_doc(workdir, doc)]) == 0
+    train = run_dir(workdir, doc) / "train"
+    listed = json.loads((train / "manifest.json").read_text())["outputs"]
+    assert sorted(p.relative_to(train).as_posix() for p in train.rglob("*")) == listed
+    assert listed == ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
+
+
+@pytest.mark.parametrize("cut", [4, 8 * 3])  # mid-model, and one whole model short
+def test_a_truncated_history_is_refused(workdir, capsys, cut):
+    doc = base_doc(f"cli_cut_history_{cut}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    history = run_dir(workdir, doc) / "train" / "history.ckpt"
+    history.write_bytes(history.read_bytes()[:-cut])
+    before = snapshot(run_dir(workdir, doc), skip=())
+    for method in ("sifu", "finetune"):
+        assert main(["unlearn", config, "--method", method]) == 2
+        assert "history.ckpt" in capsys.readouterr().err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before
+
+
+def test_a_truncated_final_model_is_refused(workdir, capsys):
+    doc = base_doc("cli_cut_final")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    final = run_dir(workdir, doc) / "unlearn_sifu" / "final_model.ckpt"
+    final.write_bytes(final.read_bytes()[:-4])
+    before = snapshot(run_dir(workdir, doc), skip=())
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "final_model.ckpt: truncated checkpoint" in capsys.readouterr().err
+    assert main(["report", str(run_dir(workdir, doc))]) == 2
+    assert "final_model.ckpt: truncated checkpoint" in capsys.readouterr().err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before

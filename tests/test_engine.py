@@ -420,6 +420,19 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded, values)
 
 
+def test_checkpoint_block_round_trip(tmp_path):
+    # a block of models is the one-model files' value bytes, row after row
+    path = tmp_path / "history.ckpt"
+    values = np.random.default_rng(1).standard_normal((5, 3))
+    write_checkpoint(path, 9, values, bytes(32))
+    position, loaded, _ = read_checkpoint(path)
+    assert position == 9
+    assert loaded.shape == (5, 3)
+    assert loaded.tobytes() == values.tobytes()
+    write_checkpoint(tmp_path / "row.ckpt", 9, values[2], bytes(32))
+    assert (tmp_path / "row.ckpt").read_bytes()[52:] == path.read_bytes()[52 + 2 * 24 : 52 + 3 * 24]
+
+
 def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     bogus = tmp_path / "bogus.ckpt"
     bogus.write_bytes(b"JUNK" + bytes(60))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedunlearn import models
 from fedunlearn.errors import DimensionMismatchError
 from fedunlearn.models import (
     ClientDataset,
@@ -301,6 +302,26 @@ def test_mlp_probe_beta_covers_fresh_draws():
             num = np.linalg.norm(grad(spec, data, theta) - grad(spec, data, other))
             den = np.linalg.norm(theta - other)
             assert num <= beta * den + 1e-9
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 1), (3, 5, 2, 1)])
+def test_mlp_probe_beta_equals_a_per_client_reference_loop(dims):
+    # the probe stacks clients of one data shape; a ragged federation gives two stacks
+    spec = ModelSpec(ModelKind.TINY_MLP, dims)
+    rng = np.random.default_rng(5)
+    datasets = [
+        ClientDataset(rng.standard_normal((n, 3)), rng.standard_normal(n)) for n in (12, 7, 12, 12, 7)
+    ]
+    probe = np.random.default_rng(models._PROBE_SEED)
+    worst = 0.0
+    for _ in range(models._PROBE_PAIRS):
+        theta = 0.5 * probe.standard_normal(spec.param_count)
+        offset = 0.2 * probe.standard_normal(spec.param_count)
+        gap = float(np.linalg.norm(offset))
+        for data in datasets:
+            diff = grad(spec, data, theta + offset) - grad(spec, data, theta)
+            worst = max(worst, float(np.linalg.norm(diff)) / gap)
+    assert regime_constants(spec, datasets).beta == models._PROBE_SAFETY * worst
 
 
 # ---------------------------------------------------------------------------
