@@ -36,7 +36,6 @@ class ExperimentConfig:
     init: str
     weights: tuple[float, ...] | None
     budget: NoiseBudget
-    checkpoint_interval: int
     requests: tuple[tuple[int, ...], ...]
     stopping: StoppingRule
 
@@ -49,8 +48,6 @@ class ExperimentConfig:
             raise ConfigError("eta must be positive")
         if self.init not in ("zeros", "normal"):
             raise ConfigError(f"init must be 'zeros' or 'normal', got {self.init!r}")
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
         if self.local_steps < 1:
             raise ConfigError("local_steps must be >= 1")
         if self.rounds < 0:
@@ -153,6 +150,11 @@ def parse_config(text: str) -> ExperimentConfig:
             "stopping": "obj",
         },
     )
+    # train keeps every round's model; the key stays so configs and digests keep their bytes
+    if top["checkpoint_interval"] != 1:
+        raise ConfigError(
+            f"checkpoint_interval must be 1 (train keeps every round's model), got {top['checkpoint_interval']}"
+        )
 
     model_raw = _take(
         top["model"], "model", required={"kind": "str", "dims": "list"}, optional={"l2": "float"}
@@ -248,7 +250,6 @@ def parse_config(text: str) -> ExperimentConfig:
             init=fed_raw.get("init", "zeros"),
             weights=weights,
             budget=budget,
-            checkpoint_interval=top["checkpoint_interval"],
             requests=tuple(requests),
             stopping=stopping,
         )
@@ -296,7 +297,7 @@ def serialize_config(config: ExperimentConfig) -> str:
             "delta": config.budget.delta,
             "sigma": config.budget.sigma,
         },
-        "checkpoint_interval": config.checkpoint_interval,
+        "checkpoint_interval": 1,
         "requests": [list(req) for req in config.requests],
         "stopping": {
             "loss_threshold": "inf" if math.isinf(threshold) else threshold,

@@ -66,17 +66,9 @@ class TrainingHistory:
             )
 
     @classmethod
-    def from_positions(cls, position_models: dict[int, Params], segment_index: int = 0) -> "TrainingHistory":
-        """Rebuild a single-segment history from {position: model}.
-
-        Positions must form the contiguous range 0..N.
-        """
-        if 0 not in position_models:
-            raise ValueError("history reload needs the position-0 model")
-        top = max(position_models)
-        hist = cls(position_models[0], segment_index)
-        for p in range(1, top + 1):
-            if p not in position_models:
-                raise ValueError(f"history reload missing position {p}")
-            hist.append_model(position_models[p])
+    def from_models(cls, models) -> "TrainingHistory":
+        """A single-segment history holding models[p] at each position p."""
+        hist = cls(models[0])
+        for model in models[1:]:
+            hist.append_model(model)
         return hist

@@ -1,9 +1,10 @@
 """Brute-force verification: retrain without each client and compare trajectories.
 
-empirical_sensitivity takes the all-client run as training recorded it (the
-model history and the sensitivity ledger), retrains the federation from the
-same start once per client with that client removed (weights renormalised),
-and pairs the true model gap with the recorded ledger bound at every round.
+empirical_sensitivity takes the all-client run as train wrote it (the model
+history and the sensitivity ledger, loaded from the run directory by verify),
+retrains the federation from the same start once per client with that client
+removed (weights renormalised), and pairs the true model gap with the
+recorded ledger bound at every round.
 check_bound then asserts gap <= bound within a tolerance.  reference_gd is
 an independently written plain gradient-descent loop used as a duplicate
 oracle for the engine's local update.
@@ -55,8 +56,8 @@ def empirical_sensitivity(
 ) -> list[SensitivityTrace]:
     """True model sensitivity of every client along a recorded all-client run.
 
-    `history` and `ledger` are what one fixed-round all-client retrain_until
-    recorded from history.models[0].  For each client c the federation is
+    `history` and `ledger` are what train's fixed-round all-client
+    retrain_until recorded from history.models[0].  For each client c the federation is
     retrained as many rounds without c from the same start; the trace pairs
     alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's Psi(n, c).
     """

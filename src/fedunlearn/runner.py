@@ -6,19 +6,22 @@ config name:
     <run>/config.json                canonical config copy
     <run>/train/                     history.ckpt, ledger.csv, metrics.jsonl,
                                      timings.json, manifest (written last)
-    <run>/unlearn_<method>/          manifest, outcomes.json, metrics.jsonl,
+    <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
                                      ledger.csv (ledger-backed methods),
-                                     final_model.ckpt, timings.json
+                                     final_model.ckpt, timings.json,
+                                     manifest (written last)
     <run>/verify_report.json
     <run>/report/*.csv
 
 Training is one fixed-round all-client `unlearn.retrain_until` call that
-records the ledger and the model history; verify makes the same call and
-hands that ledger and history to the oracle, so it certifies the Psi that
-train writes.  Every unlearning method runs the same per-request step,
-`unlearn.sifu`; the command only picks which training artifacts the method
-loads (scratch needs none, finetune only the history, the ledger-backed
-methods the ledger too).
+records the ledger and every round's global model.  unlearn and verify load
+those artifacts through one loader, `_load_train`.  verify hands the loaded
+ledger and history to the oracle, so it certifies the Psi that train wrote,
+and replays each recorded round from the history, requiring the next model
+bit for bit and the ledger's deltas within rounding.  Every unlearning
+method runs the same per-request step, `unlearn.sifu`; the command only
+picks which training artifacts the method loads (scratch needs none,
+finetune only the history, the ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -63,7 +66,6 @@ from .serialize import dumps17, fmt17
 from .unlearn import (
     LEDGER_METHODS,
     METHODS,
-    RetrainResult,
     StoppingRule,
     UnlearningRequest,
     UnlearningState,
@@ -198,43 +200,9 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         shutil.rmtree(train_dir)
     train_dir.mkdir(parents=True)
     _store_config(run_dir, config)
-    result, ledger, history = _run_federation(prepared)
-
-    kept = np.array([history.model_at(position) for position in _checkpointed_positions(config)])
-    write_checkpoint(train_dir / "history.ckpt", config.rounds, kept, prepared.digest)
-    ledger.export_csv(train_dir / "ledger.csv")
-    rounds = zip(
-        ledger.segments.tolist(),
-        result.loss_trace[1:],
-        ledger.deltas.max(axis=1).tolist(),
-        ledger.psi[1:].max(axis=1).tolist(),
-    )
-    metrics = "".join(
-        dumps17({"round": n, "segment": segment, "global_loss": loss, "max_delta": delta, "max_psi": psi})
-        + "\n"
-        for n, (segment, (_, loss), delta, psi) in enumerate(rounds)
-    )
-    _write_text(train_dir / "metrics.jsonl", metrics)
-    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
-    outputs = ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
-    _write_manifest(train_dir, prepared, "train", outputs)
-    return train_dir
-
-
-def _checkpointed_positions(config: ExperimentConfig) -> list[int]:
-    """Positions whose global model train keeps: every checkpoint_interval-th and the last."""
-    rounds, interval = config.rounds, config.checkpoint_interval
-    return [position for position in range(rounds + 1) if position % interval == 0 or position == rounds]
-
-
-def _run_federation(
-    prepared: PreparedExperiment,
-) -> tuple[RetrainResult, SensitivityLedger, TrainingHistory]:
-    """The all-client run that train records and verify certifies: config.rounds
-    rounds from theta0, recording the ledger and the model history."""
-    rounds = prepared.config.rounds
+    rounds = config.rounds
     history = TrainingHistory(prepared.theta0)
-    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
+    ledger = SensitivityLedger(prepared.contraction, config.local_steps, prepared.client_count)
     result = retrain_until(
         prepared.spec,
         prepared.federation(),
@@ -244,28 +212,50 @@ def _run_federation(
         ledger=ledger,
         history=history,
     )
-    return result, ledger, history
+
+    write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
+    ledger.export_csv(train_dir / "ledger.csv")
+    per_round = zip(
+        ledger.segments.tolist(),
+        result.loss_trace[1:],
+        ledger.deltas.max(axis=1).tolist(),
+        ledger.psi[1:].max(axis=1).tolist(),
+    )
+    metrics = "".join(
+        dumps17({"round": n, "segment": segment, "global_loss": loss, "max_delta": delta, "max_psi": psi})
+        + "\n"
+        for n, (segment, (_, loss), delta, psi) in enumerate(per_round)
+    )
+    _write_text(train_dir / "metrics.jsonl", metrics)
+    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
+    outputs = ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
+    _write_manifest(train_dir, prepared, "train", outputs)
+    return train_dir
 
 
-def _load_history(train_dir: Path, prepared: PreparedExperiment) -> TrainingHistory:
+def _load_train(
+    train_dir: Path, prepared: PreparedExperiment, with_ledger: bool
+) -> tuple[TrainingHistory, SensitivityLedger | None]:
+    """The model history train wrote and, if asked, its ledger, each checked
+    against the train manifest, the config and the other."""
+    _check_manifest_hash(train_dir, prepared)
     path = train_dir / "history.ckpt"
     if not path.exists():
         raise MissingArtifactsError(f"missing model history: {path}")
     _, kept, digest = _read_checkpoint(path)
     if digest != prepared.digest:
         raise ConfigError(f"checkpoint {path} was produced by a different config")
-    positions = _checkpointed_positions(prepared.config)
     kept = kept.reshape(-1, prepared.spec.param_count)
-    if len(kept) != len(positions):
-        raise MissingArtifactsError(
-            f"{path} holds {len(kept)} models but the config checkpoints {len(positions)} positions"
-        )
-    try:
-        return TrainingHistory.from_positions(dict(zip(positions, kept)))
-    except ValueError as err:
-        raise MissingArtifactsError(
-            f"{err}; full-history unlearning needs checkpoint_interval=1 train artifacts"
-        ) from err
+    rounds = prepared.config.rounds
+    if len(kept) != rounds + 1:
+        raise MissingArtifactsError(f"{path} holds {len(kept)} models but the config trains {rounds} rounds")
+    history = TrainingHistory.from_models(kept)
+    if not with_ledger:
+        return history, None
+    ledger, _ = _read_ledger(train_dir / "ledger.csv", prepared)
+    if len(ledger) != rounds:
+        raise MissingArtifactsError(f"ledger.csv records {len(ledger)} rounds but the checkpoints {rounds}")
+    return history, ledger
 
 
 def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
@@ -290,7 +280,11 @@ def _read_ledger(path: Path, prepared: PreparedExperiment) -> tuple[SensitivityL
 
 
 def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = None) -> Path:
-    """Process the config's request sequence with one unlearning method."""
+    """Process the config's request sequence with one unlearning method.
+
+    The manifest is written last, as in train, so an unlearn that stops early
+    leaves a directory that verify and report refuse.
+    """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "ifu" and any(len(req) != 1 for req in config.requests):
@@ -298,30 +292,18 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     t_start = time.perf_counter()
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
-    train_dir = run_dir / "train"
     out_dir = run_dir / f"unlearn_{method}"
 
     # load and check every train artifact before the run directory is touched
     if method == "scratch":
-        history = TrainingHistory(prepared.theta0)
+        history, ledger = TrainingHistory(prepared.theta0), None
     else:
-        _check_manifest_hash(train_dir, prepared)
-        history = _load_history(train_dir, prepared)
-    ledger = _read_ledger(train_dir / "ledger.csv", prepared)[0] if method in LEDGER_METHODS else None
-    if ledger is not None and len(ledger) != history.end_position:
-        raise MissingArtifactsError(
-            f"ledger.csv records {len(ledger)} rounds but the checkpoints {history.end_position}"
-        )
+        history, ledger = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
 
     if out_dir.exists():
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True)
     _store_config(run_dir, config)
-
-    outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
-    if ledger is not None:
-        outputs.append("ledger.csv")
-    _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
 
     state = UnlearningState.from_training(
         history, ledger, config.budget, prepared.client_count, config.federation_seed, method
@@ -349,6 +331,10 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
         out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
     )
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
+    outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
+    if ledger is not None:
+        outputs.append("ledger.csv")
+    _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
     return out_dir
 
 
@@ -374,14 +360,15 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     t_start = time.perf_counter()
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
-    audits = _audit_unlearn_runs(prepared, run_dir)  # refuse bad artifacts before the oracle runs
+    # refuse bad artifacts before the oracle runs
+    history, ledger = _load_train(run_dir / "train", prepared, with_ledger=True)
+    audits = _audit_unlearn_runs(prepared, run_dir)
     checks = []
 
     psi_cap = None
     if prepared.constants.regime is Regime.SMOOTH:
         psi_cap = _PSI_CAP_FACTOR * max(1.0, float(np.linalg.norm(prepared.theta0)))
     fed = prepared.federation()
-    _, ledger, history = _run_federation(prepared)
     for trace in empirical_sensitivity(fed, prepared.spec, history, ledger):
         report = check_bound(trace, tol=1e-8, psi_cap=psi_cap)
         check = {
@@ -407,12 +394,14 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
 
 def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger) -> dict:
     """The ledger's recorded closed-form deltas against the direct increments
-    of the same rounds, replayed from the history's models."""
+    of the same rounds, replayed from the history's models.  Each replayed
+    round must also reproduce the history's next model bit for bit."""
     everyone = tuple(range(prepared.client_count))
     worst = 0.0
-    passed = True
+    passed = np.array_equal(history.models[0], prepared.theta0)
     for n, fast in enumerate(ledger.deltas):
         record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
+        passed &= np.array_equal(record.global_after, history.models[n + 1])
         direct = client_increments_direct(record, prepared.weights)
         gap = np.abs(fast - direct)
         worst = max(worst, float(gap.max()))

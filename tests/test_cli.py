@@ -9,6 +9,8 @@ from fedunlearn import oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint
+from fedunlearn.errors import DivergedTrainingError
+from fedunlearn.history import TrainingHistory
 from fedunlearn.runner import prepare
 from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.serialize import dumps17
@@ -84,7 +86,6 @@ def test_train_writes_the_advertised_artifacts(workdir):
 def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     doc = base_doc("cli_hand")
     doc["federation"]["rounds"] = 7
-    doc["checkpoint_interval"] = 2
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     train = run_dir(workdir, doc) / "train"
@@ -94,7 +95,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference.csv"
-    theta, rows, kept = prepared.theta0, [], {0: prepared.theta0}
+    theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
@@ -109,16 +110,14 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
                 "max_psi": float(ledger.psi[-1].max()),
             }
         )
-        if (n + 1) % 2 == 0 or n + 1 == rounds:
-            kept[n + 1] = theta
+        kept.append(theta)
     ledger.export_csv(reference)
 
     assert (train / "ledger.csv").read_bytes() == reference.read_bytes()
     assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
     end, written, digest = read_checkpoint(train / "history.ckpt")
-    assert (end, digest) == (7, prepared.digest)
-    assert sorted(kept) == [0, 2, 4, 6, 7]
-    assert written.tobytes() == np.array(list(kept.values())).tobytes()
+    assert (end, digest, len(kept)) == (7, prepared.digest, 8)
+    assert written.tobytes() == np.array(kept).tobytes()
 
 
 def test_train_twice_is_byte_identical(workdir):
@@ -229,21 +228,78 @@ def test_verify_passes_on_honest_runs(workdir, capsys):
     assert (run_dir(workdir, doc) / "verify_report.json").exists()
 
 
-def test_verify_catches_a_tampered_ledger(workdir, capsys):
-    doc = base_doc()
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
-    ledger_path = run_dir(workdir, doc) / "unlearn_sifu" / "ledger.csv"
+def halve_a_positive_delta(ledger_path: Path) -> None:
     lines = ledger_path.read_text().splitlines()
     row = next(k for k, line in enumerate(lines[1:], 1) if float(line.split(",")[3]) > 0)
     head, segment, client, delta, psi = lines[row].split(",")
     lines[row] = ",".join([head, segment, client, str(float(delta) * 0.5), psi])
     ledger_path.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_catches_a_tampered_ledger(workdir, capsys):
+    doc = base_doc()
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    halve_a_positive_delta(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.csv")
     assert main(["verify", config]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "verification FAILED" in out
+
+
+def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
+    doc = base_doc("cli_train_ledger")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    halve_a_positive_delta(run_dir(workdir, doc) / "train" / "ledger.csv")
+    assert main(["verify", config]) == 1
+    assert "FAIL proxy_equivalence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
+    doc = base_doc(f"cli_train_history_{position}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    path = run_dir(workdir, doc) / "train" / "history.ckpt"
+    blob = bytearray(path.read_bytes())
+    offset = 52 + 8 * 3 * position  # the first value of the model at `position`
+    value = np.frombuffer(blob, dtype="<f8", count=1, offset=offset)[0]
+    blob[offset : offset + 8] = np.array([value + 1e-9], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    assert main(["verify", config]) == 1
+    assert "FAIL proxy_equivalence" in capsys.readouterr().out
+
+
+def test_verify_before_train_is_a_usage_error(workdir, capsys):
+    doc = base_doc("cli_verify_first")
+    config = write_doc(workdir, doc)
+    assert main(["verify", config]) == 2
+    assert "missing manifest" in capsys.readouterr().err
+    assert not (run_dir(workdir, doc) / "verify_report.json").exists()
+
+
+def test_a_crashed_unlearn_leaves_a_directory_verify_and_report_refuse(workdir, capsys, monkeypatch):
+    doc = base_doc("cli_unlearn_crash")
+    doc["requests"] = [[0], [2]]
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    real_sifu = runner.sifu
+
+    def crashing(state, request, *args):
+        if request.request_index == 2:
+            raise DivergedTrainingError("diverged on the second request")
+        return real_sifu(state, request, *args)
+
+    monkeypatch.setattr(runner, "sifu", crashing)
+    assert main(["unlearn", config, "--method", "sifu"]) == 3
+    assert not (run_dir(workdir, doc) / "unlearn_sifu" / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "missing manifest" in capsys.readouterr().err
+    assert main(["report", str(run_dir(workdir, doc))]) == 2
+    assert "missing manifest" in capsys.readouterr().err
 
 
 def test_verify_flags_partial_unlearn_directories(workdir):
@@ -270,7 +326,12 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     out = capsys.readouterr().out
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     prepared = prepare(load_config(config))
-    _, ledger, history = runner._run_federation(prepared)
+    train = run_dir(workdir, doc) / "train"
+    _, models, _ = read_checkpoint(train / "history.ckpt")
+    ledger, _ = SensitivityLedger.from_csv(
+        train / "ledger.csv", prepared.contraction, prepared.config.local_steps, prepared.client_count
+    )
+    history = TrainingHistory.from_models(models)
     traces = oracle.empirical_sensitivity(prepared.federation(), prepared.spec, history, ledger)
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and all(check["name"].startswith("bound:client") for check in failed)
@@ -284,7 +345,7 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
         assert ("first_violation" in check) == (not check["pass"])
 
 
-def test_verify_runs_the_federation_once_plus_once_per_client(workdir, monkeypatch):
+def test_verify_runs_the_federation_once_per_client(workdir, monkeypatch):
     doc = base_doc("cli_calls")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
@@ -304,9 +365,9 @@ def test_verify_runs_the_federation_once_plus_once_per_client(workdir, monkeypat
     for module in (runner, unlearn):
         monkeypatch.setattr(module, "fedavg_round", round_)
     assert main(["verify", config]) == 0
-    # one shared all-client run, one leave-one-out run per client, and the
-    # proxy check's replay of the shared run's rounds
-    assert calls == {"retrain_until": 3 + 1, "all-client rounds": 2 * doc["federation"]["rounds"]}
+    # one leave-one-out run per client, and the proxy check's replay of the
+    # recorded rounds; the all-client run is read from train's artifacts
+    assert calls == {"retrain_until": 3, "all-client rounds": doc["federation"]["rounds"]}
 
 
 def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
@@ -414,14 +475,14 @@ def test_a_ledger_shorter_than_the_checkpoints_is_refused(workdir, capsys):
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
 
 
-def test_sparse_checkpoints_block_rollback_unlearning(workdir, capsys):
+def test_a_checkpoint_interval_other_than_one_is_refused(workdir, capsys):
     doc = base_doc("cli_sparse")
     doc["checkpoint_interval"] = 2
     config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 2
-    assert "checkpoint_interval=1" in capsys.readouterr().err
-    assert main(["unlearn", config, "--method", "scratch"]) == 0
+    for command in (["train", config], ["unlearn", config, "--method", "scratch"], ["verify", config]):
+        assert main(command) == 2
+        assert "checkpoint_interval must be 1" in capsys.readouterr().err
+    assert not run_dir(workdir, doc).exists()
 
 
 def test_ifu_requires_singleton_requests(workdir):

@@ -242,9 +242,15 @@ def test_bad_nested_values_surface_as_config_errors():
     doc["stopping"]["max_rounds"] = 2
     with pytest.raises(ConfigError, match="stopping"):
         parse(doc)
+    # train keeps every round's model; the key stays required and must be 1
+    for interval in (0, 2):
+        doc = base_doc()
+        doc["checkpoint_interval"] = interval
+        with pytest.raises(ConfigError, match="checkpoint_interval must be 1"):
+            parse(doc)
     doc = base_doc()
-    doc["checkpoint_interval"] = 0
-    with pytest.raises(ConfigError):
+    del doc["checkpoint_interval"]
+    with pytest.raises(ConfigError, match="missing keys \\['checkpoint_interval'\\]"):
         parse(doc)
 
 

@@ -119,16 +119,9 @@ def test_start_segment_requires_increasing_indices():
     assert [hist.segment_at(p) for p in range(3)] == [0, 0, 4]
 
 
-def test_from_positions_round_trip():
-    models = {k: vec(k) for k in range(4)}
-    hist = TrainingHistory.from_positions(models)
+def test_from_models_round_trip():
+    hist = TrainingHistory.from_models(np.array([vec(k) for k in range(4)]))
     assert hist.end_position == 3
     for k in range(4):
         np.testing.assert_array_equal(hist.model_at(k), vec(k))
-
-
-def test_from_positions_requires_contiguous_range():
-    with pytest.raises(ValueError):
-        TrainingHistory.from_positions({1: vec(1)})
-    with pytest.raises(ValueError):
-        TrainingHistory.from_positions({0: vec(0), 2: vec(2)})
+        assert hist.segment_at(k) == 0
