@@ -246,7 +246,7 @@ def federation_loss(
         active = range(config.client_count)
     active = tuple(sorted(active))
     removed = set(range(config.client_count)) - set(active)
-    q = renormalized_weights(config.weights, removed) if removed else config.weights
+    q = renormalized_weights(config.weights, removed)
     theta = models.as_params(theta)
     losses = np.empty(len(active))
     for rows, features, targets in config.stacked(active):

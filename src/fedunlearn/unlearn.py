@@ -184,8 +184,7 @@ def retrain_until(
         raise EmptyFederationError("retraining needs at least one active client")
     if not track_loss and stopping.min_rounds != stopping.max_rounds:
         raise ValueError("skipping the loss needs a fixed-round stopping rule")
-    removed = set(range(config.client_count)) - set(active)
-    q = renormalized_weights(config.weights, removed) if removed else config.weights
+    q = renormalized_weights(config.weights, set(range(config.client_count)) - set(active))
 
     def retained_loss(theta: Params) -> float:
         return federation_loss(spec, config, theta, active) if track_loss else math.nan

@@ -8,7 +8,7 @@ import pytest
 from fedunlearn import oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
-from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint
+from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, renormalized_weights
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.runner import prepare
@@ -95,11 +95,12 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference.csv"
+    weights = renormalized_weights(fed.weights, set())  # the weights fedavg_round aggregates with
     theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
-        deltas = dict(enumerate(client_increments_fast(record, fed.weights).tolist()))
+        deltas = dict(enumerate(client_increments_fast(record, weights).tolist()))
         ledger.record_round([deltas[c] for c in everyone], 0)
         rows.append(
             {

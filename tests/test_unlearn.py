@@ -11,10 +11,17 @@ from conftest import (
     ridge_opt,
     train_world,
 )
-from fedunlearn.engine import FederationConfig, aggregate, local_update
+from fedunlearn.engine import (
+    FederationConfig,
+    aggregate,
+    fedavg_round,
+    local_update,
+    renormalized_weights,
+)
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, noise_std
+from fedunlearn.models import ClientDataset
+from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, client_increments_fast, noise_std
 from fedunlearn.unlearn import (
     StoppingRule,
     UnlearningRequest,
@@ -138,6 +145,23 @@ def test_retrain_records_history_and_ledger():
     assert len(ledger) == 6
     assert ledger.deltas.shape == (6, 3)
     np.testing.assert_array_equal(ledger.segments, np.zeros(6))
+
+
+def test_all_client_ledger_rows_use_the_aggregation_weights():
+    # sample counts whose weights sum to 1 - 2**-53: the ledger must weight the
+    # increments as fedavg_round aggregates, renormalised, not by the raw weights
+    spec, datasets = make_ridge(clients=5, samples=16, seed=4)
+    counts = (16, 11, 16, 11, 16)
+    datasets = [ClientDataset(d.features[:n], d.targets[:n]) for d, n in zip(datasets, counts)]
+    fed, _ = fed_for(spec, datasets, frac=0.5)
+    assert fed.weights.sum() != 1.0
+    ledger = SensitivityLedger(1.0, fed.local_steps, 5)
+    history = TrainingHistory(np.zeros(4))
+    retrain_until(spec, fed, np.zeros(4), range(5), exactly(3), ledger=ledger, history=history)
+    q = renormalized_weights(fed.weights, set())
+    for n in range(3):
+        record = fedavg_round(spec, fed, history.models[n], tuple(range(5)), n)
+        assert ledger.deltas[n].tobytes() == client_increments_fast(record, q).tobytes()
 
 
 def test_retrain_single_active_client_records_empty_deltas():
