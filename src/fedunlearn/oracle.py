@@ -57,9 +57,10 @@ def empirical_sensitivity(
     """True model sensitivity of every client along a recorded all-client run.
 
     `history` and `ledger` are what train's fixed-round all-client
-    retrain_until recorded from history.models[0].  For each client c the federation is
-    retrained as many rounds without c from the same start; the trace pairs
-    alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's Psi(n, c).
+    retrain_until recorded from history.models[0].  For each client c the
+    federation is retrained as many rounds without c from the same start; the
+    trace pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
+    Psi(n, c).
     """
     rounds, psi = len(ledger), ledger.psi
     if history.end_position != rounds or ledger.client_count != config.client_count:
