@@ -1,10 +1,13 @@
-"""Brute-force verification: retrain without each client and compare trajectories.
+"""Brute-force verification: train without each client and compare trajectories.
 
 empirical_sensitivity takes the all-client run as train wrote it (the model
 history and the sensitivity ledger, loaded from the run directory by verify),
-retrains the federation from the same start once per client with that client
+follows the federation from the same start once per client with that client
 removed (weights renormalised), and pairs the true model gap with the
-recorded ledger bound at every round.
+recorded ledger bound at every round.  For ridge the leave-one-out runs have
+a closed form (ridge_sensitivity) that shares no kernel with the engine;
+every other model, and ridge too large for that form, retrains through the
+engine (retrained_sensitivity).
 check_bound then asserts gap <= bound within a tolerance.  reference_gd is
 an independently written plain gradient-descent loop used as a duplicate
 oracle for the engine's local update.
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .engine import FederationConfig
+from .engine import _DIVERGENCE_NORM, FederationConfig, renormalized_weights
 from .errors import DivergedTrainingError
 from .history import TrainingHistory
-from .models import ClientDataset, ModelSpec, Params
+from .models import ClientDataset, ModelKind, ModelSpec, Params
 from .sensitivity import SensitivityLedger
 from .unlearn import StoppingRule, retrain_until
 
@@ -58,16 +61,29 @@ def empirical_sensitivity(
 
     `history` and `ledger` are what train's fixed-round all-client
     retrain_until recorded from history.models[0].  For each client c the
-    federation is retrained as many rounds without c from the same start; the
-    trace pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
-    Psi(n, c).
+    federation runs as many rounds without c from the same start; the trace
+    pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
+    Psi(n, c).  Ridge takes the closed form when its operators, C matrices of
+    d x d, hold no more values than the client data (C * d <= total samples);
+    everything else retrains through the engine.
     """
-    rounds, psi = len(ledger), ledger.psi
-    if history.end_position != rounds or ledger.client_count != config.client_count:
-        raise ValueError("history, ledger and federation do not describe one run")
+    total = sum(data.sample_count for data in config.clients)
+    if spec.kind is ModelKind.RIDGE and config.client_count * spec.param_count <= total:
+        return ridge_sensitivity(config, spec, history, ledger)
+    return retrained_sensitivity(config, spec, history, ledger)
+
+
+def retrained_sensitivity(
+    config: FederationConfig,
+    spec: ModelSpec,
+    history: TrainingHistory,
+    ledger: SensitivityLedger,
+) -> list[SensitivityTrace]:
+    """empirical_sensitivity by retraining the federation once per client."""
+    rounds = _rounds_of_one_run(config, history, ledger)
     theta0 = history.models[0]
     everyone = range(config.client_count)
-    traces = []
+    alphas = np.empty((rounds + 1, config.client_count))
     for client in everyone:
         without = TrainingHistory(theta0)
         retrain_until(
@@ -79,11 +95,72 @@ def empirical_sensitivity(
             history=without,
             track_loss=False,
         )
-        alphas = np.array(
-            [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)]
-        )
-        traces.append(SensitivityTrace(client, alphas, psi[:, client]))
-    return traces
+        alphas[:, client] = [
+            float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)
+        ]
+    return _traces(alphas, ledger)
+
+
+def ridge_sensitivity(
+    config: FederationConfig,
+    spec: ModelSpec,
+    history: TrainingHistory,
+    ledger: SensitivityLedger,
+) -> list[SensitivityTrace]:
+    """empirical_sensitivity for ridge in closed form, without the engine.
+
+    K local steps of client i are the affine map theta -> A_i theta + b_i with
+    P_i = I - eta (X_i^T X_i / n_i + l2 I), A_i = P_i^K and
+    b_i = sum_{k<K} P_i^k eta X_i^T y_i / n_i.  Row c of Q holds the
+    aggregation weights renormalised without client c, so the federation
+    without c advances by theta -> M_c theta + m_c with M_c = sum_i Q_ci A_i
+    and m_c = sum_i Q_ci b_i, all C runs in one stacked product per round.
+    Every state must stay finite and within the engine's divergence norm.
+    """
+    rounds = _rounds_of_one_run(config, history, ledger)
+    count, d = config.client_count, spec.param_count
+    eye = np.eye(d)
+    steps = np.empty((count, d, d))
+    pulls = np.empty((count, d))
+    for i, data in enumerate(config.clients):
+        features, n = data.features, data.sample_count
+        steps[i] = eye - config.eta * (features.T @ features / n + spec.l2 * eye)
+        pulls[i] = config.eta * (features.T @ data.targets) / n
+    maps, offsets = np.broadcast_to(eye, steps.shape), np.zeros((count, d))
+    for _ in range(config.local_steps):
+        maps = steps @ maps
+        offsets = (steps @ offsets[:, :, None])[:, :, 0] + pulls
+    q = np.stack([renormalized_weights(config.weights, {c}) for c in range(count)])
+    maps = (q @ maps.reshape(count, d * d)).reshape(count, d, d)
+    offsets = q @ offsets
+
+    alphas = np.zeros((rounds + 1, count))
+    thetas = np.broadcast_to(history.models[0], (count, d))
+    for n in range(rounds):
+        thetas = (maps @ thetas[:, :, None])[:, :, 0] + offsets
+        sizes = np.linalg.norm(thetas, axis=1)
+        if not (np.isfinite(sizes).all() and (sizes <= _DIVERGENCE_NORM).all()):
+            raise DivergedTrainingError(
+                "leave-one-out training diverged: parameter vector is non-finite "
+                "or exceeds norm 1e8",
+                round_index=n,
+            )
+        alphas[n + 1] = np.linalg.norm(thetas - history.models[n + 1], axis=1)
+    return _traces(alphas, ledger)
+
+
+def _rounds_of_one_run(config: FederationConfig, history: TrainingHistory, ledger: SensitivityLedger) -> int:
+    rounds = len(ledger)
+    if history.end_position != rounds or ledger.client_count != config.client_count:
+        raise ValueError("history, ledger and federation do not describe one run")
+    return rounds
+
+
+def _traces(alphas: np.ndarray, ledger: SensitivityLedger) -> list[SensitivityTrace]:
+    return [
+        SensitivityTrace(client, alphas[:, client], ledger.psi[:, client])
+        for client in range(ledger.client_count)
+    ]
 
 
 def check_bound(
@@ -97,8 +174,9 @@ def check_bound(
     exceeds the cap; in the smooth regime the bound grows geometrically and
     stops being informative long before the floats overflow.
     worst_slack is max(alpha - psi) over checked rounds (negative = margin);
-    tightness is max(alpha / psi) over rounds with psi > 0 (0 when alpha = 0
-    everywhere).
+    tightness is alpha / psi at the last checked round with psi > 0 (0 when
+    there is none).  A maximum over rounds would read 1 on every run, since
+    alpha(1) equals the round-0 increment that psi(1) records.
     """
     alphas, psis = trace.alphas, trace.psis
     horizon = alphas.shape[0]
@@ -110,8 +188,8 @@ def check_bound(
     slack = alphas - psis
     worst = float(slack.max()) if slack.size else float("-inf")
     violations = np.flatnonzero(slack > tol)
-    positive = psis > 0
-    tightness = float((alphas[positive] / psis[positive]).max()) if positive.any() else 0.0
+    positive = np.flatnonzero(psis > 0)
+    tightness = float(alphas[positive[-1]] / psis[positive[-1]]) if positive.size else 0.0
     return BoundReport(
         passed=violations.size == 0,
         worst_slack=worst,

@@ -18,7 +18,7 @@ records the ledger and every round's global model.  unlearn and verify load
 those artifacts through one loader, `_load_train`.  verify hands the loaded
 ledger and history to the oracle, so it certifies the Psi that train wrote,
 and replays each recorded round from the history, requiring the next model
-bit for bit and the ledger's deltas within rounding.  Every unlearning
+bit for bit and the ledger's deltas and Psi within rounding.  Every unlearning
 method runs the same per-request step, `unlearn.sifu`; the command only
 picks which training artifacts the method loads (scratch needs none,
 finetune only the history, the ledger-backed methods the ledger too).
@@ -235,9 +235,9 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
 
 def _load_train(
     train_dir: Path, prepared: PreparedExperiment, with_ledger: bool
-) -> tuple[TrainingHistory, SensitivityLedger | None]:
-    """The model history train wrote and, if asked, its ledger, each checked
-    against the train manifest, the config and the other."""
+) -> tuple[TrainingHistory, SensitivityLedger | None, np.ndarray | None]:
+    """The model history train wrote and, if asked, its ledger and the file's
+    Psi column, each checked against the train manifest, the config and the other."""
     _check_manifest_hash(train_dir, prepared)
     path = train_dir / "history.ckpt"
     if not path.exists():
@@ -251,11 +251,11 @@ def _load_train(
         raise MissingArtifactsError(f"{path} holds {len(kept)} models but the config trains {rounds} rounds")
     history = TrainingHistory.from_models(kept)
     if not with_ledger:
-        return history, None
-    ledger, _ = _read_ledger(train_dir / "ledger.csv", prepared)
+        return history, None, None
+    ledger, recorded = _read_ledger(train_dir / "ledger.csv", prepared)
     if len(ledger) != rounds:
         raise MissingArtifactsError(f"ledger.csv records {len(ledger)} rounds but the checkpoints {rounds}")
-    return history, ledger
+    return history, ledger, recorded
 
 
 def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
@@ -298,7 +298,7 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     if method == "scratch":
         history, ledger = TrainingHistory(prepared.theta0), None
     else:
-        history, ledger = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
+        history, ledger, _ = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
 
     if out_dir.exists():
         shutil.rmtree(out_dir)
@@ -361,7 +361,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
     # refuse bad artifacts before the oracle runs
-    history, ledger = _load_train(run_dir / "train", prepared, with_ledger=True)
+    history, ledger, recorded = _load_train(run_dir / "train", prepared, with_ledger=True)
     audits = _audit_unlearn_runs(prepared, run_dir)
     checks = []
 
@@ -381,7 +381,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
             check["first_violation"] = report.first_violation
         checks.append(check)
 
-    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger))
+    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger, recorded))
     checks.append(_check_contractivity(prepared, fed))
     checks.extend(audits)
 
@@ -392,13 +392,14 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     return report, ok
 
 
-def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger) -> dict:
+def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger, recorded) -> dict:
     """The ledger's recorded closed-form deltas against the direct increments
-    of the same rounds, replayed from the history's models.  Each replayed
-    round must also reproduce the history's next model bit for bit."""
+    of the same rounds, replayed from the history's models, and its recorded Psi
+    column against Psi recomputed from those deltas.  Each replayed round must
+    also reproduce the history's next model bit for bit."""
     everyone = tuple(range(prepared.client_count))
     worst = 0.0
-    passed = np.array_equal(history.models[0], prepared.theta0)
+    passed = np.array_equal(history.models[0], prepared.theta0) and not _psi_drift(ledger, recorded)
     for n, fast in enumerate(ledger.deltas):
         record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
         passed &= np.array_equal(record.global_after, history.models[n + 1])
@@ -463,18 +464,19 @@ def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dic
     return checks
 
 
-def _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback: bool) -> dict:
-    budget = prepared.config.budget
-    passed = True
-    worst = float("-inf")
-
-    # recorded psi column must match a fresh recomputation from the deltas
+def _psi_drift(ledger: SensitivityLedger, recorded: np.ndarray) -> float:
+    """Largest gap between a ledger file's Psi column and Psi recomputed from
+    its deltas, over the cells off by more than 1e-12 relative; 0 if none is."""
     fresh = ledger.psi[1:]
     gap = np.abs(recorded - fresh)
-    drifted = gap > 1e-12 * np.maximum(1.0, np.abs(fresh))
-    if drifted.any():
-        passed = False
-        worst = float(gap[drifted].max())
+    return float(gap.max(initial=0.0, where=gap > 1e-12 * np.maximum(1.0, np.abs(fresh))))
+
+
+def _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback: bool) -> dict:
+    budget = prepared.config.budget
+    drift = _psi_drift(ledger, recorded)
+    passed = not drift
+    worst = drift or float("-inf")
 
     positions = [row["rollback_position"] for row in outcomes]
     for u, row in enumerate(outcomes):

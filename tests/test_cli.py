@@ -258,6 +258,20 @@ def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
 
+def test_verify_catches_a_tampered_train_psi(workdir, capsys):
+    doc = base_doc("cli_train_psi")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    path = run_dir(workdir, doc) / "train" / "ledger.csv"
+    lines = path.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines[1:], 1) if float(line.split(",")[4]) > 0)
+    *cells, psi = lines[row].split(",")
+    lines[row] = ",".join([*cells, str(float(psi) * 10)])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", config]) == 1
+    assert "FAIL proxy_equivalence" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("position", [0, 3, 6])
 def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     doc = base_doc(f"cli_train_history_{position}")
@@ -321,8 +335,9 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     assert all("first_violation" not in check for check in honest["checks"])
     capsys.readouterr()
 
-    # a ledger built with a shrunk per-round decay undershoots the true gap
+    # a ledger trained with a shrunk per-round decay undershoots the true gap
     monkeypatch.setattr(SensitivityLedger, "round_decay", 0.01)
+    assert main(["train", config]) == 0
     assert main(["verify", config]) == 1
     out = capsys.readouterr().out
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
@@ -346,8 +361,8 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
         assert ("first_violation" in check) == (not check["pass"])
 
 
-def test_verify_runs_the_federation_once_per_client(workdir, monkeypatch):
-    doc = base_doc("cli_calls")
+def count_verify_federations(workdir, monkeypatch, doc):
+    """retrain_until calls and all-client rounds of one verify after train."""
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     calls = {"retrain_until": 0, "all-client rounds": 0}
@@ -366,9 +381,28 @@ def test_verify_runs_the_federation_once_per_client(workdir, monkeypatch):
     for module in (runner, unlearn):
         monkeypatch.setattr(module, "fedavg_round", round_)
     assert main(["verify", config]) == 0
+    return calls
+
+
+def test_verify_runs_the_federation_once_per_client(workdir, monkeypatch):
+    doc = base_doc("cli_calls")
+    doc["model"] = {"kind": "logistic", "dims": [3], "l2": 0.0}
+    doc["federation"]["eta"] = "1/beta"
     # one leave-one-out run per client, and the proxy check's replay of the
     # recorded rounds; the all-client run is read from train's artifacts
-    assert calls == {"retrain_until": 3, "all-client rounds": doc["federation"]["rounds"]}
+    assert count_verify_federations(workdir, monkeypatch, doc) == {
+        "retrain_until": 3,
+        "all-client rounds": doc["federation"]["rounds"],
+    }
+
+
+def test_verify_runs_no_leave_one_out_federation_for_ridge(workdir, monkeypatch):
+    doc = base_doc("cli_calls_ridge")
+    # ridge takes the leave-one-out runs from the closed form
+    assert count_verify_federations(workdir, monkeypatch, doc) == {
+        "retrain_until": 0,
+        "all-client rounds": doc["federation"]["rounds"],
+    }
 
 
 def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):

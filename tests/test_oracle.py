@@ -4,16 +4,20 @@ import pytest
 from conftest import fed_for, make_logistic, make_ridge, oracle_traces, train_world
 from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
+from fedunlearn import oracle
 from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
 from fedunlearn.errors import DivergedTrainingError
+from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, regime_constants
 from fedunlearn.oracle import (
     SensitivityTrace,
     check_bound,
     empirical_sensitivity,
     reference_gd,
+    retrained_sensitivity,
+    ridge_sensitivity,
 )
-from fedunlearn.sensitivity import contraction_factor
+from fedunlearn.sensitivity import SensitivityLedger, contraction_factor
 from fedunlearn.unlearn import retrain_until
 from conftest import exactly
 
@@ -79,11 +83,17 @@ def test_identical_twin_clients_have_zero_sensitivity():
     fed = FederationConfig.from_datasets(
         [datasets[0], datasets[0]], eta=0.3, local_steps=2, weights=[0.5, 0.5]
     )
-    trace = oracle_traces(spec, fed, 12, init_params(spec, 1))[0]
+    _, _, history, ledger = train_world(spec, fed, 12, theta0=init_params(spec, 1))
+    # the engine runs the twins' local updates alike bit for bit
+    trace = retrained_sensitivity(fed, spec, history, ledger)[0]
     np.testing.assert_array_equal(trace.alphas, np.zeros(13))
     report = check_bound(trace)
     assert report.passed
     assert report.tightness == 0.0
+    # the closed form differs from the engine only in rounding
+    closed = ridge_sensitivity(fed, spec, history, ledger)[0]
+    assert closed.alphas.max() < 1e-12
+    assert check_bound(closed).passed
 
 
 def test_strongly_convex_gap_contracts_once_the_target_is_gone():
@@ -109,15 +119,18 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
     spec, datasets = make_ridge(clients=3, samples=12, features=4, seed=64, l2=0.1)
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
     theta0, _, history, ledger = train_world(spec, fed, 6, theta0=init_params(spec, 64))
-    traces = empirical_sensitivity(fed, spec, history, ledger)
-    for client, trace in enumerate(traces):
+    retrained = retrained_sensitivity(fed, spec, history, ledger)
+    closed = empirical_sensitivity(fed, spec, history, ledger)
+    for client, (trace, closed_trace) in enumerate(zip(retrained, closed)):
         np.testing.assert_array_equal(trace.psis, ledger.psi[:, client])
+        np.testing.assert_array_equal(closed_trace.psis, ledger.psi[:, client])
         without = [theta0]
         for n in range(6):
             survivors = tuple(c for c in range(3) if c != client)
             without.append(fedavg_round(spec, fed, without[-1], survivors, n).global_after)
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_array_equal(trace.alphas, want)
+        np.testing.assert_allclose(closed_trace.alphas, want, rtol=1e-12, atol=0)
 
 
 def test_the_oracle_evaluates_no_loss(monkeypatch):
@@ -132,9 +145,10 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(models, "stacked_loss", counted)
-    traces = empirical_sensitivity(fed, spec, history, ledger)
-    assert calls == []
-    assert [t.client for t in traces] == [0, 1, 2, 3]
+    for sensitivity in (empirical_sensitivity, retrained_sensitivity):
+        traces = sensitivity(fed, spec, history, ledger)
+        assert calls == []
+        assert [t.client for t in traces] == [0, 1, 2, 3]
     # the all-client run it checks does evaluate the loss every round
     retrain_until(spec, fed, history.models[0], range(4), exactly(5))
     assert calls == [4] * 6
@@ -153,6 +167,97 @@ def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
     other, _ = fed_for(spec, datasets[:2])
     with pytest.raises(ValueError, match="one run"):
         empirical_sensitivity(other, spec, history, ledger)
+    for sensitivity in (ridge_sensitivity, retrained_sensitivity):
+        with pytest.raises(ValueError, match="one run"):
+            sensitivity(fed, spec, short_history, ledger)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form ridge oracle against the engine oracle
+# ---------------------------------------------------------------------------
+
+
+def ragged_ridge(counts, features=4, seed=90, l2=0.1):
+    """Ridge clients holding counts[i] samples each (cut from equal ones)."""
+    spec, datasets = make_ridge(
+        clients=len(counts), samples=max(counts), features=features, seed=seed, l2=l2
+    )
+    return spec, [
+        ClientDataset(data.features[:n], data.targets[:n]) for data, n in zip(datasets, counts)
+    ]
+
+
+def assert_same_alphas(closed, retrained):
+    for a, b in zip(closed, retrained):
+        assert a.client == b.client
+        assert a.alphas[0] == b.alphas[0] == 0.0
+        np.testing.assert_allclose(a.alphas[1:], b.alphas[1:], rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(a.psis, b.psis)
+
+
+@pytest.mark.parametrize("local_steps", [1, 5])
+@pytest.mark.parametrize("weights", [None, [0.1, 0.45, 0.05, 0.25, 0.15]])
+def test_closed_form_matches_the_engine_oracle(local_steps, weights):
+    spec, datasets = ragged_ridge([7, 12, 9, 16, 5])
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=local_steps, weights=weights)
+    _, _, history, ledger = train_world(spec, fed, 25, theta0=init_params(spec, 91))
+    closed = ridge_sensitivity(fed, spec, history, ledger)
+    assert_same_alphas(closed, retrained_sensitivity(fed, spec, history, ledger))
+    assert all(check_bound(trace).passed for trace in closed)
+
+
+def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
+    spec, datasets = ragged_ridge([8, 14, 10, 6], seed=92)
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=3)
+    _, contraction, history, ledger = train_world(spec, fed, 20, theta0=init_params(spec, 92))
+    # the same increments under a decay far faster than the true contraction
+    shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
+    for row, segment in zip(ledger.deltas, ledger.segments.tolist()):
+        shrunk.record_round(row, segment)
+    closed = [check_bound(t) for t in ridge_sensitivity(fed, spec, history, shrunk)]
+    retrained = [check_bound(t) for t in retrained_sensitivity(fed, spec, history, shrunk)]
+    assert not all(report.passed for report in closed)
+    for a, b in zip(closed, retrained):
+        assert (a.passed, a.first_violation) == (b.passed, b.first_violation)
+
+
+def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
+    calls = []
+    real = oracle.retrain_until
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "retrain_until", counted)
+    # C * d = 3 * 4 <= 12 samples: closed form, no retraining
+    spec, datasets = ragged_ridge([3, 5, 4])
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    _, _, history, ledger = train_world(spec, fed, 4)
+    empirical_sensitivity(fed, spec, history, ledger)
+    assert calls == []
+    # one sample fewer, and the operators would outgrow the data
+    spec, datasets = ragged_ridge([3, 5, 3])
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    _, _, history, ledger = train_world(spec, fed, 4)
+    traces = empirical_sensitivity(fed, spec, history, ledger)
+    assert calls == [[1, 2], [0, 2], [0, 1]]
+    assert_same_alphas(ridge_sensitivity(fed, spec, history, ledger), traces)
+
+
+def test_a_diverging_leave_one_out_run_raises():
+    spec, datasets = make_ridge(clients=3, samples=10, features=3, seed=93, l2=0.1)
+    fed = FederationConfig.from_datasets(datasets, eta=50.0, local_steps=1)
+    # a recorded run of the right length; the oracle only follows its start
+    history = TrainingHistory.from_models(np.zeros((31, 3)))
+    ledger = SensitivityLedger(1.0, 1, 3)
+    for _ in range(30):
+        ledger.record_round(np.zeros(3), 0)
+    with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError) as err:
+        ridge_sensitivity(fed, spec, history, ledger)
+    assert err.value.round_index is not None
+    with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError):
+        retrained_sensitivity(fed, spec, history, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +271,7 @@ def test_check_bound_flags_a_violation():
     assert not report.passed
     assert report.first_violation == 1
     assert report.worst_slack == 0.5
-    assert report.tightness == 2.0
+    assert report.tightness == 0.5  # at the last round, not the worst
 
 
 def test_check_bound_respects_the_cap():
@@ -175,6 +280,7 @@ def test_check_bound_respects_the_cap():
     capped = check_bound(SensitivityTrace(0, alphas, psis), psi_cap=1e6)
     assert capped.passed
     assert capped.checked_rounds == 2
+    assert capped.tightness == 0.5  # the last round inside the cap
     uncapped = check_bound(SensitivityTrace(0, alphas, psis))
     assert uncapped.checked_rounds == 3
 
