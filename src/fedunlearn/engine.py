@@ -77,6 +77,7 @@ class FederationConfig:
             for members in shapes.values()
         )
         object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_last_stacks", ((), []))
 
     @classmethod
     def from_datasets(
@@ -101,9 +102,14 @@ class FederationConfig:
 
         `active` is ascending.  Each entry is (rows, features, targets): rows
         are the positions in `active` of the stacked clients, features is
-        (g, n, d) and targets (g, n).
+        (g, n, d) and targets (g, n).  The stacks of the last active set are
+        kept and handed out again while it repeats, as it does round after
+        round of a retraining run; callers must not write to them.
         """
-        active = np.asarray(active, dtype=np.int64)
+        key = tuple(active)
+        if key == self._last_stacks[0]:
+            return self._last_stacks[1]
+        active = np.asarray(key, dtype=np.int64)
         chosen = np.zeros(self.client_count, dtype=bool)
         chosen[active] = True
         stacks = []
@@ -113,6 +119,7 @@ class FederationConfig:
                 members, features, targets = members[keep], features[keep], targets[keep]
             if members.size:
                 stacks.append((np.searchsorted(active, members), features, targets))
+        object.__setattr__(self, "_last_stacks", (key, stacks))
         return stacks
 
 

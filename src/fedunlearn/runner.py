@@ -267,11 +267,15 @@ def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
 
 
 def _read_ledger(path: Path, prepared: PreparedExperiment) -> tuple[SensitivityLedger, np.ndarray]:
+    """SensitivityLedger.from_csv, refusing a damaged file as missing artifacts."""
     if not path.exists():
         raise MissingArtifactsError(f"missing ledger: {path}")
-    return SensitivityLedger.from_csv(
-        path, prepared.contraction, prepared.config.local_steps, prepared.client_count
-    )
+    try:
+        return SensitivityLedger.from_csv(
+            path, prepared.contraction, prepared.config.local_steps, prepared.client_count
+        )
+    except ValueError as err:
+        raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ sigma) converts a fixed noise budget into the largest certifiable Psi.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -160,6 +159,9 @@ class NoiseBudget:
 
 
 CSV_HEADER = ("round", "segment", "client", "delta", "psi")
+_CSV_DTYPE = np.dtype(
+    [("round", "<i8"), ("segment", "<i8"), ("client", "<i8"), ("delta", "<f8"), ("psi", "<f8")]
+)
 
 
 class SensitivityLedger:
@@ -212,6 +214,8 @@ class SensitivityLedger:
         row = np.array(deltas, dtype=np.float64)
         if row.shape != (self.client_count,):
             raise ValueError(f"delta row must have shape ({self.client_count},), got {row.shape}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"non-finite increment for client {int(np.flatnonzero(~np.isfinite(row))[0])}")
         if np.any(row < 0):
             raise ValueError(f"negative increment for client {int(np.flatnonzero(row < 0)[0])}")
         self._deltas.append(row)
@@ -269,17 +273,23 @@ class SensitivityLedger:
 
         psi is the running bound after that round, i.e. Psi(round + 1, client).
         Floats carry 17 significant digits so the file round-trips exactly.
+        Rows end in CRLF.  Each round is formatted in one call and written as
+        one chunk, so the file is never held in memory whole.
         """
+        clients = self.client_count
+        template = "%d,%d,%d,%.17g,%.17g\r\n" * clients  # %.17g formats as format(x, ".17g")
+        cells = [0] * (5 * clients)
+        cells[2::5] = range(clients)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
+            fh.write(",".join(CSV_HEADER) + "\r\n")
             for position, (segment, deltas, psi) in enumerate(
                 zip(self._segments, self._deltas, self._psi[1:])
             ):
-                writer.writerows(
-                    [position, segment, client, format(d, ".17g"), format(p, ".17g")]
-                    for client, (d, p) in enumerate(zip(deltas.tolist(), psi.tolist()))
-                )
+                cells[0::5] = [position] * clients
+                cells[1::5] = [segment] * clients
+                cells[3::5] = deltas.tolist()
+                cells[4::5] = psi.tolist()
+                fh.write(template % tuple(cells))
 
     @classmethod
     def from_csv(
@@ -288,32 +298,44 @@ class SensitivityLedger:
         """Rebuild a ledger from an exported CSV.
 
         The file must hold exactly one row per (round, client) cell of a
-        rounds x client_count grid.  Returns the ledger plus the psi column as
-        recorded in the file, shape (rounds, clients), so auditors can compare
-        it against the recomputed ledger.psi[1:].
+        rounds x client_count grid, in any order, with LF or CRLF line ends,
+        and every delta and psi finite.  Returns the ledger plus the psi
+        column as recorded in the file, shape (rounds, clients), so auditors
+        can compare it against the recomputed ledger.psi[1:].
         """
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != CSV_HEADER:
+        with open(path, "rb") as fh:
+            header = fh.readline().rstrip(b"\r\n").decode("latin-1")
+            if header != ",".join(CSV_HEADER):
                 raise ValueError(f"unexpected ledger header {header!r}")
-            cells = [(int(p), int(s), int(c), float(d), float(q)) for p, s, c, d, q in reader]
-        table = np.array(cells, dtype=np.float64).reshape(-1, 5)
-        position, segment, client = table[:, :3].astype(np.int64).T
-        delta, psi = table[:, 3], table[:, 4]
-        rounds = int(position.max()) + 1 if cells else 0
-        if cells and (position.min() < 0 or client.min() < 0 or client.max() >= client_count):
+            table = np.empty(0, dtype=_CSV_DTYPE)
+            if fh.peek(1):
+                try:
+                    table = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
+                except ValueError as err:
+                    raise ValueError(f"malformed ledger file {path}: {err}") from err
+        position, segment, client = table["round"], table["segment"], table["client"]
+        rounds = int(position.max()) + 1 if table.size else 0
+        if table.size and (position.min() < 0 or client.min() < 0 or client.max() >= client_count):
             raise ValueError(f"ledger file has a round or client outside [0, {client_count})")
-        filled = np.zeros((rounds, client_count), dtype=bool)
-        filled[position, client] = True
+        # the first missing cell of a grid over more rounds than the rows can
+        # fill lies within the first rows // client_count + 1 rounds: only
+        # those are allocated, whatever round numbers the file holds
+        span = min(rounds, table.size // client_count + 1)
+        inside = position < span
+        filled = np.zeros((span, client_count), dtype=bool)
+        filled[position[inside], client[inside]] = True
         if not filled.all():
-            p, c = np.argwhere(~filled)[0]
+            p, c = divmod(int(np.argmin(filled)), client_count)
             raise ValueError(f"ledger file missing round {p} for client {c}")
-        if len(cells) != filled.size:
+        if table.size != filled.size:
             raise ValueError("ledger file repeats a (round, client) cell")
         deltas, recorded = np.zeros(filled.shape), np.zeros(filled.shape)
-        deltas[position, client] = delta
-        recorded[position, client] = psi
+        deltas[position, client] = table["delta"]
+        recorded[position, client] = table["psi"]
+        finite = np.isfinite(deltas) & np.isfinite(recorded)
+        if not finite.all():
+            p, c = np.argwhere(~finite)[0]
+            raise ValueError(f"ledger file holds a non-finite delta or psi at round {p} for client {c}")
         segments = np.zeros(rounds, dtype=np.int64)
         segments[position] = segment
         ledger = cls(contraction, local_steps, client_count)

@@ -287,6 +287,31 @@ def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (4, "nan", "non-finite delta or psi at round"),
+        (3, "inf", "non-finite delta or psi at round"),
+        (3, None, "malformed ledger file"),
+    ],
+)
+def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, column, value, message):
+    doc = base_doc(f"cli_damaged_ledger_{column}_{value}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    path = run_dir(workdir, doc) / "train" / "ledger.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join(cells[:column] + ([value] if value else []) + cells[column + 1 :])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", config]) == 2
+    assert message in capsys.readouterr().err
+    assert not (run_dir(workdir, doc) / "verify_report.json").exists()
+    assert main(["unlearn", config, "--method", "sifu"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (run_dir(workdir, doc) / "unlearn_sifu").exists()
+
+
 def test_verify_before_train_is_a_usage_error(workdir, capsys):
     doc = base_doc("cli_verify_first")
     config = write_doc(workdir, doc)

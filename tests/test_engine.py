@@ -302,6 +302,26 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
         theta = total
 
 
+def test_stacks_are_built_once_per_active_set():
+    _, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    subset, pair = (0, 2, 3, 5, 6, 7, 8, 9), (1, 3)
+    first = fed.stacked(subset)
+    assert fed.stacked(list(subset)) is first
+    second = fed.stacked(pair)
+    assert second is not first
+    assert fed.stacked(pair) is second
+    for active in (subset, pair, subset):
+        seen = []
+        for rows, features, targets in fed.stacked(active):
+            for row, x, y in zip(rows, features, targets):
+                client = datasets[active[row]]
+                assert x.tobytes() == client.features.tobytes()
+                assert y.tobytes() == client.targets.tobytes()
+                seen.append(active[row])
+        assert sorted(seen) == list(active)
+
+
 def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
     spec, datasets = make_ridge(clients=6, samples=10, seed=2)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)

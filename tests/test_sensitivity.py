@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +271,14 @@ def test_negative_increment_rejected():
     assert len(ledger) == 0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_increment_rejected(value):
+    ledger = SensitivityLedger(1.0, 1, 3)
+    with pytest.raises(ValueError, match="non-finite increment for client 2"):
+        ledger.record_round([0.0, 0.1, value], 0)
+    assert len(ledger) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     deltas=st.lists(st.floats(0, 2.0), min_size=1, max_size=12),
@@ -530,3 +540,108 @@ def test_ledger_constructor_validation():
         SensitivityLedger(1.0, 0, 1)
     with pytest.raises(ValueError):
         SensitivityLedger(1.0, 1, 0)
+
+
+def write_ledger_lines(path, rows):
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,0,0,0.1,0.1", "1.5"),
+        ("1,0,0.5,0.1,0.1", "0.5"),
+        ("1,0,0,0.1", "4 were found"),
+    ],
+)
+def test_csv_refuses_a_malformed_row(tmp_path, row, message):
+    path = tmp_path / "ledger.csv"
+    write_ledger_lines(path, ["0,0,0,0.1,0.1", row])
+    with pytest.raises(ValueError, match=f"malformed ledger file.*{message}"):
+        SensitivityLedger.from_csv(path, 1.0, 1, 1)
+
+
+def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
+    path = tmp_path / "ledger.csv"
+    write_ledger_lines(path, ["0,0,0,0.1,0.1", "0,0,1,0.1,0.1", f"{10**15},0,0,0.1,0.1"])
+    with pytest.raises(ValueError, match="missing round 1 for client 0"):
+        SensitivityLedger.from_csv(path, 1.0, 1, 2)
+
+
+def test_csv_header_only_loads_as_zero_rounds(tmp_path):
+    path = tmp_path / "ledger.csv"
+    SensitivityLedger(0.9, 1, 3).export_csv(path)
+    assert path.read_bytes() == b"round,segment,client,delta,psi\r\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, recorded = SensitivityLedger.from_csv(path, 0.9, 1, 3)
+    assert len(loaded) == 0
+    assert recorded.shape == (0, 3)
+
+
+def test_csv_lf_file_with_shuffled_rows_loads(tmp_path):
+    ledger = SensitivityLedger(0.8, 2, 3)
+    for row, segment in zip([[0.1, 0.2, 0.3], [0.4, 0.0, 0.6], [0.7, 0.8, 0.9]], [0, 1, 1]):
+        ledger.record_round(row, segment)
+    path = tmp_path / "ledger.csv"
+    ledger.export_csv(path)
+    header, *rows = path.read_text().splitlines()
+    np.random.default_rng(3).shuffle(rows)
+    write_ledger_lines(path, rows)
+    assert b"\r" not in path.read_bytes()
+    loaded, recorded = SensitivityLedger.from_csv(path, 0.8, 2, 3)
+    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    np.testing.assert_array_equal(loaded.segments, [0, 1, 1])
+    np.testing.assert_array_equal(loaded.psi, ledger.psi)
+    np.testing.assert_array_equal(recorded, ledger.psi[1:])
+
+
+@pytest.mark.parametrize("column", ["delta", "psi"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_refuses_a_non_finite_cell(tmp_path, column, value):
+    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4]])
+    path = tmp_path / "ledger.csv"
+    ledger.export_csv(path)
+    header, *rows = path.read_text().splitlines()
+    cells = rows[3].split(",")  # round 1, client 1
+    cells[CSV_HEADER.index(column)] = value
+    rows[3] = ",".join(cells)
+    write_ledger_lines(path, rows)
+    with pytest.raises(ValueError, match="non-finite delta or psi at round 1 for client 1"):
+        SensitivityLedger.from_csv(path, 0.9, 1, 2)
+
+
+def reference_csv_bytes(ledger: SensitivityLedger, path) -> bytes:
+    """The ledger file as written with csv.writer and format(x, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for position, (segment, deltas, psi) in enumerate(
+            zip(ledger.segments.tolist(), ledger.deltas, ledger.psi[1:])
+        ):
+            writer.writerows(
+                [position, segment, client, format(d, ".17g"), format(p, ".17g")]
+                for client, (d, p) in enumerate(zip(deltas.tolist(), psi.tolist()))
+            )
+    return path.read_bytes()
+
+
+def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
+    rng = np.random.default_rng(60)
+    rounds, clients = 60, 100
+    tiny = np.finfo(np.float64).smallest_subnormal
+    ledger = SensitivityLedger(0.5, 1, clients)
+    for position in range(rounds):
+        row = rng.random(clients) * 10.0 ** rng.integers(-320, 300, clients)
+        row[rng.random(clients) < 0.2] = 0.0
+        row[position % clients] = tiny * (position + 1)  # subnormal
+        row[(position + 1) % clients] = 1e300 * (1 + rng.random())
+        ledger.record_round(row, position // 25)
+    assert np.isfinite(ledger.psi).all()
+    path = tmp_path / "ledger.csv"
+    ledger.export_csv(path)
+    assert path.read_bytes() == reference_csv_bytes(ledger, tmp_path / "reference.csv")
+    loaded, recorded = SensitivityLedger.from_csv(path, 0.5, 1, clients)
+    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    np.testing.assert_array_equal(loaded.segments, ledger.segments)
+    np.testing.assert_array_equal(recorded, ledger.psi[1:])
