@@ -159,17 +159,6 @@ def local_updates(
     return current
 
 
-def local_update(
-    spec: ModelSpec,
-    data: ClientDataset,
-    theta: Params,
-    eta: float,
-    local_steps: int,
-) -> Params:
-    """Run `local_steps` gradient steps on one client's loss from theta."""
-    return local_updates(spec, data.features[None], data.targets[None], theta, eta, local_steps)[0]
-
-
 def _guard_finite(rows: np.ndarray, round_index: int | None = None) -> None:
     if not np.isfinite(rows).all() or (models.norms(rows) > _DIVERGENCE_NORM).any():
         raise DivergedTrainingError(

@@ -141,15 +141,6 @@ class RegimeConstants:
             raise ValueError(f"{self.regime.value} regime must carry mu = 0, got mu={self.mu}")
 
 
-def step_size_bound(constants: RegimeConstants) -> float | None:
-    """Largest admissible step size for the regime, or None when unrestricted."""
-    if constants.regime is Regime.CONVEX:
-        return np.inf if constants.beta == 0 else 2.0 / constants.beta
-    if constants.regime is Regime.STRONGLY_CONVEX:
-        return 2.0 / (constants.beta + constants.mu)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # loss / gradient: one stacked kernel, a lone client is a stack of one
 # ---------------------------------------------------------------------------
@@ -284,18 +275,6 @@ def _mlp_unpack(spec: ModelSpec, thetas: np.ndarray) -> list[tuple[np.ndarray, n
         offset += fan_out
         layers.append((w, b))
     return layers
-
-
-def pack_mlp(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> Params:
-    """Flatten (W, b) pairs into the canonical parameter vector."""
-    parts = []
-    for w, b in layers:
-        parts.append(np.asarray(w, dtype=np.float64).ravel())
-        parts.append(np.asarray(b, dtype=np.float64).ravel())
-    theta = np.concatenate(parts)
-    if theta.shape[0] != spec.param_count:
-        raise DimensionMismatchError("packed layers do not match spec dims")
-    return theta
 
 
 def _mlp_forward(spec: ModelSpec, X: np.ndarray, thetas: np.ndarray):

@@ -8,9 +8,7 @@ recorded ledger bound at every round.  For ridge the leave-one-out runs have
 a closed form (ridge_sensitivity) that shares no kernel with the engine;
 every other model, and ridge too large for that form, retrains through the
 engine (retrained_sensitivity).
-check_bound then asserts gap <= bound within a tolerance.  reference_gd is
-an independently written plain gradient-descent loop used as a duplicate
-oracle for the engine's local update.
+check_bound then asserts gap <= bound within a tolerance.
 """
 
 from __future__ import annotations
@@ -20,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
 from .engine import _DIVERGENCE_NORM, FederationConfig, renormalized_weights
 from .errors import DivergedTrainingError
 from .history import TrainingHistory
-from .models import ClientDataset, ModelKind, ModelSpec, Params
+from .models import ModelKind, ModelSpec
 from .sensitivity import SensitivityLedger
 from .unlearn import StoppingRule, retrain_until
 
@@ -197,21 +194,3 @@ def check_bound(
         first_violation=int(violations[0]) if violations.size else None,
         checked_rounds=horizon,
     )
-
-
-def reference_gd(
-    spec: ModelSpec,
-    data: ClientDataset,
-    theta0: Params,
-    eta: float,
-    steps: int,
-) -> Params:
-    """Plain full-batch gradient descent, written independently of the engine."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    theta = np.array(theta0, dtype=np.float64)
-    for _ in range(steps):
-        theta = theta - eta * models.grad(spec, data, theta)
-        if not np.all(np.isfinite(theta)):
-            raise DivergedTrainingError("reference GD diverged")
-    return theta

@@ -4,24 +4,30 @@ Artifact layout under $FEDUNLEARN_OUT (default ./runs), one directory per
 config name:
 
     <run>/config.json                canonical config copy
-    <run>/train/                     history.ckpt, ledger.csv, metrics.jsonl,
+    <run>/train/                     history.ckpt, ledger.ckpt, metrics.jsonl,
                                      timings.json, manifest (written last)
     <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
-                                     ledger.csv (ledger-backed methods),
+                                     ledger.ckpt (ledger-backed methods),
                                      final_model.ckpt, timings.json,
                                      manifest (written last)
     <run>/verify_report.json
     <run>/report/*.csv
 
 Training is one fixed-round all-client `unlearn.retrain_until` call that
-records the ledger and every round's global model.  unlearn and verify load
-those artifacts through one loader, `_load_train`.  verify hands the loaded
-ledger and history to the oracle, so it certifies the Psi that train wrote,
-and replays each recorded round from the history, requiring the next model
-bit for bit and the ledger's deltas and Psi within rounding.  Every unlearning
-method runs the same per-request step, `unlearn.sifu`; the command only
-picks which training artifacts the method loads (scratch needs none,
-finetune only the history, the ledger-backed methods the ledger too).
+records the ledger and every round's global model.  A ledger file stores each
+round's segment and deltas in the checkpoint format, and no Psi: loading
+rebuilds Psi from the deltas.  train's ledger holds every round; an unlearn
+ledger holds only the rounds from its smallest rollback position on, and is
+joined to train's on load (no file is written for an empty suffix).  unlearn
+and verify load the train artifacts through one loader, `_load_train`.
+verify hands the loaded ledger and history to the oracle, so it certifies the
+Psi that train wrote, and replays each recorded round from the history,
+requiring the next model bit for bit and the ledger's deltas within rounding.
+It re-runs every ledger-backed unlearning method from the same artifacts and
+requires its outcomes, ledger and final model bit for bit.  Every unlearning
+method runs the same per-request step, `unlearn.sifu`; the command only picks
+which training artifacts the method loads (scratch needs none, finetune only
+the history, the ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -60,7 +66,6 @@ from .sensitivity import (
     SensitivityLedger,
     client_increments_direct,
     contraction_factor,
-    noise_std,
 )
 from .serialize import dumps17, fmt17
 from .unlearn import (
@@ -74,6 +79,7 @@ from .unlearn import (
 )
 
 _PSI_CAP_FACTOR = 1e6
+LEDGER_FILE = "ledger.ckpt"
 
 
 def output_root() -> Path:
@@ -214,7 +220,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     )
 
     write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
-    ledger.export_csv(train_dir / "ledger.csv")
+    ledger_files = _write_ledger(train_dir, prepared, ledger, 0)
     per_round = zip(
         ledger.segments.tolist(),
         result.loss_trace[1:],
@@ -228,16 +234,25 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     )
     _write_text(train_dir / "metrics.jsonl", metrics)
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
-    outputs = ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
+    outputs = ["history.ckpt", *ledger_files, "manifest.json", "metrics.jsonl", "timings.json"]
     _write_manifest(train_dir, prepared, "train", outputs)
     return train_dir
 
 
+def _write_ledger(directory: Path, prepared: PreparedExperiment, ledger: SensitivityLedger, start: int) -> list[str]:
+    """Write the ledger's rounds from `start` on; returns the file names written,
+    none for an empty suffix, which the checkpoint format cannot hold."""
+    if start == len(ledger):
+        return []
+    ledger.write(directory / LEDGER_FILE, start, prepared.digest)
+    return [LEDGER_FILE]
+
+
 def _load_train(
     train_dir: Path, prepared: PreparedExperiment, with_ledger: bool
-) -> tuple[TrainingHistory, SensitivityLedger | None, np.ndarray | None]:
-    """The model history train wrote and, if asked, its ledger and the file's
-    Psi column, each checked against the train manifest, the config and the other."""
+) -> tuple[TrainingHistory, SensitivityLedger | None]:
+    """The model history train wrote and, if asked, its ledger, each checked
+    against the train manifest, the config and the other."""
     _check_manifest_hash(train_dir, prepared)
     path = train_dir / "history.ckpt"
     if not path.exists():
@@ -251,11 +266,9 @@ def _load_train(
         raise MissingArtifactsError(f"{path} holds {len(kept)} models but the config trains {rounds} rounds")
     history = TrainingHistory.from_models(kept)
     if not with_ledger:
-        return history, None, None
-    ledger, recorded = _read_ledger(train_dir / "ledger.csv", prepared)
-    if len(ledger) != rounds:
-        raise MissingArtifactsError(f"ledger.csv records {len(ledger)} rounds but the checkpoints {rounds}")
-    return history, ledger, recorded
+        return history, None
+    empty = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
+    return history, _read_ledger(train_dir, prepared, empty, 0, rounds)
 
 
 def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
@@ -266,14 +279,19 @@ def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
         raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
 
 
-def _read_ledger(path: Path, prepared: PreparedExperiment) -> tuple[SensitivityLedger, np.ndarray]:
-    """SensitivityLedger.from_csv, refusing a damaged file as missing artifacts."""
+def _read_ledger(
+    directory: Path, prepared: PreparedExperiment, prefix: SensitivityLedger, start: int, end: int
+) -> SensitivityLedger:
+    """The ledger of rounds 0..end: prefix's first `start` rounds joined to the
+    directory's ledger file of rounds start..end, refusing a damaged file as
+    missing artifacts."""
+    if start == end:
+        return prefix.prefix(start)
+    path = directory / LEDGER_FILE
     if not path.exists():
         raise MissingArtifactsError(f"missing ledger: {path}")
     try:
-        return SensitivityLedger.from_csv(
-            path, prepared.contraction, prepared.config.local_steps, prepared.client_count
-        )
+        return SensitivityLedger.read(path, prefix, start, end, prepared.digest)
     except ValueError as err:
         raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
 
@@ -302,13 +320,36 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     if method == "scratch":
         history, ledger = TrainingHistory(prepared.theta0), None
     else:
-        history, ledger, _ = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
+        history, ledger = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
 
     if out_dir.exists():
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True)
     _store_config(run_dir, config)
 
+    state, outcome_rows, metric_rows = _run_requests(prepared, history, ledger, method)
+    _write_text(
+        out_dir / "outcomes.json",
+        dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
+    )
+    _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
+    outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
+    if ledger is not None:
+        outputs += _write_ledger(out_dir, prepared, ledger, _suffix_start(outcome_rows, len(ledger)))
+    write_checkpoint(
+        out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
+    )
+    _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
+    _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
+    return out_dir
+
+
+def _run_requests(
+    prepared: PreparedExperiment, history: TrainingHistory, ledger: SensitivityLedger | None, method: str
+) -> tuple[UnlearningState, list[dict], list[dict]]:
+    """Process the config's request sequence on the loaded train artifacts,
+    which it extends in place; returns the state, outcome rows and metric rows."""
+    config = prepared.config
     state = UnlearningState.from_training(
         history, ledger, config.budget, prepared.client_count, config.federation_seed, method
     )
@@ -323,23 +364,13 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
         metric_rows.extend(
             {"request": u, "position": pos, "retained_loss": loss} for pos, loss in outcome.loss_trace
         )
+    return state, outcome_rows, metric_rows
 
-    _write_text(
-        out_dir / "outcomes.json",
-        dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
-    )
-    _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
-    if ledger is not None:
-        ledger.export_csv(out_dir / "ledger.csv")
-    write_checkpoint(
-        out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
-    )
-    _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
-    outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
-    if ledger is not None:
-        outputs.append("ledger.csv")
-    _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
-    return out_dir
+
+def _suffix_start(outcomes: list[dict], end: int) -> int:
+    """Where an unlearn ledger file starts: the smallest rollback position,
+    before which the timeline is train's; the timeline end if no request ran."""
+    return min((row["rollback_position"] for row in outcomes), default=end)
 
 
 def _outcome_row(outcome) -> dict:
@@ -365,8 +396,8 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     prepared = prepare(config)
     run_dir = run_dir_for(config, out_root)
     # refuse bad artifacts before the oracle runs
-    history, ledger, recorded = _load_train(run_dir / "train", prepared, with_ledger=True)
-    audits = _audit_unlearn_runs(prepared, run_dir)
+    history, ledger = _load_train(run_dir / "train", prepared, with_ledger=True)
+    audits = _audit_unlearn_runs(prepared, run_dir, history, ledger)
     checks = []
 
     psi_cap = None
@@ -385,7 +416,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
             check["first_violation"] = report.first_violation
         checks.append(check)
 
-    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger, recorded))
+    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger))
     checks.append(_check_contractivity(prepared, fed))
     checks.extend(audits)
 
@@ -396,14 +427,13 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     return report, ok
 
 
-def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger, recorded) -> dict:
+def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger) -> dict:
     """The ledger's recorded closed-form deltas against the direct increments
-    of the same rounds, replayed from the history's models, and its recorded Psi
-    column against Psi recomputed from those deltas.  Each replayed round must
-    also reproduce the history's next model bit for bit."""
+    of the same rounds, replayed from the history's models.  Each replayed
+    round must also reproduce the history's next model bit for bit."""
     everyone = tuple(range(prepared.client_count))
     worst = 0.0
-    passed = np.array_equal(history.models[0], prepared.theta0) and not _psi_drift(ledger, recorded)
+    passed = np.array_equal(history.models[0], prepared.theta0)
     for n, fast in enumerate(ledger.deltas):
         record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
         passed &= np.array_equal(record.global_after, history.models[n + 1])
@@ -437,73 +467,61 @@ def _check_contractivity(prepared: PreparedExperiment, fed: FederationConfig, pa
     return {"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None}
 
 
-def _audit_unlearn_runs(prepared: PreparedExperiment, run_dir: Path) -> list[dict]:
+def _audit_unlearn_runs(
+    prepared: PreparedExperiment, run_dir: Path, history: TrainingHistory, train_ledger: SensitivityLedger
+) -> list[dict]:
+    """Audit each ledger-backed unlearn run against the loaded train artifacts,
+    which are left as they are."""
     checks = []
     for method in LEDGER_METHODS:
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue
         _check_manifest_hash(out_dir, prepared)
-        paths = [out_dir / name for name in ("ledger.csv", "outcomes.json", "final_model.ckpt")]
+        paths = [out_dir / name for name in ("outcomes.json", "final_model.ckpt")]
         if not all(path.exists() for path in paths):
             raise MissingArtifactsError(
-                f"{out_dir} is missing ledger.csv, outcomes.json or final_model.ckpt; "
-                "re-run the unlearn command"
+                f"{out_dir} is missing outcomes.json or final_model.ckpt; re-run the unlearn command"
             )
-        ledger, recorded = _read_ledger(paths[0], prepared)
-        outcomes = json.loads(paths[1].read_text())["outcomes"]
-        # the ledger must cover the whole timeline the outcomes and the final model describe
+        outcomes = json.loads(paths[0].read_text())["outcomes"]
+        # the final model and the ledger must end where the outcomes' timeline does
         end = prepared.config.rounds
         if outcomes:
             end = outcomes[-1]["rollback_position"] + outcomes[-1]["retrain_rounds"]
-        final_position = _read_checkpoint(paths[2])[0]
-        if not len(ledger) == end == final_position:
-            raise MissingArtifactsError(
-                f"{paths[0]} records {len(ledger)} rounds but the timeline ends at {end} "
-                f"and final_model.ckpt at {final_position}"
-            )
-        checks.append(
-            _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback=method != "last")
+        final_position, final_model, _ = _read_checkpoint(paths[1])
+        if final_position != end:
+            raise MissingArtifactsError(f"{paths[1]} ends at {final_position} but the timeline at {end}")
+        ledger = _read_ledger(out_dir, prepared, train_ledger, _suffix_start(outcomes, end), end)
+        # the same requests re-run on copies of the train artifacts must give the same run
+        state, rows, _ = _run_requests(
+            prepared, TrainingHistory.from_models(history.models), train_ledger.prefix(len(train_ledger)), method
         )
+        reproduced = (
+            rows == outcomes
+            and np.array_equal(state.ledger.segments, ledger.segments)
+            and state.ledger.deltas.tobytes() == ledger.deltas.tobytes()
+            and state.current_model.tobytes() == final_model.tobytes()
+        )
+        checks.append(_audit_one_run(prepared, method, ledger, outcomes, reproduced))
     return checks
 
 
-def _psi_drift(ledger: SensitivityLedger, recorded: np.ndarray) -> float:
-    """Largest gap between a ledger file's Psi column and Psi recomputed from
-    its deltas, over the cells off by more than 1e-12 relative; 0 if none is."""
-    fresh = ledger.psi[1:]
-    gap = np.abs(recorded - fresh)
-    return float(gap.max(initial=0.0, where=gap > 1e-12 * np.maximum(1.0, np.abs(fresh))))
-
-
-def _audit_one_run(prepared, method, ledger, recorded, outcomes, rollback: bool) -> dict:
-    budget = prepared.config.budget
-    drift = _psi_drift(ledger, recorded)
-    passed = not drift
-    worst = drift or float("-inf")
-
+def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict:
+    """Passes when re-running the method reproduced the run and, unless the
+    method is last (which never truncates), each request's targets stay within
+    psi* at the perturbation that covers them in the surviving timeline."""
+    psi_star = prepared.config.budget.psi_star
+    passed, worst = reproduced, 0.0
     positions = [row["rollback_position"] for row in outcomes]
-    for u, row in enumerate(outcomes):
-        targets = row["targets"]
-        if rollback:
-            # the perturbation covering request u in the surviving history sits
-            # at the smallest rollback position among request u and all later ones
-            audit_pos = min(positions[u:])
-            slack = ledger.bounded_sensitivity(audit_pos, targets) - budget.psi_star
-            worst = max(worst, float(slack.max()))
-            if (slack > 1e-9).any():
-                passed = False
-            survived = audit_pos == row["rollback_position"]
-        else:
-            survived = True  # no truncation: every prefix is intact
-        if survived:
-            psi_at = ledger.set_sensitivity(targets, row["rollback_position"])
-            expected = noise_std(psi_at, budget.epsilon, budget.delta)
-            if abs(expected - row["sigma"]) > 1e-9 * max(1.0, expected):
-                passed = False
-                worst = max(worst, abs(expected - row["sigma"]))
-    if worst == float("-inf"):
-        worst = 0.0
+    if method != "last" and outcomes:
+        # the perturbation covering request u sits at the smallest rollback
+        # position among request u and all later ones
+        slacks = [
+            ledger.bounded_sensitivity(min(positions[u:]), row["targets"]) - psi_star
+            for u, row in enumerate(outcomes)
+        ]
+        worst = max(float(slack.max()) for slack in slacks)
+        passed = passed and worst <= 1e-9
     return {"name": f"budget_audit:{method}", "pass": passed, "worst_slack": worst, "tightness": None}
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RoundRecord
+from .engine import RoundRecord, read_checkpoint, write_checkpoint
 from .errors import SingularRemovalError, StepSizeError
 from .models import Regime, RegimeConstants, norms
 
@@ -158,12 +158,6 @@ class NoiseBudget:
 # ---------------------------------------------------------------------------
 
 
-CSV_HEADER = ("round", "segment", "client", "delta", "psi")
-_CSV_DTYPE = np.dtype(
-    [("round", "<i8"), ("segment", "<i8"), ("client", "<i8"), ("delta", "<f8"), ("psi", "<f8")]
-)
-
-
 class SensitivityLedger:
     """Sensitivity accounting over a dense rounds x clients timeline.
 
@@ -266,79 +260,57 @@ class SensitivityLedger:
         if not 0 <= n <= len(self):
             raise IndexError(f"prefix length {n} outside [0, {len(self)}]")
 
-    # -- CSV round-trip ------------------------------------------------------
+    def prefix(self, n: int) -> "SensitivityLedger":
+        """A new ledger of the first n rounds; it shares their rows, which no
+        ledger ever writes to."""
+        self._check_prefix(n)
+        head = SensitivityLedger(self.contraction, self.local_steps, self.client_count)
+        head._deltas, head._segments, head._psi = self._deltas[:n], self._segments[:n], self._psi[: n + 1]
+        return head
 
-    def export_csv(self, path) -> None:
-        """One row per (round, client): round, segment, client, delta, psi.
+    # -- file round-trip -----------------------------------------------------
 
-        psi is the running bound after that round, i.e. Psi(round + 1, client).
-        Floats carry 17 significant digits so the file round-trips exactly.
-        Rows end in CRLF.  Each round is formatted in one call and written as
-        one chunk, so the file is never held in memory whole.
+    def write(self, path, start: int, config_hash: bytes) -> None:
+        """Write rounds start..len as one checkpoint-format block.
+
+        The header's position is len(self); row r of the (rows, 1 + C) block
+        is round start + r: its segment, then its C deltas.  Psi is not
+        stored, since `read` derives it from the deltas.  The checkpoint
+        format holds no empty block, so `start` must be below len(self).
         """
-        clients = self.client_count
-        template = "%d,%d,%d,%.17g,%.17g\r\n" * clients  # %.17g formats as format(x, ".17g")
-        cells = [0] * (5 * clients)
-        cells[2::5] = range(clients)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\r\n")
-            for position, (segment, deltas, psi) in enumerate(
-                zip(self._segments, self._deltas, self._psi[1:])
-            ):
-                cells[0::5] = [position] * clients
-                cells[1::5] = [segment] * clients
-                cells[3::5] = deltas.tolist()
-                cells[4::5] = psi.tolist()
-                fh.write(template % tuple(cells))
+        self._check_prefix(start)
+        block = np.column_stack((self.segments[start:], self.deltas[start:]))
+        write_checkpoint(path, len(self), block, config_hash)
 
-    @classmethod
-    def from_csv(
-        cls, path, contraction: float, local_steps: int, client_count: int
-    ) -> tuple["SensitivityLedger", np.ndarray]:
-        """Rebuild a ledger from an exported CSV.
+    @staticmethod
+    def read(path, prefix: "SensitivityLedger", start: int, end: int, config_hash: bytes) -> "SensitivityLedger":
+        """The ledger of rounds 0..end: prefix's first `start` rounds joined to
+        the rounds start..end that `write` put in `path`, Psi rebuilt through
+        record_round.
 
-        The file must hold exactly one row per (round, client) cell of a
-        rounds x client_count grid, in any order, with LF or CRLF line ends,
-        and every delta and psi finite.  Returns the ledger plus the psi
-        column as recorded in the file, shape (rounds, clients), so auditors
-        can compare it against the recomputed ledger.psi[1:].
+        Raises ValueError for a file of another config, of other rounds or
+        of another width, for a segment that is not a non-negative integer
+        or that decreases along the joined timeline, and for a non-finite or
+        negative delta.
         """
-        with open(path, "rb") as fh:
-            header = fh.readline().rstrip(b"\r\n").decode("latin-1")
-            if header != ",".join(CSV_HEADER):
-                raise ValueError(f"unexpected ledger header {header!r}")
-            table = np.empty(0, dtype=_CSV_DTYPE)
-            if fh.peek(1):
-                try:
-                    table = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",", comments=None, ndmin=1)
-                except ValueError as err:
-                    raise ValueError(f"malformed ledger file {path}: {err}") from err
-        position, segment, client = table["round"], table["segment"], table["client"]
-        rounds = int(position.max()) + 1 if table.size else 0
-        if table.size and (position.min() < 0 or client.min() < 0 or client.max() >= client_count):
-            raise ValueError(f"ledger file has a round or client outside [0, {client_count})")
-        # the first missing cell of a grid over more rounds than the rows can
-        # fill lies within the first rows // client_count + 1 rounds: only
-        # those are allocated, whatever round numbers the file holds
-        span = min(rounds, table.size // client_count + 1)
-        inside = position < span
-        filled = np.zeros((span, client_count), dtype=bool)
-        filled[position[inside], client[inside]] = True
-        if not filled.all():
-            p, c = divmod(int(np.argmin(filled)), client_count)
-            raise ValueError(f"ledger file missing round {p} for client {c}")
-        if table.size != filled.size:
-            raise ValueError("ledger file repeats a (round, client) cell")
-        deltas, recorded = np.zeros(filled.shape), np.zeros(filled.shape)
-        deltas[position, client] = table["delta"]
-        recorded[position, client] = table["psi"]
-        finite = np.isfinite(deltas) & np.isfinite(recorded)
-        if not finite.all():
-            p, c = np.argwhere(~finite)[0]
-            raise ValueError(f"ledger file holds a non-finite delta or psi at round {p} for client {c}")
-        segments = np.zeros(rounds, dtype=np.int64)
-        segments[position] = segment
-        ledger = cls(contraction, local_steps, client_count)
-        for row, seg in zip(deltas, segments.tolist()):
-            ledger.record_round(row, seg)
-        return ledger, recorded
+        position, block, digest = read_checkpoint(path)
+        if digest != config_hash:
+            raise ValueError(f"{path} was produced by a different config")
+        block = block.reshape(-1, block.shape[-1])
+        if block.shape[1] != 1 + prefix.client_count:
+            raise ValueError(f"{path} holds {block.shape[1]} columns, expected 1 + {prefix.client_count} clients")
+        first = position - len(block)
+        if (first, position) != (start, end) or start > len(prefix):
+            raise ValueError(f"{path} holds rounds {first}..{position}, expected {start}..{end}")
+        segments = block[:, 0]
+        if not (np.isfinite(segments) & (segments >= 0) & (segments == np.floor(segments))).all():
+            raise ValueError(f"{path} holds a segment that is not a non-negative integer")
+        if (np.diff(np.concatenate((prefix.segments[:start], segments))) < 0).any():
+            raise ValueError(f"{path} holds segments that decrease")
+        ledger = prefix.prefix(start)
+        for n, (segment, row) in enumerate(zip(segments.tolist(), block[:, 1:]), start):
+            try:
+                ledger.record_round(row, int(segment))
+            except ValueError as err:
+                raise ValueError(f"{path} round {n}: {err}") from err
+        return ledger

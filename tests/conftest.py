@@ -6,16 +6,18 @@ import math
 
 import numpy as np
 
+from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
-from fedunlearn.engine import FederationConfig, init_params
+from fedunlearn.engine import FederationConfig, init_params, local_updates
+from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import (
     ClientDataset,
     ModelKind,
     ModelSpec,
+    Regime,
     loss,
     regime_constants,
-    step_size_bound,
 )
 from fedunlearn.oracle import empirical_sensitivity
 from fedunlearn.sensitivity import SensitivityLedger, contraction_factor
@@ -130,3 +132,46 @@ def two_client_toy():
     a = ClientDataset(np.array([[1.0, 0.0]]), np.array([1.0]))
     b = ClientDataset(np.array([[0.0, 1.0]]), np.array([1.0]))
     return [a, b]
+
+
+# ---------------------------------------------------------------------------
+# independent references the package itself never calls
+# ---------------------------------------------------------------------------
+
+
+def step_size_bound(constants) -> float | None:
+    """Largest admissible step size for the regime, or None when unrestricted."""
+    if constants.regime is Regime.CONVEX:
+        return np.inf if constants.beta == 0 else 2.0 / constants.beta
+    if constants.regime is Regime.STRONGLY_CONVEX:
+        return 2.0 / (constants.beta + constants.mu)
+    return None
+
+
+def local_update(spec, data, theta, eta, local_steps):
+    """Run `local_steps` gradient steps on one client's loss from theta."""
+    return local_updates(spec, data.features[None], data.targets[None], theta, eta, local_steps)[0]
+
+
+def pack_mlp(spec, layers):
+    """Flatten (W, b) pairs into the canonical parameter vector."""
+    parts = []
+    for w, b in layers:
+        parts.append(np.asarray(w, dtype=np.float64).ravel())
+        parts.append(np.asarray(b, dtype=np.float64).ravel())
+    theta = np.concatenate(parts)
+    if theta.shape[0] != spec.param_count:
+        raise DimensionMismatchError("packed layers do not match spec dims")
+    return theta
+
+
+def reference_gd(spec, data, theta0, eta, steps):
+    """Plain full-batch gradient descent, written independently of the engine."""
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    theta = np.array(theta0, dtype=np.float64)
+    for _ in range(steps):
+        theta = theta - eta * models.grad(spec, data, theta)
+        if not np.all(np.isfinite(theta)):
+            raise DivergedTrainingError("reference GD diverged")
+    return theta

@@ -13,17 +13,19 @@ from conftest import (
     SQ,
     exactly,
     fed_for,
+    local_update,
     make_logistic,
     make_ridge,
     oracle_traces,
     ridge_opt,
+    step_size_bound,
     train_world,
 )
 
 from fedunlearn.config import parse_config
-from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
+from fedunlearn.engine import FederationConfig, fedavg_round, init_params
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ModelKind, ModelSpec, regime_constants, step_size_bound
+from fedunlearn.models import ModelKind, ModelSpec, regime_constants
 from fedunlearn.oracle import check_bound
 from fedunlearn.runner import cmd_report, cmd_train, cmd_unlearn, cmd_verify, run_dir_for
 from fedunlearn.sensitivity import (

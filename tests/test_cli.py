@@ -8,9 +8,14 @@ import pytest
 from fedunlearn import oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
-from fedunlearn.engine import fedavg_round, federation_loss, read_checkpoint, renormalized_weights
+from fedunlearn.engine import (
+    fedavg_round,
+    federation_loss,
+    read_checkpoint,
+    renormalized_weights,
+    write_checkpoint,
+)
 from fedunlearn.errors import DivergedTrainingError
-from fedunlearn.history import TrainingHistory
 from fedunlearn.runner import prepare
 from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.serialize import dumps17
@@ -70,7 +75,7 @@ def test_train_writes_the_advertised_artifacts(workdir):
     doc = base_doc()
     assert main(["train", write_doc(workdir, doc)]) == 0
     train = run_dir(workdir, doc) / "train"
-    assert (train / "ledger.csv").exists()
+    assert (train / "ledger.ckpt").exists()
     assert (train / "manifest.json").exists()
     assert (train / "timings.json").exists()
     assert (run_dir(workdir, doc) / "config.json").exists()
@@ -94,7 +99,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     spec, fed, rounds = prepared.spec, prepared.federation(), prepared.config.rounds
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
-    reference = workdir / "reference.csv"
+    reference = workdir / "reference.ckpt"
     weights = renormalized_weights(fed.weights, set())  # the weights fedavg_round aggregates with
     theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
@@ -112,9 +117,9 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
             }
         )
         kept.append(theta)
-    ledger.export_csv(reference)
+    ledger.write(reference, 0, prepared.digest)
 
-    assert (train / "ledger.csv").read_bytes() == reference.read_bytes()
+    assert (train / "ledger.ckpt").read_bytes() == reference.read_bytes()
     assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
     end, written, digest = read_checkpoint(train / "history.ckpt")
     assert (end, digest, len(kept)) == (7, prepared.digest, 8)
@@ -141,8 +146,11 @@ def test_zero_round_training(workdir):
     end, theta0, _ = read_checkpoint(train / "history.ckpt")
     assert end == 0
     assert theta0.tobytes() == prepare(load_config(config)).theta0.tobytes()
-    assert (train / "ledger.csv").read_text().splitlines() == ["round,segment,client,delta,psi"]
+    # no rounds, no ledger file: the checkpoint format holds no empty block
+    assert not (train / "ledger.ckpt").exists()
     assert (train / "metrics.jsonl").read_text() == ""
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    assert main(["verify", config]) == 0
 
 
 def test_unlearn_sifu_artifacts(workdir):
@@ -155,9 +163,14 @@ def test_unlearn_sifu_artifacts(workdir):
     assert outcomes["method"] == "sifu"
     assert [row["request_index"] for row in outcomes["outcomes"]] == [1]
     assert outcomes["outcomes"][0]["targets"] == [0]
-    assert (out / "ledger.csv").exists()
     round_index, values, _ = read_checkpoint(out / "final_model.ckpt")
     assert values.shape == (3,)
+    # the ledger holds the rounds from the rollback on, each a segment and three deltas
+    end, block, _ = read_checkpoint(out / "ledger.ckpt")
+    start = outcomes["outcomes"][0]["rollback_position"]
+    assert end == round_index == start + outcomes["outcomes"][0]["retrain_rounds"]
+    assert block.reshape(-1, 4).shape == (end - start, 4)
+    assert set(block.reshape(-1, 4)[:, 0]) == {1.0}
     assert (out / "metrics.jsonl").read_text() != ""
 
 
@@ -210,11 +223,16 @@ def test_empty_request_list_is_a_no_op(workdir):
     doc["requests"] = []
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
-    outcomes = json.loads(
-        (run_dir(workdir, doc) / "unlearn_sifu" / "outcomes.json").read_text()
-    )
-    assert outcomes["outcomes"] == []
+    for method in ("sifu", "last"):
+        assert main(["unlearn", config, "--method", method]) == 0
+        out = run_dir(workdir, doc) / f"unlearn_{method}"
+        assert json.loads((out / "outcomes.json").read_text())["outcomes"] == []
+        # an empty suffix: no ledger file, and the manifest lists none
+        assert not (out / "ledger.ckpt").exists()
+        assert "ledger.ckpt" not in json.loads((out / "manifest.json").read_text())["outputs"]
+    assert main(["verify", config]) == 0
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    assert {"budget_audit:sifu", "budget_audit:last"} <= {check["name"] for check in report["checks"]}
 
 
 def test_verify_passes_on_honest_runs(workdir, capsys):
@@ -229,12 +247,24 @@ def test_verify_passes_on_honest_runs(workdir, capsys):
     assert (run_dir(workdir, doc) / "verify_report.json").exists()
 
 
-def halve_a_positive_delta(ledger_path: Path) -> None:
-    lines = ledger_path.read_text().splitlines()
-    row = next(k for k, line in enumerate(lines[1:], 1) if float(line.split(",")[3]) > 0)
-    head, segment, client, delta, psi = lines[row].split(",")
-    lines[row] = ",".join([head, segment, client, str(float(delta) * 0.5), psi])
-    ledger_path.write_text("\n".join(lines) + "\n")
+def rewrite_ledger(path: Path, edit) -> None:
+    """Rewrite a ledger file through edit(end, block) -> (end, block), keeping its digest."""
+    end, block, digest = read_checkpoint(path)
+    end, block = edit(end, block.reshape(-1, block.shape[-1]).copy())
+    write_checkpoint(path, end, block, digest)
+
+
+def halve_a_positive_delta(ledger_path: Path, last: bool = False) -> None:
+    """Halve the first positive delta of the file, or the last one."""
+
+    def edit(end, block):
+        deltas = block[:, 1:]  # a view: column 0 is the segment
+        cells = np.argwhere(deltas > 0)
+        row, column = cells[-1 if last else 0]
+        deltas[row, column] *= 0.5
+        return end, block
+
+    rewrite_ledger(ledger_path, edit)
 
 
 def test_verify_catches_a_tampered_ledger(workdir, capsys):
@@ -242,32 +272,44 @@ def test_verify_catches_a_tampered_ledger(workdir, capsys):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", "sifu"]) == 0
-    halve_a_positive_delta(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.csv")
+    # the suffix holds only the retraining rounds, which no later request reads
+    halve_a_positive_delta(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.ckpt")
     assert main(["verify", config]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "FAIL budget_audit:sifu" in out
     assert "verification FAILED" in out
+
+
+@pytest.mark.parametrize(
+    "method, file",
+    [("sifu", "ledger.ckpt"), ("last", "ledger.ckpt"), ("last", "final_model.ckpt"), ("sifu", "outcomes.json")],
+)
+def test_verify_reruns_each_ledger_method(workdir, capsys, method, file):
+    doc = base_doc(f"cli_rerun_{method}_{file.split('.')[0]}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["verify", config]) == 0
+    path = run_dir(workdir, doc) / f"unlearn_{method}" / file
+    if file == "ledger.ckpt":
+        halve_a_positive_delta(path, last=True)  # a round after the last rollback
+    elif file == "final_model.ckpt":
+        end, model, digest = read_checkpoint(path)
+        write_checkpoint(path, end, model + 1e-12, digest)
+    else:
+        doc_out = json.loads(path.read_text())
+        doc_out["outcomes"][0]["final_retained_loss"] *= 1 + 1e-15
+        path.write_text(dumps17(doc_out, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", config]) == 1
+    assert f"FAIL budget_audit:{method}" in capsys.readouterr().out
 
 
 def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
     doc = base_doc("cli_train_ledger")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    halve_a_positive_delta(run_dir(workdir, doc) / "train" / "ledger.csv")
-    assert main(["verify", config]) == 1
-    assert "FAIL proxy_equivalence" in capsys.readouterr().out
-
-
-def test_verify_catches_a_tampered_train_psi(workdir, capsys):
-    doc = base_doc("cli_train_psi")
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    path = run_dir(workdir, doc) / "train" / "ledger.csv"
-    lines = path.read_text().splitlines()
-    row = next(k for k, line in enumerate(lines[1:], 1) if float(line.split(",")[4]) > 0)
-    *cells, psi = lines[row].split(",")
-    lines[row] = ",".join([*cells, str(float(psi) * 10)])
-    path.write_text("\n".join(lines) + "\n")
+    halve_a_positive_delta(run_dir(workdir, doc) / "train" / "ledger.ckpt")
     assert main(["verify", config]) == 1
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
@@ -287,29 +329,79 @@ def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
 
+def set_cell(row, column, value):
+    def edit(end, block):
+        block[row, column] = value
+        return end, block
+
+    return edit
+
+
 @pytest.mark.parametrize(
-    "column, value, message",
+    "edit, message",
     [
-        (4, "nan", "non-finite delta or psi at round"),
-        (3, "inf", "non-finite delta or psi at round"),
-        (3, None, "malformed ledger file"),
+        (set_cell(4, 1, np.nan), "round 4: non-finite increment for client 0"),
+        (set_cell(2, 3, np.inf), "round 2: non-finite increment for client 2"),
+        (set_cell(3, 0, 0.5), "segment that is not a non-negative integer"),
+        (lambda end, block: (end, block[:, :3]), "holds 3 columns, expected 1 + 3 clients"),
+        (lambda end, block: (end - 1, block[:-1]), "holds rounds 0..5, expected 0..6"),
     ],
+    ids=["nan-delta", "inf-delta", "fractional-segment", "narrow", "short"],
 )
-def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, column, value, message):
-    doc = base_doc(f"cli_damaged_ledger_{column}_{value}")
+def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message):
+    doc = base_doc("cli_damaged_ledger")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    path = run_dir(workdir, doc) / "train" / "ledger.csv"
-    lines = path.read_text().splitlines()
-    cells = lines[4].split(",")
-    lines[4] = ",".join(cells[:column] + ([value] if value else []) + cells[column + 1 :])
-    path.write_text("\n".join(lines) + "\n")
+    rewrite_ledger(run_dir(workdir, doc) / "train" / "ledger.ckpt", edit)
     assert main(["verify", config]) == 2
     assert message in capsys.readouterr().err
     assert not (run_dir(workdir, doc) / "verify_report.json").exists()
-    assert main(["unlearn", config, "--method", "sifu"]) == 2
-    assert message in capsys.readouterr().err
-    assert not (run_dir(workdir, doc) / "unlearn_sifu").exists()
+    for method in ("sifu", "last"):
+        assert main(["unlearn", config, "--method", method]) == 2
+        assert message in capsys.readouterr().err
+        assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
+
+
+@pytest.mark.parametrize("directory", ["train", "unlearn_sifu"])
+def test_a_truncated_ledger_is_refused(workdir, capsys, directory):
+    doc = base_doc(f"cli_cut_ledger_{directory}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    path = run_dir(workdir, doc) / directory / "ledger.ckpt"
+    path.write_bytes(path.read_bytes()[:-4])
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "ledger.ckpt: truncated checkpoint" in capsys.readouterr().err
+
+
+def test_an_unlearn_ledger_must_start_at_the_first_rollback(workdir, capsys):
+    doc = base_doc("cli_suffix_start")
+    doc["requests"] = [[0], [2]]
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    out = run_dir(workdir, doc) / "unlearn_sifu"
+    outcomes = json.loads((out / "outcomes.json").read_text())["outcomes"]
+    start = min(row["rollback_position"] for row in outcomes)
+    end, _, _ = read_checkpoint(out / "ledger.ckpt")
+    rewrite_ledger(out / "ledger.ckpt", lambda end, block: (end, block[1:]))  # one round late
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert f"holds rounds {start + 1}..{end}, expected {start}..{end}" in capsys.readouterr().err
+
+
+def test_a_ledger_of_another_config_is_refused(workdir, capsys):
+    doc = base_doc("cli_ledger_digest")
+    config = write_doc(workdir, doc)
+    other = base_doc("cli_ledger_digest_other")
+    other["budget"]["sigma"] = 0.2
+    assert main(["train", config]) == 0
+    assert main(["train", write_doc(workdir, other)]) == 0
+    own = run_dir(workdir, doc) / "train" / "ledger.ckpt"
+    own.write_bytes((run_dir(workdir, other) / "train" / "ledger.ckpt").read_bytes())
+    assert main(["verify", config]) == 2
+    assert "ledger.ckpt was produced by a different config" in capsys.readouterr().err
 
 
 def test_verify_before_train_is_a_usage_error(workdir, capsys):
@@ -368,11 +460,7 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     prepared = prepare(load_config(config))
     train = run_dir(workdir, doc) / "train"
-    _, models, _ = read_checkpoint(train / "history.ckpt")
-    ledger, _ = SensitivityLedger.from_csv(
-        train / "ledger.csv", prepared.contraction, prepared.config.local_steps, prepared.client_count
-    )
-    history = TrainingHistory.from_models(models)
+    history, ledger = runner._load_train(train, prepared, with_ledger=True)
     traces = oracle.empirical_sensitivity(prepared.federation(), prepared.spec, history, ledger)
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and all(check["name"].startswith("bound:client") for check in failed)
@@ -444,16 +532,16 @@ def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
     monkeypatch.setattr(runner, "empirical_sensitivity", recording)
     assert main(["verify", config]) == 0
     prepared = prepare(load_config(config))
-    _, recorded = SensitivityLedger.from_csv(
-        run_dir(workdir, doc) / "train" / "ledger.csv",
-        prepared.contraction,
-        prepared.config.local_steps,
-        prepared.client_count,
+    ledger = SensitivityLedger.read(
+        run_dir(workdir, doc) / "train" / "ledger.ckpt",
+        SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count),
+        0,
+        prepared.config.rounds,
+        prepared.digest,
     )
     assert [trace.client for trace in traces] == [0, 1, 2]
     for trace in traces:
-        assert trace.psis[0] == 0.0
-        assert trace.psis[1:].tobytes() == recorded[:, trace.client].tobytes()
+        assert trace.psis.tobytes() == ledger.psi[:, trace.client].tobytes()
 
 
 def test_verify_and_report_refuse_unlearn_runs_of_another_config(workdir, capsys):
@@ -479,13 +567,12 @@ def test_verify_refuses_an_unlearn_ledger_missing_its_last_round(workdir, capsys
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", method]) == 0
     assert main(["verify", config]) == 0
-    ledger_path = run_dir(workdir, doc) / f"unlearn_{method}" / "ledger.csv"
-    lines = ledger_path.read_text().splitlines(keepends=True)
-    ledger_path.write_text("".join(lines[:-3]))  # drop the last round's three clients
+    ledger_path = run_dir(workdir, doc) / f"unlearn_{method}" / "ledger.ckpt"
+    rewrite_ledger(ledger_path, lambda end, block: (end - 1, block[:-1]))  # drop the last round
     capsys.readouterr()
     assert main(["verify", config]) == 2
-    cut = re.search(r"records (\d+) rounds but the timeline ends at (\d+)", capsys.readouterr().err)
-    assert cut and int(cut[1]) + 1 == int(cut[2])
+    cut = re.search(r"holds rounds (\d+)\.\.(\d+), expected (\d+)\.\.(\d+)", capsys.readouterr().err)
+    assert cut and cut[1] == cut[3] and int(cut[2]) + 1 == int(cut[4])
 
 
 def test_refused_unlearn_leaves_the_run_untouched(workdir, capsys):
@@ -526,12 +613,11 @@ def test_a_ledger_shorter_than_the_checkpoints_is_refused(workdir, capsys):
     doc = base_doc("cli_short_ledger")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    ledger_path = run_dir(workdir, doc) / "train" / "ledger.csv"
-    lines = ledger_path.read_text().splitlines(keepends=True)
-    ledger_path.write_text("".join(lines[:-3]))  # drop the last round's three clients
+    ledger_path = run_dir(workdir, doc) / "train" / "ledger.ckpt"
+    rewrite_ledger(ledger_path, lambda end, block: (end - 1, block[:-1]))  # drop the last round
     for method in ("sifu", "last"):
         assert main(["unlearn", config, "--method", method]) == 2
-        assert "ledger.csv records 5 rounds but the checkpoints 6" in capsys.readouterr().err
+        assert "ledger.ckpt holds rounds 0..5, expected 0..6" in capsys.readouterr().err
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
 
 
@@ -614,7 +700,8 @@ def test_train_writes_exactly_the_files_its_manifest_lists(workdir, rounds):
     train = run_dir(workdir, doc) / "train"
     listed = json.loads((train / "manifest.json").read_text())["outputs"]
     assert sorted(p.relative_to(train).as_posix() for p in train.rglob("*")) == listed
-    assert listed == ["history.ckpt", "ledger.csv", "manifest.json", "metrics.jsonl", "timings.json"]
+    ledger = ["ledger.ckpt"] if rounds else []  # the checkpoint format holds no empty block
+    assert listed == ["history.ckpt", *ledger, "manifest.json", "metrics.jsonl", "timings.json"]
 
 
 @pytest.mark.parametrize("cut", [4, 8 * 3])  # mid-model, and one whole model short
@@ -645,3 +732,18 @@ def test_a_truncated_final_model_is_refused(workdir, capsys):
     assert main(["report", str(run_dir(workdir, doc))]) == 2
     assert "final_model.ckpt: truncated checkpoint" in capsys.readouterr().err
     assert snapshot(run_dir(workdir, doc), skip=()) == before
+
+
+def test_verify_flags_a_rollback_beyond_the_budget(workdir, capsys, monkeypatch):
+    doc = base_doc("cli_over_budget")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    # sifu rolling back to the end of the timeline, as last does, skips the psi* scan
+    monkeypatch.setattr(SensitivityLedger, "rollback_index", lambda self, clients, threshold: len(self))
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    capsys.readouterr()
+    assert main(["verify", config]) == 1
+    assert "FAIL budget_audit:sifu" in capsys.readouterr().out
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    audit = next(check for check in report["checks"] if check["name"] == "budget_audit:sifu")
+    assert audit["worst_slack"] > 1e-9

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     exactly,
     fed_for,
+    local_update,
     make_logistic,
     make_ridge,
     ridge_opt,
@@ -22,7 +23,6 @@ from fedunlearn.engine import (
     fedavg_round,
     federation_loss,
     init_params,
-    local_update,
     read_checkpoint,
     renormalized_weights,
     write_checkpoint,

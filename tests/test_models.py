@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import pack_mlp, step_size_bound
 from fedunlearn import models
 from fedunlearn.errors import DimensionMismatchError
 from fedunlearn.models import (
@@ -20,11 +21,9 @@ from fedunlearn.models import (
     grad,
     loss,
     norms,
-    pack_mlp,
     regime_constants,
     stacked_grad,
     stacked_loss,
-    step_size_bound,
 )
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import fed_for, make_logistic, make_ridge, oracle_traces, train_world
+from conftest import (
+    fed_for,
+    local_update,
+    make_logistic,
+    make_ridge,
+    oracle_traces,
+    reference_gd,
+    train_world,
+)
 from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn import oracle
-from fedunlearn.engine import FederationConfig, fedavg_round, init_params, local_update
+from fedunlearn.engine import FederationConfig, fedavg_round, init_params
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, regime_constants
@@ -13,7 +21,6 @@ from fedunlearn.oracle import (
     SensitivityTrace,
     check_bound,
     empirical_sensitivity,
-    reference_gd,
     retrained_sensitivity,
     ridge_sensitivity,
 )

@@ -1,6 +1,5 @@
-import csv
 import math
-import warnings
+import struct
 
 import numpy as np
 import pytest
@@ -8,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SQ
-from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights
-from fedunlearn.errors import SingularRemovalError, StepSizeError
+from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights, write_checkpoint
+from fedunlearn.errors import DimensionMismatchError, SingularRemovalError, StepSizeError
 from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
-    CSV_HEADER,
     NoiseBudget,
     SensitivityLedger,
     client_increments_direct,
@@ -403,14 +401,14 @@ class ScalarLedger:
         series = [self.series(c) for c in clients]
         return max(n for n in range(len(self.rounds) + 1) if max(x[n] for x in series) <= threshold)
 
-    def csv_bytes(self):
-        series = [self.series(c) for c in range(self.client_count)]
-        lines = [",".join(CSV_HEADER)]
-        for position, (segment, deltas) in enumerate(self.rounds):
-            for client in range(self.client_count):
-                delta, psi = format(deltas[client], ".17g"), format(series[client][position + 1], ".17g")
-                lines.append(f"{position},{segment},{client},{delta},{psi}")
-        return "".join(line + "\r\n" for line in lines).encode()
+    def block_bytes(self, start, digest):
+        """The ledger file of rounds start.., packed value by value: magic, end
+        position, width 1 + C and digest, then per round its segment and deltas."""
+        width = 1 + self.client_count
+        head = b"FUL1" + struct.pack("<qq", len(self.rounds), width) + digest
+        return head + b"".join(
+            struct.pack(f"<{width}d", segment, *deltas) for segment, deltas in self.rounds[start:]
+        )
 
 
 @st.composite
@@ -427,6 +425,13 @@ def ledger_scripts(draw):
             max_size=25,
         )
     )
+    if draw(st.booleans()):
+        # segments as the program records them: never decreasing
+        top = 0
+        for k, op in enumerate(ops):
+            if op[0] == "record":
+                top = max(top, op[2])
+                ops[k] = (op[0], op[1], top)
     targets = draw(st.sets(st.integers(0, clients - 1), min_size=1))
     return clients, ops, sorted(targets)
 
@@ -461,76 +466,92 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(
     assert ledger.rollback_index(targets, threshold) == ref.rollback_index(targets, threshold)
     for m in range(n + 1):
         assert ledger.set_sensitivity(targets, m) == max(ref.bound(m, c) for c in targets)
-    path = tmp_path_factory.mktemp("ledger") / "ledger.csv"
-    ledger.export_csv(path)
-    assert path.read_bytes() == ref.csv_bytes()
-    loaded, recorded = SensitivityLedger.from_csv(path, contraction, local_steps, clients)
-    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    if not n:
+        return  # the file format holds no empty block
+    start = dropped % n
+    path = tmp_path_factory.mktemp("ledger") / "ledger.ckpt"
+    ledger.write(path, start, DIGEST)
+    assert path.read_bytes() == ref.block_bytes(start, DIGEST)
+    segments = [segment for segment, _ in ref.rounds]
+    if segments != sorted(segments):
+        with pytest.raises(ValueError, match="segments that decrease"):
+            SensitivityLedger.read(path, ledger, start, n, DIGEST)
+        return
+    prefix = ledger_from_rounds(contraction, local_steps, ref.rounds[:start], clients)
+    loaded = SensitivityLedger.read(path, prefix, start, n, DIGEST)
+    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
     np.testing.assert_array_equal(loaded.segments, ledger.segments)
-    np.testing.assert_array_equal(loaded.psi, ledger.psi)
-    np.testing.assert_array_equal(recorded, ledger.psi[1:])
-    cell = dropped % max(1, n * clients)
-    # with one client, dropping the last round's only cell leaves a valid shorter ledger
-    if n and not (clients == 1 and cell == n - 1):
-        lines = path.read_bytes().splitlines(keepends=True)
-        del lines[1 + cell]
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(ValueError, match="missing round"):
-            SensitivityLedger.from_csv(path, contraction, local_steps, clients)
+    assert loaded.psi.tobytes() == ledger.psi.tobytes()
+    # a file one round short is refused; without its only round it is no checkpoint
+    path.write_bytes(path.read_bytes()[: -8 * (1 + clients)])
+    cut = f"rounds {start + 1}..{n}, expected {start}..{n}" if n - start > 1 else "truncated checkpoint"
+    with pytest.raises(ValueError, match=cut):
+        SensitivityLedger.read(path, prefix, start, n, DIGEST)
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# file round trip
 # ---------------------------------------------------------------------------
 
+DIGEST = bytes(range(32))
 
-def test_csv_round_trip_is_exact(tmp_path):
+
+def ledger_from_rounds(contraction, local_steps, rounds, clients):
+    ledger = SensitivityLedger(contraction, local_steps, clients)
+    for segment, deltas in rounds:
+        ledger.record_round(deltas, segment)
+    return ledger
+
+
+def test_block_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(40)
     ledger = SensitivityLedger(0.93, 2, 2)
     for k in range(7):
-        ledger.record_round([float(rng.random()), float(rng.random())], k % 2)
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    loaded, recorded = SensitivityLedger.from_csv(path, 0.93, 2, 2)
-    assert len(loaded) == 7
-    np.testing.assert_array_equal(loaded.segments, [k % 2 for k in range(7)])
+        ledger.record_round([float(rng.random()), float(rng.random())], k // 3)
+    path = tmp_path / "ledger.ckpt"
+    ledger.write(path, 0, DIGEST)
+    assert path.stat().st_size == 52 + 8 * 7 * 3  # segment and two deltas per round, no Psi
+    loaded = SensitivityLedger.read(path, SensitivityLedger(0.93, 2, 2), 0, 7, DIGEST)
+    np.testing.assert_array_equal(loaded.segments, [k // 3 for k in range(7)])
     np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
     np.testing.assert_array_equal(loaded.psi, ledger.psi)
-    assert recorded.shape == (7, 2)
-    np.testing.assert_array_equal(recorded, ledger.psi[1:])
 
 
-def test_csv_header_and_gap_detection(tmp_path):
-    path = tmp_path / "ledger.csv"
-    path.write_text("wrong,header,entirely,now,here\n")
-    with pytest.raises(ValueError, match="header"):
-        SensitivityLedger.from_csv(path, 1.0, 1, 1)
-    rows = [",".join(CSV_HEADER), "0,0,0,0.5,0.5", "2,0,0,0.5,1.5"]
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="missing round 1"):
-        SensitivityLedger.from_csv(path, 1.0, 1, 1)
+def test_block_round_trip_is_bit_exact_at_size(tmp_path):
+    rng = np.random.default_rng(60)
+    rounds, clients = 360, 100
+    tiny = np.finfo(np.float64).smallest_subnormal
+    ledger = SensitivityLedger(0.5, 1, clients)
+    for position in range(rounds):
+        row = rng.random(clients) * 10.0 ** rng.integers(-320, 300, clients)
+        row[rng.random(clients) < 0.2] = 0.0
+        row[position % clients] = tiny * (position + 1)  # subnormal
+        row[(position + 1) % clients] = 1e300 * (1 + rng.random())
+        ledger.record_round(row, position // 25)
+    assert np.isfinite(ledger.psi).all()
+    path = tmp_path / "ledger.ckpt"
+    ledger.write(path, 0, DIGEST)
+    block = np.column_stack((ledger.segments, ledger.deltas))
+    assert path.read_bytes()[52:] == block.astype("<f8").tobytes()
+    loaded = SensitivityLedger.read(path, SensitivityLedger(0.5, 1, clients), 0, rounds, DIGEST)
+    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
+    np.testing.assert_array_equal(loaded.segments, ledger.segments)
+    assert loaded.psi.tobytes() == ledger.psi.tobytes()
 
 
-def test_csv_must_be_a_complete_grid(tmp_path):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    header, *rows = path.read_text().splitlines()
-    assert SensitivityLedger.from_csv(path, 0.9, 1, 3)[0].deltas.tolist() == ledger.deltas.tolist()
-    broken = {
-        "missing round 1 for client 2": rows[:-1],
-        "missing round 0 for client 1": rows[:1] + rows[2:],
-        "repeats": rows + rows[-1:],
-        "outside": rows + ["2,0,3,0.1,0.1"],
-    }
-    for message, body in broken.items():
-        path.write_text("\n".join([header, *body]) + "\n")
-        with pytest.raises(ValueError, match=message):
-            SensitivityLedger.from_csv(path, 0.9, 1, 3)
-    # the file names clients 0..2 only; a four-client federation misses client 3
-    path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(ValueError, match="missing round 0 for client 3"):
-        SensitivityLedger.from_csv(path, 0.9, 1, 4)
+def test_a_suffix_is_joined_to_the_prefix_it_follows(tmp_path):
+    rows = [[0.3, 0.1], [0.5, 0.0], [0.2, 0.4], [0.0, 0.6], [0.1, 0.1]]
+    ledger = ledger_from_rounds(0.8, 2, [(k // 2, row) for k, row in enumerate(rows)], 2)
+    path = tmp_path / "ledger.ckpt"
+    ledger.write(path, 3, DIGEST)
+    assert path.stat().st_size == 52 + 8 * 2 * 3
+    loaded = SensitivityLedger.read(path, ledger.prefix(4), 3, 5, DIGEST)
+    np.testing.assert_array_equal(loaded.psi, ledger.psi)
+    np.testing.assert_array_equal(loaded.segments, ledger.segments)
+    # the joined ledger shares the prefix's rows but not its length
+    loaded.truncate(1)
+    assert len(ledger) == 5
+    np.testing.assert_array_equal(ledger.psi[2], loaded.psi[1] * ledger.round_decay + rows[1])
 
 
 def test_ledger_constructor_validation():
@@ -542,106 +563,79 @@ def test_ledger_constructor_validation():
         SensitivityLedger(1.0, 1, 0)
 
 
-def write_ledger_lines(path, rows):
-    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+def test_prefix_is_a_separate_ledger():
+    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    head = ledger.prefix(2)
+    head.record_round([1.0, 1.0], 4)
+    assert len(ledger) == 3 and len(head) == 3
+    np.testing.assert_array_equal(ledger.deltas[2], [0.5, 0.6])
+    np.testing.assert_array_equal(head.psi[:3], ledger.psi[:3])
+    with pytest.raises(IndexError):
+        ledger.prefix(4)
+
+
+def damage(block: np.ndarray, cell, value) -> np.ndarray:
+    block = block.copy()
+    block[cell] = value
+    return block
 
 
 @pytest.mark.parametrize(
-    "row, message",
+    "edit, message",
     [
-        ("1.5,0,0,0.1,0.1", "1.5"),
-        ("1,0,0.5,0.1,0.1", "0.5"),
-        ("1,0,0,0.1", "4 were found"),
+        (lambda b: damage(b, (1, 2), math.nan), "round 3: non-finite increment for client 1"),
+        (lambda b: damage(b, (1, 1), math.inf), "round 3: non-finite increment for client 0"),
+        (lambda b: damage(b, (0, 3), -math.inf), "round 2: non-finite increment for client 2"),
+        (lambda b: damage(b, (0, 1), -0.5), "round 2: negative increment for client 0"),
+        (lambda b: damage(b, (0, 0), 1.5), "segment that is not a non-negative integer"),
+        (lambda b: damage(b, (0, 0), -1.0), "segment that is not a non-negative integer"),
+        (lambda b: damage(b, (0, 0), math.nan), "segment that is not a non-negative integer"),
+        (lambda b: damage(b, (1, 0), 0.0), "segments that decrease"),
+        (lambda b: damage(b, (0, 0), 0.0), "segments that decrease"),  # below the prefix's 1
+        (lambda b: b[:, :3], "holds 3 columns, expected 1 \\+ 3 clients"),
+        (lambda b: np.column_stack((b, b[:, 1])), "holds 5 columns, expected 1 \\+ 3 clients"),
+        (lambda b: b[:1], "holds rounds 3..4, expected 2..4"),
+    ],
+    ids=[
+        "nan-delta",
+        "inf-delta",
+        "-inf-delta",
+        "negative-delta",
+        "fractional-segment",
+        "negative-segment",
+        "nan-segment",
+        "decreasing-segment",
+        "segment-below-the-prefix",
+        "narrow",
+        "wide",
+        "short",
     ],
 )
-def test_csv_refuses_a_malformed_row(tmp_path, row, message):
-    path = tmp_path / "ledger.csv"
-    write_ledger_lines(path, ["0,0,0,0.1,0.1", row])
-    with pytest.raises(ValueError, match=f"malformed ledger file.*{message}"):
-        SensitivityLedger.from_csv(path, 1.0, 1, 1)
+def test_read_refuses_a_damaged_block(tmp_path, edit, message):
+    ledger = ledger_from_rounds(0.9, 1, [(0, [0.1, 0.2, 0.3]), (1, [0.4, 0.5, 0.6]), (2, [0.7, 0.8, 0.9]), (2, [1.0, 1.1, 1.2])], 3)
+    path = tmp_path / "ledger.ckpt"
+    block = np.column_stack((ledger.segments, ledger.deltas))[2:]
+    write_checkpoint(path, 4, edit(block), DIGEST)
+    with pytest.raises(ValueError, match=message):
+        SensitivityLedger.read(path, ledger, 2, 4, DIGEST)
 
 
-def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
-    path = tmp_path / "ledger.csv"
-    write_ledger_lines(path, ["0,0,0,0.1,0.1", "0,0,1,0.1,0.1", f"{10**15},0,0,0.1,0.1"])
-    with pytest.raises(ValueError, match="missing round 1 for client 0"):
-        SensitivityLedger.from_csv(path, 1.0, 1, 2)
-
-
-def test_csv_header_only_loads_as_zero_rounds(tmp_path):
-    path = tmp_path / "ledger.csv"
-    SensitivityLedger(0.9, 1, 3).export_csv(path)
-    assert path.read_bytes() == b"round,segment,client,delta,psi\r\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        loaded, recorded = SensitivityLedger.from_csv(path, 0.9, 1, 3)
-    assert len(loaded) == 0
-    assert recorded.shape == (0, 3)
-
-
-def test_csv_lf_file_with_shuffled_rows_loads(tmp_path):
-    ledger = SensitivityLedger(0.8, 2, 3)
-    for row, segment in zip([[0.1, 0.2, 0.3], [0.4, 0.0, 0.6], [0.7, 0.8, 0.9]], [0, 1, 1]):
-        ledger.record_round(row, segment)
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    header, *rows = path.read_text().splitlines()
-    np.random.default_rng(3).shuffle(rows)
-    write_ledger_lines(path, rows)
-    assert b"\r" not in path.read_bytes()
-    loaded, recorded = SensitivityLedger.from_csv(path, 0.8, 2, 3)
-    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
-    np.testing.assert_array_equal(loaded.segments, [0, 1, 1])
-    np.testing.assert_array_equal(loaded.psi, ledger.psi)
-    np.testing.assert_array_equal(recorded, ledger.psi[1:])
-
-
-@pytest.mark.parametrize("column", ["delta", "psi"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_csv_refuses_a_non_finite_cell(tmp_path, column, value):
+def test_read_refuses_another_config_and_a_cut_file(tmp_path):
     ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4]])
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    header, *rows = path.read_text().splitlines()
-    cells = rows[3].split(",")  # round 1, client 1
-    cells[CSV_HEADER.index(column)] = value
-    rows[3] = ",".join(cells)
-    write_ledger_lines(path, rows)
-    with pytest.raises(ValueError, match="non-finite delta or psi at round 1 for client 1"):
-        SensitivityLedger.from_csv(path, 0.9, 1, 2)
+    path = tmp_path / "ledger.ckpt"
+    ledger.write(path, 0, DIGEST)
+    empty = SensitivityLedger(0.9, 1, 2)
+    with pytest.raises(ValueError, match="produced by a different config"):
+        SensitivityLedger.read(path, empty, 0, 2, bytes(32))
+    with pytest.raises(ValueError, match="expected 0..3"):
+        SensitivityLedger.read(path, empty, 0, 3, DIGEST)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        SensitivityLedger.read(path, empty, 0, 2, DIGEST)
 
 
-def reference_csv_bytes(ledger: SensitivityLedger, path) -> bytes:
-    """The ledger file as written with csv.writer and format(x, ".17g")."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for position, (segment, deltas, psi) in enumerate(
-            zip(ledger.segments.tolist(), ledger.deltas, ledger.psi[1:])
-        ):
-            writer.writerows(
-                [position, segment, client, format(d, ".17g"), format(p, ".17g")]
-                for client, (d, p) in enumerate(zip(deltas.tolist(), psi.tolist()))
-            )
-    return path.read_bytes()
-
-
-def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
-    rng = np.random.default_rng(60)
-    rounds, clients = 60, 100
-    tiny = np.finfo(np.float64).smallest_subnormal
-    ledger = SensitivityLedger(0.5, 1, clients)
-    for position in range(rounds):
-        row = rng.random(clients) * 10.0 ** rng.integers(-320, 300, clients)
-        row[rng.random(clients) < 0.2] = 0.0
-        row[position % clients] = tiny * (position + 1)  # subnormal
-        row[(position + 1) % clients] = 1e300 * (1 + rng.random())
-        ledger.record_round(row, position // 25)
-    assert np.isfinite(ledger.psi).all()
-    path = tmp_path / "ledger.csv"
-    ledger.export_csv(path)
-    assert path.read_bytes() == reference_csv_bytes(ledger, tmp_path / "reference.csv")
-    loaded, recorded = SensitivityLedger.from_csv(path, 0.5, 1, clients)
-    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
-    np.testing.assert_array_equal(loaded.segments, ledger.segments)
-    np.testing.assert_array_equal(recorded, ledger.psi[1:])
+def test_an_empty_suffix_cannot_be_written(tmp_path):
+    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2]])
+    with pytest.raises(DimensionMismatchError):
+        ledger.write(tmp_path / "ledger.ckpt", 1, DIGEST)
+    assert not (tmp_path / "ledger.ckpt").exists()

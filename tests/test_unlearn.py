@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     exactly,
     fed_for,
+    local_update,
     make_logistic,
     make_ridge,
     ridge_opt,
@@ -15,7 +16,6 @@ from fedunlearn.engine import (
     FederationConfig,
     aggregate,
     fedavg_round,
-    local_update,
     renormalized_weights,
 )
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
