@@ -285,6 +285,8 @@ def _read_ledger(
     """The ledger of rounds 0..end: prefix's first `start` rounds joined to the
     directory's ledger file of rounds start..end, refusing a damaged file as
     missing artifacts."""
+    if start > len(prefix):
+        raise MissingArtifactsError(f"{directory} starts at round {start}, after the {len(prefix)} rounds it follows")
     if start == end:
         return prefix.prefix(start)
     path = directory / LEDGER_FILE

@@ -284,9 +284,9 @@ class SensitivityLedger:
 
     @staticmethod
     def read(path, prefix: "SensitivityLedger", start: int, end: int, config_hash: bytes) -> "SensitivityLedger":
-        """The ledger of rounds 0..end: prefix's first `start` rounds joined to
-        the rounds start..end that `write` put in `path`, Psi rebuilt through
-        record_round.
+        """The ledger of rounds 0..end: prefix's first `start` rounds (it must
+        hold that many) joined to the rounds start..end that `write` put in
+        `path`, Psi rebuilt through record_round.
 
         Raises ValueError for a file of another config, of other rounds or
         of another width, for a segment that is not a non-negative integer
@@ -300,7 +300,7 @@ class SensitivityLedger:
         if block.shape[1] != 1 + prefix.client_count:
             raise ValueError(f"{path} holds {block.shape[1]} columns, expected 1 + {prefix.client_count} clients")
         first = position - len(block)
-        if (first, position) != (start, end) or start > len(prefix):
+        if (first, position) != (start, end):
             raise ValueError(f"{path} holds rounds {first}..{position}, expected {start}..{end}")
         segments = block[:, 0]
         if not (np.isfinite(segments) & (segments >= 0) & (segments == np.floor(segments))).all():

@@ -181,6 +181,11 @@ def test_unlearn_all_methods_and_report(workdir):
     assert main(["train", config]) == 0
     for method in ("sifu", "scratch", "finetune", "last"):
         assert main(["unlearn", config, "--method", method]) == 0
+    # last's ledger holds exactly its retraining rounds, after train's six
+    last = run_dir(workdir, doc) / "unlearn_last"
+    retrained = sum(row["retrain_rounds"] for row in json.loads((last / "outcomes.json").read_text())["outcomes"])
+    end, block, _ = read_checkpoint(last / "ledger.ckpt")
+    assert (end, block.reshape(-1, 4).shape[0]) == (6 + retrained, retrained)
     assert main(["report", str(run_dir(workdir, doc))]) == 0
     report = run_dir(workdir, doc) / "report"
     rounds = (report / "rounds.csv").read_text().splitlines()
@@ -389,6 +394,22 @@ def test_an_unlearn_ledger_must_start_at_the_first_rollback(workdir, capsys):
     capsys.readouterr()
     assert main(["verify", config]) == 2
     assert f"holds rounds {start + 1}..{end}, expected {start}..{end}" in capsys.readouterr().err
+
+
+def test_an_unlearn_run_starting_after_train_is_refused(workdir, capsys):
+    doc = base_doc("cli_late_start")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "last"]) == 0
+    # an outcomes.json whose one request rolls back to its own end: an empty suffix
+    path = run_dir(workdir, doc) / "unlearn_last" / "outcomes.json"
+    outcomes = json.loads(path.read_text())
+    row = outcomes["outcomes"][0]
+    row["rollback_position"], row["retrain_rounds"] = row["rollback_position"] + row["retrain_rounds"], 0
+    path.write_text(dumps17(outcomes, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert f"unlearn_last starts at round {row['rollback_position']}, after the 6 rounds" in capsys.readouterr().err
 
 
 def test_a_ledger_of_another_config_is_refused(workdir, capsys):
