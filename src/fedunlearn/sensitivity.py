@@ -298,13 +298,18 @@ class SensitivityLedger:
             raise ValueError(f"{path} was produced by a different config")
         block = block.reshape(-1, block.shape[-1])
         if block.shape[1] != 1 + prefix.client_count:
-            raise ValueError(f"{path} holds {block.shape[1]} columns, expected 1 + {prefix.client_count} clients")
+            raise ValueError(
+                f"{path}: a row of {prefix.client_count} clients has 1 + {prefix.client_count} columns,"
+                f" {block.shape[1]} were found"
+            )
         first = position - len(block)
         if (first, position) != (start, end):
             raise ValueError(f"{path} holds rounds {first}..{position}, expected {start}..{end}")
         segments = block[:, 0]
-        if not (np.isfinite(segments) & (segments >= 0) & (segments == np.floor(segments))).all():
-            raise ValueError(f"{path} holds a segment that is not a non-negative integer")
+        bad = ~(np.isfinite(segments) & (segments >= 0) & (segments == np.floor(segments)))
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"{path} round {start + k}: segment {float(segments[k])} is not a non-negative integer")
         if (np.diff(np.concatenate((prefix.segments[:start], segments))) < 0).any():
             raise ValueError(f"{path} holds segments that decrease")
         ledger = prefix.prefix(start)

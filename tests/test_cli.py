@@ -347,8 +347,8 @@ def set_cell(row, column, value):
     [
         (set_cell(4, 1, np.nan), "round 4: non-finite increment for client 0"),
         (set_cell(2, 3, np.inf), "round 2: non-finite increment for client 2"),
-        (set_cell(3, 0, 0.5), "segment that is not a non-negative integer"),
-        (lambda end, block: (end, block[:, :3]), "holds 3 columns, expected 1 + 3 clients"),
+        (set_cell(3, 0, 0.5), "round 3: segment 0.5 is not a non-negative integer"),
+        (lambda end, block: (end, block[:, :3]), "a row of 3 clients has 1 + 3 columns, 3 were found"),
         (lambda end, block: (end - 1, block[:-1]), "holds rounds 0..5, expected 0..6"),
     ],
     ids=["nan-delta", "inf-delta", "fractional-segment", "narrow", "short"],
