@@ -65,18 +65,7 @@ class FederationConfig:
             raise ValueError("local_steps must be >= 1")
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for idx, data in enumerate(clients):
-            shapes.setdefault(data.features.shape, []).append(idx)
-        groups = tuple(
-            (
-                np.array(members),
-                np.stack([clients[i].features for i in members]),
-                np.stack([clients[i].targets for i in members]),
-            )
-            for members in shapes.values()
-        )
-        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_groups", models.stack_by_shape(clients))
         object.__setattr__(self, "_last_stacks", ((), []))
 
     @classmethod

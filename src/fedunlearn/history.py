@@ -16,9 +16,9 @@ from .models import Params, as_params
 class TrainingHistory:
     """Live global models by position, each tagged with its owning segment."""
 
-    def __init__(self, theta0: Params, segment_index: int = 0):
+    def __init__(self, theta0: Params):
         self.models: list[Params] = [as_params(theta0).copy()]
-        self.owners: list[int] = [segment_index]
+        self.owners: list[int] = [0]
 
     @property
     def end_position(self) -> int:

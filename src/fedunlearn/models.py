@@ -351,24 +351,42 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
     return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, all_data), 0.0, lam)
 
 
-def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
-    # one stacked gradient call per pair and data shape; each row equals the
-    # lone client's gradient bit for bit, so the max is the per-client loop's
-    shapes: dict[tuple[int, int], list[ClientDataset]] = {}
-    for data in all_data:
-        shapes.setdefault(data.features.shape, []).append(data)
-    stacks = [(np.stack([d.features for d in g]), np.stack([d.targets for d in g])) for g in shapes.values()]
-    rng = np.random.default_rng(_PROBE_SEED)
+def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """One (members, features (g, n, d), targets (g, n)) group per data shape."""
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for idx, data in enumerate(clients):
+        shapes.setdefault(data.features.shape, []).append(idx)
+    return tuple(
+        (
+            np.array(members),
+            np.stack([clients[i].features for i in members]),
+            np.stack([clients[i].targets for i in members]),
+        )
+        for members in shapes.values()
+    )
+
+
+def gradient_pairs(spec: ModelSpec, stacks, seed: int, pairs: int):
+    """Seeded theta = 0.5 N(0, I) and offset = 0.2 N(0, I), yielded with the
+    stacked gradients at theta and theta + offset for each group in `stacks`;
+    each row is the lone client's gradient bit for bit."""
+    rng = np.random.default_rng(seed)
     d = spec.param_count
-    worst = 0.0
-    for _ in range(_PROBE_PAIRS):
+    for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         offset = 0.2 * rng.standard_normal(d)
+        yield theta, offset, [
+            [stacked_grad(spec, X, y, np.broadcast_to(point, (X.shape[0], d))) for point in (theta, theta + offset)]
+            for _, X, y in stacks
+        ]
+
+
+def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
+    worst = 0.0
+    for _, offset, grads in gradient_pairs(spec, stack_by_shape(all_data), _PROBE_SEED, _PROBE_PAIRS):
         gap = float(np.linalg.norm(offset))
         if gap == 0.0:
             continue
-        for features, targets in stacks:
-            near = np.repeat(theta[None], features.shape[0], axis=0)
-            diff = stacked_grad(spec, features, targets, near + offset) - stacked_grad(spec, features, targets, near)
-            worst = max(worst, float((norms(diff) / gap).max()))
+        for near, far in grads:
+            worst = max(worst, float((norms(far - near) / gap).max()))
     return _PROBE_SAFETY * worst

@@ -5,11 +5,12 @@ config name:
 
     <run>/config.json                canonical config copy
     <run>/train/                     history.ckpt, ledger.ckpt, metrics.jsonl,
-                                     timings.json, manifest (written last)
+                                     timings.json, manifest
     <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
                                      ledger.ckpt (ledger-backed methods),
-                                     final_model.ckpt, timings.json,
-                                     manifest (written last)
+                                     final_model.ckpt, timings.json, manifest
+
+A manifest is written last and lists the files of its directory.
     <run>/verify_report.json
     <run>/report/*.csv
 
@@ -18,8 +19,12 @@ records the ledger and every round's global model.  A ledger file stores each
 round's segment and deltas in the checkpoint format, and no Psi: loading
 rebuilds Psi from the deltas.  train's ledger holds every round; an unlearn
 ledger holds only the rounds from its smallest rollback position on, and is
-joined to train's on load (no file is written for an empty suffix).  unlearn
-and verify load the train artifacts through one loader, `_load_train`.
+joined to train's on load (no file is written for an empty suffix).  Every
+command starts from `prepare`, which builds the config's one FederationConfig.
+unlearn and verify load the train artifacts through one loader, `_load_train`,
+and verify and report load each unlearn run through another, `_load_unlearn`,
+which also requires the final model to carry the config's digest and to end
+where the outcomes' timeline does.
 verify hands the loaded ledger and history to the oracle, so it certifies the
 Psi that train wrote, and replays each recorded round from the history,
 requiring the next model bit for bit and the ledger's deltas within rounding.
@@ -79,6 +84,8 @@ from .unlearn import (
 )
 
 _PSI_CAP_FACTOR = 1e6
+_CONTRACTIVITY_SEED = 8_191
+_CONTRACTIVITY_PAIRS = 200
 LEDGER_FILE = "ledger.ckpt"
 
 
@@ -96,34 +103,19 @@ class PreparedExperiment:
 
     config: ExperimentConfig
     spec: models.ModelSpec
-    datasets: list
-    weights: np.ndarray
+    fed: FederationConfig
     constants: models.RegimeConstants
-    eta: float
     contraction: float
     theta0: np.ndarray
     digest: bytes
 
     @property
     def client_count(self) -> int:
-        return len(self.datasets)
-
-    def federation(self) -> FederationConfig:
-        return FederationConfig(
-            clients=tuple(self.datasets),
-            weights=self.weights,
-            eta=self.eta,
-            local_steps=self.config.local_steps,
-        )
+        return self.fed.client_count
 
 
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
     datasets = generate_data(config.data)
-    if config.weights is not None:
-        weights = np.asarray(config.weights, dtype=np.float64)
-    else:
-        counts = np.array([d.sample_count for d in datasets], dtype=np.float64)
-        weights = counts / counts.sum()
     constants = regime_constants(config.model, datasets)
     if constants.regime is Regime.SMOOTH:
         warnings.warn(
@@ -137,10 +129,8 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
     return PreparedExperiment(
         config=config,
         spec=config.model,
-        datasets=datasets,
-        weights=weights,
+        fed=FederationConfig.from_datasets(datasets, eta, config.local_steps, config.weights),
         constants=constants,
-        eta=eta,
         contraction=contraction,
         theta0=theta0,
         digest=config_hash(config),
@@ -152,13 +142,14 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_manifest(directory: Path, prepared: PreparedExperiment, command: str, outputs) -> None:
+def _write_manifest(directory: Path, prepared: PreparedExperiment, command: str) -> None:
+    """Write the manifest of a command's directory, listing every file in it."""
     manifest = {
         "code_version": __version__,
         "command": command,
         "config_hash": prepared.digest.hex(),
         "name": prepared.config.name,
-        "outputs": sorted(outputs),
+        "outputs": sorted([path.name for path in directory.iterdir()] + ["manifest.json"]),
         "seeds": {
             "data": prepared.config.data.seed,
             "federation": prepared.config.federation_seed,
@@ -211,7 +202,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     ledger = SensitivityLedger(prepared.contraction, config.local_steps, prepared.client_count)
     result = retrain_until(
         prepared.spec,
-        prepared.federation(),
+        prepared.fed,
         prepared.theta0,
         range(prepared.client_count),
         StoppingRule(math.inf, rounds, rounds),
@@ -220,7 +211,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     )
 
     write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
-    ledger_files = _write_ledger(train_dir, prepared, ledger, 0)
+    _write_ledger(train_dir, prepared, ledger, 0)
     per_round = zip(
         ledger.segments.tolist(),
         result.loss_trace[1:],
@@ -234,18 +225,15 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     )
     _write_text(train_dir / "metrics.jsonl", metrics)
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
-    outputs = ["history.ckpt", *ledger_files, "manifest.json", "metrics.jsonl", "timings.json"]
-    _write_manifest(train_dir, prepared, "train", outputs)
+    _write_manifest(train_dir, prepared, "train")
     return train_dir
 
 
-def _write_ledger(directory: Path, prepared: PreparedExperiment, ledger: SensitivityLedger, start: int) -> list[str]:
-    """Write the ledger's rounds from `start` on; returns the file names written,
-    none for an empty suffix, which the checkpoint format cannot hold."""
-    if start == len(ledger):
-        return []
-    ledger.write(directory / LEDGER_FILE, start, prepared.digest)
-    return [LEDGER_FILE]
+def _write_ledger(directory: Path, prepared: PreparedExperiment, ledger: SensitivityLedger, start: int) -> None:
+    """Write the ledger's rounds from `start` on, and no file for an empty
+    suffix, which the checkpoint format cannot hold."""
+    if start < len(ledger):
+        ledger.write(directory / LEDGER_FILE, start, prepared.digest)
 
 
 def _load_train(
@@ -257,9 +245,7 @@ def _load_train(
     path = train_dir / "history.ckpt"
     if not path.exists():
         raise MissingArtifactsError(f"missing model history: {path}")
-    _, kept, digest = _read_checkpoint(path)
-    if digest != prepared.digest:
-        raise ConfigError(f"checkpoint {path} was produced by a different config")
+    _, kept = _read_checkpoint(path, prepared)
     kept = kept.reshape(-1, prepared.spec.param_count)
     rounds = prepared.config.rounds
     if len(kept) != rounds + 1:
@@ -271,12 +257,16 @@ def _load_train(
     return history, _read_ledger(train_dir, prepared, empty, 0, rounds)
 
 
-def _read_checkpoint(path: Path) -> tuple[int, np.ndarray, bytes]:
-    """read_checkpoint, refusing a damaged file as missing artifacts."""
+def _read_checkpoint(path: Path, prepared: PreparedExperiment) -> tuple[int, np.ndarray]:
+    """Position and values of a checkpoint this config wrote, refusing a
+    damaged file as missing artifacts and another config's as a config error."""
     try:
-        return read_checkpoint(path)
+        position, values, digest = read_checkpoint(path)
     except ValueError as err:
         raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
+    if digest != prepared.digest:
+        raise ConfigError(f"checkpoint {path} was produced by a different config")
+    return position, values
 
 
 def _read_ledger(
@@ -335,14 +325,13 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
         dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
     )
     _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
-    outputs = ["final_model.ckpt", "manifest.json", "metrics.jsonl", "outcomes.json", "timings.json"]
     if ledger is not None:
-        outputs += _write_ledger(out_dir, prepared, ledger, _suffix_start(outcome_rows, len(ledger)))
+        _write_ledger(out_dir, prepared, ledger, _suffix_start(outcome_rows, len(ledger)))
     write_checkpoint(
         out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
     )
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
-    _write_manifest(out_dir, prepared, f"unlearn:{method}", outputs)
+    _write_manifest(out_dir, prepared, f"unlearn:{method}")
     return out_dir
 
 
@@ -355,12 +344,11 @@ def _run_requests(
     state = UnlearningState.from_training(
         history, ledger, config.budget, prepared.client_count, config.federation_seed, method
     )
-    retrain_cfg = prepared.federation()
     outcome_rows = []
     metric_rows = []
     for u, targets in enumerate(config.requests, start=1):
         outcome = sifu(
-            state, UnlearningRequest(u, frozenset(targets)), prepared.spec, retrain_cfg, config.stopping
+            state, UnlearningRequest(u, frozenset(targets)), prepared.spec, prepared.fed, config.stopping
         )
         outcome_rows.append(_outcome_row(outcome))
         metric_rows.extend(
@@ -405,8 +393,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     psi_cap = None
     if prepared.constants.regime is Regime.SMOOTH:
         psi_cap = _PSI_CAP_FACTOR * max(1.0, float(np.linalg.norm(prepared.theta0)))
-    fed = prepared.federation()
-    for trace in empirical_sensitivity(fed, prepared.spec, history, ledger):
+    for trace in empirical_sensitivity(prepared.fed, prepared.spec, history, ledger):
         report = check_bound(trace, tol=1e-8, psi_cap=psi_cap)
         check = {
             "name": f"bound:client{trace.client}",
@@ -418,8 +405,8 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
             check["first_violation"] = report.first_violation
         checks.append(check)
 
-    checks.append(_check_proxy_equivalence(prepared, fed, history, ledger))
-    checks.append(_check_contractivity(prepared, fed))
+    checks.append(_check_proxy_equivalence(prepared, history, ledger))
+    checks.append(_check_contractivity(prepared))
     checks.extend(audits)
 
     ok = all(c["pass"] for c in checks)
@@ -429,7 +416,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     return report, ok
 
 
-def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig, history, ledger) -> dict:
+def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> dict:
     """The ledger's recorded closed-form deltas against the direct increments
     of the same rounds, replayed from the history's models.  Each replayed
     round must also reproduce the history's next model bit for bit."""
@@ -437,9 +424,9 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig
     worst = 0.0
     passed = np.array_equal(history.models[0], prepared.theta0)
     for n, fast in enumerate(ledger.deltas):
-        record = fedavg_round(prepared.spec, fed, history.models[n], everyone, n)
+        record = fedavg_round(prepared.spec, prepared.fed, history.models[n], everyone, n)
         passed &= np.array_equal(record.global_after, history.models[n + 1])
-        direct = client_increments_direct(record, prepared.weights)
+        direct = client_increments_direct(record, prepared.fed.weights)
         gap = np.abs(fast - direct)
         worst = max(worst, float(gap.max()))
         if ((gap > 1e-10 * np.maximum(np.abs(direct), np.abs(fast))) & (gap > 1e-12)).any():
@@ -447,25 +434,17 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, fed: FederationConfig
     return {"name": "proxy_equivalence", "pass": passed, "worst_slack": worst, "tightness": None}
 
 
-def _check_contractivity(prepared: PreparedExperiment, fed: FederationConfig, pairs: int = 200) -> dict:
-    rng = np.random.default_rng(8_191)
-    spec, d = prepared.spec, prepared.spec.param_count
+def _check_contractivity(prepared: PreparedExperiment) -> dict:
+    fed = prepared.fed
     stacks = fed.stacked(range(fed.client_count))
+    pairs = models.gradient_pairs(prepared.spec, stacks, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS)
     worst = 0.0
-    factor = prepared.contraction
-    for _ in range(pairs):
-        theta = 0.5 * rng.standard_normal(d)
-        phi = theta + 0.2 * rng.standard_normal(d)
-        rhs = factor * float(np.linalg.norm(theta - phi))
-        for _, features, targets in stacks:
-            shape = (features.shape[0], d)
-            step_theta = theta - prepared.eta * models.stacked_grad(
-                spec, features, targets, np.broadcast_to(theta, shape)
-            )
-            step_phi = phi - prepared.eta * models.stacked_grad(
-                spec, features, targets, np.broadcast_to(phi, shape)
-            )
-            worst = max(worst, float((models.norms(step_theta - step_phi) - rhs).max()))
+    for theta, offset, grads in pairs:
+        phi = theta + offset
+        rhs = prepared.contraction * float(np.linalg.norm(theta - phi))
+        for near, far in grads:
+            gap = (theta - fed.eta * near) - (phi - fed.eta * far)
+            worst = max(worst, float((models.norms(gap) - rhs).max()))
     return {"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None}
 
 
@@ -479,20 +458,7 @@ def _audit_unlearn_runs(
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue
-        _check_manifest_hash(out_dir, prepared)
-        paths = [out_dir / name for name in ("outcomes.json", "final_model.ckpt")]
-        if not all(path.exists() for path in paths):
-            raise MissingArtifactsError(
-                f"{out_dir} is missing outcomes.json or final_model.ckpt; re-run the unlearn command"
-            )
-        outcomes = json.loads(paths[0].read_text())["outcomes"]
-        # the final model and the ledger must end where the outcomes' timeline does
-        end = prepared.config.rounds
-        if outcomes:
-            end = outcomes[-1]["rollback_position"] + outcomes[-1]["retrain_rounds"]
-        final_position, final_model, _ = _read_checkpoint(paths[1])
-        if final_position != end:
-            raise MissingArtifactsError(f"{paths[1]} ends at {final_position} but the timeline at {end}")
+        outcomes, end, final_model = _load_unlearn(out_dir, prepared, method)
         ledger = _read_ledger(out_dir, prepared, train_ledger, _suffix_start(outcomes, end), end)
         # the same requests re-run on copies of the train artifacts must give the same run
         state, rows, _ = _run_requests(
@@ -506,6 +472,26 @@ def _audit_unlearn_runs(
         )
         checks.append(_audit_one_run(prepared, method, ledger, outcomes, reproduced))
     return checks
+
+
+def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> tuple[list[dict], int, np.ndarray]:
+    """An unlearn run's outcomes, timeline end and final model, checked against
+    its manifest, the config and each other."""
+    _check_manifest_hash(out_dir, prepared)
+    outcomes_path, final_path = out_dir / "outcomes.json", out_dir / "final_model.ckpt"
+    if not (outcomes_path.exists() and final_path.exists()):
+        raise MissingArtifactsError(
+            f"{out_dir} is missing outcomes.json or final_model.ckpt; re-run the unlearn command"
+        )
+    outcomes = json.loads(outcomes_path.read_text())["outcomes"]
+    # scratch's timeline starts empty, every other method's after train's rounds
+    end = 0 if method == "scratch" else prepared.config.rounds
+    if outcomes:
+        end = outcomes[-1]["rollback_position"] + outcomes[-1]["retrain_rounds"]
+    position, final_model = _read_checkpoint(final_path, prepared)
+    if position != end:
+        raise MissingArtifactsError(f"{final_path} ends at {position} but the timeline at {end}")
+    return outcomes, end, final_model
 
 
 def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict:
@@ -545,13 +531,7 @@ def cmd_report(run_dir: Path) -> Path:
     methods = {}
     for out_dir in sorted(run_dir.glob("unlearn_*")):
         method = out_dir.name.removeprefix("unlearn_")
-        _check_manifest_hash(out_dir, prepared)
-        outcomes_path = out_dir / "outcomes.json"
-        final_path = out_dir / "final_model.ckpt"
-        if not outcomes_path.exists() or not final_path.exists():
-            raise MissingArtifactsError(f"{out_dir} is incomplete; re-run the unlearn command")
-        outcomes = json.loads(outcomes_path.read_text())["outcomes"]
-        _, final_model, _ = _read_checkpoint(final_path)
+        outcomes, _, final_model = _load_unlearn(out_dir, prepared, method)
         methods[method] = (outcomes, final_model)
     if not methods:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")
@@ -568,7 +548,7 @@ def cmd_report(run_dir: Path) -> Path:
         outcomes, final_model = methods[method]
         total_rounds = sum(row["retrain_rounds"] for row in outcomes)
         retained = (
-            federation_loss(spec, prepared.federation(), final_model, remaining)
+            federation_loss(spec, prepared.fed, final_model, remaining)
             if remaining
             else float("nan")
         )
@@ -601,10 +581,10 @@ def _forget_metric(spec, prepared, forgotten, theta) -> float:
     """Sample-weighted mean metric of the final model on the forgotten clients."""
     if not forgotten:
         return float("nan")
-    total_samples = sum(prepared.datasets[c].sample_count for c in forgotten)
+    total_samples = sum(prepared.fed.clients[c].sample_count for c in forgotten)
     value = 0.0
     for c in forgotten:
-        data = prepared.datasets[c]
+        data = prepared.fed.clients[c]
         share = data.sample_count / total_samples
         if spec.kind is ModelKind.LOGISTIC:
             value += share * models.accuracy(spec, data, theta)

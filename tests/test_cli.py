@@ -96,7 +96,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     train = run_dir(workdir, doc) / "train"
 
     prepared = prepare(load_config(config))
-    spec, fed, rounds = prepared.spec, prepared.federation(), prepared.config.rounds
+    spec, fed, rounds = prepared.spec, prepared.fed, prepared.config.rounds
     everyone = tuple(range(fed.client_count))
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference.ckpt"
@@ -228,13 +228,15 @@ def test_empty_request_list_is_a_no_op(workdir):
     doc["requests"] = []
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    for method in ("sifu", "last"):
+    for method in ("sifu", "last", "scratch", "finetune"):
         assert main(["unlearn", config, "--method", method]) == 0
         out = run_dir(workdir, doc) / f"unlearn_{method}"
         assert json.loads((out / "outcomes.json").read_text())["outcomes"] == []
         # an empty suffix: no ledger file, and the manifest lists none
         assert not (out / "ledger.ckpt").exists()
         assert "ledger.ckpt" not in json.loads((out / "manifest.json").read_text())["outputs"]
+    # scratch's final model sits at position 0, every other method's at rounds
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
     assert main(["verify", config]) == 0
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     assert {"budget_audit:sifu", "budget_audit:last"} <= {check["name"] for check in report["checks"]}
@@ -482,7 +484,7 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     prepared = prepare(load_config(config))
     train = run_dir(workdir, doc) / "train"
     history, ledger = runner._load_train(train, prepared, with_ledger=True)
-    traces = oracle.empirical_sensitivity(prepared.federation(), prepared.spec, history, ledger)
+    traces = oracle.empirical_sensitivity(prepared.fed, prepared.spec, history, ledger)
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and all(check["name"].startswith("bound:client") for check in failed)
     for check in failed:
@@ -629,6 +631,19 @@ def test_checkpoints_from_another_config_are_refused(workdir, capsys):
         assert "history.ckpt was produced by a different config" in capsys.readouterr().err
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
 
+    # a final model with this run's position and values but another config's digest
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    final = run_dir(workdir, doc) / "unlearn_sifu" / "final_model.ckpt"
+    blob = final.read_bytes()
+    final.write_bytes(blob[:20] + foreign.read_bytes()[20:52] + blob[52:])
+    before = snapshot(run_dir(workdir, doc), skip=())
+    capsys.readouterr()
+    for command in (["verify", config], ["report", str(run_dir(workdir, doc))]):
+        assert main(command) == 2
+        assert "final_model.ckpt was produced by a different config" in capsys.readouterr().err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before
+
 
 def test_a_ledger_shorter_than_the_checkpoints_is_refused(workdir, capsys):
     doc = base_doc("cli_short_ledger")
@@ -714,15 +729,24 @@ def test_diverging_training_leaves_no_empty_output_files(workdir):
 
 @pytest.mark.parametrize("rounds", [0, 6])
 def test_train_writes_exactly_the_files_its_manifest_lists(workdir, rounds):
+    # and so does unlearn, with and without requests
     doc = base_doc(f"cli_layout_{rounds}")
     doc["federation"]["rounds"] = rounds
-    doc["requests"] = []
-    assert main(["train", write_doc(workdir, doc)]) == 0
-    train = run_dir(workdir, doc) / "train"
-    listed = json.loads((train / "manifest.json").read_text())["outputs"]
-    assert sorted(p.relative_to(train).as_posix() for p in train.rglob("*")) == listed
-    ledger = ["ledger.ckpt"] if rounds else []  # the checkpoint format holds no empty block
-    assert listed == ["history.ckpt", *ledger, "manifest.json", "metrics.jsonl", "timings.json"]
+    for requests in ([], [[0]]):
+        doc["requests"] = requests
+        config = write_doc(workdir, doc)
+        assert main(["train", config]) == 0
+        # the checkpoint format holds no empty block, so an empty ledger has no file
+        expected = {"train": ["history.ckpt", *(["ledger.ckpt"] if rounds else []), "metrics.jsonl"]}
+        for method in ("sifu", "last", "scratch", "finetune"):
+            assert main(["unlearn", config, "--method", method]) == 0
+            ledger = ["ledger.ckpt"] if requests and method in ("sifu", "last") else []
+            expected[f"unlearn_{method}"] = ["final_model.ckpt", *ledger, "metrics.jsonl", "outcomes.json"]
+        for name, files in expected.items():
+            directory = run_dir(workdir, doc) / name
+            listed = json.loads((directory / "manifest.json").read_text())["outputs"]
+            assert sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*")) == listed
+            assert listed == sorted([*files, "manifest.json", "timings.json"])
 
 
 @pytest.mark.parametrize("cut", [4, 8 * 3])  # mid-model, and one whole model short
@@ -745,14 +769,23 @@ def test_a_truncated_final_model_is_refused(workdir, capsys):
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", "sifu"]) == 0
     final = run_dir(workdir, doc) / "unlearn_sifu" / "final_model.ckpt"
-    final.write_bytes(final.read_bytes()[:-4])
-    before = snapshot(run_dir(workdir, doc), skip=())
-    capsys.readouterr()
-    assert main(["verify", config]) == 2
-    assert "final_model.ckpt: truncated checkpoint" in capsys.readouterr().err
-    assert main(["report", str(run_dir(workdir, doc))]) == 2
-    assert "final_model.ckpt: truncated checkpoint" in capsys.readouterr().err
-    assert snapshot(run_dir(workdir, doc), skip=()) == before
+    intact = final.read_bytes()
+    _, kept, digest = read_checkpoint(run_dir(workdir, doc) / "train" / "history.ckpt")
+    write_checkpoint(workdir / "early.ckpt", 3, kept[3], digest)  # a whole model, at the wrong position
+    damaged = {
+        "final_model.ckpt: truncated checkpoint": intact[:-4],
+        "final_model.ckpt ends at 3 but the timeline at": (workdir / "early.ckpt").read_bytes(),
+    }
+    for message, blob in damaged.items():
+        final.write_bytes(blob)
+        before = snapshot(run_dir(workdir, doc), skip=())
+        capsys.readouterr()
+        assert main(["verify", config]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["report", str(run_dir(workdir, doc))]) == 2
+        assert message in capsys.readouterr().err
+        assert snapshot(run_dir(workdir, doc), skip=()) == before
+        final.write_bytes(intact)
 
 
 def test_verify_flags_a_rollback_beyond_the_budget(workdir, capsys, monkeypatch):
