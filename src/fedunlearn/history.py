@@ -2,10 +2,9 @@
 
 Positions are global 0-based round counts over the concatenated timeline:
 position p is the model after p recorded rounds.  Each unlearning request
-truncates the timeline at its rollback position and starts a new segment
-whose first model, the perturbed checkpoint, replaces the model at that
-position.  The history keeps one live model per position and the index of
-the segment that owns it.
+truncates the timeline at its rollback position and restarts there: its
+perturbed checkpoint replaces the model at that position, and retraining
+appends after it.  The history keeps one live model per position.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from .models import Params, as_params
 
 
 class TrainingHistory:
-    """Live global models by position, each tagged with its owning segment."""
+    """Live global models by position."""
 
     def __init__(self, theta0: Params):
         self.models: list[Params] = [as_params(theta0).copy()]
-        self.owners: list[int] = [0]
 
     @property
     def end_position(self) -> int:
@@ -31,7 +29,6 @@ class TrainingHistory:
     def append_model(self, model: Params) -> int:
         """Record the model after one more round; returns its position."""
         self.models.append(as_params(model).copy())
-        self.owners.append(self.owners[-1])
         return self.end_position
 
     def model_at(self, position: int) -> Params:
@@ -39,25 +36,14 @@ class TrainingHistory:
         self._check_position(position)
         return self.models[position]
 
-    def segment_at(self, position: int) -> int:
-        """Segment index owning the model returned by model_at(position)."""
-        self._check_position(position)
-        return self.owners[position]
-
     def truncate(self, position: int) -> None:
         """Discard every model strictly after `position`."""
         self._check_position(position)
-        del self.models[position + 1 :], self.owners[position + 1 :]
+        del self.models[position + 1 :]
 
-    def start_segment(self, index: int, first_model: Params) -> None:
-        """Open segment `index` at the end position with `first_model` there.
-
-        Segment indices must increase along the timeline.
-        """
-        if index <= self.owners[-1]:
-            raise ValueError(f"segment {index} must follow segment {self.owners[-1]}")
+    def restart(self, first_model: Params) -> None:
+        """Replace the model at the end position with a retraining's first model."""
         self.models[-1] = as_params(first_model).copy()
-        self.owners[-1] = index
 
     def _check_position(self, position: int) -> None:
         if not 0 <= position <= self.end_position:
@@ -67,7 +53,7 @@ class TrainingHistory:
 
     @classmethod
     def from_models(cls, models) -> "TrainingHistory":
-        """A single-segment history holding models[p] at each position p."""
+        """A history holding models[p] at each position p."""
         hist = cls(models[0])
         for model in models[1:]:
             hist.append_model(model)

@@ -16,11 +16,12 @@ A manifest is written last and lists the files of its directory.
 
 Training is one fixed-round all-client `unlearn.retrain_until` call that
 records the ledger and every round's global model.  A ledger file stores each
-round's segment and deltas in the checkpoint format, and no Psi: loading
-rebuilds Psi from the deltas.  train's ledger holds every round; an unlearn
-ledger holds only the rounds from its smallest rollback position on, and is
-joined to train's on load (no file is written for an empty suffix).  Every
-command starts from `prepare`, which builds the config's one FederationConfig.
+round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi from
+the deltas (which request's retraining produced a round follows from the
+rollback positions in outcomes.json).  train's ledger holds every round; an
+unlearn ledger holds only the rounds from its smallest rollback position on,
+and is joined to train's on load (no file is written for an empty suffix).
+Every command starts from `prepare`, which builds the config's one FederationConfig.
 unlearn and verify load the train artifacts through one loader, `_load_train`,
 and verify and report load each unlearn run through another, `_load_unlearn`,
 which also requires the final model to carry the config's digest and to end
@@ -28,11 +29,11 @@ where the outcomes' timeline does.
 verify hands the loaded ledger and history to the oracle, so it certifies the
 Psi that train wrote, and replays each recorded round from the history,
 requiring the next model bit for bit and the ledger's deltas within rounding.
-It re-runs every ledger-backed unlearning method from the same artifacts and
-requires its outcomes, ledger and final model bit for bit.  Every unlearning
-method runs the same per-request step, `unlearn.sifu`; the command only picks
-which training artifacts the method loads (scratch needs none, finetune only
-the history, the ledger-backed methods the ledger too).
+It re-runs every unlearning method from the same artifacts and requires its
+outcomes, final model and ledger bit for bit.  Every unlearning method runs
+the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
+artifacts a method starts from (scratch none, finetune only the history, the
+ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -212,16 +213,10 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
 
     write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
     _write_ledger(train_dir, prepared, ledger, 0)
-    per_round = zip(
-        ledger.segments.tolist(),
-        result.loss_trace[1:],
-        ledger.deltas.max(axis=1).tolist(),
-        ledger.psi[1:].max(axis=1).tolist(),
-    )
+    per_round = zip(result.loss_trace[1:], ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
     metrics = "".join(
-        dumps17({"round": n, "segment": segment, "global_loss": loss, "max_delta": delta, "max_psi": psi})
-        + "\n"
-        for n, (segment, (_, loss), delta, psi) in enumerate(per_round)
+        dumps17({"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}) + "\n"
+        for n, ((_, loss), delta, psi) in enumerate(per_round)
     )
     _write_text(train_dir / "metrics.jsonl", metrics)
     _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
@@ -309,10 +304,7 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     out_dir = run_dir / f"unlearn_{method}"
 
     # load and check every train artifact before the run directory is touched
-    if method == "scratch":
-        history, ledger = TrainingHistory(prepared.theta0), None
-    else:
-        history, ledger = _load_train(run_dir / "train", prepared, method in LEDGER_METHODS)
+    history, ledger = _train_inputs(run_dir, prepared, method)
 
     if out_dir.exists():
         shutil.rmtree(out_dir)
@@ -333,6 +325,20 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
     _write_manifest(out_dir, prepared, f"unlearn:{method}")
     return out_dir
+
+
+def _train_inputs(
+    run_dir: Path, prepared: PreparedExperiment, method: str, loaded=None
+) -> tuple[TrainingHistory, SensitivityLedger | None]:
+    """The history and ledger a method starts from, read from train/ or, if
+    given, copied from the `loaded` (history, ledger) pair of train's."""
+    if method == "scratch":
+        return TrainingHistory(prepared.theta0), None
+    with_ledger = method in LEDGER_METHODS
+    if loaded is None:
+        return _load_train(run_dir / "train", prepared, with_ledger)
+    history, ledger = loaded
+    return TrainingHistory.from_models(history.models), ledger.prefix(len(ledger)) if with_ledger else None
 
 
 def _run_requests(
@@ -451,24 +457,24 @@ def _check_contractivity(prepared: PreparedExperiment) -> dict:
 def _audit_unlearn_runs(
     prepared: PreparedExperiment, run_dir: Path, history: TrainingHistory, train_ledger: SensitivityLedger
 ) -> list[dict]:
-    """Audit each ledger-backed unlearn run against the loaded train artifacts,
-    which are left as they are."""
+    """Audit each unlearn run against the loaded train artifacts, which are
+    left as they are."""
     checks = []
-    for method in LEDGER_METHODS:
+    for method in METHODS:
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue
         outcomes, end, final_model = _load_unlearn(out_dir, prepared, method)
-        ledger = _read_ledger(out_dir, prepared, train_ledger, _suffix_start(outcomes, end), end)
-        # the same requests re-run on copies of the train artifacts must give the same run
-        state, rows, _ = _run_requests(
-            prepared, TrainingHistory.from_models(history.models), train_ledger.prefix(len(train_ledger)), method
-        )
+        ledger = None
+        if method in LEDGER_METHODS:
+            ledger = _read_ledger(out_dir, prepared, train_ledger, _suffix_start(outcomes, end), end)
+        # the same requests re-run on the same train inputs must give the same run
+        inputs = _train_inputs(run_dir, prepared, method, (history, train_ledger))
+        state, rows, _ = _run_requests(prepared, *inputs, method)
         reproduced = (
             rows == outcomes
-            and np.array_equal(state.ledger.segments, ledger.segments)
-            and state.ledger.deltas.tobytes() == ledger.deltas.tobytes()
             and state.current_model.tobytes() == final_model.tobytes()
+            and (ledger is None or state.ledger.deltas.tobytes() == ledger.deltas.tobytes())
         )
         checks.append(_audit_one_run(prepared, method, ledger, outcomes, reproduced))
     return checks
@@ -495,9 +501,12 @@ def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> t
 
 
 def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict:
-    """Passes when re-running the method reproduced the run and, unless the
-    method is last (which never truncates), each request's targets stay within
-    psi* at the perturbation that covers them in the surviving timeline."""
+    """Passes when re-running the method reproduced the run and, for sifu and
+    ifu (last never truncates; scratch and finetune have no budget), each
+    request's targets stay within psi* at the perturbation that covers them in
+    the surviving timeline."""
+    if ledger is None:
+        return {"name": f"rerun:{method}", "pass": reproduced, "worst_slack": None, "tightness": None}
     psi_star = prepared.config.budget.psi_star
     passed, worst = reproduced, 0.0
     positions = [row["rollback_position"] for row in outcomes]

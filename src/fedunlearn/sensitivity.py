@@ -162,9 +162,8 @@ class SensitivityLedger:
     """Sensitivity accounting over a dense rounds x clients timeline.
 
     Round s holds one delta row over all clients (zero for a client absent
-    from the round) and the unlearning-epoch segment that recorded it.  The
-    Psi rows follow the recurrence: row 0 is zero and each recorded round
-    appends round_decay * (previous row) + (delta row).
+    from the round).  The Psi rows follow the recurrence: row 0 is zero and
+    each recorded round appends round_decay * (previous row) + (delta row).
     """
 
     def __init__(self, contraction: float, local_steps: int, client_count: int):
@@ -178,7 +177,6 @@ class SensitivityLedger:
         self.local_steps = int(local_steps)
         self.client_count = int(client_count)
         self._deltas: list[np.ndarray] = []
-        self._segments: list[int] = []
         self._psi: list[np.ndarray] = [np.zeros(self.client_count)]
 
     def __len__(self) -> int:
@@ -194,16 +192,11 @@ class SensitivityLedger:
         return np.array(self._deltas).reshape(len(self), self.client_count)
 
     @property
-    def segments(self) -> np.ndarray:
-        """Segment index of each recorded round."""
-        return np.array(self._segments, dtype=np.int64)
-
-    @property
     def psi(self) -> np.ndarray:
         """Psi(n, c) for n = 0..len, shape (rounds + 1, clients)."""
         return np.array(self._psi)
 
-    def record_round(self, deltas, segment: int) -> None:
+    def record_round(self, deltas) -> None:
         """Append one round's delta row and advance the recurrence."""
         row = np.array(deltas, dtype=np.float64)
         if row.shape != (self.client_count,):
@@ -213,7 +206,6 @@ class SensitivityLedger:
         if np.any(row < 0):
             raise ValueError(f"negative increment for client {int(np.flatnonzero(row < 0)[0])}")
         self._deltas.append(row)
-        self._segments.append(int(segment))
         self._psi.append(self.round_decay * self._psi[-1] + row)
 
     def bounded_sensitivity(self, n: int, clients) -> np.ndarray:
@@ -246,7 +238,7 @@ class SensitivityLedger:
     def truncate(self, position: int) -> None:
         """Drop the rounds at positions >= position."""
         self._check_prefix(position)
-        del self._deltas[position:], self._segments[position:], self._psi[position + 1 :]
+        del self._deltas[position:], self._psi[position + 1 :]
 
     def _client_set(self, clients) -> list[int]:
         clients = sorted(set(clients))
@@ -265,7 +257,7 @@ class SensitivityLedger:
         ledger ever writes to."""
         self._check_prefix(n)
         head = SensitivityLedger(self.contraction, self.local_steps, self.client_count)
-        head._deltas, head._segments, head._psi = self._deltas[:n], self._segments[:n], self._psi[: n + 1]
+        head._deltas, head._psi = self._deltas[:n], self._psi[: n + 1]
         return head
 
     # -- file round-trip -----------------------------------------------------
@@ -273,14 +265,13 @@ class SensitivityLedger:
     def write(self, path, start: int, config_hash: bytes) -> None:
         """Write rounds start..len as one checkpoint-format block.
 
-        The header's position is len(self); row r of the (rows, 1 + C) block
-        is round start + r: its segment, then its C deltas.  Psi is not
-        stored, since `read` derives it from the deltas.  The checkpoint
-        format holds no empty block, so `start` must be below len(self).
+        The header's position is len(self); row r of the (rows, C) block
+        holds the C deltas of round start + r.  Psi is not stored, since
+        `read` derives it from the deltas.  The checkpoint format holds no
+        empty block, so `start` must be below len(self).
         """
         self._check_prefix(start)
-        block = np.column_stack((self.segments[start:], self.deltas[start:]))
-        write_checkpoint(path, len(self), block, config_hash)
+        write_checkpoint(path, len(self), self.deltas[start:], config_hash)
 
     @staticmethod
     def read(path, prefix: "SensitivityLedger", start: int, end: int, config_hash: bytes) -> "SensitivityLedger":
@@ -289,33 +280,24 @@ class SensitivityLedger:
         `path`, Psi rebuilt through record_round.
 
         Raises ValueError for a file of another config, of other rounds or
-        of another width, for a segment that is not a non-negative integer
-        or that decreases along the joined timeline, and for a non-finite or
-        negative delta.
+        of another width, and for a non-finite or negative delta.
         """
         position, block, digest = read_checkpoint(path)
         if digest != config_hash:
             raise ValueError(f"{path} was produced by a different config")
         block = block.reshape(-1, block.shape[-1])
-        if block.shape[1] != 1 + prefix.client_count:
+        if block.shape[1] != prefix.client_count:
             raise ValueError(
-                f"{path}: a row of {prefix.client_count} clients has 1 + {prefix.client_count} columns,"
+                f"{path}: a row of {prefix.client_count} clients has {prefix.client_count} columns,"
                 f" {block.shape[1]} were found"
             )
         first = position - len(block)
         if (first, position) != (start, end):
             raise ValueError(f"{path} holds rounds {first}..{position}, expected {start}..{end}")
-        segments = block[:, 0]
-        bad = ~(np.isfinite(segments) & (segments >= 0) & (segments == np.floor(segments)))
-        if bad.any():
-            k = int(bad.argmax())
-            raise ValueError(f"{path} round {start + k}: segment {float(segments[k])} is not a non-negative integer")
-        if (np.diff(np.concatenate((prefix.segments[:start], segments))) < 0).any():
-            raise ValueError(f"{path} holds segments that decrease")
         ledger = prefix.prefix(start)
-        for n, (segment, row) in enumerate(zip(segments.tolist(), block[:, 1:]), start):
+        for n, row in enumerate(block, start):
             try:
-                ledger.record_round(row, int(segment))
+                ledger.record_round(row)
             except ValueError as err:
                 raise ValueError(f"{path} round {n}: {err}") from err
         return ledger

@@ -1,15 +1,17 @@
 """Unlearning mechanics: rollback + calibrated Gaussian noise + retraining.
 
-The sequential procedure keeps a segmented history of global models and a
-sensitivity ledger.  Each request finds the latest checkpoint whose bounded
-sensitivity for the departing clients stays within the budget threshold,
-perturbs that checkpoint with noise calibrated to the actual bound there,
-truncates everything after it, and retrains on the surviving clients until a
-loss threshold (or round cap) is met.  Single-request unlearning (ifu) is the
-special case with one request.  The three reference baselines are the same
-request step with the rollback pinned: scratch rolls back to the initial
-model, fine-tune and noise-the-final-model (last) to the end of the timeline;
-scratch and fine-tune carry no ledger and so add no noise.
+The sequential procedure keeps a history of global models and a sensitivity
+ledger.  Each request finds the latest checkpoint whose bounded sensitivity
+for the departing clients stays within the budget threshold, perturbs that
+checkpoint with noise calibrated to the actual bound there, truncates
+everything after it, and retrains on the surviving clients until a loss
+threshold (or round cap) is met; position p then belongs to the retraining of
+the latest request rolling back to p or before, or to training.
+Single-request unlearning (ifu) is the special case with one request.  The
+three reference baselines are the same request step with the rollback pinned:
+scratch rolls back to the initial model, fine-tune and noise-the-final-model
+(last) to the end of the timeline; scratch and fine-tune carry no ledger and
+so add no noise.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ class UnlearningOutcome:
     request_index: int
     targets: frozenset[int]
     rollback_position: int
-    source_segment: int
     noise_sigma: float
     retrain_rounds: int
     final_retained_loss: float
@@ -167,7 +168,6 @@ def retrain_until(
     *,
     ledger: SensitivityLedger | None = None,
     history: TrainingHistory | None = None,
-    segment: int = 0,
     start_position: int = 0,
     track_loss: bool = True,
 ) -> RetrainResult:
@@ -201,7 +201,7 @@ def retrain_until(
             # a lone client carries the full weight: no run without it to bound
             many = len(active) > 1
             deltas = client_increments_fast(record, q) if many else np.zeros(config.client_count)
-            ledger.record_round(deltas, segment)
+            ledger.record_round(deltas)
         if history is not None:
             history.append_model(theta)
         loss = retained_loss(theta)
@@ -247,14 +247,13 @@ def sifu(
     if state.ledger is not None:
         psi_here = state.ledger.set_sensitivity(request.targets, position)
         sigma = noise_std(psi_here, state.budget.epsilon, state.budget.delta)
-    source_segment = state.history.segment_at(position)
     base = state.history.model_at(position)
 
     state.history.truncate(position)
     if state.ledger is not None:
         state.ledger.truncate(position)
     perturbed = gaussian_perturb(base, sigma, perturbation_stream(state.seed, request.request_index))
-    state.history.start_segment(request.request_index, perturbed)
+    state.history.restart(perturbed)
 
     state.remaining = survivors
     state.processed = state.processed | request.targets
@@ -266,7 +265,6 @@ def sifu(
         stopping,
         ledger=state.ledger,
         history=state.history,
-        segment=request.request_index,
         start_position=position,
     )
     state.current_model = result.final_model
@@ -275,7 +273,6 @@ def sifu(
         request_index=request.request_index,
         targets=request.targets,
         rollback_position=position,
-        source_segment=source_segment,
         noise_sigma=sigma,
         retrain_rounds=result.rounds,
         final_retained_loss=result.final_loss,

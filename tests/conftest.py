@@ -139,6 +139,13 @@ def two_client_toy():
 # ---------------------------------------------------------------------------
 
 
+def segment_owner(rollbacks, position):
+    """Which request's retraining produced `position` once requests with these
+    rollback positions have run in order: the latest one whose rollback is at
+    or before it, or 0 (training) if none is."""
+    return max((u for u, rollback in enumerate(rollbacks, start=1) if rollback <= position), default=0)
+
+
 def step_size_bound(constants) -> float | None:
     """Largest admissible step size for the regime, or None when unrestricted."""
     if constants.regime is Regime.CONVEX:

@@ -18,6 +18,7 @@ from conftest import (
     make_ridge,
     oracle_traces,
     ridge_opt,
+    segment_owner,
     step_size_bound,
     train_world,
 )
@@ -228,6 +229,7 @@ def test_criterion_6_interior_rollback_sequence():
         datasets, eta=eta, local_steps=1, weights=weights
     )
     theta0, _, history, ledger = train_world(spec, fed, 30, seed=17)
+    trained = history.models.copy()
     plateau_light = ledger.set_sensitivity((0, 1), 30)
     budget = NoiseBudget(1.0, 0.05, SQ * plateau_light * 2.2)
     state = UnlearningState.from_training(history, ledger, budget, 6, 17)
@@ -247,16 +249,18 @@ def test_criterion_6_interior_rollback_sequence():
     )
 
     # light first request keeps the whole run; the heavy client forces a deep cut
-    assert (one.rollback_position, one.source_segment) == (30, 0)
-    assert two.source_segment == 0
+    positions = [one.rollback_position, two.rollback_position, three.rollback_position]
+    # the part of the timeline each request rolled back into
+    sources = [segment_owner(positions[:u], positions[u]) for u in range(3)]
+    assert (one.rollback_position, sources[0]) == (30, 0)
+    assert sources[1] == 0
     assert 1 <= two.rollback_position < one.rollback_position
     assert two.noise_sigma > 0.0
     assert (two.rollback_position, three.rollback_position) == (2, 8)
-    assert three.source_segment == 2
+    assert sources[2] == 2  # request 3 rolls back into request 2's retraining
     assert all(o.retrain_rounds == 6 and o.converged for o in (one, two, three))
 
     # every earlier request stays within budget at the earliest later rollback
-    positions = [one.rollback_position, two.rollback_position, three.rollback_position]
     targets = [{0}, {2}, {1}]
     audited = []
     for u in range(3):
@@ -265,8 +269,10 @@ def test_criterion_6_interior_rollback_sequence():
     assert all(psi <= budget.psi_star + 1e-9 for psi in audited)
 
     assert state.history.end_position == 14
-    owners = [state.history.segment_at(p) for p in range(15)]
-    assert owners == sorted(owners) and set(owners) == {0, 2, 3}
+    owners = [segment_owner(positions, p) for p in range(15)]
+    assert owners == [0, 0] + [2] * 6 + [3] * 7
+    # the positions training still owns hold its models
+    assert all(state.history.model_at(p) is trained[p] for p in range(2))
     assert state.remaining == {3, 4, 5} and state.processed == {0, 1, 2}
     verdict(
         "6 sequential interior rollback",
@@ -296,7 +302,6 @@ def test_criterion_7_degenerate_budgets():
     state = UnlearningState.from_training(history, ledger, huge, 4, 1)
     outcome = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(5))
     assert outcome.rollback_position == 12
-    assert outcome.source_segment == 0
     assert outcome.noise_sigma == noise_std(psi_final, 1.0, 0.05) > 0.0
     verdict(
         "7 degenerate budgets",

@@ -84,7 +84,7 @@ def test_train_writes_the_advertised_artifacts(workdir):
     metrics = (train / "metrics.jsonl").read_text().splitlines()
     assert len(metrics) == 6
     first = json.loads(metrics[0])
-    assert set(first) == {"round", "segment", "global_loss", "max_delta", "max_psi"}
+    assert set(first) == {"round", "global_loss", "max_delta", "max_psi"}
     assert not (train / "rollback").exists()
 
 
@@ -106,11 +106,10 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
         deltas = dict(enumerate(client_increments_fast(record, weights).tolist()))
-        ledger.record_round([deltas[c] for c in everyone], 0)
+        ledger.record_round([deltas[c] for c in everyone])
         rows.append(
             {
                 "round": n,
-                "segment": 0,
                 "global_loss": federation_loss(spec, fed, theta),
                 "max_delta": max(deltas.values()),
                 "max_psi": float(ledger.psi[-1].max()),
@@ -165,12 +164,11 @@ def test_unlearn_sifu_artifacts(workdir):
     assert outcomes["outcomes"][0]["targets"] == [0]
     round_index, values, _ = read_checkpoint(out / "final_model.ckpt")
     assert values.shape == (3,)
-    # the ledger holds the rounds from the rollback on, each a segment and three deltas
+    # the ledger holds the rounds from the rollback on, each three deltas
     end, block, _ = read_checkpoint(out / "ledger.ckpt")
     start = outcomes["outcomes"][0]["rollback_position"]
     assert end == round_index == start + outcomes["outcomes"][0]["retrain_rounds"]
-    assert block.reshape(-1, 4).shape == (end - start, 4)
-    assert set(block.reshape(-1, 4)[:, 0]) == {1.0}
+    assert block.reshape(-1, 3).shape == (end - start, 3)
     assert (out / "metrics.jsonl").read_text() != ""
 
 
@@ -185,7 +183,7 @@ def test_unlearn_all_methods_and_report(workdir):
     last = run_dir(workdir, doc) / "unlearn_last"
     retrained = sum(row["retrain_rounds"] for row in json.loads((last / "outcomes.json").read_text())["outcomes"])
     end, block, _ = read_checkpoint(last / "ledger.ckpt")
-    assert (end, block.reshape(-1, 4).shape[0]) == (6 + retrained, retrained)
+    assert (end, block.reshape(-1, 3).shape[0]) == (6 + retrained, retrained)
     assert main(["report", str(run_dir(workdir, doc))]) == 0
     report = run_dir(workdir, doc) / "report"
     rounds = (report / "rounds.csv").read_text().splitlines()
@@ -239,7 +237,8 @@ def test_empty_request_list_is_a_no_op(workdir):
     assert main(["report", str(run_dir(workdir, doc))]) == 0
     assert main(["verify", config]) == 0
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
-    assert {"budget_audit:sifu", "budget_audit:last"} <= {check["name"] for check in report["checks"]}
+    names = {check["name"] for check in report["checks"]}
+    assert {"budget_audit:sifu", "budget_audit:last", "rerun:scratch", "rerun:finetune"} <= names
 
 
 def test_verify_passes_on_honest_runs(workdir, capsys):
@@ -265,10 +264,8 @@ def halve_a_positive_delta(ledger_path: Path, last: bool = False) -> None:
     """Halve the first positive delta of the file, or the last one."""
 
     def edit(end, block):
-        deltas = block[:, 1:]  # a view: column 0 is the segment
-        cells = np.argwhere(deltas > 0)
-        row, column = cells[-1 if last else 0]
-        deltas[row, column] *= 0.5
+        row, column = np.argwhere(block > 0)[-1 if last else 0]
+        block[row, column] *= 0.5
         return end, block
 
     rewrite_ledger(ledger_path, edit)
@@ -312,6 +309,22 @@ def test_verify_reruns_each_ledger_method(workdir, capsys, method, file):
     assert f"FAIL budget_audit:{method}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["scratch", "finetune"])
+def test_verify_reruns_the_methods_without_a_ledger(workdir, capsys, method):
+    doc = base_doc(f"cli_rerun_{method}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["verify", config]) == 0
+    path = run_dir(workdir, doc) / f"unlearn_{method}" / "final_model.ckpt"
+    end, model, digest = read_checkpoint(path)
+    model[0] *= 2.0
+    write_checkpoint(path, end, model, digest)
+    capsys.readouterr()
+    assert main(["verify", config]) == 1
+    assert f"FAIL rerun:{method}" in capsys.readouterr().out
+
+
 def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
     doc = base_doc("cli_train_ledger")
     config = write_doc(workdir, doc)
@@ -336,6 +349,12 @@ def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
 
+def with_a_segment_column(segment):
+    """An edit to the earlier (rows, 1 + C) ledger layout, each row led by the
+    index of the request whose retraining recorded it."""
+    return lambda end, block: (end, np.column_stack((np.full(len(block), segment), block)))
+
+
 def set_cell(row, column, value):
     def edit(end, block):
         block[row, column] = value
@@ -347,13 +366,13 @@ def set_cell(row, column, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (set_cell(4, 1, np.nan), "round 4: non-finite increment for client 0"),
-        (set_cell(2, 3, np.inf), "round 2: non-finite increment for client 2"),
-        (set_cell(3, 0, 0.5), "round 3: segment 0.5 is not a non-negative integer"),
-        (lambda end, block: (end, block[:, :3]), "a row of 3 clients has 1 + 3 columns, 3 were found"),
+        (set_cell(4, 0, np.nan), "round 4: non-finite increment for client 0"),
+        (set_cell(2, 2, np.inf), "round 2: non-finite increment for client 2"),
+        (lambda end, block: (end, block[:, :2]), "a row of 3 clients has 3 columns, 2 were found"),
         (lambda end, block: (end - 1, block[:-1]), "holds rounds 0..5, expected 0..6"),
+        (with_a_segment_column(0.0), "a row of 3 clients has 3 columns, 4 were found"),
     ],
-    ids=["nan-delta", "inf-delta", "fractional-segment", "narrow", "short"],
+    ids=["nan-delta", "inf-delta", "narrow", "short", "segment-column"],
 )
 def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message):
     doc = base_doc("cli_damaged_ledger")
@@ -367,6 +386,19 @@ def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message)
         assert main(["unlearn", config, "--method", method]) == 2
         assert message in capsys.readouterr().err
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
+
+
+def test_an_unlearn_ledger_with_a_segment_column_is_refused(workdir, capsys):
+    doc = base_doc("cli_segment_column")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    rewrite_ledger(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.ckpt", with_a_segment_column(1.0))
+    before = snapshot(run_dir(workdir, doc))
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "unlearn_sifu/ledger.ckpt: a row of 3 clients has 3 columns, 4 were found" in capsys.readouterr().err
+    assert snapshot(run_dir(workdir, doc)) == before
 
 
 @pytest.mark.parametrize("directory", ["train", "unlearn_sifu"])

@@ -21,7 +21,6 @@ def test_append_and_lookup():
     np.testing.assert_array_equal(hist.final_model, vec(5))
     for k in range(6):
         np.testing.assert_array_equal(hist.model_at(k), vec(k))
-        assert hist.segment_at(k) == 0
 
 
 def test_append_returns_new_position():
@@ -44,7 +43,7 @@ def test_position_bounds_checked():
     with pytest.raises(IndexError):
         hist.model_at(-1)
     with pytest.raises(IndexError):
-        hist.segment_at(9)
+        hist.truncate(9)
 
 
 def test_truncate_within_first_segment():
@@ -66,30 +65,26 @@ def test_truncate_at_end_is_noop():
 def test_new_segment_overlays_the_boundary_position():
     hist = linear_history(6)
     hist.truncate(3)
-    hist.start_segment(1, vec(100))
-    # position 3 is shared; the newest segment owns it
+    hist.restart(vec(100))
+    # position 3 is shared; the restart's model replaces training's there
     assert hist.end_position == 3
     np.testing.assert_array_equal(hist.model_at(3), vec(100))
-    assert hist.segment_at(3) == 1
     np.testing.assert_array_equal(hist.model_at(2), vec(2))
-    assert hist.segment_at(2) == 0
-    hist.append_model(vec(200))
-    assert hist.end_position == 4
-    assert hist.segment_at(4) == 1
+    assert hist.append_model(vec(200)) == 4
+    np.testing.assert_array_equal(hist.model_at(4), vec(200))
 
 
 def test_truncate_across_segments_drops_whole_suffix():
     hist = linear_history(4)
     hist.truncate(2)
-    hist.start_segment(1, vec(50))
+    hist.restart(vec(50))
     hist.append_model(vec(51))
     hist.append_model(vec(52))
     assert hist.end_position == 4
     hist.truncate(1)
     assert hist.end_position == 1
-    assert [hist.segment_at(p) for p in range(2)] == [0, 0]
     np.testing.assert_array_equal(hist.final_model, vec(1))
-    hist.start_segment(2, vec(60))
+    hist.restart(vec(60))
     np.testing.assert_array_equal(hist.model_at(0), vec(0))
     np.testing.assert_array_equal(hist.model_at(1), vec(60))
 
@@ -97,26 +92,11 @@ def test_truncate_across_segments_drops_whole_suffix():
 def test_truncate_to_segment_boundary_keeps_newer_owner():
     hist = linear_history(3)
     hist.truncate(2)
-    hist.start_segment(1, vec(70))
+    hist.restart(vec(70))
     hist.append_model(vec(71))
     hist.truncate(2)
-    assert hist.segment_at(2) == 1
+    # the restart's model, not training's, stays at the boundary
     np.testing.assert_array_equal(hist.model_at(2), vec(70))
-
-
-def test_start_segment_requires_increasing_indices():
-    hist = linear_history(2)
-    with pytest.raises(ValueError):
-        hist.start_segment(0, vec(9))
-    hist.start_segment(3, vec(9))
-    for index in (3, 2):
-        with pytest.raises(ValueError, match="must follow segment 3"):
-            hist.start_segment(index, vec(10))
-    # a refused segment leaves the history as it was
-    np.testing.assert_array_equal(hist.final_model, vec(9))
-    assert hist.segment_at(2) == 3
-    hist.start_segment(4, vec(10))
-    assert [hist.segment_at(p) for p in range(3)] == [0, 0, 4]
 
 
 def test_from_models_round_trip():
@@ -124,4 +104,3 @@ def test_from_models_round_trip():
     assert hist.end_position == 3
     for k in range(4):
         np.testing.assert_array_equal(hist.model_at(k), vec(k))
-        assert hist.segment_at(k) == 0

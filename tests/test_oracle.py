@@ -219,8 +219,8 @@ def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
     _, contraction, history, ledger = train_world(spec, fed, 20, theta0=init_params(spec, 92))
     # the same increments under a decay far faster than the true contraction
     shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
-    for row, segment in zip(ledger.deltas, ledger.segments.tolist()):
-        shrunk.record_round(row, segment)
+    for row in ledger.deltas:
+        shrunk.record_round(row)
     closed = [check_bound(t) for t in ridge_sensitivity(fed, spec, history, shrunk)]
     retrained = [check_bound(t) for t in retrained_sensitivity(fed, spec, history, shrunk)]
     assert not all(report.passed for report in closed)
@@ -259,7 +259,7 @@ def test_a_diverging_leave_one_out_run_raises():
     history = TrainingHistory.from_models(np.zeros((31, 3)))
     ledger = SensitivityLedger(1.0, 1, 3)
     for _ in range(30):
-        ledger.record_round(np.zeros(3), 0)
+        ledger.record_round(np.zeros(3))
     with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError) as err:
         ridge_sensitivity(fed, spec, history, ledger)
     assert err.value.round_index is not None

@@ -223,10 +223,10 @@ def test_noise_budget_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def ledger_from_deltas(contraction, local_steps, rows):
-    ledger = SensitivityLedger(contraction, local_steps, len(rows[0]))
+def ledger_from_deltas(contraction, local_steps, rows, clients=None):
+    ledger = SensitivityLedger(contraction, local_steps, len(rows[0]) if clients is None else clients)
     for row in rows:
-        ledger.record_round(row, 0)
+        ledger.record_round(row)
     return ledger
 
 
@@ -264,9 +264,9 @@ def test_untracked_client_reads_zero():
 def test_negative_increment_rejected():
     ledger = SensitivityLedger(1.0, 1, 2)
     with pytest.raises(ValueError, match="client 1"):
-        ledger.record_round([0.0, -0.1], 0)
+        ledger.record_round([0.0, -0.1])
     with pytest.raises(ValueError, match="shape"):
-        ledger.record_round([0.1], 0)
+        ledger.record_round([0.1])
     assert len(ledger) == 0
 
 
@@ -274,7 +274,7 @@ def test_negative_increment_rejected():
 def test_non_finite_increment_rejected(value):
     ledger = SensitivityLedger(1.0, 1, 3)
     with pytest.raises(ValueError, match="non-finite increment for client 2"):
-        ledger.record_round([0.0, 0.1, value], 0)
+        ledger.record_round([0.0, 0.1, value])
     assert len(ledger) == 0
 
 
@@ -360,19 +360,15 @@ def test_truncate_refolds_online_state():
 
 
 def test_truncate_keeps_a_prefix_and_recording_resumes_from_it():
-    ledger = SensitivityLedger(0.8, 2, 2)
-    for k, row in enumerate([[0.3, 0.1], [0.5, 0.0], [0.2, 0.4]]):
-        ledger.record_round(row, k)
+    ledger = ledger_from_deltas(0.8, 2, [[0.3, 0.1], [0.5, 0.0], [0.2, 0.4]])
     psi, deltas = ledger.psi, ledger.deltas
     ledger.truncate(len(ledger))
     np.testing.assert_array_equal(ledger.psi, psi)
     ledger.truncate(1)
     np.testing.assert_array_equal(ledger.psi, psi[:2])
     np.testing.assert_array_equal(ledger.deltas, deltas[:1])
-    np.testing.assert_array_equal(ledger.segments, [0])
-    ledger.record_round([0.0, 0.6], 7)
+    ledger.record_round([0.0, 0.6])
     np.testing.assert_array_equal(ledger.psi[2], ledger.round_decay * psi[1] + [0.0, 0.6])
-    np.testing.assert_array_equal(ledger.segments, [0, 7])
     ledger.truncate(0)
     assert len(ledger) == 0
     assert ledger.psi.shape == (1, 2) and not ledger.psi.any()
@@ -383,19 +379,19 @@ class ScalarLedger:
 
     def __init__(self, contraction, local_steps, client_count):
         self.contraction, self.local_steps, self.client_count = contraction, local_steps, client_count
-        self.rounds = []  # (segment, [delta of client 0, client 1, ...])
+        self.rounds = []  # [delta of client 0, client 1, ...] per round
 
     def series(self, client):
         decay = self.contraction**self.local_steps
         out = [0.0]
-        for _, deltas in self.rounds:
+        for deltas in self.rounds:
             out.append(decay * out[-1] + deltas[client])
         return out
 
     def bound(self, n, client):
         total = 0.0
         for s in range(n):
-            total += self.contraction ** ((n - s - 1) * self.local_steps) * self.rounds[s][1][client]
+            total += self.contraction ** ((n - s - 1) * self.local_steps) * self.rounds[s][client]
         return total
 
     def rollback_index(self, clients, threshold):
@@ -404,12 +400,10 @@ class ScalarLedger:
 
     def block_bytes(self, start, digest):
         """The ledger file of rounds start.., packed value by value: magic, end
-        position, width 1 + C and digest, then per round its segment and deltas."""
-        width = 1 + self.client_count
+        position, width C and digest, then per round its deltas."""
+        width = self.client_count
         head = b"FUL1" + struct.pack("<qq", len(self.rounds), width) + digest
-        return head + b"".join(
-            struct.pack(f"<{width}d", segment, *deltas) for segment, deltas in self.rounds[start:]
-        )
+        return head + b"".join(struct.pack(f"<{width}d", *deltas) for deltas in self.rounds[start:])
 
 
 @st.composite
@@ -419,20 +413,13 @@ def ledger_scripts(draw):
     ops = draw(
         st.lists(
             st.one_of(
-                st.tuples(st.just("record"), row, st.integers(0, 5)),
+                st.tuples(st.just("record"), row),
                 st.tuples(st.just("truncate"), st.floats(0, 1)),
             ),
             min_size=1,
             max_size=25,
         )
     )
-    if draw(st.booleans()):
-        # segments as the program records them: never decreasing
-        top = 0
-        for k, op in enumerate(ops):
-            if op[0] == "record":
-                top = max(top, op[2])
-                ops[k] = (op[0], op[1], top)
     targets = draw(st.sets(st.integers(0, clients - 1), min_size=1))
     return clients, ops, sorted(targets)
 
@@ -453,8 +440,8 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(
     ref = ScalarLedger(contraction, local_steps, clients)
     for op in ops:
         if op[0] == "record":
-            ledger.record_round(op[1], op[2])
-            ref.rounds.append((op[2], list(op[1])))
+            ledger.record_round(op[1])
+            ref.rounds.append(list(op[1]))
         else:
             position = int(op[1] * len(ref.rounds))
             ledger.truncate(position)
@@ -473,18 +460,12 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(
     path = tmp_path_factory.mktemp("ledger") / "ledger.ckpt"
     ledger.write(path, start, DIGEST)
     assert path.read_bytes() == ref.block_bytes(start, DIGEST)
-    segments = [segment for segment, _ in ref.rounds]
-    if segments != sorted(segments):
-        with pytest.raises(ValueError, match="segments that decrease"):
-            SensitivityLedger.read(path, ledger, start, n, DIGEST)
-        return
-    prefix = ledger_from_rounds(contraction, local_steps, ref.rounds[:start], clients)
+    prefix = ledger_from_deltas(contraction, local_steps, ref.rounds[:start], clients)
     loaded = SensitivityLedger.read(path, prefix, start, n, DIGEST)
     assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
-    np.testing.assert_array_equal(loaded.segments, ledger.segments)
     assert loaded.psi.tobytes() == ledger.psi.tobytes()
     # a file one round short is refused; without its only round it is no checkpoint
-    path.write_bytes(path.read_bytes()[: -8 * (1 + clients)])
+    path.write_bytes(path.read_bytes()[: -8 * clients])
     cut = f"rounds {start + 1}..{n}, expected {start}..{n}" if n - start > 1 else "truncated checkpoint"
     with pytest.raises(ValueError, match=cut):
         SensitivityLedger.read(path, prefix, start, n, DIGEST)
@@ -497,33 +478,23 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(
 DIGEST = bytes(range(32))
 
 
-def ledger_from_rounds(contraction, local_steps, rounds, clients):
-    ledger = SensitivityLedger(contraction, local_steps, clients)
-    for segment, deltas in rounds:
-        ledger.record_round(deltas, segment)
-    return ledger
-
-
 # The test_csv_* tests keep the names they had while the ledger file was CSV
 # text; each now checks the same property of the binary block.
 
 
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(40)
-    ledger = SensitivityLedger(0.93, 2, 2)
-    for k in range(7):
-        ledger.record_round([float(rng.random()), float(rng.random())], k // 3)
+    ledger = ledger_from_deltas(0.93, 2, rng.random((7, 2)).tolist())
     path = tmp_path / "ledger.ckpt"
     ledger.write(path, 0, DIGEST)
-    assert path.stat().st_size == 52 + 8 * 7 * 3  # segment and two deltas per round, no Psi
+    assert path.stat().st_size == 52 + 8 * 7 * 2  # two deltas per round, no Psi
     loaded = SensitivityLedger.read(path, SensitivityLedger(0.93, 2, 2), 0, 7, DIGEST)
-    np.testing.assert_array_equal(loaded.segments, [k // 3 for k in range(7)])
     np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
     np.testing.assert_array_equal(loaded.psi, ledger.psi)
 
 
 def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
-    """The written block is bit for bit the (segment, deltas) rows packed as
+    """The written block is bit for bit the delta rows packed as
     little-endian float64 at 360 rounds x 100 clients, and reads back exactly."""
     rng = np.random.default_rng(60)
     rounds, clients = 360, 100
@@ -534,15 +505,13 @@ def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
         row[rng.random(clients) < 0.2] = 0.0
         row[position % clients] = tiny * (position + 1)  # subnormal
         row[(position + 1) % clients] = 1e300 * (1 + rng.random())
-        ledger.record_round(row, position // 25)
+        ledger.record_round(row)
     assert np.isfinite(ledger.psi).all()
     path = tmp_path / "ledger.ckpt"
     ledger.write(path, 0, DIGEST)
-    block = np.column_stack((ledger.segments, ledger.deltas))
-    assert path.read_bytes()[52:] == block.astype("<f8").tobytes()
+    assert path.read_bytes()[52:] == ledger.deltas.astype("<f8").tobytes()
     loaded = SensitivityLedger.read(path, SensitivityLedger(0.5, 1, clients), 0, rounds, DIGEST)
     assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
-    np.testing.assert_array_equal(loaded.segments, ledger.segments)
     assert loaded.psi.tobytes() == ledger.psi.tobytes()
 
 
@@ -554,8 +523,7 @@ def test_csv_header_and_gap_detection(tmp_path):
     with pytest.raises(ValueError, match="not a checkpoint file"):
         SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 1), 0, 3, DIGEST)
     # without round 1 the block's rows start one round late
-    block = np.column_stack((ledger.segments, ledger.deltas))[[0, 2]]
-    write_checkpoint(path, 3, block, DIGEST)
+    write_checkpoint(path, 3, ledger.deltas[[0, 2]], DIGEST)
     with pytest.raises(ValueError, match="holds rounds 1..3, expected 0..3"):
         SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 1), 0, 3, DIGEST)
 
@@ -563,10 +531,10 @@ def test_csv_header_and_gap_detection(tmp_path):
 def test_csv_must_be_a_complete_grid(tmp_path):
     ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
     path = tmp_path / "ledger.ckpt"
-    block = np.column_stack((ledger.segments, ledger.deltas))
+    block = ledger.deltas
     broken = {
-        "1 \\+ 3 columns, 3 were found": (2, block[:, :3]),
-        "1 \\+ 3 columns, 5 were found": (2, np.column_stack((block, block[:, 1]))),
+        "has 3 columns, 2 were found": (2, block[:, :2]),
+        "has 3 columns, 4 were found": (2, np.column_stack((block, block[:, 0]))),
         "holds rounds 1..2, expected 0..2": (2, block[1:]),
         "holds rounds 0..1, expected 0..2": (1, block[:1]),
         "holds rounds 1..3, expected 0..2": (3, block),
@@ -578,26 +546,25 @@ def test_csv_must_be_a_complete_grid(tmp_path):
     # the file holds clients 0..2 only; a four-client federation misses client 3
     ledger.write(path, 0, DIGEST)
     assert SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 3), 0, 2, DIGEST).deltas.tolist() == ledger.deltas.tolist()
-    with pytest.raises(ValueError, match="a row of 4 clients has 1 \\+ 4 columns, 4 were found"):
+    with pytest.raises(ValueError, match="a row of 4 clients has 4 columns, 3 were found"):
         SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 4), 0, 2, DIGEST)
 
 
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("1.5,0,0,0.1,0.1", "1.5"),
         ("1,0,0,0.1", "4 were found"),
     ],
 )
 def test_csv_refuses_a_malformed_row(tmp_path, row, message):
-    """Round 1 of a four-client ledger: a segment, then one delta per client.
-    Rows share one width, so a short row makes the whole block narrow."""
+    """Round 1 of a five-client ledger: one delta per client.  Rows share
+    one width, so a short row makes the whole block narrow."""
     cells = [float(cell) for cell in row.split(",")]
-    first = [0.0, 0.0, 0.0, 0.1, 0.1][: len(cells)]
+    first = [0.0, 0.0, 0.1, 0.1, 0.0][: len(cells)]
     path = tmp_path / "ledger.ckpt"
     write_checkpoint(path, 2, np.array([first, cells]), DIGEST)
     with pytest.raises(ValueError, match=f"ledger\\.ckpt.*{re.escape(message)}"):
-        SensitivityLedger.read(path, SensitivityLedger(1.0, 1, 4), 0, 2, DIGEST)
+        SensitivityLedger.read(path, SensitivityLedger(1.0, 1, 5), 0, 2, DIGEST)
 
 
 def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
@@ -605,36 +572,31 @@ def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
     before any ledger of that many rounds is built."""
     ledger = ledger_from_deltas(1.0, 1, [[0.1, 0.1], [0.1, 0.1]])
     path = tmp_path / "ledger.ckpt"
-    write_checkpoint(path, 10**15, np.column_stack((ledger.segments, ledger.deltas)), DIGEST)
+    write_checkpoint(path, 10**15, ledger.deltas, DIGEST)
     with pytest.raises(ValueError, match=f"holds rounds {10**15 - 2}..{10**15}, expected 0..2"):
         SensitivityLedger.read(path, SensitivityLedger(1.0, 1, 2), 0, 2, DIGEST)
 
 
-@pytest.mark.parametrize("column", ["delta", "segment"])
+@pytest.mark.parametrize("column", ["delta"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_csv_refuses_a_non_finite_cell(tmp_path, column, value):
     ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4]])
-    block = np.column_stack((ledger.segments, ledger.deltas))
-    block[1, 2 if column == "delta" else 0] = float(value)  # round 1: client 1's delta or the segment
+    block = ledger.deltas
+    block[1, 1] = float(value)  # round 1: client 1's delta
     path = tmp_path / "ledger.ckpt"
     write_checkpoint(path, 2, block, DIGEST)
-    message = {
-        "delta": "round 1: non-finite increment for client 1",
-        "segment": f"round 1: segment {value} is not a non-negative integer",
-    }[column]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="round 1: non-finite increment for client 1"):
         SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 2), 0, 2, DIGEST)
 
 
 def test_a_suffix_is_joined_to_the_prefix_it_follows(tmp_path):
     rows = [[0.3, 0.1], [0.5, 0.0], [0.2, 0.4], [0.0, 0.6], [0.1, 0.1]]
-    ledger = ledger_from_rounds(0.8, 2, [(k // 2, row) for k, row in enumerate(rows)], 2)
+    ledger = ledger_from_deltas(0.8, 2, rows)
     path = tmp_path / "ledger.ckpt"
     ledger.write(path, 3, DIGEST)
-    assert path.stat().st_size == 52 + 8 * 2 * 3
+    assert path.stat().st_size == 52 + 8 * 2 * 2  # rounds 3 and 4, two deltas each
     loaded = SensitivityLedger.read(path, ledger.prefix(4), 3, 5, DIGEST)
     np.testing.assert_array_equal(loaded.psi, ledger.psi)
-    np.testing.assert_array_equal(loaded.segments, ledger.segments)
     # the joined ledger shares the prefix's rows but not its length
     loaded.truncate(1)
     assert len(ledger) == 5
@@ -653,7 +615,7 @@ def test_ledger_constructor_validation():
 def test_prefix_is_a_separate_ledger():
     ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     head = ledger.prefix(2)
-    head.record_round([1.0, 1.0], 4)
+    head.record_round([1.0, 1.0])
     assert len(ledger) == 3 and len(head) == 3
     np.testing.assert_array_equal(ledger.deltas[2], [0.5, 0.6])
     np.testing.assert_array_equal(head.psi[:3], ledger.psi[:3])
@@ -670,17 +632,14 @@ def damage(block: np.ndarray, cell, value) -> np.ndarray:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda b: damage(b, (0, 1), -0.5), "round 2: negative increment for client 0"),
-        (lambda b: damage(b, (0, 0), -1.0), "round 2: segment -1.0 is not a non-negative integer"),
-        (lambda b: damage(b, (1, 0), 0.0), "segments that decrease"),
-        (lambda b: damage(b, (0, 0), 0.0), "segments that decrease"),  # below the prefix's 1
+        (lambda b: damage(b, (0, 0), -0.5), "round 2: negative increment for client 0"),
     ],
-    ids=["negative-delta", "negative-segment", "decreasing-segment", "segment-below-the-prefix"],
+    ids=["negative-delta"],
 )
 def test_read_refuses_a_damaged_block(tmp_path, edit, message):
-    ledger = ledger_from_rounds(0.9, 1, [(0, [0.1, 0.2, 0.3]), (1, [0.4, 0.5, 0.6]), (2, [0.7, 0.8, 0.9]), (2, [1.0, 1.1, 1.2])], 3)
+    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]])
     path = tmp_path / "ledger.ckpt"
-    block = np.column_stack((ledger.segments, ledger.deltas))[2:]
+    block = ledger.deltas[2:]
     write_checkpoint(path, 4, edit(block), DIGEST)
     with pytest.raises(ValueError, match=message):
         SensitivityLedger.read(path, ledger, 2, 4, DIGEST)

@@ -10,12 +10,14 @@ from conftest import (
     make_logistic,
     make_ridge,
     ridge_opt,
+    segment_owner,
     train_world,
 )
 from fedunlearn.engine import (
     FederationConfig,
     aggregate,
     fedavg_round,
+    federation_loss,
     renormalized_weights,
 )
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
@@ -139,12 +141,10 @@ def test_retrain_records_history_and_ledger():
     fed, constants = fed_for(spec, datasets, frac=0.5)
     history = TrainingHistory(np.zeros(4))
     ledger = SensitivityLedger(1.0, fed.local_steps, 3)
-    retrain_until(spec, fed, np.zeros(4), range(3), exactly(6),
-                  ledger=ledger, history=history, segment=0)
+    retrain_until(spec, fed, np.zeros(4), range(3), exactly(6), ledger=ledger, history=history)
     assert history.end_position == 6
     assert len(ledger) == 6
     assert ledger.deltas.shape == (6, 3)
-    np.testing.assert_array_equal(ledger.segments, np.zeros(6))
 
 
 def test_all_client_ledger_rows_use_the_aggregation_weights():
@@ -250,7 +250,6 @@ def test_sifu_rollback_matches_hand_scan():
     outcome = sifu(state, UnlearningRequest(1, frozenset({2})), spec, fed, exactly(3))
     assert outcome.rollback_position == want
     assert outcome.noise_sigma == noise_std(psi_at, budget.epsilon, budget.delta)
-    assert outcome.source_segment == 0
     assert outcome.retrain_rounds == 3
     assert state.next_request_index == 2
     assert state.remaining == {0, 1, 3}
@@ -275,9 +274,6 @@ def test_sifu_truncates_history_and_ledger_consistently():
     outcome = sifu(state, UnlearningRequest(1, frozenset({1})), spec, fed, exactly(4))
     assert history.end_position == outcome.rollback_position + 4
     assert len(ledger) == outcome.rollback_position + 4
-    assert history.segment_at(history.end_position) == 1
-    assert history.segment_at(outcome.rollback_position) == 1
-    np.testing.assert_array_equal(ledger.segments[outcome.rollback_position :], 1)
     np.testing.assert_array_equal(ledger.deltas[outcome.rollback_position :, 1], 0.0)
 
 
@@ -317,13 +313,22 @@ def test_sifu_ignores_a_client_that_never_contributed():
 
 def test_sequential_requests_accumulate_segments():
     spec, fed, budget, theta0, _, history, ledger = sc_world(rounds=15, clients=5)
+    trained = history.models.copy()
     state = UnlearningState.from_training(history, ledger, budget, fed.client_count, FED_SEED)
     first = sifu(state, UnlearningRequest(1, frozenset({0})), spec, fed, exactly(3))
     second = sifu(state, UnlearningRequest(2, frozenset({4})), spec, fed, exactly(3))
     assert second.rollback_position <= first.rollback_position + 3
-    owners = [history.segment_at(p) for p in range(history.end_position + 1)]
-    assert owners == sorted(owners)
+    # each position holds a model of the part of the timeline the rollbacks assign it
+    outcomes = {1: (first, (1, 2, 3, 4)), 2: (second, (1, 2, 3))}
+    owners = [segment_owner([first.rollback_position, second.rollback_position], p)
+              for p in range(history.end_position + 1)]
     assert owners[-1] == 2
+    for p, owner in enumerate(owners):
+        if owner == 0:
+            assert history.model_at(p) is trained[p]
+        else:
+            outcome, survivors = outcomes[owner]
+            assert dict(outcome.loss_trace)[p] == federation_loss(spec, fed, history.model_at(p), survivors)
     np.testing.assert_array_equal(state.current_model, second.final_model)
 
 
@@ -395,7 +400,7 @@ def test_baseline_last_uses_final_round_sensitivity():
     assert (outcome.rollback_position, outcome.noise_sigma) == (end, sigma)
     want = gaussian_perturb(final, sigma, perturbation_stream(FED_SEED, 1))
     np.testing.assert_array_equal(outcome.final_model, want)
-    assert history.segment_at(end) == 1
+    np.testing.assert_array_equal(history.model_at(end), want)
     assert len(ledger) == end
 
 
