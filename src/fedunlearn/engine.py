@@ -2,6 +2,10 @@
 
 A round advances every active client at once: clients of one data shape are
 stacked, and each local step is one call of the models kernel on the stack.
+For ridge, a stack with d <= n also carries its clients' moments
+(models.ridge_moments), built once per data-shape group on first ridge use,
+so a local step multiplies one d x d matrix per client instead of passing
+twice over its n x d features.
 
 Determinism contract: a round equals the per-client loop it replaces bit for
 bit, and repeated runs on the same platform are bit-identical.  Each stacked
@@ -25,7 +29,7 @@ from .errors import (
     DivergedTrainingError,
     EmptyFederationError,
 )
-from .models import ClientDataset, ModelSpec, Params
+from .models import ClientDataset, ModelKind, ModelSpec, Params
 
 _DIVERGENCE_NORM = 1e8
 _WEIGHT_TOL = 1e-12
@@ -66,7 +70,8 @@ class FederationConfig:
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_groups", models.stack_by_shape(clients))
-        object.__setattr__(self, "_last_stacks", ((), []))
+        object.__setattr__(self, "_moments", None)
+        object.__setattr__(self, "_last_stacks", (None, []))
 
     @classmethod
     def from_datasets(
@@ -86,28 +91,41 @@ class FederationConfig:
     def client_count(self) -> int:
         return len(self.clients)
 
-    def stacked(self, active) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The active clients' data, one stack per data shape.
+    def stacked(self, active, spec: ModelSpec) -> list[tuple]:
+        """The active clients' data, one stack per data shape, for `spec`'s kernel.
 
-        `active` is ascending.  Each entry is (rows, features, targets): rows
-        are the positions in `active` of the stacked clients, features is
-        (g, n, d) and targets (g, n).  The stacks of the last active set are
-        kept and handed out again while it repeats, as it does round after
-        round of a retraining run; callers must not write to them.
+        `active` is ascending.  Each entry is (rows, features, targets,
+        moments): rows are the positions in `active` of the stacked clients,
+        features is (g, n, d) and targets (g, n).  moments is the stack's
+        models.ridge_moments for a ridge spec, and None for other kinds.  The
+        moments of each data-shape group are built on the first ridge call;
+        a stack of some of its clients takes their rows of them.  The stacks
+        of the last active set are kept and handed out again while it
+        repeats, as it does round after round of a retraining run; callers
+        must not write to them.
         """
-        key = tuple(active)
+        ridge = spec.kind is ModelKind.RIDGE
+        key = (ridge, tuple(active))
         if key == self._last_stacks[0]:
             return self._last_stacks[1]
-        active = np.asarray(key, dtype=np.int64)
+        # dropped first, so two active sets' copies are never held at once
+        object.__setattr__(self, "_last_stacks", (None, []))
+        if ridge and self._moments is None:
+            object.__setattr__(self, "_moments", [models.ridge_moments(X, y) for _, X, y in self._groups])
+        group_moments = self._moments if ridge else [None] * len(self._groups)
+        active = np.asarray(key[1], dtype=np.int64)
         chosen = np.zeros(self.client_count, dtype=bool)
         chosen[active] = True
         stacks = []
-        for members, features, targets in self._groups:
+        for (members, features, targets), moments in zip(self._groups, group_moments):
             keep = chosen[members]
+            if not keep.any():
+                continue
             if not keep.all():
                 members, features, targets = members[keep], features[keep], targets[keep]
-            if members.size:
-                stacks.append((np.searchsorted(active, members), features, targets))
+                if moments is not None:
+                    moments = tuple(m[keep] for m in moments)
+            stacks.append((np.searchsorted(active, members), features, targets, moments))
         object.__setattr__(self, "_last_stacks", (key, stacks))
         return stacks
 
@@ -134,22 +152,25 @@ def local_updates(
     eta: float,
     local_steps: int,
     round_index: int | None = None,
+    moments=None,
 ) -> np.ndarray:
     """Run `local_steps` gradient steps from theta on each stacked client.
 
     One kernel call and one divergence check per step; returns (g, p).
+    `moments` are the stack's models.ridge_moments, if the caller holds them.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1")
     current = np.repeat(models.as_params(theta)[None], features.shape[0], axis=0)
     for _ in range(local_steps):
-        current = current - eta * models.stacked_grad(spec, features, targets, current)
+        current = current - eta * models.stacked_grad(spec, features, targets, current, moments)
         _guard_finite(current, round_index)
     return current
 
 
 def _guard_finite(rows: np.ndarray, round_index: int | None = None) -> None:
-    if not np.isfinite(rows).all() or (models.norms(rows) > _DIVERGENCE_NORM).any():
+    # an inf or nan entry makes its row's norm non-finite, which fails the comparison
+    if not (models.norms(rows) <= _DIVERGENCE_NORM).all():
         raise DivergedTrainingError(
             "training diverged: parameter vector is non-finite or exceeds norm 1e8",
             round_index=round_index,
@@ -202,9 +223,9 @@ def fedavg_round(
     q = renormalized_weights(config.weights, removed)
     theta = models.as_params(theta)
     client_models = np.empty((len(active), theta.shape[0]))
-    for rows, features, targets in config.stacked(active):
+    for rows, features, targets, moments in config.stacked(active, spec):
         client_models[rows] = local_updates(
-            spec, features, targets, theta, config.eta, config.local_steps, round_index
+            spec, features, targets, theta, config.eta, config.local_steps, round_index, moments
         )
     new_theta = aggregate(client_models, q[list(active)])
     _guard_finite(new_theta[None], round_index)
@@ -234,7 +255,7 @@ def federation_loss(
     q = renormalized_weights(config.weights, removed)
     theta = models.as_params(theta)
     losses = np.empty(len(active))
-    for rows, features, targets in config.stacked(active):
+    for rows, features, targets, _ in config.stacked(active, spec):
         thetas = np.broadcast_to(theta, (len(rows), theta.shape[0]))
         losses[rows] = models.stacked_loss(spec, features, targets, thetas)
     return float(np.add.accumulate(q[list(active)] * losses)[-1])

@@ -150,6 +150,15 @@ class RegimeConstants:
 # which makes one BLAS call per slice with that slice's own strides, and every
 # mean runs along the contiguous sample axis of each slice, so row i equals
 # the result for client i alone bit for bit.
+#
+# The ridge gradient takes its form from the stack's shape.  With d <= n it is
+# G_i theta_i - b_i from the moments G_i = X_i^T X_i / n and b_i = X_i^T y_i / n
+# (ridge_moments): one (d, d) gemv per client and step.  A caller that keeps
+# the moments passes them in; otherwise the kernel builds them, so a lone
+# client takes the same form as its stack row.  With d > n the moments would
+# hold more values than the data, and the gradient stays X_i^T (X_i theta_i -
+# y_i) / n: two (n, d) gemvs.  The loss always uses the raw residual, since
+# the Gram form of it cancels near the optimum.
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
@@ -158,11 +167,15 @@ def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
     return _data_loss(spec, features, targets, thetas) + 0.5 * spec.l2 * _sqnorms(thetas)
 
 
-def stacked_grad(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
-    """Gradient of stacked_loss for each client, shape (m, p)."""
+def stacked_grad(spec: ModelSpec, features, targets, thetas, moments=None) -> np.ndarray:
+    """Gradient of stacked_loss for each client, shape (m, p).
+
+    `moments` is ridge_moments(features, targets), passed by a caller that
+    holds it; other model kinds ignore it.
+    """
     thetas = _checked(spec, features, thetas)
     if spec.kind is ModelKind.RIDGE:
-        g = _ridge_data_grad(features, targets, thetas)
+        g = _ridge_data_grad(features, targets, thetas, moments)
     elif spec.kind is ModelKind.LOGISTIC:
         g = _logistic_data_grad(features, targets, thetas)
     else:
@@ -242,9 +255,25 @@ def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray
 # -- ridge ------------------------------------------------------------------
 
 
-def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    residual = _matvec(X, thetas) - y
-    return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
+def ridge_moments(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(G, b) with G_i = X_i^T X_i / n (g, d, d) and b_i = X_i^T y_i / n (g, d),
+    or None for a stack with d > n, whose moments outsize its data."""
+    if _wide(X):
+        return None
+    Xt = X.transpose(0, 2, 1)
+    return np.matmul(Xt, X) / X.shape[1], _matvec(Xt, y) / X.shape[1]
+
+
+def _wide(X: np.ndarray) -> bool:
+    return X.shape[2] > X.shape[1]
+
+
+def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray, moments) -> np.ndarray:
+    if _wide(X):
+        residual = _matvec(X, thetas) - y
+        return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
+    gram, moment = ridge_moments(X, y) if moments is None else moments
+    return _matvec(gram, thetas) - moment
 
 
 # -- logistic ---------------------------------------------------------------
@@ -368,22 +397,24 @@ def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
 
 def gradient_pairs(spec: ModelSpec, stacks, seed: int, pairs: int):
     """Seeded theta = 0.5 N(0, I) and offset = 0.2 N(0, I), yielded with the
-    stacked gradients at theta and theta + offset for each group in `stacks`;
-    each row is the lone client's gradient bit for bit."""
+    stacked gradients at theta and theta + offset for each (rows, features,
+    targets, moments) group in `stacks`; each row is the lone client's
+    gradient bit for bit."""
     rng = np.random.default_rng(seed)
     d = spec.param_count
     for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         offset = 0.2 * rng.standard_normal(d)
         yield theta, offset, [
-            [stacked_grad(spec, X, y, np.broadcast_to(point, (X.shape[0], d))) for point in (theta, theta + offset)]
-            for _, X, y in stacks
+            [stacked_grad(spec, X, y, np.broadcast_to(point, (X.shape[0], d)), M) for point in (theta, theta + offset)]
+            for _, X, y, M in stacks
         ]
 
 
 def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
     worst = 0.0
-    for _, offset, grads in gradient_pairs(spec, stack_by_shape(all_data), _PROBE_SEED, _PROBE_PAIRS):
+    stacks = [(*group, None) for group in stack_by_shape(all_data)]
+    for _, offset, grads in gradient_pairs(spec, stacks, _PROBE_SEED, _PROBE_PAIRS):
         gap = float(np.linalg.norm(offset))
         if gap == 0.0:
             continue

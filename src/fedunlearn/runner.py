@@ -442,7 +442,7 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> d
 
 def _check_contractivity(prepared: PreparedExperiment) -> dict:
     fed = prepared.fed
-    stacks = fed.stacked(range(fed.client_count))
+    stacks = fed.stacked(range(fed.client_count), prepared.spec)
     pairs = models.gradient_pairs(prepared.spec, stacks, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS)
     worst = 0.0
     for theta, offset, grads in pairs:

@@ -213,11 +213,13 @@ class SensitivityLedger:
         decayed sum over the first n increments (the value sigma is
         calibrated from)."""
         self._check_prefix(n)
-        columns = self.deltas[:n][:, self._client_set(clients)]
-        total = np.zeros(columns.shape[1])
-        for s, row in enumerate(columns):
-            total += self.contraction ** ((n - s - 1) * self.local_steps) * row
-        return total
+        clients = self._client_set(clients)
+        if not n:
+            return np.zeros(len(clients))
+        columns = np.array(self._deltas[:n])[:, clients]
+        # Python float ** int and a sum in round order, as a scalar fold makes them
+        decay = np.array([self.contraction ** ((n - s - 1) * self.local_steps) for s in range(n)])
+        return np.add.accumulate(decay[:, None] * columns, axis=0)[-1]
 
     def set_sensitivity(self, clients, n: int) -> float:
         """Psi(n, S) = max over the client set of the individual bounds."""

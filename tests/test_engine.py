@@ -23,6 +23,7 @@ from fedunlearn.engine import (
     fedavg_round,
     federation_loss,
     init_params,
+    local_updates,
     read_checkpoint,
     renormalized_weights,
     write_checkpoint,
@@ -83,6 +84,29 @@ def test_local_update_validation():
 def test_local_update_divergence_guard():
     with pytest.raises(DivergedTrainingError):
         local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), 1e9, 50)
+
+
+@pytest.mark.parametrize(
+    "theta,diverges",
+    [
+        ([np.inf, 0.0], True),
+        ([np.nan, 0.0], True),
+        ([1e8, 0.0], False),
+        ([np.nextafter(1e8, np.inf), 0.0], True),
+    ],
+    ids=["inf", "nan", "at-the-norm-bound", "one-ulp-past-it"],
+)
+def test_divergence_guard_bounds_the_norm_in_one_comparison(theta, diverges):
+    # zero data and no regulariser: a step leaves every finite theta as it is
+    spec = ModelSpec(ModelKind.RIDGE, (2,), 0.0)
+    features, targets = np.zeros((1, 3, 2)), np.zeros((1, 3))
+    if not diverges:
+        out = local_updates(spec, features, targets, np.array(theta), 0.5, 2, round_index=7)
+        assert out.tolist() == [theta]
+        return
+    with pytest.raises(DivergedTrainingError) as exc, np.errstate(invalid="ignore"):
+        local_updates(spec, features, targets, np.array(theta), 0.5, 2, round_index=7)
+    assert exc.value.round_index == 7
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +330,15 @@ def test_stacks_are_built_once_per_active_set():
     _, datasets = round_world("ridge", ragged=True)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
     subset, pair = (0, 2, 3, 5, 6, 7, 8, 9), (1, 3)
-    first = fed.stacked(subset)
-    assert fed.stacked(list(subset)) is first
-    second = fed.stacked(pair)
+    spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
+    first = fed.stacked(subset, spec)
+    assert fed.stacked(list(subset), spec) is first
+    second = fed.stacked(pair, spec)
     assert second is not first
-    assert fed.stacked(pair) is second
+    assert fed.stacked(pair, spec) is second
     for active in (subset, pair, subset):
         seen = []
-        for rows, features, targets in fed.stacked(active):
+        for rows, features, targets, _ in fed.stacked(active, spec):
             for row, x, y in zip(rows, features, targets):
                 client = datasets[active[row]]
                 assert x.tobytes() == client.features.tobytes()
@@ -328,9 +353,9 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
     calls = []
     real = models.stacked_grad
 
-    def counted(spec, features, targets, thetas):
+    def counted(spec, features, targets, thetas, moments=None):
         calls.append(features.shape[0])
-        return real(spec, features, targets, thetas)
+        return real(spec, features, targets, thetas, moments)
 
     monkeypatch.setattr(models, "stacked_grad", counted)
     fedavg_round(spec, fed, np.zeros(4), range(6), 0)
@@ -338,6 +363,61 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
     calls.clear()
     fedavg_round(spec, fed, np.zeros(4), (1, 4), 0)
     assert calls == [2, 2, 2]
+
+
+def counted_moments(monkeypatch):
+    """Patch models.ridge_moments to record the stack shape of each call."""
+    calls = []
+    real = models.ridge_moments
+
+    def counted(features, targets):
+        calls.append(features.shape)
+        return real(features, targets)
+
+    monkeypatch.setattr(models, "ridge_moments", counted)
+    return calls
+
+
+def test_ridge_moments_are_built_once_per_data_shape_group(monkeypatch):
+    spec, datasets = round_world("ridge", ragged=True)
+    # a third group of two clients with more features than samples
+    datasets += [ClientDataset(d.features[:3], d.targets[:3]) for d in datasets[:2]]
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    calls = counted_moments(monkeypatch)
+    theta = np.zeros(4)
+    for n, active in enumerate([range(12), (0, 2, 3), range(12), (1, 3, 10), (4, 11)]):
+        theta = fedavg_round(spec, fed, theta, active, n).global_after
+        federation_loss(spec, fed, theta, active)
+    assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
+    wide = [moments for rows, _, _, moments in fed.stacked((4, 10, 11), spec) if len(rows) == 2]
+    assert wide == [None]
+
+
+def test_a_subset_gets_the_moments_of_its_own_data():
+    spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    fed.stacked(range(10), spec)
+    for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
+        for rows, _, _, (gram, moment) in fed.stacked(subset, spec):
+            members = [datasets[subset[r]] for r in rows]
+            own_gram, own_moment = models.ridge_moments(
+                np.stack([d.features for d in members]), np.stack([d.targets for d in members])
+            )
+            assert gram.tobytes() == own_gram.tobytes()
+            assert moment.tobytes() == own_moment.tobytes()
+
+
+@pytest.mark.parametrize("model", ["logistic", "mlp2"])
+def test_logistic_and_mlp_federations_build_no_moments(monkeypatch, model):
+    spec, datasets = round_world(model, ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    calls = counted_moments(monkeypatch)
+    theta = init_params(spec, 0)
+    for n, active in enumerate([range(10), (0, 2, 3)]):
+        theta = fedavg_round(spec, fed, theta, active, n).global_after
+        federation_loss(spec, fed, theta, active)
+    assert calls == []
+    assert all(moments is None for *_, moments in fed.stacked(range(10), spec))
 
 
 def test_a_lone_diverging_client_stops_training_in_its_round():

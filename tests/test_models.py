@@ -133,12 +133,15 @@ def test_gradient_matches_finite_differences(kind, dims, l2):
 
 
 def unstacked_loss_and_grad(spec, X, y, theta):
-    """The one-client formulas the stacked kernel replaced, as 2-D products."""
-    n = X.shape[0]
+    """The one-client formulas the stacked kernel replaced, as 2-D products.
+
+    The ridge gradient uses the moments X^T X / n and X^T y / n when n >= d,
+    and the residual otherwise."""
+    n, d = X.shape
     if spec.kind is ModelKind.RIDGE:
         residual = X @ theta - y
         value = 0.5 * float(np.mean(residual**2))
-        g = X.T @ residual / n
+        g = (X.T @ X / n) @ theta - X.T @ y / n if n >= d else X.T @ residual / n
     elif spec.kind is ModelKind.LOGISTIC:
         z = X @ theta
         value = float(np.mean(np.logaddexp(0.0, z) - y * z))
@@ -191,6 +194,26 @@ def test_kernel_matches_the_unstacked_formulas_bitwise(kind, dims):
             assert np.float64(value).tobytes() == stacked_values[i].tobytes()
             assert stacked_grads[i].tobytes() == g.tobytes()
         assert norms(thetas).tolist() == [float(np.linalg.norm(t)) for t in thetas]
+
+
+@pytest.mark.parametrize("n,d", [(5, 5), (20, 4), (100, 20), (300, 60)])
+@pytest.mark.parametrize("condition", [1.0, 1e4, 1e8])
+def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
+    spec = ModelSpec(ModelKind.RIDGE, (d,), 0.05)
+    rng = np.random.default_rng(n + d)
+    X = np.empty((3, n, d))
+    for i in range(3):
+        u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        X[i] = np.sqrt(n) * (u * np.logspace(0, -np.log10(condition), d)) @ v.T
+    # and one client whose columns share a large offset and span five decades of scale
+    X[2] = 100.0 + rng.standard_normal((n, d)) * np.logspace(-3, 2, d)
+    y = rng.standard_normal((3, n))
+    thetas = rng.standard_normal((3, d))
+    got = stacked_grad(spec, X, y, thetas)
+    for i in range(3):
+        residual_form = X[i].T @ (X[i] @ thetas[i] - y[i]) / n + spec.l2 * thetas[i]
+        assert np.linalg.norm(got[i] - residual_form) <= 1e-12 * np.linalg.norm(residual_form)
 
 
 # ---------------------------------------------------------------------------
