@@ -1,11 +1,13 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
-A round advances every active client at once: clients of one data shape are
-stacked, and each local step is one call of the models kernel on the stack.
-For ridge, a stack with d <= n also carries its clients' moments
-(models.ridge_moments), built once per data-shape group on first ridge use,
-so a local step multiplies one d x d matrix per client instead of passing
-twice over its n x d features.
+A run aggregates one fixed Cohort of clients (FederationConfig.cohort): their
+renormalised weights and their data stacked by shape, built once per run and
+passed to each of its fedavg_round and federation_loss calls.  A round
+advances every cohort client at once, one models kernel call per stack and
+local step.  For ridge, a stack with d <= n also carries its clients' moments
+(models.ridge_moments), built once per data-shape group on the federation's
+first ridge cohort, so a local step multiplies one d x d matrix per client
+instead of passing twice over its n x d features.
 
 Determinism contract: a round equals the per-client loop it replaces bit for
 bit, and repeated runs on the same platform are bit-identical.  Each stacked
@@ -38,10 +40,11 @@ _CKPT_MAGIC = b"FUL1"
 
 @dataclass(frozen=True, eq=False)
 class FederationConfig:
-    """Static description of one federation run.
+    """Static description of a federation: its clients, weights and steps.
 
     weights must sum to 1 within 1e-12; by default they are proportional to
-    the client sample counts.
+    the client sample counts.  It keeps no cohort or stack between calls,
+    only each data-shape group's ridge moments.
     """
 
     clients: tuple[ClientDataset, ...]
@@ -71,7 +74,6 @@ class FederationConfig:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_groups", models.stack_by_shape(clients))
         object.__setattr__(self, "_moments", None)
-        object.__setattr__(self, "_last_stacks", (None, []))
 
     @classmethod
     def from_datasets(
@@ -91,31 +93,21 @@ class FederationConfig:
     def client_count(self) -> int:
         return len(self.clients)
 
-    def stacked(self, active, spec: ModelSpec) -> list[tuple]:
-        """The active clients' data, one stack per data shape, for `spec`'s kernel.
-
-        `active` is ascending.  Each entry is (rows, features, targets,
-        moments): rows are the positions in `active` of the stacked clients,
-        features is (g, n, d) and targets (g, n).  moments is the stack's
-        models.ridge_moments for a ridge spec, and None for other kinds.  The
-        moments of each data-shape group are built on the first ridge call;
-        a stack of some of its clients takes their rows of them.  The stacks
-        of the last active set are kept and handed out again while it
-        repeats, as it does round after round of a retraining run; callers
-        must not write to them.
-        """
+    def cohort(self, active, spec: ModelSpec) -> "Cohort":
+        """The clients `active` (any order; repeats count once) as one run's
+        cohort, with their data stacked for `spec`'s kernel."""
+        active = tuple(sorted({int(c) for c in active}))
+        if not active:
+            raise EmptyFederationError("a cohort needs at least one client")
+        if active[0] < 0 or active[-1] >= self.client_count:
+            raise IndexError(f"client index out of range in {active}")
+        weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
         ridge = spec.kind is ModelKind.RIDGE
-        key = (ridge, tuple(active))
-        if key == self._last_stacks[0]:
-            return self._last_stacks[1]
-        # dropped first, so two active sets' copies are never held at once
-        object.__setattr__(self, "_last_stacks", (None, []))
         if ridge and self._moments is None:
             object.__setattr__(self, "_moments", [models.ridge_moments(X, y) for _, X, y in self._groups])
         group_moments = self._moments if ridge else [None] * len(self._groups)
-        active = np.asarray(key[1], dtype=np.int64)
         chosen = np.zeros(self.client_count, dtype=bool)
-        chosen[active] = True
+        chosen[list(active)] = True
         stacks = []
         for (members, features, targets), moments in zip(self._groups, group_moments):
             keep = chosen[members]
@@ -126,15 +118,32 @@ class FederationConfig:
                 if moments is not None:
                     moments = tuple(m[keep] for m in moments)
             stacks.append((np.searchsorted(active, members), features, targets, moments))
-        object.__setattr__(self, "_last_stacks", (key, stacks))
-        return stacks
+        return Cohort(active, weights, tuple(stacks))
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """The clients one run aggregates, fixed for the whole run.
+
+    active is ascending.  weights has one entry per federation client: the
+    federation's weights renormalised over `active`, zero elsewhere; every
+    round aggregates with them and the ledger's increments use them.  stacks
+    holds one (rows, features (g, n, d), targets (g, n), moments) entry per
+    data shape, rows being the stacked clients' positions in `active` and
+    moments the stack's models.ridge_moments for a ridge cohort, else None.
+    """
+
+    active: tuple[int, ...]
+    weights: np.ndarray
+    stacks: tuple[tuple, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
     """One aggregation round: model before, local models, model after.
 
-    client_models[i] is the local model of client active[i].
+    client_models[i] is the local model of client active[i]; weights are the
+    cohort's, one per federation client, which the round aggregated with.
     """
 
     round_index: int
@@ -142,6 +151,7 @@ class RoundRecord:
     active: tuple[int, ...]
     client_models: np.ndarray
     global_after: Params
+    weights: np.ndarray
 
 
 def local_updates(
@@ -209,27 +219,18 @@ def renormalized_weights(weights, removed) -> np.ndarray:
 
 
 def fedavg_round(
-    spec: ModelSpec,
-    config: FederationConfig,
-    theta: Params,
-    active: tuple[int, ...],
-    round_index: int,
+    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort, round_index: int
 ) -> RoundRecord:
-    """One FedAvg round over the active client subset."""
-    active = tuple(sorted(active))
-    if not active:
-        raise EmptyFederationError("round needs at least one active client")
-    removed = set(range(config.client_count)) - set(active)
-    q = renormalized_weights(config.weights, removed)
+    """One FedAvg round over a cohort of `config`'s clients."""
     theta = models.as_params(theta)
-    client_models = np.empty((len(active), theta.shape[0]))
-    for rows, features, targets, moments in config.stacked(active, spec):
+    client_models = np.empty((len(cohort.active), theta.shape[0]))
+    for rows, features, targets, moments in cohort.stacks:
         client_models[rows] = local_updates(
             spec, features, targets, theta, config.eta, config.local_steps, round_index, moments
         )
-    new_theta = aggregate(client_models, q[list(active)])
+    new_theta = aggregate(client_models, cohort.weights[list(cohort.active)])
     _guard_finite(new_theta[None], round_index)
-    return RoundRecord(round_index, theta.copy(), active, client_models, new_theta)
+    return RoundRecord(round_index, theta.copy(), cohort.active, client_models, new_theta, cohort.weights)
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
@@ -241,24 +242,14 @@ def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
     raise ValueError(f"unknown init mode {mode!r}")
 
 
-def federation_loss(
-    spec: ModelSpec,
-    config: FederationConfig,
-    theta: Params,
-    active: tuple[int, ...] | None = None,
-) -> float:
-    """Aggregation-weighted loss over the active clients (all by default)."""
-    if active is None:
-        active = range(config.client_count)
-    active = tuple(sorted(active))
-    removed = set(range(config.client_count)) - set(active)
-    q = renormalized_weights(config.weights, removed)
+def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort) -> float:
+    """Aggregation-weighted loss of theta over a cohort of `config`'s clients."""
     theta = models.as_params(theta)
-    losses = np.empty(len(active))
-    for rows, features, targets, _ in config.stacked(active, spec):
+    losses = np.empty(len(cohort.active))
+    for rows, features, targets, _ in cohort.stacks:
         thetas = np.broadcast_to(theta, (len(rows), theta.shape[0]))
         losses[rows] = models.stacked_loss(spec, features, targets, thetas)
-    return float(np.add.accumulate(q[list(active)] * losses)[-1])
+    return float(np.add.accumulate(cohort.weights[list(cohort.active)] * losses)[-1])
 
 
 # ---------------------------------------------------------------------------

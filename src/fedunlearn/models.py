@@ -398,17 +398,27 @@ def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
 def gradient_pairs(spec: ModelSpec, stacks, seed: int, pairs: int):
     """Seeded theta = 0.5 N(0, I) and offset = 0.2 N(0, I), yielded with the
     stacked gradients at theta and theta + offset for each (rows, features,
-    targets, moments) group in `stacks`; each row is the lone client's
-    gradient bit for bit."""
+    targets, moments) group in `stacks`.  Each group's data is doubled once,
+    so a pair costs one kernel call per group: the first copy at theta, the
+    second at theta + offset.  Each row is the lone client's gradient bit for
+    bit."""
     rng = np.random.default_rng(seed)
     d = spec.param_count
+
+    def twice(a):
+        return np.concatenate((a, a))
+
+    doubled = [(twice(X), twice(y), None if M is None else tuple(map(twice, M))) for _, X, y, M in stacks]
     for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         offset = 0.2 * rng.standard_normal(d)
-        yield theta, offset, [
-            [stacked_grad(spec, X, y, np.broadcast_to(point, (X.shape[0], d)), M) for point in (theta, theta + offset)]
-            for _, X, y, M in stacks
-        ]
+        points = np.array((theta, theta + offset))
+        grads = []
+        for X, y, M in doubled:
+            g = len(X) // 2
+            both = stacked_grad(spec, X, y, np.repeat(points, g, axis=0), M)
+            grads.append((both[:g], both[g:]))
+        yield theta, offset, grads
 
 
 def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:

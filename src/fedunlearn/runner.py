@@ -9,10 +9,10 @@ config name:
     <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
                                      ledger.ckpt (ledger-backed methods),
                                      final_model.ckpt, timings.json, manifest
-
-A manifest is written last and lists the files of its directory.
     <run>/verify_report.json
     <run>/report/*.csv
+
+A manifest is written last and lists the files of its directory.
 
 Training is one fixed-round all-client `unlearn.retrain_until` call that
 records the ledger and every round's global model.  A ledger file stores each
@@ -28,7 +28,8 @@ which also requires the final model to carry the config's digest and to end
 where the outcomes' timeline does.
 verify hands the loaded ledger and history to the oracle, so it certifies the
 Psi that train wrote, and replays each recorded round from the history,
-requiring the next model bit for bit and the ledger's deltas within rounding.
+requiring the next model and the ledger's deltas bit for bit, and the deltas
+within rounding of the direct increments.
 It re-runs every unlearning method from the same artifacts and requires its
 outcomes, final model and ledger bit for bit.  Every unlearning method runs
 the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
@@ -71,6 +72,7 @@ from .oracle import check_bound, empirical_sensitivity
 from .sensitivity import (
     SensitivityLedger,
     client_increments_direct,
+    client_increments_fast,
     contraction_factor,
 )
 from .serialize import dumps17, fmt17
@@ -423,16 +425,18 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
 
 
 def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> dict:
-    """The ledger's recorded closed-form deltas against the direct increments
-    of the same rounds, replayed from the history's models.  Each replayed
-    round must also reproduce the history's next model bit for bit."""
-    everyone = tuple(range(prepared.client_count))
+    """Replay each recorded round from the history's models: it must give the
+    next model and the ledger row bit for bit, and the row must match the
+    round's direct increments within rounding."""
+    fed = prepared.fed
+    cohort = fed.cohort(range(fed.client_count), prepared.spec)
     worst = 0.0
     passed = np.array_equal(history.models[0], prepared.theta0)
     for n, fast in enumerate(ledger.deltas):
-        record = fedavg_round(prepared.spec, prepared.fed, history.models[n], everyone, n)
+        record = fedavg_round(prepared.spec, fed, history.models[n], cohort, n)
         passed &= np.array_equal(record.global_after, history.models[n + 1])
-        direct = client_increments_direct(record, prepared.fed.weights)
+        passed &= client_increments_fast(record).tobytes() == fast.tobytes()
+        direct = client_increments_direct(record)
         gap = np.abs(fast - direct)
         worst = max(worst, float(gap.max()))
         if ((gap > 1e-10 * np.maximum(np.abs(direct), np.abs(fast))) & (gap > 1e-12)).any():
@@ -442,9 +446,9 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> d
 
 def _check_contractivity(prepared: PreparedExperiment) -> dict:
     fed = prepared.fed
-    stacks = fed.stacked(range(fed.client_count), prepared.spec)
+    stacks = fed.cohort(range(fed.client_count), prepared.spec).stacks
     pairs = models.gradient_pairs(prepared.spec, stacks, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS)
-    worst = 0.0
+    worst = -math.inf
     for theta, offset, grads in pairs:
         phi = theta + offset
         rhs = prepared.contraction * float(np.linalg.norm(theta - phi))
@@ -546,7 +550,8 @@ def cmd_report(run_dir: Path) -> Path:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")
 
     forgotten = sorted({c for req in config.requests for c in req})
-    remaining = tuple(i for i in range(prepared.client_count) if i not in forgotten)
+    remaining = [i for i in range(prepared.client_count) if i not in forgotten]
+    survivors = prepared.fed.cohort(remaining, spec) if remaining else None
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
@@ -556,11 +561,7 @@ def cmd_report(run_dir: Path) -> Path:
     for method in sorted(methods):
         outcomes, final_model = methods[method]
         total_rounds = sum(row["retrain_rounds"] for row in outcomes)
-        retained = (
-            federation_loss(spec, prepared.fed, final_model, remaining)
-            if remaining
-            else float("nan")
-        )
+        retained = federation_loss(spec, prepared.fed, final_model, survivors) if remaining else float("nan")
         rounds_rows.append(f"{method},{total_rounds}")
         retained_rows.append(f"{method},{fmt17(retained)}")
         forget_rows.append(f"{method},{fmt17(_forget_metric(spec, prepared, forgotten, final_model))},{_metric_kind(spec)}")

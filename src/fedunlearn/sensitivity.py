@@ -62,46 +62,44 @@ def contraction_factor(constants: RegimeConstants, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def client_increments_fast(record: RoundRecord, weights) -> np.ndarray:
+def client_increments_fast(record: RoundRecord) -> np.ndarray:
     """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg||.
 
-    `weights` is the weight vector used by the round's aggregation (zeros for
-    inactive clients).  Returns one entry per client; a client absent from
-    the round contributes 0.
+    p is the round's aggregation weights, record.weights.  Returns one entry
+    per client; a client absent from the round contributes 0.
     """
-    weights, active, p = _round_weights(record, weights)
-    out = np.zeros(weights.shape[0])
+    active, p = _round_weights(record)
+    out = np.zeros(record.weights.shape[0])
     out[active] = p / (1.0 - p) * norms(record.client_models - record.global_after)
     return out
 
 
-def client_increments_direct(record: RoundRecord, weights) -> np.ndarray:
+def client_increments_direct(record: RoundRecord) -> np.ndarray:
     """||aggregate(all) - aggregate(without c)|| for every client c of a round.
 
     The reference the closed form is checked against: row r of the stacked
-    computation renormalises the weights without client active[r], exactly as
-    renormalized_weights does, and aggregates the other clients in ascending
+    computation renormalises record.weights without client active[r], exactly
+    as renormalized_weights does, and aggregates the other clients in ascending
     order (its own term is an exact zero, which leaves the running sum alone).
     """
-    weights, active, _ = _round_weights(record, weights)
+    active, _ = _round_weights(record)
     m = len(active)
-    rest = np.tile(weights, (m, 1))
+    rest = np.tile(record.weights, (m, 1))
     rest[np.arange(m), active] = 0.0
     rest = (rest / rest.sum(axis=1)[:, None])[:, active]
     without = np.add.accumulate(rest[:, :, None] * record.client_models[None], axis=1)[:, -1]
-    out = np.zeros(weights.shape[0])
+    out = np.zeros(record.weights.shape[0])
     out[active] = norms(record.global_after - without)
     return out
 
 
-def _round_weights(record: RoundRecord, weights) -> tuple[np.ndarray, list[int], np.ndarray]:
-    weights = np.asarray(weights, dtype=np.float64)
+def _round_weights(record: RoundRecord) -> tuple[list[int], np.ndarray]:
     active = list(record.active)
-    p = weights[active]
+    p = record.weights[active]
     if (p >= 1.0).any():
         client = active[int(np.argmax(p >= 1.0))]
         raise SingularRemovalError(f"client {client} carries the full aggregation weight")
-    return weights, active, p
+    return active, p
 
 
 # ---------------------------------------------------------------------------

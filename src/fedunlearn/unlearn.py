@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .engine import FederationConfig, federation_loss, fedavg_round, renormalized_weights
+from .engine import FederationConfig, federation_loss, fedavg_round
 from .errors import EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
@@ -173,35 +173,31 @@ def retrain_until(
 ) -> RetrainResult:
     """Shared retraining loop; optionally records into a ledger and history.
 
-    Recording computes per-active-client increments with the closed-form
-    proxy against the weights actually used in each round's aggregation.
-    Inactive clients contribute zero.  track_loss=False skips the retained
-    loss (final_loss is then NaN and the trace empty); it needs a fixed-round
-    rule, since the loss is what an early stop would read.
+    The clients `active` form the run's one cohort: every round aggregates
+    with its weights, against which recording takes the closed-form
+    increments (zero for inactive clients).  track_loss=False skips the
+    retained loss (final_loss is then NaN and the trace empty); it needs a
+    fixed-round rule, since the loss is what an early stop would read.
     """
-    active = tuple(sorted(active))
-    if not active:
-        raise EmptyFederationError("retraining needs at least one active client")
     if not track_loss and stopping.min_rounds != stopping.max_rounds:
         raise ValueError("skipping the loss needs a fixed-round stopping rule")
-    q = renormalized_weights(config.weights, set(range(config.client_count)) - set(active))
+    cohort = config.cohort(active, spec)
+    # a lone client carries the full weight: no run without it to bound
+    many = len(cohort.active) > 1
 
     def retained_loss(theta: Params) -> float:
-        return federation_loss(spec, config, theta, active) if track_loss else math.nan
+        return federation_loss(spec, config, theta, cohort) if track_loss else math.nan
 
     theta = models.as_params(theta_start).copy()
     loss = retained_loss(theta)
     rounds = 0
     trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
     while not stopping_criterion(rounds, loss, stopping):
-        record = fedavg_round(spec, config, theta, active, start_position + rounds)
+        record = fedavg_round(spec, config, theta, cohort, start_position + rounds)
         theta = record.global_after
         rounds += 1
         if ledger is not None:
-            # a lone client carries the full weight: no run without it to bound
-            many = len(active) > 1
-            deltas = client_increments_fast(record, q) if many else np.zeros(config.client_count)
-            ledger.record_round(deltas)
+            ledger.record_round(client_increments_fast(record) if many else np.zeros(config.client_count))
         if history is not None:
             history.append_model(theta)
         loss = retained_loss(theta)

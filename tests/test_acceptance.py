@@ -95,9 +95,10 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
     branch = retrain_until(spec, fed, theta0, range(3), exactly(30)).final_model
     other = theta0.copy()
     gaps = [float(np.linalg.norm(branch - other))]
+    survivors = fed.cohort((1, 2), spec)
     for step in range(15):
-        branch = fedavg_round(spec, fed, branch, (1, 2), step).global_after
-        other = fedavg_round(spec, fed, other, (1, 2), step).global_after
+        branch = fedavg_round(spec, fed, branch, survivors, step).global_after
+        other = fedavg_round(spec, fed, other, survivors, step).global_after
         gaps.append(float(np.linalg.norm(branch - other)))
     decays = all(gaps[i + 1] <= factor * gaps[i] * (1.0 + 1e-10) for i in range(15))
     elapsed = time.perf_counter() - start
@@ -159,11 +160,11 @@ def test_criterion_4_increment_proxy_equivalence():
         theta0 = init_params(spec, 3)
         history = TrainingHistory(theta0)
         retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds), history=history)
-        everyone = tuple(range(fed.client_count))
+        everyone = fed.cohort(range(fed.client_count), spec)
         records = [fedavg_round(spec, fed, history.models[n], everyone, n) for n in range(rounds)]
         for record in records:
-            directs = client_increments_direct(record, fed.weights)
-            fasts = client_increments_fast(record, fed.weights)
+            directs = client_increments_direct(record)
+            fasts = client_increments_fast(record)
             for direct, fast in zip(directs.tolist(), fasts.tolist()):
                 worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-12))
         return fed, records
@@ -179,7 +180,7 @@ def test_criterion_4_increment_proxy_equivalence():
     fed, records = sweep(spec, datasets, local_steps=1, rounds=20, weights=(0.1,) * 10)
     worst_uniform = -math.inf
     for record in records:
-        fasts = client_increments_fast(record, fed.weights)
+        fasts = client_increments_fast(record)
         for client in range(10):
             gap = float(np.linalg.norm(record.client_models[client] - record.global_after))
             expected = gap / 9.0

@@ -97,20 +97,21 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
 
     prepared = prepare(load_config(config))
     spec, fed, rounds = prepared.spec, prepared.fed, prepared.config.rounds
-    everyone = tuple(range(fed.client_count))
+    everyone = fed.cohort(range(fed.client_count), spec)
+    # the weights fedavg_round aggregates with, renormalised even with no client out
+    assert everyone.weights.tobytes() == renormalized_weights(fed.weights, set()).tobytes()
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     reference = workdir / "reference.ckpt"
-    weights = renormalized_weights(fed.weights, set())  # the weights fedavg_round aggregates with
     theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
         theta = record.global_after
-        deltas = dict(enumerate(client_increments_fast(record, weights).tolist()))
-        ledger.record_round([deltas[c] for c in everyone])
+        deltas = dict(enumerate(client_increments_fast(record).tolist()))
+        ledger.record_round([deltas[c] for c in everyone.active])
         rows.append(
             {
                 "round": n,
-                "global_loss": federation_loss(spec, fed, theta),
+                "global_loss": federation_loss(spec, fed, theta, everyone),
                 "max_delta": max(deltas.values()),
                 "max_psi": float(ledger.psi[-1].max()),
             }
@@ -334,6 +335,35 @@ def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
     assert "FAIL proxy_equivalence" in capsys.readouterr().out
 
 
+def test_verify_holds_the_train_ledger_bit_for_bit(workdir, capsys):
+    # one ulp is far inside the direct increments' 1e-10 rounding allowance;
+    # only the replayed round's closed-form row catches it
+    doc = base_doc("cli_train_ulp")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+
+    def nudge(end, block):
+        row, column = np.argwhere(block > 0)[-1]
+        block[row, column] = np.nextafter(block[row, column], np.inf)
+        return end, block
+
+    rewrite_ledger(run_dir(workdir, doc) / "train" / "ledger.ckpt", nudge)
+    assert main(["verify", config]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL proxy_equivalence" in out
+    assert out.count("FAIL ") == 1
+
+
+def test_verify_reports_the_contractivity_margin(workdir):
+    doc = base_doc("cli_contractivity")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["verify", config]) == 0
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    (check,) = [check for check in report["checks"] if check["name"] == "contractivity"]
+    assert check["pass"] and check["worst_slack"] < 0.0
+
+
 @pytest.mark.parametrize("position", [0, 3, 6])
 def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     doc = base_doc(f"cli_train_history_{position}")
@@ -540,9 +570,9 @@ def count_verify_federations(workdir, monkeypatch, doc):
         calls["retrain_until"] += 1
         return real_retrain(*args, **kwargs)
 
-    def round_(spec, fed, theta, active, n):
-        calls["all-client rounds"] += tuple(active) == (0, 1, 2)
-        return real_round(spec, fed, theta, active, n)
+    def round_(spec, fed, theta, cohort, n):
+        calls["all-client rounds"] += cohort.active == (0, 1, 2)
+        return real_round(spec, fed, theta, cohort, n)
 
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)

@@ -35,7 +35,7 @@ from fedunlearn.errors import (
 )
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, loss, regime_constants
-from fedunlearn.sensitivity import SensitivityLedger
+from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.unlearn import retrain_until
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
@@ -169,7 +169,8 @@ def rounds_of(spec, fed, theta0, rounds, active=None):
     active = tuple(range(fed.client_count)) if active is None else active
     history = TrainingHistory(theta0)
     retrain_until(spec, fed, theta0, active, exactly(rounds), history=history)
-    return [fedavg_round(spec, fed, history.models[n], active, n) for n in range(rounds)]
+    cohort = fed.cohort(active, spec)
+    return [fedavg_round(spec, fed, history.models[n], cohort, n) for n in range(rounds)]
 
 
 def final_model(spec, fed, theta0, rounds):
@@ -236,9 +237,10 @@ def test_single_step_descent_on_weighted_objective():
     constants = regime_constants(spec, datasets)
     fed = FederationConfig.from_datasets(datasets, eta=0.9 / constants.beta, local_steps=1)
     theta = init_params(spec, 1)
-    losses = [federation_loss(spec, fed, theta)]
+    everyone = fed.cohort(range(4), spec)
+    losses = [federation_loss(spec, fed, theta, everyone)]
     for record in rounds_of(spec, fed, theta, 25):
-        losses.append(federation_loss(spec, fed, record.global_after))
+        losses.append(federation_loss(spec, fed, record.global_after, everyone))
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-10)
 
@@ -261,11 +263,7 @@ def test_divergence_error_carries_round_index():
 def per_client_round(spec, fed, theta, active):
     """One round the way a client-by-client loop computes it: local models,
     aggregate, closed-form ledger row and retained loss."""
-    removed = set(range(fed.client_count)) - set(active)
-    q = renormalized_weights(fed.weights, removed)
-    # the ledger row and the loss weigh by the config's weights when no
-    # client is out, as retrain_until does
-    w = q if removed else fed.weights
+    q = renormalized_weights(fed.weights, set(range(fed.client_count)) - set(active))
     local_models = []
     for c in active:
         local = theta.copy()
@@ -277,9 +275,9 @@ def per_client_round(spec, fed, theta, active):
         total = total + q[c] * local
     deltas = np.zeros(fed.client_count)
     for c, local in zip(active, local_models):
-        p = float(w[c])
+        p = float(q[c])
         deltas[c] = p / (1.0 - p) * float(np.linalg.norm(local - total))
-    retained = sum(w[c] * loss(spec, fed.clients[c], total) for c in active)
+    retained = sum(q[c] * loss(spec, fed.clients[c], total) for c in active)
     return local_models, total, deltas, float(retained)
 
 
@@ -313,9 +311,9 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
     result = retrain_until(
         spec, fed, theta0, active, exactly(rounds), ledger=ledger, history=history
     )
-    theta = theta0
+    theta, cohort = theta0, fed.cohort(active, spec)
     for n in range(rounds):
-        record = fedavg_round(spec, fed, theta, active, n)
+        record = fedavg_round(spec, fed, theta, cohort, n)
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
         assert record.active == active
         assert record.client_models.tobytes() == np.array(local_models).tobytes()
@@ -326,25 +324,79 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
         theta = total
 
 
-def test_stacks_are_built_once_per_active_set():
+def test_a_retraining_run_builds_one_cohort(monkeypatch):
+    spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    calls = []
+    real = FederationConfig.cohort
+
+    def counted(self, active, spec):
+        calls.append(tuple(active))
+        return real(self, active, spec)
+
+    monkeypatch.setattr(FederationConfig, "cohort", counted)
+    ledger, history = SensitivityLedger(0.9, 1, fed.client_count), TrainingHistory(np.zeros(4))
+    retrain_until(spec, fed, np.zeros(4), (9, 0, 3, 2), exactly(5), ledger=ledger, history=history)
+    assert calls == [(9, 0, 3, 2)]
+    assert len(ledger) == history.end_position == 5
+
+
+def test_a_cohort_is_ascending_and_refuses_no_or_unknown_clients():
+    spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    assert fed.cohort([8, 3, 0, 3, 8, 5], spec).active == (0, 3, 5, 8)
+    assert fed.cohort(iter([1, 1]), spec).active == (1,)
+    for empty in ((), [], range(0)):
+        with pytest.raises(EmptyFederationError):
+            fed.cohort(empty, spec)
+    for unknown in ((0, 10), (-1, 2)):
+        with pytest.raises(IndexError):
+            fed.cohort(unknown, spec)
+
+
+def test_cohort_weights_are_renormalised_and_zero_off_the_cohort():
+    _, datasets = round_world("ridge", ragged=True)
+    spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
+    raw = np.arange(9.0, 19.0)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1, weights=raw / raw.sum())
+    assert fed.weights.sum() != 1.0  # so even the all-client cohort renormalises
+    for active in [range(10), (0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
+        cohort = fed.cohort(active, spec)
+        out = set(range(10)) - set(active)
+        assert cohort.weights.tobytes() == renormalized_weights(fed.weights, out).tobytes()
+        assert all(cohort.weights[c] == 0.0 for c in out)
+        assert all(cohort.weights[c] > 0.0 for c in active)
+
+
+def test_a_cohort_stacks_exactly_its_own_clients():
     _, datasets = round_world("ridge", ragged=True)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
-    subset, pair = (0, 2, 3, 5, 6, 7, 8, 9), (1, 3)
     spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
-    first = fed.stacked(subset, spec)
-    assert fed.stacked(list(subset), spec) is first
-    second = fed.stacked(pair, spec)
-    assert second is not first
-    assert fed.stacked(pair, spec) is second
-    for active in (subset, pair, subset):
+    for active in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (3, 1), range(10)]:
+        cohort = fed.cohort(active, spec)
         seen = []
-        for rows, features, targets, _ in fed.stacked(active, spec):
+        for rows, features, targets, _ in cohort.stacks:
             for row, x, y in zip(rows, features, targets):
-                client = datasets[active[row]]
+                client = datasets[cohort.active[row]]
                 assert x.tobytes() == client.features.tobytes()
                 assert y.tobytes() == client.targets.tobytes()
-                seen.append(active[row])
-        assert sorted(seen) == list(active)
+                seen.append(cohort.active[row])
+        assert sorted(seen) == sorted(set(active))
+
+
+def test_subset_round_increments_use_the_renormalised_weights():
+    spec, datasets = round_world("logistic", ragged=True)
+    raw = np.arange(9.0, 19.0)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=raw / raw.sum())
+    active = (1, 2, 4, 7, 8)
+    q = renormalized_weights(fed.weights, set(range(10)) - set(active))
+    record = fedavg_round(spec, fed, init_params(spec, 4), fed.cohort(active, spec), 0)
+    want = np.zeros(10)
+    for row, c in enumerate(active):
+        p = float(q[c])
+        want[c] = p / (1.0 - p) * float(np.linalg.norm(record.client_models[row] - record.global_after))
+    assert record.weights.tobytes() == q.tobytes()
+    assert client_increments_fast(record).tobytes() == want.tobytes()
 
 
 def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
@@ -358,10 +410,10 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
         return real(spec, features, targets, thetas, moments)
 
     monkeypatch.setattr(models, "stacked_grad", counted)
-    fedavg_round(spec, fed, np.zeros(4), range(6), 0)
+    fedavg_round(spec, fed, np.zeros(4), fed.cohort(range(6), spec), 0)
     assert calls == [6, 6, 6]  # K calls over all C clients, not C * K
     calls.clear()
-    fedavg_round(spec, fed, np.zeros(4), (1, 4), 0)
+    fedavg_round(spec, fed, np.zeros(4), fed.cohort((1, 4), spec), 0)
     assert calls == [2, 2, 2]
 
 
@@ -386,19 +438,20 @@ def test_ridge_moments_are_built_once_per_data_shape_group(monkeypatch):
     calls = counted_moments(monkeypatch)
     theta = np.zeros(4)
     for n, active in enumerate([range(12), (0, 2, 3), range(12), (1, 3, 10), (4, 11)]):
-        theta = fedavg_round(spec, fed, theta, active, n).global_after
-        federation_loss(spec, fed, theta, active)
+        cohort = fed.cohort(active, spec)
+        theta = fedavg_round(spec, fed, theta, cohort, n).global_after
+        federation_loss(spec, fed, theta, cohort)
     assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
-    wide = [moments for rows, _, _, moments in fed.stacked((4, 10, 11), spec) if len(rows) == 2]
+    wide = [moments for rows, _, _, moments in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
     assert wide == [None]
 
 
 def test_a_subset_gets_the_moments_of_its_own_data():
     spec, datasets = round_world("ridge", ragged=True)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
-    fed.stacked(range(10), spec)
+    fed.cohort(range(10), spec)
     for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
-        for rows, _, _, (gram, moment) in fed.stacked(subset, spec):
+        for rows, _, _, (gram, moment) in fed.cohort(subset, spec).stacks:
             members = [datasets[subset[r]] for r in rows]
             own_gram, own_moment = models.ridge_moments(
                 np.stack([d.features for d in members]), np.stack([d.targets for d in members])
@@ -414,10 +467,11 @@ def test_logistic_and_mlp_federations_build_no_moments(monkeypatch, model):
     calls = counted_moments(monkeypatch)
     theta = init_params(spec, 0)
     for n, active in enumerate([range(10), (0, 2, 3)]):
-        theta = fedavg_round(spec, fed, theta, active, n).global_after
-        federation_loss(spec, fed, theta, active)
+        cohort = fed.cohort(active, spec)
+        theta = fedavg_round(spec, fed, theta, cohort, n).global_after
+        federation_loss(spec, fed, theta, cohort)
     assert calls == []
-    assert all(moments is None for *_, moments in fed.stacked(range(10), spec))
+    assert all(moments is None for *_, moments in fed.cohort(range(10), spec).stacks)
 
 
 def test_a_lone_diverging_client_stops_training_in_its_round():
@@ -447,7 +501,9 @@ def test_empty_active_set_rejected():
     spec, datasets = make_ridge(seed=0)
     fed, _ = fed_for(spec, datasets)
     with pytest.raises(EmptyFederationError):
-        fedavg_round(spec, fed, np.zeros(4), (), 0)
+        fed.cohort((), spec)
+    with pytest.raises(EmptyFederationError):
+        retrain_until(spec, fed, np.zeros(4), (), exactly(1))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +553,9 @@ def test_federation_loss_matches_manual_weighted_sum():
     theta = init_params(spec, 2)
     want = sum(w * loss(spec, d, theta) for w, d in zip(weights, datasets))
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1, weights=weights)
-    got = federation_loss(spec, fed, theta)
+    got = federation_loss(spec, fed, theta, fed.cohort(range(3), spec))
     assert got == pytest.approx(want, rel=1e-15)
-    partial = federation_loss(spec, fed, theta, active=(1, 2))
+    partial = federation_loss(spec, fed, theta, fed.cohort((1, 2), spec))
     want = 0.6 * loss(spec, datasets[1], theta) + 0.4 * loss(spec, datasets[2], theta)
     assert partial == pytest.approx(want, rel=1e-15)
 

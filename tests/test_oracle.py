@@ -132,8 +132,8 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
         np.testing.assert_array_equal(trace.psis, ledger.psi[:, client])
         np.testing.assert_array_equal(closed_trace.psis, ledger.psi[:, client])
         without = [theta0]
+        survivors = fed.cohort((c for c in range(3) if c != client), spec)
         for n in range(6):
-            survivors = tuple(c for c in range(3) if c != client)
             without.append(fedavg_round(spec, fed, without[-1], survivors, n).global_after)
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_array_equal(trace.alphas, want)

@@ -29,8 +29,9 @@ SMOOTH_2 = RegimeConstants(Regime.SMOOTH, 2.0, 0.0, 0.0)
 def toy_record(client_models, weights, round_index=0, active=None):
     models = np.asarray(client_models, dtype=np.float64)
     active = tuple(range(len(models))) if active is None else tuple(active)
-    agg = aggregate(models, np.asarray(weights)[list(active)])
-    return RoundRecord(round_index, np.zeros_like(agg), active, models, agg)
+    weights = np.asarray(weights, dtype=np.float64)
+    agg = aggregate(models, weights[list(active)])
+    return RoundRecord(round_index, np.zeros_like(agg), active, models, agg, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +93,8 @@ def test_contraction_strongly_convex_stays_in_unit_interval(beta, ratio, frac):
 def test_increment_two_uniform_clients_by_hand():
     record = toy_record([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     want = math.sqrt(0.5)
-    assert client_increments_fast(record, [0.5, 0.5])[1] == pytest.approx(want, rel=1e-15)
-    assert client_increments_direct(record, [0.5, 0.5])[1] == pytest.approx(want, rel=1e-15)
+    assert client_increments_fast(record)[1] == pytest.approx(want, rel=1e-15)
+    assert client_increments_direct(record)[1] == pytest.approx(want, rel=1e-15)
 
 
 def test_increment_zero_weight_and_absent_client():
@@ -101,18 +102,18 @@ def test_increment_zero_weight_and_absent_client():
     # that does not carry the full weight
     weights = [0.5, 0.0, 0.5]
     record = toy_record([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], weights)
-    assert client_increments_fast(record, weights)[1] == 0.0
+    assert client_increments_fast(record)[1] == 0.0
     absent = toy_record([[1.0, 0.0], [1.0, 1.0]], weights, active=(0, 2))
-    assert client_increments_fast(absent, weights)[1] == 0.0
-    assert client_increments_direct(absent, weights)[1] == 0.0
+    assert client_increments_fast(absent)[1] == 0.0
+    assert client_increments_direct(absent)[1] == 0.0
 
 
 def test_increment_full_weight_client_is_singular():
     record = toy_record([[1.0, 0.0]], [1.0])
     with pytest.raises(SingularRemovalError):
-        client_increments_fast(record, [1.0])
+        client_increments_fast(record)
     with pytest.raises(SingularRemovalError):
-        client_increments_direct(record, [1.0])
+        client_increments_direct(record)
 
 
 def test_uniform_weights_reduce_to_one_over_m_minus_one():
@@ -123,7 +124,7 @@ def test_uniform_weights_reduce_to_one_over_m_minus_one():
         record = toy_record(models, weights)
         for c in range(m):
             gap = np.linalg.norm(models[c] - record.global_after)
-            got = client_increments_fast(record, weights)[c]
+            got = client_increments_fast(record)[c]
             assert got == pytest.approx(gap / (m - 1), rel=1e-15)
 
 
@@ -132,7 +133,7 @@ def test_uniform_factor_is_exact_for_dyadic_counts():
     models = rng.standard_normal((4, 3))
     record = toy_record(models, np.full(4, 0.25))
     gap = float(np.linalg.norm(models[2] - record.global_after))
-    assert client_increments_fast(record, np.full(4, 0.25))[2] == gap / 3.0
+    assert client_increments_fast(record)[2] == gap / 3.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -145,8 +146,8 @@ def test_fast_increment_equals_direct_recomputation(values, raw, client):
     models = np.asarray(values).reshape(4, 3)
     weights = np.asarray(raw) / np.sum(raw)
     record = toy_record(models, weights)
-    fast = client_increments_fast(record, weights)[client]
-    direct = client_increments_direct(record, weights)[client]
+    fast = client_increments_fast(record)[client]
+    direct = client_increments_direct(record)[client]
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
@@ -170,8 +171,8 @@ def test_stacked_increments_match_a_per_client_reference_bitwise(active, dim):
             if other != c:
                 total = total + q[other] * model
         direct[c] = float(np.linalg.norm(record.global_after - total))
-    assert client_increments_fast(record, weights).tobytes() == fast.tobytes()
-    assert client_increments_direct(record, weights).tobytes() == direct.tobytes()
+    assert client_increments_fast(record).tobytes() == fast.tobytes()
+    assert client_increments_direct(record).tobytes() == direct.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,11 @@ def test_all_client_ledger_rows_use_the_aggregation_weights():
     ledger = SensitivityLedger(1.0, fed.local_steps, 5)
     history = TrainingHistory(np.zeros(4))
     retrain_until(spec, fed, np.zeros(4), range(5), exactly(3), ledger=ledger, history=history)
-    q = renormalized_weights(fed.weights, set())
+    everyone = fed.cohort(range(5), spec)
+    assert everyone.weights.tobytes() == renormalized_weights(fed.weights, set()).tobytes()
     for n in range(3):
-        record = fedavg_round(spec, fed, history.models[n], tuple(range(5)), n)
-        assert ledger.deltas[n].tobytes() == client_increments_fast(record, q).tobytes()
+        record = fedavg_round(spec, fed, history.models[n], everyone, n)
+        assert ledger.deltas[n].tobytes() == client_increments_fast(record).tobytes()
 
 
 def test_retrain_single_active_client_records_empty_deltas():
@@ -328,7 +329,8 @@ def test_sequential_requests_accumulate_segments():
             assert history.model_at(p) is trained[p]
         else:
             outcome, survivors = outcomes[owner]
-            assert dict(outcome.loss_trace)[p] == federation_loss(spec, fed, history.model_at(p), survivors)
+            cohort = fed.cohort(survivors, spec)
+            assert dict(outcome.loss_trace)[p] == federation_loss(spec, fed, history.model_at(p), cohort)
     np.testing.assert_array_equal(state.current_model, second.final_model)
 
 
