@@ -1,21 +1,21 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
 A run aggregates one fixed Cohort of clients (FederationConfig.cohort): their
-renormalised weights and their data stacked by shape, built once per run and
-passed to each of its fedavg_round and federation_loss calls.  A round
-advances every cohort client at once, one models kernel call per stack and
-local step.  For ridge, a stack with d <= n also carries its clients' moments
-(models.ridge_moments), built once per data-shape group on the federation's
-first ridge cohort, so a local step multiplies one d x d matrix per client
-instead of passing twice over its n x d features.
+renormalised weights and their data stacked by shape, built once per run.
+Every client of a round starts from the same model, so a ridge stack with
+d <= n advances by its clients' K-step maps theta -> A_i theta + b_i
+(models.ridge_operators, built once per data shape and spec): one (g, d, d)
+product and one divergence guard per round.  Other stacks make one kernel
+call and guard per local step.
 
-Determinism contract: a round equals the per-client loop it replaces bit for
-bit, and repeated runs on the same platform are bit-identical.  Each stacked
-product is one BLAS call per client slice (see models), so client i's local
-model does not depend on which other clients share its stack.  The
-aggregation is np.add.accumulate along the client axis: the sequential sum
-q_0 theta_0 + q_1 theta_1 + ... in ascending client order, never a pairwise
-or BLAS reduction.
+Determinism contract: repeated runs on one platform are bit-identical.  A
+round equals the per-client loop bit for bit, except a fused ridge round:
+one affine map per client, no longer bit-identical to the per-step loop but
+equal to it to rounding.  Each stacked product is one BLAS call per client
+slice (see models), so client i's local model does not depend on which other
+clients share its stack.  The aggregation is np.add.accumulate along the
+client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in ascending
+client order, never a pairwise or BLAS reduction.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class FederationConfig:
 
     weights must sum to 1 within 1e-12; by default they are proportional to
     the client sample counts.  It keeps no cohort or stack between calls,
-    only each data-shape group's ridge moments.
+    only each data-shape group's ridge operators, per spec (they depend on
+    its l2).
     """
 
     clients: tuple[ClientDataset, ...]
@@ -73,7 +74,7 @@ class FederationConfig:
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_groups", models.stack_by_shape(clients))
-        object.__setattr__(self, "_moments", None)
+        object.__setattr__(self, "_operators", {})
 
     @classmethod
     def from_datasets(
@@ -102,22 +103,25 @@ class FederationConfig:
         if active[0] < 0 or active[-1] >= self.client_count:
             raise IndexError(f"client index out of range in {active}")
         weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
-        ridge = spec.kind is ModelKind.RIDGE
-        if ridge and self._moments is None:
-            object.__setattr__(self, "_moments", [models.ridge_moments(X, y) for _, X, y in self._groups])
-        group_moments = self._moments if ridge else [None] * len(self._groups)
+        group_operators = [None] * len(self._groups)
+        if spec.kind is ModelKind.RIDGE:
+            if spec not in self._operators:
+                self._operators[spec] = [
+                    models.ridge_operators(spec, X, y, self.eta, self.local_steps) for _, X, y in self._groups
+                ]
+            group_operators = self._operators[spec]
         chosen = np.zeros(self.client_count, dtype=bool)
         chosen[list(active)] = True
         stacks = []
-        for (members, features, targets), moments in zip(self._groups, group_moments):
+        for (members, features, targets), operators in zip(self._groups, group_operators):
             keep = chosen[members]
             if not keep.any():
                 continue
             if not keep.all():
                 members, features, targets = members[keep], features[keep], targets[keep]
-                if moments is not None:
-                    moments = tuple(m[keep] for m in moments)
-            stacks.append((np.searchsorted(active, members), features, targets, moments))
+                if operators is not None:
+                    operators = tuple(op[keep] for op in operators)
+            stacks.append((np.searchsorted(active, members), features, targets, operators))
         return Cohort(active, weights, tuple(stacks))
 
 
@@ -128,9 +132,10 @@ class Cohort:
     active is ascending.  weights has one entry per federation client: the
     federation's weights renormalised over `active`, zero elsewhere; every
     round aggregates with them and the ledger's increments use them.  stacks
-    holds one (rows, features (g, n, d), targets (g, n), moments) entry per
+    holds one (rows, features (g, n, d), targets (g, n), operators) entry per
     data shape, rows being the stacked clients' positions in `active` and
-    moments the stack's models.ridge_moments for a ridge cohort, else None.
+    operators the stack's models.ridge_operators (A, b) for a ridge cohort,
+    else None.
     """
 
     active: tuple[int, ...]
@@ -162,18 +167,16 @@ def local_updates(
     eta: float,
     local_steps: int,
     round_index: int | None = None,
-    moments=None,
 ) -> np.ndarray:
     """Run `local_steps` gradient steps from theta on each stacked client.
 
     One kernel call and one divergence check per step; returns (g, p).
-    `moments` are the stack's models.ridge_moments, if the caller holds them.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1")
     current = np.repeat(models.as_params(theta)[None], features.shape[0], axis=0)
     for _ in range(local_steps):
-        current = current - eta * models.stacked_grad(spec, features, targets, current, moments)
+        current = current - eta * models.stacked_grad(spec, features, targets, current)
         _guard_finite(current, round_index)
     return current
 
@@ -224,10 +227,14 @@ def fedavg_round(
     """One FedAvg round over a cohort of `config`'s clients."""
     theta = models.as_params(theta)
     client_models = np.empty((len(cohort.active), theta.shape[0]))
-    for rows, features, targets, moments in cohort.stacks:
-        client_models[rows] = local_updates(
-            spec, features, targets, theta, config.eta, config.local_steps, round_index, moments
-        )
+    for rows, features, targets, operators in cohort.stacks:
+        if operators is None:
+            local = local_updates(spec, features, targets, theta, config.eta, config.local_steps, round_index)
+        else:
+            maps, offsets = operators
+            local = maps @ theta + offsets
+            _guard_finite(local, round_index)
+        client_models[rows] = local
     new_theta = aggregate(client_models, cohort.weights[list(cohort.active)])
     _guard_finite(new_theta[None], round_index)
     return RoundRecord(round_index, theta.copy(), cohort.active, client_models, new_theta, cohort.weights)

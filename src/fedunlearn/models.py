@@ -151,14 +151,11 @@ class RegimeConstants:
 # mean runs along the contiguous sample axis of each slice, so row i equals
 # the result for client i alone bit for bit.
 #
-# The ridge gradient takes its form from the stack's shape.  With d <= n it is
-# G_i theta_i - b_i from the moments G_i = X_i^T X_i / n and b_i = X_i^T y_i / n
-# (ridge_moments): one (d, d) gemv per client and step.  A caller that keeps
-# the moments passes them in; otherwise the kernel builds them, so a lone
-# client takes the same form as its stack row.  With d > n the moments would
-# hold more values than the data, and the gradient stays X_i^T (X_i theta_i -
-# y_i) / n: two (n, d) gemvs.  The loss always uses the raw residual, since
-# the Gram form of it cancels near the optimum.
+# The ridge gradient is X_i^T (X_i theta_i - y_i) / n: two (n, d) gemvs.  The
+# engine calls it only for stacks with d > n; a stack with d <= n advances by
+# its K-step operators (ridge_operators) instead, built once per federation
+# and l2, so a round multiplies one d x d matrix per client in place of K
+# kernel calls.
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
@@ -167,15 +164,11 @@ def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
     return _data_loss(spec, features, targets, thetas) + 0.5 * spec.l2 * _sqnorms(thetas)
 
 
-def stacked_grad(spec: ModelSpec, features, targets, thetas, moments=None) -> np.ndarray:
-    """Gradient of stacked_loss for each client, shape (m, p).
-
-    `moments` is ridge_moments(features, targets), passed by a caller that
-    holds it; other model kinds ignore it.
-    """
+def stacked_grad(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
+    """Gradient of stacked_loss for each client, shape (m, p)."""
     thetas = _checked(spec, features, thetas)
     if spec.kind is ModelKind.RIDGE:
-        g = _ridge_data_grad(features, targets, thetas, moments)
+        g = _ridge_data_grad(features, targets, thetas)
     elif spec.kind is ModelKind.LOGISTIC:
         g = _logistic_data_grad(features, targets, thetas)
     else:
@@ -191,11 +184,6 @@ def norms(rows) -> np.ndarray:
 def loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
     """Regularised per-sample-mean loss of theta on one client's data."""
     return float(stacked_loss(spec, *_one(data, theta))[0])
-
-
-def grad(spec: ModelSpec, data: ClientDataset, theta: Params) -> Params:
-    """Gradient of `loss` with respect to theta."""
-    return stacked_grad(spec, *_one(data, theta))[0]
 
 
 def data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
@@ -255,25 +243,41 @@ def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray
 # -- ridge ------------------------------------------------------------------
 
 
-def ridge_moments(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(G, b) with G_i = X_i^T X_i / n (g, d, d) and b_i = X_i^T y_i / n (g, d),
-    or None for a stack with d > n, whose moments outsize its data."""
-    if _wide(X):
+def ridge_operators(spec: ModelSpec, X: np.ndarray, y: np.ndarray, eta: float, steps: int):
+    """K = `steps` local gradient steps of each stacked ridge client as one
+    affine map theta -> A_i theta + b_i, returned as (A (g, d, d), b (g, d)),
+    or None for a stack with d > n, whose operators outsize its data.
+
+    P_i = I - eta (X_i^T X_i / n + l2 I), A_i = P_i^K and
+    b_i = sum_{k<K} P_i^k eta X_i^T y_i / n; A_i is symmetric, as P_i is.
+    """
+    if X.shape[2] != spec.dims[0]:
+        raise DimensionMismatchError(f"data has {X.shape[2]} features, spec expects {spec.dims[0]}")
+    n, d = X.shape[1:]
+    if d > n:
         return None
-    Xt = X.transpose(0, 2, 1)
-    return np.matmul(Xt, X) / X.shape[1], _matvec(Xt, y) / X.shape[1]
+    maps, offsets = np.empty((len(X), d, d)), np.empty((len(X), d))
+    diagonal = np.arange(d)
+    # a few clients at a time, each chunk's d x d matrices holding no more
+    # values than one client's data, so no (g, d, d) array but A is built
+    chunk = n // d
+    for lo in range(0, len(X), chunk):
+        part = slice(lo, lo + chunk)
+        Xt = X[part].transpose(0, 2, 1)
+        step = np.matmul(Xt, X[part]) * (-eta / n)
+        step[:, diagonal, diagonal] += 1.0 - eta * spec.l2
+        pull = _matvec(Xt, y[part]) * (eta / n)
+        power, offset = step, pull
+        for _ in range(steps - 1):
+            power = np.matmul(step, power)
+            offset = _matvec(step, offset) + pull
+        maps[part], offsets[part] = power, offset
+    return maps, offsets
 
 
-def _wide(X: np.ndarray) -> bool:
-    return X.shape[2] > X.shape[1]
-
-
-def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray, moments) -> np.ndarray:
-    if _wide(X):
-        residual = _matvec(X, thetas) - y
-        return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
-    gram, moment = ridge_moments(X, y) if moments is None else moments
-    return _matvec(gram, thetas) - moment
+def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    residual = _matvec(X, thetas) - y
+    return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
 
 
 # -- logistic ---------------------------------------------------------------
@@ -395,36 +399,31 @@ def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], 
     )
 
 
-def gradient_pairs(spec: ModelSpec, stacks, seed: int, pairs: int):
+def gradient_pairs(spec: ModelSpec, groups, seed: int, pairs: int):
     """Seeded theta = 0.5 N(0, I) and offset = 0.2 N(0, I), yielded with the
-    stacked gradients at theta and theta + offset for each (rows, features,
-    targets, moments) group in `stacks`.  Each group's data is doubled once,
-    so a pair costs one kernel call per group: the first copy at theta, the
-    second at theta + offset.  Each row is the lone client's gradient bit for
-    bit."""
+    stacked gradients at theta and theta + offset for each (features, targets)
+    group in `groups`.  Each group's data is doubled once, so a pair costs one
+    kernel call per group: the first copy at theta, the second at theta +
+    offset.  Each row is the lone client's gradient bit for bit."""
     rng = np.random.default_rng(seed)
     d = spec.param_count
-
-    def twice(a):
-        return np.concatenate((a, a))
-
-    doubled = [(twice(X), twice(y), None if M is None else tuple(map(twice, M))) for _, X, y, M in stacks]
+    doubled = [(np.concatenate((X, X)), np.concatenate((y, y))) for X, y in groups]
     for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         offset = 0.2 * rng.standard_normal(d)
         points = np.array((theta, theta + offset))
         grads = []
-        for X, y, M in doubled:
+        for X, y in doubled:
             g = len(X) // 2
-            both = stacked_grad(spec, X, y, np.repeat(points, g, axis=0), M)
+            both = stacked_grad(spec, X, y, np.repeat(points, g, axis=0))
             grads.append((both[:g], both[g:]))
         yield theta, offset, grads
 
 
 def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
     worst = 0.0
-    stacks = [(*group, None) for group in stack_by_shape(all_data)]
-    for _, offset, grads in gradient_pairs(spec, stacks, _PROBE_SEED, _PROBE_PAIRS):
+    groups = [(X, y) for _, X, y in stack_by_shape(all_data)]
+    for _, offset, grads in gradient_pairs(spec, groups, _PROBE_SEED, _PROBE_PAIRS):
         gap = float(np.linalg.norm(offset))
         if gap == 0.0:
             continue

@@ -4,11 +4,15 @@ empirical_sensitivity takes the all-client run as train wrote it (the model
 history and the sensitivity ledger, loaded from the run directory by verify),
 follows the federation from the same start once per client with that client
 removed (weights renormalised), and pairs the true model gap with the
-recorded ledger bound at every round.  For ridge the leave-one-out runs have
-a closed form (ridge_sensitivity) that shares no kernel with the engine;
-every other model, and ridge too large for that form, retrains through the
-engine (retrained_sensitivity).
-check_bound then asserts gap <= bound within a tolerance.
+recorded ledger bound at every round.  When every client of a ridge
+federation has K-step operators (models.ridge_operators: d <= n for each
+data shape) the leave-one-out runs have a closed form (ridge_sensitivity)
+built on the operators the engine itself trains with, so tests hold the
+engine's fused rounds against the per-step kernel; every other model, and
+ridge with a data shape of d > n, retrains through the engine
+(retrained_sensitivity).
+check_bound then asserts gap <= bound within a tolerance.  contraction_slack
+checks the premise the bound rests on, that one local step contracts by B.
 """
 
 from __future__ import annotations
@@ -18,12 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .engine import _DIVERGENCE_NORM, FederationConfig, renormalized_weights
 from .errors import DivergedTrainingError
 from .history import TrainingHistory
-from .models import ModelKind, ModelSpec
+from .models import ModelSpec
 from .sensitivity import SensitivityLedger
 from .unlearn import StoppingRule, retrain_until
+
+_CONTRACTIVITY_SEED = 8_191
+_CONTRACTIVITY_PAIRS = 200
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,12 @@ def empirical_sensitivity(
     retrain_until recorded from history.models[0].  For each client c the
     federation runs as many rounds without c from the same start; the trace
     pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
-    Psi(n, c).  Ridge takes the closed form when its operators, C matrices of
-    d x d, hold no more values than the client data (C * d <= total samples);
-    everything else retrains through the engine.
+    Psi(n, c).  Ridge takes the closed form when every data-shape group has
+    operators; everything else retrains through the engine.
     """
-    total = sum(data.sample_count for data in config.clients)
-    if spec.kind is ModelKind.RIDGE and config.client_count * spec.param_count <= total:
+    # only ridge cohorts carry operators
+    stacks = config.cohort(range(config.client_count), spec).stacks
+    if all(operators is not None for *_, operators in stacks):
         return ridge_sensitivity(config, spec, history, ledger)
     return retrained_sensitivity(config, spec, history, ledger)
 
@@ -104,32 +112,26 @@ def ridge_sensitivity(
     history: TrainingHistory,
     ledger: SensitivityLedger,
 ) -> list[SensitivityTrace]:
-    """empirical_sensitivity for ridge in closed form, without the engine.
+    """empirical_sensitivity for ridge in closed form, from the federation's
+    operators.
 
-    K local steps of client i are the affine map theta -> A_i theta + b_i with
-    P_i = I - eta (X_i^T X_i / n_i + l2 I), A_i = P_i^K and
-    b_i = sum_{k<K} P_i^k eta X_i^T y_i / n_i.  Row c of Q holds the
-    aggregation weights renormalised without client c, so the federation
-    without c advances by theta -> M_c theta + m_c with M_c = sum_i Q_ci A_i
-    and m_c = sum_i Q_ci b_i, all C runs in one stacked product per round.
-    Every state must stay finite and within the engine's divergence norm.
+    K local steps of client i are the affine map theta -> A_i theta + b_i
+    (models.ridge_operators).  Row c of Q holds the aggregation weights
+    renormalised without client c, so the federation without c advances by
+    theta -> M_c theta + m_c with M_c = sum_i Q_ci A_i and m_c = sum_i Q_ci b_i,
+    all C runs in one stacked product per round.  Every state must stay
+    finite and within the engine's divergence norm.
     """
     rounds = _rounds_of_one_run(config, history, ledger)
     count, d = config.client_count, spec.param_count
-    eye = np.eye(d)
-    steps = np.empty((count, d, d))
-    pulls = np.empty((count, d))
-    for i, data in enumerate(config.clients):
-        features, n = data.features, data.sample_count
-        steps[i] = eye - config.eta * (features.T @ features / n + spec.l2 * eye)
-        pulls[i] = config.eta * (features.T @ data.targets) / n
-    maps, offsets = np.broadcast_to(eye, steps.shape), np.zeros((count, d))
-    for _ in range(config.local_steps):
-        maps = steps @ maps
-        offsets = (steps @ offsets[:, :, None])[:, :, 0] + pulls
     q = np.stack([renormalized_weights(config.weights, {c}) for c in range(count)])
-    maps = (q @ maps.reshape(count, d * d)).reshape(count, d, d)
-    offsets = q @ offsets
+    maps, offsets = np.zeros((count, d * d)), np.zeros((count, d))
+    for rows, _, _, operators in config.cohort(range(count), spec).stacks:
+        if operators is None:
+            raise ValueError("the closed form needs every client's operators (d <= n)")
+        maps += q[:, rows] @ operators[0].reshape(len(rows), d * d)
+        offsets += q[:, rows] @ operators[1]
+    maps = maps.reshape(count, d, d)
 
     alphas = np.zeros((rounds + 1, count))
     thetas = np.broadcast_to(history.models[0], (count, d))
@@ -194,3 +196,29 @@ def check_bound(
         first_violation=int(violations[0]) if violations.size else None,
         checked_rounds=horizon,
     )
+
+
+def contraction_slack(config: FederationConfig, spec: ModelSpec, contraction: float) -> float:
+    """How far one local step of any client exceeds contraction by B, at
+    worst (negative: a margin).
+
+    A ridge stack with operators is checked exactly: A_i = P_i^K with P_i
+    symmetric, so ||P_i||_2 = ||A_i||_2^(1/K), one eigvalsh per stack, and the
+    slack is max_i ||P_i||_2 - B.  Every other stack is sampled: the largest
+    ||step(theta) - step(phi)|| - B ||theta - phi|| over 200 seeded pairs.
+    """
+    worst, sampled = -math.inf, []
+    for _, features, targets, operators in config.cohort(range(config.client_count), spec).stacks:
+        if operators is None:
+            sampled.append((features, targets))
+            continue
+        spectral = np.abs(np.linalg.eigvalsh(operators[0])).max(axis=1)
+        worst = max(worst, float(spectral.max()) ** (1.0 / config.local_steps) - contraction)
+    if sampled:
+        for theta, offset, grads in models.gradient_pairs(spec, sampled, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS):
+            phi = theta + offset
+            rhs = contraction * float(np.linalg.norm(theta - phi))
+            for near, far in grads:
+                gap = (theta - config.eta * near) - (phi - config.eta * far)
+                worst = max(worst, float((models.norms(gap) - rhs).max()))
+    return worst

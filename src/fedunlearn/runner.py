@@ -68,7 +68,7 @@ from .engine import (
 from .errors import ConfigError, MissingArtifactsError
 from .history import TrainingHistory
 from .models import ModelKind, Regime, regime_constants
-from .oracle import check_bound, empirical_sensitivity
+from .oracle import check_bound, contraction_slack, empirical_sensitivity
 from .sensitivity import (
     SensitivityLedger,
     client_increments_direct,
@@ -87,8 +87,6 @@ from .unlearn import (
 )
 
 _PSI_CAP_FACTOR = 1e6
-_CONTRACTIVITY_SEED = 8_191
-_CONTRACTIVITY_PAIRS = 200
 LEDGER_FILE = "ledger.ckpt"
 
 
@@ -414,7 +412,8 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
         checks.append(check)
 
     checks.append(_check_proxy_equivalence(prepared, history, ledger))
-    checks.append(_check_contractivity(prepared))
+    worst = contraction_slack(prepared.fed, prepared.spec, prepared.contraction)
+    checks.append({"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None})
     checks.extend(audits)
 
     ok = all(c["pass"] for c in checks)
@@ -442,20 +441,6 @@ def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> d
         if ((gap > 1e-10 * np.maximum(np.abs(direct), np.abs(fast))) & (gap > 1e-12)).any():
             passed = False
     return {"name": "proxy_equivalence", "pass": passed, "worst_slack": worst, "tightness": None}
-
-
-def _check_contractivity(prepared: PreparedExperiment) -> dict:
-    fed = prepared.fed
-    stacks = fed.cohort(range(fed.client_count), prepared.spec).stacks
-    pairs = models.gradient_pairs(prepared.spec, stacks, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS)
-    worst = -math.inf
-    for theta, offset, grads in pairs:
-        phi = theta + offset
-        rhs = prepared.contraction * float(np.linalg.norm(theta - phi))
-        for near, far in grads:
-            gap = (theta - fed.eta * near) - (phi - fed.eta * far)
-            worst = max(worst, float((models.norms(gap) - rhs).max()))
-    return {"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None}
 
 
 def _audit_unlearn_runs(
@@ -508,11 +493,11 @@ def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict
     """Passes when re-running the method reproduced the run and, for sifu and
     ifu (last never truncates; scratch and finetune have no budget), each
     request's targets stay within psi* at the perturbation that covers them in
-    the surviving timeline."""
+    the surviving timeline.  worst_slack is None where no psi* comparison ran."""
     if ledger is None:
         return {"name": f"rerun:{method}", "pass": reproduced, "worst_slack": None, "tightness": None}
     psi_star = prepared.config.budget.psi_star
-    passed, worst = reproduced, 0.0
+    passed, worst = reproduced, None
     positions = [row["rollback_position"] for row in outcomes]
     if method != "last" and outcomes:
         # the perturbation covering request u sits at the smallest rollback

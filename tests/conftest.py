@@ -127,6 +127,14 @@ def ridge_opt(datasets, weights, active, l2):
     return theta, float(value)
 
 
+def assert_near(got, want, rel=1e-13):
+    """||got - want|| <= rel ||want||: a ridge round with d <= n is one affine
+    map per client and meets the per-step kernel only to rounding."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), (got, want)
+
+
 def two_client_toy():
     """Two one-sample clients in 2-D with an exactly solvable ridge problem."""
     a = ClientDataset(np.array([[1.0, 0.0]]), np.array([1.0]))
@@ -172,13 +180,18 @@ def pack_mlp(spec, layers):
     return theta
 
 
+def grad(spec, data, theta):
+    """Gradient of models.loss on one client's data, a stack of one in the kernel."""
+    return models.stacked_grad(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0]
+
+
 def reference_gd(spec, data, theta0, eta, steps):
     """Plain full-batch gradient descent, written independently of the engine."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     theta = np.array(theta0, dtype=np.float64)
     for _ in range(steps):
-        theta = theta - eta * models.grad(spec, data, theta)
+        theta = theta - eta * grad(spec, data, theta)
         if not np.all(np.isfinite(theta)):
             raise DivergedTrainingError("reference GD diverged")
     return theta

@@ -240,6 +240,24 @@ def test_empty_request_list_is_a_no_op(workdir):
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     names = {check["name"] for check in report["checks"]}
     assert {"budget_audit:sifu", "budget_audit:last", "rerun:scratch", "rerun:finetune"} <= names
+    # no request, so no psi* comparison ran and no slack is reported
+    audits = [check for check in report["checks"] if check["name"].startswith(("budget_audit:", "rerun:"))]
+    assert [check["worst_slack"] for check in audits] == [None] * 4
+
+
+def test_only_a_psi_star_comparison_reports_a_budget_slack(workdir, capsys):
+    doc = base_doc("cli_audit_slack")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    for method in ("sifu", "last"):
+        assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["verify", config]) == 0
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    slack = {check["name"]: check["worst_slack"] for check in report["checks"]}
+    # last never truncates, so its audit compares nothing with psi*
+    assert slack["budget_audit:last"] is None
+    assert slack["budget_audit:sifu"] <= 1e-9
+    assert "PASS budget_audit:last worst_slack=None" in capsys.readouterr().out
 
 
 def test_verify_passes_on_honest_runs(workdir, capsys):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    assert_near,
     exactly,
     fed_for,
+    grad,
     local_update,
     make_logistic,
     make_ridge,
@@ -34,7 +36,7 @@ from fedunlearn.errors import (
     EmptyFederationError,
 )
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, loss, regime_constants
+from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, loss, regime_constants
 from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
 from fedunlearn.unlearn import retrain_until
 
@@ -196,7 +198,7 @@ def test_single_client_federation_is_plain_gd():
     manual = np.zeros(4)
     for _ in range(30):
         manual = manual - 0.2 * grad(spec, datasets[0], manual)
-    np.testing.assert_array_equal(final_model(spec, fed, np.zeros(4), 30), manual)
+    assert_near(final_model(spec, fed, np.zeros(4), 30), manual)
 
 
 def test_identical_clients_match_centralized_run():
@@ -312,15 +314,23 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
         spec, fed, theta0, active, exactly(rounds), ledger=ledger, history=history
     )
     theta, cohort = theta0, fed.cohort(active, spec)
+
+    def same(got, want):
+        # a ridge round with d <= n is one affine map per client
+        if model == "ridge":
+            assert_near(got, want)
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, cohort, n)
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
         assert record.active == active
-        assert record.client_models.tobytes() == np.array(local_models).tobytes()
-        assert record.global_after.tobytes() == total.tobytes()
-        assert history.models[n + 1].tobytes() == total.tobytes()
-        assert ledger.deltas[n].tobytes() == deltas.tobytes()
-        assert np.float64(result.loss_trace[n + 1][1]).tobytes() == np.float64(retained).tobytes()
+        same(record.client_models, np.array(local_models))
+        same(record.global_after, total)
+        same(history.models[n + 1], total)
+        same(ledger.deltas[n], deltas)
+        same(np.float64(result.loss_trace[n + 1][1]), np.float64(retained))
         theta = total
 
 
@@ -400,78 +410,144 @@ def test_subset_round_increments_use_the_renormalised_weights():
 
 
 def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
-    spec, datasets = make_ridge(clients=6, samples=10, seed=2)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
     calls = []
     real = models.stacked_grad
 
-    def counted(spec, features, targets, thetas, moments=None):
+    def counted(spec, features, targets, thetas):
         calls.append(features.shape[0])
-        return real(spec, features, targets, thetas, moments)
+        return real(spec, features, targets, thetas)
 
     monkeypatch.setattr(models, "stacked_grad", counted)
+    spec, datasets = make_logistic(clients=6, samples=10, seed=2)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
     fedavg_round(spec, fed, np.zeros(4), fed.cohort(range(6), spec), 0)
     assert calls == [6, 6, 6]  # K calls over all C clients, not C * K
     calls.clear()
     fedavg_round(spec, fed, np.zeros(4), fed.cohort((1, 4), spec), 0)
     assert calls == [2, 2, 2]
+    # ridge stacks with d <= n advance by their operators, with no kernel call
+    spec, datasets = make_ridge(clients=6, samples=10, seed=2)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
+    calls.clear()
+    fedavg_round(spec, fed, np.zeros(4), fed.cohort(range(6), spec), 0)
+    assert calls == []
 
 
-def counted_moments(monkeypatch):
-    """Patch models.ridge_moments to record the stack shape of each call."""
+def counted_operators(monkeypatch):
+    """Patch models.ridge_operators to record the stack shape and l2 of each call."""
     calls = []
-    real = models.ridge_moments
+    real = models.ridge_operators
 
-    def counted(features, targets):
-        calls.append(features.shape)
-        return real(features, targets)
+    def counted(spec, features, targets, eta, steps):
+        calls.append((features.shape, spec.l2))
+        return real(spec, features, targets, eta, steps)
 
-    monkeypatch.setattr(models, "ridge_moments", counted)
+    monkeypatch.setattr(models, "ridge_operators", counted)
     return calls
 
 
-def test_ridge_moments_are_built_once_per_data_shape_group(monkeypatch):
+def mixed_ridge_world():
+    """round_world's ragged ridge clients, plus a third data-shape group of
+    two clients (10 and 11) with more features than samples."""
     spec, datasets = round_world("ridge", ragged=True)
-    # a third group of two clients with more features than samples
-    datasets += [ClientDataset(d.features[:3], d.targets[:3]) for d in datasets[:2]]
+    return spec, datasets + [ClientDataset(d.features[:3], d.targets[:3]) for d in datasets[:2]]
+
+
+def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch):
+    spec, datasets = mixed_ridge_world()
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
-    calls = counted_moments(monkeypatch)
+    calls = counted_operators(monkeypatch)
     theta = np.zeros(4)
     for n, active in enumerate([range(12), (0, 2, 3), range(12), (1, 3, 10), (4, 11)]):
         cohort = fed.cohort(active, spec)
         theta = fedavg_round(spec, fed, theta, cohort, n).global_after
         federation_loss(spec, fed, theta, cohort)
-    assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
-    wide = [moments for rows, _, _, moments in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
+    assert calls == [((7, 16, 4), 0.1), ((3, 11, 4), 0.1), ((2, 3, 4), 0.1)]
+    wide = [operators for rows, _, _, operators in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
     assert wide == [None]
+    # another l2 gets operators of its own and leaves the first l2's in place
+    stronger = ModelSpec(ModelKind.RIDGE, (4,), 0.5)
+    for each in (stronger, spec, stronger):
+        fed.cohort(range(12), each)
+    assert calls[3:] == [((7, 16, 4), 0.5), ((3, 11, 4), 0.5), ((2, 3, 4), 0.5)]
+    # a spec of the same l2 but another input size gets no operators of the data's
+    with pytest.raises(DimensionMismatchError):
+        fed.cohort(range(12), ModelSpec(ModelKind.RIDGE, (5,), 0.1))
 
 
-def test_a_subset_gets_the_moments_of_its_own_data():
+def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
+    spec, datasets = mixed_ridge_world()
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
+    theta0 = 0.3 * np.random.default_rng(6).standard_normal(4)
+    finals = {}
+    for l2 in (0.1, 0.5, 0.1):
+        each = ModelSpec(ModelKind.RIDGE, (4,), l2)
+        theta = theta0
+        for n in range(3):
+            record = fedavg_round(each, fed, theta, fed.cohort(range(12), each), n)
+            _, want, _, _ = per_client_round(each, fed, theta, tuple(range(12)))
+            assert_near(record.global_after, want)
+            theta = record.global_after
+        finals.setdefault(l2, []).append(theta)
+    assert finals[0.1][0].tobytes() == finals[0.1][1].tobytes()
+    assert np.linalg.norm(finals[0.1][0] - finals[0.5][0]) > 1e-3
+
+
+def test_a_subset_gets_the_operators_of_its_own_data():
     spec, datasets = round_world("ridge", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
     fed.cohort(range(10), spec)
     for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
-        for rows, _, _, (gram, moment) in fed.cohort(subset, spec).stacks:
+        for rows, _, _, (maps, offsets) in fed.cohort(subset, spec).stacks:
             members = [datasets[subset[r]] for r in rows]
-            own_gram, own_moment = models.ridge_moments(
-                np.stack([d.features for d in members]), np.stack([d.targets for d in members])
+            own_maps, own_offsets = models.ridge_operators(
+                spec, np.stack([d.features for d in members]), np.stack([d.targets for d in members]), 0.05, 3
             )
-            assert gram.tobytes() == own_gram.tobytes()
-            assert moment.tobytes() == own_moment.tobytes()
+            assert maps.tobytes() == own_maps.tobytes()
+            assert offsets.tobytes() == own_offsets.tobytes()
 
 
 @pytest.mark.parametrize("model", ["logistic", "mlp2"])
-def test_logistic_and_mlp_federations_build_no_moments(monkeypatch, model):
+def test_logistic_and_mlp_federations_build_no_operators(monkeypatch, model):
     spec, datasets = round_world(model, ragged=True)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
-    calls = counted_moments(monkeypatch)
+    calls = counted_operators(monkeypatch)
     theta = init_params(spec, 0)
     for n, active in enumerate([range(10), (0, 2, 3)]):
         cohort = fed.cohort(active, spec)
         theta = fedavg_round(spec, fed, theta, cohort, n).global_after
         federation_loss(spec, fed, theta, cohort)
     assert calls == []
-    assert all(moments is None for *_, moments in fed.cohort(range(10), spec).stacks)
+    assert all(operators is None for *_, operators in fed.cohort(range(10), spec).stacks)
+
+
+@pytest.mark.parametrize(
+    "active", [tuple(range(12)), (0, 1, 3, 5, 8, 10), (2, 4, 6, 7)], ids=["all", "subset", "no-wide"]
+)
+@pytest.mark.parametrize("local_steps", [1, 2, 5])
+def test_fused_ridge_round_matches_the_per_step_kernel(local_steps, active):
+    """The fused rounds against the per-step stacked_grad loop, which shares
+    no code with the operators; clients 10 and 11 (d > n) keep that loop."""
+    spec, datasets = mixed_ridge_world()
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    cohort = fed.cohort(active, spec)
+    per_step = [rows for rows, _, _, operators in cohort.stacks if operators is None]
+    assert len(per_step) == int(10 in active or 11 in active)
+    everyone = fed.cohort(range(12), spec)
+    theta = 0.3 * np.random.default_rng(5).standard_normal(4)
+    for n in range(4):
+        record = fedavg_round(spec, fed, theta, cohort, n)
+        # a client's local model does not depend on who shares its stack
+        in_full = fedavg_round(spec, fed, theta, everyone, n).client_models[list(active)]
+        assert record.client_models.tobytes() == in_full.tobytes()
+        local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
+        assert_near(record.client_models, local_models)
+        for rows in per_step:
+            assert record.client_models[rows].tobytes() == np.array(local_models)[rows].tobytes()
+        assert_near(record.global_after, total)
+        assert_near(client_increments_fast(record), deltas)
+        assert_near(federation_loss(spec, fed, record.global_after, cohort), retained)
+        theta = total
 
 
 def test_a_lone_diverging_client_stops_training_in_its_round():
@@ -481,6 +557,8 @@ def test_a_lone_diverging_client_stops_training_in_its_round():
     datasets[2] = ClientDataset(6.0 * datasets[2].features, datasets[2].targets)
     fed = FederationConfig.from_datasets(datasets, eta=fed.eta, local_steps=2)
     theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
+    # every stack takes the fused path, whose guard runs once per round
+    assert all(operators is not None for *_, operators in fed.cohort(everyone, spec).stacks)
     expected = None
     for n in range(start, start + 50):
         local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import pack_mlp, step_size_bound
+from conftest import grad, pack_mlp, step_size_bound
 from fedunlearn import models
 from fedunlearn.errors import DimensionMismatchError
 from fedunlearn.models import (
@@ -18,7 +18,6 @@ from fedunlearn.models import (
     accuracy,
     as_params,
     data_loss,
-    grad,
     loss,
     norms,
     regime_constants,
@@ -133,15 +132,12 @@ def test_gradient_matches_finite_differences(kind, dims, l2):
 
 
 def unstacked_loss_and_grad(spec, X, y, theta):
-    """The one-client formulas the stacked kernel replaced, as 2-D products.
-
-    The ridge gradient uses the moments X^T X / n and X^T y / n when n >= d,
-    and the residual otherwise."""
-    n, d = X.shape
+    """The one-client formulas the stacked kernel replaced, as 2-D products."""
+    n = X.shape[0]
     if spec.kind is ModelKind.RIDGE:
         residual = X @ theta - y
         value = 0.5 * float(np.mean(residual**2))
-        g = (X.T @ X / n) @ theta - X.T @ y / n if n >= d else X.T @ residual / n
+        g = X.T @ residual / n
     elif spec.kind is ModelKind.LOGISTIC:
         z = X @ theta
         value = float(np.mean(np.logaddexp(0.0, z) - y * z))
@@ -210,7 +206,9 @@ def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
     X[2] = 100.0 + rng.standard_normal((n, d)) * np.logspace(-3, 2, d)
     y = rng.standard_normal((3, n))
     thetas = rng.standard_normal((3, d))
-    got = stacked_grad(spec, X, y, thetas)
+    # with eta = 1 and one step, theta - (A theta + b) is the Gram-form gradient
+    maps, offsets = models.ridge_operators(spec, X, y, 1.0, 1)
+    got = thetas - ((maps @ thetas[:, :, None])[:, :, 0] + offsets)
     for i in range(3):
         residual_form = X[i].T @ (X[i] @ thetas[i] - y[i]) / n + spec.l2 * thetas[i]
         assert np.linalg.norm(got[i] - residual_form) <= 1e-12 * np.linalg.norm(residual_form)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     fed_for,
+    grad,
     local_update,
     make_logistic,
     make_ridge,
@@ -16,10 +17,11 @@ from fedunlearn import oracle
 from fedunlearn.engine import FederationConfig, fedavg_round, init_params
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, grad, regime_constants
+from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, regime_constants
 from fedunlearn.oracle import (
     SensitivityTrace,
     check_bound,
+    contraction_slack,
     empirical_sensitivity,
     retrained_sensitivity,
     ridge_sensitivity,
@@ -204,11 +206,15 @@ def assert_same_alphas(closed, retrained):
 
 @pytest.mark.parametrize("local_steps", [1, 5])
 @pytest.mark.parametrize("weights", [None, [0.1, 0.45, 0.05, 0.25, 0.15]])
-def test_closed_form_matches_the_engine_oracle(local_steps, weights):
+def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights):
     spec, datasets = ragged_ridge([7, 12, 9, 16, 5])
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=local_steps, weights=weights)
     _, _, history, ledger = train_world(spec, fed, 25, theta0=init_params(spec, 91))
+    # the closed form takes the operators training built, and builds none
+    calls = []
+    monkeypatch.setattr(models, "ridge_operators", lambda *args: calls.append(args))
     closed = ridge_sensitivity(fed, spec, history, ledger)
+    assert calls == []
     assert_same_alphas(closed, retrained_sensitivity(fed, spec, history, ledger))
     assert all(check_bound(trace).passed for trace in closed)
 
@@ -237,19 +243,29 @@ def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "retrain_until", counted)
-    # C * d = 3 * 4 <= 12 samples: closed form, no retraining
-    spec, datasets = ragged_ridge([3, 5, 4])
+    # every data shape has d <= n, so every client has operators: closed form
+    spec, datasets = ragged_ridge([4, 5, 4])
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
     _, _, history, ledger = train_world(spec, fed, 4)
     empirical_sensitivity(fed, spec, history, ledger)
     assert calls == []
-    # one sample fewer, and the operators would outgrow the data
-    spec, datasets = ragged_ridge([3, 5, 3])
+    # a client of 3 samples has d > n and no operators, though C * d <= 13 samples
+    spec, datasets = ragged_ridge([3, 6, 4])
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
     _, _, history, ledger = train_world(spec, fed, 4)
     traces = empirical_sensitivity(fed, spec, history, ledger)
     assert calls == [[1, 2], [0, 2], [0, 1]]
-    assert_same_alphas(ridge_sensitivity(fed, spec, history, ledger), traces)
+    with pytest.raises(ValueError, match="operators"):
+        ridge_sensitivity(fed, spec, history, ledger)
+    # the per-step kernel, written out, gives the same leave-one-out runs
+    for trace in traces:
+        without, survivors = [history.models[0]], [c for c in range(3) if c != trace.client]
+        q = np.array([fed.weights[c] for c in survivors]) / sum(fed.weights[c] for c in survivors)
+        for _ in range(4):
+            local = [reference_gd(spec, datasets[c], without[-1], fed.eta, 2) for c in survivors]
+            without.append(q @ np.array(local))
+        want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
+        np.testing.assert_allclose(trace.alphas, want, rtol=1e-10, atol=1e-14)
 
 
 def test_a_diverging_leave_one_out_run_raises():
@@ -265,6 +281,34 @@ def test_a_diverging_leave_one_out_run_raises():
     assert err.value.round_index is not None
     with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError):
         retrained_sensitivity(fed, spec, history, ledger)
+
+
+# ---------------------------------------------------------------------------
+# the contraction premise
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_the_exact_ridge_contraction_check_fails_below_the_largest_step_norm(local_steps):
+    spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=94, l2=0.1)
+    fed, constants = fed_for(spec, datasets, frac=1.0, local_steps=local_steps)
+    contraction = contraction_factor(constants, fed.eta)
+    ((_, features, targets, operators),) = fed.cohort(range(4), spec).stacks
+    assert operators is not None
+    # ||P_i||_2 of one local step, written out from the data
+    eye = np.eye(4)
+    largest = max(np.linalg.norm(eye - fed.eta * (X.T @ X / len(X) + spec.l2 * eye), 2) for X in features)
+    slack = contraction_slack(fed, spec, contraction)
+    assert slack < 0.0
+    assert slack == pytest.approx(largest - contraction, rel=0, abs=1e-12)
+    # the exact ratio bounds every sampled pair's ||gap|| / ||theta - phi||
+    for _, offset, grads in models.gradient_pairs(spec, [(features, targets)], 8_191, 200):
+        for near, far in grads:
+            ratios = models.norms(offset + fed.eta * (near - far)) / np.linalg.norm(offset)
+            assert ratios.max() <= largest * (1 + 1e-12)
+    # verify fails the check once the slack exceeds 1e-9
+    for margin in (-1e-6, 1e-6):
+        assert contraction_slack(fed, spec, largest + margin) == pytest.approx(-margin, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

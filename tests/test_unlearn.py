@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_near,
     exactly,
     fed_for,
     local_update,
@@ -185,7 +186,7 @@ def test_retrain_subset_matches_manual_renormalised_loop():
     for _ in range(5):
         locals_ = [local_update(spec, datasets[i], theta, 0.3, 2) for i in (1, 2)]
         theta = aggregate(locals_, [0.6, 0.4])
-    np.testing.assert_array_equal(result.final_model, theta)
+    assert_near(result.final_model, theta)
 
 
 def test_retrain_converges_at_closed_form_threshold():
@@ -378,7 +379,7 @@ def test_baseline_scratch_matches_manual_loop():
     for _ in range(6):
         locals_ = [local_update(spec, datasets[i], theta, 0.2, 1) for i in (1, 2)]
         theta = aggregate(locals_, [0.6, 0.4])
-    np.testing.assert_array_equal(out, theta)
+    assert_near(out, theta)
 
 
 def test_baseline_finetune_continues_from_the_final_model():
