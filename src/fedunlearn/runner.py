@@ -7,7 +7,6 @@ config name:
     <run>/train/                     history.ckpt, ledger.ckpt, metrics.jsonl,
                                      timings.json, manifest
     <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
-                                     ledger.ckpt (ledger-backed methods),
                                      final_model.ckpt, timings.json, manifest
     <run>/verify_report.json
     <run>/report/*.csv
@@ -15,23 +14,20 @@ config name:
 A manifest is written last and lists the files of its directory.
 
 Training is one fixed-round all-client `unlearn.retrain_until` call that
-records the ledger and every round's global model.  A ledger file stores each
-round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi from
-the deltas (which request's retraining produced a round follows from the
-rollback positions in outcomes.json).  train's ledger holds every round; an
-unlearn ledger holds only the rounds from its smallest rollback position on,
-and is joined to train's on load (no file is written for an empty suffix).
-Every command starts from `prepare`, which builds the config's one FederationConfig.
-unlearn and verify load the train artifacts through one loader, `_load_train`,
-and verify and report load each unlearn run through another, `_load_unlearn`,
-which also requires the final model to carry the config's digest and to end
-where the outcomes' timeline does.
+records the ledger and every round's global model.  train's ledger file holds
+each round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi
+from the deltas.  An unlearn run writes no ledger: its ledger follows from
+train's and the request sequence.  Every command starts from `prepare`, which
+builds the config's one FederationConfig.  unlearn and verify load the train
+artifacts through one loader, `_load_train`, and verify and report load each
+unlearn run through another, `_load_unlearn`, which also requires the final
+model to carry the config's digest and to end where the outcomes' timeline does.
 verify hands the loaded ledger and history to the oracle, so it certifies the
 Psi that train wrote, and replays each recorded round from the history,
 requiring the next model and the ledger's deltas bit for bit, and the deltas
-within rounding of the direct increments.
-It re-runs every unlearning method from the same artifacts and requires its
-outcomes, final model and ledger bit for bit.  Every unlearning method runs
+within rounding of the direct increments.  It re-runs every unlearning method
+from the same artifacts, requires its outcomes and final model bit for bit,
+and audits the budget on the re-run's ledger.  Every unlearning method runs
 the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
 artifacts a method starts from (scratch none, finetune only the history, the
 ledger-backed methods the ledger too).
@@ -212,7 +208,8 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     )
 
     write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
-    _write_ledger(train_dir, prepared, ledger, 0)
+    if rounds:  # the checkpoint format holds no empty block
+        write_checkpoint(train_dir / LEDGER_FILE, rounds, ledger.deltas, prepared.digest)
     per_round = zip(result.loss_trace[1:], ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
     metrics = "".join(
         dumps17({"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}) + "\n"
@@ -224,63 +221,54 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     return train_dir
 
 
-def _write_ledger(directory: Path, prepared: PreparedExperiment, ledger: SensitivityLedger, start: int) -> None:
-    """Write the ledger's rounds from `start` on, and no file for an empty
-    suffix, which the checkpoint format cannot hold."""
-    if start < len(ledger):
-        ledger.write(directory / LEDGER_FILE, start, prepared.digest)
-
-
 def _load_train(
     train_dir: Path, prepared: PreparedExperiment, with_ledger: bool
 ) -> tuple[TrainingHistory, SensitivityLedger | None]:
     """The model history train wrote and, if asked, its ledger, each checked
-    against the train manifest, the config and the other."""
+    against the train manifest and the config; Psi is rebuilt from the deltas."""
     _check_manifest_hash(train_dir, prepared)
-    path = train_dir / "history.ckpt"
-    if not path.exists():
-        raise MissingArtifactsError(f"missing model history: {path}")
-    _, kept = _read_checkpoint(path, prepared)
-    kept = kept.reshape(-1, prepared.spec.param_count)
     rounds = prepared.config.rounds
-    if len(kept) != rounds + 1:
-        raise MissingArtifactsError(f"{path} holds {len(kept)} models but the config trains {rounds} rounds")
+    kept = _read_train_block(train_dir / "history.ckpt", prepared, rounds + 1, prepared.spec.param_count)
     history = TrainingHistory.from_models(kept)
     if not with_ledger:
         return history, None
-    empty = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
-    return history, _read_ledger(train_dir, prepared, empty, 0, rounds)
+    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
+    if not rounds:
+        return history, ledger  # train wrote no file for an empty ledger
+    path = train_dir / LEDGER_FILE
+    for n, row in enumerate(_read_train_block(path, prepared, rounds, prepared.client_count)):
+        try:
+            ledger.record_round(row)
+        except ValueError as err:
+            raise MissingArtifactsError(f"{path} round {n}: {err}; re-run the command that wrote it") from err
+    return history, ledger
+
+
+def _read_train_block(path: Path, prepared: PreparedExperiment, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) block of a train checkpoint, refusing one that does
+    not end at the config's last round as missing artifacts."""
+    position, values = _read_checkpoint(path, prepared)
+    values = np.atleast_2d(values)
+    rounds = prepared.config.rounds
+    if position != rounds or values.shape != (rows, width):
+        raise MissingArtifactsError(
+            f"{path} holds a {values.shape[0]}x{values.shape[1]} block ending at round {position},"
+            f" expected {rows}x{width} ending at round {rounds}"
+        )
+    return values
 
 
 def _read_checkpoint(path: Path, prepared: PreparedExperiment) -> tuple[int, np.ndarray]:
     """Position and values of a checkpoint this config wrote, refusing a
-    damaged file as missing artifacts and another config's as a config error."""
+    missing or damaged file as missing artifacts and another config's as a
+    config error."""
     try:
         position, values, digest = read_checkpoint(path)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
     if digest != prepared.digest:
         raise ConfigError(f"checkpoint {path} was produced by a different config")
     return position, values
-
-
-def _read_ledger(
-    directory: Path, prepared: PreparedExperiment, prefix: SensitivityLedger, start: int, end: int
-) -> SensitivityLedger:
-    """The ledger of rounds 0..end: prefix's first `start` rounds joined to the
-    directory's ledger file of rounds start..end, refusing a damaged file as
-    missing artifacts."""
-    if start > len(prefix):
-        raise MissingArtifactsError(f"{directory} starts at round {start}, after the {len(prefix)} rounds it follows")
-    if start == end:
-        return prefix.prefix(start)
-    path = directory / LEDGER_FILE
-    if not path.exists():
-        raise MissingArtifactsError(f"missing ledger: {path}")
-    try:
-        return SensitivityLedger.read(path, prefix, start, end, prepared.digest)
-    except ValueError as err:
-        raise MissingArtifactsError(f"{err}; re-run the command that wrote it") from err
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +292,20 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     out_dir = run_dir / f"unlearn_{method}"
 
     # load and check every train artifact before the run directory is touched
-    history, ledger = _train_inputs(run_dir, prepared, method)
+    inputs = _train_inputs(run_dir, prepared, method)
 
     if out_dir.exists():
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True)
     _store_config(run_dir, config)
 
-    state, outcome_rows, metric_rows = _run_requests(prepared, history, ledger, method)
+    state, outcome_rows, metric_rows = _run_requests(prepared, *inputs, method)
     _write_text(
         out_dir / "outcomes.json",
         dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
     )
     _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
-    if ledger is not None:
-        _write_ledger(out_dir, prepared, ledger, _suffix_start(outcome_rows, len(ledger)))
-    write_checkpoint(
-        out_dir / "final_model.ckpt", history.end_position, state.current_model, prepared.digest
-    )
+    write_checkpoint(out_dir / "final_model.ckpt", state.history.end_position, state.history.final_model, prepared.digest)
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
     _write_manifest(out_dir, prepared, f"unlearn:{method}")
     return out_dir
@@ -361,12 +345,6 @@ def _run_requests(
             {"request": u, "position": pos, "retained_loss": loss} for pos, loss in outcome.loss_trace
         )
     return state, outcome_rows, metric_rows
-
-
-def _suffix_start(outcomes: list[dict], end: int) -> int:
-    """Where an unlearn ledger file starts: the smallest rollback position,
-    before which the timeline is train's; the timeline end if no request ran."""
-    return min((row["rollback_position"] for row in outcomes), default=end)
 
 
 def _outcome_row(outcome) -> dict:
@@ -453,25 +431,18 @@ def _audit_unlearn_runs(
         out_dir = run_dir / f"unlearn_{method}"
         if not out_dir.is_dir():
             continue
-        outcomes, end, final_model = _load_unlearn(out_dir, prepared, method)
-        ledger = None
-        if method in LEDGER_METHODS:
-            ledger = _read_ledger(out_dir, prepared, train_ledger, _suffix_start(outcomes, end), end)
+        outcomes, final_model = _load_unlearn(out_dir, prepared, method)
         # the same requests re-run on the same train inputs must give the same run
         inputs = _train_inputs(run_dir, prepared, method, (history, train_ledger))
         state, rows, _ = _run_requests(prepared, *inputs, method)
-        reproduced = (
-            rows == outcomes
-            and state.current_model.tobytes() == final_model.tobytes()
-            and (ledger is None or state.ledger.deltas.tobytes() == ledger.deltas.tobytes())
-        )
-        checks.append(_audit_one_run(prepared, method, ledger, outcomes, reproduced))
+        reproduced = rows == outcomes and state.history.final_model.tobytes() == final_model.tobytes()
+        checks.append(_audit_one_run(prepared, method, state.ledger, rows, reproduced))
     return checks
 
 
-def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> tuple[list[dict], int, np.ndarray]:
-    """An unlearn run's outcomes, timeline end and final model, checked against
-    its manifest, the config and each other."""
+def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> tuple[list[dict], np.ndarray]:
+    """An unlearn run's outcomes and final model, checked against its
+    manifest, the config and each other."""
     _check_manifest_hash(out_dir, prepared)
     outcomes_path, final_path = out_dir / "outcomes.json", out_dir / "final_model.ckpt"
     if not (outcomes_path.exists() and final_path.exists()):
@@ -486,14 +457,15 @@ def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> t
     position, final_model = _read_checkpoint(final_path, prepared)
     if position != end:
         raise MissingArtifactsError(f"{final_path} ends at {position} but the timeline at {end}")
-    return outcomes, end, final_model
+    return outcomes, final_model
 
 
 def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict:
     """Passes when re-running the method reproduced the run and, for sifu and
     ifu (last never truncates; scratch and finetune have no budget), each
     request's targets stay within psi* at the perturbation that covers them in
-    the surviving timeline.  worst_slack is None where no psi* comparison ran."""
+    the surviving timeline.  `ledger` and `outcomes` are the re-run's.
+    worst_slack is None where no psi* comparison ran."""
     if ledger is None:
         return {"name": f"rerun:{method}", "pass": reproduced, "worst_slack": None, "tightness": None}
     psi_star = prepared.config.budget.psi_star
@@ -529,8 +501,7 @@ def cmd_report(run_dir: Path) -> Path:
     methods = {}
     for out_dir in sorted(run_dir.glob("unlearn_*")):
         method = out_dir.name.removeprefix("unlearn_")
-        outcomes, _, final_model = _load_unlearn(out_dir, prepared, method)
-        methods[method] = (outcomes, final_model)
+        methods[method] = _load_unlearn(out_dir, prepared, method)
     if not methods:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RoundRecord, read_checkpoint, write_checkpoint
+from .engine import RoundRecord
 from .errors import SingularRemovalError, StepSizeError
 from .models import Regime, RegimeConstants, norms
 
@@ -259,45 +259,3 @@ class SensitivityLedger:
         head = SensitivityLedger(self.contraction, self.local_steps, self.client_count)
         head._deltas, head._psi = self._deltas[:n], self._psi[: n + 1]
         return head
-
-    # -- file round-trip -----------------------------------------------------
-
-    def write(self, path, start: int, config_hash: bytes) -> None:
-        """Write rounds start..len as one checkpoint-format block.
-
-        The header's position is len(self); row r of the (rows, C) block
-        holds the C deltas of round start + r.  Psi is not stored, since
-        `read` derives it from the deltas.  The checkpoint format holds no
-        empty block, so `start` must be below len(self).
-        """
-        self._check_prefix(start)
-        write_checkpoint(path, len(self), self.deltas[start:], config_hash)
-
-    @staticmethod
-    def read(path, prefix: "SensitivityLedger", start: int, end: int, config_hash: bytes) -> "SensitivityLedger":
-        """The ledger of rounds 0..end: prefix's first `start` rounds (it must
-        hold that many) joined to the rounds start..end that `write` put in
-        `path`, Psi rebuilt through record_round.
-
-        Raises ValueError for a file of another config, of other rounds or
-        of another width, and for a non-finite or negative delta.
-        """
-        position, block, digest = read_checkpoint(path)
-        if digest != config_hash:
-            raise ValueError(f"{path} was produced by a different config")
-        block = block.reshape(-1, block.shape[-1])
-        if block.shape[1] != prefix.client_count:
-            raise ValueError(
-                f"{path}: a row of {prefix.client_count} clients has {prefix.client_count} columns,"
-                f" {block.shape[1]} were found"
-            )
-        first = position - len(block)
-        if (first, position) != (start, end):
-            raise ValueError(f"{path} holds rounds {first}..{position}, expected {start}..{end}")
-        ledger = prefix.prefix(start)
-        for n, row in enumerate(block, start):
-            try:
-                ledger.record_round(row)
-            except ValueError as err:
-                raise ValueError(f"{path} round {n}: {err}") from err
-        return ledger

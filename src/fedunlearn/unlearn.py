@@ -96,7 +96,7 @@ class UnlearningState:
     """Mutable record of a sequential unlearning session with one method.
 
     The ledger-backed methods (LEDGER_METHODS) need a ledger; the others
-    take none.
+    take none.  The history's final model is the session's current model.
     """
 
     remaining: set[int]
@@ -104,7 +104,6 @@ class UnlearningState:
     budget: NoiseBudget
     ledger: SensitivityLedger | None
     history: TrainingHistory
-    current_model: Params
     seed: int
     next_request_index: int = 1
     method: str = "sifu"
@@ -131,7 +130,6 @@ class UnlearningState:
             budget=budget,
             ledger=ledger,
             history=history,
-            current_model=history.final_model.copy(),
             seed=seed,
             method=method,
         )
@@ -263,7 +261,6 @@ def sifu(
         history=state.history,
         start_position=position,
     )
-    state.current_model = result.final_model
     state.next_request_index += 1
     return UnlearningOutcome(
         request_index=request.request_index,

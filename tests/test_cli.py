@@ -1,5 +1,4 @@
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +116,13 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
             }
         )
         kept.append(theta)
-    ledger.write(reference, 0, prepared.digest)
+    write_checkpoint(reference, rounds, ledger.deltas, prepared.digest)
 
     assert (train / "ledger.ckpt").read_bytes() == reference.read_bytes()
+    # loading rebuilds the same deltas and Psi bit for bit
+    _, loaded = runner._load_train(train, prepared, with_ledger=True)
+    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
+    assert loaded.psi.tobytes() == ledger.psi.tobytes()
     assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
     end, written, digest = read_checkpoint(train / "history.ckpt")
     assert (end, digest, len(kept)) == (7, prepared.digest, 8)
@@ -165,11 +168,9 @@ def test_unlearn_sifu_artifacts(workdir):
     assert outcomes["outcomes"][0]["targets"] == [0]
     round_index, values, _ = read_checkpoint(out / "final_model.ckpt")
     assert values.shape == (3,)
-    # the ledger holds the rounds from the rollback on, each three deltas
-    end, block, _ = read_checkpoint(out / "ledger.ckpt")
-    start = outcomes["outcomes"][0]["rollback_position"]
-    assert end == round_index == start + outcomes["outcomes"][0]["retrain_rounds"]
-    assert block.reshape(-1, 3).shape == (end - start, 3)
+    # the final model ends the retraining that follows the rollback
+    assert round_index == outcomes["outcomes"][0]["rollback_position"] + outcomes["outcomes"][0]["retrain_rounds"]
+    assert not (out / "ledger.ckpt").exists()
     assert (out / "metrics.jsonl").read_text() != ""
 
 
@@ -180,11 +181,11 @@ def test_unlearn_all_methods_and_report(workdir):
     assert main(["train", config]) == 0
     for method in ("sifu", "scratch", "finetune", "last"):
         assert main(["unlearn", config, "--method", method]) == 0
-    # last's ledger holds exactly its retraining rounds, after train's six
+    # last's final model ends its retraining rounds, after train's six
     last = run_dir(workdir, doc) / "unlearn_last"
     retrained = sum(row["retrain_rounds"] for row in json.loads((last / "outcomes.json").read_text())["outcomes"])
-    end, block, _ = read_checkpoint(last / "ledger.ckpt")
-    assert (end, block.reshape(-1, 3).shape[0]) == (6 + retrained, retrained)
+    end, _, _ = read_checkpoint(last / "final_model.ckpt")
+    assert end == 6 + retrained
     assert main(["report", str(run_dir(workdir, doc))]) == 0
     report = run_dir(workdir, doc) / "report"
     rounds = (report / "rounds.csv").read_text().splitlines()
@@ -231,7 +232,7 @@ def test_empty_request_list_is_a_no_op(workdir):
         assert main(["unlearn", config, "--method", method]) == 0
         out = run_dir(workdir, doc) / f"unlearn_{method}"
         assert json.loads((out / "outcomes.json").read_text())["outcomes"] == []
-        # an empty suffix: no ledger file, and the manifest lists none
+        # no unlearn run writes a ledger file
         assert not (out / "ledger.ckpt").exists()
         assert "ledger.ckpt" not in json.loads((out / "manifest.json").read_text())["outputs"]
     # scratch's final model sits at position 0, every other method's at rounds
@@ -279,50 +280,40 @@ def rewrite_ledger(path: Path, edit) -> None:
     write_checkpoint(path, end, block, digest)
 
 
-def halve_a_positive_delta(ledger_path: Path, last: bool = False) -> None:
-    """Halve the first positive delta of the file, or the last one."""
+def halve_a_positive_delta(ledger_path: Path) -> None:
+    """Halve the first positive delta of the file."""
 
     def edit(end, block):
-        row, column = np.argwhere(block > 0)[-1 if last else 0]
+        row, column = np.argwhere(block > 0)[0]
         block[row, column] *= 0.5
         return end, block
 
     rewrite_ledger(ledger_path, edit)
 
 
-def test_verify_catches_a_tampered_ledger(workdir, capsys):
-    doc = base_doc()
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
-    # the suffix holds only the retraining rounds, which no later request reads
-    halve_a_positive_delta(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.ckpt")
-    assert main(["verify", config]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL budget_audit:sifu" in out
-    assert "verification FAILED" in out
-
-
 @pytest.mark.parametrize(
-    "method, file",
-    [("sifu", "ledger.ckpt"), ("last", "ledger.ckpt"), ("last", "final_model.ckpt"), ("sifu", "outcomes.json")],
+    "method, edit",
+    # sigma: one outcome's sigma one ulp up; outcomes.json: its retained loss; final_model.ckpt: every value
+    [("sifu", "sigma"), ("last", "sigma"), ("last", "final_model.ckpt"), ("sifu", "outcomes.json")],
 )
-def test_verify_reruns_each_ledger_method(workdir, capsys, method, file):
-    doc = base_doc(f"cli_rerun_{method}_{file.split('.')[0]}")
+def test_verify_reruns_each_ledger_method(workdir, capsys, method, edit):
+    doc = base_doc(f"cli_rerun_{method}_{edit.split('.')[0]}")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", method]) == 0
     assert main(["verify", config]) == 0
-    path = run_dir(workdir, doc) / f"unlearn_{method}" / file
-    if file == "ledger.ckpt":
-        halve_a_positive_delta(path, last=True)  # a round after the last rollback
-    elif file == "final_model.ckpt":
-        end, model, digest = read_checkpoint(path)
-        write_checkpoint(path, end, model + 1e-12, digest)
+    out = run_dir(workdir, doc) / f"unlearn_{method}"
+    if edit == "final_model.ckpt":
+        end, model, digest = read_checkpoint(out / edit)
+        write_checkpoint(out / edit, end, model + 1e-12, digest)
     else:
-        doc_out = json.loads(path.read_text())
-        doc_out["outcomes"][0]["final_retained_loss"] *= 1 + 1e-15
-        path.write_text(dumps17(doc_out, indent=2) + "\n")
+        doc_out = json.loads((out / "outcomes.json").read_text())
+        row = doc_out["outcomes"][0]
+        if edit == "sigma":
+            row["sigma"] = float(np.nextafter(row["sigma"], np.inf))
+        else:
+            row["final_retained_loss"] *= 1 + 1e-15
+        (out / "outcomes.json").write_text(dumps17(doc_out, indent=2) + "\n")
     capsys.readouterr()
     assert main(["verify", config]) == 1
     assert f"FAIL budget_audit:{method}" in capsys.readouterr().out
@@ -342,6 +333,21 @@ def test_verify_reruns_the_methods_without_a_ledger(workdir, capsys, method):
     capsys.readouterr()
     assert main(["verify", config]) == 1
     assert f"FAIL rerun:{method}" in capsys.readouterr().out
+
+
+def test_a_stale_unlearn_ledger_is_ignored(workdir):
+    # earlier versions wrote unlearn_<method>/ledger.ckpt; verify rebuilds the
+    # run's ledger by re-running it and reads no such file
+    doc = base_doc("cli_stale_unlearn_ledger")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    assert main(["verify", config]) == 0
+    report = run_dir(workdir, doc) / "verify_report.json"
+    honest = report.read_bytes()
+    (run_dir(workdir, doc) / "unlearn_sifu" / "ledger.ckpt").write_bytes(b"stale")
+    assert main(["verify", config]) == 0
+    assert report.read_bytes() == honest
 
 
 def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
@@ -411,22 +417,11 @@ def set_cell(row, column, value):
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (set_cell(4, 0, np.nan), "round 4: non-finite increment for client 0"),
-        (set_cell(2, 2, np.inf), "round 2: non-finite increment for client 2"),
-        (lambda end, block: (end, block[:, :2]), "a row of 3 clients has 3 columns, 2 were found"),
-        (lambda end, block: (end - 1, block[:-1]), "holds rounds 0..5, expected 0..6"),
-        (with_a_segment_column(0.0), "a row of 3 clients has 3 columns, 4 were found"),
-    ],
-    ids=["nan-delta", "inf-delta", "narrow", "short", "segment-column"],
-)
-def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message):
-    doc = base_doc("cli_damaged_ledger")
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    rewrite_ledger(run_dir(workdir, doc) / "train" / "ledger.ckpt", edit)
+def assert_train_ledger_refused(workdir, capsys, doc, message):
+    """verify and the ledger-backed unlearn methods exit 2 naming `message`,
+    and write neither verify_report.json nor an unlearn directory."""
+    config = str(workdir / f"{doc['name']}.json")
+    capsys.readouterr()
     assert main(["verify", config]) == 2
     assert message in capsys.readouterr().err
     assert not (run_dir(workdir, doc) / "verify_report.json").exists()
@@ -436,46 +431,35 @@ def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message)
         assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
 
 
-def test_an_unlearn_ledger_with_a_segment_column_is_refused(workdir, capsys):
-    doc = base_doc("cli_segment_column")
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_cell(4, 0, np.nan), "ledger.ckpt round 4: non-finite increment for client 0"),
+        (set_cell(2, 2, np.inf), "ledger.ckpt round 2: non-finite increment for client 2"),
+        (set_cell(3, 1, -0.5), "ledger.ckpt round 3: negative increment for client 1"),
+        (lambda end, block: (end, block[:, :2]), "ledger.ckpt holds a 6x2 block ending at round 6, expected 6x3"),
+        (lambda end, block: (end - 1, block[:-1]), "holds a 5x3 block ending at round 5, expected 6x3 ending at round 6"),
+        (lambda end, block: (10**15, block), f"holds a 6x3 block ending at round {10**15}, expected 6x3 ending at round 6"),
+        (with_a_segment_column(0.0), "ledger.ckpt holds a 6x4 block ending at round 6, expected 6x3"),
+    ],
+    ids=["nan-delta", "inf-delta", "negative-delta", "narrow", "short", "position", "segment-column"],
+)
+def test_a_damaged_train_ledger_is_a_usage_error(workdir, capsys, edit, message):
+    doc = base_doc("cli_damaged_ledger")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
-    rewrite_ledger(run_dir(workdir, doc) / "unlearn_sifu" / "ledger.ckpt", with_a_segment_column(1.0))
-    before = snapshot(run_dir(workdir, doc))
-    capsys.readouterr()
-    assert main(["verify", config]) == 2
-    assert "unlearn_sifu/ledger.ckpt: a row of 3 clients has 3 columns, 4 were found" in capsys.readouterr().err
-    assert snapshot(run_dir(workdir, doc)) == before
+    rewrite_ledger(run_dir(workdir, doc) / "train" / "ledger.ckpt", edit)
+    assert_train_ledger_refused(workdir, capsys, doc, message)
 
 
-@pytest.mark.parametrize("directory", ["train", "unlearn_sifu"])
+@pytest.mark.parametrize("directory", ["train"])
 def test_a_truncated_ledger_is_refused(workdir, capsys, directory):
     doc = base_doc(f"cli_cut_ledger_{directory}")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
     path = run_dir(workdir, doc) / directory / "ledger.ckpt"
     path.write_bytes(path.read_bytes()[:-4])
-    capsys.readouterr()
-    assert main(["verify", config]) == 2
-    assert "ledger.ckpt: truncated checkpoint" in capsys.readouterr().err
-
-
-def test_an_unlearn_ledger_must_start_at_the_first_rollback(workdir, capsys):
-    doc = base_doc("cli_suffix_start")
-    doc["requests"] = [[0], [2]]
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", "sifu"]) == 0
-    out = run_dir(workdir, doc) / "unlearn_sifu"
-    outcomes = json.loads((out / "outcomes.json").read_text())["outcomes"]
-    start = min(row["rollback_position"] for row in outcomes)
-    end, _, _ = read_checkpoint(out / "ledger.ckpt")
-    rewrite_ledger(out / "ledger.ckpt", lambda end, block: (end, block[1:]))  # one round late
-    capsys.readouterr()
-    assert main(["verify", config]) == 2
-    assert f"holds rounds {start + 1}..{end}, expected {start}..{end}" in capsys.readouterr().err
+    assert_train_ledger_refused(workdir, capsys, doc, "ledger.ckpt: truncated checkpoint")
 
 
 def test_an_unlearn_run_starting_after_train_is_refused(workdir, capsys):
@@ -483,15 +467,16 @@ def test_an_unlearn_run_starting_after_train_is_refused(workdir, capsys):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     assert main(["unlearn", config, "--method", "last"]) == 0
-    # an outcomes.json whose one request rolls back to its own end: an empty suffix
+    # an outcomes.json whose one request rolls back after train's rounds, where
+    # the final model ends: it loads, but re-running last does not give it
     path = run_dir(workdir, doc) / "unlearn_last" / "outcomes.json"
     outcomes = json.loads(path.read_text())
     row = outcomes["outcomes"][0]
     row["rollback_position"], row["retrain_rounds"] = row["rollback_position"] + row["retrain_rounds"], 0
     path.write_text(dumps17(outcomes, indent=2) + "\n")
     capsys.readouterr()
-    assert main(["verify", config]) == 2
-    assert f"unlearn_last starts at round {row['rollback_position']}, after the 6 rounds" in capsys.readouterr().err
+    assert main(["verify", config]) == 1
+    assert "FAIL budget_audit:last" in capsys.readouterr().out
 
 
 def test_a_ledger_of_another_config_is_refused(workdir, capsys):
@@ -503,8 +488,7 @@ def test_a_ledger_of_another_config_is_refused(workdir, capsys):
     assert main(["train", write_doc(workdir, other)]) == 0
     own = run_dir(workdir, doc) / "train" / "ledger.ckpt"
     own.write_bytes((run_dir(workdir, other) / "train" / "ledger.ckpt").read_bytes())
-    assert main(["verify", config]) == 2
-    assert "ledger.ckpt was produced by a different config" in capsys.readouterr().err
+    assert_train_ledger_refused(workdir, capsys, doc, "ledger.ckpt was produced by a different config")
 
 
 def test_verify_before_train_is_a_usage_error(workdir, capsys):
@@ -635,13 +619,9 @@ def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
     monkeypatch.setattr(runner, "empirical_sensitivity", recording)
     assert main(["verify", config]) == 0
     prepared = prepare(load_config(config))
-    ledger = SensitivityLedger.read(
-        run_dir(workdir, doc) / "train" / "ledger.ckpt",
-        SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count),
-        0,
-        prepared.config.rounds,
-        prepared.digest,
-    )
+    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
+    for row in read_checkpoint(run_dir(workdir, doc) / "train" / "ledger.ckpt")[1]:
+        ledger.record_round(row)
     assert [trace.client for trace in traces] == [0, 1, 2]
     for trace in traces:
         assert trace.psis.tobytes() == ledger.psi[:, trace.client].tobytes()
@@ -661,21 +641,6 @@ def test_verify_and_report_refuse_unlearn_runs_of_another_config(workdir, capsys
     assert not (run_dir(workdir, doc) / "verify_report.json").exists()
     assert main(["report", str(run_dir(workdir, doc))]) == 2
     assert "unlearn_sifu were produced by a different config" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("method", ["sifu", "last"])
-def test_verify_refuses_an_unlearn_ledger_missing_its_last_round(workdir, capsys, method):
-    doc = base_doc(f"cli_cut_{method}")
-    config = write_doc(workdir, doc)
-    assert main(["train", config]) == 0
-    assert main(["unlearn", config, "--method", method]) == 0
-    assert main(["verify", config]) == 0
-    ledger_path = run_dir(workdir, doc) / f"unlearn_{method}" / "ledger.ckpt"
-    rewrite_ledger(ledger_path, lambda end, block: (end - 1, block[:-1]))  # drop the last round
-    capsys.readouterr()
-    assert main(["verify", config]) == 2
-    cut = re.search(r"holds rounds (\d+)\.\.(\d+), expected (\d+)\.\.(\d+)", capsys.readouterr().err)
-    assert cut and cut[1] == cut[3] and int(cut[2]) + 1 == int(cut[4])
 
 
 def test_refused_unlearn_leaves_the_run_untouched(workdir, capsys):
@@ -730,11 +695,9 @@ def test_a_ledger_shorter_than_the_checkpoints_is_refused(workdir, capsys):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     ledger_path = run_dir(workdir, doc) / "train" / "ledger.ckpt"
-    rewrite_ledger(ledger_path, lambda end, block: (end - 1, block[:-1]))  # drop the last round
-    for method in ("sifu", "last"):
-        assert main(["unlearn", config, "--method", method]) == 2
-        assert "ledger.ckpt holds rounds 0..5, expected 0..6" in capsys.readouterr().err
-        assert not (run_dir(workdir, doc) / f"unlearn_{method}").exists()
+    rewrite_ledger(ledger_path, lambda end, block: (end, block[:-1]))  # drop the last round, keep the header's
+    message = "ledger.ckpt holds a 5x3 block ending at round 6, expected 6x3 ending at round 6"
+    assert_train_ledger_refused(workdir, capsys, doc, message)
 
 
 def test_a_checkpoint_interval_other_than_one_is_refused(workdir, capsys):
@@ -818,10 +781,10 @@ def test_train_writes_exactly_the_files_its_manifest_lists(workdir, rounds):
         assert main(["train", config]) == 0
         # the checkpoint format holds no empty block, so an empty ledger has no file
         expected = {"train": ["history.ckpt", *(["ledger.ckpt"] if rounds else []), "metrics.jsonl"]}
-        for method in ("sifu", "last", "scratch", "finetune"):
+        # no unlearn run writes a ledger, with or without requests
+        for method in unlearn.METHODS:
             assert main(["unlearn", config, "--method", method]) == 0
-            ledger = ["ledger.ckpt"] if requests and method in ("sifu", "last") else []
-            expected[f"unlearn_{method}"] = ["final_model.ckpt", *ledger, "metrics.jsonl", "outcomes.json"]
+            expected[f"unlearn_{method}"] = ["final_model.ckpt", "metrics.jsonl", "outcomes.json"]
         for name, files in expected.items():
             directory = run_dir(workdir, doc) / name
             listed = json.loads((directory / "manifest.json").read_text())["outputs"]

@@ -1,6 +1,4 @@
 import math
-import re
-import struct
 
 import numpy as np
 import pytest
@@ -8,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SQ
-from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights, write_checkpoint
-from fedunlearn.errors import DimensionMismatchError, SingularRemovalError, StepSizeError
+from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights
+from fedunlearn.errors import SingularRemovalError, StepSizeError
 from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
     NoiseBudget,
@@ -399,13 +397,6 @@ class ScalarLedger:
         series = [self.series(c) for c in clients]
         return max(n for n in range(len(self.rounds) + 1) if max(x[n] for x in series) <= threshold)
 
-    def block_bytes(self, start, digest):
-        """The ledger file of rounds start.., packed value by value: magic, end
-        position, width C and digest, then per round its deltas."""
-        width = self.client_count
-        head = b"FUL1" + struct.pack("<qq", len(self.rounds), width) + digest
-        return head + b"".join(struct.pack(f"<{width}d", *deltas) for deltas in self.rounds[start:])
-
 
 @st.composite
 def ledger_scripts(draw):
@@ -431,11 +422,8 @@ def ledger_scripts(draw):
     contraction=st.floats(0.3, 1.5),
     local_steps=st.integers(1, 3),
     threshold=st.floats(0, 3.0),
-    dropped=st.integers(0, 10**6),
 )
-def test_dense_ledger_matches_a_scalar_reference_bitwise(
-    tmp_path_factory, script, contraction, local_steps, threshold, dropped
-):
+def test_dense_ledger_matches_a_scalar_reference_bitwise(script, contraction, local_steps, threshold):
     clients, ops, targets = script
     ledger = SensitivityLedger(contraction, local_steps, clients)
     ref = ScalarLedger(contraction, local_steps, clients)
@@ -455,153 +443,6 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(
     assert ledger.rollback_index(targets, threshold) == ref.rollback_index(targets, threshold)
     for m in range(n + 1):
         assert ledger.set_sensitivity(targets, m) == max(ref.bound(m, c) for c in targets)
-    if not n:
-        return  # the file format holds no empty block
-    start = dropped % n
-    path = tmp_path_factory.mktemp("ledger") / "ledger.ckpt"
-    ledger.write(path, start, DIGEST)
-    assert path.read_bytes() == ref.block_bytes(start, DIGEST)
-    prefix = ledger_from_deltas(contraction, local_steps, ref.rounds[:start], clients)
-    loaded = SensitivityLedger.read(path, prefix, start, n, DIGEST)
-    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
-    assert loaded.psi.tobytes() == ledger.psi.tobytes()
-    # a file one round short is refused; without its only round it is no checkpoint
-    path.write_bytes(path.read_bytes()[: -8 * clients])
-    cut = f"rounds {start + 1}..{n}, expected {start}..{n}" if n - start > 1 else "truncated checkpoint"
-    with pytest.raises(ValueError, match=cut):
-        SensitivityLedger.read(path, prefix, start, n, DIGEST)
-
-
-# ---------------------------------------------------------------------------
-# file round trip
-# ---------------------------------------------------------------------------
-
-DIGEST = bytes(range(32))
-
-
-# The test_csv_* tests keep the names they had while the ledger file was CSV
-# text; each now checks the same property of the binary block.
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(40)
-    ledger = ledger_from_deltas(0.93, 2, rng.random((7, 2)).tolist())
-    path = tmp_path / "ledger.ckpt"
-    ledger.write(path, 0, DIGEST)
-    assert path.stat().st_size == 52 + 8 * 7 * 2  # two deltas per round, no Psi
-    loaded = SensitivityLedger.read(path, SensitivityLedger(0.93, 2, 2), 0, 7, DIGEST)
-    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
-    np.testing.assert_array_equal(loaded.psi, ledger.psi)
-
-
-def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
-    """The written block is bit for bit the delta rows packed as
-    little-endian float64 at 360 rounds x 100 clients, and reads back exactly."""
-    rng = np.random.default_rng(60)
-    rounds, clients = 360, 100
-    tiny = np.finfo(np.float64).smallest_subnormal
-    ledger = SensitivityLedger(0.5, 1, clients)
-    for position in range(rounds):
-        row = rng.random(clients) * 10.0 ** rng.integers(-320, 300, clients)
-        row[rng.random(clients) < 0.2] = 0.0
-        row[position % clients] = tiny * (position + 1)  # subnormal
-        row[(position + 1) % clients] = 1e300 * (1 + rng.random())
-        ledger.record_round(row)
-    assert np.isfinite(ledger.psi).all()
-    path = tmp_path / "ledger.ckpt"
-    ledger.write(path, 0, DIGEST)
-    assert path.read_bytes()[52:] == ledger.deltas.astype("<f8").tobytes()
-    loaded = SensitivityLedger.read(path, SensitivityLedger(0.5, 1, clients), 0, rounds, DIGEST)
-    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
-    assert loaded.psi.tobytes() == ledger.psi.tobytes()
-
-
-def test_csv_header_and_gap_detection(tmp_path):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1], [0.2], [0.3]])
-    path = tmp_path / "ledger.ckpt"
-    ledger.write(path, 0, DIGEST)
-    path.write_bytes(b"CSV," + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match="not a checkpoint file"):
-        SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 1), 0, 3, DIGEST)
-    # without round 1 the block's rows start one round late
-    write_checkpoint(path, 3, ledger.deltas[[0, 2]], DIGEST)
-    with pytest.raises(ValueError, match="holds rounds 1..3, expected 0..3"):
-        SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 1), 0, 3, DIGEST)
-
-
-def test_csv_must_be_a_complete_grid(tmp_path):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    path = tmp_path / "ledger.ckpt"
-    block = ledger.deltas
-    broken = {
-        "has 3 columns, 2 were found": (2, block[:, :2]),
-        "has 3 columns, 4 were found": (2, np.column_stack((block, block[:, 0]))),
-        "holds rounds 1..2, expected 0..2": (2, block[1:]),
-        "holds rounds 0..1, expected 0..2": (1, block[:1]),
-        "holds rounds 1..3, expected 0..2": (3, block),
-    }
-    for message, (end, body) in broken.items():
-        write_checkpoint(path, end, body, DIGEST)
-        with pytest.raises(ValueError, match=message):
-            SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 3), 0, 2, DIGEST)
-    # the file holds clients 0..2 only; a four-client federation misses client 3
-    ledger.write(path, 0, DIGEST)
-    assert SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 3), 0, 2, DIGEST).deltas.tolist() == ledger.deltas.tolist()
-    with pytest.raises(ValueError, match="a row of 4 clients has 4 columns, 3 were found"):
-        SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 4), 0, 2, DIGEST)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("1,0,0,0.1", "4 were found"),
-    ],
-)
-def test_csv_refuses_a_malformed_row(tmp_path, row, message):
-    """Round 1 of a five-client ledger: one delta per client.  Rows share
-    one width, so a short row makes the whole block narrow."""
-    cells = [float(cell) for cell in row.split(",")]
-    first = [0.0, 0.0, 0.1, 0.1, 0.0][: len(cells)]
-    path = tmp_path / "ledger.ckpt"
-    write_checkpoint(path, 2, np.array([first, cells]), DIGEST)
-    with pytest.raises(ValueError, match=f"ledger\\.ckpt.*{re.escape(message)}"):
-        SensitivityLedger.read(path, SensitivityLedger(1.0, 1, 5), 0, 2, DIGEST)
-
-
-def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
-    """A header naming a far end position is refused by its round range,
-    before any ledger of that many rounds is built."""
-    ledger = ledger_from_deltas(1.0, 1, [[0.1, 0.1], [0.1, 0.1]])
-    path = tmp_path / "ledger.ckpt"
-    write_checkpoint(path, 10**15, ledger.deltas, DIGEST)
-    with pytest.raises(ValueError, match=f"holds rounds {10**15 - 2}..{10**15}, expected 0..2"):
-        SensitivityLedger.read(path, SensitivityLedger(1.0, 1, 2), 0, 2, DIGEST)
-
-
-@pytest.mark.parametrize("column", ["delta"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_csv_refuses_a_non_finite_cell(tmp_path, column, value):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4]])
-    block = ledger.deltas
-    block[1, 1] = float(value)  # round 1: client 1's delta
-    path = tmp_path / "ledger.ckpt"
-    write_checkpoint(path, 2, block, DIGEST)
-    with pytest.raises(ValueError, match="round 1: non-finite increment for client 1"):
-        SensitivityLedger.read(path, SensitivityLedger(0.9, 1, 2), 0, 2, DIGEST)
-
-
-def test_a_suffix_is_joined_to_the_prefix_it_follows(tmp_path):
-    rows = [[0.3, 0.1], [0.5, 0.0], [0.2, 0.4], [0.0, 0.6], [0.1, 0.1]]
-    ledger = ledger_from_deltas(0.8, 2, rows)
-    path = tmp_path / "ledger.ckpt"
-    ledger.write(path, 3, DIGEST)
-    assert path.stat().st_size == 52 + 8 * 2 * 2  # rounds 3 and 4, two deltas each
-    loaded = SensitivityLedger.read(path, ledger.prefix(4), 3, 5, DIGEST)
-    np.testing.assert_array_equal(loaded.psi, ledger.psi)
-    # the joined ledger shares the prefix's rows but not its length
-    loaded.truncate(1)
-    assert len(ledger) == 5
-    np.testing.assert_array_equal(ledger.psi[2], loaded.psi[1] * ledger.round_decay + rows[1])
 
 
 def test_ledger_constructor_validation():
@@ -623,45 +464,3 @@ def test_prefix_is_a_separate_ledger():
     with pytest.raises(IndexError):
         ledger.prefix(4)
 
-
-def damage(block: np.ndarray, cell, value) -> np.ndarray:
-    block = block.copy()
-    block[cell] = value
-    return block
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda b: damage(b, (0, 0), -0.5), "round 2: negative increment for client 0"),
-    ],
-    ids=["negative-delta"],
-)
-def test_read_refuses_a_damaged_block(tmp_path, edit, message):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]])
-    path = tmp_path / "ledger.ckpt"
-    block = ledger.deltas[2:]
-    write_checkpoint(path, 4, edit(block), DIGEST)
-    with pytest.raises(ValueError, match=message):
-        SensitivityLedger.read(path, ledger, 2, 4, DIGEST)
-
-
-def test_read_refuses_another_config_and_a_cut_file(tmp_path):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4]])
-    path = tmp_path / "ledger.ckpt"
-    ledger.write(path, 0, DIGEST)
-    empty = SensitivityLedger(0.9, 1, 2)
-    with pytest.raises(ValueError, match="produced by a different config"):
-        SensitivityLedger.read(path, empty, 0, 2, bytes(32))
-    with pytest.raises(ValueError, match="expected 0..3"):
-        SensitivityLedger.read(path, empty, 0, 3, DIGEST)
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(ValueError, match="truncated checkpoint"):
-        SensitivityLedger.read(path, empty, 0, 2, DIGEST)
-
-
-def test_an_empty_suffix_cannot_be_written(tmp_path):
-    ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2]])
-    with pytest.raises(DimensionMismatchError):
-        ledger.write(tmp_path / "ledger.ckpt", 1, DIGEST)
-    assert not (tmp_path / "ledger.ckpt").exists()

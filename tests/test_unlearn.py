@@ -332,7 +332,7 @@ def test_sequential_requests_accumulate_segments():
             outcome, survivors = outcomes[owner]
             cohort = fed.cohort(survivors, spec)
             assert dict(outcome.loss_trace)[p] == federation_loss(spec, fed, history.model_at(p), cohort)
-    np.testing.assert_array_equal(state.current_model, second.final_model)
+    np.testing.assert_array_equal(state.history.final_model, second.final_model)
 
 
 def test_ifu_is_the_single_request_case_of_sifu():
