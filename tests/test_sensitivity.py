@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SQ
-from fedunlearn.engine import RoundRecord, aggregate, renormalized_weights
-from fedunlearn.errors import SingularRemovalError, StepSizeError
+from fedunlearn import runner
+from fedunlearn.config import parse_config
+from fedunlearn.engine import RoundRecord, aggregate, read_checkpoint, renormalized_weights, write_checkpoint
+from fedunlearn.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    MissingArtifactsError,
+    SingularRemovalError,
+    StepSizeError,
+)
 from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
     NoiseBudget,
@@ -464,3 +473,197 @@ def test_prefix_is_a_separate_ledger():
     with pytest.raises(IndexError):
         ledger.prefix(4)
 
+
+# ---------------------------------------------------------------------------
+# the ledger file train writes and reads back
+# ---------------------------------------------------------------------------
+
+# The test_csv_* tests keep the names they had while the ledger file was CSV
+# text; each now checks the same property of train's binary ledger.ckpt, read
+# back by runner._load_train.
+
+
+def trained(root, rounds, clients, sigma=0.4):
+    """The train directory of a small ridge federation and its prepared config."""
+    doc = {
+        "name": "ledger_file",
+        "model": {"kind": "ridge", "dims": [3], "l2": 0.1},
+        "data": {
+            "clients": clients,
+            "samples_per_client": 4,
+            "features": 3,
+            "heterogeneity": 0.5,
+            "seed": 7,
+            "noise": 0.1,
+        },
+        "federation": {"eta": "2/(beta+mu)", "local_steps": 1, "rounds": rounds, "seed": 3, "init": "normal"},
+        "budget": {"epsilon": 1.0, "delta": 0.05, "sigma": sigma},
+        "checkpoint_interval": 1,
+        "requests": [[0]],
+        "stopping": {"loss_threshold": "inf", "min_rounds": 2, "max_rounds": 10},
+    }
+    config = parse_config(json.dumps(doc))
+    return runner.cmd_train(config, root), runner.prepare(config)
+
+
+def load_ledger(train_dir, prepared):
+    return runner._load_train(train_dir, prepared, with_ledger=True)[1]
+
+
+def test_csv_round_trip_is_exact(tmp_path):
+    train_dir, prepared = trained(tmp_path, 7, 2)
+    rng = np.random.default_rng(40)
+    ledger = ledger_from_deltas(prepared.contraction, 1, rng.random((7, 2)).tolist())
+    path = train_dir / "ledger.ckpt"
+    write_checkpoint(path, 7, ledger.deltas, prepared.digest)
+    assert path.stat().st_size == 52 + 8 * 7 * 2  # two deltas per round, no Psi
+    loaded = load_ledger(train_dir, prepared)
+    np.testing.assert_array_equal(loaded.deltas, ledger.deltas)
+    np.testing.assert_array_equal(loaded.psi, ledger.psi)
+
+
+def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
+    """The block train writes is bit for bit the delta rows packed as
+    little-endian float64, and a block of extreme values at 360 rounds x 100
+    clients reads back exactly."""
+    rounds, clients = 360, 100
+    train_dir, prepared = trained(tmp_path, rounds, clients)
+    path = train_dir / "ledger.ckpt"
+    assert path.read_bytes()[52:] == load_ledger(train_dir, prepared).deltas.astype("<f8").tobytes()
+    rng = np.random.default_rng(60)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    ledger = SensitivityLedger(prepared.contraction, 1, clients)
+    for position in range(rounds):
+        row = rng.random(clients) * 10.0 ** rng.integers(-320, 300, clients)
+        row[rng.random(clients) < 0.2] = 0.0
+        row[position % clients] = tiny * (position + 1)  # subnormal
+        row[(position + 1) % clients] = 1e300 * (1 + rng.random())
+        ledger.record_round(row)
+    assert np.isfinite(ledger.psi).all()
+    write_checkpoint(path, rounds, ledger.deltas, prepared.digest)
+    assert path.read_bytes()[52:] == ledger.deltas.astype("<f8").tobytes()
+    loaded = load_ledger(train_dir, prepared)
+    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
+    assert loaded.psi.tobytes() == ledger.psi.tobytes()
+
+
+def test_csv_header_and_gap_detection(tmp_path):
+    train_dir, prepared = trained(tmp_path, 3, 2)
+    path = train_dir / "ledger.ckpt"
+    _, block, _ = read_checkpoint(path)
+    path.write_bytes(b"CSV," + path.read_bytes()[4:])
+    with pytest.raises(MissingArtifactsError, match="not a checkpoint file"):
+        load_ledger(train_dir, prepared)
+    # without round 1 the block ends at round 3 one row short
+    write_checkpoint(path, 3, block[[0, 2]], prepared.digest)
+    message = "holds a 2x2 block ending at round 3, expected 3x2 ending at round 3"
+    with pytest.raises(MissingArtifactsError, match=message):
+        load_ledger(train_dir, prepared)
+
+
+def test_csv_must_be_a_complete_grid(tmp_path):
+    train_dir, prepared = trained(tmp_path, 2, 3)
+    path = train_dir / "ledger.ckpt"
+    block = ledger_from_deltas(prepared.contraction, 1, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]).deltas
+    broken = {
+        "holds a 2x2 block ending at round 2, expected 2x3": (2, block[:, :2]),
+        "holds a 2x4 block ending at round 2, expected 2x3": (2, np.column_stack((block, block[:, 0]))),
+        "holds a 1x3 block ending at round 2, expected 2x3": (2, block[1:]),
+        "holds a 1x3 block ending at round 1, expected 2x3 ending at round 2": (1, block[:1]),
+        "holds a 2x3 block ending at round 3, expected 2x3 ending at round 2": (3, block),
+    }
+    for message, (end, body) in broken.items():
+        write_checkpoint(path, end, body, prepared.digest)
+        with pytest.raises(MissingArtifactsError, match=message):
+            load_ledger(train_dir, prepared)
+    write_checkpoint(path, 2, block, prepared.digest)
+    assert load_ledger(train_dir, prepared).deltas.tolist() == block.tolist()
+    # the file holds clients 0..2 only; a four-client federation misses client 3
+    wider_dir, wider = trained(tmp_path / "wider", 2, 4)
+    write_checkpoint(wider_dir / "ledger.ckpt", 2, block, wider.digest)
+    with pytest.raises(MissingArtifactsError, match="holds a 2x3 block ending at round 2, expected 2x4"):
+        load_ledger(wider_dir, wider)
+
+
+@pytest.mark.parametrize("row", ["1,0,0,0.1"], ids=["1,0,0,0.1-4 were found"])
+def test_csv_refuses_a_malformed_row(tmp_path, row):
+    """Round 1 of a five-client ledger: one delta per client.  Rows share
+    one width, so a short row makes the whole block narrow."""
+    train_dir, prepared = trained(tmp_path, 2, 5)
+    cells = [float(cell) for cell in row.split(",")]
+    first = [0.0, 0.0, 0.1, 0.1, 0.0][: len(cells)]
+    write_checkpoint(train_dir / "ledger.ckpt", 2, np.array([first, cells]), prepared.digest)
+    with pytest.raises(MissingArtifactsError, match=r"ledger\.ckpt holds a 2x4 block ending at round 2, expected 2x5"):
+        load_ledger(train_dir, prepared)
+
+
+def test_csv_far_round_is_refused_without_a_grid_to_match(tmp_path):
+    """A header naming a far end position is refused by its position,
+    before any ledger of that many rounds is built."""
+    train_dir, prepared = trained(tmp_path, 2, 2)
+    path = train_dir / "ledger.ckpt"
+    _, block, _ = read_checkpoint(path)
+    write_checkpoint(path, 10**15, block, prepared.digest)
+    message = f"holds a 2x2 block ending at round {10**15}, expected 2x2 ending at round 2"
+    with pytest.raises(MissingArtifactsError, match=message):
+        load_ledger(train_dir, prepared)
+
+
+@pytest.mark.parametrize("column", ["delta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_refuses_a_non_finite_cell(tmp_path, column, value):
+    train_dir, prepared = trained(tmp_path, 2, 2)
+    block = ledger_from_deltas(prepared.contraction, 1, [[0.1, 0.2], [0.3, 0.4]]).deltas
+    block[1, 1] = float(value)  # round 1: client 1's delta
+    write_checkpoint(train_dir / "ledger.ckpt", 2, block, prepared.digest)
+    with pytest.raises(MissingArtifactsError, match="ledger.ckpt round 1: non-finite increment for client 1"):
+        load_ledger(train_dir, prepared)
+
+
+def damage(block: np.ndarray, cell, value) -> np.ndarray:
+    block = block.copy()
+    block[cell] = value
+    return block
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: damage(b, (2, 0), -0.5), "round 2: negative increment for client 0"),
+    ],
+    ids=["negative-delta"],
+)
+def test_read_refuses_a_damaged_block(tmp_path, edit, message):
+    train_dir, prepared = trained(tmp_path, 4, 3)
+    path = train_dir / "ledger.ckpt"
+    _, block, _ = read_checkpoint(path)
+    write_checkpoint(path, 4, edit(block), prepared.digest)
+    with pytest.raises(MissingArtifactsError, match=message):
+        load_ledger(train_dir, prepared)
+
+
+def test_read_refuses_another_config_and_a_cut_file(tmp_path):
+    train_dir, prepared = trained(tmp_path, 2, 2)
+    path = train_dir / "ledger.ckpt"
+    own = path.read_bytes()
+    other_dir, _ = trained(tmp_path / "other", 2, 2, sigma=0.2)
+    path.write_bytes((other_dir / "ledger.ckpt").read_bytes())
+    with pytest.raises(ConfigError, match="ledger.ckpt was produced by a different config"):
+        load_ledger(train_dir, prepared)
+    path.write_bytes(own[:-4])
+    with pytest.raises(MissingArtifactsError, match="truncated checkpoint"):
+        load_ledger(train_dir, prepared)
+    path.unlink()
+    with pytest.raises(MissingArtifactsError, match="No such file"):
+        load_ledger(train_dir, prepared)
+
+
+def test_an_empty_suffix_cannot_be_written(tmp_path):
+    """The checkpoint format holds no empty block, so a 0-round train writes
+    no ledger file and reads back an empty ledger."""
+    train_dir, prepared = trained(tmp_path, 0, 2)
+    assert not (train_dir / "ledger.ckpt").exists()
+    assert len(load_ledger(train_dir, prepared)) == 0
+    with pytest.raises(DimensionMismatchError):
+        write_checkpoint(tmp_path / "ledger.ckpt", 0, np.zeros((0, 2)), prepared.digest)
+    assert not (tmp_path / "ledger.ckpt").exists()
