@@ -21,7 +21,9 @@ client order, never a pairwise or BLAS reduction.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -102,27 +104,40 @@ class FederationConfig:
             raise EmptyFederationError("a cohort needs at least one client")
         if active[0] < 0 or active[-1] >= self.client_count:
             raise IndexError(f"client index out of range in {active}")
+        for _, features, _ in self._groups:
+            if features.shape[2] != spec.dims[0]:
+                raise DimensionMismatchError(f"data has {features.shape[2]} features, spec expects {spec.dims[0]}")
         weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
-        group_operators = [None] * len(self._groups)
-        if spec.kind is ModelKind.RIDGE:
-            if spec not in self._operators:
-                self._operators[spec] = [
-                    models.ridge_operators(spec, X, y, self.eta, self.local_steps) for _, X, y in self._groups
-                ]
-            group_operators = self._operators[spec]
         chosen = np.zeros(self.client_count, dtype=bool)
         chosen[list(active)] = True
-        stacks = []
-        for (members, features, targets), operators in zip(self._groups, group_operators):
+        data, picks = [], []
+        for group, (members, features, targets) in enumerate(self._groups):
             keep = chosen[members]
             if not keep.any():
                 continue
             if not keep.all():
                 members, features, targets = members[keep], features[keep], targets[keep]
-                if operators is not None:
-                    operators = tuple(op[keep] for op in operators)
-            stacks.append((np.searchsorted(active, members), features, targets, operators))
-        return Cohort(active, weights, tuple(stacks))
+            data.append((np.searchsorted(active, members), features, targets))
+            picks.append((group, keep))
+        operators = partial(self._stack_operators, spec, picks)
+        return Cohort(active, weights, weights[list(active)], tuple(data), operators)
+
+    def _stack_operators(self, spec: ModelSpec, picks) -> list:
+        """The ridge operators of each (group index, kept members) stack in
+        `picks`, None where it has none; a group's are built once per spec."""
+        if spec.kind is not ModelKind.RIDGE:
+            return [None] * len(picks)
+        if spec not in self._operators:
+            self._operators[spec] = [
+                models.ridge_operators(spec, X, y, self.eta, self.local_steps) for _, X, y in self._groups
+            ]
+        stacks = []
+        for group, keep in picks:
+            operators = self._operators[spec][group]
+            if operators is not None and not keep.all():
+                operators = tuple(op[keep] for op in operators)
+            stacks.append(operators)
+        return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,16 +146,25 @@ class Cohort:
 
     active is ascending.  weights has one entry per federation client: the
     federation's weights renormalised over `active`, zero elsewhere; every
-    round aggregates with them and the ledger's increments use them.  stacks
-    holds one (rows, features (g, n, d), targets (g, n), operators) entry per
-    data shape, rows being the stacked clients' positions in `active` and
-    operators the stack's models.ridge_operators (A, b) for a ridge cohort,
-    else None.
+    round aggregates with them and the ledger's increments use them.
+    active_weights is weights[list(active)].  data holds one (rows, features
+    (g, n, d), targets (g, n)) entry per data shape, rows being the stacked
+    clients' positions in `active`.  stacks extends each entry with the
+    stack's models.ridge_operators (A, b) for a ridge cohort, else None,
+    which build_operators returns in stack order.  They are built when
+    stacks is first read, as a round reads it, so a cohort that only
+    evaluates losses builds none.
     """
 
     active: tuple[int, ...]
     weights: np.ndarray
-    stacks: tuple[tuple, ...]
+    active_weights: np.ndarray
+    data: tuple[tuple, ...]
+    build_operators: Callable[[], list]
+
+    @cached_property
+    def stacks(self) -> tuple[tuple, ...]:
+        return tuple((*entry, operators) for entry, operators in zip(self.data, self.build_operators()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +259,7 @@ def fedavg_round(
             local = maps @ theta + offsets
             _guard_finite(local, round_index)
         client_models[rows] = local
-    new_theta = aggregate(client_models, cohort.weights[list(cohort.active)])
+    new_theta = aggregate(client_models, cohort.active_weights)
     _guard_finite(new_theta[None], round_index)
     return RoundRecord(round_index, theta.copy(), cohort.active, client_models, new_theta, cohort.weights)
 
@@ -253,10 +277,9 @@ def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, co
     """Aggregation-weighted loss of theta over a cohort of `config`'s clients."""
     theta = models.as_params(theta)
     losses = np.empty(len(cohort.active))
-    for rows, features, targets, _ in cohort.stacks:
-        thetas = np.broadcast_to(theta, (len(rows), theta.shape[0]))
-        losses[rows] = models.stacked_loss(spec, features, targets, thetas)
-    return float(np.add.accumulate(cohort.weights[list(cohort.active)] * losses)[-1])
+    for rows, features, targets in cohort.data:
+        losses[rows] = models.stacked_loss(spec, features, targets, theta)
+    return float(np.add.accumulate(cohort.active_weights * losses)[-1])
 
 
 # ---------------------------------------------------------------------------

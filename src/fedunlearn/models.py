@@ -149,7 +149,15 @@ class RegimeConstants:
 # targets (m, n) and parameters (m, p).  Every product is a stacked np.matmul,
 # which makes one BLAS call per slice with that slice's own strides, and every
 # mean runs along the contiguous sample axis of each slice, so row i equals
-# the result for client i alone bit for bit.
+# the result for client i alone bit for bit.  The loss also takes one theta
+# (p,) shared by the whole stack, as the engine's retained loss does: X @ theta
+# is still one gemv per slice (one flat gemv over the reshaped stack would not
+# be bit-identical), and ||theta||^2 is computed once.  The MLP broadcasts a
+# shared theta to rows, where its products are not bit-identical otherwise.
+#
+# The logistic data term is softplus(z) - y z, with softplus(z) = max(z, 0) +
+# log1p(exp(-|z|)): the branch formula np.logaddexp(0, z) evaluates, through
+# numpy's vectorised exp and log1p in place of its scalar libm calls.
 #
 # The ridge gradient is X_i^T (X_i theta_i - y_i) / n: two (n, d) gemvs.  The
 # engine calls it only for stacks with d > n; a stack with d <= n advances by
@@ -159,7 +167,8 @@ class RegimeConstants:
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
-    """Regularised per-sample-mean loss of each thetas[i] on client i, shape (m,)."""
+    """Regularised per-sample-mean loss of each client, shape (m,): client i at
+    thetas[i] for rows (m, p), or every client at one shared theta (p,)."""
     thetas = _checked(spec, features, thetas)
     return _data_loss(spec, features, targets, thetas) + 0.5 * spec.l2 * _sqnorms(thetas)
 
@@ -208,9 +217,9 @@ def _one(data: ClientDataset, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _checked(spec: ModelSpec, features: np.ndarray, thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.shape[1] != spec.param_count:
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != spec.param_count:
         raise DimensionMismatchError(
-            f"theta has {thetas.shape[1]} entries, spec expects {spec.param_count}"
+            f"theta has shape {thetas.shape}, spec expects {spec.param_count} entries per row"
         )
     if features.shape[2] != spec.dims[0]:
         raise DimensionMismatchError(
@@ -221,23 +230,28 @@ def _checked(spec: ModelSpec, features: np.ndarray, thetas) -> np.ndarray:
 
 def _sqnorms(rows: np.ndarray) -> np.ndarray:
     # a (1, p) @ (p, 1) slice is the same BLAS dot that theta @ theta makes
+    if rows.ndim == 1:
+        return rows @ rows
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrices[i] @ vectors[i] for every i: one gemv per slice."""
+    """matrices[i] @ vectors[i] for every i, or matrices[i] @ vectors for
+    one shared vector: one gemv per slice."""
+    if vectors.ndim == 1:
+        return np.matmul(matrices, vectors)
     return np.matmul(matrices, vectors[:, :, None])[:, :, 0]
 
 
 def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    if spec.kind is ModelKind.TINY_MLP:
+        pred, _, _ = _mlp_forward(spec, X, np.broadcast_to(thetas, (len(X), thetas.shape[-1])))
+        return 0.5 * np.mean((pred - y) ** 2, axis=1)
+    z = _matvec(X, thetas)
     if spec.kind is ModelKind.RIDGE:
-        return 0.5 * np.mean((_matvec(X, thetas) - y) ** 2, axis=1)
-    if spec.kind is ModelKind.LOGISTIC:
-        z = _matvec(X, thetas)
-        # mean of softplus(z) - y*z, stable for large |z|
-        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
-    pred, _, _ = _mlp_forward(spec, X, thetas)
-    return 0.5 * np.mean((pred - y) ** 2, axis=1)
+        return 0.5 * np.mean((z - y) ** 2, axis=1)
+    # mean of softplus(z) - y*z, stable for large |z| (see above)
+    return np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z, axis=1)
 
 
 # -- ridge ------------------------------------------------------------------

@@ -168,11 +168,23 @@ def _check_manifest_hash(directory: Path, prepared: PreparedExperiment) -> None:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise MissingArtifactsError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("config_hash") != prepared.digest.hex():
+    manifest = _read_json(manifest_path, "config_hash")
+    if manifest["config_hash"] != prepared.digest.hex():
         raise ConfigError(
             f"artifacts in {directory} were produced by a different config"
         )
+
+
+def _read_json(path: Path, key: str) -> dict:
+    """The JSON object in `path`, refusing a damaged file or one without
+    `key` as missing artifacts."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as err:
+        raise MissingArtifactsError(f"{path} is damaged ({err}); re-run the command that wrote it") from err
+    if not isinstance(doc, dict) or key not in doc:
+        raise MissingArtifactsError(f"{path} holds no {key!r}; re-run the command that wrote it")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +461,7 @@ def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> t
         raise MissingArtifactsError(
             f"{out_dir} is missing outcomes.json or final_model.ckpt; re-run the unlearn command"
         )
-    outcomes = json.loads(outcomes_path.read_text())["outcomes"]
+    outcomes = _read_json(outcomes_path, "outcomes")["outcomes"]
     # scratch's timeline starts empty, every other method's after train's rounds
     end = 0 if method == "scratch" else prepared.config.rounds
     if outcomes:

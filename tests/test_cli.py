@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedunlearn import oracle, runner, unlearn
+from fedunlearn import models, oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import (
@@ -829,6 +829,57 @@ def test_a_truncated_final_model_is_refused(workdir, capsys):
         assert message in capsys.readouterr().err
         assert snapshot(run_dir(workdir, doc), skip=()) == before
         final.write_bytes(intact)
+
+
+@pytest.mark.parametrize(
+    "command,damaged,damage",
+    [
+        ("verify", "unlearn_sifu/outcomes.json", lambda text: '{"method": "sifu"}'),
+        ("report", "unlearn_sifu/outcomes.json", lambda text: text[:1]),
+        ("report", "unlearn_sifu/manifest.json", lambda text: text[:1]),
+        ("unlearn", "train/manifest.json", lambda text: text[:1]),
+    ],
+    ids=["verify-keyless-outcomes", "report-cut-outcomes", "report-cut-manifest", "unlearn-cut-manifest"],
+)
+def test_a_damaged_json_artifact_is_a_usage_error(workdir, capsys, command, damaged, damage):
+    doc = base_doc("cli_json")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    path = run_dir(workdir, doc) / damaged
+    path.write_text(damage(path.read_text()))
+    before = snapshot(run_dir(workdir, doc), skip=())
+    capsys.readouterr()
+    args = {
+        "verify": ["verify", config],
+        "report": ["report", str(run_dir(workdir, doc))],
+        "unlearn": ["unlearn", config, "--method", "sifu"],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "re-run the command that wrote it" in err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before
+
+
+def test_report_builds_no_ridge_operators(workdir, monkeypatch):
+    doc = base_doc("cli_report_operators")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    calls = []
+    real = models.ridge_operators
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(models, "ridge_operators", counted)
+    # the survivors' retained loss reads their data, never their operators
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+    assert calls == []
+    # a round on the same federation still builds them
+    assert main(["unlearn", config, "--method", "scratch"]) == 0
+    assert calls == [(3, 10, 3)]
 
 
 def test_verify_flags_a_rollback_beyond_the_budget(workdir, capsys, monkeypatch):

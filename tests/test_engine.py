@@ -467,8 +467,11 @@ def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch)
     assert wide == [None]
     # another l2 gets operators of its own and leaves the first l2's in place
     stronger = ModelSpec(ModelKind.RIDGE, (4,), 0.5)
-    for each in (stronger, spec, stronger):
-        fed.cohort(range(12), each)
+    # a cohort builds them when its stacks are first read, as a round reads them
+    cohorts = [fed.cohort(range(12), each) for each in (stronger, spec, stronger)]
+    assert len(calls) == 3
+    for cohort in cohorts:
+        cohort.stacks
     assert calls[3:] == [((7, 16, 4), 0.5), ((3, 11, 4), 0.5), ((2, 3, 4), 0.5)]
     # a spec of the same l2 but another input size gets no operators of the data's
     with pytest.raises(DimensionMismatchError):
@@ -623,6 +626,28 @@ def test_init_params_modes():
     assert not np.array_equal(init_params(spec, 5), init_params(spec, 6))
     with pytest.raises(ValueError):
         init_params(spec, 0, "ones")
+
+
+@pytest.mark.parametrize("model", ["ridge", "ridge-wide", "logistic", "mlp2"])
+def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
+    """federation_loss hands the kernel one shared theta; each stack's rows
+    equal the kernel's at theta broadcast to one row per client, bit for bit."""
+    if model == "ridge-wide":  # d = 6 > n = 4, in two data shapes
+        spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
+        datasets = [ClientDataset(d.features[:4], d.targets[:4]) if i % 3 else d for i, d in enumerate(datasets)]
+    else:
+        spec, datasets = round_world(model, ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    cohort = fed.cohort((0, 1, 3, 4, 6), spec)
+    assert len(cohort.data) == 2
+    theta = 0.3 * np.random.default_rng(7).standard_normal(spec.param_count)
+    rows = np.empty(len(cohort.active))
+    for members, features, targets in cohort.data:
+        broadcast = models.stacked_loss(spec, features, targets, np.broadcast_to(theta, (len(members), len(theta))))
+        assert models.stacked_loss(spec, features, targets, theta).tobytes() == broadcast.tobytes()
+        rows[members] = broadcast
+    want = np.add.accumulate(cohort.active_weights * rows)[-1]
+    assert np.float64(federation_loss(spec, fed, theta, cohort)).tobytes() == want.tobytes()
 
 
 def test_federation_loss_matches_manual_weighted_sum():

@@ -192,6 +192,26 @@ def test_kernel_matches_the_unstacked_formulas_bitwise(kind, dims):
         assert norms(thetas).tolist() == [float(np.linalg.norm(t)) for t in thetas]
 
 
+def test_logistic_terms_stay_within_two_ulp_of_logaddexp():
+    # one one-feature sample per client and theta = 1: each client's loss is
+    # the per-sample term at z = its feature
+    spec = ModelSpec(ModelKind.LOGISTIC, (1,), 0.0)
+    z = np.concatenate([np.linspace(-745.0, 745.0, 100_001), [0.0, 1e-300, -1e-300]])
+    for label in (0.0, 1.0):
+        y = np.full(len(z), label)
+        got = stacked_loss(spec, z[:, None, None], y[:, None], np.ones(1))
+        want = np.logaddexp(0.0, z) - y * z
+        # where y = 1 the reference cancels z against the softplus, so its
+        # rounding is that of the larger part: count ulps of that part
+        scale = np.maximum(np.abs(want), np.abs(y * z))
+        assert (np.abs(got - want) <= 2 * np.spacing(scale)).all()
+    big = np.array([-1e4, 1e4])
+    with np.errstate(over="raise", invalid="raise"):
+        for label, want in ((0.0, [0.0, 1e4]), (1.0, [1e4, 0.0])):
+            got = stacked_loss(spec, big[:, None, None], np.full((2, 1), label), np.ones(1))
+            assert got.tolist() == want
+
+
 @pytest.mark.parametrize("n,d", [(5, 5), (20, 4), (100, 20), (300, 60)])
 @pytest.mark.parametrize("condition", [1.0, 1e4, 1e8])
 def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
