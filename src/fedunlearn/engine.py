@@ -1,10 +1,11 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
 A run aggregates one fixed Cohort of clients (FederationConfig.cohort): their
-renormalised weights and their data stacked by shape, built once per run.
-Every client of a round starts from the same model, so a ridge stack with
-d <= n advances by its clients' K-step maps theta -> A_i theta + b_i
-(models.ridge_operators, built once per data shape and spec): one (g, d, d)
+renormalised weights and their data stacked by shape, built once per run,
+with everything a round needs that does not depend on theta.  Every client
+of a round starts from the same model, so a ridge stack with d <= n advances
+by its clients' K-step maps theta -> A_i theta + b_i (models.ridge_operators,
+built once per data shape and spec from the shape's moments): one (g, d, d)
 product and one divergence guard per round.  Other stacks make one kernel
 call and guard per local step.
 
@@ -15,15 +16,19 @@ equal to it to rounding.  Each stacked product is one BLAS call per client
 slice (see models), so client i's local model does not depend on which other
 clients share its stack.  The aggregation is np.add.accumulate along the
 client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in ascending
-client order, never a pairwise or BLAS reduction.
+client order, never a pairwise or BLAS reduction.  The retained loss of a
+cohort with a quadratic form (ridge, d <= n in every stack) is that form,
+equal to the per-client kernel to rounding, not bit for bit; its anchor is
+built from the cohort alone, never from the thetas evaluated, so the loss is
+a pure function of (cohort, theta) and a re-run reproduces it bit for bit.
+Every other cohort's loss is the kernel's, summed like the aggregation.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     DivergedTrainingError,
     EmptyFederationError,
+    SingularRemovalError,
 )
 from .models import ClientDataset, ModelKind, ModelSpec, Params
 
@@ -46,8 +52,10 @@ class FederationConfig:
 
     weights must sum to 1 within 1e-12; by default they are proportional to
     the client sample counts.  It keeps no cohort or stack between calls,
-    only each data-shape group's ridge operators, per spec (they depend on
-    its l2).
+    only what ridge cohorts build from each data-shape group: the group's
+    raw moments X_i^T X_i and X_i^T y_i (models.ridge_moments, None for a
+    group with d > n), built once on first use, and its ridge operators,
+    built from them once per spec (they depend on its l2).
     """
 
     clients: tuple[ClientDataset, ...]
@@ -76,6 +84,7 @@ class FederationConfig:
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_groups", models.stack_by_shape(clients))
+        object.__setattr__(self, "_moments", None)
         object.__setattr__(self, "_operators", {})
 
     @classmethod
@@ -119,25 +128,35 @@ class FederationConfig:
                 members, features, targets = members[keep], features[keep], targets[keep]
             data.append((np.searchsorted(active, members), features, targets))
             picks.append((group, keep))
-        operators = partial(self._stack_operators, spec, picks)
-        return Cohort(active, weights, weights[list(active)], tuple(data), operators)
+        return Cohort(active, weights, spec, tuple(data), tuple(picks), self)
 
-    def _stack_operators(self, spec: ModelSpec, picks) -> list:
-        """The ridge operators of each (group index, kept members) stack in
-        `picks`, None where it has none; a group's are built once per spec."""
-        if spec.kind is not ModelKind.RIDGE:
-            return [None] * len(picks)
+    def _ridge_moments(self) -> list:
+        """models.ridge_moments of each data-shape group, built on first use."""
+        if self._moments is None:
+            object.__setattr__(self, "_moments", [models.ridge_moments(X, y) for _, X, y in self._groups])
+        return self._moments
+
+    def _ridge_operators(self, spec: ModelSpec) -> list:
+        """models.ridge_operators of each data-shape group with moments, built
+        once per spec (they depend on its l2); None for the other groups."""
         if spec not in self._operators:
             self._operators[spec] = [
-                models.ridge_operators(spec, X, y, self.eta, self.local_steps) for _, X, y in self._groups
+                None if moments is None else models.ridge_operators(spec, moments, X.shape[1], self.eta, self.local_steps)
+                for moments, (_, X, _) in zip(self._ridge_moments(), self._groups)
             ]
-        stacks = []
-        for group, keep in picks:
-            operators = self._operators[spec][group]
-            if operators is not None and not keep.all():
-                operators = tuple(op[keep] for op in operators)
-            stacks.append(operators)
-        return stacks
+        return self._operators[spec]
+
+
+def _picked(per_group: list, picks) -> list:
+    """Each (group index, kept members) stack's entry of `per_group`, a tuple
+    of arrays over the group's clients (sliced to the kept ones) or None."""
+    stacks = []
+    for group, keep in picks:
+        arrays = per_group[group]
+        if arrays is not None and not keep.all():
+            arrays = tuple(values[keep] for values in arrays)
+        stacks.append(arrays)
+    return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,40 +166,100 @@ class Cohort:
     active is ascending.  weights has one entry per federation client: the
     federation's weights renormalised over `active`, zero elsewhere; every
     round aggregates with them and the ledger's increments use them.
-    active_weights is weights[list(active)].  data holds one (rows, features
-    (g, n, d), targets (g, n)) entry per data shape, rows being the stacked
-    clients' positions in `active`.  stacks extends each entry with the
-    stack's models.ridge_operators (A, b) for a ridge cohort, else None,
-    which build_operators returns in stack order.  They are built when
-    stacks is first read, as a round reads it, so a cohort that only
-    evaluates losses builds none.
+    active_weights is weights[list(active)], checked to sum to one once, here.
+    data holds one (rows, features (g, n, d), targets (g, n)) entry per data
+    shape, rows being the stacked clients' positions in `active`; picks
+    names each entry's (group index, kept members) in `federation`.
+
+    Everything else a run needs that does not depend on theta is built on
+    first read and kept: stacks extends each data entry with the stack's
+    models.ridge_operators (A, b) for a ridge cohort, else None, as a round
+    reads them, so a cohort that only evaluates losses builds none;
+    quadratic holds the retained loss's quadratic form for federation_loss;
+    increment_scale holds the closed-form increments' p / (1 - p).
     """
 
     active: tuple[int, ...]
     weights: np.ndarray
-    active_weights: np.ndarray
+    spec: ModelSpec
     data: tuple[tuple, ...]
-    build_operators: Callable[[], list]
+    picks: tuple[tuple[int, np.ndarray], ...]
+    federation: FederationConfig
+    active_weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        active_weights = self.weights[list(self.active)]
+        if abs(float(active_weights.sum()) - 1.0) > _WEIGHT_TOL:
+            raise ValueError(f"cohort weights sum to {active_weights.sum()!r}, expected 1")
+        object.__setattr__(self, "active_weights", active_weights)
 
     @cached_property
     def stacks(self) -> tuple[tuple, ...]:
-        return tuple((*entry, operators) for entry, operators in zip(self.data, self.build_operators()))
+        if self.spec.kind is ModelKind.RIDGE:
+            operators = _picked(self.federation._ridge_operators(self.spec), self.picks)
+        else:
+            operators = [None] * len(self.data)
+        return tuple((*entry, ops) for entry, ops in zip(self.data, operators))
+
+    @cached_property
+    def quadratic(self) -> tuple[Params, float, Params, np.ndarray] | None:
+        """(anchor, loss there, gradient there, Hessian H) of a ridge cohort
+        whose every stack has moments (d <= n), else None.
+
+        The loss is exactly quadratic: H = sum_i q_i X_i^T X_i / n_i + l2 I
+        with gradient H theta - r, r = sum_i q_i X_i^T y_i / n_i.  The anchor
+        is lstsq(H, r), which exists even when H is singular, and its loss is
+        one kernel call, so the anchor depends on the cohort alone.
+        """
+        if self.spec.kind is not ModelKind.RIDGE:
+            return None
+        moments = _picked(self.federation._ridge_moments(), self.picks)
+        if any(entry is None for entry in moments):
+            return None
+        d = self.spec.param_count
+        hessian, pull = np.zeros(d * d), np.zeros(d)
+        for (rows, features, _), (gram, moment) in zip(self.data, moments):
+            scaled = self.active_weights[rows] / features.shape[1]
+            hessian += scaled @ gram.reshape(len(rows), d * d)
+            pull += scaled @ moment
+        hessian = hessian.reshape(d, d)
+        hessian[np.arange(d), np.arange(d)] += self.spec.l2
+        anchor = np.linalg.lstsq(hessian, pull, rcond=None)[0]
+        return anchor, _kernel_loss(self.spec, anchor, self), hessian @ anchor - pull, hessian
+
+    @cached_property
+    def increment_scale(self) -> np.ndarray:
+        """p / (1 - p) for p = active_weights.  A client carrying the full
+        weight has no run without it to bound: every read then raises."""
+        p = self.active_weights
+        if (p >= 1.0).any():
+            client = self.active[int(np.argmax(p >= 1.0))]
+            raise SingularRemovalError(f"client {client} carries the full aggregation weight")
+        return p / (1.0 - p)
 
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
     """One aggregation round: model before, local models, model after.
 
-    client_models[i] is the local model of client active[i]; weights are the
-    cohort's, one per federation client, which the round aggregated with.
+    client_models[i] is the local model of client active[i]; cohort is the
+    one the round aggregated with, whose active clients and weights (one per
+    federation client) the record reads.
     """
 
     round_index: int
     global_before: Params
-    active: tuple[int, ...]
     client_models: np.ndarray
     global_after: Params
-    weights: np.ndarray
+    cohort: Cohort
+
+    @property
+    def active(self) -> tuple[int, ...]:
+        return self.cohort.active
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.cohort.weights
 
 
 def local_updates(
@@ -226,6 +305,10 @@ def aggregate(client_models, weights) -> Params:
         raise EmptyFederationError("cannot aggregate zero models")
     if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"aggregation weights sum to {weights.sum()!r}, expected 1")
+    return _accumulate(client_models, weights)
+
+
+def _accumulate(client_models: np.ndarray, weights: np.ndarray) -> Params:
     # accumulate is sequential by construction; a reduce over one column is pairwise
     return np.add.accumulate(weights[:, None] * client_models, axis=0)[-1]
 
@@ -259,9 +342,9 @@ def fedavg_round(
             local = maps @ theta + offsets
             _guard_finite(local, round_index)
         client_models[rows] = local
-    new_theta = aggregate(client_models, cohort.active_weights)
+    new_theta = _accumulate(client_models, cohort.active_weights)
     _guard_finite(new_theta[None], round_index)
-    return RoundRecord(round_index, theta.copy(), cohort.active, client_models, new_theta, cohort.weights)
+    return RoundRecord(round_index, theta.copy(), client_models, new_theta, cohort)
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
@@ -274,8 +357,25 @@ def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
 
 
 def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort) -> float:
-    """Aggregation-weighted loss of theta over a cohort of `config`'s clients."""
+    """Aggregation-weighted loss of theta over a cohort of `config`'s clients.
+
+    A cohort with a quadratic form (Cohort.quadratic: ridge, d <= n for every
+    stack) evaluates it at theta; it equals the per-client kernel to rounding.
+    Every other cohort sums the kernel's losses.
+    """
     theta = models.as_params(theta)
+    if cohort.quadratic is None:
+        return _kernel_loss(spec, theta, cohort)
+    anchor, anchor_loss, gradient, hessian = cohort.quadratic
+    if theta.shape != anchor.shape:
+        raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {anchor.shape[0]} entries")
+    step = theta - anchor
+    return float(anchor_loss + gradient @ step + 0.5 * (step @ (hessian @ step)))
+
+
+def _kernel_loss(spec: ModelSpec, theta: Params, cohort: Cohort) -> float:
+    """federation_loss from each client's kernel loss, summed in ascending
+    client order."""
     losses = np.empty(len(cohort.active))
     for rows, features, targets in cohort.data:
         losses[rows] = models.stacked_loss(spec, features, targets, theta)

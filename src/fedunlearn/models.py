@@ -150,9 +150,10 @@ class RegimeConstants:
 # which makes one BLAS call per slice with that slice's own strides, and every
 # mean runs along the contiguous sample axis of each slice, so row i equals
 # the result for client i alone bit for bit.  The loss also takes one theta
-# (p,) shared by the whole stack, as the engine's retained loss does: X @ theta
-# is still one gemv per slice (one flat gemv over the reshaped stack would not
-# be bit-identical), and ||theta||^2 is computed once.  The MLP broadcasts a
+# (p,) shared by the whole stack, as the engine's retained loss of a logistic,
+# MLP or d > n ridge cohort does: X @ theta is still one gemv per slice (one
+# flat gemv over the reshaped stack would not be bit-identical), and
+# ||theta||^2 is computed once.  The MLP broadcasts a
 # shared theta to rows, where its products are not bit-identical otherwise.
 #
 # The logistic data term is softplus(z) - y z, with softplus(z) = max(z, 0) +
@@ -162,8 +163,12 @@ class RegimeConstants:
 # The ridge gradient is X_i^T (X_i theta_i - y_i) / n: two (n, d) gemvs.  The
 # engine calls it only for stacks with d > n; a stack with d <= n advances by
 # its K-step operators (ridge_operators) instead, built once per federation
-# and l2, so a round multiplies one d x d matrix per client in place of K
-# kernel calls.
+# and l2 from the stack's raw moments X_i^T X_i and X_i^T y_i (ridge_moments,
+# built once per federation), so a round multiplies one d x d matrix per
+# client in place of K kernel calls.  The ridge loss is exactly quadratic, so
+# a cohort whose every stack has moments evaluates its retained loss from
+# the moments' weighted sum (engine.Cohort.quadratic) rather than the kernel:
+# equal to the kernel's to rounding, at one kernel call per cohort.
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
@@ -257,36 +262,39 @@ def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray
 # -- ridge ------------------------------------------------------------------
 
 
-def ridge_operators(spec: ModelSpec, X: np.ndarray, y: np.ndarray, eta: float, steps: int):
+def ridge_moments(X: np.ndarray, y: np.ndarray):
+    """Raw moments of each stacked ridge client, (X_i^T X_i (g, d, d),
+    X_i^T y_i (g, d)), or None for a stack with d > n, whose moments outsize
+    its data.  Each slice is one BLAS call, so client i's moments do not
+    depend on which other clients share its stack."""
+    n, d = X.shape[1:]
+    if d > n:
+        return None
+    Xt = X.transpose(0, 2, 1)
+    return np.matmul(Xt, X), _matvec(Xt, y)
+
+
+def ridge_operators(spec: ModelSpec, moments, samples: int, eta: float, steps: int):
     """K = `steps` local gradient steps of each stacked ridge client as one
     affine map theta -> A_i theta + b_i, returned as (A (g, d, d), b (g, d)),
-    or None for a stack with d > n, whose operators outsize its data.
+    from the stack's ridge_moments and its sample count n.
 
     P_i = I - eta (X_i^T X_i / n + l2 I), A_i = P_i^K and
     b_i = sum_{k<K} P_i^k eta X_i^T y_i / n; A_i is symmetric, as P_i is.
     """
-    if X.shape[2] != spec.dims[0]:
-        raise DimensionMismatchError(f"data has {X.shape[2]} features, spec expects {spec.dims[0]}")
-    n, d = X.shape[1:]
-    if d > n:
-        return None
-    maps, offsets = np.empty((len(X), d, d)), np.empty((len(X), d))
+    gram, moment = moments
+    d = gram.shape[2]
+    if d != spec.dims[0]:
+        raise DimensionMismatchError(f"data has {d} features, spec expects {spec.dims[0]}")
+    step = gram * (-eta / samples)
     diagonal = np.arange(d)
-    # a few clients at a time, each chunk's d x d matrices holding no more
-    # values than one client's data, so no (g, d, d) array but A is built
-    chunk = n // d
-    for lo in range(0, len(X), chunk):
-        part = slice(lo, lo + chunk)
-        Xt = X[part].transpose(0, 2, 1)
-        step = np.matmul(Xt, X[part]) * (-eta / n)
-        step[:, diagonal, diagonal] += 1.0 - eta * spec.l2
-        pull = _matvec(Xt, y[part]) * (eta / n)
-        power, offset = step, pull
-        for _ in range(steps - 1):
-            power = np.matmul(step, power)
-            offset = _matvec(step, offset) + pull
-        maps[part], offsets[part] = power, offset
-    return maps, offsets
+    step[:, diagonal, diagonal] += 1.0 - eta * spec.l2
+    pull = moment * (eta / samples)
+    power, offset = step, pull
+    for _ in range(steps - 1):
+        power = np.matmul(step, power)
+        offset = _matvec(step, offset) + pull
+    return power, offset
 
 
 def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -376,26 +384,22 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
                 f"client data has {data.feature_dim} features, spec expects {spec.dims[0]}"
             )
     lam = spec.l2
+    if spec.kind is ModelKind.TINY_MLP:
+        return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, all_data), 0.0, lam)
+    # (eigenvalues of each client's X^T X, ascending, (g, d); n) per data shape
+    spectra = [
+        (np.linalg.eigvalsh(np.matmul(X.transpose(0, 2, 1), X)), X.shape[1]) for _, X, _ in stack_by_shape(all_data)
+    ]
     if spec.kind is ModelKind.RIDGE:
-        betas, mus = [], []
-        for data in all_data:
-            eigs = np.linalg.eigvalsh(data.features.T @ data.features)
-            betas.append(max(float(eigs[-1]), 0.0) / data.sample_count + lam)
-            mus.append(max(float(eigs[0]), 0.0) / data.sample_count + lam)
-        beta, mu = max(betas), min(mus)
+        beta = max(float((np.maximum(eigs[:, -1], 0.0) / n + lam).max()) for eigs, n in spectra)
+        mu = min(float((np.maximum(eigs[:, 0], 0.0) / n + lam).min()) for eigs, n in spectra)
         if mu > 0:
             return RegimeConstants(Regime.STRONGLY_CONVEX, beta, mu, lam)
         return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
-    if spec.kind is ModelKind.LOGISTIC:
-        beta = max(
-            max(float(np.linalg.eigvalsh(d.features.T @ d.features)[-1]), 0.0)
-            / (4.0 * d.sample_count)
-            for d in all_data
-        ) + lam
-        if lam > 0:
-            return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
-        return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
-    return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, all_data), 0.0, lam)
+    beta = max(float((np.maximum(eigs[:, -1], 0.0) / (4.0 * n)).max()) for eigs, n in spectra) + lam
+    if lam > 0:
+        return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
+    return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
 
 
 def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:

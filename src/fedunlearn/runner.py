@@ -20,7 +20,8 @@ from the deltas.  An unlearn run writes no ledger: its ledger follows from
 train's and the request sequence.  Every command starts from `prepare`, which
 builds the config's one FederationConfig.  unlearn and verify load the train
 artifacts through one loader, `_load_train`, and verify and report load each
-unlearn run through another, `_load_unlearn`, which also requires the final
+unlearn run through another, `_load_unlearn`, which also requires every
+outcome row to hold each of its keys with a value of its type, and the final
 model to carry the config's digest and to end where the outcomes' timeline does.
 verify hands the loaded ledger and history to the oracle, so it certifies the
 Psi that train wrote, and replays each recorded round from the history,
@@ -462,6 +463,7 @@ def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> t
             f"{out_dir} is missing outcomes.json or final_model.ckpt; re-run the unlearn command"
         )
     outcomes = _read_json(outcomes_path, "outcomes")["outcomes"]
+    _check_outcome_rows(outcomes_path, outcomes)
     # scratch's timeline starts empty, every other method's after train's rounds
     end = 0 if method == "scratch" else prepared.config.rounds
     if outcomes:
@@ -470,6 +472,49 @@ def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> t
     if position != end:
         raise MissingArtifactsError(f"{final_path} ends at {position} but the timeline at {end}")
     return outcomes, final_model
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # 17-digit JSON writes a whole float such as 0.0 as an integer
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the keys of each outcome row (_outcome_row) and the test its value must pass
+_OUTCOME_FIELDS = {
+    "request_index": _is_int,
+    "targets": lambda value: isinstance(value, list) and all(_is_int(c) for c in value),
+    "rollback_position": _is_int,
+    "sigma": _is_number,
+    "retrain_rounds": _is_int,
+    "final_retained_loss": _is_number,
+    "converged": lambda value: isinstance(value, bool),
+}
+
+
+def _check_outcome_rows(path: Path, outcomes) -> None:
+    """Refuse, as missing artifacts, outcomes that are not a list of rows
+    with every key of _outcome_row holding a value of its type."""
+    if not isinstance(outcomes, list):
+        raise MissingArtifactsError(f"{path} holds no list of outcomes; re-run the command that wrote it")
+    for u, row in enumerate(outcomes):
+        problem = _outcome_row_problem(row)
+        if problem:
+            raise MissingArtifactsError(f"{path} outcome {u} {problem}; re-run the command that wrote it")
+
+
+def _outcome_row_problem(row) -> str | None:
+    if not isinstance(row, dict):
+        return "is not an object"
+    for key, valid in _OUTCOME_FIELDS.items():
+        if key not in row:
+            return f"has no {key!r}"
+        if not valid(row[key]):
+            return f"has {key!r} = {row[key]!r}"
+    return None
 
 
 def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import RoundRecord
-from .errors import SingularRemovalError, StepSizeError
+from .errors import StepSizeError
 from .models import Regime, RegimeConstants, norms
 
 _PSI_STAR_TOL = 1e-12
@@ -65,12 +65,12 @@ def contraction_factor(constants: RegimeConstants, eta: float) -> float:
 def client_increments_fast(record: RoundRecord) -> np.ndarray:
     """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg||.
 
-    p is the round's aggregation weights, record.weights.  Returns one entry
+    p is the round's aggregation weights, record.weights; the factor is the
+    cohort's increment_scale, computed once per cohort.  Returns one entry
     per client; a client absent from the round contributes 0.
     """
-    active, p = _round_weights(record)
     out = np.zeros(record.weights.shape[0])
-    out[active] = p / (1.0 - p) * norms(record.client_models - record.global_after)
+    out[list(record.active)] = record.cohort.increment_scale * norms(record.client_models - record.global_after)
     return out
 
 
@@ -82,7 +82,8 @@ def client_increments_direct(record: RoundRecord) -> np.ndarray:
     as renormalized_weights does, and aggregates the other clients in ascending
     order (its own term is an exact zero, which leaves the running sum alone).
     """
-    active, _ = _round_weights(record)
+    record.cohort.increment_scale  # refuses a client carrying the full weight
+    active = list(record.active)
     m = len(active)
     rest = np.tile(record.weights, (m, 1))
     rest[np.arange(m), active] = 0.0
@@ -91,15 +92,6 @@ def client_increments_direct(record: RoundRecord) -> np.ndarray:
     out = np.zeros(record.weights.shape[0])
     out[active] = norms(record.global_after - without)
     return out
-
-
-def _round_weights(record: RoundRecord) -> tuple[list[int], np.ndarray]:
-    active = list(record.active)
-    p = record.weights[active]
-    if (p >= 1.0).any():
-        client = active[int(np.argmax(p >= 1.0))]
-        raise SingularRemovalError(f"client {client} carries the full aggregation weight")
-    return active, p
 
 
 # ---------------------------------------------------------------------------

@@ -861,6 +861,43 @@ def test_a_damaged_json_artifact_is_a_usage_error(workdir, capsys, command, dama
     assert snapshot(run_dir(workdir, doc), skip=()) == before
 
 
+def _drop_retrain_rounds(row):
+    del row["retrain_rounds"]
+
+
+def _retrain_rounds_as_text(row):
+    row["retrain_rounds"] = "7"
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_retrain_rounds, "has no 'retrain_rounds'"),
+        (_retrain_rounds_as_text, "has 'retrain_rounds' = '7'"),
+        (lambda row: row.update(converged=1), "has 'converged' = 1"),
+        (lambda row: row.update(targets=[True]), "has 'targets' = [True]"),
+    ],
+    ids=["deleted", "string", "int-converged", "bool-target"],
+)
+def test_a_damaged_outcome_row_is_a_usage_error(workdir, capsys, command, edit, message):
+    doc = base_doc("cli_outcome_row")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    path = run_dir(workdir, doc) / "unlearn_sifu" / "outcomes.json"
+    outcomes = json.loads(path.read_text())
+    edit(outcomes["outcomes"][-1])
+    path.write_text(dumps17(outcomes, indent=2) + "\n")
+    before = snapshot(run_dir(workdir, doc), skip=())
+    capsys.readouterr()
+    args = ["verify", config] if command == "verify" else ["report", str(run_dir(workdir, doc))]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err and "re-run the command that wrote it" in err
+    assert snapshot(run_dir(workdir, doc), skip=()) == before
+
+
 def test_report_builds_no_ridge_operators(workdir, monkeypatch):
     doc = base_doc("cli_report_operators")
     config = write_doc(workdir, doc)
@@ -869,9 +906,9 @@ def test_report_builds_no_ridge_operators(workdir, monkeypatch):
     calls = []
     real = models.ridge_operators
 
-    def counted(*args):
-        calls.append(args[1].shape)
-        return real(*args)
+    def counted(spec, moments, samples, eta, steps):
+        calls.append((len(moments[0]), samples, moments[0].shape[2]))
+        return real(spec, moments, samples, eta, steps)
 
     monkeypatch.setattr(models, "ridge_operators", counted)
     # the survivors' retained loss reads their data, never their operators

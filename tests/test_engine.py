@@ -20,6 +20,7 @@ from conftest import (
 )
 from fedunlearn import models
 from fedunlearn.engine import (
+    Cohort,
     FederationConfig,
     aggregate,
     fedavg_round,
@@ -34,6 +35,7 @@ from fedunlearn.errors import (
     DimensionMismatchError,
     DivergedTrainingError,
     EmptyFederationError,
+    SingularRemovalError,
 )
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, loss, regime_constants
@@ -438,9 +440,10 @@ def counted_operators(monkeypatch):
     calls = []
     real = models.ridge_operators
 
-    def counted(spec, features, targets, eta, steps):
-        calls.append((features.shape, spec.l2))
-        return real(spec, features, targets, eta, steps)
+    def counted(spec, moments, samples, eta, steps):
+        gram = moments[0]
+        calls.append(((len(gram), samples, gram.shape[2]), spec.l2))
+        return real(spec, moments, samples, eta, steps)
 
     monkeypatch.setattr(models, "ridge_operators", counted)
     return calls
@@ -462,17 +465,18 @@ def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch)
         cohort = fed.cohort(active, spec)
         theta = fedavg_round(spec, fed, theta, cohort, n).global_after
         federation_loss(spec, fed, theta, cohort)
-    assert calls == [((7, 16, 4), 0.1), ((3, 11, 4), 0.1), ((2, 3, 4), 0.1)]
+    # the d > n group (2, 3, 4) has no moments, so none are built for it
+    assert calls == [((7, 16, 4), 0.1), ((3, 11, 4), 0.1)]
     wide = [operators for rows, _, _, operators in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
     assert wide == [None]
     # another l2 gets operators of its own and leaves the first l2's in place
     stronger = ModelSpec(ModelKind.RIDGE, (4,), 0.5)
     # a cohort builds them when its stacks are first read, as a round reads them
     cohorts = [fed.cohort(range(12), each) for each in (stronger, spec, stronger)]
-    assert len(calls) == 3
+    assert len(calls) == 2
     for cohort in cohorts:
         cohort.stacks
-    assert calls[3:] == [((7, 16, 4), 0.5), ((3, 11, 4), 0.5), ((2, 3, 4), 0.5)]
+    assert calls[2:] == [((7, 16, 4), 0.5), ((3, 11, 4), 0.5)]
     # a spec of the same l2 but another input size gets no operators of the data's
     with pytest.raises(DimensionMismatchError):
         fed.cohort(range(12), ModelSpec(ModelKind.RIDGE, (5,), 0.1))
@@ -503,9 +507,8 @@ def test_a_subset_gets_the_operators_of_its_own_data():
     for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
         for rows, _, _, (maps, offsets) in fed.cohort(subset, spec).stacks:
             members = [datasets[subset[r]] for r in rows]
-            own_maps, own_offsets = models.ridge_operators(
-                spec, np.stack([d.features for d in members]), np.stack([d.targets for d in members]), 0.05, 3
-            )
+            moments = models.ridge_moments(np.stack([d.features for d in members]), np.stack([d.targets for d in members]))
+            own_maps, own_offsets = models.ridge_operators(spec, moments, members[0].sample_count, 0.05, 3)
             assert maps.tobytes() == own_maps.tobytes()
             assert offsets.tobytes() == own_offsets.tobytes()
 
@@ -628,10 +631,23 @@ def test_init_params_modes():
         init_params(spec, 0, "ones")
 
 
+def kernel_rows_loss(spec, cohort, theta):
+    """The cohort's loss from the kernel's rows at theta broadcast to one row
+    per client, summed in ascending client order."""
+    rows = np.empty(len(cohort.active))
+    for members, features, targets in cohort.data:
+        broadcast = models.stacked_loss(spec, features, targets, np.broadcast_to(theta, (len(members), len(theta))))
+        assert models.stacked_loss(spec, features, targets, theta).tobytes() == broadcast.tobytes()
+        rows[members] = broadcast
+    return np.add.accumulate(cohort.active_weights * rows)[-1]
+
+
 @pytest.mark.parametrize("model", ["ridge", "ridge-wide", "logistic", "mlp2"])
 def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
     """federation_loss hands the kernel one shared theta; each stack's rows
-    equal the kernel's at theta broadcast to one row per client, bit for bit."""
+    equal the kernel's at theta broadcast to one row per client, bit for bit.
+    A ridge cohort with d <= n in every stack evaluates its quadratic form
+    instead, which equals those rows to rounding."""
     if model == "ridge-wide":  # d = 6 > n = 4, in two data shapes
         spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
         datasets = [ClientDataset(d.features[:4], d.targets[:4]) if i % 3 else d for i, d in enumerate(datasets)]
@@ -641,13 +657,145 @@ def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
     cohort = fed.cohort((0, 1, 3, 4, 6), spec)
     assert len(cohort.data) == 2
     theta = 0.3 * np.random.default_rng(7).standard_normal(spec.param_count)
-    rows = np.empty(len(cohort.active))
-    for members, features, targets in cohort.data:
-        broadcast = models.stacked_loss(spec, features, targets, np.broadcast_to(theta, (len(members), len(theta))))
-        assert models.stacked_loss(spec, features, targets, theta).tobytes() == broadcast.tobytes()
-        rows[members] = broadcast
-    want = np.add.accumulate(cohort.active_weights * rows)[-1]
-    assert np.float64(federation_loss(spec, fed, theta, cohort)).tobytes() == want.tobytes()
+    want = kernel_rows_loss(spec, cohort, theta)
+    got = federation_loss(spec, fed, theta, cohort)
+    if model == "ridge":
+        assert cohort.quadratic is not None
+        assert abs(got - want) <= 1e-13 * abs(want)
+    else:
+        assert cohort.quadratic is None
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
+def duplicated_column_world():
+    """round_world's ragged ridge clients with feature 3 replaced by a copy of
+    feature 2 and l2 = 0: every client's X^T X, and so H, is singular."""
+    spec, datasets = round_world("ridge", ragged=True)
+    datasets = [ClientDataset(d.features[:, [0, 1, 2, 2]], d.targets) for d in datasets]
+    return ModelSpec(ModelKind.RIDGE, (4,), 0.0), datasets
+
+
+@pytest.mark.parametrize("case", ["full", "partial", "far", "singular"])
+def test_ridge_quadratic_loss_matches_the_kernel_rows(case):
+    """The quadratic form against the kernel it replaces: on a full and a
+    partial cohort, at thetas 100 times further out (as a noised release
+    lands), and with l2 = 0 and a duplicated feature column, where H is
+    singular and the anchor is lstsq's minimum-norm solution."""
+    if case == "singular":
+        spec, datasets = duplicated_column_world()
+    else:
+        spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    cohort = fed.cohort(range(10) if case == "full" else (0, 1, 3, 4, 6, 8), spec)
+    anchor, anchor_loss, _, hessian = cohort.quadratic
+    if case == "singular":
+        assert np.linalg.matrix_rank(hessian) == 3
+    # at the anchor the form is the kernel's own value
+    assert federation_loss(spec, fed, anchor, cohort) == anchor_loss == kernel_rows_loss(spec, cohort, anchor)
+    scale = 30.0 if case == "far" else 0.3
+    rng = np.random.default_rng(8)
+    for theta in [anchor + 1e-6 * rng.standard_normal(4)] + [scale * rng.standard_normal(4) for _ in range(8)]:
+        want = kernel_rows_loss(spec, cohort, theta)
+        assert abs(federation_loss(spec, fed, theta, cohort) - want) <= 1e-13 * abs(want)
+    with pytest.raises(DimensionMismatchError):
+        federation_loss(spec, fed, np.zeros(5), cohort)
+
+
+@pytest.mark.parametrize("world", ["ragged", "singular"])
+def test_a_cohorts_loss_does_not_depend_on_which_theta_came_first(world):
+    """The anchor depends on the cohort alone, so two cohorts of the same
+    clients, on this federation or a second one of the same data, give the
+    same losses bit for bit whichever theta each evaluates first."""
+    spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge", ragged=True)
+    feds = [FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2) for _ in range(2)]
+    active = (0, 2, 3, 5, 8, 9)
+    thetas = [0.3 * np.random.default_rng(9).standard_normal(4), np.zeros(4), np.full(4, 40.0)]
+    first = [federation_loss(spec, feds[0], theta, feds[0].cohort(active, spec)) for theta in thetas]
+    for fed in (feds[0], feds[1]):
+        cohort = fed.cohort(active, spec)
+        backwards = [federation_loss(spec, fed, theta, cohort) for theta in thetas[::-1]]
+        assert np.array(backwards[::-1]).tobytes() == np.array(first).tobytes()
+
+
+def per_chunk_operators(spec, X, y, eta, steps):
+    """ridge_operators as they were built from the data itself, a few clients
+    at a time (each chunk's d x d matrices holding no more values than one
+    client's data), before the federation kept each group's moments."""
+    n, d = X.shape[1:]
+    if d > n:
+        return None
+    maps, offsets = np.empty((len(X), d, d)), np.empty((len(X), d))
+    diagonal = np.arange(d)
+    chunk = n // d
+    for lo in range(0, len(X), chunk):
+        part = slice(lo, lo + chunk)
+        Xt = X[part].transpose(0, 2, 1)
+        step = np.matmul(Xt, X[part]) * (-eta / n)
+        step[:, diagonal, diagonal] += 1.0 - eta * spec.l2
+        pull = np.matmul(Xt, y[part][:, :, None])[:, :, 0] * (eta / n)
+        power, offset = step, pull
+        for _ in range(steps - 1):
+            power = np.matmul(step, power)
+            offset = np.matmul(step, offset[:, :, None])[:, :, 0] + pull
+        maps[part], offsets[part] = power, offset
+    return maps, offsets
+
+
+def test_operators_from_the_cached_moments_equal_the_per_chunk_build_bitwise():
+    spec, datasets = mixed_ridge_world()
+    # and a stack of ridge_fleet's shape, twelve clients in chunks of five
+    wide = make_ridge(clients=12, samples=100, features=20, seed=23, l2=0.05)
+    for spec, datasets in ((spec, datasets), wide):
+        for steps in (1, 5):
+            fed = FederationConfig.from_datasets(datasets, eta=0.01, local_steps=steps)
+            for _, features, targets, operators in fed.cohort(range(len(datasets)), spec).stacks:
+                want = per_chunk_operators(spec, features, targets, 0.01, steps)
+                if want is None:
+                    assert operators is None
+                    continue
+                assert operators[0].tobytes() == want[0].tobytes()
+                assert operators[1].tobytes() == want[1].tobytes()
+
+
+def test_ridge_moments_are_built_once_per_federation(monkeypatch):
+    spec, datasets = mixed_ridge_world()
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    calls = []
+    real = models.ridge_moments
+
+    def counted(X, y):
+        calls.append(X.shape)
+        return real(X, y)
+
+    monkeypatch.setattr(models, "ridge_moments", counted)
+    theta = np.zeros(4)
+    for n, l2 in enumerate((0.1, 0.5)):
+        each = ModelSpec(ModelKind.RIDGE, (4,), l2)
+        for active in (range(12), (0, 2, 3), (1, 3)):
+            cohort = fed.cohort(active, each)
+            federation_loss(each, fed, theta, cohort)
+            theta = fedavg_round(each, fed, theta, cohort, n).global_after
+    assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
+    # the quadratic takes a stack's moments only when every stack has them
+    assert fed.cohort((0, 2), spec).quadratic is not None
+    assert fed.cohort((0, 10), spec).quadratic is None
+
+
+def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_increments():
+    with pytest.raises(ValueError, match="sum to"):
+        Cohort((0, 1), np.array([0.5, 0.4]), None, (), (), None)
+    spec, datasets = make_ridge(clients=3, seed=4)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=2)
+    lone = fed.cohort((1,), spec)
+    record = fedavg_round(spec, fed, np.zeros(4), lone, 0)
+    assert record.global_after.tobytes() == record.client_models[0].tobytes()
+    for _ in range(2):
+        with pytest.raises(SingularRemovalError, match="client 1"):
+            client_increments_fast(record)
+    pair = fed.cohort((0, 2), spec)
+    scale = pair.increment_scale
+    assert scale.tobytes() == (pair.active_weights / (1.0 - pair.active_weights)).tobytes()
+    assert pair.increment_scale is scale
 
 
 def test_federation_loss_matches_manual_weighted_sum():

@@ -227,7 +227,7 @@ def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
     y = rng.standard_normal((3, n))
     thetas = rng.standard_normal((3, d))
     # with eta = 1 and one step, theta - (A theta + b) is the Gram-form gradient
-    maps, offsets = models.ridge_operators(spec, X, y, 1.0, 1)
+    maps, offsets = models.ridge_operators(spec, models.ridge_moments(X, y), n, 1.0, 1)
     got = thetas - ((maps @ thetas[:, :, None])[:, :, 0] + offsets)
     for i in range(3):
         residual_form = X[i].T @ (X[i] @ thetas[i] - y[i]) / n + spec.l2 * thetas[i]
@@ -237,6 +237,43 @@ def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
 # ---------------------------------------------------------------------------
 # curvature constants
 # ---------------------------------------------------------------------------
+
+
+def per_client_constants(spec, all_data):
+    """regime_constants for ridge and logistic from one Gram matrix and one
+    eigvalsh per client, as it was computed before it stacked each shape."""
+    lam = spec.l2
+    if spec.kind is ModelKind.RIDGE:
+        betas, mus = [], []
+        for data in all_data:
+            eigs = np.linalg.eigvalsh(data.features.T @ data.features)
+            betas.append(max(float(eigs[-1]), 0.0) / data.sample_count + lam)
+            mus.append(max(float(eigs[0]), 0.0) / data.sample_count + lam)
+        beta, mu = max(betas), min(mus)
+        if mu > 0:
+            return RegimeConstants(Regime.STRONGLY_CONVEX, beta, mu, lam)
+        return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
+    beta = max(
+        max(float(np.linalg.eigvalsh(d.features.T @ d.features)[-1]), 0.0) / (4.0 * d.sample_count)
+        for d in all_data
+    ) + lam
+    if lam > 0:
+        return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
+    return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.RIDGE, ModelKind.LOGISTIC])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("shape", [(40, 100, 20), (12, 100, 20), (100, 20, 5), (6, 3, 5)])
+def test_stacked_constants_equal_the_per_client_computation_bitwise(kind, l2, shape):
+    clients, samples, features = shape
+    rng = np.random.default_rng(clients + samples)
+    all_data = []
+    for i, X in enumerate(rng.standard_normal((clients, samples, features)) * np.logspace(-1, 1, features)):
+        X = X[: samples - 1] if i % 3 == 1 else X  # two data shapes
+        all_data.append(ClientDataset(X, rng.standard_normal(len(X))))
+    spec = ModelSpec(kind, (features,), l2)
+    assert regime_constants(spec, all_data) == per_client_constants(spec, all_data)
 
 
 def test_ridge_identity_constants():

@@ -13,7 +13,7 @@ from conftest import (
 )
 from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
-from fedunlearn import oracle
+from fedunlearn import oracle, unlearn
 from fedunlearn.engine import FederationConfig, fedavg_round, init_params
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
@@ -146,21 +146,28 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
     spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=65, l2=0.1)
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
     _, _, history, ledger = train_world(spec, fed, 5, theta0=init_params(spec, 65))
-    calls = []
-    real = models.stacked_loss
+    calls, kernel_calls = [], []
+    real, real_kernel = unlearn.federation_loss, models.stacked_loss
 
-    def counted(*args):
-        calls.append(args[1].shape[0])
-        return real(*args)
+    def counted(spec, config, theta, cohort):
+        calls.append(len(cohort.active))
+        return real(spec, config, theta, cohort)
 
-    monkeypatch.setattr(models, "stacked_loss", counted)
+    def counted_kernel(*args):
+        kernel_calls.append(args[1].shape[0])
+        return real_kernel(*args)
+
+    monkeypatch.setattr(unlearn, "federation_loss", counted)
+    monkeypatch.setattr(models, "stacked_loss", counted_kernel)
     for sensitivity in (empirical_sensitivity, retrained_sensitivity):
         traces = sensitivity(fed, spec, history, ledger)
-        assert calls == []
+        assert calls == [] and kernel_calls == []
         assert [t.client for t in traces] == [0, 1, 2, 3]
-    # the all-client run it checks does evaluate the loss every round
+    # the all-client run it checks does evaluate the loss every round, from
+    # the cohort's quadratic form, whose anchor takes one kernel call
     retrain_until(spec, fed, history.models[0], range(4), exactly(5))
     assert calls == [4] * 6
+    assert kernel_calls == [4]
     # skipping the loss is refused where the loss decides when to stop
     with pytest.raises(ValueError, match="fixed-round"):
         retrain_until(spec, fed, history.models[0], range(4), exactly(5), track_loss=False)

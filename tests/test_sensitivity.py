@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import SQ
 from fedunlearn import runner
 from fedunlearn.config import parse_config
-from fedunlearn.engine import RoundRecord, aggregate, read_checkpoint, renormalized_weights, write_checkpoint
+from fedunlearn.engine import Cohort, RoundRecord, aggregate, read_checkpoint, renormalized_weights, write_checkpoint
 from fedunlearn.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -38,7 +38,8 @@ def toy_record(client_models, weights, round_index=0, active=None):
     active = tuple(range(len(models))) if active is None else tuple(active)
     weights = np.asarray(weights, dtype=np.float64)
     agg = aggregate(models, weights[list(active)])
-    return RoundRecord(round_index, np.zeros_like(agg), active, models, agg, weights)
+    # a cohort of weights alone: the increments read nothing else
+    return RoundRecord(round_index, np.zeros_like(agg), models, agg, Cohort(active, weights, None, (), (), None))
 
 
 # ---------------------------------------------------------------------------
