@@ -55,7 +55,10 @@ class FederationConfig:
     only what ridge cohorts build from each data-shape group: the group's
     raw moments X_i^T X_i and X_i^T y_i (models.ridge_moments, None for a
     group with d > n), built once on first use, and its ridge operators,
-    built from them once per spec (they depend on its l2).
+    built from them once per spec (they depend on its l2).  Every array it
+    holds is read-only: its own copy of the weights, the stacks, and the
+    moments and operators as they are built, so a federation shared by
+    several runs cannot be changed by one of them.
     """
 
     clients: tuple[ClientDataset, ...]
@@ -67,7 +70,7 @@ class FederationConfig:
         clients = tuple(self.clients)
         if not clients:
             raise EmptyFederationError("federation needs at least one client")
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
         if weights.shape != (len(clients),):
             raise DimensionMismatchError(
                 f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
@@ -81,9 +84,11 @@ class FederationConfig:
             raise ValueError("eta must be positive")
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
+        groups = models.stack_by_shape(clients)
+        freeze(weights, *(array for group in groups for array in group))
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_groups", models.stack_by_shape(clients))
+        object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_moments", None)
         object.__setattr__(self, "_operators", {})
 
@@ -133,18 +138,28 @@ class FederationConfig:
     def _ridge_moments(self) -> list:
         """models.ridge_moments of each data-shape group, built on first use."""
         if self._moments is None:
-            object.__setattr__(self, "_moments", [models.ridge_moments(X, y) for _, X, y in self._groups])
+            moments = [models.ridge_moments(X, y) for _, X, y in self._groups]
+            freeze(*(array for entry in moments if entry is not None for array in entry))
+            object.__setattr__(self, "_moments", moments)
         return self._moments
 
     def _ridge_operators(self, spec: ModelSpec) -> list:
         """models.ridge_operators of each data-shape group with moments, built
         once per spec (they depend on its l2); None for the other groups."""
         if spec not in self._operators:
-            self._operators[spec] = [
+            operators = [
                 None if moments is None else models.ridge_operators(spec, moments, X.shape[1], self.eta, self.local_steps)
                 for moments, (_, X, _) in zip(self._ridge_moments(), self._groups)
             ]
+            freeze(*(array for entry in operators if entry is not None for array in entry))
+            self._operators[spec] = operators
         return self._operators[spec]
+
+
+def freeze(*arrays: np.ndarray) -> None:
+    """Make each array read-only: writing to it raises ValueError."""
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _picked(per_group: list, picks) -> list:

@@ -8,8 +8,8 @@ config name:
                                      timings.json, manifest
     <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
                                      final_model.ckpt, timings.json, manifest
-    <run>/verify_report.json
-    <run>/report/*.csv
+    <run>/verify_report.json, timings.json
+    <run>/report/                    *.csv, timings.json
 
 A manifest is written last and lists the files of its directory.
 
@@ -17,20 +17,32 @@ Training is one fixed-round all-client `unlearn.retrain_until` call that
 records the ledger and every round's global model.  train's ledger file holds
 each round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi
 from the deltas.  An unlearn run writes no ledger: its ledger follows from
-train's and the request sequence.  Every command starts from `prepare`, which
-builds the config's one FederationConfig.  unlearn and verify load the train
-artifacts through one loader, `_load_train`, and verify and report load each
-unlearn run through another, `_load_unlearn`, which also requires every
-outcome row to hold each of its keys with a value of its type, and the final
-model to carry the config's digest and to end where the outcomes' timeline does.
-verify hands the loaded ledger and history to the oracle, so it certifies the
-Psi that train wrote, and replays each recorded round from the history,
-requiring the next model and the ledger's deltas bit for bit, and the deltas
-within rounding of the direct increments.  It re-runs every unlearning method
-from the same artifacts, requires its outcomes and final model bit for bit,
-and audits the budget on the re-run's ledger.  Every unlearning method runs
-the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
-artifacts a method starts from (scratch none, finetune only the history, the
+train's and the request sequence.
+
+Every command starts from `prepared_for`, which shares one PreparedExperiment
+per config and process: a pipeline run in one process (scripts/run_pipeline.py)
+prepares its config once, not once per command.  `prepared_for` keeps a single
+entry, the last config's, keyed by its config_hash; another digest replaces
+it.  `prepare` itself stays the uncached derivation.  Every array a
+PreparedExperiment holds is read-only, so no command can change what a later
+one reads.  Only values derived from the config are shared, never an
+artifact: each command still reads and checks its inputs from disk.  Each
+command's timings.json records `prepare_seconds`, the time it spent
+obtaining its PreparedExperiment, about 0 when shared.
+
+unlearn and verify load the train artifacts through one loader,
+`_load_train`, and verify and report load each unlearn run through another,
+`_load_unlearn`, which also requires every outcome row to hold each of its
+keys with a value of its type, and the final model to carry the config's
+digest and to end where the outcomes' timeline does.  verify hands the
+loaded ledger and history to the oracle, so it certifies the Psi that train
+wrote, and replays each recorded round from the history, requiring the next
+model and the ledger's deltas bit for bit, and the deltas within rounding of
+the direct increments.  It re-runs every unlearning method from the same
+artifacts, requires its outcomes and final model bit for bit, and audits the
+budget on the re-run's ledger.  Every unlearning method runs the same
+per-request step, `unlearn.sifu`; `_train_inputs` picks which train artifacts
+a method starts from (scratch none, finetune only the history, the
 ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
@@ -58,6 +70,7 @@ from .engine import (
     FederationConfig,
     federation_loss,
     fedavg_round,
+    freeze,
     init_params,
     read_checkpoint,
     write_checkpoint,
@@ -97,7 +110,13 @@ def run_dir_for(config: ExperimentConfig, out_root: Path | None = None) -> Path:
 
 @dataclass(frozen=True, eq=False)
 class PreparedExperiment:
-    """Everything derived from a config that commands share."""
+    """Everything derived from a config that commands share.
+
+    The commands of one process share one instance per config through
+    `prepared_for`, so every array reachable from it is read-only: the
+    clients' data, theta0 and the federation's weights, stacks, moments and
+    operators.  It holds no artifact; commands read those from disk.
+    """
 
     config: ExperimentConfig
     spec: models.ModelSpec
@@ -113,17 +132,14 @@ class PreparedExperiment:
 
 
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
+    """A fresh PreparedExperiment of `config`, its arrays read-only; derived
+    without any cache."""
     datasets = generate_data(config.data)
     constants = regime_constants(config.model, datasets)
-    if constants.regime is Regime.SMOOTH:
-        warnings.warn(
-            "smooth regime: no step-size bound certifies contraction; "
-            "the sensitivity bound grows as (1 + eta*beta)^steps",
-            stacklevel=2,
-        )
     eta = config.resolve_eta(constants)
     contraction = contraction_factor(constants, eta)
     theta0 = init_params(config.model, config.federation_seed, config.init)
+    freeze(theta0, *(array for data in datasets for array in (data.features, data.targets)))
     return PreparedExperiment(
         config=config,
         spec=config.model,
@@ -133,6 +149,31 @@ def prepare(config: ExperimentConfig) -> PreparedExperiment:
         theta0=theta0,
         digest=config_hash(config),
     )
+
+
+# the (config_hash, PreparedExperiment) of the last config a command ran;
+# only prepared_for fills it, never prepare
+_shared: tuple[bytes, PreparedExperiment] | None = None
+
+
+def prepared_for(config: ExperimentConfig) -> PreparedExperiment:
+    """The PreparedExperiment every command of this process shares for
+    `config`: prepared on the first call for its digest, then reused until a
+    call with another digest replaces it.  Warns on every call, shared or
+    not, for a smooth-regime model."""
+    global _shared
+    digest = config_hash(config)
+    if _shared is None or _shared[0] != digest:
+        _shared = None  # release the old entry before preparing the new one
+        _shared = (digest, prepare(config))
+    prepared = _shared[1]
+    if prepared.constants.regime is Regime.SMOOTH:
+        warnings.warn(
+            "smooth regime: no step-size bound certifies contraction; "
+            "the sensitivity bound grows as (1 + eta*beta)^steps",
+            stacklevel=2,
+        )
+    return prepared
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -200,7 +241,8 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
     directory that later commands refuse.
     """
     t_start = time.perf_counter()
-    prepared = prepare(config)
+    prepared = prepared_for(config)
+    prepare_seconds = time.perf_counter() - t_start
     run_dir = run_dir_for(config, out_root)
     train_dir = run_dir / "train"
     if train_dir.exists():
@@ -229,7 +271,7 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         for n, ((_, loss), delta, psi) in enumerate(per_round)
     )
     _write_text(train_dir / "metrics.jsonl", metrics)
-    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start})
+    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     _write_manifest(train_dir, prepared, "train")
     return train_dir
 
@@ -300,7 +342,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     if method == "ifu" and any(len(req) != 1 for req in config.requests):
         raise ConfigError("method 'ifu' handles single-client requests only")
     t_start = time.perf_counter()
-    prepared = prepare(config)
+    prepared = prepared_for(config)
+    prepare_seconds = time.perf_counter() - t_start
     run_dir = run_dir_for(config, out_root)
     out_dir = run_dir / f"unlearn_{method}"
 
@@ -319,7 +362,7 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     )
     _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
     write_checkpoint(out_dir / "final_model.ckpt", state.history.end_position, state.history.final_model, prepared.digest)
-    _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start})
+    _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     _write_manifest(out_dir, prepared, f"unlearn:{method}")
     return out_dir
 
@@ -380,7 +423,8 @@ def _outcome_row(outcome) -> dict:
 def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[dict, bool]:
     """Re-derive every certifiable claim for a config; returns (report, ok)."""
     t_start = time.perf_counter()
-    prepared = prepare(config)
+    prepared = prepared_for(config)
+    prepare_seconds = time.perf_counter() - t_start
     run_dir = run_dir_for(config, out_root)
     # refuse bad artifacts before the oracle runs
     history, ledger = _load_train(run_dir / "train", prepared, with_ledger=True)
@@ -410,7 +454,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     ok = all(c["pass"] for c in checks)
     report = {"config_hash": prepared.digest.hex(), "pass": ok, "checks": checks}
     _write_text(run_dir / "verify_report.json", dumps17(report, indent=2) + "\n")
-    _write_timings(run_dir, {"verify_seconds": time.perf_counter() - t_start})
+    _write_timings(run_dir, {"verify_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     return report, ok
 
 
@@ -547,12 +591,15 @@ def _audit_one_run(prepared, method, ledger, outcomes, reproduced: bool) -> dict
 
 def cmd_report(run_dir: Path) -> Path:
     """Summarise completed unlearning runs into per-metric CSV files."""
+    t_start = time.perf_counter()
     run_dir = Path(run_dir)
     config_path = run_dir / "config.json"
     if not config_path.exists():
         raise MissingArtifactsError(f"missing config copy: {config_path}")
     config = parse_config(config_path.read_text())
-    prepared = prepare(config)
+    t_prepare = time.perf_counter()
+    prepared = prepared_for(config)
+    prepare_seconds = time.perf_counter() - t_prepare
     spec = prepared.spec
 
     methods = {}
@@ -593,6 +640,7 @@ def cmd_report(run_dir: Path) -> Path:
             report_dir / "distance_to_scratch.csv",
             "method,distance_to_scratch\n" + "".join(r + "\n" for r in distance_rows),
         )
+    _write_timings(report_dir, {"report_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     return report_dir
 
 

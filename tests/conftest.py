@@ -5,8 +5,9 @@ Scenario constants here are frozen; the suite assumes them bit-for-bit.
 import math
 
 import numpy as np
+import pytest
 
-from fedunlearn import models
+from fedunlearn import models, runner
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn.engine import FederationConfig, init_params, local_updates
 from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
@@ -25,6 +26,13 @@ from fedunlearn.unlearn import StoppingRule, retrain_until
 
 # calibration multiplier at epsilon=1, delta=0.05
 SQ = math.sqrt(2.0 * math.log(25.0))
+
+
+@pytest.fixture(autouse=True)
+def no_shared_preparation(monkeypatch):
+    """Each test starts with the commands' shared PreparedExperiment entry
+    empty, so no test reads one another test prepared."""
+    monkeypatch.setattr(runner, "_shared", None)
 
 
 def exactly(n):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -911,12 +914,123 @@ def test_report_builds_no_ridge_operators(workdir, monkeypatch):
         return real(spec, moments, samples, eta, steps)
 
     monkeypatch.setattr(models, "ridge_operators", counted)
-    # the survivors' retained loss reads their data, never their operators
+    # a report in a process of its own: the survivors' retained loss reads
+    # their data, never their operators
+    monkeypatch.setattr(runner, "_shared", None)
     assert main(["report", str(run_dir(workdir, doc))]) == 0
     assert calls == []
-    # a round on the same federation still builds them
-    assert main(["unlearn", config, "--method", "scratch"]) == 0
+    # one in-process train -> unlearn -> report builds the operators of the
+    # one data-shape group once
+    monkeypatch.setattr(runner, "_shared", None)
+    assert main(["train", config]) == 0
+    for method in ("sifu", "scratch"):
+        assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
     assert calls == [(3, 10, 3)]
+
+
+def run_every_command(workdir, doc) -> None:
+    """train, unlearn with every method, verify and report in this process."""
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    for method in unlearn.METHODS:
+        assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["verify", config]) == 0
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+
+
+def count_preparations(monkeypatch) -> dict:
+    """Calls of generate_data and regime_constants from now on."""
+    calls = {"generate_data": 0, "regime_constants": 0}
+    for name in calls:
+        real = getattr(runner, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(runner, name, counted)
+    return calls
+
+
+def test_one_process_prepares_a_config_once(workdir, monkeypatch):
+    calls = count_preparations(monkeypatch)
+    run_every_command(workdir, base_doc("cli_prepared_once"))
+    assert calls == {"generate_data": 1, "regime_constants": 1}
+
+
+def test_another_data_seed_under_the_same_name_prepares_again(workdir, monkeypatch):
+    doc = base_doc("cli_reseeded")
+    calls = count_preparations(monkeypatch)
+    run_every_command(workdir, doc)
+    first = snapshot(run_dir(workdir, doc))
+    doc["data"]["seed"] += 1
+    run_every_command(workdir, doc)
+    assert calls == {"generate_data": 2, "regime_constants": 2}
+    shared = snapshot(run_dir(workdir, doc))
+    assert shared["train/history.ckpt"] != first["train/history.ckpt"]
+    # the same config in a fresh process writes the same bytes
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    fresh = workdir / "fresh"
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), write_doc(workdir, doc), "--out", str(fresh)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    assert snapshot(fresh / doc["name"]) == shared
+
+
+def reachable_arrays(value, seen=None) -> list:
+    """Every ndarray reachable from `value` through containers and the
+    attributes of fedunlearn objects."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        children = value
+    elif isinstance(value, dict):
+        children = value.values()
+    elif type(value).__module__.startswith("fedunlearn.") and hasattr(value, "__dict__"):
+        children = vars(value).values()
+    else:
+        return []
+    return [array for child in children for array in reachable_arrays(child, seen)]
+
+
+def test_the_shared_prepared_experiment_is_read_only(workdir):
+    doc = base_doc("cli_read_only")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    prepared = runner.prepared_for(load_config(config))
+    fed = prepared.fed
+    built = reachable_arrays(fed._moments) + reachable_arrays(fed._operators)
+    assert len(built) == 4  # one group's X^T X, X^T y, A and b
+    arrays = reachable_arrays(prepared)
+    assert {id(array) for array in built} <= {id(array) for array in arrays}
+    # each client's features and targets, theta0, the weights, three stacks
+    assert len(arrays) == 2 * 3 + 1 + 1 + 3 + len(built)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_every_command_warns_of_the_smooth_regime(workdir, monkeypatch):
+    doc = base_doc("cli_smooth_warning")
+    doc["model"] = {"kind": "tiny_mlp", "dims": [3, 2, 1], "l2": 0.0}
+    doc["federation"]["eta"] = 0.05
+    config = write_doc(workdir, doc)
+    calls = count_preparations(monkeypatch)
+    for args in (["train", config], ["unlearn", config, "--method", "sifu"], ["verify", config]):
+        with pytest.warns(UserWarning, match="smooth regime"):
+            assert main(args) == 0
+    # unlearn and verify warn from the shared PreparedExperiment
+    assert calls == {"generate_data": 1, "regime_constants": 1}
 
 
 def test_verify_flags_a_rollback_beyond_the_budget(workdir, capsys, monkeypatch):
