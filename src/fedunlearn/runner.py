@@ -13,9 +13,10 @@ config name:
 
 A manifest is written last and lists the files of its directory.
 
-Training is one fixed-round all-client `unlearn.retrain_until` call that
-records the ledger and every round's global model.  train's ledger file holds
-each round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi
+Training, `_train`, is one fixed-round all-client `unlearn.retrain_until`
+call that records the ledger and every round's global model; train writes
+what it returns and verify re-runs it.  train's ledger file holds each
+round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi
 from the deltas.  An unlearn run writes no ledger: its ledger follows from
 train's and the request sequence.
 
@@ -34,15 +35,15 @@ unlearn and verify load the train artifacts through one loader,
 `_load_train`, and verify and report load each unlearn run through another,
 `_load_unlearn`, which also requires every outcome row to hold each of its
 keys with a value of its type, and the final model to carry the config's
-digest and to end where the outcomes' timeline does.  verify hands the
-loaded ledger and history to the oracle, so it certifies the Psi that train
-wrote, and replays each recorded round from the history, requiring the next
-model and the ledger's deltas bit for bit, and the deltas within rounding of
-the direct increments.  It re-runs every unlearning method from the same
-artifacts, requires its outcomes and final model bit for bit, and audits the
-budget on the re-run's ledger.  Every unlearning method runs the same
-per-request step, `unlearn.sifu`; `_train_inputs` picks which train artifacts
-a method starts from (scratch none, finetune only the history, the
+digest and to end where the outcomes' timeline does; both read the
+unlearn_<method> directory of each method in METHODS and no other.  verify
+hands the loaded ledger and history to the oracle, so it certifies the Psi
+that train wrote.  It re-runs train and requires every model, every delta
+and metrics.jsonl bit for bit, and re-runs every unlearning method from the
+loaded artifacts, requiring its outcomes and final model bit for bit and
+auditing the budget on the re-run's ledger.  Every unlearning method runs
+the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
+artifacts a method starts from (scratch none, finetune only the history, the
 ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
@@ -69,7 +70,6 @@ from .datagen import generate_data
 from .engine import (
     FederationConfig,
     federation_loss,
-    fedavg_round,
     freeze,
     init_params,
     read_checkpoint,
@@ -79,12 +79,7 @@ from .errors import ConfigError, MissingArtifactsError
 from .history import TrainingHistory
 from .models import ModelKind, Regime, regime_constants
 from .oracle import check_bound, contraction_slack, empirical_sensitivity
-from .sensitivity import (
-    SensitivityLedger,
-    client_increments_direct,
-    client_increments_fast,
-    contraction_factor,
-)
+from .sensitivity import SensitivityLedger, contraction_factor
 from .serialize import dumps17, fmt17
 from .unlearn import (
     LEDGER_METHODS,
@@ -217,12 +212,20 @@ def _check_manifest_hash(directory: Path, prepared: PreparedExperiment) -> None:
         )
 
 
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of `path`, refusing an unreadable file as missing artifacts."""
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise MissingArtifactsError(f"{path} is unreadable ({err}); re-run the command that wrote it") from err
+
+
 def _read_json(path: Path, key: str) -> dict:
     """The JSON object in `path`, refusing a damaged file or one without
     `key` as missing artifacts."""
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError) as err:
+        doc = json.loads(_read_bytes(path))
+    except ValueError as err:
         raise MissingArtifactsError(f"{path} is damaged ({err}); re-run the command that wrote it") from err
     if not isinstance(doc, dict) or key not in doc:
         raise MissingArtifactsError(f"{path} holds no {key!r}; re-run the command that wrote it")
@@ -249,9 +252,23 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         shutil.rmtree(train_dir)
     train_dir.mkdir(parents=True)
     _store_config(run_dir, config)
-    rounds = config.rounds
+    history, ledger, metrics = _train(prepared)
+    write_checkpoint(train_dir / "history.ckpt", config.rounds, np.array(history.models), prepared.digest)
+    if config.rounds:  # the checkpoint format holds no empty block
+        write_checkpoint(train_dir / LEDGER_FILE, config.rounds, ledger.deltas, prepared.digest)
+    _write_text(train_dir / "metrics.jsonl", metrics)
+    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
+    _write_manifest(train_dir, prepared, "train")
+    return train_dir
+
+
+def _train(prepared: PreparedExperiment) -> tuple[TrainingHistory, SensitivityLedger, str]:
+    """Train the full federation for the config's rounds in one fixed-round
+    all-client `retrain_until` call; returns the model history, the ledger
+    and the text of train's metrics.jsonl."""
+    rounds = prepared.config.rounds
     history = TrainingHistory(prepared.theta0)
-    ledger = SensitivityLedger(prepared.contraction, config.local_steps, prepared.client_count)
+    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
     result = retrain_until(
         prepared.spec,
         prepared.fed,
@@ -261,19 +278,12 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
         ledger=ledger,
         history=history,
     )
-
-    write_checkpoint(train_dir / "history.ckpt", rounds, np.array(history.models), prepared.digest)
-    if rounds:  # the checkpoint format holds no empty block
-        write_checkpoint(train_dir / LEDGER_FILE, rounds, ledger.deltas, prepared.digest)
     per_round = zip(result.loss_trace[1:], ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
     metrics = "".join(
         dumps17({"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}) + "\n"
         for n, ((_, loss), delta, psi) in enumerate(per_round)
     )
-    _write_text(train_dir / "metrics.jsonl", metrics)
-    _write_timings(train_dir, {"train_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
-    _write_manifest(train_dir, prepared, "train")
-    return train_dir
+    return history, ledger, metrics
 
 
 def _load_train(
@@ -428,6 +438,7 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     run_dir = run_dir_for(config, out_root)
     # refuse bad artifacts before the oracle runs
     history, ledger = _load_train(run_dir / "train", prepared, with_ledger=True)
+    metrics = _read_bytes(run_dir / "train" / "metrics.jsonl")
     audits = _audit_unlearn_runs(prepared, run_dir, history, ledger)
     checks = []
 
@@ -446,7 +457,14 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
             check["first_violation"] = report.first_violation
         checks.append(check)
 
-    checks.append(_check_proxy_equivalence(prepared, history, ledger))
+    # training re-run from the config must give what train wrote, bit for bit
+    rerun_history, rerun_ledger, rerun_metrics = _train(prepared)
+    reproduced = (
+        np.array(rerun_history.models).tobytes() == np.array(history.models).tobytes()
+        and rerun_ledger.deltas.tobytes() == ledger.deltas.tobytes()
+        and rerun_metrics.encode() == metrics
+    )
+    checks.append({"name": "rerun:train", "pass": reproduced, "worst_slack": None, "tightness": None})
     worst = contraction_slack(prepared.fed, prepared.spec, prepared.contraction)
     checks.append({"name": "contractivity", "pass": worst <= 1e-9, "worst_slack": worst, "tightness": None})
     checks.extend(audits)
@@ -458,36 +476,13 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     return report, ok
 
 
-def _check_proxy_equivalence(prepared: PreparedExperiment, history, ledger) -> dict:
-    """Replay each recorded round from the history's models: it must give the
-    next model and the ledger row bit for bit, and the row must match the
-    round's direct increments within rounding."""
-    fed = prepared.fed
-    cohort = fed.cohort(range(fed.client_count), prepared.spec)
-    worst = 0.0
-    passed = np.array_equal(history.models[0], prepared.theta0)
-    for n, fast in enumerate(ledger.deltas):
-        record = fedavg_round(prepared.spec, fed, history.models[n], cohort, n)
-        passed &= np.array_equal(record.global_after, history.models[n + 1])
-        passed &= client_increments_fast(record).tobytes() == fast.tobytes()
-        direct = client_increments_direct(record)
-        gap = np.abs(fast - direct)
-        worst = max(worst, float(gap.max()))
-        if ((gap > 1e-10 * np.maximum(np.abs(direct), np.abs(fast))) & (gap > 1e-12)).any():
-            passed = False
-    return {"name": "proxy_equivalence", "pass": passed, "worst_slack": worst, "tightness": None}
-
-
 def _audit_unlearn_runs(
     prepared: PreparedExperiment, run_dir: Path, history: TrainingHistory, train_ledger: SensitivityLedger
 ) -> list[dict]:
     """Audit each unlearn run against the loaded train artifacts, which are
     left as they are."""
     checks = []
-    for method in METHODS:
-        out_dir = run_dir / f"unlearn_{method}"
-        if not out_dir.is_dir():
-            continue
+    for method, out_dir in _unlearn_runs(run_dir):
         outcomes, final_model = _load_unlearn(out_dir, prepared, method)
         # the same requests re-run on the same train inputs must give the same run
         inputs = _train_inputs(run_dir, prepared, method, (history, train_ledger))
@@ -495,6 +490,12 @@ def _audit_unlearn_runs(
         reproduced = rows == outcomes and state.history.final_model.tobytes() == final_model.tobytes()
         checks.append(_audit_one_run(prepared, method, state.ledger, rows, reproduced))
     return checks
+
+
+def _unlearn_runs(run_dir: Path) -> list[tuple[str, Path]]:
+    """(method, directory) of each unlearn run under `run_dir`: verify and
+    report read unlearn_<method> for each method in METHODS and no other."""
+    return [(method, run_dir / f"unlearn_{method}") for method in METHODS if (run_dir / f"unlearn_{method}").is_dir()]
 
 
 def _load_unlearn(out_dir: Path, prepared: PreparedExperiment, method: str) -> tuple[list[dict], np.ndarray]:
@@ -602,10 +603,7 @@ def cmd_report(run_dir: Path) -> Path:
     prepare_seconds = time.perf_counter() - t_prepare
     spec = prepared.spec
 
-    methods = {}
-    for out_dir in sorted(run_dir.glob("unlearn_*")):
-        method = out_dir.name.removeprefix("unlearn_")
-        methods[method] = _load_unlearn(out_dir, prepared, method)
+    methods = {method: _load_unlearn(out_dir, prepared, method) for method, out_dir in _unlearn_runs(run_dir)}
     if not methods:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")
 

@@ -74,26 +74,6 @@ def client_increments_fast(record: RoundRecord) -> np.ndarray:
     return out
 
 
-def client_increments_direct(record: RoundRecord) -> np.ndarray:
-    """||aggregate(all) - aggregate(without c)|| for every client c of a round.
-
-    The reference the closed form is checked against: row r of the stacked
-    computation renormalises record.weights without client active[r], exactly
-    as renormalized_weights does, and aggregates the other clients in ascending
-    order (its own term is an exact zero, which leaves the running sum alone).
-    """
-    record.cohort.increment_scale  # refuses a client carrying the full weight
-    active = list(record.active)
-    m = len(active)
-    rest = np.tile(record.weights, (m, 1))
-    rest[np.arange(m), active] = 0.0
-    rest = (rest / rest.sum(axis=1)[:, None])[:, active]
-    without = np.add.accumulate(rest[:, :, None] * record.client_models[None], axis=1)[:, -1]
-    out = np.zeros(record.weights.shape[0])
-    out[active] = norms(record.global_after - without)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # noise calibration
 # ---------------------------------------------------------------------------

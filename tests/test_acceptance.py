@@ -11,6 +11,7 @@ import time
 import numpy as np
 from conftest import (
     SQ,
+    client_increments_direct,
     exactly,
     fed_for,
     local_update,
@@ -31,7 +32,6 @@ from fedunlearn.oracle import check_bound
 from fedunlearn.runner import cmd_report, cmd_train, cmd_unlearn, cmd_verify, run_dir_for
 from fedunlearn.sensitivity import (
     NoiseBudget,
-    client_increments_direct,
     client_increments_fast,
     contraction_factor,
     noise_std,

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -214,6 +215,22 @@ def test_report_without_scratch_skips_distances(workdir):
     assert not (run_dir(workdir, doc) / "report" / "distance_to_scratch.csv").exists()
 
 
+def test_report_tabulates_only_the_runs_verify_audits(workdir):
+    doc = base_doc("cli_report_methods")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    for method in ("sifu", "scratch"):
+        assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+    report = run_dir(workdir, doc) / "report"
+    honest = snapshot(report)
+    # a copied run whose suffix names no method is neither audited nor tabulated
+    shutil.copytree(run_dir(workdir, doc) / "unlearn_sifu", run_dir(workdir, doc) / "unlearn_sifu_old")
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+    assert snapshot(report) == honest
+    assert main(["verify", config]) == 0
+
+
 def test_scratch_needs_no_training_artifacts(workdir):
     doc = base_doc("cli_scratch")
     config = write_doc(workdir, doc)
@@ -244,9 +261,10 @@ def test_empty_request_list_is_a_no_op(workdir):
     report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
     names = {check["name"] for check in report["checks"]}
     assert {"budget_audit:sifu", "budget_audit:last", "rerun:scratch", "rerun:finetune"} <= names
-    # no request, so no psi* comparison ran and no slack is reported
+    # no request, so no psi* comparison ran and no slack is reported; nor
+    # does the re-run of train, the fifth
     audits = [check for check in report["checks"] if check["name"].startswith(("budget_audit:", "rerun:"))]
-    assert [check["worst_slack"] for check in audits] == [None] * 4
+    assert [check["worst_slack"] for check in audits] == [None] * 5
 
 
 def test_only_a_psi_star_comparison_reports_a_budget_slack(workdir, capsys):
@@ -359,12 +377,12 @@ def test_verify_catches_a_tampered_train_ledger(workdir, capsys):
     assert main(["train", config]) == 0
     halve_a_positive_delta(run_dir(workdir, doc) / "train" / "ledger.ckpt")
     assert main(["verify", config]) == 1
-    assert "FAIL proxy_equivalence" in capsys.readouterr().out
+    assert "FAIL rerun:train" in capsys.readouterr().out
 
 
 def test_verify_holds_the_train_ledger_bit_for_bit(workdir, capsys):
-    # one ulp is far inside the direct increments' 1e-10 rounding allowance;
-    # only the replayed round's closed-form row catches it
+    # verify re-runs training and requires every ledger delta bit for bit,
+    # so one ulp fails the re-run and nothing else
     doc = base_doc("cli_train_ulp")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
@@ -377,7 +395,7 @@ def test_verify_holds_the_train_ledger_bit_for_bit(workdir, capsys):
     rewrite_ledger(run_dir(workdir, doc) / "train" / "ledger.ckpt", nudge)
     assert main(["verify", config]) == 1
     out = capsys.readouterr().out
-    assert "FAIL proxy_equivalence" in out
+    assert "FAIL rerun:train" in out
     assert out.count("FAIL ") == 1
 
 
@@ -403,7 +421,55 @@ def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     blob[offset : offset + 8] = np.array([value + 1e-9], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
     assert main(["verify", config]) == 1
-    assert "FAIL proxy_equivalence" in capsys.readouterr().out
+    assert "FAIL rerun:train" in capsys.readouterr().out
+
+
+def test_verify_passes_a_client_at_nearly_full_weight(workdir, capsys):
+    # the checked-in ridge benchmark with client 0 at weight 1 - 1e-6, where
+    # the closed-form increment p/(1 - p) * ||theta_c - theta_agg|| loses
+    # digits to cancellation; verify still passes the run train recorded
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "scripts" / "ridge_benchmark.json").read_text())
+    doc["name"] = "cli_near_full_weight"
+    doc["federation"]["weights"] = [0.999999] + [2.5e-7] * 4
+    doc["requests"] = [[1]]
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    capsys.readouterr()
+    assert main(["verify", config]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_holds_the_train_metrics_bit_for_bit(workdir, capsys):
+    doc = base_doc("cli_train_metrics")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    path = run_dir(workdir, doc) / "train" / "metrics.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[3])
+    row["global_loss"] = float(np.nextafter(row["global_loss"], np.inf))
+    lines[3] = dumps17(row) + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["verify", config]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL rerun:train" in out
+    assert out.count("FAIL ") == 1
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory"])
+def test_verify_refuses_unreadable_train_metrics(workdir, capsys, damage):
+    doc = base_doc(f"cli_train_metrics_{damage}")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    path = run_dir(workdir, doc) / "train" / "metrics.jsonl"
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    capsys.readouterr()
+    assert main(["verify", config]) == 2
+    assert "re-run the command that wrote it" in capsys.readouterr().err
+    assert not (run_dir(workdir, doc) / "verify_report.json").exists()
 
 
 def with_a_segment_column(segment):
@@ -581,8 +647,7 @@ def count_verify_federations(workdir, monkeypatch, doc):
 
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)
-    for module in (runner, unlearn):
-        monkeypatch.setattr(module, "fedavg_round", round_)
+    monkeypatch.setattr(unlearn, "fedavg_round", round_)
     assert main(["verify", config]) == 0
     return calls
 
@@ -591,19 +656,20 @@ def test_verify_runs_the_federation_once_per_client(workdir, monkeypatch):
     doc = base_doc("cli_calls")
     doc["model"] = {"kind": "logistic", "dims": [3], "l2": 0.0}
     doc["federation"]["eta"] = "1/beta"
-    # one leave-one-out run per client, and the proxy check's replay of the
-    # recorded rounds; the all-client run is read from train's artifacts
+    # one leave-one-out run per client, and one re-run of train; the oracle
+    # reads the all-client run from train's artifacts
     assert count_verify_federations(workdir, monkeypatch, doc) == {
-        "retrain_until": 3,
+        "retrain_until": 3 + 1,
         "all-client rounds": doc["federation"]["rounds"],
     }
 
 
 def test_verify_runs_no_leave_one_out_federation_for_ridge(workdir, monkeypatch):
     doc = base_doc("cli_calls_ridge")
-    # ridge takes the leave-one-out runs from the closed form
+    # ridge takes the leave-one-out runs from the closed form; the one
+    # retrain_until call is the re-run of train
     assert count_verify_federations(workdir, monkeypatch, doc) == {
-        "retrain_until": 0,
+        "retrain_until": 1,
         "all-client rounds": doc["federation"]["rounds"],
     }
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ
+from conftest import SQ, client_increments_direct
 from fedunlearn import runner
 from fedunlearn.config import parse_config
 from fedunlearn.engine import Cohort, RoundRecord, aggregate, read_checkpoint, renormalized_weights, write_checkpoint
@@ -21,7 +21,6 @@ from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
     NoiseBudget,
     SensitivityLedger,
-    client_increments_direct,
     client_increments_fast,
     contraction_factor,
     noise_std,
@@ -157,6 +156,25 @@ def test_fast_increment_equals_direct_recomputation(values, raw, client):
     fast = client_increments_fast(record)[client]
     direct = client_increments_direct(record)[client]
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.integers(-5000, 5000), min_size=12, max_size=12),
+    raw=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+    rest=st.integers(1, 12),
+    heavy=st.integers(0, 3),
+)
+def test_increments_agree_near_full_weight_within_the_cancellation(values, raw, rest, heavy):
+    # client `heavy` carries weight 1 - 10^-rest: theta_c - theta_agg then
+    # loses digits to cancellation that p/(1 - p) magnifies, so the two
+    # formulas agree within eps * max||theta|| / (1 - p_c) and no closer
+    models = np.asarray(values, dtype=np.float64).reshape(4, 3) / 1000.0
+    weights = np.insert(10.0**-rest * np.asarray(raw) / np.sum(raw), heavy, 1.0 - 10.0**-rest)
+    record = toy_record(models, weights)
+    gap = np.abs(client_increments_fast(record) - client_increments_direct(record))
+    scale = np.finfo(np.float64).eps * np.linalg.norm(models, axis=1).max()
+    assert (gap <= 8.0 * scale / (1.0 - weights)).all()
 
 
 @pytest.mark.parametrize("active", [(0, 1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 4, 7)])
