@@ -21,7 +21,10 @@ cohort with a quadratic form (ridge, d <= n in every stack) is that form,
 equal to the per-client kernel to rounding, not bit for bit; its anchor is
 built from the cohort alone, never from the thetas evaluated, so the loss is
 a pure function of (cohort, theta) and a re-run reproduces it bit for bit.
-Every other cohort's loss is the kernel's, summed like the aggregation.
+Every other cohort's loss is the kernel's, summed like the aggregation.  A
+retraining run evaluates such a cohort once per model: the retained loss at
+theta and the first local step of the round from theta share one forward
+pass (federation_loss_and_grads), bit-identical to the separate kernels.
 """
 
 from __future__ import annotations
@@ -178,10 +181,11 @@ def _picked(per_group: list, picks) -> list:
 class Cohort:
     """The clients one run aggregates, fixed for the whole run.
 
-    active is ascending.  weights has one entry per federation client: the
-    federation's weights renormalised over `active`, zero elsewhere; every
-    round aggregates with them and the ledger's increments use them.
-    active_weights is weights[list(active)], checked to sum to one once, here.
+    active is ascending, and active_index holds it as a read-only index
+    array.  weights has one entry per federation client: the federation's
+    weights renormalised over `active`, zero elsewhere; every round
+    aggregates with them and the ledger's increments use them.
+    active_weights is weights[active_index], checked to sum to one once, here.
     data holds one (rows, features (g, n, d), targets (g, n)) entry per data
     shape, rows being the stacked clients' positions in `active`; picks
     names each entry's (group index, kept members) in `federation`.
@@ -200,12 +204,16 @@ class Cohort:
     data: tuple[tuple, ...]
     picks: tuple[tuple[int, np.ndarray], ...]
     federation: FederationConfig
+    active_index: np.ndarray = field(init=False)
     active_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        active_weights = self.weights[list(self.active)]
+        active_index = np.array(self.active, dtype=np.intp)
+        active_weights = self.weights[active_index]
         if abs(float(active_weights.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"cohort weights sum to {active_weights.sum()!r}, expected 1")
+        freeze(active_index)
+        object.__setattr__(self, "active_index", active_index)
         object.__setattr__(self, "active_weights", active_weights)
 
     @cached_property
@@ -285,15 +293,23 @@ def local_updates(
     eta: float,
     local_steps: int,
     round_index: int | None = None,
+    first_grad: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run `local_steps` gradient steps from theta on each stacked client.
 
-    One kernel call and one divergence check per step; returns (g, p).
+    One kernel call and one divergence check per step; returns (g, p).  The
+    first step's gradient is the kernel's at the shared theta, or
+    `first_grad` when given: that gradient, as federation_loss_and_grads
+    returns it, which spares the step's kernel call.
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1")
-    current = np.repeat(models.as_params(theta)[None], features.shape[0], axis=0)
-    for _ in range(local_steps):
+    theta = models.as_params(theta)
+    if first_grad is None:
+        first_grad = models.stacked_grad(spec, features, targets, theta)
+    current = theta - eta * first_grad
+    _guard_finite(current, round_index)
+    for _ in range(local_steps - 1):
         current = current - eta * models.stacked_grad(spec, features, targets, current)
         _guard_finite(current, round_index)
     return current
@@ -344,14 +360,25 @@ def renormalized_weights(weights, removed) -> np.ndarray:
 
 
 def fedavg_round(
-    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort, round_index: int
+    spec: ModelSpec,
+    config: FederationConfig,
+    theta: Params,
+    cohort: Cohort,
+    round_index: int,
+    first_grads: tuple | None = None,
 ) -> RoundRecord:
-    """One FedAvg round over a cohort of `config`'s clients."""
+    """One FedAvg round over a cohort of `config`'s clients.
+
+    first_grads, if given, is what federation_loss_and_grads returned for
+    this theta and cohort: each kernel stack's first local step takes its
+    gradient from there.
+    """
     theta = models.as_params(theta)
     client_models = np.empty((len(cohort.active), theta.shape[0]))
-    for rows, features, targets, operators in cohort.stacks:
+    for stack, (rows, features, targets, operators) in enumerate(cohort.stacks):
         if operators is None:
-            local = local_updates(spec, features, targets, theta, config.eta, config.local_steps, round_index)
+            first = None if first_grads is None else first_grads[stack]
+            local = local_updates(spec, features, targets, theta, config.eta, config.local_steps, round_index, first)
         else:
             maps, offsets = operators
             local = maps @ theta + offsets
@@ -388,12 +415,42 @@ def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, co
     return float(anchor_loss + gradient @ step + 0.5 * (step @ (hessian @ step)))
 
 
+def federation_loss_and_grads(
+    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort
+) -> tuple[float, tuple | None]:
+    """federation_loss at theta and, from the same forward pass, each cohort
+    stack's gradient at theta, the first local step of a round from theta.
+
+    grads has one entry per cohort.stacks entry: the (g, p) gradient of a
+    stack that steps through the kernel, None for a ridge stack that
+    advances by its operators.  A cohort with a quadratic form evaluates it
+    and returns grads None, as every stack of it has operators.  The loss and
+    each gradient equal federation_loss and models.stacked_grad bit for bit.
+    """
+    theta = models.as_params(theta)
+    if cohort.quadratic is not None:
+        return federation_loss(spec, config, theta, cohort), None
+    losses = np.empty(len(cohort.active))
+    grads = []
+    for rows, features, targets, operators in cohort.stacks:
+        if operators is None:
+            losses[rows], grad = models.stacked_loss_and_grad(spec, features, targets, theta)
+        else:
+            losses[rows], grad = models.stacked_loss(spec, features, targets, theta), None
+        grads.append(grad)
+    return _weighted_sum(losses, cohort), tuple(grads)
+
+
 def _kernel_loss(spec: ModelSpec, theta: Params, cohort: Cohort) -> float:
     """federation_loss from each client's kernel loss, summed in ascending
     client order."""
     losses = np.empty(len(cohort.active))
     for rows, features, targets in cohort.data:
         losses[rows] = models.stacked_loss(spec, features, targets, theta)
+    return _weighted_sum(losses, cohort)
+
+
+def _weighted_sum(losses: np.ndarray, cohort: Cohort) -> float:
     return float(np.add.accumulate(cohort.active_weights * losses)[-1])
 
 

@@ -149,12 +149,15 @@ class RegimeConstants:
 # targets (m, n) and parameters (m, p).  Every product is a stacked np.matmul,
 # which makes one BLAS call per slice with that slice's own strides, and every
 # mean runs along the contiguous sample axis of each slice, so row i equals
-# the result for client i alone bit for bit.  The loss also takes one theta
-# (p,) shared by the whole stack, as the engine's retained loss of a logistic,
-# MLP or d > n ridge cohort does: X @ theta is still one gemv per slice (one
-# flat gemv over the reshaped stack would not be bit-identical), and
-# ||theta||^2 is computed once.  The MLP broadcasts a
+# the result for client i alone bit for bit.  Each call also takes one theta
+# (p,) shared by the whole stack, as the engine's retained loss and first
+# local step of a logistic, MLP or d > n ridge cohort do: X @ theta is still
+# one gemv per slice (one flat gemv over the reshaped stack would not be
+# bit-identical), and ||theta||^2 is computed once.  The MLP broadcasts a
 # shared theta to rows, where its products are not bit-identical otherwise.
+# stacked_loss_and_grad returns both from one forward pass (X @ theta, or
+# the MLP's activations); the three calls share one per-kind body,
+# _data_terms, which computes only the terms asked for.
 #
 # The logistic data term is softplus(z) - y z, with softplus(z) = max(z, 0) +
 # log1p(exp(-|z|)): the branch formula np.logaddexp(0, z) evaluates, through
@@ -175,19 +178,24 @@ def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
     """Regularised per-sample-mean loss of each client, shape (m,): client i at
     thetas[i] for rows (m, p), or every client at one shared theta (p,)."""
     thetas = _checked(spec, features, thetas)
-    return _data_loss(spec, features, targets, thetas) + 0.5 * spec.l2 * _sqnorms(thetas)
+    value, _ = _data_terms(spec, features, targets, thetas, with_grad=False)
+    return value + 0.5 * spec.l2 * _sqnorms(thetas)
 
 
 def stacked_grad(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
-    """Gradient of stacked_loss for each client, shape (m, p)."""
+    """Gradient of stacked_loss for each client, shape (m, p), at rows (m, p)
+    or at one shared theta (p,)."""
     thetas = _checked(spec, features, thetas)
-    if spec.kind is ModelKind.RIDGE:
-        g = _ridge_data_grad(features, targets, thetas)
-    elif spec.kind is ModelKind.LOGISTIC:
-        g = _logistic_data_grad(features, targets, thetas)
-    else:
-        g = _mlp_data_grad(spec, features, targets, thetas)
-    return g + spec.l2 * thetas
+    _, gradient = _data_terms(spec, features, targets, thetas, with_loss=False)
+    return gradient + spec.l2 * thetas
+
+
+def stacked_loss_and_grad(spec: ModelSpec, features, targets, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """stacked_loss and stacked_grad from one forward pass, each equal to its
+    own call bit for bit; the engine passes one shared theta (p,)."""
+    thetas = _checked(spec, features, thetas)
+    value, gradient = _data_terms(spec, features, targets, thetas)
+    return value + 0.5 * spec.l2 * _sqnorms(thetas), gradient + spec.l2 * thetas
 
 
 def norms(rows) -> np.ndarray:
@@ -203,7 +211,7 @@ def loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
 def data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
     """Unregularised data term only (reporting metric)."""
     features, targets, thetas = _one(data, theta)
-    return float(_data_loss(spec, features, targets, _checked(spec, features, thetas))[0])
+    return float(_data_terms(spec, features, targets, _checked(spec, features, thetas), with_grad=False)[0][0])
 
 
 def accuracy(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
@@ -248,15 +256,29 @@ def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, vectors[:, :, None])[:, :, 0]
 
 
-def _data_loss(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _data_terms(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray, with_loss=True, with_grad=True):
+    """(data loss (m,), data gradient (m, p)) of each client from one forward
+    pass; a term not asked for is None."""
+    n = X.shape[1]
     if spec.kind is ModelKind.TINY_MLP:
-        pred, _, _ = _mlp_forward(spec, X, np.broadcast_to(thetas, (len(X), thetas.shape[-1])))
-        return 0.5 * np.mean((pred - y) ** 2, axis=1)
+        pred, activations, layers = _mlp_forward(spec, X, np.broadcast_to(thetas, (len(X), thetas.shape[-1])))
+        residual = pred - y
+        value = 0.5 * _sample_mean(residual**2) if with_loss else None
+        return value, _mlp_backward(activations, layers, residual / n) if with_grad else None
     z = _matvec(X, thetas)
     if spec.kind is ModelKind.RIDGE:
-        return 0.5 * np.mean((z - y) ** 2, axis=1)
-    # mean of softplus(z) - y*z, stable for large |z| (see above)
-    return np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z, axis=1)
+        slope = z - y  # the residual
+        value = 0.5 * _sample_mean(slope**2) if with_loss else None
+    else:
+        # softplus(z) - y z, stable for large |z| (see above)
+        value = _sample_mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z) if with_loss else None
+        slope = _sigmoid(z) - y if with_grad else None
+    return value, _matvec(X.transpose(0, 2, 1), slope) / n if with_grad else None
+
+
+def _sample_mean(values: np.ndarray) -> np.ndarray:
+    # what np.mean(values, axis=1) computes, bit for bit, without its dispatch
+    return np.add.reduce(values, axis=1) / values.shape[1]
 
 
 # -- ridge ------------------------------------------------------------------
@@ -297,22 +319,12 @@ def ridge_operators(spec: ModelSpec, moments, samples: int, eta: float, steps: i
     return power, offset
 
 
-def _ridge_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    residual = _matvec(X, thetas) - y
-    return _matvec(X.transpose(0, 2, 1), residual) / X.shape[1]
-
-
 # -- logistic ---------------------------------------------------------------
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 0.5 * (1 + tanh(z/2)) is an overflow-free identity for the logistic function
     return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def _logistic_data_grad(X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    z = _matvec(X, thetas)
-    return _matvec(X.transpose(0, 2, 1), _sigmoid(z) - y) / X.shape[1]
 
 
 # -- tiny MLP ---------------------------------------------------------------
@@ -342,14 +354,16 @@ def _mlp_forward(spec: ModelSpec, X: np.ndarray, thetas: np.ndarray):
     return pred, activations, layers
 
 
-def _mlp_data_grad(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    pred, activations, layers = _mlp_forward(spec, X, thetas)
-    delta = ((pred - y) / X.shape[1])[:, :, None]
+def _mlp_backward(activations: list, layers: list, delta: np.ndarray) -> np.ndarray:
+    """The data gradient from _mlp_forward's activations and layers and the
+    output error delta = (pred - y) / n, (m, n)."""
+    m = delta.shape[0]
+    delta = delta[:, :, None]
     grads: list[np.ndarray] = []
     for level in range(len(layers) - 1, -1, -1):
         w, _ = layers[level]
         grads.append(delta.sum(axis=1))
-        grads.append(np.matmul(activations[level].transpose(0, 2, 1), delta).reshape(X.shape[0], -1))
+        grads.append(np.matmul(activations[level].transpose(0, 2, 1), delta).reshape(m, -1))
         if level > 0:
             delta = np.matmul(delta, w.transpose(0, 2, 1)) * (1.0 - activations[level] ** 2)
     # collected output layer first, bias before weights: reversed, W_0 b_0 W_1 b_1 ...

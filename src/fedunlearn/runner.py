@@ -16,15 +16,17 @@ A manifest is written last and lists the files of its directory.
 Training, `_train`, is one fixed-round all-client `unlearn.retrain_until`
 call that records the ledger and every round's global model; train writes
 what it returns and verify re-runs it.  train's ledger file holds each
-round's deltas in the checkpoint format, and no Psi: loading rebuilds Psi
-from the deltas.  An unlearn run writes no ledger: its ledger follows from
-train's and the request sequence.
+round's deltas in the checkpoint format, and no Psi: loading checks the
+deltas as one block and rebuilds Psi from them (SensitivityLedger.from_deltas).
+An unlearn run writes no ledger: its ledger follows from train's and the
+request sequence.
 
 Every command starts from `prepared_for`, which shares one PreparedExperiment
 per config and process: a pipeline run in one process (scripts/run_pipeline.py)
 prepares its config once, not once per command.  `prepared_for` keeps a single
 entry, the last config's, keyed by its config_hash; another digest replaces
-it.  `prepare` itself stays the uncached derivation.  Every array a
+it, and a command given the very config object the entry holds skips the
+hash.  `prepare` itself stays the uncached derivation.  Every array a
 PreparedExperiment holds is read-only, so no command can change what a later
 one reads.  Only values derived from the config are shared, never an
 artifact: each command still reads and checks its inputs from disk.  Each
@@ -157,10 +159,12 @@ def prepared_for(config: ExperimentConfig) -> PreparedExperiment:
     call with another digest replaces it.  Warns on every call, shared or
     not, for a smooth-regime model."""
     global _shared
-    digest = config_hash(config)
-    if _shared is None or _shared[0] != digest:
-        _shared = None  # release the old entry before preparing the new one
-        _shared = (digest, prepare(config))
+    # a config is frozen and immutable: the held object itself needs no hash
+    if _shared is None or _shared[1].config is not config:
+        digest = config_hash(config)
+        if _shared is None or _shared[0] != digest:
+            _shared = None  # release the old entry before preparing the new one
+            _shared = (digest, prepare(config))
     prepared = _shared[1]
     if prepared.constants.regime is Regime.SMOOTH:
         warnings.warn(
@@ -297,15 +301,14 @@ def _load_train(
     history = TrainingHistory.from_models(kept)
     if not with_ledger:
         return history, None
-    ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
-    if not rounds:
-        return history, ledger  # train wrote no file for an empty ledger
+    if not rounds:  # train wrote no file for an empty ledger
+        return history, SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
     path = train_dir / LEDGER_FILE
-    for n, row in enumerate(_read_train_block(path, prepared, rounds, prepared.client_count)):
-        try:
-            ledger.record_round(row)
-        except ValueError as err:
-            raise MissingArtifactsError(f"{path} round {n}: {err}; re-run the command that wrote it") from err
+    block = _read_train_block(path, prepared, rounds, prepared.client_count)
+    try:
+        ledger = SensitivityLedger.from_deltas(prepared.contraction, prepared.config.local_steps, block)
+    except ValueError as err:
+        raise MissingArtifactsError(f"{path} {err}; re-run the command that wrote it") from err
     return history, ledger
 
 

@@ -70,7 +70,7 @@ def client_increments_fast(record: RoundRecord) -> np.ndarray:
     per client; a client absent from the round contributes 0.
     """
     out = np.zeros(record.weights.shape[0])
-    out[list(record.active)] = record.cohort.increment_scale * norms(record.client_models - record.global_after)
+    out[record.cohort.active_index] = record.cohort.increment_scale * norms(record.client_models - record.global_after)
     return out
 
 
@@ -166,15 +166,31 @@ class SensitivityLedger:
         """Psi(n, c) for n = 0..len, shape (rounds + 1, clients)."""
         return np.array(self._psi)
 
+    @classmethod
+    def from_deltas(cls, contraction: float, local_steps: int, block) -> "SensitivityLedger":
+        """A ledger of the (rounds, clients) block's rows, as record_round
+        would build it row by row, bit for bit, but checked as one block."""
+        block = np.array(block, dtype=np.float64)
+        if block.ndim != 2:
+            raise ValueError(f"delta block must be 2-D, got shape {block.shape}")
+        ledger = cls(contraction, local_steps, block.shape[1])
+        problem = _increment_problem(block)
+        if problem is not None:
+            raise ValueError(f"round {problem[0]}: {problem[1]}")
+        decay, psi = ledger.round_decay, ledger._psi
+        for row in block:
+            psi.append(decay * psi[-1] + row)
+        ledger._deltas = list(block)
+        return ledger
+
     def record_round(self, deltas) -> None:
         """Append one round's delta row and advance the recurrence."""
         row = np.array(deltas, dtype=np.float64)
         if row.shape != (self.client_count,):
             raise ValueError(f"delta row must have shape ({self.client_count},), got {row.shape}")
-        if not np.isfinite(row).all():
-            raise ValueError(f"non-finite increment for client {int(np.flatnonzero(~np.isfinite(row))[0])}")
-        if np.any(row < 0):
-            raise ValueError(f"negative increment for client {int(np.flatnonzero(row < 0)[0])}")
+        problem = _increment_problem(row[None])
+        if problem is not None:
+            raise ValueError(problem[1])
         self._deltas.append(row)
         self._psi.append(self.round_decay * self._psi[-1] + row)
 
@@ -231,3 +247,17 @@ class SensitivityLedger:
         head = SensitivityLedger(self.contraction, self.local_steps, self.client_count)
         head._deltas, head._psi = self._deltas[:n], self._psi[: n + 1]
         return head
+
+
+def _increment_problem(block: np.ndarray) -> tuple[int, str] | None:
+    """(round, what is wrong) for the first round of a (rounds, clients)
+    block holding a non-finite or a negative increment, naming its first
+    non-finite client, else its first negative one; None if there is none."""
+    finite = np.isfinite(block)
+    negative = block < 0
+    if finite.all() and not negative.any():
+        return None
+    n = int(np.flatnonzero(~finite.all(axis=1) | negative.any(axis=1))[0])
+    if not finite[n].all():
+        return n, f"non-finite increment for client {int(np.flatnonzero(~finite[n])[0])}"
+    return n, f"negative increment for client {int(np.flatnonzero(negative[n])[0])}"

@@ -7,6 +7,7 @@ here can be re-read without loss and byte-compared across runs.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring_ascii
 
 
 def fmt17(value: float) -> str:
@@ -31,9 +32,8 @@ def dumps17(obj, *, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, float):
         return fmt17(obj)
     if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
+        # json.dumps(obj) with default arguments is this C encoder
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

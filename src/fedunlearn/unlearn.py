@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .engine import FederationConfig, federation_loss, fedavg_round
+from .engine import FederationConfig, federation_loss_and_grads, fedavg_round
 from .errors import EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
@@ -173,8 +173,10 @@ def retrain_until(
 
     The clients `active` form the run's one cohort: every round aggregates
     with its weights, against which recording takes the closed-form
-    increments (zero for inactive clients).  track_loss=False skips the
-    retained loss (final_loss is then NaN and the trace empty); it needs a
+    increments (zero for inactive clients).  Each round's first local step
+    takes the gradients evaluated with the retained loss before it
+    (engine.federation_loss_and_grads).  track_loss=False skips the retained
+    loss (final_loss is then NaN and the trace empty); it needs a
     fixed-round rule, since the loss is what an early stop would read.
     """
     if not track_loss and stopping.min_rounds != stopping.max_rounds:
@@ -183,22 +185,24 @@ def retrain_until(
     # a lone client carries the full weight: no run without it to bound
     many = len(cohort.active) > 1
 
-    def retained_loss(theta: Params) -> float:
-        return federation_loss(spec, config, theta, cohort) if track_loss else math.nan
+    def evaluate(theta: Params) -> tuple[float, tuple | None]:
+        # the retained loss the stopping rule reads, and the gradients of the
+        # next round's first local step, from one forward pass at theta
+        return federation_loss_and_grads(spec, config, theta, cohort) if track_loss else (math.nan, None)
 
     theta = models.as_params(theta_start).copy()
-    loss = retained_loss(theta)
+    loss, grads = evaluate(theta)
     rounds = 0
     trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
     while not stopping_criterion(rounds, loss, stopping):
-        record = fedavg_round(spec, config, theta, cohort, start_position + rounds)
+        record = fedavg_round(spec, config, theta, cohort, start_position + rounds, grads)
         theta = record.global_after
         rounds += 1
         if ledger is not None:
             ledger.record_round(client_increments_fast(record) if many else np.zeros(config.client_count))
         if history is not None:
             history.append_model(theta)
-        loss = retained_loss(theta)
+        loss, grads = evaluate(theta)
         if track_loss:
             trace.append((start_position + rounds, loss))
     return RetrainResult(theta, rounds, loss <= stopping.loss_threshold, loss, trace)

@@ -641,9 +641,9 @@ def count_verify_federations(workdir, monkeypatch, doc):
         calls["retrain_until"] += 1
         return real_retrain(*args, **kwargs)
 
-    def round_(spec, fed, theta, cohort, n):
+    def round_(spec, fed, theta, cohort, n, first_grads=None):
         calls["all-client rounds"] += cohort.active == (0, 1, 2)
-        return real_round(spec, fed, theta, cohort, n)
+        return real_round(spec, fed, theta, cohort, n, first_grads)
 
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)
@@ -1023,6 +1023,27 @@ def test_one_process_prepares_a_config_once(workdir, monkeypatch):
     calls = count_preparations(monkeypatch)
     run_every_command(workdir, base_doc("cli_prepared_once"))
     assert calls == {"generate_data": 1, "regime_constants": 1}
+
+
+def test_a_command_given_the_held_config_object_hashes_nothing(workdir, monkeypatch):
+    doc = base_doc("cli_same_object")
+    config = load_config(write_doc(workdir, doc))
+    runner.cmd_train(config)
+    hashes = []
+    real = runner.config_hash
+
+    def counted(config):
+        hashes.append(config.name)
+        return real(config)
+
+    monkeypatch.setattr(runner, "config_hash", counted)
+    calls = count_preparations(monkeypatch)
+    runner.cmd_unlearn(config, "sifu")
+    assert hashes == []
+    # an equal config of its own still finds the entry, through its digest
+    runner.cmd_unlearn(load_config(write_doc(workdir, doc)), "last")
+    assert hashes == ["cli_same_object"]
+    assert calls == {"generate_data": 0, "regime_constants": 0}
 
 
 def test_another_data_seed_under_the_same_name_prepares_again(workdir, monkeypatch):

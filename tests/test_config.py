@@ -291,3 +291,13 @@ def test_dumps17_is_stable_and_sorted():
     assert dumps17([]) == "[]"
     with pytest.raises(TypeError):
         dumps17(object())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9 \u03c8* \U0001f600", "", "plain"],
+    ids=["quotes", "backslash", "control", "non-ascii", "empty", "plain"],
+)
+def test_dumps17_writes_a_string_as_json_dumps_does(text):
+    assert dumps17(text) == json.dumps(text)
+    assert dumps17({text: text}) == "{" + json.dumps(text) + ": " + json.dumps(text) + "}"

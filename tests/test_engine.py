@@ -25,6 +25,7 @@ from fedunlearn.engine import (
     aggregate,
     fedavg_round,
     federation_loss,
+    federation_loss_and_grads,
     init_params,
     local_updates,
     read_checkpoint,
@@ -40,7 +41,7 @@ from fedunlearn.errors import (
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, loss, regime_constants
 from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
-from fedunlearn.unlearn import retrain_until
+from fedunlearn.unlearn import StoppingRule, retrain_until
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
 RIDGE_ID = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
@@ -665,6 +666,77 @@ def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
     else:
         assert cohort.quadratic is None
         assert np.float64(got).tobytes() == want.tobytes()
+
+
+def fused_world(model):
+    """Clients in two data shapes whose every stack steps through the kernel:
+    ridge with d = 6 > n = 5 or 4, logistic, or a two-layer MLP."""
+    if model != "ridge-wide":
+        return round_world(model, ragged=True)
+    spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
+    return spec, [ClientDataset(d.features[:4], d.targets[:4]) if i % 3 else d for i, d in enumerate(datasets)]
+
+
+def row_kernel_models(spec, fed, theta, cohort):
+    """A round's local models from separate kernel calls, each step taken at
+    theta repeated to one row per client, as before the fused pass."""
+    client_models = np.empty((len(cohort.active), len(theta)))
+    for rows, features, targets in cohort.data:
+        current = np.repeat(theta[None], len(rows), axis=0)
+        for _ in range(fed.local_steps):
+            current = current - fed.eta * models.stacked_grad(spec, features, targets, current)
+        client_models[rows] = current
+    return client_models
+
+
+@pytest.mark.parametrize("local_steps", [1, 3])
+@pytest.mark.parametrize("removed", [None, 3], ids=["all", "one-removed"])
+@pytest.mark.parametrize("model", ["ridge-wide", "logistic", "mlp2"])
+def test_the_fused_pass_equals_the_separate_kernels_bitwise(model, removed, local_steps):
+    """federation_loss_and_grads's loss is federation_loss's and its
+    gradients the kernel's at theta; a round stepping from them gives the
+    separate kernels' local models, and from gradients at another theta not."""
+    spec, datasets = fused_world(model)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    cohort = fed.cohort([c for c in range(fed.client_count) if c != removed], spec)
+    assert len(cohort.data) == 2 and cohort.quadratic is None
+    theta, elsewhere = 0.3 * np.random.default_rng(9).standard_normal((2, spec.param_count))
+    value, grads = federation_loss_and_grads(spec, fed, theta, cohort)
+    assert np.float64(value).tobytes() == np.float64(federation_loss(spec, fed, theta, cohort)).tobytes()
+    for (rows, features, targets), first in zip(cohort.data, grads):
+        repeated = np.repeat(theta[None], len(rows), axis=0)
+        assert first.tobytes() == models.stacked_grad(spec, features, targets, repeated).tobytes()
+    want = row_kernel_models(spec, fed, theta, cohort).tobytes()
+    assert fedavg_round(spec, fed, theta, cohort, 0, grads).client_models.tobytes() == want
+    assert fedavg_round(spec, fed, theta, cohort, 0).client_models.tobytes() == want
+    _, stale = federation_loss_and_grads(spec, fed, elsewhere, cohort)
+    assert fedavg_round(spec, fed, theta, cohort, 0, stale).client_models.tobytes() != want
+
+
+@pytest.mark.parametrize("local_steps", [1, 3])
+@pytest.mark.parametrize("model", ["ridge-wide", "logistic", "mlp2"])
+def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, local_steps):
+    """retrain_until with a finite loss threshold and min_rounds = 0 against
+    a loop of separate kernel calls on a cohort missing one client: the same
+    rounds, losses and models, bit for bit."""
+    spec, datasets = fused_world(model)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    active = [c for c in range(fed.client_count) if c != 3]
+    cohort = fed.cohort(active, spec)
+    thetas = [0.3 * np.random.default_rng(10).standard_normal(spec.param_count)]
+    losses = [federation_loss(spec, fed, thetas[0], cohort)]
+    for _ in range(8):
+        local = row_kernel_models(spec, fed, thetas[-1], cohort)
+        thetas.append(np.add.accumulate(cohort.active_weights[:, None] * local, axis=0)[-1])
+        losses.append(federation_loss(spec, fed, thetas[-1], cohort))
+    rule = StoppingRule(losses[5], 0, 8)
+    stop = next(n for n, value in enumerate(losses) if value <= rule.loss_threshold)
+    assert stop >= 2
+    history = TrainingHistory(thetas[0])
+    result = retrain_until(spec, fed, thetas[0], active, rule, history=history)
+    assert (result.rounds, result.converged) == (stop, True)
+    assert np.array([value for _, value in result.loss_trace]).tobytes() == np.array(losses[: stop + 1]).tobytes()
+    assert np.array(history.models).tobytes() == np.array(thetas[: stop + 1]).tobytes()
 
 
 def duplicated_column_world():

@@ -23,6 +23,7 @@ from fedunlearn.models import (
     regime_constants,
     stacked_grad,
     stacked_loss,
+    stacked_loss_and_grad,
 )
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
@@ -190,6 +191,32 @@ def test_kernel_matches_the_unstacked_formulas_bitwise(kind, dims):
             assert np.float64(value).tobytes() == stacked_values[i].tobytes()
             assert stacked_grads[i].tobytes() == g.tobytes()
         assert norms(thetas).tolist() == [float(np.linalg.norm(t)) for t in thetas]
+
+
+@pytest.mark.parametrize(
+    "kind,dims",
+    [
+        (ModelKind.RIDGE, (5,)),
+        (ModelKind.RIDGE, (40,)),  # d > n for every n below
+        (ModelKind.LOGISTIC, (5,)),
+        (ModelKind.TINY_MLP, (5, 4, 1)),
+        (ModelKind.TINY_MLP, (5, 3, 2, 1)),
+    ],
+)
+def test_one_forward_pass_at_a_shared_theta_equals_the_row_kernels_bitwise(kind, dims):
+    """stacked_loss_and_grad at one theta (p,) against stacked_loss and
+    stacked_grad at that theta repeated to one row per client."""
+    spec = ModelSpec(kind, dims, 0.07)
+    rng = np.random.default_rng(13)
+    for n in (1, 7, 33):
+        X = rng.standard_normal((4, n, dims[0]))
+        y = rng.standard_normal((4, n))
+        theta = 0.8 * rng.standard_normal(spec.param_count)
+        rows = np.repeat(theta[None], 4, axis=0)
+        value, gradient = stacked_loss_and_grad(spec, X, y, theta)
+        assert value.tobytes() == stacked_loss(spec, X, y, rows).tobytes() == stacked_loss(spec, X, y, theta).tobytes()
+        assert gradient.tobytes() == stacked_grad(spec, X, y, rows).tobytes() == stacked_grad(spec, X, y, theta).tobytes()
+        assert gradient.shape == (4, spec.param_count)
 
 
 def test_logistic_terms_stay_within_two_ulp_of_logaddexp():

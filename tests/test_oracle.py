@@ -147,7 +147,7 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
     _, _, history, ledger = train_world(spec, fed, 5, theta0=init_params(spec, 65))
     calls, kernel_calls = [], []
-    real, real_kernel = unlearn.federation_loss, models.stacked_loss
+    real, real_kernel = unlearn.federation_loss_and_grads, models.stacked_loss
 
     def counted(spec, config, theta, cohort):
         calls.append(len(cohort.active))
@@ -157,7 +157,7 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
         kernel_calls.append(args[1].shape[0])
         return real_kernel(*args)
 
-    monkeypatch.setattr(unlearn, "federation_loss", counted)
+    monkeypatch.setattr(unlearn, "federation_loss_and_grads", counted)
     monkeypatch.setattr(models, "stacked_loss", counted_kernel)
     for sensitivity in (empirical_sensitivity, retrained_sensitivity):
         traces = sensitivity(fed, spec, history, ledger)

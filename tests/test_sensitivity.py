@@ -257,6 +257,37 @@ def ledger_from_deltas(contraction, local_steps, rows, clients=None):
     return ledger
 
 
+def test_a_block_loads_as_the_record_round_loop_builds_it():
+    rng = np.random.default_rng(41)
+    block = rng.random((30, 5)) * np.logspace(-3, 2, 5)
+    block[7] = 0.0
+    for contraction, local_steps in ((0.93, 3), (1.0, 1), (1.07, 2)):
+        looped = ledger_from_deltas(contraction, local_steps, block.tolist())
+        loaded = SensitivityLedger.from_deltas(contraction, local_steps, block)
+        assert loaded.psi.tobytes() == looped.psi.tobytes()
+        assert loaded.deltas.tobytes() == looped.deltas.tobytes()
+        assert (loaded.contraction, loaded.local_steps, loaded.client_count) == (contraction, local_steps, 5)
+    block[3, 4] = 0.0  # a ledger's rows are its own: the caller's block can change
+    assert loaded.deltas[3, 4] != 0.0
+    empty = SensitivityLedger.from_deltas(0.9, 1, np.zeros((0, 3)))
+    assert (len(empty), empty.client_count, empty.psi.tolist()) == (0, 3, [[0.0, 0.0, 0.0]])
+
+
+def test_a_block_names_the_first_round_with_a_bad_increment():
+    block = np.ones((4, 3))
+    block[3, 0] = np.nan
+    block[1, 2] = -1.0
+    block[1, 1] = np.inf
+    # round 1 comes first; within it a non-finite increment before a negative one
+    with pytest.raises(ValueError, match="^round 1: non-finite increment for client 1$"):
+        SensitivityLedger.from_deltas(0.9, 1, block)
+    block[1, 1] = 1.0
+    with pytest.raises(ValueError, match="^round 1: negative increment for client 2$"):
+        SensitivityLedger.from_deltas(0.9, 1, block)
+    with pytest.raises(ValueError, match="2-D"):
+        SensitivityLedger.from_deltas(0.9, 1, np.ones(3))
+
+
 def test_two_round_recurrence_by_hand():
     ledger = ledger_from_deltas(0.5, 1, [[1.0], [1.0]])
     assert ledger.psi[-1, 0] == 1.5
