@@ -5,26 +5,33 @@ renormalised weights and their data stacked by shape, built once per run,
 with everything a round needs that does not depend on theta.  Every client
 of a round starts from the same model, so a ridge stack with d <= n advances
 by its clients' K-step maps theta -> A_i theta + b_i (models.ridge_operators,
-built once per data shape and spec from the shape's moments): one (g, d, d)
-product and one divergence guard per round.  Other stacks make one kernel
-call and guard per local step.
+built once per data shape and spec from the shape's moments), and a cohort
+whose every stack has them (Cohort.affine) advances by their aggregate
+theta -> M theta + m, M = sum_i q_i A_i and m = sum_i q_i b_i, built once per
+cohort: one (d, d) product per round, with no client model formed
+(affine_round).  Its client models are recomputed afterwards, a block of
+rounds at a time (local_gaps).  Other cohorts run fedavg_round: one (g, d, d)
+product per operator stack, one kernel call and guard per local step for the
+rest.
 
 Determinism contract: repeated runs on one platform are bit-identical.  A
-round equals the per-client loop bit for bit, except a fused ridge round:
-one affine map per client, no longer bit-identical to the per-step loop but
-equal to it to rounding.  Each stacked product is one BLAS call per client
-slice (see models), so client i's local model does not depend on which other
-clients share its stack.  The aggregation is np.add.accumulate along the
-client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in ascending
-client order, never a pairwise or BLAS reduction.  The retained loss of a
-cohort with a quadratic form (ridge, d <= n in every stack) is that form,
-equal to the per-client kernel to rounding, not bit for bit; its anchor is
-built from the cohort alone, never from the thetas evaluated, so the loss is
-a pure function of (cohort, theta) and a re-run reproduces it bit for bit.
-Every other cohort's loss is the kernel's, summed like the aggregation.  A
-retraining run evaluates such a cohort once per model: the retained loss at
-theta and the first local step of the round from theta share one forward
-pass (federation_loss_and_grads), bit-identical to the separate kernels.
+fedavg_round equals the per-client loop bit for bit, except a fused ridge
+stack: one affine map per client, equal to the per-step loop to rounding.
+An affine cohort's round equals fedavg_round to rounding, not bit for bit,
+and so do the client models local_gaps recomputes.  Each stacked product is
+one BLAS call per client slice (see models), so in fedavg_round client i's
+local model does not depend on which other clients share its stack.  The
+aggregation is np.add.accumulate along the client axis: the sequential sum
+q_0 theta_0 + q_1 theta_1 + ... in ascending client order, never a pairwise
+or BLAS reduction.  The retained loss of a cohort with a quadratic form
+(ridge, d <= n in every stack) is that form, equal to the per-client kernel
+to rounding, not bit for bit; its anchor is built from the cohort alone,
+never from the thetas evaluated, so the loss is a pure function of (cohort,
+theta) and a re-run reproduces it bit for bit.  Every other cohort's loss is
+the kernel's, summed like the aggregation.  A retraining run evaluates such
+a cohort once per model: the retained loss at theta and the first local step
+of the round from theta share one forward pass (federation_loss_and_grads),
+bit-identical to the separate kernels.
 """
 
 from __future__ import annotations
@@ -194,8 +201,10 @@ class Cohort:
     first read and kept: stacks extends each data entry with the stack's
     models.ridge_operators (A, b) for a ridge cohort, else None, as a round
     reads them, so a cohort that only evaluates losses builds none;
-    quadratic holds the retained loss's quadratic form for federation_loss;
-    increment_scale holds the closed-form increments' p / (1 - p).
+    affine holds the aggregate map (M, m) of a cohort whose every stack has
+    operators; quadratic holds the retained loss's quadratic form for
+    federation_loss; increment_scale holds the closed-form increments'
+    p / (1 - p).
     """
 
     active: tuple[int, ...]
@@ -225,14 +234,37 @@ class Cohort:
         return tuple((*entry, ops) for entry, ops in zip(self.data, operators))
 
     @cached_property
+    def affine(self) -> tuple[np.ndarray, Params] | None:
+        """(M, m) = (sum_i q_i A_i, sum_i q_i b_i) over the cohort's clients
+        of a ridge cohort whose every stack has operators (d <= n), else None.
+
+        Every client of a round starts from the same theta, so the round's
+        aggregate is theta -> M theta + m.  Built as oracle.ridge_sensitivity
+        builds each leave-one-out map: the weight row times each stack's
+        operators, reshaped to (g, d * d).
+        """
+        if self.spec.kind is not ModelKind.RIDGE or any(ops is None for *_, ops in self.stacks):
+            return None
+        d = self.spec.param_count
+        maps, offsets = np.zeros(d * d), np.zeros(d)
+        for rows, _, _, (stack_maps, stack_offsets) in self.stacks:
+            maps += self.active_weights[rows] @ stack_maps.reshape(len(rows), d * d)
+            offsets += self.active_weights[rows] @ stack_offsets
+        maps = maps.reshape(d, d)
+        freeze(maps, offsets)
+        return maps, offsets
+
+    @cached_property
     def quadratic(self) -> tuple[Params, float, Params, np.ndarray] | None:
         """(anchor, loss there, gradient there, Hessian H) of a ridge cohort
         whose every stack has moments (d <= n), else None.
 
         The loss is exactly quadratic: H = sum_i q_i X_i^T X_i / n_i + l2 I
         with gradient H theta - r, r = sum_i q_i X_i^T y_i / n_i.  The anchor
-        is lstsq(H, r), which exists even when H is singular, and its loss is
-        one kernel call, so the anchor depends on the cohort alone.
+        solves H theta = r, by lstsq when H is singular (l2 = 0 with
+        rank-deficient data), and its loss is one kernel call, so the anchor
+        depends on the cohort alone; the expansion is exact around any finite
+        anchor.
         """
         if self.spec.kind is not ModelKind.RIDGE:
             return None
@@ -247,7 +279,10 @@ class Cohort:
             pull += scaled @ moment
         hessian = hessian.reshape(d, d)
         hessian[np.arange(d), np.arange(d)] += self.spec.l2
-        anchor = np.linalg.lstsq(hessian, pull, rcond=None)[0]
+        try:
+            anchor = np.linalg.solve(hessian, pull)
+        except np.linalg.LinAlgError:
+            anchor = np.linalg.lstsq(hessian, pull, rcond=None)[0]
         return anchor, _kernel_loss(self.spec, anchor, self), hessian @ anchor - pull, hessian
 
     @cached_property
@@ -316,12 +351,18 @@ def local_updates(
 
 
 def _guard_finite(rows: np.ndarray, round_index: int | None = None) -> None:
-    # an inf or nan entry makes its row's norm non-finite, which fails the comparison
+    # rows (m, p) or one model (p,); an inf or nan entry makes its row's
+    # norm non-finite, which fails the comparison
     if not (models.norms(rows) <= _DIVERGENCE_NORM).all():
-        raise DivergedTrainingError(
-            "training diverged: parameter vector is non-finite or exceeds norm 1e8",
-            round_index=round_index,
-        )
+        raise diverged(round_index)
+
+
+def diverged(round_index: int | None) -> DivergedTrainingError:
+    """The error of a round whose model is non-finite or exceeds norm 1e8."""
+    return DivergedTrainingError(
+        "training diverged: parameter vector is non-finite or exceeds norm 1e8",
+        round_index=round_index,
+    )
 
 
 def aggregate(client_models, weights) -> Params:
@@ -387,6 +428,50 @@ def fedavg_round(
     new_theta = _accumulate(client_models, cohort.active_weights)
     _guard_finite(new_theta[None], round_index)
     return RoundRecord(round_index, theta.copy(), client_models, new_theta, cohort)
+
+
+def affine_round(cohort: Cohort, theta: Params, round_index: int) -> Params:
+    """One round of a cohort with an aggregate map (Cohort.affine): the
+    guarded global model M theta + m.  It forms no client model; local_gaps
+    recomputes them, and guards them, for a block of rounds."""
+    maps, offsets = cohort.affine
+    new_theta = maps @ theta + offsets
+    _guard_finite(new_theta, round_index)
+    return new_theta
+
+
+def local_gaps(cohort: Cohort, thetas: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """||theta_i - theta_after|| of each client of a cohort with an aggregate
+    map, in each round of a run of affine_round calls, and the first round
+    whose local models fail the divergence guard (None if none does).
+
+    thetas (rounds + 1, d) holds the global model before each round and the
+    one after the last.  Client i's local model is A_i theta + b_i: one
+    (chunk, d) @ (d, g d) product per stack and chunk of at most d rounds, so
+    no temporary holds more values than the stack's operators (g, d, d).
+    gaps is (rounds, active), ending before the first failing round if any.
+    """
+    rounds, d = thetas.shape[0] - 1, thetas.shape[1]
+    gaps = np.empty((rounds, len(cohort.active)))
+    ones = np.ones(d)
+    for start in range(0, rounds, d):
+        stop = min(start + d, rounds)
+        shape = (stop - start, -1)
+        sound = np.ones(stop - start, dtype=bool)
+        for rows, _, _, (maps, offsets) in cohort.stacks:
+            local = thetas[start:stop] @ maps.reshape(-1, d).T
+            local = local.reshape(stop - start, len(rows), d)
+            local += offsets
+            # one row per (round, client); an inf or nan entry makes its
+            # row's norm non-finite, which fails the comparison
+            flat = local.reshape(-1, d)
+            sound &= (np.sqrt((flat * flat) @ ones) <= _DIVERGENCE_NORM).reshape(shape).all(axis=1)
+            local -= thetas[start + 1 : stop + 1, None]
+            gaps[start:stop, rows] = np.sqrt((flat * flat) @ ones).reshape(shape)
+        if not sound.all():
+            first = start + int(np.argmin(sound))
+            return gaps[:first], first
+    return gaps, None
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:

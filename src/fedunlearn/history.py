@@ -9,6 +9,9 @@ appends after it.  The history keeps one live model per position.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .errors import DimensionMismatchError
 from .models import Params, as_params
 
 
@@ -28,7 +31,16 @@ class TrainingHistory:
 
     def append_model(self, model: Params) -> int:
         """Record the model after one more round; returns its position."""
-        self.models.append(as_params(model).copy())
+        return self.extend(as_params(model)[None])
+
+    def extend(self, models) -> int:
+        """Record the models after as many more rounds, the rows of a
+        (rounds, d) block copied as one; returns the last one's position."""
+        block = np.array(models, dtype=np.float64)
+        width = self.models[0].shape[0]
+        if block.ndim != 2 or block.shape[1] != width:
+            raise DimensionMismatchError(f"model block must have shape (rounds, {width}), got {block.shape}")
+        self.models.extend(block)
         return self.end_position
 
     def model_at(self, position: int) -> Params:
@@ -53,8 +65,9 @@ class TrainingHistory:
 
     @classmethod
     def from_models(cls, models) -> "TrainingHistory":
-        """A history holding models[p] at each position p."""
+        """A history holding models[p] at each position p, given as a
+        (positions, d) block or a sequence of models."""
         hist = cls(models[0])
-        for model in models[1:]:
-            hist.append_model(model)
+        if len(models) > 1:
+            hist.extend(models[1:])
         return hist

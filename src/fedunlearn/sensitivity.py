@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RoundRecord
+from .engine import Cohort, RoundRecord
 from .errors import StepSizeError
 from .models import Regime, RegimeConstants, norms
 
@@ -62,16 +62,23 @@ def contraction_factor(constants: RegimeConstants, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def client_increments_fast(record: RoundRecord) -> np.ndarray:
-    """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg||.
+def client_increments(cohort: Cohort, gaps: np.ndarray) -> np.ndarray:
+    """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg|| of
+    a block of rounds, from each round's gap norms over cohort.active, shape
+    (rounds, active).
 
-    p is the round's aggregation weights, record.weights; the factor is the
-    cohort's increment_scale, computed once per cohort.  Returns one entry
-    per client; a client absent from the round contributes 0.
+    p is the cohort's aggregation weights; the factor is its increment_scale,
+    computed once per cohort.  Returns (rounds, clients); a client outside
+    the cohort contributes 0.
     """
-    out = np.zeros(record.weights.shape[0])
-    out[record.cohort.active_index] = record.cohort.increment_scale * norms(record.client_models - record.global_after)
+    out = np.zeros((gaps.shape[0], cohort.weights.shape[0]))
+    out[:, cohort.active_index] = cohort.increment_scale * gaps
     return out
+
+
+def client_increments_fast(record: RoundRecord) -> np.ndarray:
+    """client_increments of one round's record, as one row."""
+    return client_increments(record.cohort, norms(record.client_models - record.global_after)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,31 +175,35 @@ class SensitivityLedger:
 
     @classmethod
     def from_deltas(cls, contraction: float, local_steps: int, block) -> "SensitivityLedger":
-        """A ledger of the (rounds, clients) block's rows, as record_round
-        would build it row by row, bit for bit, but checked as one block."""
+        """A ledger of the (rounds, clients) block's rows, checked as one block."""
         block = np.array(block, dtype=np.float64)
         if block.ndim != 2:
             raise ValueError(f"delta block must be 2-D, got shape {block.shape}")
         ledger = cls(contraction, local_steps, block.shape[1])
-        problem = _increment_problem(block)
-        if problem is not None:
-            raise ValueError(f"round {problem[0]}: {problem[1]}")
-        decay, psi = ledger.round_decay, ledger._psi
-        for row in block:
-            psi.append(decay * psi[-1] + row)
-        ledger._deltas = list(block)
+        ledger.extend(block)
         return ledger
 
+    def extend(self, block) -> None:
+        """Append a (rounds, clients) block of delta rows, checked as one
+        block, and advance the recurrence row by row; a block with a bad
+        increment appends nothing and names its first such round."""
+        block = np.array(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != self.client_count:
+            raise ValueError(f"delta block must have shape (rounds, {self.client_count}), got {block.shape}")
+        problem = _increment_problem(block)
+        if problem is not None:
+            raise ValueError(f"round {len(self) + problem[0]}: {problem[1]}")
+        decay, psi = self.round_decay, self._psi
+        for row in block:
+            psi.append(decay * psi[-1] + row)
+        self._deltas.extend(block)
+
     def record_round(self, deltas) -> None:
-        """Append one round's delta row and advance the recurrence."""
+        """Append one round's delta row: extend by a one-row block."""
         row = np.array(deltas, dtype=np.float64)
         if row.shape != (self.client_count,):
             raise ValueError(f"delta row must have shape ({self.client_count},), got {row.shape}")
-        problem = _increment_problem(row[None])
-        if problem is not None:
-            raise ValueError(problem[1])
-        self._deltas.append(row)
-        self._psi.append(self.round_decay * self._psi[-1] + row)
+        self.extend(row[None])
 
     def bounded_sensitivity(self, n: int, clients) -> np.ndarray:
         """Psi(n, c) for each c in sorted(set(clients)) from the explicit

@@ -22,11 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .engine import FederationConfig, federation_loss_and_grads, fedavg_round
+from .engine import (
+    Cohort,
+    FederationConfig,
+    affine_round,
+    diverged,
+    federation_loss_and_grads,
+    fedavg_round,
+    local_gaps,
+)
 from .errors import EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
-from .sensitivity import NoiseBudget, SensitivityLedger, client_increments_fast, noise_std
+from .sensitivity import NoiseBudget, SensitivityLedger, client_increments, noise_std
 
 METHODS = ("sifu", "ifu", "scratch", "finetune", "last")
 # methods that read the training ledger, calibrate noise to it and extend it
@@ -173,17 +181,23 @@ def retrain_until(
 
     The clients `active` form the run's one cohort: every round aggregates
     with its weights, against which recording takes the closed-form
-    increments (zero for inactive clients).  Each round's first local step
-    takes the gradients evaluated with the retained loss before it
-    (engine.federation_loss_and_grads).  track_loss=False skips the retained
-    loss (final_loss is then NaN and the trace empty); it needs a
+    increments (zero for inactive clients).  The run is a step loop, then
+    one booking step.  Each round of the loop does only what the stopping
+    rule needs: the next global model, engine.affine_round for a cohort with
+    an aggregate map and fedavg_round otherwise, its divergence guard, and
+    the retained loss.  A fedavg_round's first local step takes the
+    gradients evaluated with the retained loss before it
+    (engine.federation_loss_and_grads), and its gap norms are kept.  The
+    booking then guards and measures an affine run's client models
+    (engine.local_gaps) and records the rounds in the ledger and the history
+    as one block each; a run that diverges books the rounds before the
+    diverging one and raises with its index.  track_loss=False skips the
+    retained loss (final_loss is then NaN and the trace empty); it needs a
     fixed-round rule, since the loss is what an early stop would read.
     """
     if not track_loss and stopping.min_rounds != stopping.max_rounds:
         raise ValueError("skipping the loss needs a fixed-round stopping rule")
     cohort = config.cohort(active, spec)
-    # a lone client carries the full weight: no run without it to bound
-    many = len(cohort.active) > 1
 
     def evaluate(theta: Params) -> tuple[float, tuple | None]:
         # the retained loss the stopping rule reads, and the gradients of the
@@ -194,18 +208,57 @@ def retrain_until(
     loss, grads = evaluate(theta)
     rounds = 0
     trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
-    while not stopping_criterion(rounds, loss, stopping):
-        record = fedavg_round(spec, config, theta, cohort, start_position + rounds, grads)
-        theta = record.global_after
-        rounds += 1
-        if ledger is not None:
-            ledger.record_round(client_increments_fast(record) if many else np.zeros(config.client_count))
-        if history is not None:
-            history.append_model(theta)
-        loss, grads = evaluate(theta)
-        if track_loss:
-            trace.append((start_position + rounds, loss))
+    # the global model before each round and after the last, and each
+    # fedavg_round's gap norms; an affine run's are taken when it is booked
+    thetas = [theta]
+    gaps: list[np.ndarray] | None = None if cohort.affine is not None else []
+    try:
+        while not stopping_criterion(rounds, loss, stopping):
+            if gaps is None:
+                theta = affine_round(cohort, theta, start_position + rounds)
+            else:
+                record = fedavg_round(spec, config, theta, cohort, start_position + rounds, grads)
+                theta = record.global_after
+                gaps.append(models.norms(record.client_models - theta))
+            thetas.append(theta)
+            rounds += 1
+            loss, grads = evaluate(theta)
+            if track_loss:
+                trace.append((start_position + rounds, loss))
+    finally:
+        _book(cohort, np.array(thetas), gaps, ledger, history, start_position)
     return RetrainResult(theta, rounds, loss <= stopping.loss_threshold, loss, trace)
+
+
+def _book(
+    cohort: Cohort,
+    thetas: np.ndarray,
+    gaps: list[np.ndarray] | None,
+    ledger: SensitivityLedger | None,
+    history: TrainingHistory | None,
+    start_position: int,
+) -> None:
+    """Record a run's rounds in the ledger and history, one block each.
+
+    thetas holds the global model before each round and after the last;
+    gaps, one gap-norm row per round, is None for an affine run, whose client
+    models engine.local_gaps recomputes and guards: a diverging one ends the
+    booking before its round, which then raises.
+    """
+    diverged_at = None
+    if gaps is None:
+        gaps, diverged_at = local_gaps(cohort, thetas)
+    else:
+        gaps = np.array(gaps).reshape(thetas.shape[0] - 1, len(cohort.active))
+    rounds = gaps.shape[0]
+    if ledger is not None and rounds:
+        # a lone client carries the full weight: no run without it to bound
+        many = len(cohort.active) > 1
+        ledger.extend(client_increments(cohort, gaps) if many else np.zeros((rounds, ledger.client_count)))
+    if history is not None and rounds:
+        history.extend(thetas[1 : rounds + 1])
+    if diverged_at is not None:
+        raise diverged(start_position + diverged_at)
 
 
 def sifu(

@@ -9,7 +9,7 @@ import pytest
 
 from fedunlearn import models, runner
 from fedunlearn.datagen import DataRecipe, generate_data
-from fedunlearn.engine import FederationConfig, init_params, local_updates
+from fedunlearn.engine import FederationConfig, fedavg_round, federation_loss, init_params, local_updates
 from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import (
@@ -21,8 +21,8 @@ from fedunlearn.models import (
     regime_constants,
 )
 from fedunlearn.oracle import empirical_sensitivity
-from fedunlearn.sensitivity import SensitivityLedger, contraction_factor
-from fedunlearn.unlearn import StoppingRule, retrain_until
+from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast, contraction_factor
+from fedunlearn.unlearn import StoppingRule, retrain_until, stopping_criterion
 
 # calibration multiplier at epsilon=1, delta=0.05
 SQ = math.sqrt(2.0 * math.log(25.0))
@@ -212,6 +212,28 @@ def client_increments_direct(record):
     out = np.zeros(record.weights.shape[0])
     out[active] = models.norms(record.global_after - without)
     return out
+
+
+def round_loop(spec, fed, theta0, active, stopping):
+    """retrain_until's run as a loop of fedavg_round calls, each round's
+    increments taken on their own (client_increments_fast, zero for a lone
+    client) and each model's loss from federation_loss.
+
+    A run through the kernel equals it bit for bit; an affine run (a cohort
+    with an aggregate map) equals it to rounding.  Returns the models
+    (rounds + 1, d), the deltas (rounds, clients) and the losses.
+    """
+    cohort = fed.cohort(active, spec)
+    lone = len(cohort.active) == 1
+    theta = np.array(theta0, dtype=np.float64)
+    kept, deltas, losses = [theta], [], [federation_loss(spec, fed, theta, cohort)]
+    while not stopping_criterion(len(deltas), losses[-1], stopping):
+        record = fedavg_round(spec, fed, theta, cohort, len(deltas))
+        theta = record.global_after
+        deltas.append(np.zeros(fed.client_count) if lone else client_increments_fast(record))
+        kept.append(theta)
+        losses.append(federation_loss(spec, fed, theta, cohort))
+    return np.array(kept), np.array(deltas).reshape(len(deltas), fed.client_count), losses
 
 
 def reference_gd(spec, data, theta0, eta, steps):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_near
 from fedunlearn import models, oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
@@ -103,8 +104,10 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     everyone = fed.cohort(range(fed.client_count), spec)
     # the weights fedavg_round aggregates with, renormalised even with no client out
     assert everyone.weights.tobytes() == renormalized_weights(fed.weights, set()).tobytes()
+    # train steps this ridge cohort by its aggregate map: it meets the
+    # per-round loop to rounding
+    assert everyone.affine is not None
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
-    reference = workdir / "reference.ckpt"
     theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
         record = fedavg_round(spec, fed, theta, everyone, n)
@@ -120,17 +123,29 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
             }
         )
         kept.append(theta)
-    write_checkpoint(reference, rounds, ledger.deltas, prepared.digest)
 
-    assert (train / "ledger.ckpt").read_bytes() == reference.read_bytes()
-    # loading rebuilds the same deltas and Psi bit for bit
+    end, block, digest = read_checkpoint(train / "ledger.ckpt")
+    assert (end, digest, block.shape) == (rounds, prepared.digest, ledger.deltas.shape)
+    assert_near(block, ledger.deltas)
+    # loading rebuilds the file's deltas and their Psi recurrence bit for bit
     _, loaded = runner._load_train(train, prepared, with_ledger=True)
-    assert loaded.deltas.tobytes() == ledger.deltas.tobytes()
-    assert loaded.psi.tobytes() == ledger.psi.tobytes()
-    assert (train / "metrics.jsonl").read_text() == "".join(dumps17(row) + "\n" for row in rows)
+    looped = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
+    for row in block:
+        looped.record_round(row)
+    assert loaded.deltas.tobytes() == block.tobytes()
+    assert loaded.psi.tobytes() == looped.psi.tobytes()
+    assert_near(loaded.psi, ledger.psi)
+    written_rows = [json.loads(line) for line in (train / "metrics.jsonl").read_text().splitlines()]
+    assert [sorted(row) for row in written_rows] == [sorted(row) for row in rows]
+    assert [row["round"] for row in written_rows] == list(range(rounds))
+    for key in ("global_loss", "max_delta", "max_psi"):
+        assert_near([row[key] for row in written_rows], [row[key] for row in rows])
+    assert [row["max_delta"] for row in written_rows] == loaded.deltas.max(axis=1).tolist()
+    assert [row["max_psi"] for row in written_rows] == loaded.psi[1:].max(axis=1).tolist()
     end, written, digest = read_checkpoint(train / "history.ckpt")
     assert (end, digest, len(kept)) == (7, prepared.digest, 8)
-    assert written.tobytes() == np.array(kept).tobytes()
+    assert written[0].tobytes() == prepared.theta0.tobytes()
+    assert_near(written, np.array(kept))
 
 
 def test_train_twice_is_byte_identical(workdir):
@@ -635,7 +650,7 @@ def count_verify_federations(workdir, monkeypatch, doc):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     calls = {"retrain_until": 0, "all-client rounds": 0}
-    real_retrain, real_round = unlearn.retrain_until, unlearn.fedavg_round
+    real_retrain, real_round, real_affine = unlearn.retrain_until, unlearn.fedavg_round, unlearn.affine_round
 
     def retrain(*args, **kwargs):
         calls["retrain_until"] += 1
@@ -645,9 +660,15 @@ def count_verify_federations(workdir, monkeypatch, doc):
         calls["all-client rounds"] += cohort.active == (0, 1, 2)
         return real_round(spec, fed, theta, cohort, n, first_grads)
 
+    def affine_round(cohort, theta, n):
+        # a ridge cohort's round: its aggregate map instead of fedavg_round
+        calls["all-client rounds"] += cohort.active == (0, 1, 2)
+        return real_affine(cohort, theta, n)
+
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)
     monkeypatch.setattr(unlearn, "fedavg_round", round_)
+    monkeypatch.setattr(unlearn, "affine_round", affine_round)
     assert main(["verify", config]) == 0
     return calls
 

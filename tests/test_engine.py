@@ -15,6 +15,7 @@ from conftest import (
     make_logistic,
     make_ridge,
     ridge_opt,
+    round_loop,
     train_world,
     two_client_toy,
 )
@@ -190,7 +191,8 @@ def test_round_record_chains_and_covers_active_set():
     assert len(records) == 6
     np.testing.assert_array_equal(records[0].global_before, theta0)
     for prev, cur in zip(records, records[1:]):
-        np.testing.assert_array_equal(prev.global_after, cur.global_before)
+        # the run stepped by the cohort's aggregate map, which meets fedavg_round to rounding
+        assert_near(prev.global_after, cur.global_before)
         assert cur.active == (0, 2, 3)
         assert cur.client_models.shape == (3, 4)
 
@@ -557,16 +559,17 @@ def test_fused_ridge_round_matches_the_per_step_kernel(local_steps, active):
         theta = total
 
 
-def test_a_lone_diverging_client_stops_training_in_its_round():
+def lone_diverging_world(weights=None):
+    """Four ridge clients whose client 2 diverges on its own, from round
+    `expected` of a run from init_params(spec, 0) starting at `start`, as a
+    per-client loop finds it: (spec, fed, clients, start, expected, the
+    global model's norm after that round)."""
     spec, datasets = make_ridge(clients=4, samples=20, seed=3)
     fed, _ = fed_for(spec, datasets, frac=0.5)
     # client 2's features scaled up: its step size is far past its own bound
     datasets[2] = ClientDataset(6.0 * datasets[2].features, datasets[2].targets)
-    fed = FederationConfig.from_datasets(datasets, eta=fed.eta, local_steps=2)
+    fed = FederationConfig.from_datasets(datasets, eta=fed.eta, local_steps=2, weights=weights)
     theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
-    # every stack takes the fused path, whose guard runs once per round
-    assert all(operators is not None for *_, operators in fed.cohort(everyone, spec).stacks)
-    expected = None
     for n in range(start, start + 50):
         local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)
         too_far = [
@@ -574,12 +577,167 @@ def test_a_lone_diverging_client_stops_training_in_its_round():
         ]
         if too_far:
             assert too_far == [2]
-            expected = n
-            break
-    assert expected is not None and expected > start + 1
+            assert n > start + 1
+            return spec, fed, everyone, start, n, float(np.linalg.norm(theta))
+    raise AssertionError("no client diverged")
+
+
+def test_a_lone_diverging_client_stops_training_in_its_round():
+    spec, fed, everyone, start, expected, _ = lone_diverging_world()
+    # every stack takes the fused path, whose guard runs once per round
+    assert all(operators is not None for *_, operators in fed.cohort(everyone, spec).stacks)
     with pytest.raises(DivergedTrainingError) as exc:
         retrain_until(spec, fed, init_params(spec, 0), everyone, exactly(50), start_position=start)
     assert exc.value.round_index == expected
+
+
+# ---------------------------------------------------------------------------
+# affine runs: a cohort whose every stack has ridge operators steps by its
+# aggregate map, then books its rounds as one block
+# ---------------------------------------------------------------------------
+
+
+def recorded_run(spec, fed, theta0, active, stopping, start_position=0):
+    """retrain_until into a fresh history and ledger: (result, models, ledger)."""
+    history = TrainingHistory(theta0)
+    ledger = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
+    result = retrain_until(
+        spec, fed, theta0, active, stopping, ledger=ledger, history=history, start_position=start_position
+    )
+    return result, np.array(history.models), ledger
+
+
+def assert_rows_near(got, want):
+    """Row by row to rounding, so a row booked at another round fails."""
+    assert got.shape == want.shape
+    for got_row, want_row in zip(got, want):
+        assert_near(got_row, want_row)
+
+
+@pytest.mark.parametrize("active", [tuple(range(10)), (0, 1, 3, 5, 6, 8)], ids=["all", "subset"])
+@pytest.mark.parametrize("local_steps", [1, 5])
+def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active):
+    spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    cohort = fed.cohort(active, spec)
+    assert cohort.affine is not None and len(cohort.data) == 2
+    theta0 = 0.3 * np.random.default_rng(11).standard_normal(4)
+    # more rounds than d = 4: the booking spans three chunks of rounds
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(11))
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(11))
+    assert result.rounds == 11 and kept[0].tobytes() == theta0.tobytes()
+    assert_rows_near(kept, want_models)
+    assert_rows_near(ledger.deltas, want_deltas)
+    assert_near([loss for _, loss in result.loss_trace], want_losses)
+    assert [n for n, _ in result.loss_trace] == list(range(12))
+    # the ledger's Psi is the recurrence over its own rows, bit for bit
+    looped = SensitivityLedger(0.9, local_steps, fed.client_count)
+    for row in ledger.deltas:
+        looped.record_round(row)
+    assert ledger.psi.tobytes() == looped.psi.tobytes()
+
+
+def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
+    spec, datasets = round_world("ridge", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    active = [c for c in range(10) if c != 3]
+    theta0 = 0.3 * np.random.default_rng(12).standard_normal(4)
+    _, _, losses = round_loop(spec, fed, theta0, active, exactly(8))
+    assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+    rule = StoppingRule(0.5 * (losses[4] + losses[5]), 0, 8)
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
+    assert len(want_losses) == 6
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, rule, start_position=3)
+    assert (result.rounds, result.converged) == (5, True)
+    assert [n for n, _ in result.loss_trace] == list(range(3, 9))
+    assert_rows_near(kept, want_models)
+    assert_rows_near(ledger.deltas, want_deltas)
+    assert_near([loss for _, loss in result.loss_trace], want_losses)
+
+
+@pytest.mark.parametrize("active", [tuple(range(12)), (0, 2, 5, 10)], ids=["all", "subset"])
+def test_a_mixed_cohort_keeps_the_per_round_path_bit_for_bit(active):
+    """One stack with d > n (clients 10 and 11) and the rest with operators:
+    no aggregate map, so every round is a fedavg_round."""
+    spec, datasets = mixed_ridge_world()
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
+    cohort = fed.cohort(active, spec)
+    assert cohort.affine is None
+    assert {operators is None for *_, operators in cohort.stacks} == {True, False}
+    theta0 = 0.3 * np.random.default_rng(13).standard_normal(4)
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(6))
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(6))
+    assert kept.tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
+    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+
+
+@pytest.mark.parametrize("active", [None, 3], ids=["all", "one-removed"])
+@pytest.mark.parametrize("model", ["ridge-wide", "logistic", "mlp2"])
+def test_a_kernel_run_books_what_the_per_round_loop_records_bit_for_bit(model, active):
+    spec, datasets = fused_world(model)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    active = [c for c in range(fed.client_count) if c != active]
+    assert fed.cohort(active, spec).affine is None
+    theta0 = 0.3 * np.random.default_rng(14).standard_normal(spec.param_count)
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(7))
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(7))
+    looped = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
+    for row in want_deltas:
+        looped.record_round(row)
+    assert kept.tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
+    assert ledger.psi.tobytes() == looped.psi.tobytes()
+    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+
+
+@pytest.mark.parametrize("weights", [None, (0.32, 0.32, 0.04, 0.32)], ids=["by-samples", "light"])
+def test_a_diverging_affine_run_books_exactly_the_rounds_before_it(weights):
+    """With client 2 this light the global model stays within the norm in
+    the round its local model leaves it: the step loop runs past that round,
+    and the booking's guard on the recomputed client models stops the run."""
+    spec, fed, everyone, start, expected, global_norm = lone_diverging_world(weights)
+    assert fed.cohort(everyone, spec).affine is not None
+    assert (global_norm < 1e8) == (weights is not None)
+    theta0 = init_params(spec, 0)
+    history = TrainingHistory(theta0)
+    ledger = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
+    with pytest.raises(DivergedTrainingError) as exc:
+        retrain_until(spec, fed, theta0, everyone, exactly(50), ledger=ledger, history=history, start_position=start)
+    assert exc.value.round_index == expected
+    done = expected - start
+    assert (len(ledger), history.end_position) == (done, done)
+    want_models, want_deltas, _ = round_loop(spec, fed, theta0, everyone, exactly(done))
+    assert_rows_near(np.array(history.models), want_models)
+    assert_rows_near(ledger.deltas, want_deltas)
+
+
+def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):
+    """The anchor solves H theta = r and falls back to lstsq only when solve
+    refuses a singular H (l2 = 0, a duplicated feature); the loss meets the
+    kernel to rounding either way."""
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for world, fallbacks in (("ragged", []), ("singular", [(4, 4)])):
+        spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge", ragged=True)
+        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+        cohort = fed.cohort((0, 2, 3, 5, 8, 9), spec)
+        anchor, _, _, hessian = cohort.quadratic
+        assert calls == fallbacks
+        calls.clear()
+        if world == "singular":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(hessian, hessian @ anchor)
+        rng = np.random.default_rng(15)
+        for theta in [anchor] + [0.3 * rng.standard_normal(4) for _ in range(6)]:
+            want = kernel_rows_loss(spec, cohort, theta)
+            assert abs(federation_loss(spec, fed, theta, cohort) - want) <= 1e-13 * abs(want)
 
 
 def test_empty_active_set_rejected():

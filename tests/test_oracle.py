@@ -133,13 +133,18 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
     for client, (trace, closed_trace) in enumerate(zip(retrained, closed)):
         np.testing.assert_array_equal(trace.psis, ledger.psi[:, client])
         np.testing.assert_array_equal(closed_trace.psis, ledger.psi[:, client])
-        without = [theta0]
+        without, by_round = [theta0], [theta0]
         survivors = fed.cohort((c for c in range(3) if c != client), spec)
+        maps, offsets = survivors.affine
         for n in range(6):
-            without.append(fedavg_round(spec, fed, without[-1], survivors, n).global_after)
+            # each round of the run without the client is its cohort's aggregate map
+            without.append(maps @ without[-1] + offsets)
+            by_round.append(fedavg_round(spec, fed, by_round[-1], survivors, n).global_after)
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_array_equal(trace.alphas, want)
         np.testing.assert_allclose(closed_trace.alphas, want, rtol=1e-12, atol=0)
+        per_round = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, by_round)]
+        np.testing.assert_allclose(trace.alphas, per_round, rtol=1e-12, atol=0)
 
 
 def test_the_oracle_evaluates_no_loss(monkeypatch):

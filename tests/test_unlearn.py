@@ -19,6 +19,7 @@ from fedunlearn.engine import (
     aggregate,
     fedavg_round,
     federation_loss,
+    local_gaps,
     renormalized_weights,
 )
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
@@ -160,10 +161,15 @@ def test_all_client_ledger_rows_use_the_aggregation_weights():
     history = TrainingHistory(np.zeros(4))
     retrain_until(spec, fed, np.zeros(4), range(5), exactly(3), ledger=ledger, history=history)
     everyone = fed.cohort(range(5), spec)
-    assert everyone.weights.tobytes() == renormalized_weights(fed.weights, set()).tobytes()
+    p = renormalized_weights(fed.weights, set())
+    assert everyone.weights.tobytes() == p.tobytes()
+    # the run's client models, as its booking recomputes them from its models
+    gaps, diverged_at = local_gaps(everyone, np.array(history.models))
+    assert diverged_at is None
+    assert ledger.deltas.tobytes() == (p / (1.0 - p) * gaps).tobytes()
     for n in range(3):
         record = fedavg_round(spec, fed, history.models[n], everyone, n)
-        assert ledger.deltas[n].tobytes() == client_increments_fast(record).tobytes()
+        assert_near(ledger.deltas[n], client_increments_fast(record))
 
 
 def test_retrain_single_active_client_records_empty_deltas():
