@@ -1,37 +1,30 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
 A run aggregates one fixed Cohort of clients (FederationConfig.cohort): their
-renormalised weights and their data stacked by shape, built once per run,
-with everything a round needs that does not depend on theta.  Every client
-of a round starts from the same model, so a ridge stack with d <= n advances
-by its clients' K-step maps theta -> A_i theta + b_i (models.ridge_operators,
-built once per data shape and spec from the shape's moments), and a cohort
-whose every stack has them (Cohort.affine) advances by their aggregate
-theta -> M theta + m, M = sum_i q_i A_i and m = sum_i q_i b_i, built once per
-cohort: one (d, d) product per round, with no client model formed
-(affine_round).  Its client models are recomputed afterwards, a block of
-rounds at a time (local_gaps).  Other cohorts run fedavg_round: one (g, d, d)
-product per operator stack, one kernel call and guard per local step for the
-rest.
+renormalised weights and their data stacked by shape, with everything a
+round needs that does not depend on theta, built once per run.  A ridge
+stack with d <= n advances by its clients' K-step maps theta -> A_i theta +
+b_i (models.ridge_operators), and a cohort whose every stack has them
+(Cohort.affine) by their aggregate theta -> M theta + m, M = sum_i q_i A_i,
+m = sum_i q_i b_i, forming no client model (affine_round).  Other cohorts
+step by kernel_round: one (g, d, d) product per operator stack, one kernel
+call per local step for the rest.  A run guards and measures its client
+models a block of rounds at a time (local_gaps, kernel_gaps).
 
-Determinism contract: repeated runs on one platform are bit-identical.  A
-fedavg_round equals the per-client loop bit for bit, except a fused ridge
-stack: one affine map per client, equal to the per-step loop to rounding.
-An affine cohort's round equals fedavg_round to rounding, not bit for bit,
-and so do the client models local_gaps recomputes.  Each stacked product is
-one BLAS call per client slice (see models), so in fedavg_round client i's
-local model does not depend on which other clients share its stack.  The
-aggregation is np.add.accumulate along the client axis: the sequential sum
-q_0 theta_0 + q_1 theta_1 + ... in ascending client order, never a pairwise
-or BLAS reduction.  The retained loss of a cohort with a quadratic form
-(ridge, d <= n in every stack) is that form, equal to the per-client kernel
-to rounding, not bit for bit; its anchor is built from the cohort alone,
-never from the thetas evaluated, so the loss is a pure function of (cohort,
-theta) and a re-run reproduces it bit for bit.  Every other cohort's loss is
-the kernel's, summed like the aggregation.  A retraining run evaluates such
-a cohort once per model: the retained loss at theta and the first local step
-of the round from theta share one forward pass (federation_loss_and_grads),
-bit-identical to the separate kernels.
+Determinism contract: repeated runs on one platform are bit-identical.
+kernel_round equals the per-client loop bit for bit, except a ridge
+operator stack, which equals the per-step loop to rounding, as do
+affine_round and the client models local_gaps recomputes.  Each stacked
+product and each row norm (models.norms) is one BLAS call per client slice,
+so a client's local model and norms do not depend on which clients or
+rounds share its block.  The aggregation is np.add.accumulate along the
+client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in
+ascending client order, never a pairwise or BLAS reduction.  The retained
+loss of a cohort with a quadratic form (ridge, d <= n in every stack) is
+that form, equal to the kernel to rounding, with an anchor built from the
+cohort alone, so a pure function of (cohort, theta).  Every other cohort's
+loss is the kernel's, summed like the aggregation, from the forward pass
+that also gives the round's first local step (federation_loss_and_grads).
 """
 
 from __future__ import annotations
@@ -321,20 +314,14 @@ class RoundRecord:
 
 
 def local_updates(
-    spec: ModelSpec,
-    features: np.ndarray,
-    targets: np.ndarray,
-    theta: Params,
-    eta: float,
-    local_steps: int,
-    round_index: int | None = None,
-    first_grad: np.ndarray | None = None,
+    spec: ModelSpec, features, targets, theta: Params, eta: float, local_steps: int, round_index=None, first_grad=None
 ) -> np.ndarray:
     """Run `local_steps` gradient steps from theta on each stacked client.
 
-    One kernel call and one divergence check per step; returns (g, p).  The
-    first step's gradient is the kernel's at the shared theta, or
-    `first_grad` when given: that gradient, as federation_loss_and_grads
+    One kernel call per step; returns (g, p).  Every iterate but the last is
+    guarded against divergence; the last, the client models, is the caller's
+    to guard.  The first step's gradient is the kernel's at the shared theta,
+    or `first_grad` when given: that gradient, as federation_loss_and_grads
     returns it, which spares the step's kernel call.
     """
     if local_steps < 1:
@@ -343,10 +330,9 @@ def local_updates(
     if first_grad is None:
         first_grad = models.stacked_grad(spec, features, targets, theta)
     current = theta - eta * first_grad
-    _guard_finite(current, round_index)
     for _ in range(local_steps - 1):
-        current = current - eta * models.stacked_grad(spec, features, targets, current)
         _guard_finite(current, round_index)
+        current = current - eta * models.stacked_grad(spec, features, targets, current)
     return current
 
 
@@ -400,33 +386,39 @@ def renormalized_weights(weights, removed) -> np.ndarray:
     return out / mass
 
 
-def fedavg_round(
-    spec: ModelSpec,
-    config: FederationConfig,
-    theta: Params,
-    cohort: Cohort,
-    round_index: int,
-    first_grads: tuple | None = None,
-) -> RoundRecord:
-    """One FedAvg round over a cohort of `config`'s clients.
-
-    first_grads, if given, is what federation_loss_and_grads returned for
-    this theta and cohort: each kernel stack's first local step takes its
-    gradient from there.
-    """
-    theta = models.as_params(theta)
-    client_models = np.empty((len(cohort.active), theta.shape[0]))
-    for stack, (rows, features, targets, operators) in enumerate(cohort.stacks):
+def kernel_round(cohort: Cohort, theta: Params, round_index: int, first_grads=None) -> tuple[np.ndarray, Params]:
+    """One round of a cohort: its client models (active, p), unguarded, and
+    their guarded aggregate.  A kernel stack takes local_updates from theta,
+    its first step from first_grads[stack] when given (what
+    federation_loss_and_grads returned at theta); an operator stack maps
+    theta by each client's (A_i, b_i)."""
+    fed, stacks = cohort.federation, cohort.stacks
+    # a lone stack's rows are the whole cohort in order: its models need no copy
+    client_models = np.empty((len(cohort.active), theta.shape[0])) if len(stacks) > 1 else None
+    for stack, (rows, features, targets, operators) in enumerate(stacks):
         if operators is None:
             first = None if first_grads is None else first_grads[stack]
-            local = local_updates(spec, features, targets, theta, config.eta, config.local_steps, round_index, first)
+            local = local_updates(cohort.spec, features, targets, theta, fed.eta, fed.local_steps, round_index, first)
         else:
             maps, offsets = operators
             local = maps @ theta + offsets
-            _guard_finite(local, round_index)
-        client_models[rows] = local
+        if client_models is None:
+            client_models = local
+        else:
+            client_models[rows] = local
     new_theta = _accumulate(client_models, cohort.active_weights)
-    _guard_finite(new_theta[None], round_index)
+    _guard_finite(new_theta, round_index)
+    return client_models, new_theta
+
+
+def fedavg_round(
+    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort, round_index: int, first_grads=None
+) -> RoundRecord:
+    """kernel_round with its client models guarded too, as a RoundRecord;
+    spec and config are those the cohort was built from."""
+    theta = models.as_params(theta)
+    client_models, new_theta = kernel_round(cohort, theta, round_index, first_grads)
+    _guard_finite(client_models, round_index)
     return RoundRecord(round_index, theta.copy(), client_models, new_theta, cohort)
 
 
@@ -440,16 +432,15 @@ def affine_round(cohort: Cohort, theta: Params, round_index: int) -> Params:
     return new_theta
 
 
-def local_gaps(cohort: Cohort, thetas: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """||theta_i - theta_after|| of each client of a cohort with an aggregate
-    map, in each round of a run of affine_round calls, and the first round
-    whose local models fail the divergence guard (None if none does).
+def local_gaps(cohort: Cohort, thetas: np.ndarray) -> np.ndarray:
+    """||theta_i - theta_after|| (rounds, active) of each client of a cohort
+    with an aggregate map over a run of affine_round calls, ending before
+    the first round whose client models fail the divergence guard.
 
     thetas (rounds + 1, d) holds the global model before each round and the
     one after the last.  Client i's local model is A_i theta + b_i: one
     (chunk, d) @ (d, g d) product per stack and chunk of at most d rounds, so
     no temporary holds more values than the stack's operators (g, d, d).
-    gaps is (rounds, active), ending before the first failing round if any.
     """
     rounds, d = thetas.shape[0] - 1, thetas.shape[1]
     gaps = np.empty((rounds, len(cohort.active)))
@@ -469,9 +460,21 @@ def local_gaps(cohort: Cohort, thetas: np.ndarray) -> tuple[np.ndarray, int | No
             local -= thetas[start + 1 : stop + 1, None]
             gaps[start:stop, rows] = np.sqrt((flat * flat) @ ones).reshape(shape)
         if not sound.all():
-            first = start + int(np.argmin(sound))
-            return gaps[:first], first
-    return gaps, None
+            return gaps[: start + int(np.argmin(sound))]
+    return gaps
+
+
+def kernel_gaps(client_models, after: np.ndarray) -> np.ndarray:
+    """local_gaps of a block of kernel_round rounds from their client models,
+    one (active, p) array per round, and aggregates (rounds, p), guard and
+    gaps taking models.norms of each row."""
+    local = np.array(client_models)
+    rounds, _, p = local.shape
+    flat = local.reshape(-1, p)
+    sound = (models.norms(flat) <= _DIVERGENCE_NORM).reshape(rounds, -1).all(axis=1)
+    local -= after[:, None]
+    gaps = models.norms(flat).reshape(rounds, -1)
+    return gaps if sound.all() else gaps[: int(np.argmin(sound))]
 
 
 def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
@@ -511,8 +514,8 @@ def federation_loss_and_grads(
     advances by its operators.  A cohort with a quadratic form evaluates it
     and returns grads None, as every stack of it has operators.  The loss and
     each gradient equal federation_loss and models.stacked_grad bit for bit.
+    theta, a float64 (p,), is not checked: retrain_until checks it once.
     """
-    theta = models.as_params(theta)
     if cohort.quadratic is not None:
         return federation_loss(spec, config, theta, cohort), None
     losses = np.empty(len(cohort.active))

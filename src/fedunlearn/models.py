@@ -192,8 +192,9 @@ def stacked_grad(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
 
 def stacked_loss_and_grad(spec: ModelSpec, features, targets, thetas) -> tuple[np.ndarray, np.ndarray]:
     """stacked_loss and stacked_grad from one forward pass, each equal to its
-    own call bit for bit; the engine passes one shared theta (p,)."""
-    thetas = _checked(spec, features, thetas)
+    own call bit for bit.  The engine's retained loss passes one shared
+    float64 theta (p,), checked once per retraining run, so unlike the two
+    calls above this one takes thetas and features as they are, unchecked."""
     value, gradient = _data_terms(spec, features, targets, thetas)
     return value + 0.5 * spec.l2 * _sqnorms(thetas), gradient + spec.l2 * thetas
 

@@ -71,9 +71,7 @@ def empirical_sensitivity(
     Psi(n, c).  Ridge takes the closed form when every data-shape group has
     operators; everything else retrains through the engine.
     """
-    # only ridge cohorts carry operators
-    stacks = config.cohort(range(config.client_count), spec).stacks
-    if all(operators is not None for *_, operators in stacks):
+    if config.cohort(range(config.client_count), spec).affine is not None:
         return ridge_sensitivity(config, spec, history, ledger)
     return retrained_sensitivity(config, spec, history, ledger)
 

@@ -185,17 +185,20 @@ class SensitivityLedger:
 
     def extend(self, block) -> None:
         """Append a (rounds, clients) block of delta rows, checked as one
-        block, and advance the recurrence row by row; a block with a bad
-        increment appends nothing and names its first such round."""
+        block, and advance the recurrence row by row into one preallocated
+        block of Psi rows; a block with a bad increment appends nothing and
+        names its first such round."""
         block = np.array(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.client_count:
             raise ValueError(f"delta block must have shape (rounds, {self.client_count}), got {block.shape}")
         problem = _increment_problem(block)
         if problem is not None:
             raise ValueError(f"round {len(self) + problem[0]}: {problem[1]}")
-        decay, psi = self.round_decay, self._psi
-        for row in block:
-            psi.append(decay * psi[-1] + row)
+        decay, psi, previous = self.round_decay, np.empty_like(block), self._psi[-1]
+        for row, out in zip(block, psi):
+            # out passed by position: numpy parses it faster than out=
+            previous = np.add(np.multiply(decay, previous, out), row, out)
+        self._psi.extend(psi)
         self._deltas.extend(block)
 
     def record_round(self, deltas) -> None:

@@ -28,10 +28,11 @@ from .engine import (
     affine_round,
     diverged,
     federation_loss_and_grads,
-    fedavg_round,
+    kernel_gaps,
+    kernel_round,
     local_gaps,
 )
-from .errors import EmptyFederationError, InvalidRequestError
+from .errors import DimensionMismatchError, EmptyFederationError, InvalidRequestError
 from .history import TrainingHistory
 from .models import ModelSpec, Params
 from .sensitivity import NoiseBudget, SensitivityLedger, client_increments, noise_std
@@ -181,84 +182,78 @@ def retrain_until(
 
     The clients `active` form the run's one cohort: every round aggregates
     with its weights, against which recording takes the closed-form
-    increments (zero for inactive clients).  The run is a step loop, then
-    one booking step.  Each round of the loop does only what the stopping
-    rule needs: the next global model, engine.affine_round for a cohort with
-    an aggregate map and fedavg_round otherwise, its divergence guard, and
-    the retained loss.  A fedavg_round's first local step takes the
-    gradients evaluated with the retained loss before it
-    (engine.federation_loss_and_grads), and its gap norms are kept.  The
-    booking then guards and measures an affine run's client models
-    (engine.local_gaps) and records the rounds in the ledger and the history
-    as one block each; a run that diverges books the rounds before the
-    diverging one and raises with its index.  track_loss=False skips the
-    retained loss (final_loss is then NaN and the trace empty); it needs a
-    fixed-round rule, since the loss is what an early stop would read.
+    increments (zero for inactive clients).  Each round of the loop does
+    only what the stopping rule needs: the next global model
+    (engine.affine_round for a cohort with an aggregate map, else
+    engine.kernel_round, whose first local step takes the gradients of the
+    retained loss before it) and the retained loss.  A kernel run keeps its
+    client models until a chunk of rounds, as many as hold no more values
+    than the cohort's stacked features, is booked (_book); an affine run
+    books its rounds at the end.  A run that diverges books the rounds
+    before the diverging one and raises with its index.  track_loss=False
+    skips the retained loss (final_loss is then NaN and the trace empty); it
+    needs a fixed-round rule, since the loss is what an early stop reads.
     """
     if not track_loss and stopping.min_rounds != stopping.max_rounds:
         raise ValueError("skipping the loss needs a fixed-round stopping rule")
     cohort = config.cohort(active, spec)
+    theta = models.as_params(theta_start).copy()
+    if theta.shape != (spec.param_count,):
+        raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {spec.param_count} entries")
 
     def evaluate(theta: Params) -> tuple[float, tuple | None]:
         # the retained loss the stopping rule reads, and the gradients of the
         # next round's first local step, from one forward pass at theta
         return federation_loss_and_grads(spec, config, theta, cohort) if track_loss else (math.nan, None)
 
-    theta = models.as_params(theta_start).copy()
     loss, grads = evaluate(theta)
     rounds = 0
     trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
-    # the global model before each round and after the last, and each
-    # fedavg_round's gap norms; an affine run's are taken when it is booked
-    thetas = [theta]
-    gaps: list[np.ndarray] | None = None if cohort.affine is not None else []
+    # the global model before the rounds not yet booked and after each, and
+    # a kernel run's client models of those rounds
+    thetas, pending = [theta], []
+    chunk = max(1, sum(X.size for _, X, _ in cohort.data) // (len(cohort.active) * theta.shape[0]))
     try:
         while not stopping_criterion(rounds, loss, stopping):
-            if gaps is None:
+            if cohort.affine is not None:
                 theta = affine_round(cohort, theta, start_position + rounds)
             else:
-                record = fedavg_round(spec, config, theta, cohort, start_position + rounds, grads)
-                theta = record.global_after
-                gaps.append(models.norms(record.client_models - theta))
+                local, theta = kernel_round(cohort, theta, start_position + rounds, grads)
+                pending.append(local)
             thetas.append(theta)
             rounds += 1
+            if len(pending) == chunk:
+                block, thetas, pending = (thetas, pending), [theta], []
+                _book(cohort, *block, ledger, history, start_position + rounds - chunk)
             loss, grads = evaluate(theta)
             if track_loss:
                 trace.append((start_position + rounds, loss))
     finally:
-        _book(cohort, np.array(thetas), gaps, ledger, history, start_position)
+        _book(cohort, thetas, pending, ledger, history, start_position + rounds - len(thetas) + 1)
     return RetrainResult(theta, rounds, loss <= stopping.loss_threshold, loss, trace)
 
 
-def _book(
-    cohort: Cohort,
-    thetas: np.ndarray,
-    gaps: list[np.ndarray] | None,
-    ledger: SensitivityLedger | None,
-    history: TrainingHistory | None,
-    start_position: int,
-) -> None:
-    """Record a run's rounds in the ledger and history, one block each.
+def _book(cohort: Cohort, thetas: list, pending: list, ledger, history, first_round: int) -> None:
+    """Record a block of rounds from first_round in the ledger and history.
 
-    thetas holds the global model before each round and after the last;
-    gaps, one gap-norm row per round, is None for an affine run, whose client
-    models engine.local_gaps recomputes and guards: a diverging one ends the
-    booking before its round, which then raises.
+    thetas holds the global model before each round and after the last, and
+    pending a kernel run's client models of those rounds; an affine run's
+    are recomputed (engine.local_gaps).  Both guard the client models: a
+    failing round ends the booking before it, which then raises.
     """
-    diverged_at = None
-    if gaps is None:
-        gaps, diverged_at = local_gaps(cohort, thetas)
-    else:
-        gaps = np.array(gaps).reshape(thetas.shape[0] - 1, len(cohort.active))
-    rounds = gaps.shape[0]
+    if len(thetas) == 1:
+        return
+    thetas = np.array(thetas)
+    gaps = local_gaps(cohort, thetas) if cohort.affine is not None else kernel_gaps(pending, thetas[1:])
+    rounds = len(gaps)
     if ledger is not None and rounds:
         # a lone client carries the full weight: no run without it to bound
         many = len(cohort.active) > 1
         ledger.extend(client_increments(cohort, gaps) if many else np.zeros((rounds, ledger.client_count)))
     if history is not None and rounds:
         history.extend(thetas[1 : rounds + 1])
-    if diverged_at is not None:
-        raise diverged(start_position + diverged_at)
+    if rounds < len(thetas) - 1:
+        raise diverged(first_round + rounds)
 
 
 def sifu(

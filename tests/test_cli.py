@@ -650,24 +650,24 @@ def count_verify_federations(workdir, monkeypatch, doc):
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     calls = {"retrain_until": 0, "all-client rounds": 0}
-    real_retrain, real_round, real_affine = unlearn.retrain_until, unlearn.fedavg_round, unlearn.affine_round
+    real_retrain, real_round, real_affine = unlearn.retrain_until, unlearn.kernel_round, unlearn.affine_round
 
     def retrain(*args, **kwargs):
         calls["retrain_until"] += 1
         return real_retrain(*args, **kwargs)
 
-    def round_(spec, fed, theta, cohort, n, first_grads=None):
+    def kernel_round(cohort, theta, n, first_grads=None):
         calls["all-client rounds"] += cohort.active == (0, 1, 2)
-        return real_round(spec, fed, theta, cohort, n, first_grads)
+        return real_round(cohort, theta, n, first_grads)
 
     def affine_round(cohort, theta, n):
-        # a ridge cohort's round: its aggregate map instead of fedavg_round
+        # a ridge cohort's round: its aggregate map instead of kernel_round
         calls["all-client rounds"] += cohort.active == (0, 1, 2)
         return real_affine(cohort, theta, n)
 
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)
-    monkeypatch.setattr(unlearn, "fedavg_round", round_)
+    monkeypatch.setattr(unlearn, "kernel_round", kernel_round)
     monkeypatch.setattr(unlearn, "affine_round", affine_round)
     assert main(["verify", config]) == 0
     return calls

@@ -19,7 +19,7 @@ from conftest import (
     train_world,
     two_client_toy,
 )
-from fedunlearn import models
+from fedunlearn import models, unlearn
 from fedunlearn.engine import (
     Cohort,
     FederationConfig,
@@ -710,6 +710,127 @@ def test_a_diverging_affine_run_books_exactly_the_rounds_before_it(weights):
     want_models, want_deltas, _ = round_loop(spec, fed, theta0, everyone, exactly(done))
     assert_rows_near(np.array(history.models), want_models)
     assert_rows_near(ledger.deltas, want_deltas)
+
+
+# ---------------------------------------------------------------------------
+# kernel runs: a cohort without an aggregate map keeps each round's client
+# models until a chunk of rounds, as many as hold no more values than the
+# cohort's stacked features, is guarded and measured as one block
+# ---------------------------------------------------------------------------
+
+
+def chunk_rounds(cohort):
+    """The rounds of a kernel run's chunk, derived as retrain_until does."""
+    features = sum(X.size for _, X, _ in cohort.data)
+    return max(1, features // (len(cohort.active) * cohort.spec.param_count))
+
+
+@pytest.mark.parametrize("active", [tuple(range(10)), (0, 1, 2, 4, 6, 8, 9)], ids=["all", "subset"])
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(local_steps, active):
+    """Two stacks (clients 1, 3 and 8 keep 11 of 16 samples): 14 rounds to a
+    chunk, so 40 rounds are two full chunks and a last one the booking
+    measures; every model, delta, Psi row and loss equals round_loop's bit
+    for bit."""
+    spec, datasets = round_world("logistic", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    cohort = fed.cohort(active, spec)
+    assert cohort.affine is None and len(cohort.data) == 2 and chunk_rounds(cohort) == 14
+    theta0 = 0.3 * np.random.default_rng(16).standard_normal(spec.param_count)
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(40), start_position=2)
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(40))
+    looped = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
+    for row in want_deltas:
+        looped.record_round(row)
+    assert result.rounds == 40 and [n for n, _ in result.loss_trace] == list(range(2, 43))
+    assert kept.tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
+    assert ledger.psi.tobytes() == looped.psi.tobytes()
+    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+
+
+def test_a_kernel_run_stops_at_a_finite_threshold_inside_a_later_chunk():
+    spec, datasets = round_world("logistic", ragged=True)
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    active = [c for c in range(10) if c != 3]
+    assert chunk_rounds(fed.cohort(active, spec)) == 14
+    theta0 = 0.3 * np.random.default_rng(17).standard_normal(spec.param_count)
+    _, _, losses = round_loop(spec, fed, theta0, active, exactly(30))
+    assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+    # the run stops after 20 rounds, six rounds into its second chunk
+    rule = StoppingRule(0.5 * (losses[19] + losses[20]), 0, 30)
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
+    assert len(want_losses) == 21
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, rule)
+    assert (result.rounds, result.converged) == (20, True)
+    assert kept.tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
+    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+
+
+def kernel_diverging_world(model):
+    """Four clients stepping through the kernel whose light client 2 (weight
+    0.04) leaves the norm on its own, from round `expected` of a run from
+    init_params(spec, 0) starting at `start`, as a per-client loop finds it:
+    (spec, fed, clients, start, expected, the global model's norm after that
+    round).
+
+    ridge-wide: d = 7 > n = 4, client 2's features scaled by 3, two local
+    steps.  logistic: eta l2 = 2.1 grows every model by 1.1 a round, and
+    client 2's features scaled by 1e6 put its data step far out.
+    """
+    weights = (0.32, 0.32, 0.04, 0.32)
+    if model == "ridge-wide":
+        spec, datasets = make_ridge(clients=4, samples=4, features=7, seed=3)
+        eta, local_steps = fed_for(spec, datasets, frac=0.5)[0].eta, 2
+        datasets[2] = ClientDataset(3.0 * datasets[2].features, datasets[2].targets)
+    else:
+        spec, datasets = make_logistic(clients=4, samples=10, features=3, seed=3, l2=0.2)
+        eta, local_steps = 10.5, 1
+        datasets[2] = ClientDataset(1e6 * datasets[2].features, datasets[2].targets)
+    fed = FederationConfig.from_datasets(datasets, eta=eta, local_steps=local_steps, weights=weights)
+    theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
+    for n in range(start, start + 80):
+        local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)
+        too_far = [c for c, m in enumerate(local_models) if not np.isfinite(m).all() or np.linalg.norm(m) > 1e8]
+        if too_far:
+            assert too_far == [2]
+            return spec, fed, everyone, start, n, float(np.linalg.norm(theta))
+    raise AssertionError("no client diverged")
+
+
+@pytest.mark.parametrize("model", ["ridge-wide", "logistic"])
+def test_a_diverging_kernel_run_books_exactly_the_rounds_before_it(model, monkeypatch):
+    """Client 2's local model leaves the norm while the global model stays
+    within it, inside a later chunk.  ridge-wide's chunk ends before the
+    global model leaves the norm, so the chunk's guard ends the loop;
+    logistic's global model leaves it the next round, whose guard stops the
+    loop, and the booking's guard on the pending chunk names the earlier
+    round.  Either way no round past the failing round's chunk is stepped."""
+    spec, fed, everyone, start, expected, global_norm = kernel_diverging_world(model)
+    cohort = fed.cohort(everyone, spec)
+    chunk, done = chunk_rounds(cohort), expected - start
+    assert cohort.affine is None and global_norm < 1e8
+    assert chunk < done and done % chunk not in (0, chunk - 1)
+    stepped = []
+    real = unlearn.kernel_round
+
+    def counted(*args):
+        stepped.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(unlearn, "kernel_round", counted)
+    theta0 = init_params(spec, 0)
+    history = TrainingHistory(theta0)
+    ledger = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
+    with pytest.raises(DivergedTrainingError) as exc:
+        retrain_until(spec, fed, theta0, everyone, exactly(80), ledger=ledger, history=history, start_position=start)
+    assert exc.value.round_index == expected
+    assert expected < stepped[-1] < start + (done // chunk + 1) * chunk
+    assert (len(ledger), history.end_position) == (done, done)
+    want_models, want_deltas, _ = round_loop(spec, fed, theta0, everyone, exactly(done))
+    assert np.array(history.models).tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
 
 
 def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):

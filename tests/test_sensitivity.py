@@ -273,6 +273,31 @@ def test_a_block_loads_as_the_record_round_loop_builds_it():
     assert (len(empty), empty.client_count, empty.psi.tolist()) == (0, 3, [[0.0, 0.0, 0.0]])
 
 
+def test_blocks_extend_psi_as_the_recurrence_written_row_by_row():
+    """extend fills a preallocated Psi block in place; its rows equal the
+    recurrence decay * Psi[n] + delta[n] written out one row at a time, and
+    record_round's one-row blocks, bit for bit, however the rounds are split
+    into blocks and after a truncation."""
+    rng = np.random.default_rng(43)
+    block = rng.random((40, 6)) * np.logspace(-4, 3, 6)
+    block[11] = 0.0
+    for contraction, local_steps in ((0.93, 3), (1.0, 1), (1.07, 2)):
+        decay = contraction**local_steps
+        want = [np.zeros(6)]
+        for row in block:
+            want.append(decay * want[-1] + row)
+        split = SensitivityLedger(contraction, local_steps, 6)
+        for start, stop in ((0, 1), (1, 17), (17, 18), (18, 40)):
+            split.extend(block[start:stop])
+        looped = ledger_from_deltas(contraction, local_steps, block.tolist())
+        assert split.psi.tobytes() == np.array(want).tobytes() == looped.psi.tobytes()
+        split.truncate(25)
+        split.extend(block[25:])
+        assert split.psi.tobytes() == np.array(want).tobytes()
+    block[:] = 0.0  # the caller's block is copied, not kept
+    assert split.psi.tobytes() == np.array(want).tobytes()
+
+
 def test_a_block_names_the_first_round_with_a_bad_increment():
     block = np.ones((4, 3))
     block[3, 0] = np.nan
