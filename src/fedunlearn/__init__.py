@@ -9,7 +9,7 @@ certificates by brute-force retraining without the client.
 __version__ = "0.1.0"
 
 from .datagen import DataRecipe, generate_data
-from .engine import FederationConfig, RoundRecord
+from .engine import FederationConfig
 from .history import TrainingHistory
 from .models import ClientDataset, ModelKind, ModelSpec, Regime, RegimeConstants, regime_constants
 from .oracle import check_bound, empirical_sensitivity
@@ -38,7 +38,6 @@ __all__ = [
     "NoiseBudget",
     "Regime",
     "RegimeConstants",
-    "RoundRecord",
     "SensitivityLedger",
     "StoppingRule",
     "TrainingHistory",

@@ -1,11 +1,12 @@
 """Experiment configuration files: strict JSON schema, exact round-trip.
 
 One JSON object describes a full experiment.  Unknown keys anywhere are
-errors, required keys must be present, and the step size may be given either
-as a number or as one of the symbolic forms "1/beta", "2/beta",
-"2/(beta+mu)" resolved against the computed curvature constants.  A budget
-may carry an explicit psi_star, which is validated against the value derived
-from (epsilon, delta, sigma); the derivation wins.
+errors, required keys must be present, no number may be NaN (an infinite
+one goes on to the checks of the value it sets), and the step size may be
+given either as a number or as one of the symbolic forms "1/beta",
+"2/beta", "2/(beta+mu)" resolved against the computed curvature constants.
+A budget may carry an explicit psi_star, which is validated against the
+value derived from (epsilon, delta, sigma); the derivation wins.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ class ExperimentConfig:
         if self.weights is not None:
             if len(self.weights) != self.data.clients:
                 raise ConfigError("weights length must match the client count")
-            if abs(sum(self.weights) - 1.0) > 1e-12:
+            if not all(w >= 0 for w in self.weights):
+                raise ConfigError("weights must be non-negative")
+            if not abs(sum(self.weights) - 1.0) <= 1e-12:
                 raise ConfigError("weights must sum to 1 within 1e-12")
         named: set[int] = set()
         for req in self.requests:
@@ -105,7 +108,7 @@ def _coerce(value, kind, context):
             raise ConfigError(f"{context}: expected an integer, got {value!r}")
         return value
     if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
             raise ConfigError(f"{context}: expected a number, got {value!r}")
         return float(value)
     if kind == "str":
@@ -115,7 +118,7 @@ def _coerce(value, kind, context):
     if kind == "float_or_str":
         if isinstance(value, str):
             return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
             raise ConfigError(f"{context}: expected a number or symbolic form, got {value!r}")
         return float(value)
     if kind == "obj":

@@ -79,9 +79,10 @@ class FederationConfig:
                 f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
                 f"for {len(clients)} clients"
             )
-        if np.any(weights < 0):
+        # written so that a NaN weight fails both checks
+        if not (weights >= 0).all():
             raise ValueError("client weights must be non-negative")
-        if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
+        if not abs(float(weights.sum()) - 1.0) <= _WEIGHT_TOL:
             raise ValueError(f"client weights sum to {weights.sum()!r}, expected 1")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
@@ -276,7 +277,7 @@ class Cohort:
             anchor = np.linalg.solve(hessian, pull)
         except np.linalg.LinAlgError:
             anchor = np.linalg.lstsq(hessian, pull, rcond=None)[0]
-        return anchor, _kernel_loss(self.spec, anchor, self), hessian @ anchor - pull, hessian
+        return anchor, _kernel_loss(self, anchor), hessian @ anchor - pull, hessian
 
     @cached_property
     def increment_scale(self) -> np.ndarray:
@@ -287,30 +288,6 @@ class Cohort:
             client = self.active[int(np.argmax(p >= 1.0))]
             raise SingularRemovalError(f"client {client} carries the full aggregation weight")
         return p / (1.0 - p)
-
-
-@dataclass(frozen=True, eq=False)
-class RoundRecord:
-    """One aggregation round: model before, local models, model after.
-
-    client_models[i] is the local model of client active[i]; cohort is the
-    one the round aggregated with, whose active clients and weights (one per
-    federation client) the record reads.
-    """
-
-    round_index: int
-    global_before: Params
-    client_models: np.ndarray
-    global_after: Params
-    cohort: Cohort
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        return self.cohort.active
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.cohort.weights
 
 
 def local_updates(
@@ -349,21 +326,6 @@ def diverged(round_index: int | None) -> DivergedTrainingError:
         "training diverged: parameter vector is non-finite or exceeds norm 1e8",
         round_index=round_index,
     )
-
-
-def aggregate(client_models, weights) -> Params:
-    """Weighted sum of the client models (rows), added in row order."""
-    client_models = np.asarray(client_models, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if client_models.shape[:1] != weights.shape:
-        raise DimensionMismatchError(
-            f"{client_models.shape[0]} models vs {weights.shape[0]} weights"
-        )
-    if not client_models.size:
-        raise EmptyFederationError("cannot aggregate zero models")
-    if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"aggregation weights sum to {weights.sum()!r}, expected 1")
-    return _accumulate(client_models, weights)
 
 
 def _accumulate(client_models: np.ndarray, weights: np.ndarray) -> Params:
@@ -409,17 +371,6 @@ def kernel_round(cohort: Cohort, theta: Params, round_index: int, first_grads=No
     new_theta = _accumulate(client_models, cohort.active_weights)
     _guard_finite(new_theta, round_index)
     return client_models, new_theta
-
-
-def fedavg_round(
-    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort, round_index: int, first_grads=None
-) -> RoundRecord:
-    """kernel_round with its client models guarded too, as a RoundRecord;
-    spec and config are those the cohort was built from."""
-    theta = models.as_params(theta)
-    client_models, new_theta = kernel_round(cohort, theta, round_index, first_grads)
-    _guard_finite(client_models, round_index)
-    return RoundRecord(round_index, theta.copy(), client_models, new_theta, cohort)
 
 
 def affine_round(cohort: Cohort, theta: Params, round_index: int) -> Params:
@@ -486,8 +437,8 @@ def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
     raise ValueError(f"unknown init mode {mode!r}")
 
 
-def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort) -> float:
-    """Aggregation-weighted loss of theta over a cohort of `config`'s clients.
+def federation_loss(cohort: Cohort, theta: Params) -> float:
+    """Aggregation-weighted loss of theta over a cohort's clients.
 
     A cohort with a quadratic form (Cohort.quadratic: ridge, d <= n for every
     stack) evaluates it at theta; it equals the per-client kernel to rounding.
@@ -495,7 +446,7 @@ def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, co
     """
     theta = models.as_params(theta)
     if cohort.quadratic is None:
-        return _kernel_loss(spec, theta, cohort)
+        return _kernel_loss(cohort, theta)
     anchor, anchor_loss, gradient, hessian = cohort.quadratic
     if theta.shape != anchor.shape:
         raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {anchor.shape[0]} entries")
@@ -503,9 +454,7 @@ def federation_loss(spec: ModelSpec, config: FederationConfig, theta: Params, co
     return float(anchor_loss + gradient @ step + 0.5 * (step @ (hessian @ step)))
 
 
-def federation_loss_and_grads(
-    spec: ModelSpec, config: FederationConfig, theta: Params, cohort: Cohort
-) -> tuple[float, tuple | None]:
+def federation_loss_and_grads(cohort: Cohort, theta: Params) -> tuple[float, tuple | None]:
     """federation_loss at theta and, from the same forward pass, each cohort
     stack's gradient at theta, the first local step of a round from theta.
 
@@ -517,9 +466,8 @@ def federation_loss_and_grads(
     theta, a float64 (p,), is not checked: retrain_until checks it once.
     """
     if cohort.quadratic is not None:
-        return federation_loss(spec, config, theta, cohort), None
-    losses = np.empty(len(cohort.active))
-    grads = []
+        return federation_loss(cohort, theta), None
+    spec, losses, grads = cohort.spec, np.empty(len(cohort.active)), []
     for rows, features, targets, operators in cohort.stacks:
         if operators is None:
             losses[rows], grad = models.stacked_loss_and_grad(spec, features, targets, theta)
@@ -529,12 +477,12 @@ def federation_loss_and_grads(
     return _weighted_sum(losses, cohort), tuple(grads)
 
 
-def _kernel_loss(spec: ModelSpec, theta: Params, cohort: Cohort) -> float:
+def _kernel_loss(cohort: Cohort, theta: Params) -> float:
     """federation_loss from each client's kernel loss, summed in ascending
     client order."""
     losses = np.empty(len(cohort.active))
     for rows, features, targets in cohort.data:
-        losses[rows] = models.stacked_loss(spec, features, targets, theta)
+        losses[rows] = models.stacked_loss(cohort.spec, features, targets, theta)
     return _weighted_sum(losses, cohort)
 
 

@@ -29,10 +29,6 @@ class TrainingHistory:
     def final_model(self) -> Params:
         return self.models[-1]
 
-    def append_model(self, model: Params) -> int:
-        """Record the model after one more round; returns its position."""
-        return self.extend(as_params(model)[None])
-
     def extend(self, models) -> int:
         """Record the models after as many more rounds, the rows of a
         (rounds, d) block copied as one; returns the last one's position."""

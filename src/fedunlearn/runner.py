@@ -622,7 +622,7 @@ def cmd_report(run_dir: Path) -> Path:
     for method in sorted(methods):
         outcomes, final_model = methods[method]
         total_rounds = sum(row["retrain_rounds"] for row in outcomes)
-        retained = federation_loss(spec, prepared.fed, final_model, survivors) if remaining else float("nan")
+        retained = federation_loss(survivors, final_model) if remaining else float("nan")
         rounds_rows.append(f"{method},{total_rounds}")
         retained_rows.append(f"{method},{fmt17(retained)}")
         forget_rows.append(f"{method},{fmt17(_forget_metric(spec, prepared, forgotten, final_model))},{_metric_kind(spec)}")

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Cohort, RoundRecord
+from .engine import Cohort
 from .errors import StepSizeError
-from .models import Regime, RegimeConstants, norms
+from .models import Regime, RegimeConstants
 
 _PSI_STAR_TOL = 1e-12
 
@@ -65,7 +65,7 @@ def contraction_factor(constants: RegimeConstants, eta: float) -> float:
 def client_increments(cohort: Cohort, gaps: np.ndarray) -> np.ndarray:
     """Closed-form increments (p_c / (1 - p_c)) * ||theta_c - theta_agg|| of
     a block of rounds, from each round's gap norms over cohort.active, shape
-    (rounds, active).
+    (rounds, active), as engine.local_gaps and engine.kernel_gaps measure them.
 
     p is the cohort's aggregation weights; the factor is its increment_scale,
     computed once per cohort.  Returns (rounds, clients); a client outside
@@ -74,11 +74,6 @@ def client_increments(cohort: Cohort, gaps: np.ndarray) -> np.ndarray:
     out = np.zeros((gaps.shape[0], cohort.weights.shape[0]))
     out[:, cohort.active_index] = cohort.increment_scale * gaps
     return out
-
-
-def client_increments_fast(record: RoundRecord) -> np.ndarray:
-    """client_increments of one round's record, as one row."""
-    return client_increments(record.cohort, norms(record.client_models - record.global_after)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +195,6 @@ class SensitivityLedger:
             previous = np.add(np.multiply(decay, previous, out), row, out)
         self._psi.extend(psi)
         self._deltas.extend(block)
-
-    def record_round(self, deltas) -> None:
-        """Append one round's delta row: extend by a one-row block."""
-        row = np.array(deltas, dtype=np.float64)
-        if row.shape != (self.client_count,):
-            raise ValueError(f"delta row must have shape ({self.client_count},), got {row.shape}")
-        self.extend(row[None])
 
     def bounded_sensitivity(self, n: int, clients) -> np.ndarray:
         """Psi(n, c) for each c in sorted(set(clients)) from the explicit

@@ -204,7 +204,7 @@ def retrain_until(
     def evaluate(theta: Params) -> tuple[float, tuple | None]:
         # the retained loss the stopping rule reads, and the gradients of the
         # next round's first local step, from one forward pass at theta
-        return federation_loss_and_grads(spec, config, theta, cohort) if track_loss else (math.nan, None)
+        return federation_loss_and_grads(cohort, theta) if track_loss else (math.nan, None)
 
     loss, grads = evaluate(theta)
     rounds = 0

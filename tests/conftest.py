@@ -9,7 +9,7 @@ import pytest
 
 from fedunlearn import models, runner
 from fedunlearn.datagen import DataRecipe, generate_data
-from fedunlearn.engine import FederationConfig, fedavg_round, federation_loss, init_params, local_updates
+from fedunlearn.engine import FederationConfig, federation_loss, init_params, kernel_round, local_updates
 from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import (
@@ -21,7 +21,7 @@ from fedunlearn.models import (
     regime_constants,
 )
 from fedunlearn.oracle import empirical_sensitivity
-from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast, contraction_factor
+from fedunlearn.sensitivity import SensitivityLedger, client_increments, contraction_factor
 from fedunlearn.unlearn import StoppingRule, retrain_until, stopping_criterion
 
 # calibration multiplier at epsilon=1, delta=0.05
@@ -193,31 +193,38 @@ def grad(spec, data, theta):
     return models.stacked_grad(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0]
 
 
-def client_increments_direct(record):
-    """||aggregate(all) - aggregate(without c)|| for every client c of a round.
+def client_increments_direct(cohort, client_models, global_after):
+    """||aggregate(all) - aggregate(without c)|| for every client c of one
+    round of `cohort`, from its client models (active, p) and aggregate.
 
-    The reference `sensitivity.client_increments_fast` is checked against:
-    row r of the stacked computation renormalises record.weights without
-    client active[r], exactly as renormalized_weights does, and aggregates the
-    other clients in ascending order (its own term is an exact zero, which
-    leaves the running sum alone).
+    The reference `sensitivity.client_increments` is checked against: row r
+    of the stacked computation renormalises cohort.weights without client
+    active[r], exactly as renormalized_weights does, and aggregates the other
+    clients in ascending order (its own term is an exact zero, which leaves
+    the running sum alone).
     """
-    record.cohort.increment_scale  # refuses a client carrying the full weight
-    active = list(record.active)
+    cohort.increment_scale  # refuses a client carrying the full weight
+    active = list(cohort.active)
     m = len(active)
-    rest = np.tile(record.weights, (m, 1))
+    rest = np.tile(cohort.weights, (m, 1))
     rest[np.arange(m), active] = 0.0
     rest = (rest / rest.sum(axis=1)[:, None])[:, active]
-    without = np.add.accumulate(rest[:, :, None] * record.client_models[None], axis=1)[:, -1]
-    out = np.zeros(record.weights.shape[0])
-    out[active] = models.norms(record.global_after - without)
+    without = np.add.accumulate(rest[:, :, None] * client_models[None], axis=1)[:, -1]
+    out = np.zeros(cohort.weights.shape[0])
+    out[active] = models.norms(global_after - without)
     return out
 
 
+def round_increments(cohort, client_models, global_after):
+    """client_increments of one round on its own, as one row."""
+    return client_increments(cohort, models.norms(client_models - global_after)[None])[0]
+
+
 def round_loop(spec, fed, theta0, active, stopping):
-    """retrain_until's run as a loop of fedavg_round calls, each round's
-    increments taken on their own (client_increments_fast, zero for a lone
-    client) and each model's loss from federation_loss.
+    """retrain_until's run as a loop of kernel_round calls, each round's
+    client models guarded (norm at most 1e8) and its increments taken on
+    their own (round_increments, zero for a lone client), and each model's
+    loss from federation_loss.
 
     A run through the kernel equals it bit for bit; an affine run (a cohort
     with an aggregate map) equals it to rounding.  Returns the models
@@ -226,13 +233,14 @@ def round_loop(spec, fed, theta0, active, stopping):
     cohort = fed.cohort(active, spec)
     lone = len(cohort.active) == 1
     theta = np.array(theta0, dtype=np.float64)
-    kept, deltas, losses = [theta], [], [federation_loss(spec, fed, theta, cohort)]
+    kept, deltas, losses = [theta], [], [federation_loss(cohort, theta)]
     while not stopping_criterion(len(deltas), losses[-1], stopping):
-        record = fedavg_round(spec, fed, theta, cohort, len(deltas))
-        theta = record.global_after
-        deltas.append(np.zeros(fed.client_count) if lone else client_increments_fast(record))
+        local, theta = kernel_round(cohort, theta, len(deltas))
+        if not (models.norms(local) <= 1e8).all():
+            raise DivergedTrainingError("a client model left the norm", round_index=len(deltas))
+        deltas.append(np.zeros(fed.client_count) if lone else round_increments(cohort, local, theta))
         kept.append(theta)
-        losses.append(federation_loss(spec, fed, theta, cohort))
+        losses.append(federation_loss(cohort, theta))
     return np.array(kept), np.array(deltas).reshape(len(deltas), fed.client_count), losses
 
 

@@ -19,20 +19,20 @@ from conftest import (
     make_ridge,
     oracle_traces,
     ridge_opt,
+    round_increments,
     segment_owner,
     step_size_bound,
     train_world,
 )
 
 from fedunlearn.config import parse_config
-from fedunlearn.engine import FederationConfig, fedavg_round, init_params
+from fedunlearn.engine import FederationConfig, init_params, kernel_round
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ModelKind, ModelSpec, regime_constants
 from fedunlearn.oracle import check_bound
 from fedunlearn.runner import cmd_report, cmd_train, cmd_unlearn, cmd_verify, run_dir_for
 from fedunlearn.sensitivity import (
     NoiseBudget,
-    client_increments_fast,
     contraction_factor,
     noise_std,
     psi_star,
@@ -97,8 +97,8 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
     gaps = [float(np.linalg.norm(branch - other))]
     survivors = fed.cohort((1, 2), spec)
     for step in range(15):
-        branch = fedavg_round(spec, fed, branch, survivors, step).global_after
-        other = fedavg_round(spec, fed, other, survivors, step).global_after
+        branch = kernel_round(survivors, branch, step)[1]
+        other = kernel_round(survivors, other, step)[1]
         gaps.append(float(np.linalg.norm(branch - other)))
     decays = all(gaps[i + 1] <= factor * gaps[i] * (1.0 + 1e-10) for i in range(15))
     elapsed = time.perf_counter() - start
@@ -161,13 +161,13 @@ def test_criterion_4_increment_proxy_equivalence():
         history = TrainingHistory(theta0)
         retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds), history=history)
         everyone = fed.cohort(range(fed.client_count), spec)
-        records = [fedavg_round(spec, fed, history.models[n], everyone, n) for n in range(rounds)]
-        for record in records:
-            directs = client_increments_direct(record)
-            fasts = client_increments_fast(record)
+        records = [kernel_round(everyone, history.models[n], n) for n in range(rounds)]
+        for client_models, after in records:
+            directs = client_increments_direct(everyone, client_models, after)
+            fasts = round_increments(everyone, client_models, after)
             for direct, fast in zip(directs.tolist(), fasts.tolist()):
                 worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-12))
-        return fed, records
+        return everyone, records
 
     spec, datasets = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
     sweep(spec, datasets, local_steps=1, rounds=40)
@@ -177,12 +177,12 @@ def test_criterion_4_increment_proxy_equivalence():
 
     # uniform weights collapse the proxy to gap/(M-1)
     spec, datasets = make_ridge(clients=10, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    fed, records = sweep(spec, datasets, local_steps=1, rounds=20, weights=(0.1,) * 10)
+    everyone, records = sweep(spec, datasets, local_steps=1, rounds=20, weights=(0.1,) * 10)
     worst_uniform = -math.inf
-    for record in records:
-        fasts = client_increments_fast(record)
+    for client_models, after in records:
+        fasts = round_increments(everyone, client_models, after)
         for client in range(10):
-            gap = float(np.linalg.norm(record.client_models[client] - record.global_after))
+            gap = float(np.linalg.norm(client_models[client] - after))
             expected = gap / 9.0
             fast = fasts[client]
             worst_uniform = max(worst_uniform, abs(fast - expected) / max(expected, 1e-30))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,20 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_near
+from conftest import assert_near, round_increments
 from fedunlearn import models, oracle, runner, unlearn
 from fedunlearn.cli import main
 from fedunlearn.config import load_config
 from fedunlearn.engine import (
-    fedavg_round,
     federation_loss,
+    kernel_round,
     read_checkpoint,
     renormalized_weights,
     write_checkpoint,
 )
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.runner import prepare
-from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
+from fedunlearn.sensitivity import SensitivityLedger
 from fedunlearn.serialize import dumps17
 
 
@@ -102,7 +103,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     prepared = prepare(load_config(config))
     spec, fed, rounds = prepared.spec, prepared.fed, prepared.config.rounds
     everyone = fed.cohort(range(fed.client_count), spec)
-    # the weights fedavg_round aggregates with, renormalised even with no client out
+    # the weights kernel_round aggregates with, renormalised even with no client out
     assert everyone.weights.tobytes() == renormalized_weights(fed.weights, set()).tobytes()
     # train steps this ridge cohort by its aggregate map: it meets the
     # per-round loop to rounding
@@ -110,14 +111,13 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     ledger = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     theta, rows, kept = prepared.theta0, [], [prepared.theta0]
     for n in range(rounds):
-        record = fedavg_round(spec, fed, theta, everyone, n)
-        theta = record.global_after
-        deltas = dict(enumerate(client_increments_fast(record).tolist()))
-        ledger.record_round([deltas[c] for c in everyone.active])
+        client_models, theta = kernel_round(everyone, theta, n)
+        deltas = dict(enumerate(round_increments(everyone, client_models, theta).tolist()))
+        ledger.extend([[deltas[c] for c in everyone.active]])
         rows.append(
             {
                 "round": n,
-                "global_loss": federation_loss(spec, fed, theta, everyone),
+                "global_loss": federation_loss(everyone, theta),
                 "max_delta": max(deltas.values()),
                 "max_psi": float(ledger.psi[-1].max()),
             }
@@ -131,7 +131,7 @@ def test_train_artifacts_match_a_hand_written_round_loop(workdir):
     _, loaded = runner._load_train(train, prepared, with_ledger=True)
     looped = SensitivityLedger(prepared.contraction, fed.local_steps, fed.client_count)
     for row in block:
-        looped.record_round(row)
+        looped.extend([row])
     assert loaded.deltas.tobytes() == block.tobytes()
     assert loaded.psi.tobytes() == looped.psi.tobytes()
     assert_near(loaded.psi, ledger.psi)
@@ -656,7 +656,7 @@ def count_verify_federations(workdir, monkeypatch, doc):
         calls["retrain_until"] += 1
         return real_retrain(*args, **kwargs)
 
-    def kernel_round(cohort, theta, n, first_grads=None):
+    def counted_round(cohort, theta, n, first_grads=None):
         calls["all-client rounds"] += cohort.active == (0, 1, 2)
         return real_round(cohort, theta, n, first_grads)
 
@@ -667,7 +667,7 @@ def count_verify_federations(workdir, monkeypatch, doc):
 
     for module in (runner, oracle):
         monkeypatch.setattr(module, "retrain_until", retrain)
-    monkeypatch.setattr(unlearn, "kernel_round", kernel_round)
+    monkeypatch.setattr(unlearn, "kernel_round", counted_round)
     monkeypatch.setattr(unlearn, "affine_round", affine_round)
     assert main(["verify", config]) == 0
     return calls
@@ -711,7 +711,7 @@ def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
     prepared = prepare(load_config(config))
     ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
     for row in read_checkpoint(run_dir(workdir, doc) / "train" / "ledger.ckpt")[1]:
-        ledger.record_round(row)
+        ledger.extend([row])
     assert [trace.client for trace in traces] == [0, 1, 2]
     for trace in traces:
         assert trace.psis.tobytes() == ledger.psi[:, trace.client].tobytes()
@@ -826,6 +826,28 @@ def test_usage_errors(workdir, tmp_path):
         for method in ("sifu", "scratch"):
             assert main(["unlearn", config, "--method", method]) == 2
         assert not run_dir(workdir, doc).exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("budget", "sigma", math.nan),
+        ("budget", "epsilon", math.nan),
+        ("federation", "eta", math.nan),
+        ("model", "l2", math.nan),
+        ("data", "heterogeneity", math.nan),
+        ("data", "noise", math.nan),
+        ("federation", "weights", [0.25, 0.25, math.nan]),
+        ("federation", "weights", [0.5, 0.75, -0.25]),
+    ],
+    ids=["sigma", "epsilon", "eta", "l2", "heterogeneity", "noise", "nan-weight", "negative-weight"],
+)
+def test_a_nan_number_or_a_negative_weight_is_refused_at_train(workdir, capsys, section, key, value):
+    doc = base_doc("cli_refused_value")
+    doc[section][key] = value
+    assert main(["train", write_doc(workdir, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir(workdir, doc).exists()
 
 
 def test_unlearn_before_train_is_a_usage_error(workdir):

@@ -205,6 +205,37 @@ def test_weights_validated_against_client_count():
         parse(doc)
 
 
+def test_nan_numbers_and_negative_weights_are_refused_and_infinities_pass():
+    for section, key in [
+        ("budget", "sigma"),
+        ("budget", "epsilon"),
+        ("federation", "eta"),
+        ("model", "l2"),
+        ("data", "heterogeneity"),
+        ("data", "noise"),
+        ("stopping", "loss_threshold"),
+    ]:
+        doc = base_doc()
+        doc[section][key] = math.nan
+        # json writes NaN as a bare token, which json.loads reads back
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected a number"):
+            parse(doc)
+    doc = base_doc()
+    doc["federation"]["weights"] = [0.25, 0.25, math.nan, 0.5]
+    with pytest.raises(ConfigError, match=r"weights\[\]: expected a number"):
+        parse(doc)
+    doc["federation"]["weights"] = [0.5, 0.5, 0.5, -0.5]
+    with pytest.raises(ConfigError, match="non-negative"):
+        parse(doc)
+    # an infinite number is no NaN: it reaches the checks of what it sets
+    doc = base_doc()
+    doc["budget"]["sigma"] = math.inf
+    assert parse(doc).budget.sigma == math.inf
+    doc["federation"]["eta"] = -math.inf
+    with pytest.raises(ConfigError, match="eta must be positive"):
+        parse(doc)
+
+
 def test_psi_star_cross_check():
     doc = base_doc()
     config = parse(doc)

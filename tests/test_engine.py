@@ -15,6 +15,7 @@ from conftest import (
     make_logistic,
     make_ridge,
     ridge_opt,
+    round_increments,
     round_loop,
     train_world,
     two_client_toy,
@@ -23,11 +24,11 @@ from fedunlearn import models, unlearn
 from fedunlearn.engine import (
     Cohort,
     FederationConfig,
-    aggregate,
-    fedavg_round,
+    _accumulate,
     federation_loss,
     federation_loss_and_grads,
     init_params,
+    kernel_round,
     local_updates,
     read_checkpoint,
     renormalized_weights,
@@ -41,7 +42,7 @@ from fedunlearn.errors import (
 )
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, loss, regime_constants
-from fedunlearn.sensitivity import SensitivityLedger, client_increments_fast
+from fedunlearn.sensitivity import SensitivityLedger
 from fedunlearn.unlearn import StoppingRule, retrain_until
 
 IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
@@ -122,13 +123,8 @@ def test_divergence_guard_bounds_the_norm_in_one_comparison(theta, diverges):
 
 def test_aggregate_identity_and_mean():
     a, b = np.array([1.0, 3.0]), np.array([3.0, 5.0])
-    np.testing.assert_array_equal(aggregate([a], [1.0]), a)
-    np.testing.assert_array_equal(aggregate([a, b], [0.5, 0.5]), [2.0, 4.0])
-
-
-def test_aggregate_weight_sum_checked():
-    with pytest.raises(ValueError):
-        aggregate([np.zeros(2), np.zeros(2)], [0.5, 0.4])
+    np.testing.assert_array_equal(_accumulate(a[None], np.array([1.0])), a)
+    np.testing.assert_array_equal(_accumulate(np.array([a, b]), np.array([0.5, 0.5])), [2.0, 4.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,8 +134,8 @@ def test_aggregate_weight_sum_checked():
 )
 def test_aggregate_affine_equivariance(thetas, shift):
     weights = np.array([0.5, 0.25, 0.25])
-    lhs = aggregate([t + shift for t in thetas], weights)
-    rhs = aggregate(list(thetas), weights) + shift
+    lhs = _accumulate(thetas + shift, weights)
+    rhs = _accumulate(thetas, weights) + shift
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -170,31 +166,33 @@ def test_renormalized_weights_cannot_drop_everyone():
 
 
 def rounds_of(spec, fed, theta0, rounds, active=None):
-    """The run's RoundRecords, replayed with fedavg_round from the models
-    retrain_until recorded."""
+    """The run's rounds as (model before, client models, model after),
+    replayed with kernel_round from the models retrain_until recorded."""
     active = tuple(range(fed.client_count)) if active is None else active
     history = TrainingHistory(theta0)
     retrain_until(spec, fed, theta0, active, exactly(rounds), history=history)
     cohort = fed.cohort(active, spec)
-    return [fedavg_round(spec, fed, history.models[n], cohort, n) for n in range(rounds)]
+    return [(history.models[n], *kernel_round(cohort, history.models[n], n)) for n in range(rounds)]
 
 
 def final_model(spec, fed, theta0, rounds):
     return retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds)).final_model
 
 
-def test_round_record_chains_and_covers_active_set():
+def test_rounds_chain_and_cover_the_active_set():
     spec, datasets = make_ridge(clients=4, seed=1)
     fed, _ = fed_for(spec, datasets, frac=0.5)
     theta0 = init_params(spec, 3)
     records = rounds_of(spec, fed, theta0, 6, active=(0, 2, 3))
     assert len(records) == 6
-    np.testing.assert_array_equal(records[0].global_before, theta0)
-    for prev, cur in zip(records, records[1:]):
-        # the run stepped by the cohort's aggregate map, which meets fedavg_round to rounding
-        assert_near(prev.global_after, cur.global_before)
-        assert cur.active == (0, 2, 3)
-        assert cur.client_models.shape == (3, 4)
+    np.testing.assert_array_equal(records[0][0], theta0)
+    everyone = fed.cohort(range(4), spec)
+    for n, ((_, _, after), (before, client_models, _)) in enumerate(zip(records, records[1:]), start=1):
+        # the run stepped by the cohort's aggregate map, which meets kernel_round to rounding
+        assert_near(after, before)
+        assert client_models.shape == (3, 4)
+        # row i is client active[i]'s local model
+        assert client_models.tobytes() == kernel_round(everyone, before, n)[0][[0, 2, 3]].tobytes()
 
 
 def test_single_client_federation_is_plain_gd():
@@ -245,9 +243,9 @@ def test_single_step_descent_on_weighted_objective():
     fed = FederationConfig.from_datasets(datasets, eta=0.9 / constants.beta, local_steps=1)
     theta = init_params(spec, 1)
     everyone = fed.cohort(range(4), spec)
-    losses = [federation_loss(spec, fed, theta, everyone)]
-    for record in rounds_of(spec, fed, theta, 25):
-        losses.append(federation_loss(spec, fed, record.global_after, everyone))
+    losses = [federation_loss(everyone, theta)]
+    for _, _, after in rounds_of(spec, fed, theta, 25):
+        losses.append(federation_loss(everyone, after))
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-10)
 
@@ -327,12 +325,12 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
         else:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    assert cohort.active == active
     for n in range(rounds):
-        record = fedavg_round(spec, fed, theta, cohort, n)
+        client_models, after = kernel_round(cohort, theta, n)
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
-        assert record.active == active
-        same(record.client_models, np.array(local_models))
-        same(record.global_after, total)
+        same(client_models, np.array(local_models))
+        same(after, total)
         same(history.models[n + 1], total)
         same(ledger.deltas[n], deltas)
         same(np.float64(result.loss_trace[n + 1][1]), np.float64(retained))
@@ -405,13 +403,14 @@ def test_subset_round_increments_use_the_renormalised_weights():
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=raw / raw.sum())
     active = (1, 2, 4, 7, 8)
     q = renormalized_weights(fed.weights, set(range(10)) - set(active))
-    record = fedavg_round(spec, fed, init_params(spec, 4), fed.cohort(active, spec), 0)
+    cohort = fed.cohort(active, spec)
+    client_models, after = kernel_round(cohort, init_params(spec, 4), 0)
     want = np.zeros(10)
     for row, c in enumerate(active):
         p = float(q[c])
-        want[c] = p / (1.0 - p) * float(np.linalg.norm(record.client_models[row] - record.global_after))
-    assert record.weights.tobytes() == q.tobytes()
-    assert client_increments_fast(record).tobytes() == want.tobytes()
+        want[c] = p / (1.0 - p) * float(np.linalg.norm(client_models[row] - after))
+    assert cohort.weights.tobytes() == q.tobytes()
+    assert round_increments(cohort, client_models, after).tobytes() == want.tobytes()
 
 
 def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
@@ -425,16 +424,16 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
     monkeypatch.setattr(models, "stacked_grad", counted)
     spec, datasets = make_logistic(clients=6, samples=10, seed=2)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
-    fedavg_round(spec, fed, np.zeros(4), fed.cohort(range(6), spec), 0)
+    kernel_round(fed.cohort(range(6), spec), np.zeros(4), 0)
     assert calls == [6, 6, 6]  # K calls over all C clients, not C * K
     calls.clear()
-    fedavg_round(spec, fed, np.zeros(4), fed.cohort((1, 4), spec), 0)
+    kernel_round(fed.cohort((1, 4), spec), np.zeros(4), 0)
     assert calls == [2, 2, 2]
     # ridge stacks with d <= n advance by their operators, with no kernel call
     spec, datasets = make_ridge(clients=6, samples=10, seed=2)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
     calls.clear()
-    fedavg_round(spec, fed, np.zeros(4), fed.cohort(range(6), spec), 0)
+    kernel_round(fed.cohort(range(6), spec), np.zeros(4), 0)
     assert calls == []
 
 
@@ -466,8 +465,8 @@ def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch)
     theta = np.zeros(4)
     for n, active in enumerate([range(12), (0, 2, 3), range(12), (1, 3, 10), (4, 11)]):
         cohort = fed.cohort(active, spec)
-        theta = fedavg_round(spec, fed, theta, cohort, n).global_after
-        federation_loss(spec, fed, theta, cohort)
+        theta = kernel_round(cohort, theta, n)[1]
+        federation_loss(cohort, theta)
     # the d > n group (2, 3, 4) has no moments, so none are built for it
     assert calls == [((7, 16, 4), 0.1), ((3, 11, 4), 0.1)]
     wide = [operators for rows, _, _, operators in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
@@ -494,10 +493,10 @@ def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
         each = ModelSpec(ModelKind.RIDGE, (4,), l2)
         theta = theta0
         for n in range(3):
-            record = fedavg_round(each, fed, theta, fed.cohort(range(12), each), n)
+            _, after = kernel_round(fed.cohort(range(12), each), theta, n)
             _, want, _, _ = per_client_round(each, fed, theta, tuple(range(12)))
-            assert_near(record.global_after, want)
-            theta = record.global_after
+            assert_near(after, want)
+            theta = after
         finals.setdefault(l2, []).append(theta)
     assert finals[0.1][0].tobytes() == finals[0.1][1].tobytes()
     assert np.linalg.norm(finals[0.1][0] - finals[0.5][0]) > 1e-3
@@ -524,8 +523,8 @@ def test_logistic_and_mlp_federations_build_no_operators(monkeypatch, model):
     theta = init_params(spec, 0)
     for n, active in enumerate([range(10), (0, 2, 3)]):
         cohort = fed.cohort(active, spec)
-        theta = fedavg_round(spec, fed, theta, cohort, n).global_after
-        federation_loss(spec, fed, theta, cohort)
+        theta = kernel_round(cohort, theta, n)[1]
+        federation_loss(cohort, theta)
     assert calls == []
     assert all(operators is None for *_, operators in fed.cohort(range(10), spec).stacks)
 
@@ -545,17 +544,17 @@ def test_fused_ridge_round_matches_the_per_step_kernel(local_steps, active):
     everyone = fed.cohort(range(12), spec)
     theta = 0.3 * np.random.default_rng(5).standard_normal(4)
     for n in range(4):
-        record = fedavg_round(spec, fed, theta, cohort, n)
+        client_models, after = kernel_round(cohort, theta, n)
         # a client's local model does not depend on who shares its stack
-        in_full = fedavg_round(spec, fed, theta, everyone, n).client_models[list(active)]
-        assert record.client_models.tobytes() == in_full.tobytes()
+        in_full = kernel_round(everyone, theta, n)[0][list(active)]
+        assert client_models.tobytes() == in_full.tobytes()
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
-        assert_near(record.client_models, local_models)
+        assert_near(client_models, local_models)
         for rows in per_step:
-            assert record.client_models[rows].tobytes() == np.array(local_models)[rows].tobytes()
-        assert_near(record.global_after, total)
-        assert_near(client_increments_fast(record), deltas)
-        assert_near(federation_loss(spec, fed, record.global_after, cohort), retained)
+            assert client_models[rows].tobytes() == np.array(local_models)[rows].tobytes()
+        assert_near(after, total)
+        assert_near(round_increments(cohort, client_models, after), deltas)
+        assert_near(federation_loss(cohort, after), retained)
         theta = total
 
 
@@ -633,7 +632,7 @@ def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active)
     # the ledger's Psi is the recurrence over its own rows, bit for bit
     looped = SensitivityLedger(0.9, local_steps, fed.client_count)
     for row in ledger.deltas:
-        looped.record_round(row)
+        looped.extend(row[None])
     assert ledger.psi.tobytes() == looped.psi.tobytes()
 
 
@@ -658,7 +657,7 @@ def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
 @pytest.mark.parametrize("active", [tuple(range(12)), (0, 2, 5, 10)], ids=["all", "subset"])
 def test_a_mixed_cohort_keeps_the_per_round_path_bit_for_bit(active):
     """One stack with d > n (clients 10 and 11) and the rest with operators:
-    no aggregate map, so every round is a fedavg_round."""
+    no aggregate map, so every round is a kernel_round."""
     spec, datasets = mixed_ridge_world()
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
     cohort = fed.cohort(active, spec)
@@ -684,7 +683,7 @@ def test_a_kernel_run_books_what_the_per_round_loop_records_bit_for_bit(model, a
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(7))
     looped = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
     for row in want_deltas:
-        looped.record_round(row)
+        looped.extend(row[None])
     assert kept.tobytes() == want_models.tobytes()
     assert ledger.deltas.tobytes() == want_deltas.tobytes()
     assert ledger.psi.tobytes() == looped.psi.tobytes()
@@ -741,7 +740,7 @@ def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(40))
     looped = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
     for row in want_deltas:
-        looped.record_round(row)
+        looped.extend(row[None])
     assert result.rounds == 40 and [n for n, _ in result.loss_trace] == list(range(2, 43))
     assert kept.tobytes() == want_models.tobytes()
     assert ledger.deltas.tobytes() == want_deltas.tobytes()
@@ -858,7 +857,7 @@ def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):
         rng = np.random.default_rng(15)
         for theta in [anchor] + [0.3 * rng.standard_normal(4) for _ in range(6)]:
             want = kernel_rows_loss(spec, cohort, theta)
-            assert abs(federation_loss(spec, fed, theta, cohort) - want) <= 1e-13 * abs(want)
+            assert abs(federation_loss(cohort, theta) - want) <= 1e-13 * abs(want)
 
 
 def test_empty_active_set_rejected():
@@ -938,7 +937,7 @@ def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
     assert len(cohort.data) == 2
     theta = 0.3 * np.random.default_rng(7).standard_normal(spec.param_count)
     want = kernel_rows_loss(spec, cohort, theta)
-    got = federation_loss(spec, fed, theta, cohort)
+    got = federation_loss(cohort, theta)
     if model == "ridge":
         assert cohort.quadratic is not None
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -980,16 +979,16 @@ def test_the_fused_pass_equals_the_separate_kernels_bitwise(model, removed, loca
     cohort = fed.cohort([c for c in range(fed.client_count) if c != removed], spec)
     assert len(cohort.data) == 2 and cohort.quadratic is None
     theta, elsewhere = 0.3 * np.random.default_rng(9).standard_normal((2, spec.param_count))
-    value, grads = federation_loss_and_grads(spec, fed, theta, cohort)
-    assert np.float64(value).tobytes() == np.float64(federation_loss(spec, fed, theta, cohort)).tobytes()
+    value, grads = federation_loss_and_grads(cohort, theta)
+    assert np.float64(value).tobytes() == np.float64(federation_loss(cohort, theta)).tobytes()
     for (rows, features, targets), first in zip(cohort.data, grads):
         repeated = np.repeat(theta[None], len(rows), axis=0)
         assert first.tobytes() == models.stacked_grad(spec, features, targets, repeated).tobytes()
     want = row_kernel_models(spec, fed, theta, cohort).tobytes()
-    assert fedavg_round(spec, fed, theta, cohort, 0, grads).client_models.tobytes() == want
-    assert fedavg_round(spec, fed, theta, cohort, 0).client_models.tobytes() == want
-    _, stale = federation_loss_and_grads(spec, fed, elsewhere, cohort)
-    assert fedavg_round(spec, fed, theta, cohort, 0, stale).client_models.tobytes() != want
+    assert kernel_round(cohort, theta, 0, grads)[0].tobytes() == want
+    assert kernel_round(cohort, theta, 0)[0].tobytes() == want
+    _, stale = federation_loss_and_grads(cohort, elsewhere)
+    assert kernel_round(cohort, theta, 0, stale)[0].tobytes() != want
 
 
 @pytest.mark.parametrize("local_steps", [1, 3])
@@ -1003,11 +1002,11 @@ def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, loc
     active = [c for c in range(fed.client_count) if c != 3]
     cohort = fed.cohort(active, spec)
     thetas = [0.3 * np.random.default_rng(10).standard_normal(spec.param_count)]
-    losses = [federation_loss(spec, fed, thetas[0], cohort)]
+    losses = [federation_loss(cohort, thetas[0])]
     for _ in range(8):
         local = row_kernel_models(spec, fed, thetas[-1], cohort)
         thetas.append(np.add.accumulate(cohort.active_weights[:, None] * local, axis=0)[-1])
-        losses.append(federation_loss(spec, fed, thetas[-1], cohort))
+        losses.append(federation_loss(cohort, thetas[-1]))
     rule = StoppingRule(losses[5], 0, 8)
     stop = next(n for n, value in enumerate(losses) if value <= rule.loss_threshold)
     assert stop >= 2
@@ -1042,14 +1041,14 @@ def test_ridge_quadratic_loss_matches_the_kernel_rows(case):
     if case == "singular":
         assert np.linalg.matrix_rank(hessian) == 3
     # at the anchor the form is the kernel's own value
-    assert federation_loss(spec, fed, anchor, cohort) == anchor_loss == kernel_rows_loss(spec, cohort, anchor)
+    assert federation_loss(cohort, anchor) == anchor_loss == kernel_rows_loss(spec, cohort, anchor)
     scale = 30.0 if case == "far" else 0.3
     rng = np.random.default_rng(8)
     for theta in [anchor + 1e-6 * rng.standard_normal(4)] + [scale * rng.standard_normal(4) for _ in range(8)]:
         want = kernel_rows_loss(spec, cohort, theta)
-        assert abs(federation_loss(spec, fed, theta, cohort) - want) <= 1e-13 * abs(want)
+        assert abs(federation_loss(cohort, theta) - want) <= 1e-13 * abs(want)
     with pytest.raises(DimensionMismatchError):
-        federation_loss(spec, fed, np.zeros(5), cohort)
+        federation_loss(cohort, np.zeros(5))
 
 
 @pytest.mark.parametrize("world", ["ragged", "singular"])
@@ -1061,10 +1060,10 @@ def test_a_cohorts_loss_does_not_depend_on_which_theta_came_first(world):
     feds = [FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2) for _ in range(2)]
     active = (0, 2, 3, 5, 8, 9)
     thetas = [0.3 * np.random.default_rng(9).standard_normal(4), np.zeros(4), np.full(4, 40.0)]
-    first = [federation_loss(spec, feds[0], theta, feds[0].cohort(active, spec)) for theta in thetas]
+    first = [federation_loss(feds[0].cohort(active, spec), theta) for theta in thetas]
     for fed in (feds[0], feds[1]):
         cohort = fed.cohort(active, spec)
-        backwards = [federation_loss(spec, fed, theta, cohort) for theta in thetas[::-1]]
+        backwards = [federation_loss(cohort, theta) for theta in thetas[::-1]]
         assert np.array(backwards[::-1]).tobytes() == np.array(first).tobytes()
 
 
@@ -1124,8 +1123,8 @@ def test_ridge_moments_are_built_once_per_federation(monkeypatch):
         each = ModelSpec(ModelKind.RIDGE, (4,), l2)
         for active in (range(12), (0, 2, 3), (1, 3)):
             cohort = fed.cohort(active, each)
-            federation_loss(each, fed, theta, cohort)
-            theta = fedavg_round(each, fed, theta, cohort, n).global_after
+            federation_loss(cohort, theta)
+            theta = kernel_round(cohort, theta, n)[1]
     assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
     # the quadratic takes a stack's moments only when every stack has them
     assert fed.cohort((0, 2), spec).quadratic is not None
@@ -1138,11 +1137,11 @@ def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_in
     spec, datasets = make_ridge(clients=3, seed=4)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=2)
     lone = fed.cohort((1,), spec)
-    record = fedavg_round(spec, fed, np.zeros(4), lone, 0)
-    assert record.global_after.tobytes() == record.client_models[0].tobytes()
+    client_models, after = kernel_round(lone, np.zeros(4), 0)
+    assert after.tobytes() == client_models[0].tobytes()
     for _ in range(2):
         with pytest.raises(SingularRemovalError, match="client 1"):
-            client_increments_fast(record)
+            round_increments(lone, client_models, after)
     pair = fed.cohort((0, 2), spec)
     scale = pair.increment_scale
     assert scale.tobytes() == (pair.active_weights / (1.0 - pair.active_weights)).tobytes()
@@ -1155,9 +1154,9 @@ def test_federation_loss_matches_manual_weighted_sum():
     theta = init_params(spec, 2)
     want = sum(w * loss(spec, d, theta) for w, d in zip(weights, datasets))
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1, weights=weights)
-    got = federation_loss(spec, fed, theta, fed.cohort(range(3), spec))
+    got = federation_loss(fed.cohort(range(3), spec), theta)
     assert got == pytest.approx(want, rel=1e-15)
-    partial = federation_loss(spec, fed, theta, fed.cohort((1, 2), spec))
+    partial = federation_loss(fed.cohort((1, 2), spec), theta)
     want = 0.6 * loss(spec, datasets[1], theta) + 0.4 * loss(spec, datasets[2], theta)
     assert partial == pytest.approx(want, rel=1e-15)
 

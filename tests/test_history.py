@@ -9,10 +9,7 @@ def vec(x):
 
 
 def linear_history(n):
-    hist = TrainingHistory(vec(0))
-    for k in range(1, n + 1):
-        hist.append_model(vec(k))
-    return hist
+    return TrainingHistory.from_models([vec(k) for k in range(n + 1)])
 
 
 def test_append_and_lookup():
@@ -25,8 +22,8 @@ def test_append_and_lookup():
 
 def test_append_returns_new_position():
     hist = TrainingHistory(vec(0))
-    assert hist.append_model(vec(1)) == 1
-    assert hist.append_model(vec(2)) == 2
+    assert hist.extend([vec(1)]) == 1
+    assert hist.extend([vec(2)]) == 2
 
 
 def test_stored_models_are_copies():
@@ -70,7 +67,7 @@ def test_new_segment_overlays_the_boundary_position():
     assert hist.end_position == 3
     np.testing.assert_array_equal(hist.model_at(3), vec(100))
     np.testing.assert_array_equal(hist.model_at(2), vec(2))
-    assert hist.append_model(vec(200)) == 4
+    assert hist.extend([vec(200)]) == 4
     np.testing.assert_array_equal(hist.model_at(4), vec(200))
 
 
@@ -78,8 +75,8 @@ def test_truncate_across_segments_drops_whole_suffix():
     hist = linear_history(4)
     hist.truncate(2)
     hist.restart(vec(50))
-    hist.append_model(vec(51))
-    hist.append_model(vec(52))
+    hist.extend([vec(51)])
+    hist.extend([vec(52)])
     assert hist.end_position == 4
     hist.truncate(1)
     assert hist.end_position == 1
@@ -93,7 +90,7 @@ def test_truncate_to_segment_boundary_keeps_newer_owner():
     hist = linear_history(3)
     hist.truncate(2)
     hist.restart(vec(70))
-    hist.append_model(vec(71))
+    hist.extend([vec(71)])
     hist.truncate(2)
     # the restart's model, not training's, stays at the boundary
     np.testing.assert_array_equal(hist.model_at(2), vec(70))

@@ -1,6 +1,9 @@
-"""Every imported name in the code base is used.
+"""Every imported name in the code base is used, and every definition in
+the package is.
 
-Package `__init__.py` files are skipped: their imports are re-exports.
+Package `__init__.py` files are skipped by the import scan: their imports
+are re-exports.  The definition scan counts them as references, and counts
+no test: a function only the tests call is dead code.
 """
 import ast
 from pathlib import Path
@@ -14,6 +17,10 @@ SOURCES = sorted(
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "scripts").rglob("*.py"))
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, *_DEFINITIONS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +63,65 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> dict[str, int]:
+    """Functions, methods and classes a source defines, dunders aside, by
+    the line of their first definition."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
+            found.setdefault(node.name, node.lineno)
+    return found
+
+
+def references(source: str) -> set[str]:
+    """Names a source refers to: by name, by attribute, by an imported name
+    and by a string that is the name; docstrings do not count."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(scope.body[0].value)
+        for scope in ast.walk(tree)
+        if isinstance(scope, _SCOPES) and scope.body and isinstance(scope.body[0], ast.Expr)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            found.add(node.value)
+    return found
+
+
+def unreferenced(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """`file:line name` of each definition in the `defining` sources (by
+    file name) that none of the `calling` sources refers to."""
+    used = set().union(*(references(source) for source in calling))
+    return [
+        f"{name}:{line} {defined}"
+        for name, source in defining.items()
+        for defined, line in sorted(definitions(source).items(), key=lambda item: item[1])
+        if defined not in used
+    ]
+
+
+def test_the_scan_flags_an_unreferenced_definition():
+    package = {
+        "a.py": (
+            'class A:\n    """f is not a use."""\n    def __init__(self): pass\n'
+            "    def f(self): pass\n    def g(self): pass\n\n"
+            "def h(): pass\ndef k(): pass\ndef m(): pass\n"
+        ),
+        "__init__.py": "from .a import A\n",
+    }
+    callers = [*package.values(), 'A().g()\nh\ngetattr(A, "k")\nprint("m is here")\n']
+    assert unreferenced(package, callers) == ["a.py:4 f", "a.py:9 m"]
+
+
+def test_every_package_definition_is_used_by_the_package_or_its_scripts():
+    package = {str(path.relative_to(ROOT / "src")): path.read_text() for path in PACKAGE}
+    assert unreferenced(package, [path.read_text() for path in CALLERS]) == []

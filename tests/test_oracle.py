@@ -14,7 +14,7 @@ from conftest import (
 from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn import oracle, unlearn
-from fedunlearn.engine import FederationConfig, fedavg_round, init_params
+from fedunlearn.engine import FederationConfig, init_params, kernel_round
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, regime_constants
@@ -139,7 +139,7 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
         for n in range(6):
             # each round of the run without the client is its cohort's aggregate map
             without.append(maps @ without[-1] + offsets)
-            by_round.append(fedavg_round(spec, fed, by_round[-1], survivors, n).global_after)
+            by_round.append(kernel_round(survivors, by_round[-1], n)[1])
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_array_equal(trace.alphas, want)
         np.testing.assert_allclose(closed_trace.alphas, want, rtol=1e-12, atol=0)
@@ -154,9 +154,9 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
     calls, kernel_calls = [], []
     real, real_kernel = unlearn.federation_loss_and_grads, models.stacked_loss
 
-    def counted(spec, config, theta, cohort):
+    def counted(cohort, theta):
         calls.append(len(cohort.active))
-        return real(spec, config, theta, cohort)
+        return real(cohort, theta)
 
     def counted_kernel(*args):
         kernel_calls.append(args[1].shape[0])
@@ -238,7 +238,7 @@ def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
     # the same increments under a decay far faster than the true contraction
     shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
     for row in ledger.deltas:
-        shrunk.record_round(row)
+        shrunk.extend([row])
     closed = [check_bound(t) for t in ridge_sensitivity(fed, spec, history, shrunk)]
     retrained = [check_bound(t) for t in retrained_sensitivity(fed, spec, history, shrunk)]
     assert not all(report.passed for report in closed)
@@ -287,7 +287,7 @@ def test_a_diverging_leave_one_out_run_raises():
     history = TrainingHistory.from_models(np.zeros((31, 3)))
     ledger = SensitivityLedger(1.0, 1, 3)
     for _ in range(30):
-        ledger.record_round(np.zeros(3))
+        ledger.extend([np.zeros(3)])
     with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError) as err:
         ridge_sensitivity(fed, spec, history, ledger)
     assert err.value.round_index is not None

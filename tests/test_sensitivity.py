@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQ, client_increments_direct
+from conftest import SQ, client_increments_direct, round_increments
 from fedunlearn import runner
 from fedunlearn.config import parse_config
-from fedunlearn.engine import Cohort, RoundRecord, aggregate, read_checkpoint, renormalized_weights, write_checkpoint
+from fedunlearn.engine import Cohort, _accumulate, read_checkpoint, renormalized_weights, write_checkpoint
 from fedunlearn.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -21,7 +21,6 @@ from fedunlearn.models import Regime, RegimeConstants
 from fedunlearn.sensitivity import (
     NoiseBudget,
     SensitivityLedger,
-    client_increments_fast,
     contraction_factor,
     noise_std,
     psi_star,
@@ -32,13 +31,14 @@ SC_UNIT = RegimeConstants(Regime.STRONGLY_CONVEX, 1.0, 1.0, 0.0)
 SMOOTH_2 = RegimeConstants(Regime.SMOOTH, 2.0, 0.0, 0.0)
 
 
-def toy_record(client_models, weights, round_index=0, active=None):
+def toy_round(client_models, weights, active=None):
+    """(cohort, client models, aggregate) of one round of these models."""
     models = np.asarray(client_models, dtype=np.float64)
     active = tuple(range(len(models))) if active is None else tuple(active)
     weights = np.asarray(weights, dtype=np.float64)
-    agg = aggregate(models, weights[list(active)])
     # a cohort of weights alone: the increments read nothing else
-    return RoundRecord(round_index, np.zeros_like(agg), models, agg, Cohort(active, weights, None, (), (), None))
+    cohort = Cohort(active, weights, None, (), (), None)
+    return cohort, models, _accumulate(models, cohort.active_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +98,29 @@ def test_contraction_strongly_convex_stays_in_unit_interval(beta, ratio, frac):
 
 
 def test_increment_two_uniform_clients_by_hand():
-    record = toy_record([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+    record = toy_round([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     want = math.sqrt(0.5)
-    assert client_increments_fast(record)[1] == pytest.approx(want, rel=1e-15)
-    assert client_increments_direct(record)[1] == pytest.approx(want, rel=1e-15)
+    assert round_increments(*record)[1] == pytest.approx(want, rel=1e-15)
+    assert client_increments_direct(*record)[1] == pytest.approx(want, rel=1e-15)
 
 
 def test_increment_zero_weight_and_absent_client():
     # a vector over every client: the zero-weight client 1 needs company
     # that does not carry the full weight
     weights = [0.5, 0.0, 0.5]
-    record = toy_record([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], weights)
-    assert client_increments_fast(record)[1] == 0.0
-    absent = toy_record([[1.0, 0.0], [1.0, 1.0]], weights, active=(0, 2))
-    assert client_increments_fast(absent)[1] == 0.0
-    assert client_increments_direct(absent)[1] == 0.0
+    record = toy_round([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], weights)
+    assert round_increments(*record)[1] == 0.0
+    absent = toy_round([[1.0, 0.0], [1.0, 1.0]], weights, active=(0, 2))
+    assert round_increments(*absent)[1] == 0.0
+    assert client_increments_direct(*absent)[1] == 0.0
 
 
 def test_increment_full_weight_client_is_singular():
-    record = toy_record([[1.0, 0.0]], [1.0])
+    record = toy_round([[1.0, 0.0]], [1.0])
     with pytest.raises(SingularRemovalError):
-        client_increments_fast(record)
+        round_increments(*record)
     with pytest.raises(SingularRemovalError):
-        client_increments_direct(record)
+        client_increments_direct(*record)
 
 
 def test_uniform_weights_reduce_to_one_over_m_minus_one():
@@ -128,19 +128,19 @@ def test_uniform_weights_reduce_to_one_over_m_minus_one():
     for m in (3, 4, 10):
         models = rng.standard_normal((m, 5))
         weights = np.full(m, 1.0 / m)
-        record = toy_record(models, weights)
+        record = toy_round(models, weights)
         for c in range(m):
-            gap = np.linalg.norm(models[c] - record.global_after)
-            got = client_increments_fast(record)[c]
+            gap = np.linalg.norm(models[c] - record[2])
+            got = round_increments(*record)[c]
             assert got == pytest.approx(gap / (m - 1), rel=1e-15)
 
 
 def test_uniform_factor_is_exact_for_dyadic_counts():
     rng = np.random.default_rng(32)
     models = rng.standard_normal((4, 3))
-    record = toy_record(models, np.full(4, 0.25))
-    gap = float(np.linalg.norm(models[2] - record.global_after))
-    assert client_increments_fast(record)[2] == gap / 3.0
+    record = toy_round(models, np.full(4, 0.25))
+    gap = float(np.linalg.norm(models[2] - record[2]))
+    assert round_increments(*record)[2] == gap / 3.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,9 +152,9 @@ def test_uniform_factor_is_exact_for_dyadic_counts():
 def test_fast_increment_equals_direct_recomputation(values, raw, client):
     models = np.asarray(values).reshape(4, 3)
     weights = np.asarray(raw) / np.sum(raw)
-    record = toy_record(models, weights)
-    fast = client_increments_fast(record)[client]
-    direct = client_increments_direct(record)[client]
+    record = toy_round(models, weights)
+    fast = round_increments(*record)[client]
+    direct = client_increments_direct(*record)[client]
     assert fast == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
@@ -171,8 +171,8 @@ def test_increments_agree_near_full_weight_within_the_cancellation(values, raw, 
     # formulas agree within eps * max||theta|| / (1 - p_c) and no closer
     models = np.asarray(values, dtype=np.float64).reshape(4, 3) / 1000.0
     weights = np.insert(10.0**-rest * np.asarray(raw) / np.sum(raw), heavy, 1.0 - 10.0**-rest)
-    record = toy_record(models, weights)
-    gap = np.abs(client_increments_fast(record) - client_increments_direct(record))
+    record = toy_round(models, weights)
+    gap = np.abs(round_increments(*record) - client_increments_direct(*record))
     scale = np.finfo(np.float64).eps * np.linalg.norm(models, axis=1).max()
     assert (gap <= 8.0 * scale / (1.0 - weights)).all()
 
@@ -184,21 +184,22 @@ def test_stacked_increments_match_a_per_client_reference_bitwise(active, dim):
     raw = np.zeros(9)
     raw[list(active)] = rng.random(len(active)) + 0.05
     weights = raw / raw.sum()
-    record = toy_record(rng.standard_normal((len(active), dim)), weights, active=active)
+    record = toy_round(rng.standard_normal((len(active), dim)), weights, active=active)
+    _, client_models, after = record
     fast, direct = np.zeros(9), np.zeros(9)
     for row, c in enumerate(active):
         p = float(weights[c])
-        gap = float(np.linalg.norm(record.client_models[row] - record.global_after))
+        gap = float(np.linalg.norm(client_models[row] - after))
         fast[c] = p / (1.0 - p) * gap
         # the direct increment as one aggregation per removed client
         q = renormalized_weights(weights, {c})
         total = np.zeros(dim)
-        for other, model in zip(active, record.client_models):
+        for other, model in zip(active, client_models):
             if other != c:
                 total = total + q[other] * model
-        direct[c] = float(np.linalg.norm(record.global_after - total))
-    assert client_increments_fast(record).tobytes() == fast.tobytes()
-    assert client_increments_direct(record).tobytes() == direct.tobytes()
+        direct[c] = float(np.linalg.norm(after - total))
+    assert round_increments(*record).tobytes() == fast.tobytes()
+    assert client_increments_direct(*record).tobytes() == direct.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +254,11 @@ def test_noise_budget_round_trip():
 def ledger_from_deltas(contraction, local_steps, rows, clients=None):
     ledger = SensitivityLedger(contraction, local_steps, len(rows[0]) if clients is None else clients)
     for row in rows:
-        ledger.record_round(row)
+        ledger.extend([row])
     return ledger
 
 
-def test_a_block_loads_as_the_record_round_loop_builds_it():
+def test_a_block_loads_as_a_loop_of_one_row_blocks_builds_it():
     rng = np.random.default_rng(41)
     block = rng.random((30, 5)) * np.logspace(-3, 2, 5)
     block[7] = 0.0
@@ -276,7 +277,7 @@ def test_a_block_loads_as_the_record_round_loop_builds_it():
 def test_blocks_extend_psi_as_the_recurrence_written_row_by_row():
     """extend fills a preallocated Psi block in place; its rows equal the
     recurrence decay * Psi[n] + delta[n] written out one row at a time, and
-    record_round's one-row blocks, bit for bit, however the rounds are split
+    one-row blocks, bit for bit, however the rounds are split
     into blocks and after a truncation."""
     rng = np.random.default_rng(43)
     block = rng.random((40, 6)) * np.logspace(-4, 3, 6)
@@ -347,9 +348,9 @@ def test_untracked_client_reads_zero():
 def test_negative_increment_rejected():
     ledger = SensitivityLedger(1.0, 1, 2)
     with pytest.raises(ValueError, match="client 1"):
-        ledger.record_round([0.0, -0.1])
+        ledger.extend([[0.0, -0.1]])
     with pytest.raises(ValueError, match="shape"):
-        ledger.record_round([0.1])
+        ledger.extend([[0.1]])
     assert len(ledger) == 0
 
 
@@ -357,7 +358,7 @@ def test_negative_increment_rejected():
 def test_non_finite_increment_rejected(value):
     ledger = SensitivityLedger(1.0, 1, 3)
     with pytest.raises(ValueError, match="non-finite increment for client 2"):
-        ledger.record_round([0.0, 0.1, value])
+        ledger.extend([[0.0, 0.1, value]])
     assert len(ledger) == 0
 
 
@@ -450,7 +451,7 @@ def test_truncate_keeps_a_prefix_and_recording_resumes_from_it():
     ledger.truncate(1)
     np.testing.assert_array_equal(ledger.psi, psi[:2])
     np.testing.assert_array_equal(ledger.deltas, deltas[:1])
-    ledger.record_round([0.0, 0.6])
+    ledger.extend([[0.0, 0.6]])
     np.testing.assert_array_equal(ledger.psi[2], ledger.round_decay * psi[1] + [0.0, 0.6])
     ledger.truncate(0)
     assert len(ledger) == 0
@@ -513,7 +514,7 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(script, contraction, lo
     ref = ScalarLedger(contraction, local_steps, clients)
     for op in ops:
         if op[0] == "record":
-            ledger.record_round(op[1])
+            ledger.extend([op[1]])
             ref.rounds.append(list(op[1]))
         else:
             position = int(op[1] * len(ref.rounds))
@@ -541,7 +542,7 @@ def test_ledger_constructor_validation():
 def test_prefix_is_a_separate_ledger():
     ledger = ledger_from_deltas(0.9, 1, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     head = ledger.prefix(2)
-    head.record_round([1.0, 1.0])
+    head.extend([[1.0, 1.0]])
     assert len(ledger) == 3 and len(head) == 3
     np.testing.assert_array_equal(ledger.deltas[2], [0.5, 0.6])
     np.testing.assert_array_equal(head.psi[:3], ledger.psi[:3])
@@ -613,7 +614,7 @@ def test_csv_export_matches_the_csv_writer_reference_at_size(tmp_path):
         row[rng.random(clients) < 0.2] = 0.0
         row[position % clients] = tiny * (position + 1)  # subnormal
         row[(position + 1) % clients] = 1e300 * (1 + rng.random())
-        ledger.record_round(row)
+        ledger.extend([row])
     assert np.isfinite(ledger.psi).all()
     write_checkpoint(path, rounds, ledger.deltas, prepared.digest)
     assert path.read_bytes()[52:] == ledger.deltas.astype("<f8").tobytes()

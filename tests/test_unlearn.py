@@ -11,21 +11,21 @@ from conftest import (
     make_logistic,
     make_ridge,
     ridge_opt,
+    round_increments,
     segment_owner,
     train_world,
 )
 from fedunlearn.engine import (
     FederationConfig,
-    aggregate,
-    fedavg_round,
     federation_loss,
+    kernel_round,
     local_gaps,
     renormalized_weights,
 )
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ClientDataset
-from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, client_increments_fast, noise_std
+from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, noise_std
 from fedunlearn.unlearn import (
     StoppingRule,
     UnlearningRequest,
@@ -151,7 +151,7 @@ def test_retrain_records_history_and_ledger():
 
 def test_all_client_ledger_rows_use_the_aggregation_weights():
     # sample counts whose weights sum to 1 - 2**-53: the ledger must weight the
-    # increments as fedavg_round aggregates, renormalised, not by the raw weights
+    # increments as kernel_round aggregates, renormalised, not by the raw weights
     spec, datasets = make_ridge(clients=5, samples=16, seed=4)
     counts = (16, 11, 16, 11, 16)
     datasets = [ClientDataset(d.features[:n], d.targets[:n]) for d, n in zip(datasets, counts)]
@@ -168,8 +168,8 @@ def test_all_client_ledger_rows_use_the_aggregation_weights():
     assert len(gaps) == 3
     assert ledger.deltas.tobytes() == (p / (1.0 - p) * gaps).tobytes()
     for n in range(3):
-        record = fedavg_round(spec, fed, history.models[n], everyone, n)
-        assert_near(ledger.deltas[n], client_increments_fast(record))
+        client_models, after = kernel_round(everyone, history.models[n], n)
+        assert_near(ledger.deltas[n], round_increments(everyone, client_models, after))
 
 
 def test_retrain_single_active_client_records_empty_deltas():
@@ -191,7 +191,7 @@ def test_retrain_subset_matches_manual_renormalised_loop():
     theta = np.zeros(4)
     for _ in range(5):
         locals_ = [local_update(spec, datasets[i], theta, 0.3, 2) for i in (1, 2)]
-        theta = aggregate(locals_, [0.6, 0.4])
+        theta = 0.6 * locals_[0] + 0.4 * locals_[1]
     assert_near(result.final_model, theta)
 
 
@@ -337,7 +337,7 @@ def test_sequential_requests_accumulate_segments():
         else:
             outcome, survivors = outcomes[owner]
             cohort = fed.cohort(survivors, spec)
-            assert dict(outcome.loss_trace)[p] == federation_loss(spec, fed, history.model_at(p), cohort)
+            assert dict(outcome.loss_trace)[p] == federation_loss(cohort, history.model_at(p))
     np.testing.assert_array_equal(state.history.final_model, second.final_model)
 
 
@@ -384,7 +384,7 @@ def test_baseline_scratch_matches_manual_loop():
     theta = theta0.copy()
     for _ in range(6):
         locals_ = [local_update(spec, datasets[i], theta, 0.2, 1) for i in (1, 2)]
-        theta = aggregate(locals_, [0.6, 0.4])
+        theta = 0.6 * locals_[0] + 0.4 * locals_[1]
     assert_near(out, theta)
 
 
