@@ -8,6 +8,7 @@ optima apart without reshuffling anything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ class DataRecipe:
             raise ValueError("need at least one sample per client")
         if self.features < 1:
             raise ValueError("need at least one feature")
-        if self.heterogeneity < 0:
-            raise ValueError("heterogeneity must be non-negative")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        # written so that NaN and infinity fail too
+        if not 0 <= self.heterogeneity < math.inf:
+            raise ValueError(f"heterogeneity must be finite and non-negative, got {self.heterogeneity!r}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be finite and non-negative, got {self.noise!r}")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
 

@@ -1,30 +1,30 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
-A run aggregates one fixed Cohort of clients (FederationConfig.cohort): their
-renormalised weights and their data stacked by shape, with everything a
-round needs that does not depend on theta, built once per run.  A ridge
-stack with d <= n advances by its clients' K-step maps theta -> A_i theta +
-b_i (models.ridge_operators), and a cohort whose every stack has them
-(Cohort.affine) by their aggregate theta -> M theta + m, M = sum_i q_i A_i,
-m = sum_i q_i b_i, forming no client model (affine_round).  Other cohorts
-step by kernel_round: one (g, d, d) product per operator stack, one kernel
-call per local step for the rest.  A run guards and measures its client
-models a block of rounds at a time (local_gaps, kernel_gaps).
+A federation's clients share one data shape (n, d) and are stacked once, as
+features (C, n, d) and targets (C, n).  A run aggregates one fixed Cohort of
+clients (FederationConfig.cohort): their renormalised weights and their
+rows of the stack, with everything a round needs that does not depend on
+theta, built once per run.  A ridge cohort with d <= n advances by its
+clients' K-step maps theta -> A_i theta + b_i (models.ridge_operators), by
+their aggregate theta -> M theta + m, M = sum_i q_i A_i, m = sum_i q_i b_i
+(Cohort.affine), forming no client model (affine_round).  Every other cohort
+steps by kernel_round, one kernel call per local step.  A run guards and
+measures its client models a block of rounds at a time (local_gaps,
+kernel_gaps).
 
 Determinism contract: repeated runs on one platform are bit-identical.
-kernel_round equals the per-client loop bit for bit, except a ridge
-operator stack, which equals the per-step loop to rounding, as do
-affine_round and the client models local_gaps recomputes.  Each stacked
+kernel_round equals the per-client loop bit for bit; affine_round and the
+client models local_gaps recomputes equal it to rounding.  Each stacked
 product and each row norm (models.norms) is one BLAS call per client slice,
 so a client's local model and norms do not depend on which clients or
 rounds share its block.  The aggregation is np.add.accumulate along the
 client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in
 ascending client order, never a pairwise or BLAS reduction.  The retained
-loss of a cohort with a quadratic form (ridge, d <= n in every stack) is
-that form, equal to the kernel to rounding, with an anchor built from the
-cohort alone, so a pure function of (cohort, theta).  Every other cohort's
-loss is the kernel's, summed like the aggregation, from the forward pass
-that also gives the round's first local step (federation_loss_and_grads).
+loss of a cohort with a quadratic form (ridge, d <= n) is that form, equal
+to the kernel to rounding, with an anchor built from the cohort alone, so a
+pure function of (cohort, theta).  Every other cohort's loss is the
+kernel's, summed like the aggregation, from the forward pass that also
+gives the round's first local step (federation_loss_and_grads).
 """
 
 from __future__ import annotations
@@ -54,14 +54,15 @@ class FederationConfig:
     """Static description of a federation: its clients, weights and steps.
 
     weights must sum to 1 within 1e-12; by default they are proportional to
-    the client sample counts.  It keeps no cohort or stack between calls,
-    only what ridge cohorts build from each data-shape group: the group's
-    raw moments X_i^T X_i and X_i^T y_i (models.ridge_moments, None for a
-    group with d > n), built once on first use, and its ridge operators,
-    built from them once per spec (they depend on its l2).  Every array it
-    holds is read-only: its own copy of the weights, the stacks, and the
-    moments and operators as they are built, so a federation shared by
-    several runs cannot be changed by one of them.
+    the client sample counts.  The clients must share one data shape
+    (models.stack_clients); they are stacked once, here.  It keeps no cohort
+    between calls, only what ridge cohorts build from the stack: the raw
+    moments X_i^T X_i and X_i^T y_i (models.ridge_moments, None for d > n),
+    built once on first use, and the ridge operators, built from them once
+    per spec (they depend on its l2).  Every array it holds is read-only:
+    its own copy of the weights, the stack, and the moments and operators as
+    they are built, so a federation shared by several runs cannot be
+    changed by one of them.
     """
 
     clients: tuple[ClientDataset, ...]
@@ -88,12 +89,11 @@ class FederationConfig:
             raise ValueError("eta must be positive")
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        groups = models.stack_by_shape(clients)
-        freeze(weights, *(array for group in groups for array in group))
+        stack = models.stack_clients(clients)
+        freeze(weights, *stack)
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_moments", None)
+        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_operators", {})
 
     @classmethod
@@ -116,46 +116,32 @@ class FederationConfig:
 
     def cohort(self, active, spec: ModelSpec) -> "Cohort":
         """The clients `active` (any order; repeats count once) as one run's
-        cohort, with their data stacked for `spec`'s kernel."""
+        cohort, with their rows of the stack for `spec`'s kernel."""
         active = tuple(sorted({int(c) for c in active}))
         if not active:
             raise EmptyFederationError("a cohort needs at least one client")
         if active[0] < 0 or active[-1] >= self.client_count:
             raise IndexError(f"client index out of range in {active}")
-        for _, features, _ in self._groups:
-            if features.shape[2] != spec.dims[0]:
-                raise DimensionMismatchError(f"data has {features.shape[2]} features, spec expects {spec.dims[0]}")
+        features = self._stack[0]
+        if features.shape[2] != spec.dims[0]:
+            raise DimensionMismatchError(f"data has {features.shape[2]} features, spec expects {spec.dims[0]}")
         weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
-        chosen = np.zeros(self.client_count, dtype=bool)
-        chosen[list(active)] = True
-        data, picks = [], []
-        for group, (members, features, targets) in enumerate(self._groups):
-            keep = chosen[members]
-            if not keep.any():
-                continue
-            if not keep.all():
-                members, features, targets = members[keep], features[keep], targets[keep]
-            data.append((np.searchsorted(active, members), features, targets))
-            picks.append((group, keep))
-        return Cohort(active, weights, spec, tuple(data), tuple(picks), self)
+        return Cohort(active, weights, spec, self)
 
-    def _ridge_moments(self) -> list:
-        """models.ridge_moments of each data-shape group, built on first use."""
-        if self._moments is None:
-            moments = [models.ridge_moments(X, y) for _, X, y in self._groups]
-            freeze(*(array for entry in moments if entry is not None for array in entry))
-            object.__setattr__(self, "_moments", moments)
-        return self._moments
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """models.ridge_moments of the stack, built on first read."""
+        moments = models.ridge_moments(*self._stack)
+        freeze(*(moments or ()))
+        return moments
 
-    def _ridge_operators(self, spec: ModelSpec) -> list:
-        """models.ridge_operators of each data-shape group with moments, built
-        once per spec (they depend on its l2); None for the other groups."""
+    def _ridge_operators(self, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+        """models.ridge_operators of the stack's moments, built once per spec
+        (they depend on its l2)."""
         if spec not in self._operators:
-            operators = [
-                None if moments is None else models.ridge_operators(spec, moments, X.shape[1], self.eta, self.local_steps)
-                for moments, (_, X, _) in zip(self._ridge_moments(), self._groups)
-            ]
-            freeze(*(array for entry in operators if entry is not None for array in entry))
+            samples = self._stack[0].shape[1]
+            operators = models.ridge_operators(spec, self._moments, samples, self.eta, self.local_steps)
+            freeze(*operators)
             self._operators[spec] = operators
         return self._operators[spec]
 
@@ -164,18 +150,6 @@ def freeze(*arrays: np.ndarray) -> None:
     """Make each array read-only: writing to it raises ValueError."""
     for array in arrays:
         array.setflags(write=False)
-
-
-def _picked(per_group: list, picks) -> list:
-    """Each (group index, kept members) stack's entry of `per_group`, a tuple
-    of arrays over the group's clients (sliced to the kept ones) or None."""
-    stacks = []
-    for group, keep in picks:
-        arrays = per_group[group]
-        if arrays is not None and not keep.all():
-            arrays = tuple(values[keep] for values in arrays)
-        stacks.append(arrays)
-    return stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,25 +161,22 @@ class Cohort:
     weights renormalised over `active`, zero elsewhere; every round
     aggregates with them and the ledger's increments use them.
     active_weights is weights[active_index], checked to sum to one once, here.
-    data holds one (rows, features (g, n, d), targets (g, n)) entry per data
-    shape, rows being the stacked clients' positions in `active`; picks
-    names each entry's (group index, kept members) in `federation`.
 
-    Everything else a run needs that does not depend on theta is built on
-    first read and kept: stacks extends each data entry with the stack's
-    models.ridge_operators (A, b) for a ridge cohort, else None, as a round
-    reads them, so a cohort that only evaluates losses builds none;
-    affine holds the aggregate map (M, m) of a cohort whose every stack has
-    operators; quadratic holds the retained loss's quadratic form for
-    federation_loss; increment_scale holds the closed-form increments'
-    p / (1 - p).
+    Everything a run needs that does not depend on theta is built on first
+    read and kept, each from the cohort's rows of what the federation holds
+    (indexed by active_index; the full cohort's are the federation's own
+    arrays, uncopied): features (g, n, d) and targets (g, n) of the
+    federation's stack; operators, the ridge operators (A, b)
+    (models.ridge_operators), or None for logistic, the MLP, or ridge with
+    d > n.  From those: affine, the operators' aggregate map (M, m);
+    quadratic, the retained loss's quadratic form for federation_loss; and
+    increment_scale, the closed-form increments' p / (1 - p).  A cohort
+    that only evaluates losses builds no operators.
     """
 
     active: tuple[int, ...]
     weights: np.ndarray
     spec: ModelSpec
-    data: tuple[tuple, ...]
-    picks: tuple[tuple[int, np.ndarray], ...]
     federation: FederationConfig
     active_index: np.ndarray = field(init=False)
     active_weights: np.ndarray = field(init=False)
@@ -219,31 +190,43 @@ class Cohort:
         object.__setattr__(self, "active_index", active_index)
         object.__setattr__(self, "active_weights", active_weights)
 
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        """The cohort's rows of an array over every federation client; the
+        array itself, uncopied, for the full cohort."""
+        if len(self.active) == self.federation.client_count:
+            return values
+        return values[self.active_index]
+
     @cached_property
-    def stacks(self) -> tuple[tuple, ...]:
-        if self.spec.kind is ModelKind.RIDGE:
-            operators = _picked(self.federation._ridge_operators(self.spec), self.picks)
-        else:
-            operators = [None] * len(self.data)
-        return tuple((*entry, ops) for entry, ops in zip(self.data, operators))
+    def features(self) -> np.ndarray:
+        return self._rows(self.federation._stack[0])
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        return self._rows(self.federation._stack[1])
+
+    @cached_property
+    def operators(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.spec.kind is not ModelKind.RIDGE or self.federation._moments is None:
+            return None
+        return tuple(map(self._rows, self.federation._ridge_operators(self.spec)))
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, Params] | None:
         """(M, m) = (sum_i q_i A_i, sum_i q_i b_i) over the cohort's clients
-        of a ridge cohort whose every stack has operators (d <= n), else None.
+        of a cohort with operators, else None.
 
         Every client of a round starts from the same theta, so the round's
         aggregate is theta -> M theta + m.  Built as oracle.ridge_sensitivity
-        builds each leave-one-out map: the weight row times each stack's
-        operators, reshaped to (g, d * d).
+        builds each leave-one-out map: the weight row times the operators,
+        reshaped to (g, d * d).
         """
-        if self.spec.kind is not ModelKind.RIDGE or any(ops is None for *_, ops in self.stacks):
+        if self.operators is None:
             return None
         d = self.spec.param_count
         maps, offsets = np.zeros(d * d), np.zeros(d)
-        for rows, _, _, (stack_maps, stack_offsets) in self.stacks:
-            maps += self.active_weights[rows] @ stack_maps.reshape(len(rows), d * d)
-            offsets += self.active_weights[rows] @ stack_offsets
+        maps += self.active_weights @ self.operators[0].reshape(len(self.active), d * d)
+        offsets += self.active_weights @ self.operators[1]
         maps = maps.reshape(d, d)
         freeze(maps, offsets)
         return maps, offsets
@@ -251,26 +234,23 @@ class Cohort:
     @cached_property
     def quadratic(self) -> tuple[Params, float, Params, np.ndarray] | None:
         """(anchor, loss there, gradient there, Hessian H) of a ridge cohort
-        whose every stack has moments (d <= n), else None.
+        with moments (d <= n), else None.
 
-        The loss is exactly quadratic: H = sum_i q_i X_i^T X_i / n_i + l2 I
-        with gradient H theta - r, r = sum_i q_i X_i^T y_i / n_i.  The anchor
+        The loss is exactly quadratic: H = sum_i q_i X_i^T X_i / n + l2 I
+        with gradient H theta - r, r = sum_i q_i X_i^T y_i / n.  The anchor
         solves H theta = r, by lstsq when H is singular (l2 = 0 with
         rank-deficient data), and its loss is one kernel call, so the anchor
         depends on the cohort alone; the expansion is exact around any finite
         anchor.
         """
-        if self.spec.kind is not ModelKind.RIDGE:
-            return None
-        moments = _picked(self.federation._ridge_moments(), self.picks)
-        if any(entry is None for entry in moments):
+        if self.spec.kind is not ModelKind.RIDGE or self.federation._moments is None:
             return None
         d = self.spec.param_count
+        gram, moment = map(self._rows, self.federation._moments)
+        scaled = self.active_weights / self.features.shape[1]
         hessian, pull = np.zeros(d * d), np.zeros(d)
-        for (rows, features, _), (gram, moment) in zip(self.data, moments):
-            scaled = self.active_weights[rows] / features.shape[1]
-            hessian += scaled @ gram.reshape(len(rows), d * d)
-            pull += scaled @ moment
+        hessian += scaled @ gram.reshape(len(self.active), d * d)
+        pull += scaled @ moment
         hessian = hessian.reshape(d, d)
         hessian[np.arange(d), np.arange(d)] += self.spec.l2
         try:
@@ -348,26 +328,15 @@ def renormalized_weights(weights, removed) -> np.ndarray:
     return out / mass
 
 
-def kernel_round(cohort: Cohort, theta: Params, round_index: int, first_grads=None) -> tuple[np.ndarray, Params]:
+def kernel_round(cohort: Cohort, theta: Params, round_index: int, first_grad=None) -> tuple[np.ndarray, Params]:
     """One round of a cohort: its client models (active, p), unguarded, and
-    their guarded aggregate.  A kernel stack takes local_updates from theta,
-    its first step from first_grads[stack] when given (what
-    federation_loss_and_grads returned at theta); an operator stack maps
-    theta by each client's (A_i, b_i)."""
-    fed, stacks = cohort.federation, cohort.stacks
-    # a lone stack's rows are the whole cohort in order: its models need no copy
-    client_models = np.empty((len(cohort.active), theta.shape[0])) if len(stacks) > 1 else None
-    for stack, (rows, features, targets, operators) in enumerate(stacks):
-        if operators is None:
-            first = None if first_grads is None else first_grads[stack]
-            local = local_updates(cohort.spec, features, targets, theta, fed.eta, fed.local_steps, round_index, first)
-        else:
-            maps, offsets = operators
-            local = maps @ theta + offsets
-        if client_models is None:
-            client_models = local
-        else:
-            client_models[rows] = local
+    their guarded aggregate, by local_updates from theta, the first step
+    from first_grad when given (what federation_loss_and_grads returned at
+    theta)."""
+    fed = cohort.federation
+    client_models = local_updates(
+        cohort.spec, cohort.features, cohort.targets, theta, fed.eta, fed.local_steps, round_index, first_grad
+    )
     new_theta = _accumulate(client_models, cohort.active_weights)
     _guard_finite(new_theta, round_index)
     return client_models, new_theta
@@ -390,26 +359,25 @@ def local_gaps(cohort: Cohort, thetas: np.ndarray) -> np.ndarray:
 
     thetas (rounds + 1, d) holds the global model before each round and the
     one after the last.  Client i's local model is A_i theta + b_i: one
-    (chunk, d) @ (d, g d) product per stack and chunk of at most d rounds, so
-    no temporary holds more values than the stack's operators (g, d, d).
+    (chunk, d) @ (d, g d) product per chunk of at most d rounds, so no
+    temporary holds more values than the operators (g, d, d).
     """
     rounds, d = thetas.shape[0] - 1, thetas.shape[1]
+    maps, offsets = cohort.operators
     gaps = np.empty((rounds, len(cohort.active)))
     ones = np.ones(d)
     for start in range(0, rounds, d):
         stop = min(start + d, rounds)
         shape = (stop - start, -1)
-        sound = np.ones(stop - start, dtype=bool)
-        for rows, _, _, (maps, offsets) in cohort.stacks:
-            local = thetas[start:stop] @ maps.reshape(-1, d).T
-            local = local.reshape(stop - start, len(rows), d)
-            local += offsets
-            # one row per (round, client); an inf or nan entry makes its
-            # row's norm non-finite, which fails the comparison
-            flat = local.reshape(-1, d)
-            sound &= (np.sqrt((flat * flat) @ ones) <= _DIVERGENCE_NORM).reshape(shape).all(axis=1)
-            local -= thetas[start + 1 : stop + 1, None]
-            gaps[start:stop, rows] = np.sqrt((flat * flat) @ ones).reshape(shape)
+        local = thetas[start:stop] @ maps.reshape(-1, d).T
+        local = local.reshape(stop - start, -1, d)
+        local += offsets
+        # one row per (round, client); an inf or nan entry makes its
+        # row's norm non-finite, which fails the comparison
+        flat = local.reshape(-1, d)
+        sound = (np.sqrt((flat * flat) @ ones) <= _DIVERGENCE_NORM).reshape(shape).all(axis=1)
+        local -= thetas[start + 1 : stop + 1, None]
+        gaps[start:stop] = np.sqrt((flat * flat) @ ones).reshape(shape)
         if not sound.all():
             return gaps[: start + int(np.argmin(sound))]
     return gaps
@@ -440,8 +408,8 @@ def init_params(spec: ModelSpec, seed: int, mode: str = "normal") -> Params:
 def federation_loss(cohort: Cohort, theta: Params) -> float:
     """Aggregation-weighted loss of theta over a cohort's clients.
 
-    A cohort with a quadratic form (Cohort.quadratic: ridge, d <= n for every
-    stack) evaluates it at theta; it equals the per-client kernel to rounding.
+    A cohort with a quadratic form (Cohort.quadratic: ridge, d <= n)
+    evaluates it at theta; it equals the per-client kernel to rounding.
     Every other cohort sums the kernel's losses.
     """
     theta = models.as_params(theta)
@@ -454,36 +422,26 @@ def federation_loss(cohort: Cohort, theta: Params) -> float:
     return float(anchor_loss + gradient @ step + 0.5 * (step @ (hessian @ step)))
 
 
-def federation_loss_and_grads(cohort: Cohort, theta: Params) -> tuple[float, tuple | None]:
-    """federation_loss at theta and, from the same forward pass, each cohort
-    stack's gradient at theta, the first local step of a round from theta.
+def federation_loss_and_grads(cohort: Cohort, theta: Params) -> tuple[float, np.ndarray | None]:
+    """federation_loss at theta and, from the same forward pass, the
+    cohort's gradients (g, p) at theta, the first local step of a round
+    from theta.
 
-    grads has one entry per cohort.stacks entry: the (g, p) gradient of a
-    stack that steps through the kernel, None for a ridge stack that
-    advances by its operators.  A cohort with a quadratic form evaluates it
-    and returns grads None, as every stack of it has operators.  The loss and
-    each gradient equal federation_loss and models.stacked_grad bit for bit.
-    theta, a float64 (p,), is not checked: retrain_until checks it once.
+    A cohort with a quadratic form evaluates it and returns no gradients,
+    as it advances by its operators.  The loss and the gradients equal
+    federation_loss and models.stacked_grad bit for bit.  theta, a float64
+    (p,), is not checked: retrain_until checks it once.
     """
     if cohort.quadratic is not None:
         return federation_loss(cohort, theta), None
-    spec, losses, grads = cohort.spec, np.empty(len(cohort.active)), []
-    for rows, features, targets, operators in cohort.stacks:
-        if operators is None:
-            losses[rows], grad = models.stacked_loss_and_grad(spec, features, targets, theta)
-        else:
-            losses[rows], grad = models.stacked_loss(spec, features, targets, theta), None
-        grads.append(grad)
-    return _weighted_sum(losses, cohort), tuple(grads)
+    losses, grads = models.stacked_loss_and_grad(cohort.spec, cohort.features, cohort.targets, theta)
+    return _weighted_sum(losses, cohort), grads
 
 
 def _kernel_loss(cohort: Cohort, theta: Params) -> float:
     """federation_loss from each client's kernel loss, summed in ascending
     client order."""
-    losses = np.empty(len(cohort.active))
-    for rows, features, targets in cohort.data:
-        losses[rows] = models.stacked_loss(cohort.spec, features, targets, theta)
-    return _weighted_sum(losses, cohort)
+    return _weighted_sum(models.stacked_loss(cohort.spec, cohort.features, cohort.targets, theta), cohort)
 
 
 def _weighted_sum(losses: np.ndarray, cohort: Cohort) -> float:

@@ -6,12 +6,15 @@ R^d.  The per-client objective is always
 
     F(theta) = mean_i per_sample_loss_i(theta) + (l2 / 2) * ||theta||^2
 
-so the regulariser is part of every loss and gradient evaluated here.
+so the regulariser is part of every loss and gradient evaluated here.  A
+federation's clients share one data shape (n, d) and reach the kernels as
+one stack (stack_clients): features (C, n, d) and targets (C, n).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +102,9 @@ class ModelSpec:
         object.__setattr__(self, "kind", ModelKind(self.kind))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "l2", float(self.l2))
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+        # written so that NaN and infinity fail too
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2!r}")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"layer sizes must be positive, got {self.dims}")
         if self.kind in (ModelKind.RIDGE, ModelKind.LOGISTIC):
@@ -164,14 +168,14 @@ class RegimeConstants:
 # numpy's vectorised exp and log1p in place of its scalar libm calls.
 #
 # The ridge gradient is X_i^T (X_i theta_i - y_i) / n: two (n, d) gemvs.  The
-# engine calls it only for stacks with d > n; a stack with d <= n advances by
-# its K-step operators (ridge_operators) instead, built once per federation
-# and l2 from the stack's raw moments X_i^T X_i and X_i^T y_i (ridge_moments,
-# built once per federation), so a round multiplies one d x d matrix per
-# client in place of K kernel calls.  The ridge loss is exactly quadratic, so
-# a cohort whose every stack has moments evaluates its retained loss from
-# the moments' weighted sum (engine.Cohort.quadratic) rather than the kernel:
-# equal to the kernel's to rounding, at one kernel call per cohort.
+# engine's rounds call it only for d > n; a ridge federation with d <= n
+# advances by its K-step operators (ridge_operators) instead, built once per
+# l2 from the stack's raw moments X_i^T X_i and X_i^T y_i (ridge_moments,
+# built once per federation), so a round is one d x d product in place of K
+# kernel calls.  The ridge loss is exactly quadratic, so a cohort with
+# moments evaluates its retained loss from their weighted sum
+# (engine.Cohort.quadratic) rather than the kernel: equal to the kernel's to
+# rounding, at one kernel call per cohort.
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:
@@ -202,11 +206,6 @@ def stacked_loss_and_grad(spec: ModelSpec, features, targets, thetas) -> tuple[n
 def norms(rows) -> np.ndarray:
     """Euclidean norm of each row; equals np.linalg.norm(row) bit for bit."""
     return np.sqrt(_sqnorms(rows))
-
-
-def loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
-    """Regularised per-sample-mean loss of theta on one client's data."""
-    return float(stacked_loss(spec, *_one(data, theta))[0])
 
 
 def data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
@@ -379,17 +378,18 @@ def _mlp_backward(activations: list, layers: list, delta: np.ndarray) -> np.ndar
 def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeConstants:
     """Curvature envelope over every client in the federation.
 
-    Ridge: exact Gram-matrix eigenvalues give beta_i = lmax(X_i^T X_i)/n_i + l2
-    and mu_i = lmin(X_i^T X_i)/n_i + l2; the envelope takes max beta / min mu.
+    Ridge: exact Gram-matrix eigenvalues give beta_i = lmax(X_i^T X_i)/n + l2
+    and mu_i = lmin(X_i^T X_i)/n + l2; the envelope takes max beta / min mu.
     Rank-deficient data degrades gracefully to mu = l2 (Convex when l2 = 0).
 
     Logistic: the per-sample Hessian is bounded by X^T X / (4 n), so
-    beta = max_i lmax(X_i^T X_i)/(4 n_i) + l2, with mu = l2 when l2 > 0.
+    beta = max_i lmax(X_i^T X_i)/(4 n) + l2, with mu = l2 when l2 > 0.
 
     Tiny MLP: smooth-only regime; beta is a probed estimate, the max finite
     difference ratio ||grad(a) - grad(b)|| / ||a - b|| over 256 seeded random
     pairs, inflated by a 1.5x safety factor.  The estimate is a heuristic and
-    is labelled as such by the Smooth regime itself.
+    is labelled as such by the Smooth regime itself.  The clients must
+    share one data shape, as a federation's do (stack_clients).
     """
     if not all_data:
         raise ValueError("need at least one client dataset")
@@ -398,68 +398,54 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
             raise DimensionMismatchError(
                 f"client data has {data.feature_dim} features, spec expects {spec.dims[0]}"
             )
+    features, targets = stack_clients(all_data)
     lam = spec.l2
     if spec.kind is ModelKind.TINY_MLP:
-        return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, all_data), 0.0, lam)
-    # (eigenvalues of each client's X^T X, ascending, (g, d); n) per data shape
-    spectra = [
-        (np.linalg.eigvalsh(np.matmul(X.transpose(0, 2, 1), X)), X.shape[1]) for _, X, _ in stack_by_shape(all_data)
-    ]
+        return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, features, targets), 0.0, lam)
+    # eigenvalues of each client's X^T X, ascending, (C, d)
+    eigs, n = np.linalg.eigvalsh(np.matmul(features.transpose(0, 2, 1), features)), features.shape[1]
     if spec.kind is ModelKind.RIDGE:
-        beta = max(float((np.maximum(eigs[:, -1], 0.0) / n + lam).max()) for eigs, n in spectra)
-        mu = min(float((np.maximum(eigs[:, 0], 0.0) / n + lam).min()) for eigs, n in spectra)
+        beta = float((np.maximum(eigs[:, -1], 0.0) / n + lam).max())
+        mu = float((np.maximum(eigs[:, 0], 0.0) / n + lam).min())
         if mu > 0:
             return RegimeConstants(Regime.STRONGLY_CONVEX, beta, mu, lam)
         return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
-    beta = max(float((np.maximum(eigs[:, -1], 0.0) / (4.0 * n)).max()) for eigs, n in spectra) + lam
+    beta = float((np.maximum(eigs[:, -1], 0.0) / (4.0 * n)).max()) + lam
     if lam > 0:
         return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
     return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
 
 
-def stack_by_shape(clients) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """One (members, features (g, n, d), targets (g, n)) group per data shape."""
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for idx, data in enumerate(clients):
-        shapes.setdefault(data.features.shape, []).append(idx)
-    return tuple(
-        (
-            np.array(members),
-            np.stack([clients[i].features for i in members]),
-            np.stack([clients[i].targets for i in members]),
-        )
-        for members in shapes.values()
-    )
+def stack_clients(clients) -> tuple[np.ndarray, np.ndarray]:
+    """The clients' features (C, n, d) and targets (C, n), stacked in order;
+    clients of two data shapes raise DimensionMismatchError."""
+    shapes = sorted({data.features.shape for data in clients})
+    if len(shapes) > 1:
+        raise DimensionMismatchError(f"clients have data shapes {shapes}; a federation needs one (n, d)")
+    return np.stack([data.features for data in clients]), np.stack([data.targets for data in clients])
 
 
-def gradient_pairs(spec: ModelSpec, groups, seed: int, pairs: int):
+def gradient_pairs(spec: ModelSpec, features, targets, seed: int, pairs: int):
     """Seeded theta = 0.5 N(0, I) and offset = 0.2 N(0, I), yielded with the
-    stacked gradients at theta and theta + offset for each (features, targets)
-    group in `groups`.  Each group's data is doubled once, so a pair costs one
-    kernel call per group: the first copy at theta, the second at theta +
-    offset.  Each row is the lone client's gradient bit for bit."""
+    stacked gradients (near, far) of the clients (features, targets) at
+    theta and theta + offset.  The data is doubled once, so a pair costs one
+    kernel call: the first copy at theta, the second at theta + offset.
+    Each row is the lone client's gradient bit for bit."""
     rng = np.random.default_rng(seed)
-    d = spec.param_count
-    doubled = [(np.concatenate((X, X)), np.concatenate((y, y))) for X, y in groups]
+    d, g = spec.param_count, len(features)
+    doubled = np.concatenate((features, features)), np.concatenate((targets, targets))
     for _ in range(pairs):
         theta = 0.5 * rng.standard_normal(d)
         offset = 0.2 * rng.standard_normal(d)
-        points = np.array((theta, theta + offset))
-        grads = []
-        for X, y in doubled:
-            g = len(X) // 2
-            both = stacked_grad(spec, X, y, np.repeat(points, g, axis=0))
-            grads.append((both[:g], both[g:]))
-        yield theta, offset, grads
+        both = stacked_grad(spec, *doubled, np.repeat(np.array((theta, theta + offset)), g, axis=0))
+        yield theta, offset, both[:g], both[g:]
 
 
-def _probe_smoothness(spec: ModelSpec, all_data: list[ClientDataset]) -> float:
+def _probe_smoothness(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> float:
     worst = 0.0
-    groups = [(X, y) for _, X, y in stack_by_shape(all_data)]
-    for _, offset, grads in gradient_pairs(spec, groups, _PROBE_SEED, _PROBE_PAIRS):
+    for _, offset, near, far in gradient_pairs(spec, features, targets, _PROBE_SEED, _PROBE_PAIRS):
         gap = float(np.linalg.norm(offset))
         if gap == 0.0:
             continue
-        for near, far in grads:
-            worst = max(worst, float((norms(far - near) / gap).max()))
+        worst = max(worst, float((norms(far - near) / gap).max()))
     return _PROBE_SAFETY * worst

@@ -4,12 +4,12 @@ empirical_sensitivity takes the all-client run as train wrote it (the model
 history and the sensitivity ledger, loaded from the run directory by verify),
 follows the federation from the same start once per client with that client
 removed (weights renormalised), and pairs the true model gap with the
-recorded ledger bound at every round.  When every client of a ridge
-federation has K-step operators (models.ridge_operators: d <= n for each
-data shape) the leave-one-out runs have a closed form (ridge_sensitivity)
-built on the operators the engine itself trains with, so tests hold the
-engine's fused rounds against the per-step kernel; every other model, and
-ridge with a data shape of d > n, retrains through the engine
+recorded ledger bound at every round.  When a ridge federation's clients
+have K-step operators (models.ridge_operators: d <= n for the federation's
+one data shape) the leave-one-out runs have a closed form
+(ridge_sensitivity) built on the operators the engine itself trains with,
+so tests hold the engine's fused rounds against the per-step kernel; every
+other model, and ridge with d > n, retrains through the engine
 (retrained_sensitivity).
 check_bound then asserts gap <= bound within a tolerance.  contraction_slack
 checks the premise the bound rests on, that one local step contracts by B.
@@ -68,8 +68,8 @@ def empirical_sensitivity(
     retrain_until recorded from history.models[0].  For each client c the
     federation runs as many rounds without c from the same start; the trace
     pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
-    Psi(n, c).  Ridge takes the closed form when every data-shape group has
-    operators; everything else retrains through the engine.
+    Psi(n, c).  Ridge takes the closed form when the clients have operators
+    (d <= n); everything else retrains through the engine.
     """
     if config.cohort(range(config.client_count), spec).affine is not None:
         return ridge_sensitivity(config, spec, history, ledger)
@@ -122,13 +122,15 @@ def ridge_sensitivity(
     """
     rounds = _rounds_of_one_run(config, history, ledger)
     count, d = config.client_count, spec.param_count
-    q = np.stack([renormalized_weights(config.weights, {c}) for c in range(count)])
+    operators = config.cohort(range(count), spec).operators
+    if operators is None:
+        raise ValueError("the closed form needs the clients' operators (ridge, d <= n)")
+    # column-major: from a row-major q, BLAS rounds some leave-one-out maps
+    # differently in the last bits, and verify's reported tightness moves
+    q = np.asfortranarray([renormalized_weights(config.weights, {c}) for c in range(count)])
     maps, offsets = np.zeros((count, d * d)), np.zeros((count, d))
-    for rows, _, _, operators in config.cohort(range(count), spec).stacks:
-        if operators is None:
-            raise ValueError("the closed form needs every client's operators (d <= n)")
-        maps += q[:, rows] @ operators[0].reshape(len(rows), d * d)
-        offsets += q[:, rows] @ operators[1]
+    maps += q @ operators[0].reshape(count, d * d)
+    offsets += q @ operators[1]
     maps = maps.reshape(count, d, d)
 
     alphas = np.zeros((rounds + 1, count))
@@ -200,23 +202,21 @@ def contraction_slack(config: FederationConfig, spec: ModelSpec, contraction: fl
     """How far one local step of any client exceeds contraction by B, at
     worst (negative: a margin).
 
-    A ridge stack with operators is checked exactly: A_i = P_i^K with P_i
-    symmetric, so ||P_i||_2 = ||A_i||_2^(1/K), one eigvalsh per stack, and the
-    slack is max_i ||P_i||_2 - B.  Every other stack is sampled: the largest
-    ||step(theta) - step(phi)|| - B ||theta - phi|| over 200 seeded pairs.
+    A ridge federation with operators is checked exactly: A_i = P_i^K with
+    P_i symmetric, so ||P_i||_2 = ||A_i||_2^(1/K), one eigvalsh of the
+    stack, and the slack is max_i ||P_i||_2 - B.  Every other federation is
+    sampled: the largest ||step(theta) - step(phi)|| - B ||theta - phi||
+    over 200 seeded pairs.
     """
-    worst, sampled = -math.inf, []
-    for _, features, targets, operators in config.cohort(range(config.client_count), spec).stacks:
-        if operators is None:
-            sampled.append((features, targets))
-            continue
-        spectral = np.abs(np.linalg.eigvalsh(operators[0])).max(axis=1)
-        worst = max(worst, float(spectral.max()) ** (1.0 / config.local_steps) - contraction)
-    if sampled:
-        for theta, offset, grads in models.gradient_pairs(spec, sampled, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS):
-            phi = theta + offset
-            rhs = contraction * float(np.linalg.norm(theta - phi))
-            for near, far in grads:
-                gap = (theta - config.eta * near) - (phi - config.eta * far)
-                worst = max(worst, float((models.norms(gap) - rhs).max()))
+    cohort = config.cohort(range(config.client_count), spec)
+    if cohort.operators is not None:
+        spectral = np.abs(np.linalg.eigvalsh(cohort.operators[0])).max(axis=1)
+        return float(spectral.max()) ** (1.0 / config.local_steps) - contraction
+    worst = -math.inf
+    pairs = models.gradient_pairs(spec, cohort.features, cohort.targets, _CONTRACTIVITY_SEED, _CONTRACTIVITY_PAIRS)
+    for theta, offset, near, far in pairs:
+        phi = theta + offset
+        rhs = contraction * float(np.linalg.norm(theta - phi))
+        gap = (theta - config.eta * near) - (phi - config.eta * far)
+        worst = max(worst, float((models.norms(gap) - rhs).max()))
     return worst

@@ -111,8 +111,8 @@ class PreparedExperiment:
 
     The commands of one process share one instance per config through
     `prepared_for`, so every array reachable from it is read-only: the
-    clients' data, theta0 and the federation's weights, stacks, moments and
-    operators.  It holds no artifact; commands read those from disk.
+    clients' data, theta0 and the federation's weights, its one stack of the
+    clients' data, and its moments and operators.  It holds no artifact; commands read those from disk.
     """
 
     config: ExperimentConfig

@@ -201,7 +201,7 @@ def retrain_until(
     if theta.shape != (spec.param_count,):
         raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {spec.param_count} entries")
 
-    def evaluate(theta: Params) -> tuple[float, tuple | None]:
+    def evaluate(theta: Params) -> tuple[float, np.ndarray | None]:
         # the retained loss the stopping rule reads, and the gradients of the
         # next round's first local step, from one forward pass at theta
         return federation_loss_and_grads(cohort, theta) if track_loss else (math.nan, None)
@@ -212,7 +212,7 @@ def retrain_until(
     # the global model before the rounds not yet booked and after each, and
     # a kernel run's client models of those rounds
     thetas, pending = [theta], []
-    chunk = max(1, sum(X.size for _, X, _ in cohort.data) // (len(cohort.active) * theta.shape[0]))
+    chunk = max(1, cohort.features.size // (len(cohort.active) * theta.shape[0]))
     try:
         while not stopping_criterion(rounds, loss, stopping):
             if cohort.affine is not None:

@@ -17,7 +17,6 @@ from fedunlearn.models import (
     ModelKind,
     ModelSpec,
     Regime,
-    loss,
     regime_constants,
 )
 from fedunlearn.oracle import empirical_sensitivity
@@ -188,8 +187,15 @@ def pack_mlp(spec, layers):
     return theta
 
 
+def loss(spec, data, theta):
+    """Regularised per-sample-mean loss of theta on one client's data, a
+    stack of one in the kernel: the per-client reference for the engine's
+    retained losses."""
+    return float(models.stacked_loss(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0])
+
+
 def grad(spec, data, theta):
-    """Gradient of models.loss on one client's data, a stack of one in the kernel."""
+    """Gradient of loss on one client's data, a stack of one in the kernel."""
     return models.stacked_grad(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0]
 
 

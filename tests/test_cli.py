@@ -850,6 +850,18 @@ def test_a_nan_number_or_a_negative_weight_is_refused_at_train(workdir, capsys, 
     assert not run_dir(workdir, doc).exists()
 
 
+@pytest.mark.parametrize(
+    "section, key", [("data", "heterogeneity"), ("data", "noise"), ("model", "l2")], ids=["heterogeneity", "noise", "l2"]
+)
+def test_an_infinite_data_or_model_number_is_refused_at_train(workdir, capsys, section, key):
+    # refused as the config is read, not as a diverged run or a bad step size
+    doc = base_doc("cli_infinite_value")
+    doc[section][key] = math.inf
+    assert main(["train", write_doc(workdir, doc)]) == 2
+    assert f"{key} must be finite and non-negative, got inf" in capsys.readouterr().err
+    assert not run_dir(workdir, doc).exists()
+
+
 def test_unlearn_before_train_is_a_usage_error(workdir):
     doc = base_doc("cli_order")
     config = write_doc(workdir, doc)
@@ -1140,11 +1152,11 @@ def test_the_shared_prepared_experiment_is_read_only(workdir):
     prepared = runner.prepared_for(load_config(config))
     fed = prepared.fed
     built = reachable_arrays(fed._moments) + reachable_arrays(fed._operators)
-    assert len(built) == 4  # one group's X^T X, X^T y, A and b
+    assert len(built) == 4  # the stack's X^T X, X^T y, A and b
     arrays = reachable_arrays(prepared)
     assert {id(array) for array in built} <= {id(array) for array in arrays}
-    # each client's features and targets, theta0, the weights, three stacks
-    assert len(arrays) == 2 * 3 + 1 + 1 + 3 + len(built)
+    # each client's features and targets, theta0, the weights, the stacked features and targets
+    assert len(arrays) == 2 * 3 + 1 + 1 + 2 + len(built)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

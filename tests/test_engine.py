@@ -12,6 +12,7 @@ from conftest import (
     fed_for,
     grad,
     local_update,
+    loss,
     make_logistic,
     make_ridge,
     ridge_opt,
@@ -25,6 +26,7 @@ from fedunlearn.engine import (
     Cohort,
     FederationConfig,
     _accumulate,
+    affine_round,
     federation_loss,
     federation_loss_and_grads,
     init_params,
@@ -41,7 +43,7 @@ from fedunlearn.errors import (
     SingularRemovalError,
 )
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, loss, regime_constants
+from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, regime_constants
 from fedunlearn.sensitivity import SensitivityLedger
 from fedunlearn.unlearn import StoppingRule, retrain_until
 
@@ -286,7 +288,7 @@ def per_client_round(spec, fed, theta, active):
     return local_models, total, deltas, float(retained)
 
 
-def round_world(model, ragged):
+def round_world(model):
     if model == "logistic":
         spec, datasets = make_logistic(clients=10, samples=16, features=4, seed=21, l2=0.05)
     else:
@@ -294,12 +296,15 @@ def round_world(model, ragged):
         if model != "ridge":
             dims = (4, 5, 1) if model == "mlp2" else (4, 3, 2, 1)
             spec = ModelSpec(ModelKind.TINY_MLP, dims, 0.01)
-    if ragged:  # clients 1, 3 and 8 keep 11 of their 16 samples
-        datasets = [
-            ClientDataset(d.features[:11], d.targets[:11]) if i in (1, 3, 8) else d
-            for i, d in enumerate(datasets)
-        ]
     return spec, datasets
+
+
+def ragged_weights(count):
+    """Uneven weights on one data shape, the "ragged" cases below: every
+    third client from client 1 weighs what 11 samples weigh to the others'
+    16, as the sample-count weights of such clients would."""
+    raw = np.where(np.arange(count) % 3 == 1, 11.0, 16.0)
+    return raw / raw.sum()
 
 
 @pytest.mark.parametrize("ragged", [False, True], ids=["equal", "ragged"])
@@ -307,8 +312,9 @@ def round_world(model, ragged):
 @pytest.mark.parametrize("local_steps", [1, 3])
 @pytest.mark.parametrize("model", ["ridge", "logistic", "mlp2", "mlp3"])
 def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps, active, ragged):
-    spec, datasets = round_world(model, ragged)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    spec, datasets = round_world(model)
+    weights = ragged_weights(10) if ragged else None
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=weights)
     theta0 = 0.3 * np.random.default_rng(5).standard_normal(spec.param_count)
     rounds = 4
     history = TrainingHistory(theta0)
@@ -319,7 +325,7 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
     theta, cohort = theta0, fed.cohort(active, spec)
 
     def same(got, want):
-        # a ridge round with d <= n is one affine map per client
+        # a ridge run with d <= n steps by its clients' affine maps
         if model == "ridge":
             assert_near(got, want)
         else:
@@ -329,8 +335,8 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
     for n in range(rounds):
         client_models, after = kernel_round(cohort, theta, n)
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
-        same(client_models, np.array(local_models))
-        same(after, total)
+        assert client_models.tobytes() == np.array(local_models).tobytes()
+        assert after.tobytes() == total.tobytes()
         same(history.models[n + 1], total)
         same(ledger.deltas[n], deltas)
         same(np.float64(result.loss_trace[n + 1][1]), np.float64(retained))
@@ -338,7 +344,7 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
 
 
 def test_a_retraining_run_builds_one_cohort(monkeypatch):
-    spec, datasets = round_world("ridge", ragged=True)
+    spec, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
     calls = []
     real = FederationConfig.cohort
@@ -355,7 +361,7 @@ def test_a_retraining_run_builds_one_cohort(monkeypatch):
 
 
 def test_a_cohort_is_ascending_and_refuses_no_or_unknown_clients():
-    spec, datasets = round_world("ridge", ragged=True)
+    spec, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
     assert fed.cohort([8, 3, 0, 3, 8, 5], spec).active == (0, 3, 5, 8)
     assert fed.cohort(iter([1, 1]), spec).active == (1,)
@@ -368,7 +374,7 @@ def test_a_cohort_is_ascending_and_refuses_no_or_unknown_clients():
 
 
 def test_cohort_weights_are_renormalised_and_zero_off_the_cohort():
-    _, datasets = round_world("ridge", ragged=True)
+    _, datasets = round_world("ridge")
     spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
     raw = np.arange(9.0, 19.0)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1, weights=raw / raw.sum())
@@ -382,23 +388,25 @@ def test_cohort_weights_are_renormalised_and_zero_off_the_cohort():
 
 
 def test_a_cohort_stacks_exactly_its_own_clients():
-    _, datasets = round_world("ridge", ragged=True)
+    _, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
     spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
     for active in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (3, 1), range(10)]:
         cohort = fed.cohort(active, spec)
-        seen = []
-        for rows, features, targets, _ in cohort.stacks:
-            for row, x, y in zip(rows, features, targets):
-                client = datasets[cohort.active[row]]
-                assert x.tobytes() == client.features.tobytes()
-                assert y.tobytes() == client.targets.tobytes()
-                seen.append(cohort.active[row])
-        assert sorted(seen) == sorted(set(active))
+        assert cohort.active == tuple(sorted(set(active)))
+        assert len(cohort.features) == len(cohort.targets) == len(cohort.active)
+        for client, x, y in zip(cohort.active, cohort.features, cohort.targets):
+            assert x.tobytes() == datasets[client].features.tobytes()
+            assert y.tobytes() == datasets[client].targets.tobytes()
+    # the full cohort is the federation's read-only stack itself, uncopied
+    full = fed.cohort(range(10), spec)
+    assert full.features is fed.cohort(range(10), spec).features
+    assert not full.features.flags.writeable and not full.targets.flags.writeable
+    assert not np.shares_memory(fed.cohort((1, 3), spec).features, full.features)
 
 
 def test_subset_round_increments_use_the_renormalised_weights():
-    spec, datasets = round_world("logistic", ragged=True)
+    spec, datasets = round_world("logistic")
     raw = np.arange(9.0, 19.0)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=raw / raw.sum())
     active = (1, 2, 4, 7, 8)
@@ -429,16 +437,16 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
     calls.clear()
     kernel_round(fed.cohort((1, 4), spec), np.zeros(4), 0)
     assert calls == [2, 2, 2]
-    # ridge stacks with d <= n advance by their operators, with no kernel call
+    # a ridge run with d <= n steps by its aggregate map, with no kernel call
     spec, datasets = make_ridge(clients=6, samples=10, seed=2)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
     calls.clear()
-    kernel_round(fed.cohort(range(6), spec), np.zeros(4), 0)
+    retrain_until(spec, fed, np.zeros(4), range(6), exactly(4))
     assert calls == []
 
 
 def counted_operators(monkeypatch):
-    """Patch models.ridge_operators to record the stack shape and l2 of each call."""
+    """Patch models.ridge_operators to record the stack's shape and l2 at each call."""
     calls = []
     real = models.ridge_operators
 
@@ -451,50 +459,46 @@ def counted_operators(monkeypatch):
     return calls
 
 
-def mixed_ridge_world():
-    """round_world's ragged ridge clients, plus a third data-shape group of
-    two clients (10 and 11) with more features than samples."""
-    spec, datasets = round_world("ridge", ragged=True)
-    return spec, datasets + [ClientDataset(d.features[:3], d.targets[:3]) for d in datasets[:2]]
-
-
 def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch):
-    spec, datasets = mixed_ridge_world()
+    # a federation is one data-shape group: one build per l2
+    spec, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
     calls = counted_operators(monkeypatch)
     theta = np.zeros(4)
-    for n, active in enumerate([range(12), (0, 2, 3), range(12), (1, 3, 10), (4, 11)]):
+    for n, active in enumerate([range(10), (0, 2, 3), range(10), (1, 3, 9), (4,)]):
         cohort = fed.cohort(active, spec)
-        theta = kernel_round(cohort, theta, n)[1]
+        theta = affine_round(cohort, theta, n)
         federation_loss(cohort, theta)
-    # the d > n group (2, 3, 4) has no moments, so none are built for it
-    assert calls == [((7, 16, 4), 0.1), ((3, 11, 4), 0.1)]
-    wide = [operators for rows, _, _, operators in fed.cohort((4, 10, 11), spec).stacks if len(rows) == 2]
-    assert wide == [None]
+    assert calls == [((10, 16, 4), 0.1)]
     # another l2 gets operators of its own and leaves the first l2's in place
     stronger = ModelSpec(ModelKind.RIDGE, (4,), 0.5)
-    # a cohort builds them when its stacks are first read, as a round reads them
-    cohorts = [fed.cohort(range(12), each) for each in (stronger, spec, stronger)]
-    assert len(calls) == 2
+    # a cohort builds them when its operators are first read, as a round reads them
+    cohorts = [fed.cohort(range(10), each) for each in (stronger, spec, stronger)]
+    assert len(calls) == 1
     for cohort in cohorts:
-        cohort.stacks
-    assert calls[2:] == [((7, 16, 4), 0.5), ((3, 11, 4), 0.5)]
+        cohort.operators
+    assert calls[1:] == [((10, 16, 4), 0.5)]
     # a spec of the same l2 but another input size gets no operators of the data's
     with pytest.raises(DimensionMismatchError):
-        fed.cohort(range(12), ModelSpec(ModelKind.RIDGE, (5,), 0.1))
+        fed.cohort(range(10), ModelSpec(ModelKind.RIDGE, (5,), 0.1))
+    # data with d > n has no moments, so no operators are built for it
+    spec, datasets = make_ridge(clients=4, samples=3, features=4, seed=21)
+    wide = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    assert wide.cohort(range(4), spec).operators is None
+    assert len(calls) == 2
 
 
 def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
-    spec, datasets = mixed_ridge_world()
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
+    spec, datasets = round_world("ridge")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3, weights=ragged_weights(10))
     theta0 = 0.3 * np.random.default_rng(6).standard_normal(4)
     finals = {}
     for l2 in (0.1, 0.5, 0.1):
         each = ModelSpec(ModelKind.RIDGE, (4,), l2)
         theta = theta0
         for n in range(3):
-            _, after = kernel_round(fed.cohort(range(12), each), theta, n)
-            _, want, _, _ = per_client_round(each, fed, theta, tuple(range(12)))
+            after = affine_round(fed.cohort(range(10), each), theta, n)
+            _, want, _, _ = per_client_round(each, fed, theta, tuple(range(10)))
             assert_near(after, want)
             theta = after
         finals.setdefault(l2, []).append(theta)
@@ -503,21 +507,21 @@ def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
 
 
 def test_a_subset_gets_the_operators_of_its_own_data():
-    spec, datasets = round_world("ridge", ragged=True)
+    spec, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
-    fed.cohort(range(10), spec)
+    fed.cohort(range(10), spec).operators
     for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
-        for rows, _, _, (maps, offsets) in fed.cohort(subset, spec).stacks:
-            members = [datasets[subset[r]] for r in rows]
-            moments = models.ridge_moments(np.stack([d.features for d in members]), np.stack([d.targets for d in members]))
-            own_maps, own_offsets = models.ridge_operators(spec, moments, members[0].sample_count, 0.05, 3)
-            assert maps.tobytes() == own_maps.tobytes()
-            assert offsets.tobytes() == own_offsets.tobytes()
+        maps, offsets = fed.cohort(subset, spec).operators
+        members = [datasets[c] for c in subset]
+        moments = models.ridge_moments(np.stack([d.features for d in members]), np.stack([d.targets for d in members]))
+        own_maps, own_offsets = models.ridge_operators(spec, moments, members[0].sample_count, 0.05, 3)
+        assert maps.tobytes() == own_maps.tobytes()
+        assert offsets.tobytes() == own_offsets.tobytes()
 
 
 @pytest.mark.parametrize("model", ["logistic", "mlp2"])
 def test_logistic_and_mlp_federations_build_no_operators(monkeypatch, model):
-    spec, datasets = round_world(model, ragged=True)
+    spec, datasets = round_world(model)
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
     calls = counted_operators(monkeypatch)
     theta = init_params(spec, 0)
@@ -526,32 +530,33 @@ def test_logistic_and_mlp_federations_build_no_operators(monkeypatch, model):
         theta = kernel_round(cohort, theta, n)[1]
         federation_loss(cohort, theta)
     assert calls == []
-    assert all(operators is None for *_, operators in fed.cohort(range(10), spec).stacks)
+    assert fed.cohort(range(10), spec).operators is None
 
 
 @pytest.mark.parametrize(
-    "active", [tuple(range(12)), (0, 1, 3, 5, 8, 10), (2, 4, 6, 7)], ids=["all", "subset", "no-wide"]
+    "active", [tuple(range(10)), (0, 1, 3, 5, 8, 9), (2, 4, 6, 7)], ids=["all", "subset", "four"]
 )
 @pytest.mark.parametrize("local_steps", [1, 2, 5])
 def test_fused_ridge_round_matches_the_per_step_kernel(local_steps, active):
     """The fused rounds against the per-step stacked_grad loop, which shares
-    no code with the operators; clients 10 and 11 (d > n) keep that loop."""
-    spec, datasets = mixed_ridge_world()
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    no code with the operators: each client's map A_i theta + b_i, as
+    local_gaps recomputes it, and the aggregate map of affine_round."""
+    spec, datasets = round_world("ridge")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
-    per_step = [rows for rows, _, _, operators in cohort.stacks if operators is None]
-    assert len(per_step) == int(10 in active or 11 in active)
-    everyone = fed.cohort(range(12), spec)
+    everyone = fed.cohort(range(10), spec)
+    maps, offsets = cohort.operators
+    # a client's operators and kernel steps do not depend on who shares its cohort
+    assert maps.tobytes() == everyone.operators[0][list(active)].tobytes()
     theta = 0.3 * np.random.default_rng(5).standard_normal(4)
     for n in range(4):
-        client_models, after = kernel_round(cohort, theta, n)
-        # a client's local model does not depend on who shares its stack
-        in_full = kernel_round(everyone, theta, n)[0][list(active)]
-        assert client_models.tobytes() == in_full.tobytes()
+        client_models = maps @ theta + offsets
+        after = affine_round(cohort, theta, n)
+        stepped = kernel_round(cohort, theta, n)[0]
+        assert stepped.tobytes() == kernel_round(everyone, theta, n)[0][list(active)].tobytes()
         local_models, total, deltas, retained = per_client_round(spec, fed, theta, active)
+        assert stepped.tobytes() == np.array(local_models).tobytes()
         assert_near(client_models, local_models)
-        for rows in per_step:
-            assert client_models[rows].tobytes() == np.array(local_models)[rows].tobytes()
         assert_near(after, total)
         assert_near(round_increments(cohort, client_models, after), deltas)
         assert_near(federation_loss(cohort, after), retained)
@@ -583,16 +588,16 @@ def lone_diverging_world(weights=None):
 
 def test_a_lone_diverging_client_stops_training_in_its_round():
     spec, fed, everyone, start, expected, _ = lone_diverging_world()
-    # every stack takes the fused path, whose guard runs once per round
-    assert all(operators is not None for *_, operators in fed.cohort(everyone, spec).stacks)
+    # the cohort takes the fused path, whose guard runs once per round
+    assert fed.cohort(everyone, spec).affine is not None
     with pytest.raises(DivergedTrainingError) as exc:
         retrain_until(spec, fed, init_params(spec, 0), everyone, exactly(50), start_position=start)
     assert exc.value.round_index == expected
 
 
 # ---------------------------------------------------------------------------
-# affine runs: a cohort whose every stack has ridge operators steps by its
-# aggregate map, then books its rounds as one block
+# affine runs: a cohort with ridge operators steps by its aggregate map, then
+# books its rounds as one block
 # ---------------------------------------------------------------------------
 
 
@@ -616,10 +621,10 @@ def assert_rows_near(got, want):
 @pytest.mark.parametrize("active", [tuple(range(10)), (0, 1, 3, 5, 6, 8)], ids=["all", "subset"])
 @pytest.mark.parametrize("local_steps", [1, 5])
 def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active):
-    spec, datasets = round_world("ridge", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    spec, datasets = round_world("ridge")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
-    assert cohort.affine is not None and len(cohort.data) == 2
+    assert cohort.affine is not None
     theta0 = 0.3 * np.random.default_rng(11).standard_normal(4)
     # more rounds than d = 4: the booking spans three chunks of rounds
     result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(11))
@@ -637,8 +642,8 @@ def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active)
 
 
 def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
-    spec, datasets = round_world("ridge", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, datasets = round_world("ridge")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
     active = [c for c in range(10) if c != 3]
     theta0 = 0.3 * np.random.default_rng(12).standard_normal(4)
     _, _, losses = round_loop(spec, fed, theta0, active, exactly(8))
@@ -654,28 +659,10 @@ def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
     assert_near([loss for _, loss in result.loss_trace], want_losses)
 
 
-@pytest.mark.parametrize("active", [tuple(range(12)), (0, 2, 5, 10)], ids=["all", "subset"])
-def test_a_mixed_cohort_keeps_the_per_round_path_bit_for_bit(active):
-    """One stack with d > n (clients 10 and 11) and the rest with operators:
-    no aggregate map, so every round is a kernel_round."""
-    spec, datasets = mixed_ridge_world()
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
-    cohort = fed.cohort(active, spec)
-    assert cohort.affine is None
-    assert {operators is None for *_, operators in cohort.stacks} == {True, False}
-    theta0 = 0.3 * np.random.default_rng(13).standard_normal(4)
-    result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(6))
-    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(6))
-    assert kept.tobytes() == want_models.tobytes()
-    assert ledger.deltas.tobytes() == want_deltas.tobytes()
-    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
-
-
 @pytest.mark.parametrize("active", [None, 3], ids=["all", "one-removed"])
 @pytest.mark.parametrize("model", ["ridge-wide", "logistic", "mlp2"])
 def test_a_kernel_run_books_what_the_per_round_loop_records_bit_for_bit(model, active):
-    spec, datasets = fused_world(model)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, fed = fused_fed(model, local_steps=2)
     active = [c for c in range(fed.client_count) if c != active]
     assert fed.cohort(active, spec).affine is None
     theta0 = 0.3 * np.random.default_rng(14).standard_normal(spec.param_count)
@@ -714,27 +701,25 @@ def test_a_diverging_affine_run_books_exactly_the_rounds_before_it(weights):
 # ---------------------------------------------------------------------------
 # kernel runs: a cohort without an aggregate map keeps each round's client
 # models until a chunk of rounds, as many as hold no more values than the
-# cohort's stacked features, is guarded and measured as one block
+# cohort's features, is guarded and measured as one block
 # ---------------------------------------------------------------------------
 
 
 def chunk_rounds(cohort):
     """The rounds of a kernel run's chunk, derived as retrain_until does."""
-    features = sum(X.size for _, X, _ in cohort.data)
-    return max(1, features // (len(cohort.active) * cohort.spec.param_count))
+    return max(1, cohort.features.size // (len(cohort.active) * cohort.spec.param_count))
 
 
 @pytest.mark.parametrize("active", [tuple(range(10)), (0, 1, 2, 4, 6, 8, 9)], ids=["all", "subset"])
 @pytest.mark.parametrize("local_steps", [1, 3])
 def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(local_steps, active):
-    """Two stacks (clients 1, 3 and 8 keep 11 of 16 samples): 14 rounds to a
-    chunk, so 40 rounds are two full chunks and a last one the booking
-    measures; every model, delta, Psi row and loss equals round_loop's bit
-    for bit."""
-    spec, datasets = round_world("logistic", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    """16 samples of 4 features to 4 parameters: 16 rounds to a chunk, so 40
+    rounds are two full chunks and a last one the booking measures; every
+    model, delta, Psi row and loss equals round_loop's bit for bit."""
+    spec, datasets = round_world("logistic")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
-    assert cohort.affine is None and len(cohort.data) == 2 and chunk_rounds(cohort) == 14
+    assert cohort.affine is None and chunk_rounds(cohort) == 16
     theta0 = 0.3 * np.random.default_rng(16).standard_normal(spec.param_count)
     result, kept, ledger = recorded_run(spec, fed, theta0, active, exactly(40), start_position=2)
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, exactly(40))
@@ -749,14 +734,14 @@ def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(
 
 
 def test_a_kernel_run_stops_at_a_finite_threshold_inside_a_later_chunk():
-    spec, datasets = round_world("logistic", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, datasets = round_world("logistic")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
     active = [c for c in range(10) if c != 3]
-    assert chunk_rounds(fed.cohort(active, spec)) == 14
+    assert chunk_rounds(fed.cohort(active, spec)) == 16
     theta0 = 0.3 * np.random.default_rng(17).standard_normal(spec.param_count)
     _, _, losses = round_loop(spec, fed, theta0, active, exactly(30))
     assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
-    # the run stops after 20 rounds, six rounds into its second chunk
+    # the run stops after 20 rounds, four rounds into its second chunk
     rule = StoppingRule(0.5 * (losses[19] + losses[20]), 0, 30)
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
     assert len(want_losses) == 21
@@ -845,8 +830,8 @@ def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     for world, fallbacks in (("ragged", []), ("singular", [(4, 4)])):
-        spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge", ragged=True)
-        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+        spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge")
+        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
         cohort = fed.cohort((0, 2, 3, 5, 8, 9), spec)
         anchor, _, _, hessian = cohort.quadratic
         assert calls == fallbacks
@@ -893,11 +878,28 @@ def test_federation_config_validation():
     ]
 
 
+def test_a_federation_and_its_constants_refuse_two_data_shapes():
+    spec, datasets = make_ridge(clients=3, samples=16, features=4, seed=2)
+    short = datasets[:1] + [ClientDataset(datasets[1].features[:11], datasets[1].targets[:11])] + datasets[2:]
+    narrow = datasets[:2] + [ClientDataset(datasets[2].features[:, :3], datasets[2].targets)]
+    for clients in (short, narrow):
+        with pytest.raises(DimensionMismatchError, match="data shapes"):
+            FederationConfig.from_datasets(clients, eta=0.1, local_steps=1, weights=[0.25, 0.5, 0.25])
+    with pytest.raises(DimensionMismatchError, match="data shapes"):
+        regime_constants(spec, short)
+    with pytest.raises(DimensionMismatchError, match="data shapes"):
+        models.stack_clients(short)
+    # one shape stacks every client in order, so the engine's rows are the clients
+    features, targets = models.stack_clients(datasets)
+    assert features.tobytes() == b"".join(d.features.tobytes() for d in datasets)
+    assert targets.tobytes() == b"".join(d.targets.tobytes() for d in datasets)
+
+
 def test_default_weights_proportional_to_samples():
-    spec, datasets = make_ridge(clients=3, seed=1)
-    big = ClientDataset(np.vstack([datasets[0].features] * 3), np.hstack([datasets[0].targets] * 3))
-    fed = FederationConfig.from_datasets([datasets[1], big], eta=0.1, local_steps=1)
-    np.testing.assert_allclose(fed.weights, [0.25, 0.75], rtol=1e-15)
+    # a federation's clients share one sample count, so the default is uniform
+    _, datasets = make_ridge(clients=3, seed=1)
+    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1)
+    assert fed.weights.tobytes() == np.full(3, 1.0 / 3.0).tobytes()
 
 
 def test_init_params_modes():
@@ -913,28 +915,24 @@ def test_init_params_modes():
 def kernel_rows_loss(spec, cohort, theta):
     """The cohort's loss from the kernel's rows at theta broadcast to one row
     per client, summed in ascending client order."""
-    rows = np.empty(len(cohort.active))
-    for members, features, targets in cohort.data:
-        broadcast = models.stacked_loss(spec, features, targets, np.broadcast_to(theta, (len(members), len(theta))))
-        assert models.stacked_loss(spec, features, targets, theta).tobytes() == broadcast.tobytes()
-        rows[members] = broadcast
+    features, targets = cohort.features, cohort.targets
+    rows = models.stacked_loss(spec, features, targets, np.broadcast_to(theta, (len(cohort.active), len(theta))))
+    assert models.stacked_loss(spec, features, targets, theta).tobytes() == rows.tobytes()
     return np.add.accumulate(cohort.active_weights * rows)[-1]
 
 
 @pytest.mark.parametrize("model", ["ridge", "ridge-wide", "logistic", "mlp2"])
 def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
-    """federation_loss hands the kernel one shared theta; each stack's rows
+    """federation_loss hands the kernel one shared theta; the cohort's rows
     equal the kernel's at theta broadcast to one row per client, bit for bit.
-    A ridge cohort with d <= n in every stack evaluates its quadratic form
-    instead, which equals those rows to rounding."""
-    if model == "ridge-wide":  # d = 6 > n = 4, in two data shapes
-        spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
-        datasets = [ClientDataset(d.features[:4], d.targets[:4]) if i % 3 else d for i, d in enumerate(datasets)]
+    A ridge cohort with d <= n evaluates its quadratic form instead, which
+    equals those rows to rounding."""
+    if model == "ridge":
+        spec, datasets = round_world(model)
+        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1, weights=ragged_weights(10))
     else:
-        spec, datasets = round_world(model, ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+        spec, fed = fused_fed(model, local_steps=1)
     cohort = fed.cohort((0, 1, 3, 4, 6), spec)
-    assert len(cohort.data) == 2
     theta = 0.3 * np.random.default_rng(7).standard_normal(spec.param_count)
     want = kernel_rows_loss(spec, cohort, theta)
     got = federation_loss(cohort, theta)
@@ -946,25 +944,24 @@ def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
         assert np.float64(got).tobytes() == want.tobytes()
 
 
-def fused_world(model):
-    """Clients in two data shapes whose every stack steps through the kernel:
-    ridge with d = 6 > n = 5 or 4, logistic, or a two-layer MLP."""
-    if model != "ridge-wide":
-        return round_world(model, ragged=True)
-    spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
-    return spec, [ClientDataset(d.features[:4], d.targets[:4]) if i % 3 else d for i, d in enumerate(datasets)]
+def fused_fed(model, local_steps):
+    """A federation whose cohorts step through the kernel, with uneven
+    weights: ridge with d = 6 > n = 5, logistic, or a two-layer MLP."""
+    if model == "ridge-wide":
+        spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
+    else:
+        spec, datasets = round_world(model)
+    weights = ragged_weights(len(datasets))
+    return spec, FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=weights)
 
 
 def row_kernel_models(spec, fed, theta, cohort):
     """A round's local models from separate kernel calls, each step taken at
     theta repeated to one row per client, as before the fused pass."""
-    client_models = np.empty((len(cohort.active), len(theta)))
-    for rows, features, targets in cohort.data:
-        current = np.repeat(theta[None], len(rows), axis=0)
-        for _ in range(fed.local_steps):
-            current = current - fed.eta * models.stacked_grad(spec, features, targets, current)
-        client_models[rows] = current
-    return client_models
+    current = np.repeat(theta[None], len(cohort.active), axis=0)
+    for _ in range(fed.local_steps):
+        current = current - fed.eta * models.stacked_grad(spec, cohort.features, cohort.targets, current)
+    return current
 
 
 @pytest.mark.parametrize("local_steps", [1, 3])
@@ -974,16 +971,14 @@ def test_the_fused_pass_equals_the_separate_kernels_bitwise(model, removed, loca
     """federation_loss_and_grads's loss is federation_loss's and its
     gradients the kernel's at theta; a round stepping from them gives the
     separate kernels' local models, and from gradients at another theta not."""
-    spec, datasets = fused_world(model)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    spec, fed = fused_fed(model, local_steps)
     cohort = fed.cohort([c for c in range(fed.client_count) if c != removed], spec)
-    assert len(cohort.data) == 2 and cohort.quadratic is None
+    assert cohort.quadratic is None
     theta, elsewhere = 0.3 * np.random.default_rng(9).standard_normal((2, spec.param_count))
     value, grads = federation_loss_and_grads(cohort, theta)
     assert np.float64(value).tobytes() == np.float64(federation_loss(cohort, theta)).tobytes()
-    for (rows, features, targets), first in zip(cohort.data, grads):
-        repeated = np.repeat(theta[None], len(rows), axis=0)
-        assert first.tobytes() == models.stacked_grad(spec, features, targets, repeated).tobytes()
+    repeated = np.repeat(theta[None], len(cohort.active), axis=0)
+    assert grads.tobytes() == models.stacked_grad(spec, cohort.features, cohort.targets, repeated).tobytes()
     want = row_kernel_models(spec, fed, theta, cohort).tobytes()
     assert kernel_round(cohort, theta, 0, grads)[0].tobytes() == want
     assert kernel_round(cohort, theta, 0)[0].tobytes() == want
@@ -997,8 +992,7 @@ def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, loc
     """retrain_until with a finite loss threshold and min_rounds = 0 against
     a loop of separate kernel calls on a cohort missing one client: the same
     rounds, losses and models, bit for bit."""
-    spec, datasets = fused_world(model)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps)
+    spec, fed = fused_fed(model, local_steps)
     active = [c for c in range(fed.client_count) if c != 3]
     cohort = fed.cohort(active, spec)
     thetas = [0.3 * np.random.default_rng(10).standard_normal(spec.param_count)]
@@ -1018,9 +1012,9 @@ def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, loc
 
 
 def duplicated_column_world():
-    """round_world's ragged ridge clients with feature 3 replaced by a copy of
+    """round_world's ridge clients with feature 3 replaced by a copy of
     feature 2 and l2 = 0: every client's X^T X, and so H, is singular."""
-    spec, datasets = round_world("ridge", ragged=True)
+    spec, datasets = round_world("ridge")
     datasets = [ClientDataset(d.features[:, [0, 1, 2, 2]], d.targets) for d in datasets]
     return ModelSpec(ModelKind.RIDGE, (4,), 0.0), datasets
 
@@ -1034,8 +1028,8 @@ def test_ridge_quadratic_loss_matches_the_kernel_rows(case):
     if case == "singular":
         spec, datasets = duplicated_column_world()
     else:
-        spec, datasets = round_world("ridge", ragged=True)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+        spec, datasets = round_world("ridge")
+    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
     cohort = fed.cohort(range(10) if case == "full" else (0, 1, 3, 4, 6, 8), spec)
     anchor, anchor_loss, _, hessian = cohort.quadratic
     if case == "singular":
@@ -1056,8 +1050,9 @@ def test_a_cohorts_loss_does_not_depend_on_which_theta_came_first(world):
     """The anchor depends on the cohort alone, so two cohorts of the same
     clients, on this federation or a second one of the same data, give the
     same losses bit for bit whichever theta each evaluates first."""
-    spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge", ragged=True)
-    feds = [FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2) for _ in range(2)]
+    spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge")
+    weights = ragged_weights(10)
+    feds = [FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=weights) for _ in range(2)]
     active = (0, 2, 3, 5, 8, 9)
     thetas = [0.3 * np.random.default_rng(9).standard_normal(4), np.zeros(4), np.full(4, 40.0)]
     first = [federation_loss(feds[0].cohort(active, spec), theta) for theta in thetas]
@@ -1070,7 +1065,7 @@ def test_a_cohorts_loss_does_not_depend_on_which_theta_came_first(world):
 def per_chunk_operators(spec, X, y, eta, steps):
     """ridge_operators as they were built from the data itself, a few clients
     at a time (each chunk's d x d matrices holding no more values than one
-    client's data), before the federation kept each group's moments."""
+    client's data), before the federation kept the stack's moments."""
     n, d = X.shape[1:]
     if d > n:
         return None
@@ -1092,23 +1087,27 @@ def per_chunk_operators(spec, X, y, eta, steps):
 
 
 def test_operators_from_the_cached_moments_equal_the_per_chunk_build_bitwise():
-    spec, datasets = mixed_ridge_world()
-    # and a stack of ridge_fleet's shape, twelve clients in chunks of five
-    wide = make_ridge(clients=12, samples=100, features=20, seed=23, l2=0.05)
-    for spec, datasets in ((spec, datasets), wide):
+    worlds = [
+        round_world("ridge"),
+        # a stack of ridge_fleet's shape, twelve clients in chunks of five
+        make_ridge(clients=12, samples=100, features=20, seed=23, l2=0.05),
+        # d > n: no moments, no operators
+        make_ridge(clients=4, samples=3, features=4, seed=21),
+    ]
+    for spec, datasets in worlds:
         for steps in (1, 5):
             fed = FederationConfig.from_datasets(datasets, eta=0.01, local_steps=steps)
-            for _, features, targets, operators in fed.cohort(range(len(datasets)), spec).stacks:
-                want = per_chunk_operators(spec, features, targets, 0.01, steps)
-                if want is None:
-                    assert operators is None
-                    continue
-                assert operators[0].tobytes() == want[0].tobytes()
-                assert operators[1].tobytes() == want[1].tobytes()
+            cohort = fed.cohort(range(len(datasets)), spec)
+            want = per_chunk_operators(spec, cohort.features, cohort.targets, 0.01, steps)
+            if want is None:
+                assert cohort.operators is None
+                continue
+            assert cohort.operators[0].tobytes() == want[0].tobytes()
+            assert cohort.operators[1].tobytes() == want[1].tobytes()
 
 
 def test_ridge_moments_are_built_once_per_federation(monkeypatch):
-    spec, datasets = mixed_ridge_world()
+    spec, datasets = round_world("ridge")
     fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
     calls = []
     real = models.ridge_moments
@@ -1121,19 +1120,22 @@ def test_ridge_moments_are_built_once_per_federation(monkeypatch):
     theta = np.zeros(4)
     for n, l2 in enumerate((0.1, 0.5)):
         each = ModelSpec(ModelKind.RIDGE, (4,), l2)
-        for active in (range(12), (0, 2, 3), (1, 3)):
+        for active in (range(10), (0, 2, 3), (1, 3)):
             cohort = fed.cohort(active, each)
             federation_loss(cohort, theta)
-            theta = kernel_round(cohort, theta, n)[1]
-    assert calls == [(7, 16, 4), (3, 11, 4), (2, 3, 4)]
-    # the quadratic takes a stack's moments only when every stack has them
-    assert fed.cohort((0, 2), spec).quadratic is not None
-    assert fed.cohort((0, 10), spec).quadratic is None
+            theta = affine_round(cohort, theta, n)
+    assert calls == [(10, 16, 4)]
+    # data with d > n has no moments, and so no quadratic form
+    spec, datasets = make_ridge(clients=4, samples=3, features=4, seed=21)
+    wide = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    assert wide.cohort((0, 2), spec).quadratic is None
+    assert wide.cohort(range(4), spec).quadratic is None
+    assert calls == [(10, 16, 4), (4, 3, 4)]
 
 
 def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_increments():
     with pytest.raises(ValueError, match="sum to"):
-        Cohort((0, 1), np.array([0.5, 0.4]), None, (), (), None)
+        Cohort((0, 1), np.array([0.5, 0.4]), None, None)
     spec, datasets = make_ridge(clients=3, seed=4)
     fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=2)
     lone = fed.cohort((1,), spec)

@@ -75,19 +75,35 @@ def definitions(source: str) -> dict[str, int]:
     return found
 
 
+def local_names(tree: ast.AST) -> set[str]:
+    """Names some function of the tree binds as an argument or a local
+    variable."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, (*_DEFINITIONS[1:], ast.Lambda))]
+    return {
+        node.arg if isinstance(node, ast.arg) else node.id
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.arg) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    }
+
+
 def references(source: str) -> set[str]:
     """Names a source refers to: by name, by attribute, by an imported name
-    and by a string that is the name; docstrings do not count."""
+    and by a string that is the name.  Docstrings do not count, nor does a
+    name the source binds as an argument or a local variable anywhere: a
+    local `loss` is not a use of a function `loss`."""
     tree = ast.parse(source)
     docstrings = {
         id(scope.body[0].value)
         for scope in ast.walk(tree)
         if isinstance(scope, _SCOPES) and scope.body and isinstance(scope.body[0], ast.Expr)
     }
+    local = local_names(tree)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            if node.id not in local:
+                found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -120,6 +136,10 @@ def test_the_scan_flags_an_unreferenced_definition():
     }
     callers = [*package.values(), 'A().g()\nh\ngetattr(A, "k")\nprint("m is here")\n']
     assert unreferenced(package, callers) == ["a.py:4 f", "a.py:9 m"]
+    # a local variable or an argument of the same name is no use of h
+    shadows = "def f(h):\n    return h\n\ndef g():\n    h = 1\n    return h\n"
+    assert unreferenced(package, [*package.values(), shadows, "A().g()\nk\nm\n"]) == ["a.py:4 f", "a.py:7 h"]
+    assert unreferenced(package, [*package.values(), shadows, "A().g()\nk\nm\nmodule.h()\n"]) == ["a.py:4 f"]
 
 
 def test_every_package_definition_is_used_by_the_package_or_its_scripts():

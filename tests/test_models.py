@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import grad, pack_mlp, step_size_bound
+from conftest import grad, loss, pack_mlp, step_size_bound
 from fedunlearn import models
 from fedunlearn.errors import DimensionMismatchError
 from fedunlearn.models import (
@@ -18,7 +18,6 @@ from fedunlearn.models import (
     accuracy,
     as_params,
     data_loss,
-    loss,
     norms,
     regime_constants,
     stacked_grad,
@@ -296,8 +295,7 @@ def test_stacked_constants_equal_the_per_client_computation_bitwise(kind, l2, sh
     clients, samples, features = shape
     rng = np.random.default_rng(clients + samples)
     all_data = []
-    for i, X in enumerate(rng.standard_normal((clients, samples, features)) * np.logspace(-1, 1, features)):
-        X = X[: samples - 1] if i % 3 == 1 else X  # two data shapes
+    for X in rng.standard_normal((clients, samples, features)) * np.logspace(-1, 1, features):
         all_data.append(ClientDataset(X, rng.standard_normal(len(X))))
     spec = ModelSpec(kind, (features,), l2)
     assert regime_constants(spec, all_data) == per_client_constants(spec, all_data)
@@ -410,12 +408,10 @@ def test_mlp_probe_beta_covers_fresh_draws():
 
 @pytest.mark.parametrize("dims", [(3, 4, 1), (3, 5, 2, 1)])
 def test_mlp_probe_beta_equals_a_per_client_reference_loop(dims):
-    # the probe stacks clients of one data shape; a ragged federation gives two stacks
+    # the probe stacks the clients: one kernel call per pair
     spec = ModelSpec(ModelKind.TINY_MLP, dims)
     rng = np.random.default_rng(5)
-    datasets = [
-        ClientDataset(rng.standard_normal((n, 3)), rng.standard_normal(n)) for n in (12, 7, 12, 12, 7)
-    ]
+    datasets = [ClientDataset(rng.standard_normal((12, 3)), rng.standard_normal(12)) for _ in range(5)]
     probe = np.random.default_rng(models._PROBE_SEED)
     worst = 0.0
     for _ in range(models._PROBE_PAIRS):

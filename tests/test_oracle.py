@@ -198,14 +198,14 @@ def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
 # ---------------------------------------------------------------------------
 
 
-def ragged_ridge(counts, features=4, seed=90, l2=0.1):
-    """Ridge clients holding counts[i] samples each (cut from equal ones)."""
+def uneven_ridge(counts, features=4, seed=90, l2=0.1):
+    """Ridge clients of one data shape, max(counts) samples each, and the
+    uneven weights of clients holding counts[i] samples."""
     spec, datasets = make_ridge(
         clients=len(counts), samples=max(counts), features=features, seed=seed, l2=l2
     )
-    return spec, [
-        ClientDataset(data.features[:n], data.targets[:n]) for data, n in zip(datasets, counts)
-    ]
+    counts = np.array(counts, dtype=np.float64)
+    return spec, datasets, counts / counts.sum()
 
 
 def assert_same_alphas(closed, retrained):
@@ -219,7 +219,9 @@ def assert_same_alphas(closed, retrained):
 @pytest.mark.parametrize("local_steps", [1, 5])
 @pytest.mark.parametrize("weights", [None, [0.1, 0.45, 0.05, 0.25, 0.15]])
 def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights):
-    spec, datasets = ragged_ridge([7, 12, 9, 16, 5])
+    # weights None: the uneven weights of clients holding 7, 12, 9, 16 and 5 samples
+    spec, datasets, uneven = uneven_ridge([7, 12, 9, 16, 5])
+    weights = uneven if weights is None else weights
     fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=local_steps, weights=weights)
     _, _, history, ledger = train_world(spec, fed, 25, theta0=init_params(spec, 91))
     # the closed form takes the operators training built, and builds none
@@ -232,8 +234,8 @@ def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights
 
 
 def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
-    spec, datasets = ragged_ridge([8, 14, 10, 6], seed=92)
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=3)
+    spec, datasets, weights = uneven_ridge([8, 14, 10, 6], seed=92)
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=3, weights=weights)
     _, contraction, history, ledger = train_world(spec, fed, 20, theta0=init_params(spec, 92))
     # the same increments under a decay far faster than the true contraction
     shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
@@ -255,15 +257,16 @@ def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "retrain_until", counted)
-    # every data shape has d <= n, so every client has operators: closed form
-    spec, datasets = ragged_ridge([4, 5, 4])
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    # d <= n, so every client has operators: closed form
+    spec, datasets, weights = uneven_ridge([4, 5, 4])
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2, weights=weights)
     _, _, history, ledger = train_world(spec, fed, 4)
     empirical_sensitivity(fed, spec, history, ledger)
     assert calls == []
-    # a client of 3 samples has d > n and no operators, though C * d <= 13 samples
-    spec, datasets = ragged_ridge([3, 6, 4])
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    # clients of 3 samples have d > n and no operators, though the federation
+    # holds 9 samples, more than d
+    spec, datasets = make_ridge(clients=3, samples=3, features=4, seed=90, l2=0.1)
+    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2, weights=[0.25, 0.45, 0.3])
     _, _, history, ledger = train_world(spec, fed, 4)
     traces = empirical_sensitivity(fed, spec, history, ledger)
     assert calls == [[1, 2], [0, 2], [0, 1]]
@@ -305,8 +308,9 @@ def test_the_exact_ridge_contraction_check_fails_below_the_largest_step_norm(loc
     spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=94, l2=0.1)
     fed, constants = fed_for(spec, datasets, frac=1.0, local_steps=local_steps)
     contraction = contraction_factor(constants, fed.eta)
-    ((_, features, targets, operators),) = fed.cohort(range(4), spec).stacks
-    assert operators is not None
+    cohort = fed.cohort(range(4), spec)
+    features = cohort.features
+    assert cohort.operators is not None
     # ||P_i||_2 of one local step, written out from the data
     eye = np.eye(4)
     largest = max(np.linalg.norm(eye - fed.eta * (X.T @ X / len(X) + spec.l2 * eye), 2) for X in features)
@@ -314,10 +318,9 @@ def test_the_exact_ridge_contraction_check_fails_below_the_largest_step_norm(loc
     assert slack < 0.0
     assert slack == pytest.approx(largest - contraction, rel=0, abs=1e-12)
     # the exact ratio bounds every sampled pair's ||gap|| / ||theta - phi||
-    for _, offset, grads in models.gradient_pairs(spec, [(features, targets)], 8_191, 200):
-        for near, far in grads:
-            ratios = models.norms(offset + fed.eta * (near - far)) / np.linalg.norm(offset)
-            assert ratios.max() <= largest * (1 + 1e-12)
+    for _, offset, near, far in models.gradient_pairs(spec, features, cohort.targets, 8_191, 200):
+        ratios = models.norms(offset + fed.eta * (near - far)) / np.linalg.norm(offset)
+        assert ratios.max() <= largest * (1 + 1e-12)
     # verify fails the check once the slack exceeds 1e-9
     for margin in (-1e-6, 1e-6):
         assert contraction_slack(fed, spec, largest + margin) == pytest.approx(-margin, rel=1e-6)

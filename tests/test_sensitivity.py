@@ -37,7 +37,7 @@ def toy_round(client_models, weights, active=None):
     active = tuple(range(len(models))) if active is None else tuple(active)
     weights = np.asarray(weights, dtype=np.float64)
     # a cohort of weights alone: the increments read nothing else
-    cohort = Cohort(active, weights, None, (), (), None)
+    cohort = Cohort(active, weights, None, None)
     return cohort, models, _accumulate(models, cohort.active_weights)
 
 

@@ -24,7 +24,6 @@ from fedunlearn.engine import (
 )
 from fedunlearn.errors import EmptyFederationError, InvalidRequestError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset
 from fedunlearn.sensitivity import NoiseBudget, SensitivityLedger, noise_std
 from fedunlearn.unlearn import (
     StoppingRule,
@@ -150,12 +149,11 @@ def test_retrain_records_history_and_ledger():
 
 
 def test_all_client_ledger_rows_use_the_aggregation_weights():
-    # sample counts whose weights sum to 1 - 2**-53: the ledger must weight the
-    # increments as kernel_round aggregates, renormalised, not by the raw weights
+    # weights whose sum is 1 - 2**-53: the ledger must weight the increments
+    # as the rounds aggregate, renormalised, not by the raw weights
     spec, datasets = make_ridge(clients=5, samples=16, seed=4)
-    counts = (16, 11, 16, 11, 16)
-    datasets = [ClientDataset(d.features[:n], d.targets[:n]) for d, n in zip(datasets, counts)]
-    fed, _ = fed_for(spec, datasets, frac=0.5)
+    counts = np.array((16.0, 11.0, 16.0, 11.0, 16.0))
+    fed, _ = fed_for(spec, datasets, frac=0.5, weights=counts / counts.sum())
     assert fed.weights.sum() != 1.0
     ledger = SensitivityLedger(1.0, fed.local_steps, 5)
     history = TrainingHistory(np.zeros(4))
