@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .datagen import DataRecipe, generate_data
 from .engine import FederationConfig
 from .history import TrainingHistory
-from .models import ClientDataset, ModelKind, ModelSpec, Regime, RegimeConstants, regime_constants
+from .models import ModelKind, ModelSpec, Regime, RegimeConstants, regime_constants
 from .oracle import check_bound, empirical_sensitivity
 from .sensitivity import (
     NoiseBudget,
@@ -30,7 +30,6 @@ from .unlearn import (
 
 __all__ = [
     "__version__",
-    "ClientDataset",
     "DataRecipe",
     "FederationConfig",
     "ModelKind",

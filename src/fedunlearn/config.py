@@ -60,6 +60,10 @@ class ExperimentConfig:
                 raise ConfigError("weights must be non-negative")
             if not abs(sum(self.weights) - 1.0) <= 1e-12:
                 raise ConfigError("weights must sum to 1 within 1e-12")
+        # a client of zero weight moves no aggregate, and one client alone has no run without it to certify
+        positive = {c for c, w in enumerate(self.weights or (1.0,) * self.data.clients) if w > 0}
+        if len(positive) < 2:
+            raise ConfigError("at least two clients must carry positive weight")
         named: set[int] = set()
         for req in self.requests:
             if not req:
@@ -71,8 +75,8 @@ class ExperimentConfig:
             if repeated:
                 raise ConfigError(f"clients {sorted(repeated)} are named by more than one request")
             named.update(req)
-        if len(named) == self.data.clients:
-            raise ConfigError("requests would remove every client from the federation")
+        if positive <= named:
+            raise ConfigError("requests would remove every client of positive weight from the federation")
 
     def resolve_eta(self, constants: RegimeConstants) -> float:
         if isinstance(self.eta, str):

@@ -1,9 +1,11 @@
 """Synthetic federated data with a tunable client-heterogeneity knob.
 
-Every client sees the same ground-truth parameter plus a private shift whose
-scale is the heterogeneity knob.  All random draws happen in a fixed order
-that does not depend on the knob, so sweeping the knob moves the per-client
-optima apart without reshuffling anything else.
+A federation's data is one stack, features (C, n, d) and targets (C, n),
+and generate_data fills it client by client.  Every client sees the same
+ground-truth parameter plus a private shift whose scale is the
+heterogeneity knob.  All random draws happen in a fixed order that does not
+depend on the knob, so sweeping the knob moves the per-client optima apart
+without reshuffling anything else.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .models import ClientDataset
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,23 @@ class DataRecipe:
             raise ValueError(f"unknown task {self.task!r}")
 
 
-def generate_data(recipe: DataRecipe) -> list[ClientDataset]:
-    """Deterministic per-seed list of client datasets."""
+def generate_data(recipe: DataRecipe) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic per-seed stack of the clients' data: features (C, n, d)
+    and targets (C, n), client i drawn after client i - 1."""
     rng = np.random.default_rng(recipe.seed)
     truth = rng.standard_normal(recipe.features)
     shifts = rng.standard_normal((recipe.clients, recipe.features))
-    datasets = []
+    n = recipe.samples_per_client
+    features = np.empty((recipe.clients, n, recipe.features))
+    targets = np.empty((recipe.clients, n))
     for i in range(recipe.clients):
         local_truth = truth + recipe.heterogeneity * shifts[i]
-        features = rng.standard_normal((recipe.samples_per_client, recipe.features))
-        raw = features @ local_truth
+        rng.standard_normal(out=features[i])
+        raw = features[i] @ local_truth
         if recipe.task == "regression":
-            targets = raw + recipe.noise * rng.standard_normal(recipe.samples_per_client)
+            targets[i] = raw + recipe.noise * rng.standard_normal(n)
         else:
             # label = 1 with the logistic probability of the local score
             probs = 0.5 * (1.0 + np.tanh(0.5 * raw))
-            targets = (rng.random(recipe.samples_per_client) < probs).astype(np.float64)
-        datasets.append(ClientDataset(features, targets))
-    return datasets
+            targets[i] = rng.random(n) < probs
+    return features, targets

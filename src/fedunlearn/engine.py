@@ -1,7 +1,7 @@
 """Deterministic FedAvg: local full-batch GD, weighted aggregation, checkpoints.
 
-A federation's clients share one data shape (n, d) and are stacked once, as
-features (C, n, d) and targets (C, n).  A run aggregates one fixed Cohort of
+A federation's data is one stack, features (C, n, d) and targets (C, n),
+held once by FederationConfig.  A run aggregates one fixed Cohort of
 clients (FederationConfig.cohort): their renormalised weights and their
 rows of the stack, with everything a round needs that does not depend on
 theta, built once per run.  A ridge cohort with d <= n advances by its
@@ -42,7 +42,7 @@ from .errors import (
     EmptyFederationError,
     SingularRemovalError,
 )
-from .models import ClientDataset, ModelKind, ModelSpec, Params
+from .models import ModelKind, ModelSpec, Params
 
 _DIVERGENCE_NORM = 1e8
 _WEIGHT_TOL = 1e-12
@@ -51,34 +51,43 @@ _CKPT_MAGIC = b"FUL1"
 
 @dataclass(frozen=True, eq=False)
 class FederationConfig:
-    """Static description of a federation: its clients, weights and steps.
+    """Static description of a federation: its data, weights and steps.
 
-    weights must sum to 1 within 1e-12; by default they are proportional to
-    the client sample counts.  The clients must share one data shape
-    (models.stack_clients); they are stacked once, here.  It keeps no cohort
-    between calls, only what ridge cohorts build from the stack: the raw
-    moments X_i^T X_i and X_i^T y_i (models.ridge_moments, None for d > n),
-    built once on first use, and the ridge operators, built from them once
-    per spec (they depend on its l2).  Every array it holds is read-only:
-    its own copy of the weights, the stack, and the moments and operators as
-    they are built, so a federation shared by several runs cannot be
-    changed by one of them.
+    features (C, n, d) and targets (C, n) are the clients' data as one
+    stack, client i's rows at index i; it is taken as it is, not copied
+    (only converted to C-order float64 if it is not), and made read-only.
+    weights must sum to 1 within 1e-12; by default they are uniform, 1/C.
+    It keeps no cohort between calls, only what ridge cohorts build from
+    the stack: the raw moments X_i^T X_i and X_i^T y_i
+    (models.ridge_moments, None for d > n), built once on first use, and
+    the ridge operators, built from them once per spec (they depend on its
+    l2).  Every array it holds is read-only: the stack, its own copy of the
+    weights, and the moments and operators as they are built, so a
+    federation shared by several runs cannot be changed by one of them.
     """
 
-    clients: tuple[ClientDataset, ...]
-    weights: np.ndarray
+    features: np.ndarray
+    targets: np.ndarray
     eta: float
     local_steps: int
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        clients = tuple(self.clients)
-        if not clients:
-            raise EmptyFederationError("federation needs at least one client")
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.shape != (len(clients),):
+        features = np.ascontiguousarray(self.features, dtype=np.float64)
+        targets = np.ascontiguousarray(self.targets, dtype=np.float64)
+        if features.ndim != 3 or targets.shape != features.shape[:2]:
             raise DimensionMismatchError(
-                f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights "
-                f"for {len(clients)} clients"
+                f"features {features.shape} and targets {targets.shape} are not one (C, n, d) / (C, n) stack"
+            )
+        count, samples = targets.shape
+        if not count:
+            raise EmptyFederationError("federation needs at least one client")
+        if not samples:
+            raise ValueError("a federation's clients need at least one sample")
+        weights = np.full(count, 1.0 / count) if self.weights is None else np.array(self.weights, dtype=np.float64)
+        if weights.shape != (count,):
+            raise DimensionMismatchError(
+                f"{weights.shape[0] if weights.ndim == 1 else weights.shape} weights for {count} clients"
             )
         # written so that a NaN weight fails both checks
         if not (weights >= 0).all():
@@ -89,30 +98,15 @@ class FederationConfig:
             raise ValueError("eta must be positive")
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
-        stack = models.stack_clients(clients)
-        freeze(weights, *stack)
-        object.__setattr__(self, "clients", clients)
+        freeze(features, targets, weights)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_operators", {})
-
-    @classmethod
-    def from_datasets(
-        cls,
-        clients,
-        eta: float,
-        local_steps: int,
-        weights=None,
-    ) -> "FederationConfig":
-        clients = tuple(clients)
-        if weights is None:
-            counts = np.array([c.sample_count for c in clients], dtype=np.float64)
-            weights = counts / counts.sum()
-        return cls(clients, np.asarray(weights, dtype=np.float64), eta, local_steps)
 
     @property
     def client_count(self) -> int:
-        return len(self.clients)
+        return self.features.shape[0]
 
     def cohort(self, active, spec: ModelSpec) -> "Cohort":
         """The clients `active` (any order; repeats count once) as one run's
@@ -122,16 +116,15 @@ class FederationConfig:
             raise EmptyFederationError("a cohort needs at least one client")
         if active[0] < 0 or active[-1] >= self.client_count:
             raise IndexError(f"client index out of range in {active}")
-        features = self._stack[0]
-        if features.shape[2] != spec.dims[0]:
-            raise DimensionMismatchError(f"data has {features.shape[2]} features, spec expects {spec.dims[0]}")
+        if self.features.shape[2] != spec.dims[0]:
+            raise DimensionMismatchError(f"data has {self.features.shape[2]} features, spec expects {spec.dims[0]}")
         weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
         return Cohort(active, weights, spec, self)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray] | None:
         """models.ridge_moments of the stack, built on first read."""
-        moments = models.ridge_moments(*self._stack)
+        moments = models.ridge_moments(self.features, self.targets)
         freeze(*(moments or ()))
         return moments
 
@@ -139,7 +132,7 @@ class FederationConfig:
         """models.ridge_operators of the stack's moments, built once per spec
         (they depend on its l2)."""
         if spec not in self._operators:
-            samples = self._stack[0].shape[1]
+            samples = self.features.shape[1]
             operators = models.ridge_operators(spec, self._moments, samples, self.eta, self.local_steps)
             freeze(*operators)
             self._operators[spec] = operators
@@ -199,11 +192,11 @@ class Cohort:
 
     @cached_property
     def features(self) -> np.ndarray:
-        return self._rows(self.federation._stack[0])
+        return self._rows(self.federation.features)
 
     @cached_property
     def targets(self) -> np.ndarray:
-        return self._rows(self.federation._stack[1])
+        return self._rows(self.federation.targets)
 
     @cached_property
     def operators(self) -> tuple[np.ndarray, np.ndarray] | None:

@@ -7,8 +7,9 @@ R^d.  The per-client objective is always
     F(theta) = mean_i per_sample_loss_i(theta) + (l2 / 2) * ||theta||^2
 
 so the regulariser is part of every loss and gradient evaluated here.  A
-federation's clients share one data shape (n, d) and reach the kernels as
-one stack (stack_clients): features (C, n, d) and targets (C, n).
+federation's data is one stack, features (C, n, d) and targets (C, n)
+(datagen.generate_data), and reaches the kernels as that stack or as rows of
+it; one client's data is its rows, features (n, d) and targets (n,).
 """
 
 from __future__ import annotations
@@ -48,40 +49,6 @@ def as_params(theta) -> Params:
     if arr.ndim != 1:
         raise DimensionMismatchError(f"parameters must be 1-D, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ClientDataset:
-    """One client's local data: features (n, d) and targets (n,)."""
-
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        # C order, as in a stacked array, so one client and its stack slice
-        # make the same BLAS calls
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        targs = np.asarray(self.targets, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DimensionMismatchError(f"features must be 2-D, got shape {feats.shape}")
-        if targs.ndim != 1:
-            raise DimensionMismatchError(f"targets must be 1-D, got shape {targs.shape}")
-        if feats.shape[0] != targs.shape[0]:
-            raise DimensionMismatchError(
-                f"{feats.shape[0]} feature rows vs {targs.shape[0]} targets"
-            )
-        if feats.shape[0] < 1:
-            raise ValueError("client dataset needs at least one sample")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targs)
-
-    @property
-    def sample_count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -208,24 +175,21 @@ def norms(rows) -> np.ndarray:
     return np.sqrt(_sqnorms(rows))
 
 
-def data_loss(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
-    """Unregularised data term only (reporting metric)."""
-    features, targets, thetas = _one(data, theta)
-    return float(_data_terms(spec, features, targets, _checked(spec, features, thetas), with_grad=False)[0][0])
+def data_loss(spec: ModelSpec, features, targets, theta: Params) -> float:
+    """Unregularised data term of one client's rows, features (n, d) and
+    targets (n,), at theta (reporting metric)."""
+    thetas = _checked(spec, features[None], as_params(theta)[None])
+    return float(_data_terms(spec, features[None], targets[None], thetas, with_grad=False)[0][0])
 
 
-def accuracy(spec: ModelSpec, data: ClientDataset, theta: Params) -> float:
-    """Fraction of correct 0/1 predictions; logistic models only."""
+def accuracy(spec: ModelSpec, features, targets, theta: Params) -> float:
+    """Fraction of correct 0/1 predictions on one client's rows; logistic
+    models only."""
     if spec.kind is not ModelKind.LOGISTIC:
         raise ValueError("accuracy is defined for logistic models only")
-    features, _, thetas = _one(data, theta)
-    theta = _checked(spec, features, thetas)[0]
-    predicted = data.features @ theta > 0.0
-    return float(np.mean(predicted == (data.targets > 0.5)))
-
-
-def _one(data: ClientDataset, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return data.features[None], data.targets[None], as_params(theta)[None]
+    theta = _checked(spec, features[None], as_params(theta)[None])[0]
+    predicted = features @ theta > 0.0
+    return float(np.mean(predicted == (targets > 0.5)))
 
 
 def _checked(spec: ModelSpec, features: np.ndarray, thetas) -> np.ndarray:
@@ -375,8 +339,9 @@ def _mlp_backward(activations: list, layers: list, delta: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeConstants:
-    """Curvature envelope over every client in the federation.
+def regime_constants(spec: ModelSpec, features: np.ndarray, targets: np.ndarray) -> RegimeConstants:
+    """Curvature envelope over every client of the stack, features (C, n, d)
+    and targets (C, n).
 
     Ridge: exact Gram-matrix eigenvalues give beta_i = lmax(X_i^T X_i)/n + l2
     and mu_i = lmin(X_i^T X_i)/n + l2; the envelope takes max beta / min mu.
@@ -388,17 +353,8 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
     Tiny MLP: smooth-only regime; beta is a probed estimate, the max finite
     difference ratio ||grad(a) - grad(b)|| / ||a - b|| over 256 seeded random
     pairs, inflated by a 1.5x safety factor.  The estimate is a heuristic and
-    is labelled as such by the Smooth regime itself.  The clients must
-    share one data shape, as a federation's do (stack_clients).
+    is labelled as such by the Smooth regime itself.
     """
-    if not all_data:
-        raise ValueError("need at least one client dataset")
-    for data in all_data:
-        if data.feature_dim != spec.dims[0]:
-            raise DimensionMismatchError(
-                f"client data has {data.feature_dim} features, spec expects {spec.dims[0]}"
-            )
-    features, targets = stack_clients(all_data)
     lam = spec.l2
     if spec.kind is ModelKind.TINY_MLP:
         return RegimeConstants(Regime.SMOOTH, _probe_smoothness(spec, features, targets), 0.0, lam)
@@ -414,15 +370,6 @@ def regime_constants(spec: ModelSpec, all_data: list[ClientDataset]) -> RegimeCo
     if lam > 0:
         return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
     return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
-
-
-def stack_clients(clients) -> tuple[np.ndarray, np.ndarray]:
-    """The clients' features (C, n, d) and targets (C, n), stacked in order;
-    clients of two data shapes raise DimensionMismatchError."""
-    shapes = sorted({data.features.shape for data in clients})
-    if len(shapes) > 1:
-        raise DimensionMismatchError(f"clients have data shapes {shapes}; a federation needs one (n, d)")
-    return np.stack([data.features for data in clients]), np.stack([data.targets for data in clients])
 
 
 def gradient_pairs(spec: ModelSpec, features, targets, seed: int, pairs: int):

@@ -110,9 +110,11 @@ class PreparedExperiment:
     """Everything derived from a config that commands share.
 
     The commands of one process share one instance per config through
-    `prepared_for`, so every array reachable from it is read-only: the
-    clients' data, theta0 and the federation's weights, its one stack of the
-    clients' data, and its moments and operators.  It holds no artifact; commands read those from disk.
+    `prepared_for`, so every array reachable from it is read-only: theta0
+    and the federation's one stack of the clients' data, its weights, and
+    its moments and operators.  The stack is the one generate_data filled,
+    held once, by the federation.  It holds no artifact; commands read those
+    from disk.
     """
 
     config: ExperimentConfig
@@ -131,16 +133,16 @@ class PreparedExperiment:
 def prepare(config: ExperimentConfig) -> PreparedExperiment:
     """A fresh PreparedExperiment of `config`, its arrays read-only; derived
     without any cache."""
-    datasets = generate_data(config.data)
-    constants = regime_constants(config.model, datasets)
+    features, targets = generate_data(config.data)
+    constants = regime_constants(config.model, features, targets)
     eta = config.resolve_eta(constants)
     contraction = contraction_factor(constants, eta)
     theta0 = init_params(config.model, config.federation_seed, config.init)
-    freeze(theta0, *(array for data in datasets for array in (data.features, data.targets)))
+    freeze(theta0)
     return PreparedExperiment(
         config=config,
         spec=config.model,
-        fed=FederationConfig.from_datasets(datasets, eta, config.local_steps, config.weights),
+        fed=FederationConfig(features, targets, eta, config.local_steps, config.weights),
         constants=constants,
         contraction=contraction,
         theta0=theta0,
@@ -611,8 +613,8 @@ def cmd_report(run_dir: Path) -> Path:
         raise MissingArtifactsError(f"no completed unlearning runs under {run_dir}")
 
     forgotten = sorted({c for req in config.requests for c in req})
-    remaining = [i for i in range(prepared.client_count) if i not in forgotten]
-    survivors = prepared.fed.cohort(remaining, spec) if remaining else None
+    # the config leaves a client of positive weight after every request
+    survivors = prepared.fed.cohort(set(range(prepared.client_count)) - set(forgotten), spec)
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 
@@ -622,7 +624,7 @@ def cmd_report(run_dir: Path) -> Path:
     for method in sorted(methods):
         outcomes, final_model = methods[method]
         total_rounds = sum(row["retrain_rounds"] for row in outcomes)
-        retained = federation_loss(survivors, final_model) if remaining else float("nan")
+        retained = federation_loss(survivors, final_model)
         rounds_rows.append(f"{method},{total_rounds}")
         retained_rows.append(f"{method},{fmt17(retained)}")
         forget_rows.append(f"{method},{fmt17(_forget_metric(spec, prepared, forgotten, final_model))},{_metric_kind(spec)}")
@@ -650,16 +652,16 @@ def _metric_kind(spec) -> str:
 
 
 def _forget_metric(spec, prepared, forgotten, theta) -> float:
-    """Sample-weighted mean metric of the final model on the forgotten clients."""
+    """Mean metric of the final model over the forgotten clients, each of
+    which holds the same number of samples."""
     if not forgotten:
         return float("nan")
-    total_samples = sum(prepared.fed.clients[c].sample_count for c in forgotten)
+    fed = prepared.fed
+    share = 1.0 / len(forgotten)
     value = 0.0
     for c in forgotten:
-        data = prepared.fed.clients[c]
-        share = data.sample_count / total_samples
         if spec.kind is ModelKind.LOGISTIC:
-            value += share * models.accuracy(spec, data, theta)
+            value += share * models.accuracy(spec, fed.features[c], fed.targets[c], theta)
         else:
-            value += share * 2.0 * models.data_loss(spec, data, theta)
+            value += share * 2.0 * models.data_loss(spec, fed.features[c], fed.targets[c], theta)
     return value

@@ -247,9 +247,10 @@ def _book(cohort: Cohort, thetas: list, pending: list, ledger, history, first_ro
     gaps = local_gaps(cohort, thetas) if cohort.affine is not None else kernel_gaps(pending, thetas[1:])
     rounds = len(gaps)
     if ledger is not None and rounds:
-        # a lone client carries the full weight: no run without it to bound
-        many = len(cohort.active) > 1
-        ledger.extend(client_increments(cohort, gaps) if many else np.zeros((rounds, ledger.client_count)))
+        # a client carrying the cohort's full weight (its lone client, or its
+        # only one of positive weight) has no run without it to bound
+        bounded = (cohort.active_weights < 1.0).all()
+        ledger.extend(client_increments(cohort, gaps) if bounded else np.zeros((rounds, ledger.client_count)))
     if history is not None and rounds:
         history.extend(thetas[1 : rounds + 1])
     if rounds < len(thetas) - 1:

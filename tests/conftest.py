@@ -12,13 +12,7 @@ from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn.engine import FederationConfig, federation_loss, init_params, kernel_round, local_updates
 from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import (
-    ClientDataset,
-    ModelKind,
-    ModelSpec,
-    Regime,
-    regime_constants,
-)
+from fedunlearn.models import ModelKind, ModelSpec, Regime, regime_constants
 from fedunlearn.oracle import empirical_sensitivity
 from fedunlearn.sensitivity import SensitivityLedger, client_increments, contraction_factor
 from fedunlearn.unlearn import StoppingRule, retrain_until, stopping_criterion
@@ -69,17 +63,18 @@ def make_logistic(clients=3, samples=20, features=4, het=0.5, seed=0, l2=0.0, no
     return ModelSpec(ModelKind.LOGISTIC, (features,), l2), generate_data(recipe)
 
 
-def fed_for(spec, datasets, *, frac=1.0, local_steps=1, weights=None):
-    """Federation with eta at `frac` of the regime's admissible bound.
+def fed_for(spec, features, targets, *, frac=1.0, local_steps=1, weights=None):
+    """Federation of the stack (features, targets) with eta at `frac` of the
+    regime's admissible bound.
 
     Smooth regime has no bound; frac is taken relative to 1/beta there.
     """
-    constants = regime_constants(spec, datasets)
+    constants = regime_constants(spec, features, targets)
     bound = step_size_bound(constants)
     if bound is None or not np.isfinite(bound):
         bound = 2.0 / constants.beta
     eta = frac * bound
-    fed = FederationConfig.from_datasets(datasets, eta=eta, local_steps=local_steps, weights=weights)
+    fed = FederationConfig(features, targets, eta=eta, local_steps=local_steps, weights=weights)
     return fed, constants
 
 
@@ -88,7 +83,7 @@ def train_world(spec, fed, rounds, *, seed=1, theta0=None, init_mode="normal"):
 
     Without theta0 the start is init_params(spec, seed, init_mode).
     """
-    constants = regime_constants(spec, list(fed.clients))
+    constants = regime_constants(spec, fed.features, fed.targets)
     contraction = contraction_factor(constants, fed.eta)
     if theta0 is None:
         theta0 = init_params(spec, seed, init_mode)
@@ -112,25 +107,26 @@ def oracle_traces(spec, fed, rounds, theta0):
     return empirical_sensitivity(fed, spec, history, ledger)
 
 
-def ridge_opt(datasets, weights, active, l2):
-    """Closed-form minimiser of the weighted ridge objective over `active`.
+def ridge_opt(features, targets, weights, active, l2):
+    """Closed-form minimiser of the weighted ridge objective of the stack
+    (features, targets) over `active`.
 
-    Normal equations of sum_i q_i (0.5 ||X_i t - y_i||^2 / n_i + 0.5 l2 ||t||^2)
+    Normal equations of sum_i q_i (0.5 ||X_i t - y_i||^2 / n + 0.5 l2 ||t||^2)
     with q renormalised over the active set.  Returns (theta, loss value).
     """
     active = sorted(active)
     q = np.array([weights[i] for i in active], dtype=np.float64)
     q = q / q.sum()
-    d = datasets[active[0]].feature_dim
+    n, d = features.shape[1:]
     lhs = np.zeros((d, d))
     rhs = np.zeros(d)
     for qi, i in zip(q, active):
-        ds = datasets[i]
-        lhs += qi * (ds.features.T @ ds.features / ds.sample_count + l2 * np.eye(d))
-        rhs += qi * (ds.features.T @ ds.targets / ds.sample_count)
+        X, y = features[i], targets[i]
+        lhs += qi * (X.T @ X / n + l2 * np.eye(d))
+        rhs += qi * (X.T @ y / n)
     theta = np.linalg.solve(lhs, rhs)
     spec = ModelSpec(ModelKind.RIDGE, (d,), l2)
-    value = sum(qi * loss(spec, datasets[i], theta) for qi, i in zip(q, active))
+    value = sum(qi * loss(spec, features[i], targets[i], theta) for qi, i in zip(q, active))
     return theta, float(value)
 
 
@@ -143,10 +139,9 @@ def assert_near(got, want, rel=1e-13):
 
 
 def two_client_toy():
-    """Two one-sample clients in 2-D with an exactly solvable ridge problem."""
-    a = ClientDataset(np.array([[1.0, 0.0]]), np.array([1.0]))
-    b = ClientDataset(np.array([[0.0, 1.0]]), np.array([1.0]))
-    return [a, b]
+    """Two one-sample clients in 2-D with an exactly solvable ridge problem,
+    as the stack (features (2, 1, 2), targets (2, 1))."""
+    return np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([[1.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +165,10 @@ def step_size_bound(constants) -> float | None:
     return None
 
 
-def local_update(spec, data, theta, eta, local_steps):
-    """Run `local_steps` gradient steps on one client's loss from theta."""
-    return local_updates(spec, data.features[None], data.targets[None], theta, eta, local_steps)[0]
+def local_update(spec, features, targets, theta, eta, local_steps):
+    """Run `local_steps` gradient steps from theta on the loss of one client's
+    rows, features (n, d) and targets (n,)."""
+    return local_updates(spec, features[None], targets[None], theta, eta, local_steps)[0]
 
 
 def pack_mlp(spec, layers):
@@ -187,16 +183,16 @@ def pack_mlp(spec, layers):
     return theta
 
 
-def loss(spec, data, theta):
-    """Regularised per-sample-mean loss of theta on one client's data, a
+def loss(spec, features, targets, theta):
+    """Regularised per-sample-mean loss of theta on one client's rows, a
     stack of one in the kernel: the per-client reference for the engine's
     retained losses."""
-    return float(models.stacked_loss(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0])
+    return float(models.stacked_loss(spec, features[None], targets[None], models.as_params(theta)[None])[0])
 
 
-def grad(spec, data, theta):
-    """Gradient of loss on one client's data, a stack of one in the kernel."""
-    return models.stacked_grad(spec, data.features[None], data.targets[None], models.as_params(theta)[None])[0]
+def grad(spec, features, targets, theta):
+    """Gradient of loss on one client's rows, a stack of one in the kernel."""
+    return models.stacked_grad(spec, features[None], targets[None], models.as_params(theta)[None])[0]
 
 
 def client_increments_direct(cohort, client_models, global_after):
@@ -229,15 +225,15 @@ def round_increments(cohort, client_models, global_after):
 def round_loop(spec, fed, theta0, active, stopping):
     """retrain_until's run as a loop of kernel_round calls, each round's
     client models guarded (norm at most 1e8) and its increments taken on
-    their own (round_increments, zero for a lone client), and each model's
-    loss from federation_loss.
+    their own (round_increments, zero when one client carries the cohort's
+    full weight), and each model's loss from federation_loss.
 
     A run through the kernel equals it bit for bit; an affine run (a cohort
     with an aggregate map) equals it to rounding.  Returns the models
     (rounds + 1, d), the deltas (rounds, clients) and the losses.
     """
     cohort = fed.cohort(active, spec)
-    lone = len(cohort.active) == 1
+    lone = (cohort.active_weights >= 1.0).any()
     theta = np.array(theta0, dtype=np.float64)
     kept, deltas, losses = [theta], [], [federation_loss(cohort, theta)]
     while not stopping_criterion(len(deltas), losses[-1], stopping):
@@ -250,13 +246,13 @@ def round_loop(spec, fed, theta0, active, stopping):
     return np.array(kept), np.array(deltas).reshape(len(deltas), fed.client_count), losses
 
 
-def reference_gd(spec, data, theta0, eta, steps):
+def reference_gd(spec, features, targets, theta0, eta, steps):
     """Plain full-batch gradient descent, written independently of the engine."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     theta = np.array(theta0, dtype=np.float64)
     for _ in range(steps):
-        theta = theta - eta * grad(spec, data, theta)
+        theta = theta - eta * grad(spec, features, targets, theta)
         if not np.all(np.isfinite(theta)):
             raise DivergedTrainingError("reference GD diverged")
     return theta

@@ -53,12 +53,12 @@ def verdict(label, ok, detail):
 
 def test_criterion_1_logistic_sensitivity_bound():
     start = time.perf_counter()
-    spec, datasets = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
-    constants = regime_constants(spec, datasets)
+    spec, data = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
+    constants = regime_constants(spec, *data)
     theta0 = init_params(spec, 2)
     worst = -math.inf
     for local_steps in (1, 3):
-        fed = FederationConfig.from_datasets(datasets, eta=1.0 / constants.beta, local_steps=local_steps)
+        fed = FederationConfig(*data, eta=1.0 / constants.beta, local_steps=local_steps)
         for trace in oracle_traces(spec, fed, 40, theta0):
             report = check_bound(trace, tol=1e-8)
             assert report.checked_rounds == 41
@@ -77,9 +77,9 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
     start = time.perf_counter()
     worst = -math.inf
     for clients in (3, 10):
-        spec, datasets = make_ridge(clients=clients, samples=20, features=6, het=0.5, seed=6, l2=0.1)
+        spec, data = make_ridge(clients=clients, samples=20, features=6, het=0.5, seed=6, l2=0.1)
         for local_steps in (1, 5):
-            fed, _ = fed_for(spec, datasets, local_steps=local_steps)
+            fed, _ = fed_for(spec, *data, local_steps=local_steps)
             theta0 = init_params(spec, 3)
             for trace in oracle_traces(spec, fed, 60, theta0):
                 report = check_bound(trace, tol=1e-8)
@@ -88,8 +88,8 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
                 worst = max(worst, report.worst_slack)
 
     # once a client is gone, the gap to any other start contracts by B each round
-    spec, datasets = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    fed, constants = fed_for(spec, datasets)
+    spec, data = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
+    fed, constants = fed_for(spec, *data)
     factor = contraction_factor(constants, fed.eta)
     theta0 = init_params(spec, 3)
     branch = retrain_until(spec, fed, theta0, range(3), exactly(30)).final_model
@@ -115,34 +115,35 @@ def test_criterion_3_one_step_contractivity():
     pairs = 1000
     worst = -math.inf
 
-    def sweep(spec, datasets, eta, factor, scale, offset, seed):
+    def sweep(spec, data, eta, factor, scale, offset, seed):
         nonlocal worst
         rng = np.random.default_rng(seed)
         d = spec.param_count
+        features, targets = data
         for k in range(pairs):
             theta = scale * rng.standard_normal(d)
             other = theta + offset * rng.standard_normal(d)
-            data = datasets[k % len(datasets)]
-            u = local_update(spec, data, theta, eta, 1)
-            v = local_update(spec, data, other, eta, 1)
+            c = k % len(features)
+            u = local_update(spec, features[c], targets[c], theta, eta, 1)
+            v = local_update(spec, features[c], targets[c], other, eta, 1)
             slack = float(np.linalg.norm(u - v)) - factor * float(np.linalg.norm(theta - other))
             worst = max(worst, slack)
 
-    spec, datasets = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    constants = regime_constants(spec, datasets)
+    spec, data = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
+    constants = regime_constants(spec, *data)
     eta = step_size_bound(constants)
-    sweep(spec, datasets, eta, contraction_factor(constants, eta), 1.0, 1.0, 30)
+    sweep(spec, data, eta, contraction_factor(constants, eta), 1.0, 1.0, 30)
 
-    spec, datasets = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
-    constants = regime_constants(spec, datasets)
+    spec, data = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
+    constants = regime_constants(spec, *data)
     eta = 1.0 / constants.beta
-    sweep(spec, datasets, eta, contraction_factor(constants, eta), 1.0, 1.0, 31)
+    sweep(spec, data, eta, contraction_factor(constants, eta), 1.0, 1.0, 31)
 
-    spec, datasets = make_ridge(clients=3, samples=20, features=3, het=0.5, seed=4)
+    spec, data = make_ridge(clients=3, samples=20, features=3, het=0.5, seed=4)
     spec = ModelSpec(ModelKind.TINY_MLP, (3, 4, 1), 0.05)
-    constants = regime_constants(spec, datasets)
+    constants = regime_constants(spec, *data)
     eta = 0.1 / constants.beta
-    sweep(spec, datasets, eta, contraction_factor(constants, eta), 0.5, 0.2, 32)
+    sweep(spec, data, eta, contraction_factor(constants, eta), 0.5, 0.2, 32)
 
     verdict(
         "3 per-step contractivity",
@@ -154,9 +155,9 @@ def test_criterion_3_one_step_contractivity():
 def test_criterion_4_increment_proxy_equivalence():
     worst = -math.inf
 
-    def sweep(spec, datasets, *, local_steps, rounds, weights=None):
+    def sweep(spec, data, *, local_steps, rounds, weights=None):
         nonlocal worst
-        fed, _ = fed_for(spec, datasets, local_steps=local_steps, weights=weights)
+        fed, _ = fed_for(spec, *data, local_steps=local_steps, weights=weights)
         theta0 = init_params(spec, 3)
         history = TrainingHistory(theta0)
         retrain_until(spec, fed, theta0, range(fed.client_count), exactly(rounds), history=history)
@@ -169,15 +170,15 @@ def test_criterion_4_increment_proxy_equivalence():
                 worst = max(worst, abs(fast - direct) / max(abs(direct), 1e-12))
         return everyone, records
 
-    spec, datasets = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    sweep(spec, datasets, local_steps=1, rounds=40)
-    sweep(spec, datasets, local_steps=1, rounds=40, weights=(0.5, 0.3, 0.2))
-    spec, datasets = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
-    sweep(spec, datasets, local_steps=3, rounds=40)
+    spec, data = make_ridge(clients=3, samples=20, features=6, het=0.5, seed=6, l2=0.1)
+    sweep(spec, data, local_steps=1, rounds=40)
+    sweep(spec, data, local_steps=1, rounds=40, weights=(0.5, 0.3, 0.2))
+    spec, data = make_logistic(clients=5, samples=20, features=5, het=0.5, seed=5)
+    sweep(spec, data, local_steps=3, rounds=40)
 
     # uniform weights collapse the proxy to gap/(M-1)
-    spec, datasets = make_ridge(clients=10, samples=20, features=6, het=0.5, seed=6, l2=0.1)
-    everyone, records = sweep(spec, datasets, local_steps=1, rounds=20, weights=(0.1,) * 10)
+    spec, data = make_ridge(clients=10, samples=20, features=6, het=0.5, seed=6, l2=0.1)
+    everyone, records = sweep(spec, data, local_steps=1, rounds=20, weights=(0.1,) * 10)
     worst_uniform = -math.inf
     for client_models, after in records:
         fasts = round_increments(everyone, client_models, after)
@@ -221,14 +222,12 @@ def test_criterion_5_noise_calibration():
 
 
 def test_criterion_6_interior_rollback_sequence():
-    spec, datasets = make_ridge(clients=6, samples=24, features=6, het=0.6, seed=13, l2=0.1)
+    spec, data = make_ridge(clients=6, samples=24, features=6, het=0.6, seed=13, l2=0.1)
     weights = (0.06, 0.06, 0.40, 0.16, 0.16, 0.16)
-    constants = regime_constants(spec, datasets)
+    constants = regime_constants(spec, *data)
     eta = 0.5 / constants.beta
     assert eta <= step_size_bound(constants)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=eta, local_steps=1, weights=weights
-    )
+    fed = FederationConfig(*data, eta=eta, local_steps=1, weights=weights)
     theta0, _, history, ledger = train_world(spec, fed, 30, seed=17)
     trained = history.models.copy()
     plateau_light = ledger.set_sensitivity((0, 1), 30)
@@ -285,8 +284,8 @@ def test_criterion_6_interior_rollback_sequence():
 
 
 def test_criterion_7_degenerate_budgets():
-    spec, datasets = make_ridge(clients=4)
-    fed, _ = fed_for(spec, datasets)
+    spec, data = make_ridge(clients=4)
+    fed, _ = fed_for(spec, *data)
 
     zero = NoiseBudget(1.0, 0.05, 0.0)
     theta0, _, history, ledger = train_world(spec, fed, 12)
@@ -316,14 +315,14 @@ def test_criterion_8_unlearning_beats_scratch():
     sifu_rounds = []
     scratch_rounds = []
     for seed in range(101, 106):
-        spec, datasets = make_ridge(clients=5, samples=30, features=8, het=0.3, seed=seed, l2=0.05)
-        fed, _ = fed_for(spec, datasets)
+        spec, data = make_ridge(clients=5, samples=30, features=8, het=0.3, seed=seed, l2=0.05)
+        fed, _ = fed_for(spec, *data)
         theta0, _, history, ledger = train_world(spec, fed, 40, seed=seed + 1000)
         plateau = ledger.set_sensitivity((0, 3), 40)
         budget = NoiseBudget(10.0, 0.05, noise_std(1.3 * plateau, 10.0, 0.05))
         threshold = 1.002 * max(
-            ridge_opt(datasets, fed.weights, [1, 2, 3, 4], 0.05)[1],
-            ridge_opt(datasets, fed.weights, [1, 2, 4], 0.05)[1],
+            ridge_opt(*data, fed.weights, [1, 2, 3, 4], 0.05)[1],
+            ridge_opt(*data, fed.weights, [1, 2, 4], 0.05)[1],
         )
         stopping = StoppingRule(threshold, 0, 400)
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import assert_near, round_increments
 from fedunlearn import models, oracle, runner, unlearn
 from fedunlearn.cli import main
-from fedunlearn.config import load_config
+from fedunlearn.config import load_config, parse_config
 from fedunlearn.engine import (
     federation_loss,
     kernel_round,
@@ -439,20 +440,56 @@ def test_verify_catches_a_tampered_train_history(workdir, capsys, position):
     assert "FAIL rerun:train" in capsys.readouterr().out
 
 
+def ridge_benchmark_with(name, weights, requests):
+    root = Path(__file__).resolve().parent.parent
+    doc = json.loads((root / "scripts" / "ridge_benchmark.json").read_text())
+    doc["name"] = name
+    doc["federation"]["weights"] = weights
+    doc["requests"] = requests
+    return doc
+
+
 def test_verify_passes_a_client_at_nearly_full_weight(workdir, capsys):
     # the checked-in ridge benchmark with client 0 at weight 1 - 1e-6, where
     # the closed-form increment p/(1 - p) * ||theta_c - theta_agg|| loses
     # digits to cancellation; verify still passes the run train recorded
-    root = Path(__file__).resolve().parent.parent
-    doc = json.loads((root / "scripts" / "ridge_benchmark.json").read_text())
-    doc["name"] = "cli_near_full_weight"
-    doc["federation"]["weights"] = [0.999999] + [2.5e-7] * 4
-    doc["requests"] = [[1]]
+    doc = ridge_benchmark_with("cli_near_full_weight", [0.999999] + [2.5e-7] * 4, [[1]])
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
     capsys.readouterr()
     assert main(["verify", config]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_a_cohort_whose_weight_sits_on_one_client_books_no_increments(workdir, capsys):
+    # without client 0, client 1 carries the whole weight: no run without it
+    # to bound, as for a cohort of one client
+    doc = ridge_benchmark_with("cli_one_weighted_survivor", [0.5, 0.5, 0.0, 0.0, 0.0], [[0]])
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    for method in ("sifu", "scratch"):
+        assert main(["unlearn", config, "--method", method]) == 0
+    capsys.readouterr()
+    assert main(["verify", config]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "weights, requests, message",
+    [
+        ([1.0, 0.0, 0.0, 0.0, 0.0], [[1]], "at least two clients must carry positive weight"),
+        ([0.5, 0.5, 0.0, 0.0, 0.0], [[0, 1]], "every client of positive weight"),
+        ([0.5, 0.5, 0.0, 0.0, 0.0], [[0], [1]], "every client of positive weight"),
+    ],
+    ids=["one-weighted-client", "request-removes-the-weight", "requests-remove-the-weight"],
+)
+def test_weights_that_leave_one_client_nothing_to_certify_are_refused(workdir, capsys, weights, requests, message):
+    doc = ridge_benchmark_with("cli_refused_weights", weights, requests)
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["unlearn", config, "--method", "sifu"]) == 2
+    assert not run_dir(workdir, doc).exists()
 
 
 def test_verify_holds_the_train_metrics_bit_for_bit(workdir, capsys):
@@ -1155,11 +1192,28 @@ def test_the_shared_prepared_experiment_is_read_only(workdir):
     assert len(built) == 4  # the stack's X^T X, X^T y, A and b
     arrays = reachable_arrays(prepared)
     assert {id(array) for array in built} <= {id(array) for array in arrays}
-    # each client's features and targets, theta0, the weights, the stacked features and targets
-    assert len(arrays) == 2 * 3 + 1 + 1 + 2 + len(built)
+    # theta0, the weights, the stacked features and targets: the data once
+    assert len(arrays) == 1 + 1 + 2 + len(built)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_prepare_holds_the_clients_data_once():
+    # ridge_fleet's stack: 40 clients of 100 samples and 20 features
+    doc = base_doc("cli_held_once")
+    doc["model"]["dims"] = [20]
+    doc["data"].update(clients=40, samples_per_client=100, features=20)
+    config = parse_config(json.dumps(doc))
+    prepare(config)  # warm-up: imports and caches are not the data
+    tracemalloc.start()
+    try:
+        prepared = prepare(config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = prepared.fed.features.nbytes + prepared.fed.targets.nbytes
+    assert held <= 1.5 * stack, (held, stack)
 
 
 def test_every_command_warns_of_the_smooth_regime(workdir, monkeypatch):

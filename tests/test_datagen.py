@@ -21,50 +21,66 @@ def test_generation_is_deterministic():
     a = generate_data(recipe())
     b = generate_data(recipe())
     for da, db in zip(a, b):
-        np.testing.assert_array_equal(da.features, db.features)
-        np.testing.assert_array_equal(da.targets, db.targets)
+        np.testing.assert_array_equal(da, db)
 
 
 def test_seed_changes_the_draw():
-    a = generate_data(recipe())
-    b = generate_data(recipe(seed=18))
-    assert not np.array_equal(a[0].features, b[0].features)
+    a, _ = generate_data(recipe())
+    b, _ = generate_data(recipe(seed=18))
+    assert not np.array_equal(a[0], b[0])
 
 
 def test_shapes_and_counts():
-    datasets = generate_data(recipe(clients=5, samples_per_client=7, features=2))
-    assert len(datasets) == 5
-    for ds in datasets:
-        assert ds.features.shape == (7, 2)
-        assert ds.targets.shape == (7,)
-        assert ds.features.dtype == np.float64
+    features, targets = generate_data(recipe(clients=5, samples_per_client=7, features=2))
+    assert features.shape == (5, 7, 2)
+    assert targets.shape == (5, 7)
+    assert features.dtype == targets.dtype == np.float64
+    assert features.flags.c_contiguous and targets.flags.c_contiguous
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_the_stack_holds_the_per_client_draws_in_order(task):
+    """The stack against a client-by-client loop that draws each client's
+    features and then its targets, as separate arrays."""
+    r = recipe(clients=5, samples_per_client=9, features=3, task=task)
+    rng = np.random.default_rng(r.seed)
+    truth = rng.standard_normal(r.features)
+    shifts = rng.standard_normal((r.clients, r.features))
+    features, targets = generate_data(r)
+    for i in range(r.clients):
+        X = rng.standard_normal((r.samples_per_client, r.features))
+        raw = X @ (truth + r.heterogeneity * shifts[i])
+        if task == "regression":
+            y = raw + r.noise * rng.standard_normal(r.samples_per_client)
+        else:
+            y = (rng.random(r.samples_per_client) < 0.5 * (1.0 + np.tanh(0.5 * raw))).astype(np.float64)
+        assert features[i].tobytes() == X.tobytes()
+        assert targets[i].tobytes() == y.tobytes()
 
 
 def test_classification_targets_are_binary():
-    datasets = generate_data(recipe(task="classification", clients=3))
-    stacked = np.concatenate([ds.targets for ds in datasets])
-    assert set(np.unique(stacked)) <= {0.0, 1.0}
-    assert 0.0 < stacked.mean() < 1.0
+    _, targets = generate_data(recipe(task="classification", clients=3))
+    assert set(np.unique(targets)) <= {0.0, 1.0}
+    assert 0.0 < targets.mean() < 1.0
 
 
 def test_noiseless_regression_targets_are_exact_linear_responses():
-    datasets = generate_data(recipe(noise=0.0, samples_per_client=20))
-    for ds in datasets:
-        w, *_ = np.linalg.lstsq(ds.features, ds.targets, rcond=None)
-        np.testing.assert_allclose(ds.features @ w, ds.targets, rtol=0, atol=1e-10)
+    for X, y in zip(*generate_data(recipe(noise=0.0, samples_per_client=20))):
+        w, *_ = np.linalg.lstsq(X, y, rcond=None)
+        np.testing.assert_allclose(X @ w, y, rtol=0, atol=1e-10)
 
 
 def test_noise_perturbs_the_responses():
     clean = generate_data(recipe(noise=0.0))
     noisy = generate_data(recipe(noise=0.3))
-    np.testing.assert_array_equal(clean[0].features, noisy[0].features)
-    assert not np.array_equal(clean[0].targets, noisy[0].targets)
+    np.testing.assert_array_equal(clean[0][0], noisy[0][0])
+    assert not np.array_equal(clean[1][0], noisy[1][0])
 
 
 def test_heterogeneity_scales_client_truths_linearly():
     def client_truths(het):
-        datasets = generate_data(recipe(heterogeneity=het, noise=0.0, samples_per_client=30))
-        solved = [np.linalg.lstsq(ds.features, ds.targets, rcond=None)[0] for ds in datasets]
+        stack = generate_data(recipe(heterogeneity=het, noise=0.0, samples_per_client=30))
+        solved = [np.linalg.lstsq(X, y, rcond=None)[0] for X, y in zip(*stack)]
         return np.stack(solved)
 
     base = client_truths(0.0)
@@ -79,10 +95,9 @@ def test_heterogeneity_scales_client_truths_linearly():
 
 
 def test_heterogeneity_knob_does_not_change_the_features():
-    a = generate_data(recipe(heterogeneity=0.0))
-    b = generate_data(recipe(heterogeneity=2.0))
-    for da, db in zip(a, b):
-        np.testing.assert_array_equal(da.features, db.features)
+    a, _ = generate_data(recipe(heterogeneity=0.0))
+    b, _ = generate_data(recipe(heterogeneity=2.0))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_recipe_validation():

@@ -43,11 +43,12 @@ from fedunlearn.errors import (
     SingularRemovalError,
 )
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, regime_constants
+from fedunlearn.models import ModelKind, ModelSpec, regime_constants
 from fedunlearn.sensitivity import SensitivityLedger
 from fedunlearn.unlearn import StoppingRule, retrain_until
 
-IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
+# one client's rows: features (n, d), targets (n,)
+IDENTITY_DATA = np.eye(2), np.array([1.0, 1.0])
 RIDGE_ID = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
 
 
@@ -57,42 +58,42 @@ RIDGE_ID = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
 
 
 def test_local_update_single_step_by_hand():
-    out = local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), eta=1.0, local_steps=1)
+    out = local_update(RIDGE_ID, *IDENTITY_DATA, np.zeros(2), eta=1.0, local_steps=1)
     np.testing.assert_array_equal(out, [0.5, 0.5])
 
 
 def test_local_update_equals_inline_gd():
-    spec, datasets = make_ridge(seed=8)
+    spec, (X, y) = make_ridge(seed=8)
     theta = init_params(spec, 0)
     eta = 0.3
     manual = theta.copy()
     for _ in range(7):
-        manual = manual - eta * grad(spec, datasets[0], manual)
-    out = local_update(spec, datasets[0], theta, eta, 7)
+        manual = manual - eta * grad(spec, X[0], y[0], manual)
+    out = local_update(spec, X[0], y[0], theta, eta, 7)
     np.testing.assert_array_equal(out, manual)
 
 
 def test_local_update_fixed_point_at_client_optimum():
-    spec, datasets = make_ridge(clients=2, seed=5)
-    theta_star, _ = ridge_opt(datasets, [1.0, 0.0], [0], spec.l2)
-    out = local_update(spec, datasets[0], theta_star, 0.2, 4)
+    spec, (X, y) = make_ridge(clients=2, seed=5)
+    theta_star, _ = ridge_opt(X, y, [1.0, 0.0], [0], spec.l2)
+    out = local_update(spec, X[0], y[0], theta_star, 0.2, 4)
     np.testing.assert_allclose(out, theta_star, rtol=0, atol=1e-14)
 
 
 def test_local_update_does_not_mutate_input():
     theta = np.zeros(2)
-    local_update(RIDGE_ID, IDENTITY_DATA, theta, 1.0, 1)
+    local_update(RIDGE_ID, *IDENTITY_DATA, theta, 1.0, 1)
     np.testing.assert_array_equal(theta, [0.0, 0.0])
 
 
 def test_local_update_validation():
     with pytest.raises(ValueError):
-        local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), 1.0, 0)
+        local_update(RIDGE_ID, *IDENTITY_DATA, np.zeros(2), 1.0, 0)
 
 
 def test_local_update_divergence_guard():
     with pytest.raises(DivergedTrainingError):
-        local_update(RIDGE_ID, IDENTITY_DATA, np.zeros(2), 1e9, 50)
+        local_update(RIDGE_ID, *IDENTITY_DATA, np.zeros(2), 1e9, 50)
 
 
 @pytest.mark.parametrize(
@@ -182,8 +183,8 @@ def final_model(spec, fed, theta0, rounds):
 
 
 def test_rounds_chain_and_cover_the_active_set():
-    spec, datasets = make_ridge(clients=4, seed=1)
-    fed, _ = fed_for(spec, datasets, frac=0.5)
+    spec, data = make_ridge(clients=4, seed=1)
+    fed, _ = fed_for(spec, *data, frac=0.5)
     theta0 = init_params(spec, 3)
     records = rounds_of(spec, fed, theta0, 6, active=(0, 2, 3))
     assert len(records) == 6
@@ -198,20 +199,18 @@ def test_rounds_chain_and_cover_the_active_set():
 
 
 def test_single_client_federation_is_plain_gd():
-    spec, datasets = make_ridge(clients=2, seed=4)
-    fed = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=1)
+    spec, (X, y) = make_ridge(clients=2, seed=4)
+    fed = FederationConfig(X[:1], y[:1], eta=0.2, local_steps=1)
     manual = np.zeros(4)
     for _ in range(30):
-        manual = manual - 0.2 * grad(spec, datasets[0], manual)
+        manual = manual - 0.2 * grad(spec, X[0], y[0], manual)
     assert_near(final_model(spec, fed, np.zeros(4), 30), manual)
 
 
 def test_identical_clients_match_centralized_run():
-    spec, datasets = make_ridge(clients=2, seed=6)
-    twin = FederationConfig.from_datasets(
-        [datasets[0], datasets[0]], eta=0.2, local_steps=3, weights=[0.5, 0.5]
-    )
-    solo = FederationConfig.from_datasets([datasets[0]], eta=0.2, local_steps=3)
+    spec, (X, y) = make_ridge(clients=2, seed=6)
+    twin = FederationConfig(X[[0, 0]], y[[0, 0]], eta=0.2, local_steps=3, weights=[0.5, 0.5])
+    solo = FederationConfig(X[:1], y[:1], eta=0.2, local_steps=3)
     theta0 = init_params(spec, 9)
     twin_out = final_model(spec, twin, theta0, 10)
     solo_out = final_model(spec, solo, theta0, 10)
@@ -219,8 +218,8 @@ def test_identical_clients_match_centralized_run():
 
 
 def test_training_is_bit_reproducible():
-    spec, datasets = make_ridge(clients=3, seed=10)
-    fed, _ = fed_for(spec, datasets, frac=0.8, local_steps=2)
+    spec, data = make_ridge(clients=3, seed=10)
+    fed, _ = fed_for(spec, *data, frac=0.8, local_steps=2)
     theta0 = init_params(spec, 7)
     _, _, a, ledger_a = train_world(spec, fed, 12, theta0=theta0)
     _, _, b, ledger_b = train_world(spec, fed, 12, theta0=theta0)
@@ -231,8 +230,8 @@ def test_training_is_bit_reproducible():
 
 
 def test_zero_rounds_returns_no_records():
-    spec, datasets = make_ridge(seed=0)
-    fed, _ = fed_for(spec, datasets)
+    spec, data = make_ridge(seed=0)
+    fed, _ = fed_for(spec, *data)
     _, _, history, ledger = train_world(spec, fed, 0, theta0=np.zeros(4))
     assert len(ledger) == 0
     assert history.end_position == 0
@@ -240,9 +239,9 @@ def test_zero_rounds_returns_no_records():
 
 
 def test_single_step_descent_on_weighted_objective():
-    spec, datasets = make_ridge(clients=4, seed=12, het=0.8)
-    constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(datasets, eta=0.9 / constants.beta, local_steps=1)
+    spec, data = make_ridge(clients=4, seed=12, het=0.8)
+    constants = regime_constants(spec, *data)
+    fed = FederationConfig(*data, eta=0.9 / constants.beta, local_steps=1)
     theta = init_params(spec, 1)
     everyone = fed.cohort(range(4), spec)
     losses = [federation_loss(everyone, theta)]
@@ -253,9 +252,9 @@ def test_single_step_descent_on_weighted_objective():
 
 
 def test_divergence_error_carries_round_index():
-    spec, datasets = make_ridge(seed=3)
-    constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(datasets, eta=1000.0 / constants.beta, local_steps=5)
+    spec, data = make_ridge(seed=3)
+    constants = regime_constants(spec, *data)
+    fed = FederationConfig(*data, eta=1000.0 / constants.beta, local_steps=5)
     with pytest.raises(DivergedTrainingError) as exc:
         final_model(spec, fed, init_params(spec, 0), 20)
     assert exc.value.round_index is not None
@@ -275,7 +274,7 @@ def per_client_round(spec, fed, theta, active):
     for c in active:
         local = theta.copy()
         for _ in range(fed.local_steps):
-            local = local - fed.eta * grad(spec, fed.clients[c], local)
+            local = local - fed.eta * grad(spec, fed.features[c], fed.targets[c], local)
         local_models.append(local)
     total = np.zeros_like(theta)
     for c, local in zip(active, local_models):
@@ -284,19 +283,19 @@ def per_client_round(spec, fed, theta, active):
     for c, local in zip(active, local_models):
         p = float(q[c])
         deltas[c] = p / (1.0 - p) * float(np.linalg.norm(local - total))
-    retained = sum(q[c] * loss(spec, fed.clients[c], total) for c in active)
+    retained = sum(q[c] * loss(spec, fed.features[c], fed.targets[c], total) for c in active)
     return local_models, total, deltas, float(retained)
 
 
 def round_world(model):
     if model == "logistic":
-        spec, datasets = make_logistic(clients=10, samples=16, features=4, seed=21, l2=0.05)
+        spec, data = make_logistic(clients=10, samples=16, features=4, seed=21, l2=0.05)
     else:
-        spec, datasets = make_ridge(clients=10, samples=16, features=4, seed=21)
+        spec, data = make_ridge(clients=10, samples=16, features=4, seed=21)
         if model != "ridge":
             dims = (4, 5, 1) if model == "mlp2" else (4, 3, 2, 1)
             spec = ModelSpec(ModelKind.TINY_MLP, dims, 0.01)
-    return spec, datasets
+    return spec, data
 
 
 def ragged_weights(count):
@@ -312,9 +311,9 @@ def ragged_weights(count):
 @pytest.mark.parametrize("local_steps", [1, 3])
 @pytest.mark.parametrize("model", ["ridge", "logistic", "mlp2", "mlp3"])
 def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps, active, ragged):
-    spec, datasets = round_world(model)
+    spec, data = round_world(model)
     weights = ragged_weights(10) if ragged else None
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=weights)
+    fed = FederationConfig(*data, eta=0.05, local_steps=local_steps, weights=weights)
     theta0 = 0.3 * np.random.default_rng(5).standard_normal(spec.param_count)
     rounds = 4
     history = TrainingHistory(theta0)
@@ -344,8 +343,8 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
 
 
 def test_a_retraining_run_builds_one_cohort(monkeypatch):
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=1)
     calls = []
     real = FederationConfig.cohort
 
@@ -361,8 +360,8 @@ def test_a_retraining_run_builds_one_cohort(monkeypatch):
 
 
 def test_a_cohort_is_ascending_and_refuses_no_or_unknown_clients():
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=1)
     assert fed.cohort([8, 3, 0, 3, 8, 5], spec).active == (0, 3, 5, 8)
     assert fed.cohort(iter([1, 1]), spec).active == (1,)
     for empty in ((), [], range(0)):
@@ -374,10 +373,10 @@ def test_a_cohort_is_ascending_and_refuses_no_or_unknown_clients():
 
 
 def test_cohort_weights_are_renormalised_and_zero_off_the_cohort():
-    _, datasets = round_world("ridge")
+    _, data = round_world("ridge")
     spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
     raw = np.arange(9.0, 19.0)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1, weights=raw / raw.sum())
+    fed = FederationConfig(*data, eta=0.05, local_steps=1, weights=raw / raw.sum())
     assert fed.weights.sum() != 1.0  # so even the all-client cohort renormalises
     for active in [range(10), (0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
         cohort = fed.cohort(active, spec)
@@ -388,16 +387,16 @@ def test_cohort_weights_are_renormalised_and_zero_off_the_cohort():
 
 
 def test_a_cohort_stacks_exactly_its_own_clients():
-    _, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1)
+    _, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=1)
     spec = ModelSpec(ModelKind.RIDGE, (4,), 0.1)
     for active in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (3, 1), range(10)]:
         cohort = fed.cohort(active, spec)
         assert cohort.active == tuple(sorted(set(active)))
         assert len(cohort.features) == len(cohort.targets) == len(cohort.active)
         for client, x, y in zip(cohort.active, cohort.features, cohort.targets):
-            assert x.tobytes() == datasets[client].features.tobytes()
-            assert y.tobytes() == datasets[client].targets.tobytes()
+            assert x.tobytes() == data[0][client].tobytes()
+            assert y.tobytes() == data[1][client].tobytes()
     # the full cohort is the federation's read-only stack itself, uncopied
     full = fed.cohort(range(10), spec)
     assert full.features is fed.cohort(range(10), spec).features
@@ -406,9 +405,9 @@ def test_a_cohort_stacks_exactly_its_own_clients():
 
 
 def test_subset_round_increments_use_the_renormalised_weights():
-    spec, datasets = round_world("logistic")
+    spec, data = round_world("logistic")
     raw = np.arange(9.0, 19.0)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=raw / raw.sum())
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=raw / raw.sum())
     active = (1, 2, 4, 7, 8)
     q = renormalized_weights(fed.weights, set(range(10)) - set(active))
     cohort = fed.cohort(active, spec)
@@ -430,16 +429,16 @@ def test_one_round_makes_one_kernel_call_per_local_step(monkeypatch):
         return real(spec, features, targets, thetas)
 
     monkeypatch.setattr(models, "stacked_grad", counted)
-    spec, datasets = make_logistic(clients=6, samples=10, seed=2)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
+    spec, data = make_logistic(clients=6, samples=10, seed=2)
+    fed = FederationConfig(*data, eta=0.1, local_steps=3)
     kernel_round(fed.cohort(range(6), spec), np.zeros(4), 0)
     assert calls == [6, 6, 6]  # K calls over all C clients, not C * K
     calls.clear()
     kernel_round(fed.cohort((1, 4), spec), np.zeros(4), 0)
     assert calls == [2, 2, 2]
     # a ridge run with d <= n steps by its aggregate map, with no kernel call
-    spec, datasets = make_ridge(clients=6, samples=10, seed=2)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=3)
+    spec, data = make_ridge(clients=6, samples=10, seed=2)
+    fed = FederationConfig(*data, eta=0.1, local_steps=3)
     calls.clear()
     retrain_until(spec, fed, np.zeros(4), range(6), exactly(4))
     assert calls == []
@@ -461,8 +460,8 @@ def counted_operators(monkeypatch):
 
 def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch):
     # a federation is one data-shape group: one build per l2
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2)
     calls = counted_operators(monkeypatch)
     theta = np.zeros(4)
     for n, active in enumerate([range(10), (0, 2, 3), range(10), (1, 3, 9), (4,)]):
@@ -482,15 +481,15 @@ def test_ridge_operators_are_built_once_per_data_shape_group_and_l2(monkeypatch)
     with pytest.raises(DimensionMismatchError):
         fed.cohort(range(10), ModelSpec(ModelKind.RIDGE, (5,), 0.1))
     # data with d > n has no moments, so no operators are built for it
-    spec, datasets = make_ridge(clients=4, samples=3, features=4, seed=21)
-    wide = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, data = make_ridge(clients=4, samples=3, features=4, seed=21)
+    wide = FederationConfig(*data, eta=0.05, local_steps=2)
     assert wide.cohort(range(4), spec).operators is None
     assert len(calls) == 2
 
 
 def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3, weights=ragged_weights(10))
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=3, weights=ragged_weights(10))
     theta0 = 0.3 * np.random.default_rng(6).standard_normal(4)
     finals = {}
     for l2 in (0.1, 0.5, 0.1):
@@ -507,22 +506,23 @@ def test_two_l2_values_on_one_federation_each_train_with_their_own_operators():
 
 
 def test_a_subset_gets_the_operators_of_its_own_data():
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=3)
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=3)
     fed.cohort(range(10), spec).operators
     for subset in [(0, 2, 3, 5, 6, 7, 8, 9), (1, 3), (4,)]:
         maps, offsets = fed.cohort(subset, spec).operators
-        members = [datasets[c] for c in subset]
-        moments = models.ridge_moments(np.stack([d.features for d in members]), np.stack([d.targets for d in members]))
-        own_maps, own_offsets = models.ridge_operators(spec, moments, members[0].sample_count, 0.05, 3)
+        # the subset's own stack, a copy of its rows
+        features, targets = (np.array([rows[c] for c in subset]) for rows in data)
+        moments = models.ridge_moments(features, targets)
+        own_maps, own_offsets = models.ridge_operators(spec, moments, features.shape[1], 0.05, 3)
         assert maps.tobytes() == own_maps.tobytes()
         assert offsets.tobytes() == own_offsets.tobytes()
 
 
 @pytest.mark.parametrize("model", ["logistic", "mlp2"])
 def test_logistic_and_mlp_federations_build_no_operators(monkeypatch, model):
-    spec, datasets = round_world(model)
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, data = round_world(model)
+    fed = FederationConfig(*data, eta=0.05, local_steps=2)
     calls = counted_operators(monkeypatch)
     theta = init_params(spec, 0)
     for n, active in enumerate([range(10), (0, 2, 3)]):
@@ -541,8 +541,8 @@ def test_fused_ridge_round_matches_the_per_step_kernel(local_steps, active):
     """The fused rounds against the per-step stacked_grad loop, which shares
     no code with the operators: each client's map A_i theta + b_i, as
     local_gaps recomputes it, and the aggregate map of affine_round."""
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
     everyone = fed.cohort(range(10), spec)
     maps, offsets = cohort.operators
@@ -568,11 +568,12 @@ def lone_diverging_world(weights=None):
     `expected` of a run from init_params(spec, 0) starting at `start`, as a
     per-client loop finds it: (spec, fed, clients, start, expected, the
     global model's norm after that round)."""
-    spec, datasets = make_ridge(clients=4, samples=20, seed=3)
-    fed, _ = fed_for(spec, datasets, frac=0.5)
+    spec, (X, y) = make_ridge(clients=4, samples=20, seed=3)
+    fed, _ = fed_for(spec, X, y, frac=0.5)
     # client 2's features scaled up: its step size is far past its own bound
-    datasets[2] = ClientDataset(6.0 * datasets[2].features, datasets[2].targets)
-    fed = FederationConfig.from_datasets(datasets, eta=fed.eta, local_steps=2, weights=weights)
+    X = X.copy()
+    X[2] *= 6.0
+    fed = FederationConfig(X, y, eta=fed.eta, local_steps=2, weights=weights)
     theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
     for n in range(start, start + 50):
         local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)
@@ -621,8 +622,8 @@ def assert_rows_near(got, want):
 @pytest.mark.parametrize("active", [tuple(range(10)), (0, 1, 3, 5, 6, 8)], ids=["all", "subset"])
 @pytest.mark.parametrize("local_steps", [1, 5])
 def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active):
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
     assert cohort.affine is not None
     theta0 = 0.3 * np.random.default_rng(11).standard_normal(4)
@@ -642,8 +643,8 @@ def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active)
 
 
 def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
     active = [c for c in range(10) if c != 3]
     theta0 = 0.3 * np.random.default_rng(12).standard_normal(4)
     _, _, losses = round_loop(spec, fed, theta0, active, exactly(8))
@@ -716,8 +717,8 @@ def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(
     """16 samples of 4 features to 4 parameters: 16 rounds to a chunk, so 40
     rounds are two full chunks and a last one the booking measures; every
     model, delta, Psi row and loss equals round_loop's bit for bit."""
-    spec, datasets = round_world("logistic")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
+    spec, data = round_world("logistic")
+    fed = FederationConfig(*data, eta=0.05, local_steps=local_steps, weights=ragged_weights(10))
     cohort = fed.cohort(active, spec)
     assert cohort.affine is None and chunk_rounds(cohort) == 16
     theta0 = 0.3 * np.random.default_rng(16).standard_normal(spec.param_count)
@@ -734,8 +735,8 @@ def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(
 
 
 def test_a_kernel_run_stops_at_a_finite_threshold_inside_a_later_chunk():
-    spec, datasets = round_world("logistic")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
+    spec, data = round_world("logistic")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
     active = [c for c in range(10) if c != 3]
     assert chunk_rounds(fed.cohort(active, spec)) == 16
     theta0 = 0.3 * np.random.default_rng(17).standard_normal(spec.param_count)
@@ -765,14 +766,15 @@ def kernel_diverging_world(model):
     """
     weights = (0.32, 0.32, 0.04, 0.32)
     if model == "ridge-wide":
-        spec, datasets = make_ridge(clients=4, samples=4, features=7, seed=3)
-        eta, local_steps = fed_for(spec, datasets, frac=0.5)[0].eta, 2
-        datasets[2] = ClientDataset(3.0 * datasets[2].features, datasets[2].targets)
+        spec, (X, y) = make_ridge(clients=4, samples=4, features=7, seed=3)
+        eta, local_steps = fed_for(spec, X, y, frac=0.5)[0].eta, 2
+        X = X.copy()
+        X[2] *= 3.0
     else:
-        spec, datasets = make_logistic(clients=4, samples=10, features=3, seed=3, l2=0.2)
+        spec, (X, y) = make_logistic(clients=4, samples=10, features=3, seed=3, l2=0.2)
         eta, local_steps = 10.5, 1
-        datasets[2] = ClientDataset(1e6 * datasets[2].features, datasets[2].targets)
-    fed = FederationConfig.from_datasets(datasets, eta=eta, local_steps=local_steps, weights=weights)
+        X[2] *= 1e6
+    fed = FederationConfig(X, y, eta=eta, local_steps=local_steps, weights=weights)
     theta, start, everyone = init_params(spec, 0), 5, tuple(range(4))
     for n in range(start, start + 80):
         local_models, theta, _, _ = per_client_round(spec, fed, theta, everyone)
@@ -830,8 +832,8 @@ def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
     for world, fallbacks in (("ragged", []), ("singular", [(4, 4)])):
-        spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge")
-        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
+        spec, data = duplicated_column_world() if world == "singular" else round_world("ridge")
+        fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
         cohort = fed.cohort((0, 2, 3, 5, 8, 9), spec)
         anchor, _, _, hessian = cohort.quadratic
         assert calls == fallbacks
@@ -846,8 +848,8 @@ def test_a_singular_hessian_takes_the_anchor_from_lstsq(monkeypatch):
 
 
 def test_empty_active_set_rejected():
-    spec, datasets = make_ridge(seed=0)
-    fed, _ = fed_for(spec, datasets)
+    spec, data = make_ridge(seed=0)
+    fed, _ = fed_for(spec, *data)
     with pytest.raises(EmptyFederationError):
         fed.cohort((), spec)
     with pytest.raises(EmptyFederationError):
@@ -861,45 +863,62 @@ def test_empty_active_set_rejected():
 
 def test_federation_config_validation():
     data = two_client_toy()
-    with pytest.raises(EmptyFederationError):
-        FederationConfig.from_datasets([], eta=0.1, local_steps=1)
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[0.6, 0.6])
+        FederationConfig(*data, eta=0.1, local_steps=1, weights=[0.6, 0.6])
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[-0.2, 1.2])
+        FederationConfig(*data, eta=0.1, local_steps=1, weights=[-0.2, 1.2])
     with pytest.raises(DimensionMismatchError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=1, weights=[1.0])
+        FederationConfig(*data, eta=0.1, local_steps=1, weights=[1.0])
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.0, local_steps=1)
+        FederationConfig(*data, eta=0.0, local_steps=1)
     with pytest.raises(ValueError):
-        FederationConfig.from_datasets(data, eta=0.1, local_steps=0)
+        FederationConfig(*data, eta=0.1, local_steps=0)
     assert sorted(f.name for f in dataclasses.fields(FederationConfig)) == [
-        "clients", "eta", "local_steps", "weights"
+        "eta", "features", "local_steps", "targets", "weights"
     ]
 
 
-def test_a_federation_and_its_constants_refuse_two_data_shapes():
-    spec, datasets = make_ridge(clients=3, samples=16, features=4, seed=2)
-    short = datasets[:1] + [ClientDataset(datasets[1].features[:11], datasets[1].targets[:11])] + datasets[2:]
-    narrow = datasets[:2] + [ClientDataset(datasets[2].features[:, :3], datasets[2].targets)]
-    for clients in (short, narrow):
-        with pytest.raises(DimensionMismatchError, match="data shapes"):
-            FederationConfig.from_datasets(clients, eta=0.1, local_steps=1, weights=[0.25, 0.5, 0.25])
-    with pytest.raises(DimensionMismatchError, match="data shapes"):
-        regime_constants(spec, short)
-    with pytest.raises(DimensionMismatchError, match="data shapes"):
-        models.stack_clients(short)
-    # one shape stacks every client in order, so the engine's rows are the clients
-    features, targets = models.stack_clients(datasets)
-    assert features.tobytes() == b"".join(d.features.tobytes() for d in datasets)
-    assert targets.tobytes() == b"".join(d.targets.tobytes() for d in datasets)
+def test_a_federation_refuses_a_pair_that_is_not_one_stack():
+    X, y = two_client_toy()
+    for features, targets in [
+        (X[0], y[0]),  # one client's rows, not a stack
+        (X, y[0]),
+        (X, y[:, :0]),  # targets of another sample count
+        (X[:1], y),  # features of another client count
+        (X, y[:, :, None]),
+    ]:
+        with pytest.raises(DimensionMismatchError, match="not one"):
+            FederationConfig(features, targets, eta=0.1, local_steps=1)
+    with pytest.raises(EmptyFederationError):
+        FederationConfig(X[:0], y[:0], eta=0.1, local_steps=1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        FederationConfig(X[:, :0], y[:, :0], eta=0.1, local_steps=1)
+
+
+def test_a_federation_holds_the_stack_it_is_given_read_only():
+    _, (X, y) = make_ridge(clients=3, seed=1)
+    fed = FederationConfig(X, y, eta=0.1, local_steps=1)
+    assert fed.features is X and fed.targets is y
+    for array in (X, y, fed.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    # a stack of another dtype or order is converted, once
+    converted = FederationConfig(X.astype(np.float32), np.asfortranarray(y), eta=0.1, local_steps=1)
+    assert converted.features.dtype == np.float64 and converted.targets.flags.c_contiguous
 
 
 def test_default_weights_proportional_to_samples():
     # a federation's clients share one sample count, so the default is uniform
-    _, datasets = make_ridge(clients=3, seed=1)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1)
+    _, data = make_ridge(clients=3, seed=1)
+    fed = FederationConfig(*data, eta=0.1, local_steps=1)
     assert fed.weights.tobytes() == np.full(3, 1.0 / 3.0).tobytes()
+    # 1/C is the sample-count weights n / (C n) bit for bit: both round 1/C
+    for clients in range(1, 130):
+        for samples in (1, 3, 7, 30, 100, 1000):
+            X, y = np.zeros((clients, samples, 1)), np.zeros((clients, samples))
+            counts = np.full(clients, float(samples))
+            weights = FederationConfig(X, y, eta=0.1, local_steps=1).weights
+            assert weights.tobytes() == (counts / counts.sum()).tobytes()
 
 
 def test_init_params_modes():
@@ -928,8 +947,8 @@ def test_federation_loss_equals_the_broadcast_kernel_rows_bitwise(model):
     A ridge cohort with d <= n evaluates its quadratic form instead, which
     equals those rows to rounding."""
     if model == "ridge":
-        spec, datasets = round_world(model)
-        fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=1, weights=ragged_weights(10))
+        spec, data = round_world(model)
+        fed = FederationConfig(*data, eta=0.05, local_steps=1, weights=ragged_weights(10))
     else:
         spec, fed = fused_fed(model, local_steps=1)
     cohort = fed.cohort((0, 1, 3, 4, 6), spec)
@@ -948,11 +967,11 @@ def fused_fed(model, local_steps):
     """A federation whose cohorts step through the kernel, with uneven
     weights: ridge with d = 6 > n = 5, logistic, or a two-layer MLP."""
     if model == "ridge-wide":
-        spec, datasets = make_ridge(clients=8, samples=5, features=6, seed=22)
+        spec, data = make_ridge(clients=8, samples=5, features=6, seed=22)
     else:
-        spec, datasets = round_world(model)
-    weights = ragged_weights(len(datasets))
-    return spec, FederationConfig.from_datasets(datasets, eta=0.05, local_steps=local_steps, weights=weights)
+        spec, data = round_world(model)
+    weights = ragged_weights(len(data[0]))
+    return spec, FederationConfig(*data, eta=0.05, local_steps=local_steps, weights=weights)
 
 
 def row_kernel_models(spec, fed, theta, cohort):
@@ -1014,9 +1033,8 @@ def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, loc
 def duplicated_column_world():
     """round_world's ridge clients with feature 3 replaced by a copy of
     feature 2 and l2 = 0: every client's X^T X, and so H, is singular."""
-    spec, datasets = round_world("ridge")
-    datasets = [ClientDataset(d.features[:, [0, 1, 2, 2]], d.targets) for d in datasets]
-    return ModelSpec(ModelKind.RIDGE, (4,), 0.0), datasets
+    _, (X, y) = round_world("ridge")
+    return ModelSpec(ModelKind.RIDGE, (4,), 0.0), (X[:, :, [0, 1, 2, 2]], y)
 
 
 @pytest.mark.parametrize("case", ["full", "partial", "far", "singular"])
@@ -1026,10 +1044,10 @@ def test_ridge_quadratic_loss_matches_the_kernel_rows(case):
     lands), and with l2 = 0 and a duplicated feature column, where H is
     singular and the anchor is lstsq's minimum-norm solution."""
     if case == "singular":
-        spec, datasets = duplicated_column_world()
+        spec, data = duplicated_column_world()
     else:
-        spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=ragged_weights(10))
+        spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
     cohort = fed.cohort(range(10) if case == "full" else (0, 1, 3, 4, 6, 8), spec)
     anchor, anchor_loss, _, hessian = cohort.quadratic
     if case == "singular":
@@ -1050,9 +1068,9 @@ def test_a_cohorts_loss_does_not_depend_on_which_theta_came_first(world):
     """The anchor depends on the cohort alone, so two cohorts of the same
     clients, on this federation or a second one of the same data, give the
     same losses bit for bit whichever theta each evaluates first."""
-    spec, datasets = duplicated_column_world() if world == "singular" else round_world("ridge")
+    spec, data = duplicated_column_world() if world == "singular" else round_world("ridge")
     weights = ragged_weights(10)
-    feds = [FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2, weights=weights) for _ in range(2)]
+    feds = [FederationConfig(*data, eta=0.05, local_steps=2, weights=weights) for _ in range(2)]
     active = (0, 2, 3, 5, 8, 9)
     thetas = [0.3 * np.random.default_rng(9).standard_normal(4), np.zeros(4), np.full(4, 40.0)]
     first = [federation_loss(feds[0].cohort(active, spec), theta) for theta in thetas]
@@ -1094,10 +1112,10 @@ def test_operators_from_the_cached_moments_equal_the_per_chunk_build_bitwise():
         # d > n: no moments, no operators
         make_ridge(clients=4, samples=3, features=4, seed=21),
     ]
-    for spec, datasets in worlds:
+    for spec, data in worlds:
         for steps in (1, 5):
-            fed = FederationConfig.from_datasets(datasets, eta=0.01, local_steps=steps)
-            cohort = fed.cohort(range(len(datasets)), spec)
+            fed = FederationConfig(*data, eta=0.01, local_steps=steps)
+            cohort = fed.cohort(range(fed.client_count), spec)
             want = per_chunk_operators(spec, cohort.features, cohort.targets, 0.01, steps)
             if want is None:
                 assert cohort.operators is None
@@ -1107,8 +1125,8 @@ def test_operators_from_the_cached_moments_equal_the_per_chunk_build_bitwise():
 
 
 def test_ridge_moments_are_built_once_per_federation(monkeypatch):
-    spec, datasets = round_world("ridge")
-    fed = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, data = round_world("ridge")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2)
     calls = []
     real = models.ridge_moments
 
@@ -1126,8 +1144,8 @@ def test_ridge_moments_are_built_once_per_federation(monkeypatch):
             theta = affine_round(cohort, theta, n)
     assert calls == [(10, 16, 4)]
     # data with d > n has no moments, and so no quadratic form
-    spec, datasets = make_ridge(clients=4, samples=3, features=4, seed=21)
-    wide = FederationConfig.from_datasets(datasets, eta=0.05, local_steps=2)
+    spec, data = make_ridge(clients=4, samples=3, features=4, seed=21)
+    wide = FederationConfig(*data, eta=0.05, local_steps=2)
     assert wide.cohort((0, 2), spec).quadratic is None
     assert wide.cohort(range(4), spec).quadratic is None
     assert calls == [(10, 16, 4), (4, 3, 4)]
@@ -1136,8 +1154,8 @@ def test_ridge_moments_are_built_once_per_federation(monkeypatch):
 def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_increments():
     with pytest.raises(ValueError, match="sum to"):
         Cohort((0, 1), np.array([0.5, 0.4]), None, None)
-    spec, datasets = make_ridge(clients=3, seed=4)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=2)
+    spec, data = make_ridge(clients=3, seed=4)
+    fed = FederationConfig(*data, eta=0.1, local_steps=2)
     lone = fed.cohort((1,), spec)
     client_models, after = kernel_round(lone, np.zeros(4), 0)
     assert after.tobytes() == client_models[0].tobytes()
@@ -1151,15 +1169,15 @@ def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_in
 
 
 def test_federation_loss_matches_manual_weighted_sum():
-    spec, datasets = make_ridge(clients=3, seed=14)
+    spec, (X, y) = make_ridge(clients=3, seed=14)
     weights = np.array([0.5, 0.3, 0.2])
     theta = init_params(spec, 2)
-    want = sum(w * loss(spec, d, theta) for w, d in zip(weights, datasets))
-    fed = FederationConfig.from_datasets(datasets, eta=0.1, local_steps=1, weights=weights)
+    want = sum(w * loss(spec, X[c], y[c], theta) for c, w in enumerate(weights))
+    fed = FederationConfig(X, y, eta=0.1, local_steps=1, weights=weights)
     got = federation_loss(fed.cohort(range(3), spec), theta)
     assert got == pytest.approx(want, rel=1e-15)
     partial = federation_loss(fed.cohort((1, 2), spec), theta)
-    want = 0.6 * loss(spec, datasets[1], theta) + 0.4 * loss(spec, datasets[2], theta)
+    want = 0.6 * loss(spec, X[1], y[1], theta) + 0.4 * loss(spec, X[2], y[2], theta)
     assert partial == pytest.approx(want, rel=1e-15)
 
 

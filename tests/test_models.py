@@ -10,7 +10,6 @@ from conftest import grad, loss, pack_mlp, step_size_bound
 from fedunlearn import models
 from fedunlearn.errors import DimensionMismatchError
 from fedunlearn.models import (
-    ClientDataset,
     ModelKind,
     ModelSpec,
     Regime,
@@ -25,7 +24,9 @@ from fedunlearn.models import (
     stacked_loss_and_grad,
 )
 
-IDENTITY_DATA = ClientDataset(np.eye(2), np.array([1.0, 1.0]))
+# one client's rows, features (n, d) and targets (n,), and its stack of one
+IDENTITY_DATA = np.eye(2), np.array([1.0, 1.0])
+IDENTITY_STACK = np.eye(2)[None], np.array([[1.0, 1.0]])
 RIDGE_ID = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
 LOGISTIC_ID = ModelSpec(ModelKind.LOGISTIC, (2,), 0.0)
 
@@ -41,46 +42,45 @@ def finite_vec(d, scale=3.0):
 
 def test_ridge_identity_loss_and_grad_at_zero():
     theta = np.zeros(2)
-    assert loss(RIDGE_ID, IDENTITY_DATA, theta) == 0.5
-    np.testing.assert_array_equal(grad(RIDGE_ID, IDENTITY_DATA, theta), [-0.5, -0.5])
+    assert loss(RIDGE_ID, *IDENTITY_DATA, theta) == 0.5
+    np.testing.assert_array_equal(grad(RIDGE_ID, *IDENTITY_DATA, theta), [-0.5, -0.5])
 
 
 def test_ridge_exact_fit_unregularised():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((12, 4))
     theta_true = rng.standard_normal(4)
-    data = ClientDataset(X, X @ theta_true)
+    y = X @ theta_true
     spec = ModelSpec(ModelKind.RIDGE, (4,))
-    assert loss(spec, data, theta_true) == pytest.approx(0.0, abs=1e-28)
-    np.testing.assert_allclose(grad(spec, data, theta_true), np.zeros(4), atol=1e-13)
+    assert loss(spec, X, y, theta_true) == pytest.approx(0.0, abs=1e-28)
+    np.testing.assert_allclose(grad(spec, X, y, theta_true), np.zeros(4), atol=1e-13)
 
 
 def test_ridge_grad_at_exact_fit_is_pure_l2():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((9, 3))
     theta_true = rng.standard_normal(3)
-    data = ClientDataset(X, X @ theta_true)
     spec = ModelSpec(ModelKind.RIDGE, (3,), 0.25)
-    np.testing.assert_allclose(grad(spec, data, theta_true), 0.25 * theta_true, atol=1e-13)
+    np.testing.assert_allclose(grad(spec, X, X @ theta_true, theta_true), 0.25 * theta_true, atol=1e-13)
 
 
 def test_logistic_loss_at_zero_is_log_two():
     theta = np.zeros(2)
-    assert loss(LOGISTIC_ID, IDENTITY_DATA, theta) == pytest.approx(math.log(2.0), rel=1e-15)
-    np.testing.assert_allclose(grad(LOGISTIC_ID, IDENTITY_DATA, theta), [-0.25, -0.25], atol=1e-16)
+    assert loss(LOGISTIC_ID, *IDENTITY_DATA, theta) == pytest.approx(math.log(2.0), rel=1e-15)
+    np.testing.assert_allclose(grad(LOGISTIC_ID, *IDENTITY_DATA, theta), [-0.25, -0.25], atol=1e-16)
 
 
 def test_logistic_extreme_logits_stay_finite():
     spec = ModelSpec(ModelKind.LOGISTIC, (2,))
     theta = np.array([500.0, -500.0])
-    assert math.isfinite(loss(spec, IDENTITY_DATA, theta))
-    assert np.all(np.isfinite(grad(spec, IDENTITY_DATA, theta)))
+    assert math.isfinite(loss(spec, *IDENTITY_DATA, theta))
+    assert np.all(np.isfinite(grad(spec, *IDENTITY_DATA, theta)))
 
 
 def test_data_loss_drops_the_regulariser():
     theta = np.array([0.7, -0.2])
-    full = loss(RIDGE_ID, IDENTITY_DATA, theta)
-    bare = data_loss(RIDGE_ID, IDENTITY_DATA, theta)
+    full = loss(RIDGE_ID, *IDENTITY_DATA, theta)
+    bare = data_loss(RIDGE_ID, *IDENTITY_DATA, theta)
     assert full == pytest.approx(bare + 0.5 * 0.1 * float(theta @ theta), rel=1e-15)
 
 
@@ -88,19 +88,18 @@ def test_mlp_forward_by_hand():
     spec = ModelSpec(ModelKind.TINY_MLP, (1, 1, 1))
     theta = pack_mlp(spec, [(np.array([[0.7]]), np.array([0.1])),
                             (np.array([[2.0]]), np.array([0.5]))])
-    data = ClientDataset(np.array([[0.3]]), np.array([0.0]))
     pred = 2.0 * math.tanh(0.7 * 0.3 + 0.1) + 0.5
-    assert data_loss(spec, data, theta) == pytest.approx(0.5 * pred**2, rel=1e-15)
+    assert data_loss(spec, np.array([[0.3]]), np.array([0.0]), theta) == pytest.approx(0.5 * pred**2, rel=1e-15)
 
 
-def central_difference(spec, data, theta):
+def central_difference(spec, X, y, theta):
     h = 1e-6 * (1.0 + float(np.linalg.norm(theta)))
     out = np.empty_like(theta)
     for j in range(theta.shape[0]):
         up, down = theta.copy(), theta.copy()
         up[j] += h
         down[j] -= h
-        out[j] = (loss(spec, data, up) - loss(spec, data, down)) / (2.0 * h)
+        out[j] = (loss(spec, X, y, up) - loss(spec, X, y, down)) / (2.0 * h)
     return out
 
 
@@ -123,11 +122,10 @@ def test_gradient_matches_finite_differences(kind, dims, l2):
         y = (rng.random(16) < 0.5).astype(np.float64)
     else:
         y = rng.standard_normal(16)
-    data = ClientDataset(X, y)
     for _ in range(100):
         theta = 0.8 * rng.standard_normal(spec.param_count)
-        got = grad(spec, data, theta)
-        want = central_difference(spec, data, theta)
+        got = grad(spec, X, y, theta)
+        want = central_difference(spec, X, y, theta)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
@@ -184,9 +182,8 @@ def test_kernel_matches_the_unstacked_formulas_bitwise(kind, dims):
         stacked_grads = stacked_grad(spec, X, y, thetas)
         for i in range(4):
             value, g = unstacked_loss_and_grad(spec, X[i], y[i], thetas[i])
-            data = ClientDataset(X[i], y[i])
-            assert loss(spec, data, thetas[i]) == value
-            assert grad(spec, data, thetas[i]).tobytes() == g.tobytes()
+            assert loss(spec, X[i], y[i], thetas[i]) == value
+            assert grad(spec, X[i], y[i], thetas[i]).tobytes() == g.tobytes()
             assert np.float64(value).tobytes() == stacked_values[i].tobytes()
             assert stacked_grads[i].tobytes() == g.tobytes()
         assert norms(thetas).tolist() == [float(np.linalg.norm(t)) for t in thetas]
@@ -265,24 +262,21 @@ def test_gram_form_ridge_gradient_stays_near_the_residual_form(n, d, condition):
 # ---------------------------------------------------------------------------
 
 
-def per_client_constants(spec, all_data):
+def per_client_constants(spec, features):
     """regime_constants for ridge and logistic from one Gram matrix and one
     eigvalsh per client, as it was computed before it stacked each shape."""
-    lam = spec.l2
+    lam, n = spec.l2, features.shape[1]
     if spec.kind is ModelKind.RIDGE:
         betas, mus = [], []
-        for data in all_data:
-            eigs = np.linalg.eigvalsh(data.features.T @ data.features)
-            betas.append(max(float(eigs[-1]), 0.0) / data.sample_count + lam)
-            mus.append(max(float(eigs[0]), 0.0) / data.sample_count + lam)
+        for X in features:
+            eigs = np.linalg.eigvalsh(X.T @ X)
+            betas.append(max(float(eigs[-1]), 0.0) / n + lam)
+            mus.append(max(float(eigs[0]), 0.0) / n + lam)
         beta, mu = max(betas), min(mus)
         if mu > 0:
             return RegimeConstants(Regime.STRONGLY_CONVEX, beta, mu, lam)
         return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
-    beta = max(
-        max(float(np.linalg.eigvalsh(d.features.T @ d.features)[-1]), 0.0) / (4.0 * d.sample_count)
-        for d in all_data
-    ) + lam
+    beta = max(max(float(np.linalg.eigvalsh(X.T @ X)[-1]), 0.0) / (4.0 * n) for X in features) + lam
     if lam > 0:
         return RegimeConstants(Regime.STRONGLY_CONVEX, beta, lam, lam)
     return RegimeConstants(Regime.CONVEX, beta, 0.0, lam)
@@ -294,25 +288,27 @@ def per_client_constants(spec, all_data):
 def test_stacked_constants_equal_the_per_client_computation_bitwise(kind, l2, shape):
     clients, samples, features = shape
     rng = np.random.default_rng(clients + samples)
-    all_data = []
-    for X in rng.standard_normal((clients, samples, features)) * np.logspace(-1, 1, features):
-        all_data.append(ClientDataset(X, rng.standard_normal(len(X))))
+    X = rng.standard_normal((clients, samples, features)) * np.logspace(-1, 1, features)
+    y = np.array([rng.standard_normal(samples) for _ in range(clients)])
     spec = ModelSpec(kind, (features,), l2)
-    assert regime_constants(spec, all_data) == per_client_constants(spec, all_data)
+    assert regime_constants(spec, X, y) == per_client_constants(spec, X)
 
 
 def test_ridge_identity_constants():
-    constants = regime_constants(RIDGE_ID, [IDENTITY_DATA])
+    constants = regime_constants(RIDGE_ID, *IDENTITY_STACK)
     assert constants.regime is Regime.STRONGLY_CONVEX
     assert constants.beta == pytest.approx(0.6, rel=1e-15)
     assert constants.mu == pytest.approx(0.6, rel=1e-15)
     assert step_size_bound(constants) == pytest.approx(2.0 / 1.2, rel=1e-15)
 
 
+# one client whose two samples are the same point
+RANK_ONE_STACK = np.array([[[1.0, 1.0], [1.0, 1.0]]]), np.array([[1.0, 0.0]])
+
+
 def test_ridge_rank_deficient_is_convex_without_l2():
-    data = ClientDataset(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
     spec = ModelSpec(ModelKind.RIDGE, (2,), 0.0)
-    constants = regime_constants(spec, [data])
+    constants = regime_constants(spec, *RANK_ONE_STACK)
     assert constants.regime is Regime.CONVEX
     assert constants.mu == 0.0
     assert constants.beta == pytest.approx(2.0, rel=1e-12)
@@ -320,20 +316,19 @@ def test_ridge_rank_deficient_is_convex_without_l2():
 
 
 def test_ridge_rank_deficient_with_l2_is_strongly_convex():
-    data = ClientDataset(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
     spec = ModelSpec(ModelKind.RIDGE, (2,), 0.1)
-    constants = regime_constants(spec, [data])
+    constants = regime_constants(spec, *RANK_ONE_STACK)
     assert constants.regime is Regime.STRONGLY_CONVEX
     assert constants.mu == pytest.approx(0.1, rel=1e-12)
     assert constants.beta == pytest.approx(2.1, rel=1e-12)
 
 
 def test_logistic_constants_quarter_curvature():
-    constants = regime_constants(LOGISTIC_ID, [IDENTITY_DATA])
+    constants = regime_constants(LOGISTIC_ID, *IDENTITY_STACK)
     assert constants.regime is Regime.CONVEX
     assert constants.beta == pytest.approx(0.125, rel=1e-15)
     spec = ModelSpec(ModelKind.LOGISTIC, (2,), 0.1)
-    constants = regime_constants(spec, [IDENTITY_DATA])
+    constants = regime_constants(spec, *IDENTITY_STACK)
     assert constants.regime is Regime.STRONGLY_CONVEX
     assert constants.beta == pytest.approx(0.225, rel=1e-15)
     assert constants.mu == pytest.approx(0.1, rel=1e-15)
@@ -341,28 +336,36 @@ def test_logistic_constants_quarter_curvature():
 
 def test_envelope_takes_worst_client():
     rng = np.random.default_rng(7)
-    small = ClientDataset(0.1 * rng.standard_normal((10, 3)), rng.standard_normal(10))
-    large = ClientDataset(3.0 * rng.standard_normal((10, 3)), rng.standard_normal(10))
+    small = 0.1 * rng.standard_normal((10, 3)), rng.standard_normal(10)
+    large = 3.0 * rng.standard_normal((10, 3)), rng.standard_normal(10)
     spec = ModelSpec(ModelKind.RIDGE, (3,), 0.05)
-    both = regime_constants(spec, [small, large])
-    alone = regime_constants(spec, [large])
+    both = regime_constants(spec, *map(np.array, zip(small, large)))
+    alone = regime_constants(spec, large[0][None], large[1][None])
     assert both.beta == pytest.approx(alone.beta, rel=1e-15)
-    mu_small = regime_constants(spec, [small]).mu
+    mu_small = regime_constants(spec, small[0][None], small[1][None]).mu
     assert both.mu == pytest.approx(min(mu_small, alone.mu), rel=1e-15)
+
+
+def random_clients(rng, clients, samples, features):
+    """A stack of random clients, each drawn as its features (samples,
+    features) and then its targets (samples,)."""
+    X, y = np.empty((clients, samples, features)), np.empty((clients, samples))
+    for c in range(clients):
+        X[c] = rng.standard_normal((samples, features))
+        y[c] = rng.standard_normal(samples)
+    return X, y
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=finite_vec(3), b=finite_vec(3))
 def test_smoothness_and_strong_convexity_inequalities(a, b):
     rng = np.random.default_rng(19)
-    datasets = [
-        ClientDataset(rng.standard_normal((8, 3)), rng.standard_normal(8)) for _ in range(3)
-    ]
+    X, y = random_clients(rng, 3, 8, 3)
     spec = ModelSpec(ModelKind.RIDGE, (3,), 0.2)
-    constants = regime_constants(spec, datasets)
+    constants = regime_constants(spec, X, y)
     gap = np.linalg.norm(a - b)
-    for data in datasets:
-        diff = grad(spec, data, a) - grad(spec, data, b)
+    for c in range(3):
+        diff = grad(spec, X[c], y[c], a) - grad(spec, X[c], y[c], b)
         assert np.linalg.norm(diff) <= constants.beta * gap + 1e-9
         assert float(diff @ (a - b)) >= constants.mu * gap**2 - 1e-9
 
@@ -370,19 +373,17 @@ def test_smoothness_and_strong_convexity_inequalities(a, b):
 @settings(max_examples=40, deadline=None)
 @given(a=finite_vec(2, 2.0), b=finite_vec(2, 2.0))
 def test_logistic_smoothness_inequality(a, b):
-    constants = regime_constants(LOGISTIC_ID, [IDENTITY_DATA])
-    diff = grad(LOGISTIC_ID, IDENTITY_DATA, a) - grad(LOGISTIC_ID, IDENTITY_DATA, b)
+    constants = regime_constants(LOGISTIC_ID, *IDENTITY_STACK)
+    diff = grad(LOGISTIC_ID, *IDENTITY_DATA, a) - grad(LOGISTIC_ID, *IDENTITY_DATA, b)
     assert np.linalg.norm(diff) <= constants.beta * np.linalg.norm(a - b) + 1e-9
 
 
 def test_mlp_probe_is_deterministic_and_smooth_regime():
     spec = ModelSpec(ModelKind.TINY_MLP, (3, 4, 1))
     rng = np.random.default_rng(23)
-    datasets = [
-        ClientDataset(rng.standard_normal((12, 3)), rng.standard_normal(12)) for _ in range(2)
-    ]
-    first = regime_constants(spec, datasets)
-    second = regime_constants(spec, datasets)
+    X, y = random_clients(rng, 2, 12, 3)
+    first = regime_constants(spec, X, y)
+    second = regime_constants(spec, X, y)
     assert first.regime is Regime.SMOOTH
     assert first.mu == 0.0
     assert first.beta == second.beta
@@ -392,16 +393,14 @@ def test_mlp_probe_is_deterministic_and_smooth_regime():
 def test_mlp_probe_beta_covers_fresh_draws():
     spec = ModelSpec(ModelKind.TINY_MLP, (3, 4, 1))
     rng = np.random.default_rng(23)
-    datasets = [
-        ClientDataset(rng.standard_normal((12, 3)), rng.standard_normal(12)) for _ in range(2)
-    ]
-    beta = regime_constants(spec, datasets).beta
+    X, y = random_clients(rng, 2, 12, 3)
+    beta = regime_constants(spec, X, y).beta
     fresh = np.random.default_rng(999)
     for _ in range(50):
         theta = 0.5 * fresh.standard_normal(spec.param_count)
         other = theta + 0.2 * fresh.standard_normal(spec.param_count)
-        for data in datasets:
-            num = np.linalg.norm(grad(spec, data, theta) - grad(spec, data, other))
+        for c in range(2):
+            num = np.linalg.norm(grad(spec, X[c], y[c], theta) - grad(spec, X[c], y[c], other))
             den = np.linalg.norm(theta - other)
             assert num <= beta * den + 1e-9
 
@@ -411,17 +410,17 @@ def test_mlp_probe_beta_equals_a_per_client_reference_loop(dims):
     # the probe stacks the clients: one kernel call per pair
     spec = ModelSpec(ModelKind.TINY_MLP, dims)
     rng = np.random.default_rng(5)
-    datasets = [ClientDataset(rng.standard_normal((12, 3)), rng.standard_normal(12)) for _ in range(5)]
+    X, y = random_clients(rng, 5, 12, 3)
     probe = np.random.default_rng(models._PROBE_SEED)
     worst = 0.0
     for _ in range(models._PROBE_PAIRS):
         theta = 0.5 * probe.standard_normal(spec.param_count)
         offset = 0.2 * probe.standard_normal(spec.param_count)
         gap = float(np.linalg.norm(offset))
-        for data in datasets:
-            diff = grad(spec, data, theta + offset) - grad(spec, data, theta)
+        for c in range(5):
+            diff = grad(spec, X[c], y[c], theta + offset) - grad(spec, X[c], y[c], theta)
             worst = max(worst, float(np.linalg.norm(diff)) / gap)
-    assert regime_constants(spec, datasets).beta == models._PROBE_SAFETY * worst
+    assert regime_constants(spec, X, y).beta == models._PROBE_SAFETY * worst
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +447,6 @@ def test_model_spec_validation():
         ModelSpec(ModelKind.TINY_MLP, (100, 99, 1))
 
 
-def test_dataset_validation():
-    with pytest.raises(DimensionMismatchError):
-        ClientDataset(np.zeros(3), np.zeros(3))
-    with pytest.raises(DimensionMismatchError):
-        ClientDataset(np.zeros((3, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
-        ClientDataset(np.zeros((0, 2)), np.zeros(0))
-
-
 def test_as_params_rejects_matrices():
     with pytest.raises(DimensionMismatchError):
         as_params(np.zeros((2, 2)))
@@ -466,7 +456,7 @@ def test_as_params_rejects_matrices():
 
 def test_theta_length_checked_against_spec():
     with pytest.raises(DimensionMismatchError):
-        loss(RIDGE_ID, IDENTITY_DATA, np.zeros(3))
+        loss(RIDGE_ID, *IDENTITY_DATA, np.zeros(3))
 
 
 def test_regime_constants_validation():
@@ -479,10 +469,10 @@ def test_regime_constants_validation():
 
 
 def test_accuracy_hand_value_and_kind_guard():
-    data = ClientDataset(np.eye(2), np.array([1.0, 0.0]))
+    data = np.eye(2), np.array([1.0, 0.0])
     spec = ModelSpec(ModelKind.LOGISTIC, (2,))
-    assert accuracy(spec, data, np.array([4.0, -4.0])) == 1.0
-    assert accuracy(spec, data, np.array([-4.0, 4.0])) == 0.0
-    assert accuracy(spec, data, np.array([4.0, 4.0])) == 0.5
+    assert accuracy(spec, *data, np.array([4.0, -4.0])) == 1.0
+    assert accuracy(spec, *data, np.array([-4.0, 4.0])) == 0.0
+    assert accuracy(spec, *data, np.array([4.0, 4.0])) == 0.5
     with pytest.raises(ValueError):
-        accuracy(RIDGE_ID, data, np.zeros(2))
+        accuracy(RIDGE_ID, *data, np.zeros(2))

@@ -17,7 +17,7 @@ from fedunlearn import oracle, unlearn
 from fedunlearn.engine import FederationConfig, init_params, kernel_round
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
-from fedunlearn.models import ClientDataset, ModelKind, ModelSpec, regime_constants
+from fedunlearn.models import ModelKind, ModelSpec, regime_constants
 from fedunlearn.oracle import (
     SensitivityTrace,
     check_bound,
@@ -39,8 +39,8 @@ from conftest import exactly
 @pytest.mark.parametrize("local_steps", [1, 3])
 @pytest.mark.parametrize("clients", [3, 5])
 def test_bound_holds_for_strongly_convex_ridge(local_steps, clients):
-    spec, datasets = make_ridge(clients=clients, samples=12, features=4, seed=60 + clients, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=1.0, local_steps=local_steps)
+    spec, data = make_ridge(clients=clients, samples=12, features=4, seed=60 + clients, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=1.0, local_steps=local_steps)
     theta0 = init_params(spec, 2)
     traces = oracle_traces(spec, fed, 20, theta0)
     assert [trace.client for trace in traces] == list(range(clients))
@@ -53,8 +53,8 @@ def test_bound_holds_for_strongly_convex_ridge(local_steps, clients):
 
 @pytest.mark.parametrize("local_steps", [1, 3])
 def test_bound_holds_for_convex_logistic(local_steps):
-    spec, datasets = make_logistic(clients=4, samples=12, features=4, seed=70)
-    fed, _ = fed_for(spec, datasets, frac=0.5, local_steps=local_steps)
+    spec, data = make_logistic(clients=4, samples=12, features=4, seed=70)
+    fed, _ = fed_for(spec, *data, frac=0.5, local_steps=local_steps)
     theta0 = init_params(spec, 3)
     for client, trace in enumerate(oracle_traces(spec, fed, 20, theta0)):
         report = check_bound(trace, tol=1e-8)
@@ -62,10 +62,8 @@ def test_bound_holds_for_convex_logistic(local_steps):
 
 
 def test_bound_holds_under_skewed_weights():
-    spec, datasets = make_ridge(clients=4, samples=10, features=3, seed=61, l2=0.1)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.3, local_steps=2, weights=[0.55, 0.25, 0.15, 0.05]
-    )
+    spec, data = make_ridge(clients=4, samples=10, features=3, seed=61, l2=0.1)
+    fed = FederationConfig(*data, eta=0.3, local_steps=2, weights=[0.55, 0.25, 0.15, 0.05])
     theta0 = init_params(spec, 5)
     for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
         report = check_bound(trace, tol=1e-8)
@@ -75,10 +73,10 @@ def test_bound_holds_under_skewed_weights():
 def test_smooth_mlp_bound_with_horizon_cap():
     recipe = DataRecipe(clients=3, samples_per_client=10, features=3,
                         heterogeneity=0.4, seed=80, noise=0.1)
-    datasets = generate_data(recipe)
+    data = generate_data(recipe)
     spec = ModelSpec(ModelKind.TINY_MLP, (3, 4, 1), 0.05)
-    constants = regime_constants(spec, datasets)
-    fed = FederationConfig.from_datasets(datasets, eta=0.1 / constants.beta, local_steps=1)
+    constants = regime_constants(spec, *data)
+    fed = FederationConfig(*data, eta=0.1 / constants.beta, local_steps=1)
     theta0 = init_params(spec, 4)
     cap = 1e6 * max(1.0, float(np.linalg.norm(theta0)))
     for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
@@ -88,10 +86,8 @@ def test_smooth_mlp_bound_with_horizon_cap():
 
 
 def test_identical_twin_clients_have_zero_sensitivity():
-    spec, datasets = make_ridge(clients=2, samples=10, features=3, seed=62, l2=0.1)
-    fed = FederationConfig.from_datasets(
-        [datasets[0], datasets[0]], eta=0.3, local_steps=2, weights=[0.5, 0.5]
-    )
+    spec, (X, y) = make_ridge(clients=2, samples=10, features=3, seed=62, l2=0.1)
+    fed = FederationConfig(X[[0, 0]], y[[0, 0]], eta=0.3, local_steps=2, weights=[0.5, 0.5])
     _, _, history, ledger = train_world(spec, fed, 12, theta0=init_params(spec, 1))
     # the engine runs the twins' local updates alike bit for bit
     trace = retrained_sensitivity(fed, spec, history, ledger)[0]
@@ -106,8 +102,8 @@ def test_identical_twin_clients_have_zero_sensitivity():
 
 
 def test_strongly_convex_gap_contracts_once_the_target_is_gone():
-    spec, datasets = make_ridge(clients=3, samples=12, features=4, seed=63, l2=0.2)
-    fed, constants = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    spec, data = make_ridge(clients=3, samples=12, features=4, seed=63, l2=0.2)
+    fed, constants = fed_for(spec, *data, frac=0.9, local_steps=2)
     decay = contraction_factor(constants, fed.eta) ** fed.local_steps
     theta0 = init_params(spec, 6)
     survivors = [1, 2]
@@ -125,8 +121,8 @@ def test_strongly_convex_gap_contracts_once_the_target_is_gone():
 
 
 def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_ledger():
-    spec, datasets = make_ridge(clients=3, samples=12, features=4, seed=64, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    spec, data = make_ridge(clients=3, samples=12, features=4, seed=64, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2)
     theta0, _, history, ledger = train_world(spec, fed, 6, theta0=init_params(spec, 64))
     retrained = retrained_sensitivity(fed, spec, history, ledger)
     closed = empirical_sensitivity(fed, spec, history, ledger)
@@ -148,8 +144,8 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
 
 
 def test_the_oracle_evaluates_no_loss(monkeypatch):
-    spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=65, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2)
+    spec, data = make_ridge(clients=4, samples=12, features=4, seed=65, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2)
     _, _, history, ledger = train_world(spec, fed, 5, theta0=init_params(spec, 65))
     calls, kernel_calls = [], []
     real, real_kernel = unlearn.federation_loss_and_grads, models.stacked_loss
@@ -179,13 +175,13 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
 
 
 def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
-    spec, datasets = make_ridge(seed=64)
-    fed, _ = fed_for(spec, datasets)
+    spec, (X, y) = make_ridge(seed=64)
+    fed, _ = fed_for(spec, X, y)
     _, _, history, ledger = train_world(spec, fed, 3)
     _, _, short_history, _ = train_world(spec, fed, 2)
     with pytest.raises(ValueError, match="one run"):
         empirical_sensitivity(fed, spec, short_history, ledger)
-    other, _ = fed_for(spec, datasets[:2])
+    other, _ = fed_for(spec, X[:2], y[:2])
     with pytest.raises(ValueError, match="one run"):
         empirical_sensitivity(other, spec, history, ledger)
     for sensitivity in (ridge_sensitivity, retrained_sensitivity):
@@ -201,11 +197,11 @@ def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
 def uneven_ridge(counts, features=4, seed=90, l2=0.1):
     """Ridge clients of one data shape, max(counts) samples each, and the
     uneven weights of clients holding counts[i] samples."""
-    spec, datasets = make_ridge(
+    spec, data = make_ridge(
         clients=len(counts), samples=max(counts), features=features, seed=seed, l2=l2
     )
     counts = np.array(counts, dtype=np.float64)
-    return spec, datasets, counts / counts.sum()
+    return spec, data, counts / counts.sum()
 
 
 def assert_same_alphas(closed, retrained):
@@ -220,9 +216,9 @@ def assert_same_alphas(closed, retrained):
 @pytest.mark.parametrize("weights", [None, [0.1, 0.45, 0.05, 0.25, 0.15]])
 def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights):
     # weights None: the uneven weights of clients holding 7, 12, 9, 16 and 5 samples
-    spec, datasets, uneven = uneven_ridge([7, 12, 9, 16, 5])
+    spec, data, uneven = uneven_ridge([7, 12, 9, 16, 5])
     weights = uneven if weights is None else weights
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=local_steps, weights=weights)
+    fed, _ = fed_for(spec, *data, frac=0.9, local_steps=local_steps, weights=weights)
     _, _, history, ledger = train_world(spec, fed, 25, theta0=init_params(spec, 91))
     # the closed form takes the operators training built, and builds none
     calls = []
@@ -234,8 +230,8 @@ def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights
 
 
 def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
-    spec, datasets, weights = uneven_ridge([8, 14, 10, 6], seed=92)
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=3, weights=weights)
+    spec, data, weights = uneven_ridge([8, 14, 10, 6], seed=92)
+    fed, _ = fed_for(spec, *data, frac=0.9, local_steps=3, weights=weights)
     _, contraction, history, ledger = train_world(spec, fed, 20, theta0=init_params(spec, 92))
     # the same increments under a decay far faster than the true contraction
     shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
@@ -258,15 +254,15 @@ def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
 
     monkeypatch.setattr(oracle, "retrain_until", counted)
     # d <= n, so every client has operators: closed form
-    spec, datasets, weights = uneven_ridge([4, 5, 4])
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2, weights=weights)
+    spec, data, weights = uneven_ridge([4, 5, 4])
+    fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2, weights=weights)
     _, _, history, ledger = train_world(spec, fed, 4)
     empirical_sensitivity(fed, spec, history, ledger)
     assert calls == []
     # clients of 3 samples have d > n and no operators, though the federation
     # holds 9 samples, more than d
-    spec, datasets = make_ridge(clients=3, samples=3, features=4, seed=90, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.9, local_steps=2, weights=[0.25, 0.45, 0.3])
+    spec, (X, y) = make_ridge(clients=3, samples=3, features=4, seed=90, l2=0.1)
+    fed, _ = fed_for(spec, X, y, frac=0.9, local_steps=2, weights=[0.25, 0.45, 0.3])
     _, _, history, ledger = train_world(spec, fed, 4)
     traces = empirical_sensitivity(fed, spec, history, ledger)
     assert calls == [[1, 2], [0, 2], [0, 1]]
@@ -277,15 +273,15 @@ def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
         without, survivors = [history.models[0]], [c for c in range(3) if c != trace.client]
         q = np.array([fed.weights[c] for c in survivors]) / sum(fed.weights[c] for c in survivors)
         for _ in range(4):
-            local = [reference_gd(spec, datasets[c], without[-1], fed.eta, 2) for c in survivors]
+            local = [reference_gd(spec, X[c], y[c], without[-1], fed.eta, 2) for c in survivors]
             without.append(q @ np.array(local))
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
         np.testing.assert_allclose(trace.alphas, want, rtol=1e-10, atol=1e-14)
 
 
 def test_a_diverging_leave_one_out_run_raises():
-    spec, datasets = make_ridge(clients=3, samples=10, features=3, seed=93, l2=0.1)
-    fed = FederationConfig.from_datasets(datasets, eta=50.0, local_steps=1)
+    spec, data = make_ridge(clients=3, samples=10, features=3, seed=93, l2=0.1)
+    fed = FederationConfig(*data, eta=50.0, local_steps=1)
     # a recorded run of the right length; the oracle only follows its start
     history = TrainingHistory.from_models(np.zeros((31, 3)))
     ledger = SensitivityLedger(1.0, 1, 3)
@@ -305,8 +301,8 @@ def test_a_diverging_leave_one_out_run_raises():
 
 @pytest.mark.parametrize("local_steps", [1, 3])
 def test_the_exact_ridge_contraction_check_fails_below_the_largest_step_norm(local_steps):
-    spec, datasets = make_ridge(clients=4, samples=12, features=4, seed=94, l2=0.1)
-    fed, constants = fed_for(spec, datasets, frac=1.0, local_steps=local_steps)
+    spec, data = make_ridge(clients=4, samples=12, features=4, seed=94, l2=0.1)
+    fed, constants = fed_for(spec, *data, frac=1.0, local_steps=local_steps)
     contraction = contraction_factor(constants, fed.eta)
     cohort = fed.cohort(range(4), spec)
     features = cohort.features
@@ -369,8 +365,8 @@ def test_trace_validation():
 
 def test_reference_gd_zero_steps_copies():
     theta0 = np.array([1.0, 2.0])
-    spec, datasets = make_ridge(clients=2, features=2, seed=65)
-    out = reference_gd(spec, datasets[0], theta0, 0.1, 0)
+    spec, (X, y) = make_ridge(clients=2, features=2, seed=65)
+    out = reference_gd(spec, X[0], y[0], theta0, 0.1, 0)
     np.testing.assert_array_equal(out, theta0)
     assert out is not theta0
 
@@ -380,26 +376,26 @@ def test_reference_gd_matches_local_update_everywhere():
     for _ in range(100):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 8))
-        data = ClientDataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+        data = rng.standard_normal((n, d)), rng.standard_normal(n)
         spec = ModelSpec(ModelKind.RIDGE, (d,), float(rng.random() * 0.3))
         theta0 = rng.standard_normal(d)
         eta = float(0.01 + 0.2 * rng.random())
         steps = int(rng.integers(1, 6))
-        a = reference_gd(spec, data, theta0, eta, steps)
-        b = local_update(spec, data, theta0, eta, steps)
+        a = reference_gd(spec, *data, theta0, eta, steps)
+        b = local_update(spec, *data, theta0, eta, steps)
         np.testing.assert_array_equal(a, b)
 
 
 def test_reference_gd_reaches_the_ridge_optimum():
-    spec, datasets = make_ridge(clients=2, samples=30, features=3, seed=67, l2=0.2)
-    constants = regime_constants(spec, [datasets[0]])
-    out = reference_gd(spec, datasets[0], np.zeros(3), 1.0 / constants.beta, 4000)
-    assert float(np.linalg.norm(grad(spec, datasets[0], out))) < 1e-8
+    spec, (X, y) = make_ridge(clients=2, samples=30, features=3, seed=67, l2=0.2)
+    constants = regime_constants(spec, X[:1], y[:1])
+    out = reference_gd(spec, X[0], y[0], np.zeros(3), 1.0 / constants.beta, 4000)
+    assert float(np.linalg.norm(grad(spec, X[0], y[0], out))) < 1e-8
 
 
 def test_reference_gd_validation_and_divergence():
-    spec, datasets = make_ridge(seed=68)
+    spec, (X, y) = make_ridge(seed=68)
     with pytest.raises(ValueError):
-        reference_gd(spec, datasets[0], np.zeros(4), 0.1, -1)
+        reference_gd(spec, X[0], y[0], np.zeros(4), 0.1, -1)
     with np.errstate(over="ignore"), pytest.raises(DivergedTrainingError):
-        reference_gd(spec, datasets[0], np.ones(4), 1e12, 400)
+        reference_gd(spec, X[0], y[0], np.ones(4), 1e12, 400)

@@ -42,8 +42,8 @@ FED_SEED = 9
 
 
 def sc_world(budget_sigma=0.4, rounds=12, clients=4, seed=21, **fed_kw):
-    spec, datasets = make_ridge(clients=clients, samples=15, features=3, seed=seed, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.8, **fed_kw)
+    spec, data = make_ridge(clients=clients, samples=15, features=3, seed=seed, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=0.8, **fed_kw)
     budget = NoiseBudget(1.0, 0.05, budget_sigma)
     theta0, contraction, history, ledger = train_world(spec, fed, rounds, seed=FED_SEED)
     return spec, fed, budget, theta0, contraction, history, ledger
@@ -117,8 +117,8 @@ def test_stopping_criterion_edges():
 
 
 def test_retrain_zero_rounds_returns_start():
-    spec, datasets = make_ridge(seed=2)
-    fed, _ = fed_for(spec, datasets)
+    spec, data = make_ridge(seed=2)
+    fed, _ = fed_for(spec, *data)
     theta0 = np.ones(4)
     result = retrain_until(spec, fed, theta0, range(3), exactly(0))
     np.testing.assert_array_equal(result.final_model, theta0)
@@ -128,8 +128,8 @@ def test_retrain_zero_rounds_returns_start():
 
 
 def test_retrain_trace_is_contiguous_and_starts_at_offset():
-    spec, datasets = make_ridge(seed=2)
-    fed, _ = fed_for(spec, datasets, frac=0.5)
+    spec, data = make_ridge(seed=2)
+    fed, _ = fed_for(spec, *data, frac=0.5)
     result = retrain_until(spec, fed, np.zeros(4), range(3), exactly(4), start_position=7)
     positions = [p for p, _ in result.loss_trace]
     assert positions == [7, 8, 9, 10, 11]
@@ -138,8 +138,8 @@ def test_retrain_trace_is_contiguous_and_starts_at_offset():
 
 
 def test_retrain_records_history_and_ledger():
-    spec, datasets = make_ridge(seed=3)
-    fed, constants = fed_for(spec, datasets, frac=0.5)
+    spec, data = make_ridge(seed=3)
+    fed, constants = fed_for(spec, *data, frac=0.5)
     history = TrainingHistory(np.zeros(4))
     ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), range(3), exactly(6), ledger=ledger, history=history)
@@ -151,9 +151,9 @@ def test_retrain_records_history_and_ledger():
 def test_all_client_ledger_rows_use_the_aggregation_weights():
     # weights whose sum is 1 - 2**-53: the ledger must weight the increments
     # as the rounds aggregate, renormalised, not by the raw weights
-    spec, datasets = make_ridge(clients=5, samples=16, seed=4)
+    spec, data = make_ridge(clients=5, samples=16, seed=4)
     counts = np.array((16.0, 11.0, 16.0, 11.0, 16.0))
-    fed, _ = fed_for(spec, datasets, frac=0.5, weights=counts / counts.sum())
+    fed, _ = fed_for(spec, *data, frac=0.5, weights=counts / counts.sum())
     assert fed.weights.sum() != 1.0
     ledger = SensitivityLedger(1.0, fed.local_steps, 5)
     history = TrainingHistory(np.zeros(4))
@@ -171,8 +171,8 @@ def test_all_client_ledger_rows_use_the_aggregation_weights():
 
 
 def test_retrain_single_active_client_records_empty_deltas():
-    spec, datasets = make_ridge(seed=3)
-    fed, _ = fed_for(spec, datasets, frac=0.5)
+    spec, data = make_ridge(seed=3)
+    fed, _ = fed_for(spec, *data, frac=0.5)
     ledger = SensitivityLedger(1.0, fed.local_steps, 3)
     retrain_until(spec, fed, np.zeros(4), [1], exactly(4), ledger=ledger)
     assert len(ledger) == 4
@@ -181,22 +181,20 @@ def test_retrain_single_active_client_records_empty_deltas():
 
 
 def test_retrain_subset_matches_manual_renormalised_loop():
-    spec, datasets = make_ridge(clients=3, seed=4)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.3, local_steps=2, weights=[0.5, 0.3, 0.2]
-    )
+    spec, (X, y) = make_ridge(clients=3, seed=4)
+    fed = FederationConfig(X, y, eta=0.3, local_steps=2, weights=[0.5, 0.3, 0.2])
     result = retrain_until(spec, fed, np.zeros(4), [1, 2], exactly(5))
     theta = np.zeros(4)
     for _ in range(5):
-        locals_ = [local_update(spec, datasets[i], theta, 0.3, 2) for i in (1, 2)]
+        locals_ = [local_update(spec, X[i], y[i], theta, 0.3, 2) for i in (1, 2)]
         theta = 0.6 * locals_[0] + 0.4 * locals_[1]
     assert_near(result.final_model, theta)
 
 
 def test_retrain_converges_at_closed_form_threshold():
-    spec, datasets = make_ridge(clients=3, seed=6, l2=0.1)
-    fed, _ = fed_for(spec, datasets, frac=0.9)
-    _, floor = ridge_opt(datasets, fed.weights, [0, 1, 2], spec.l2)
+    spec, data = make_ridge(clients=3, seed=6, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=0.9)
+    _, floor = ridge_opt(*data, fed.weights, [0, 1, 2], spec.l2)
     rule = StoppingRule(floor * 1.01, 0, 500)
     result = retrain_until(spec, fed, np.zeros(4), range(3), rule)
     assert result.converged
@@ -205,8 +203,8 @@ def test_retrain_converges_at_closed_form_threshold():
 
 
 def test_retrain_requires_active_clients():
-    spec, datasets = make_ridge(seed=1)
-    fed, _ = fed_for(spec, datasets)
+    spec, data = make_ridge(seed=1)
+    fed, _ = fed_for(spec, *data)
     with pytest.raises(EmptyFederationError):
         retrain_until(spec, fed, np.zeros(4), [], exactly(1))
 
@@ -302,10 +300,8 @@ def test_sifu_with_huge_budget_restarts_from_the_final_round():
 
 
 def test_sifu_ignores_a_client_that_never_contributed():
-    spec, datasets = make_ridge(clients=3, samples=15, features=3, seed=30, l2=0.1)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.4, local_steps=1, weights=[0.0, 0.5, 0.5]
-    )
+    spec, data = make_ridge(clients=3, samples=15, features=3, seed=30, l2=0.1)
+    fed = FederationConfig(*data, eta=0.4, local_steps=1, weights=[0.0, 0.5, 0.5])
     budget = NoiseBudget(1.0, 0.05, 0.3)
     theta0, _, history, ledger = train_world(spec, fed, 10, seed=4)
     final = history.final_model.copy()
@@ -371,17 +367,15 @@ def test_state_method_must_match_its_ledger():
 
 
 def test_baseline_scratch_matches_manual_loop():
-    spec, datasets = make_ridge(clients=3, seed=40)
-    fed = FederationConfig.from_datasets(
-        datasets, eta=0.2, local_steps=1, weights=[0.5, 0.3, 0.2]
-    )
+    spec, (X, y) = make_ridge(clients=3, seed=40)
+    fed = FederationConfig(X, y, eta=0.2, local_steps=1, weights=[0.5, 0.3, 0.2])
     theta0 = np.zeros(4)
     outcome = baseline("scratch", spec, fed, TrainingHistory(theta0), None, {0}, exactly(6))
     assert (outcome.rollback_position, outcome.noise_sigma) == (0, 0.0)
     out = outcome.final_model
     theta = theta0.copy()
     for _ in range(6):
-        locals_ = [local_update(spec, datasets[i], theta, 0.2, 1) for i in (1, 2)]
+        locals_ = [local_update(spec, X[i], y[i], theta, 0.2, 1) for i in (1, 2)]
         theta = 0.6 * locals_[0] + 0.4 * locals_[1]
     assert_near(out, theta)
 
@@ -422,8 +416,8 @@ def test_baseline_last_extends_the_records():
 
 
 def test_last_noise_never_below_ifu_noise_without_contraction():
-    spec, datasets = make_logistic(clients=4, samples=15, features=3, seed=50)
-    fed, constants = fed_for(spec, datasets, frac=0.5, local_steps=1)
+    spec, data = make_logistic(clients=4, samples=15, features=3, seed=50)
+    fed, constants = fed_for(spec, *data, frac=0.5, local_steps=1)
     budget = NoiseBudget(1.0, 0.05, 0.4)
     theta0, contraction, history, ledger = train_world(spec, fed, 20, seed=3)
     assert contraction == 1.0
