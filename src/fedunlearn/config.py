@@ -16,13 +16,18 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datagen import DataRecipe
+from .engine import renormalized_weights
 from .errors import ConfigError
 from .models import ModelKind, ModelSpec, RegimeConstants
 from .sensitivity import NoiseBudget
 from .unlearn import StoppingRule
 
 _ETA_FORMS = ("1/beta", "2/beta", "2/(beta+mu)")
+# a client weight in (1 - this, 1) is refused (ExperimentConfig._check_near_full_weights)
+_NEAR_FULL_WEIGHT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,33 @@ class ExperimentConfig:
             named.update(req)
         if positive <= named:
             raise ConfigError("requests would remove every client of positive weight from the federation")
+        if self.weights is not None:
+            self._check_near_full_weights()
+
+    def _check_near_full_weights(self) -> None:
+        """Refuse a weight in (1 - 1e-6, 1) in a cohort whose ledger rows a
+        certificate reads: the full federation and the survivors of each
+        request but the last, whose rows no later request reads.
+
+        The closed-form increment p/(1 - p) ||theta_c - theta|| takes a gap
+        that cancels to (1 - p) times the spread of the client models, so the
+        gap's rounding error, scaled by 1/(1 - p), can exceed verify's
+        tolerance.  A weight of exactly 1 (a lone client of positive weight)
+        books zeros.
+        """
+        removed: set[int] = set()
+        for done in range(max(len(self.requests), 1)):
+            if done:
+                removed.update(self.requests[done - 1])
+            weights = renormalized_weights(self.weights, removed)
+            near = np.flatnonzero((weights > 1.0 - _NEAR_FULL_WEIGHT) & (weights < 1.0))
+            if near.size:
+                where = f"after request {done}" if done else "in the federation"
+                raise ConfigError(
+                    f"client {int(near[0])} carries weight {float(weights[near[0]])!r} {where}, within "
+                    f"{_NEAR_FULL_WEIGHT} of the full aggregation weight: its closed-form increments "
+                    "would lose their digits to cancellation"
+                )
 
     def resolve_eta(self, constants: RegimeConstants) -> float:
         if isinstance(self.eta, str):

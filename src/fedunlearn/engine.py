@@ -4,13 +4,16 @@ A federation's data is one stack, features (C, n, d) and targets (C, n),
 held once by FederationConfig.  A run aggregates one fixed Cohort of
 clients (FederationConfig.cohort): their renormalised weights and their
 rows of the stack, with everything a round needs that does not depend on
-theta, built once per run.  A ridge cohort with d <= n advances by its
-clients' K-step maps theta -> A_i theta + b_i (models.ridge_operators), by
-their aggregate theta -> M theta + m, M = sum_i q_i A_i, m = sum_i q_i b_i
-(Cohort.affine), forming no client model (affine_round).  Every other cohort
-steps by kernel_round, one kernel call per local step.  A run guards and
-measures its client models a block of rounds at a time (local_gaps,
-kernel_gaps).
+theta built on first read.  Those theta-independent constants are kept by
+the federation, one memo entry per (clients, spec), and reused by every
+later run on the same clients; the cohort's rows of the stack and of the
+operators are built once per run and die with it.  A ridge cohort with
+d <= n advances by its clients' K-step maps theta -> A_i theta + b_i
+(models.ridge_operators), by their aggregate theta -> M theta + m,
+M = sum_i q_i A_i, m = sum_i q_i b_i (Cohort.affine), forming no client
+model (affine_round).  Every other cohort steps by kernel_round, one kernel
+call per local step.  A run guards and measures its client models a block
+of rounds at a time (local_gaps, kernel_gaps).
 
 Determinism contract: repeated runs on one platform are bit-identical.
 kernel_round equals the per-client loop bit for bit; affine_round and the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -57,13 +60,18 @@ class FederationConfig:
     stack, client i's rows at index i; it is taken as it is, not copied
     (only converted to C-order float64 if it is not), and made read-only.
     weights must sum to 1 within 1e-12; by default they are uniform, 1/C.
-    It keeps no cohort between calls, only what ridge cohorts build from
-    the stack: the raw moments X_i^T X_i and X_i^T y_i
-    (models.ridge_moments, None for d > n), built once on first use, and
-    the ridge operators, built from them once per spec (they depend on its
-    l2).  Every array it holds is read-only: the stack, its own copy of the
-    weights, and the moments and operators as they are built, so a
-    federation shared by several runs cannot be changed by one of them.
+    Beside the stack it keeps what its cohorts build that does not depend on
+    theta: the raw moments X_i^T X_i and X_i^T y_i (models.ridge_moments,
+    None for d > n), built once on first use; the ridge operators, built
+    from them once per spec (they depend on its l2); and one memo entry per
+    (clients, spec) a cohort was made of, holding that cohort's renormalised
+    weights and, once read, its affine map, quadratic form and increment
+    scale (see Cohort).  An entry holds O(d^2 + C) values, never a cohort's
+    rows of the stack or of the operators; there is one per survivor set a
+    process runs, and the entries go with the federation.  Every array it
+    holds is read-only: the stack, its own copy of the weights, and the
+    moments, operators and memo entries as they are built, so a federation
+    shared by several runs cannot be changed by one of them.
     """
 
     features: np.ndarray
@@ -103,6 +111,7 @@ class FederationConfig:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_operators", {})
+        object.__setattr__(self, "_cohorts", {})
 
     @property
     def client_count(self) -> int:
@@ -110,7 +119,8 @@ class FederationConfig:
 
     def cohort(self, active, spec: ModelSpec) -> "Cohort":
         """The clients `active` (any order; repeats count once) as one run's
-        cohort, with their rows of the stack for `spec`'s kernel."""
+        cohort, with their rows of the stack for `spec`'s kernel and the
+        federation's memo entry for (active, spec)."""
         active = tuple(sorted({int(c) for c in active}))
         if not active:
             raise EmptyFederationError("a cohort needs at least one client")
@@ -118,8 +128,12 @@ class FederationConfig:
             raise IndexError(f"client index out of range in {active}")
         if self.features.shape[2] != spec.dims[0]:
             raise DimensionMismatchError(f"data has {self.features.shape[2]} features, spec expects {spec.dims[0]}")
-        weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
-        return Cohort(active, weights, spec, self)
+        memo = self._cohorts.get((active, spec))
+        if memo is None:
+            weights = renormalized_weights(self.weights, set(range(self.client_count)) - set(active))
+            freeze(weights)
+            memo = self._cohorts[(active, spec)] = {"weights": weights}
+        return Cohort(active, memo["weights"], spec, self, memo)
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -145,6 +159,20 @@ def freeze(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
+def _memoised(build):
+    """A Cohort property built on its first read and kept in the cohort's
+    memo, so every cohort sharing the memo reads the one value.  A build
+    that raises keeps nothing: every read raises again."""
+
+    @wraps(build)
+    def read(cohort):
+        if build.__name__ not in cohort.memo:
+            cohort.memo[build.__name__] = build(cohort)
+        return cohort.memo[build.__name__]
+
+    return cached_property(read)
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """The clients one run aggregates, fixed for the whole run.
@@ -156,21 +184,26 @@ class Cohort:
     active_weights is weights[active_index], checked to sum to one once, here.
 
     Everything a run needs that does not depend on theta is built on first
-    read and kept, each from the cohort's rows of what the federation holds
-    (indexed by active_index; the full cohort's are the federation's own
-    arrays, uncopied): features (g, n, d) and targets (g, n) of the
-    federation's stack; operators, the ridge operators (A, b)
-    (models.ridge_operators), or None for logistic, the MLP, or ridge with
-    d > n.  From those: affine, the operators' aggregate map (M, m);
-    quadratic, the retained loss's quadratic form for federation_loss; and
-    increment_scale, the closed-form increments' p / (1 - p).  A cohort
-    that only evaluates losses builds no operators.
+    read and kept.  The cohort's rows of what the federation holds (indexed
+    by active_index; the full cohort's are the federation's own arrays,
+    uncopied) are kept by the cohort for its run: features (g, n, d) and
+    targets (g, n) of the federation's stack; operators, the ridge operators
+    (A, b) (models.ridge_operators), or None for logistic, the MLP, or ridge
+    with d > n.  The rest is kept, read-only, in memo, which
+    FederationConfig.cohort makes the federation's entry for (active, spec),
+    so later runs on the same clients read it built (a cohort made directly
+    has a memo of its own): affine, the operators' aggregate map (M, m);
+    quadratic, the retained loss's quadratic form for federation_loss, which
+    reads no rows of the stack; and increment_scale, the closed-form
+    increments' p / (1 - p).  A cohort that only evaluates losses builds no
+    operators.
     """
 
     active: tuple[int, ...]
     weights: np.ndarray
     spec: ModelSpec
     federation: FederationConfig
+    memo: dict = field(default_factory=dict, repr=False)
     active_index: np.ndarray = field(init=False)
     active_weights: np.ndarray = field(init=False)
 
@@ -204,7 +237,7 @@ class Cohort:
             return None
         return tuple(map(self._rows, self.federation._ridge_operators(self.spec)))
 
-    @cached_property
+    @_memoised
     def affine(self) -> tuple[np.ndarray, Params] | None:
         """(M, m) = (sum_i q_i A_i, sum_i q_i b_i) over the cohort's clients
         of a cohort with operators, else None.
@@ -224,7 +257,7 @@ class Cohort:
         freeze(maps, offsets)
         return maps, offsets
 
-    @cached_property
+    @_memoised
     def quadratic(self) -> tuple[Params, float, Params, np.ndarray] | None:
         """(anchor, loss there, gradient there, Hessian H) of a ridge cohort
         with moments (d <= n), else None.
@@ -232,15 +265,18 @@ class Cohort:
         The loss is exactly quadratic: H = sum_i q_i X_i^T X_i / n + l2 I
         with gradient H theta - r, r = sum_i q_i X_i^T y_i / n.  The anchor
         solves H theta = r, by lstsq when H is singular (l2 = 0 with
-        rank-deficient data), and its loss is one kernel call, so the anchor
-        depends on the cohort alone; the expansion is exact around any finite
-        anchor.
+        rank-deficient data), and its loss is one kernel call over the whole
+        stack, whose rows equal each client's alone bit for bit, summed over
+        the cohort's clients; so the anchor depends on the cohort alone, and
+        no row of the stack is copied.  The expansion is exact around any
+        finite anchor.
         """
-        if self.spec.kind is not ModelKind.RIDGE or self.federation._moments is None:
+        fed = self.federation
+        if self.spec.kind is not ModelKind.RIDGE or fed._moments is None:
             return None
         d = self.spec.param_count
-        gram, moment = map(self._rows, self.federation._moments)
-        scaled = self.active_weights / self.features.shape[1]
+        gram, moment = map(self._rows, fed._moments)
+        scaled = self.active_weights / fed.features.shape[1]
         hessian, pull = np.zeros(d * d), np.zeros(d)
         hessian += scaled @ gram.reshape(len(self.active), d * d)
         pull += scaled @ moment
@@ -250,9 +286,12 @@ class Cohort:
             anchor = np.linalg.solve(hessian, pull)
         except np.linalg.LinAlgError:
             anchor = np.linalg.lstsq(hessian, pull, rcond=None)[0]
-        return anchor, _kernel_loss(self, anchor), hessian @ anchor - pull, hessian
+        losses = models.stacked_loss(self.spec, fed.features, fed.targets, anchor)
+        gradient = hessian @ anchor - pull
+        freeze(anchor, gradient, hessian)
+        return anchor, _weighted_sum(losses[self.active_index], self), gradient, hessian
 
-    @cached_property
+    @_memoised
     def increment_scale(self) -> np.ndarray:
         """p / (1 - p) for p = active_weights.  A client carrying the full
         weight has no run without it to bound: every read then raises."""
@@ -260,7 +299,9 @@ class Cohort:
         if (p >= 1.0).any():
             client = self.active[int(np.argmax(p >= 1.0))]
             raise SingularRemovalError(f"client {client} carries the full aggregation weight")
-        return p / (1.0 - p)
+        scale = p / (1.0 - p)
+        freeze(scale)
+        return scale
 
 
 def local_updates(

@@ -142,7 +142,7 @@ class RegimeConstants:
 # kernel calls.  The ridge loss is exactly quadratic, so a cohort with
 # moments evaluates its retained loss from their weighted sum
 # (engine.Cohort.quadratic) rather than the kernel: equal to the kernel's to
-# rounding, at one kernel call per cohort.
+# rounding, at one kernel call per set of clients a federation runs.
 
 
 def stacked_loss(spec: ModelSpec, features, targets, thetas) -> np.ndarray:

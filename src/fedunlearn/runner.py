@@ -111,10 +111,11 @@ class PreparedExperiment:
 
     The commands of one process share one instance per config through
     `prepared_for`, so every array reachable from it is read-only: theta0
-    and the federation's one stack of the clients' data, its weights, and
-    its moments and operators.  The stack is the one generate_data filled,
-    held once, by the federation.  It holds no artifact; commands read those
-    from disk.
+    and the federation's one stack of the clients' data, its weights, its
+    moments and operators, and its cohorts' memo entries, which the
+    commands' runs on the same clients share.  The stack is the one
+    generate_data filled, held once, by the federation.  It holds no
+    artifact; commands read those from disk.
     """
 
     config: ExperimentConfig

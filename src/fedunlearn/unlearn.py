@@ -188,9 +188,10 @@ def retrain_until(
     engine.kernel_round, whose first local step takes the gradients of the
     retained loss before it) and the retained loss.  A kernel run keeps its
     client models until a chunk of rounds, as many as hold no more values
-    than the cohort's stacked features, is booked (_book); an affine run
-    books its rounds at the end.  A run that diverges books the rounds
-    before the diverging one and raises with its index.  track_loss=False
+    than the cohort's stacked features (n d // p, from the stack's shape, so
+    that an affine run reads no rows of the data), is booked (_book); an
+    affine run books its rounds at the end.  A run that diverges books the
+    rounds before the diverging one and raises with its index.  track_loss=False
     skips the retained loss (final_loss is then NaN and the trace empty); it
     needs a fixed-round rule, since the loss is what an early stop reads.
     """
@@ -212,7 +213,7 @@ def retrain_until(
     # the global model before the rounds not yet booked and after each, and
     # a kernel run's client models of those rounds
     thetas, pending = [theta], []
-    chunk = max(1, cohort.features.size // (len(cohort.active) * theta.shape[0]))
+    chunk = max(1, math.prod(config.features.shape[1:]) // theta.shape[0])
     try:
         while not stopping_criterion(rounds, loss, stopping):
             if cohort.affine is not None:

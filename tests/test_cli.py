@@ -461,6 +461,30 @@ def test_verify_passes_a_client_at_nearly_full_weight(workdir, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "weights, requests, client, where",
+    [
+        ([1 - 1e-8] + [2.5e-9] * 4, [[1]], 0, "in the federation"),
+        ([1 - 1e-9] + [2.5e-10] * 4, [[1]], 0, "in the federation"),
+        ([1 - 1e-8] + [2.5e-9] * 4, [], 0, "in the federation"),
+        # without client 0, client 1 carries 1 - 6e-9
+        ([0.5, 0.5 - 3e-9, 1e-9, 1e-9, 1e-9], [[0], [2]], 1, "after request 1"),
+    ],
+    ids=["1e-8", "1e-9", "1e-8-no-requests", "renormalised-by-a-request"],
+)
+def test_a_client_within_1e_6_of_the_full_weight_is_refused(workdir, capsys, weights, requests, client, where):
+    # at 1 - 1e-8 and 1 - 1e-9, train used to pass and verify then failed
+    # bound:client0 at round 1: the closed-form increment's cancelled gap,
+    # scaled by p / (1 - p), lost digits
+    doc = ridge_benchmark_with("cli_near_full_refused", weights, requests)
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 2
+    err = capsys.readouterr().err
+    assert f"client {client} carries weight 0.99999999" in err
+    assert f"{where}, within 1e-06 of the full aggregation weight" in err
+    assert not run_dir(workdir, doc).exists()
+
+
 def test_a_cohort_whose_weight_sits_on_one_client_books_no_increments(workdir, capsys):
     # without client 0, client 1 carries the whole weight: no run without it
     # to bound, as for a cohort of one client
@@ -1190,6 +1214,12 @@ def test_the_shared_prepared_experiment_is_read_only(workdir):
     fed = prepared.fed
     built = reachable_arrays(fed._moments) + reachable_arrays(fed._operators)
     assert len(built) == 4  # the stack's X^T X, X^T y, A and b
+    # one memo entry per cohort run, all clients and the survivors of [[0]],
+    # each its weights, M, m, the anchor, its gradient, H and p / (1 - p)
+    memo = reachable_arrays(fed._cohorts)
+    assert [active for active, _ in fed._cohorts] == [(0, 1, 2), (1, 2)]
+    assert len(memo) == 2 * 7
+    built += memo
     arrays = reachable_arrays(prepared)
     assert {id(array) for array in built} <= {id(array) for array in arrays}
     # theta0, the weights, the stacked features and targets: the data once

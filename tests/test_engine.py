@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1166,6 +1167,59 @@ def test_cohort_weights_are_checked_once_and_a_lone_client_raises_only_on_its_in
     scale = pair.increment_scale
     assert scale.tobytes() == (pair.active_weights / (1.0 - pair.active_weights)).tobytes()
     assert pair.increment_scale is scale
+
+
+def test_a_second_run_on_the_same_clients_reads_its_cohort_constants_built(monkeypatch):
+    spec, data = make_ridge(clients=6, samples=20, features=4, seed=31)
+    fed = FederationConfig(*data, eta=0.05, local_steps=2)
+    theta0 = init_params(spec, 31)
+    first = recorded_run(spec, fed, theta0, (5, 0, 2, 3), exactly(6))
+    calls = []
+    for module, name in ((np.linalg, "solve"), (models, "ridge_operators"), (models, "stacked_loss")):
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    # the same clients in any order are one memo entry: no solve for the
+    # anchor, no operators and no kernel call for the anchor's loss
+    second = recorded_run(spec, fed, theta0, (0, 2, 3, 5), exactly(6))
+    assert calls == []
+    assert second[1].tobytes() == first[1].tobytes()
+    assert second[2].deltas.tobytes() == first[2].deltas.tobytes()
+    # other clients build their own constants from the operators already built
+    recorded_run(spec, fed, theta0, (1, 2, 3), exactly(6))
+    assert calls == ["solve", "stacked_loss"]
+    # a federation of its own builds everything again
+    calls.clear()
+    recorded_run(spec, FederationConfig(*data, eta=0.05, local_steps=2), theta0, (0, 2, 3, 5), exactly(6))
+    assert calls == ["solve", "stacked_loss", "ridge_operators"]
+
+
+def test_a_warm_ridge_run_over_a_subset_copies_none_of_its_data():
+    # d = 4 <= n = 400: the run steps by the aggregate map and reads its loss
+    # from the quadratic form, neither of which needs the clients' rows
+    spec, data = make_ridge(clients=10, samples=400, features=4, seed=32)
+    fed = FederationConfig(*data, eta=0.05, local_steps=2)
+    survivors, theta0 = range(1, 10), init_params(spec, 32)
+    recorded_run(spec, fed, theta0, survivors, exactly(8))
+    tracemalloc.start()
+    try:
+        recorded_run(spec, fed, theta0, survivors, exactly(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = fed.features[1:].nbytes
+    assert peak < rows / 4, (peak, rows)
+    # the memo holds O(d^2 + C) values per entry: nothing of shape (g, n, d)
+    # or (g, d, d)
+    (entry,) = fed._cohorts.values()
+    values = [v for value in entry.values() for v in (value if isinstance(value, tuple) else (value,))]
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7 and max(array.ndim for array in arrays) <= 2
+    assert max(array.size for array in arrays) == 4 * 4
 
 
 def test_federation_loss_matches_manual_weighted_sum():

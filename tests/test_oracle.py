@@ -165,9 +165,14 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
         assert calls == [] and kernel_calls == []
         assert [t.client for t in traces] == [0, 1, 2, 3]
     # the all-client run it checks does evaluate the loss every round, from
-    # the cohort's quadratic form, whose anchor takes one kernel call
+    # the cohort's quadratic form, which train_world's run of the same
+    # cohort left built on the federation: no kernel call
     retrain_until(spec, fed, history.models[0], range(4), exactly(5))
     assert calls == [4] * 6
+    assert kernel_calls == []
+    # on a federation of its own, the anchor takes one kernel call
+    retrain_until(spec, fed_for(spec, *data, frac=0.9, local_steps=2)[0], history.models[0], range(4), exactly(5))
+    assert calls == [4] * 12
     assert kernel_calls == [4]
     # skipping the loss is refused where the loss decides when to stop
     with pytest.raises(ValueError, match="fixed-round"):
