@@ -20,18 +20,24 @@ kernel_round equals the per-client loop bit for bit; affine_round and the
 client models local_gaps recomputes equal it to rounding.  Each stacked
 product and each row norm (models.norms) is one BLAS call per client slice,
 so a client's local model and norms do not depend on which clients or
-rounds share its block.  The aggregation is np.add.accumulate along the
-client axis: the sequential sum q_0 theta_0 + q_1 theta_1 + ... in
-ascending client order, never a pairwise or BLAS reduction.  The retained
-loss of a cohort with a quadratic form (ridge, d <= n) is that form, equal
-to the kernel to rounding, with an anchor built from the cohort alone, so a
-pure function of (cohort, theta).  Every other cohort's loss is the
-kernel's, summed like the aggregation, from the forward pass that also
-gives the round's first local step (federation_loss_and_grads).
+rounds share its block.  The divergence guard, norm <= 1e8, decides as
+models.norms does: a global model by its dot and a correctly rounded sqrt,
+a block of rows first by max |entry| sqrt(p) <= 1e8 / (1 + 1e-9), whose
+margin exceeds the p 2^-52 rounding of a squared sum for p <= 10 000, and by
+the norms only if the block fails that; a nan or inf entry fails both.  The
+aggregation is np.add.accumulate along the client axis: the sequential sum
+q_0 theta_0 + q_1 theta_1 + ... in ascending client order, never a pairwise
+or BLAS reduction.  The retained loss of a cohort with a quadratic form
+(ridge, d <= n) is that form, equal to the kernel to rounding, with an
+anchor built from the cohort alone, so a pure function of (cohort, theta).
+Every other cohort's loss is the kernel's, summed like the aggregation,
+from the forward pass that also gives the round's first local step
+(federation_loss_and_grads).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
@@ -48,6 +54,7 @@ from .errors import (
 from .models import ModelKind, ModelSpec, Params
 
 _DIVERGENCE_NORM = 1e8
+_NORM_PRECHECK = _DIVERGENCE_NORM / (1 + 1e-9)
 _WEIGHT_TOL = 1e-12
 _CKPT_MAGIC = b"FUL1"
 
@@ -317,21 +324,22 @@ def local_updates(
     """
     if local_steps < 1:
         raise ValueError("local_steps must be >= 1")
-    theta = models.as_params(theta)
     if first_grad is None:
         first_grad = models.stacked_grad(spec, features, targets, theta)
     current = theta - eta * first_grad
     for _ in range(local_steps - 1):
-        _guard_finite(current, round_index)
+        if not _sound_rows(current).all():
+            raise diverged(round_index)
         current = current - eta * models.stacked_grad(spec, features, targets, current)
     return current
 
 
-def _guard_finite(rows: np.ndarray, round_index: int | None = None) -> None:
-    # rows (m, p) or one model (p,); an inf or nan entry makes its row's
-    # norm non-finite, which fails the comparison
-    if not (models.norms(rows) <= _DIVERGENCE_NORM).all():
-        raise diverged(round_index)
+def _sound_rows(rows: np.ndarray) -> np.ndarray:
+    """models.norms(rows) <= 1e8 for each row (m, p), the norms taken only
+    for a block that fails the pre-check (see the module docstring)."""
+    if max(rows.max(), -rows.min()) * math.sqrt(rows.shape[1]) <= _NORM_PRECHECK:
+        return np.ones(len(rows), dtype=bool)
+    return models.norms(rows) <= _DIVERGENCE_NORM
 
 
 def diverged(round_index: int | None) -> DivergedTrainingError:
@@ -372,7 +380,8 @@ def kernel_round(cohort: Cohort, theta: Params, round_index: int, first_grad=Non
         cohort.spec, cohort.features, cohort.targets, theta, fed.eta, fed.local_steps, round_index, first_grad
     )
     new_theta = _accumulate(client_models, cohort.active_weights)
-    _guard_finite(new_theta, round_index)
+    if not math.sqrt(new_theta @ new_theta) <= _DIVERGENCE_NORM:
+        raise diverged(round_index)
     return client_models, new_theta
 
 
@@ -382,7 +391,8 @@ def affine_round(cohort: Cohort, theta: Params, round_index: int) -> Params:
     recomputes them, and guards them, for a block of rounds."""
     maps, offsets = cohort.affine
     new_theta = maps @ theta + offsets
-    _guard_finite(new_theta, round_index)
+    if not math.sqrt(new_theta @ new_theta) <= _DIVERGENCE_NORM:
+        raise diverged(round_index)
     return new_theta
 
 
@@ -419,12 +429,12 @@ def local_gaps(cohort: Cohort, thetas: np.ndarray) -> np.ndarray:
 
 def kernel_gaps(client_models, after: np.ndarray) -> np.ndarray:
     """local_gaps of a block of kernel_round rounds from their client models,
-    one (active, p) array per round, and aggregates (rounds, p), guard and
-    gaps taking models.norms of each row."""
+    one (active, p) array per round, and aggregates (rounds, p), the gaps
+    taking models.norms of each row and the guard deciding as it does."""
     local = np.array(client_models)
     rounds, _, p = local.shape
     flat = local.reshape(-1, p)
-    sound = (models.norms(flat) <= _DIVERGENCE_NORM).reshape(rounds, -1).all(axis=1)
+    sound = _sound_rows(flat).reshape(rounds, -1).all(axis=1)
     local -= after[:, None]
     gaps = models.norms(flat).reshape(rounds, -1)
     return gaps if sound.all() else gaps[: int(np.argmin(sound))]
@@ -448,7 +458,7 @@ def federation_loss(cohort: Cohort, theta: Params) -> float:
     """
     theta = models.as_params(theta)
     if cohort.quadratic is None:
-        return _kernel_loss(cohort, theta)
+        return _weighted_sum(models.stacked_loss(cohort.spec, cohort.features, cohort.targets, theta), cohort)
     anchor, anchor_loss, gradient, hessian = cohort.quadratic
     if theta.shape != anchor.shape:
         raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {anchor.shape[0]} entries")
@@ -470,12 +480,6 @@ def federation_loss_and_grads(cohort: Cohort, theta: Params) -> tuple[float, np.
         return federation_loss(cohort, theta), None
     losses, grads = models.stacked_loss_and_grad(cohort.spec, cohort.features, cohort.targets, theta)
     return _weighted_sum(losses, cohort), grads
-
-
-def _kernel_loss(cohort: Cohort, theta: Params) -> float:
-    """federation_loss from each client's kernel loss, summed in ascending
-    client order."""
-    return _weighted_sum(models.stacked_loss(cohort.spec, cohort.features, cohort.targets, theta), cohort)
 
 
 def _weighted_sum(losses: np.ndarray, cohort: Cohort) -> float:

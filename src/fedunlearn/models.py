@@ -132,7 +132,10 @@ class RegimeConstants:
 #
 # The logistic data term is softplus(z) - y z, with softplus(z) = max(z, 0) +
 # log1p(exp(-|z|)): the branch formula np.logaddexp(0, z) evaluates, through
-# numpy's vectorised exp and log1p in place of its scalar libm calls.
+# numpy's vectorised exp and log1p in place of its scalar libm calls.  Its
+# slope is sigmoid(z) - y, sigmoid(z) = 0.5 (1 + tanh(z / 2)) free of
+# overflow.  Loss terms, slope (in z's buffer) and the gradient's division
+# by n run in place, by the formulas' own operations in their order.
 #
 # The ridge gradient is X_i^T (X_i theta_i - y_i) / n: two (n, d) gemvs.  The
 # engine's rounds call it only for d > n; a ridge federation with d <= n
@@ -234,10 +237,22 @@ def _data_terms(spec: ModelSpec, X: np.ndarray, y: np.ndarray, thetas: np.ndarra
         slope = z - y  # the residual
         value = 0.5 * _sample_mean(slope**2) if with_loss else None
     else:
-        # softplus(z) - y z, stable for large |z| (see above)
-        value = _sample_mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z) if with_loss else None
-        slope = _sigmoid(z) - y if with_grad else None
-    return value, _matvec(X.transpose(0, 2, 1), slope) / n if with_grad else None
+        value = slope = None
+        if with_loss:  # softplus(z) - y z (see above)
+            terms, tail = np.maximum(z, 0.0), np.abs(z)
+            np.exp(np.negative(tail, out=tail), out=tail)
+            terms += np.log1p(tail, out=tail)
+            terms -= np.multiply(y, z, out=tail)
+            value = _sample_mean(terms)
+        if with_grad:  # sigmoid(z) - y in z's buffer (see above)
+            slope = np.tanh(np.multiply(z, 0.5, out=z), out=z)
+            slope += 1.0
+            slope *= 0.5
+            slope -= y
+    if not with_grad:
+        return value, None
+    gradient = _matvec(X.transpose(0, 2, 1), slope)
+    return value, np.divide(gradient, n, out=gradient)
 
 
 def _sample_mean(values: np.ndarray) -> np.ndarray:
@@ -281,14 +296,6 @@ def ridge_operators(spec: ModelSpec, moments, samples: int, eta: float, steps: i
         power = np.matmul(step, power)
         offset = _matvec(step, offset) + pull
     return power, offset
-
-
-# -- logistic ---------------------------------------------------------------
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + tanh(z/2)) is an overflow-free identity for the logistic function
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 # -- tiny MLP ---------------------------------------------------------------

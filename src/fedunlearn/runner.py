@@ -82,7 +82,7 @@ from .history import TrainingHistory
 from .models import ModelKind, Regime, regime_constants
 from .oracle import check_bound, contraction_slack, empirical_sensitivity
 from .sensitivity import SensitivityLedger, contraction_factor
-from .serialize import dumps17, fmt17
+from .serialize import dumps17, dumps17_rows, fmt17
 from .unlearn import (
     LEDGER_METHODS,
     METHODS,
@@ -286,11 +286,11 @@ def _train(prepared: PreparedExperiment) -> tuple[TrainingHistory, SensitivityLe
         history=history,
     )
     per_round = zip(result.loss_trace[1:], ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
-    metrics = "".join(
-        dumps17({"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}) + "\n"
+    rows = [
+        {"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}
         for n, ((_, loss), delta, psi) in enumerate(per_round)
-    )
-    return history, ledger, metrics
+    ]
+    return history, ledger, dumps17_rows(rows)
 
 
 def _load_train(
@@ -372,11 +372,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     _store_config(run_dir, config)
 
     state, outcome_rows, metric_rows = _run_requests(prepared, *inputs, method)
-    _write_text(
-        out_dir / "outcomes.json",
-        dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n",
-    )
-    _write_text(out_dir / "metrics.jsonl", "".join(dumps17(row) + "\n" for row in metric_rows))
+    _write_text(out_dir / "outcomes.json", dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n")
+    _write_text(out_dir / "metrics.jsonl", dumps17_rows(metric_rows))
     write_checkpoint(out_dir / "final_model.ckpt", state.history.end_position, state.history.final_model, prepared.digest)
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     _write_manifest(out_dir, prepared, f"unlearn:{method}")

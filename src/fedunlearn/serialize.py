@@ -34,6 +34,28 @@ def dumps17(obj, *, indent: int = 0) -> str:
     return _encode(obj, indent, 0)
 
 
+def dumps17_rows(rows: list[dict]) -> str:
+    """The JSON lines dumps17(row) + "\n" of rows that all have the first
+    row's str keys; a row with other keys raises ValueError.  The sorted key
+    heads are encoded once, and a column of one leaf type is formatted by one
+    map of its leaf encoder."""
+    if not rows:
+        return ""
+    keys = rows[0].keys()
+    if any(type(key) is not str for key in keys) or not all(map(keys.__eq__, map(dict.keys, rows))):
+        raise ValueError("every row needs the first row's keys, all str")
+    order = sorted(keys)
+    template = "{" + ", ".join(encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in order) + "}\n"
+    columns = [_column([row[key] for row in rows]) for key in order]
+    return "".join(map(template.__mod__, zip(*columns) if columns else [()] * len(rows)))
+
+
+def _column(values: list) -> list[str]:
+    kinds = set(map(type, values))
+    leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(leaf, values)) if leaf else [_encode(value, 0, 1) for value in values]
+
+
 def _encode(obj, indent: int, level: int) -> str:
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:

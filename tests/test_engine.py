@@ -31,6 +31,7 @@ from fedunlearn.engine import (
     federation_loss,
     federation_loss_and_grads,
     init_params,
+    kernel_gaps,
     kernel_round,
     local_updates,
     read_checkpoint,
@@ -118,6 +119,132 @@ def test_divergence_guard_bounds_the_norm_in_one_comparison(theta, diverges):
     with pytest.raises(DivergedTrainingError) as exc, np.errstate(invalid="ignore"):
         local_updates(spec, features, targets, np.array(theta), 0.5, 2, round_index=7)
     assert exc.value.round_index == 7
+
+
+# Rows of p = 4 entries that fail the row guard's pre-check, max |entry| sqrt(p)
+# <= 1e8 / (1 + 1e-9), and so take the exact norms, with the exact decision.
+PAST_THE_NORM = np.nextafter(1e8, np.inf)
+EDGE_ROWS = {
+    "entry-above-1e8-over-sqrt-p": ([9.9e7, 1e7, 0.0, 0.0], True),
+    "norm-exactly-1e8": ([5e7, -5e7, 5e7, -5e7], True),
+    "norm-one-ulp-past-1e8": ([0.0, PAST_THE_NORM, 0.0, 0.0], False),
+    "nan": ([1.0, np.nan, 0.0, 0.0], False),
+    "inf": ([np.inf, 0.0, 0.0, 0.0], False),
+    "minus-inf": ([0.0, 0.0, -np.inf, 2.0], False),
+}
+
+
+def exact_kernel_gaps(client_models, after):
+    """kernel_gaps by the exact rule alone: a round's client models pass when
+    every row's models.norms is at most 1e8."""
+    local = np.array(client_models)
+    sound = [bool((models.norms(block) <= 1e8).all()) for block in local]
+    gaps = np.array([models.norms(block - theta) for block, theta in zip(local, after)])
+    return gaps if all(sound) else gaps[: sound.index(False)]
+
+
+def test_the_edge_rows_fail_the_pre_check_and_hold_their_exact_decision():
+    for row, passes in EDGE_ROWS.values():
+        row = np.array(row)
+        assert not np.max(np.abs(row)) * 2.0 <= 1e8 / (1 + 1e-9)
+        assert bool(models.norms(row) <= 1e8) is passes
+
+
+@pytest.mark.parametrize("edge", list(EDGE_ROWS))
+def test_kernel_gaps_truncates_where_the_exact_norms_do(edge):
+    row, passes = EDGE_ROWS[edge]
+    rng = np.random.default_rng(3)
+    client_models = list(rng.standard_normal((5, 3, 4)))
+    client_models[2][1] = row
+    after = rng.standard_normal((5, 4))
+    gaps = kernel_gaps(client_models, after)
+    assert len(gaps) == (5 if passes else 2)
+    assert gaps.tobytes() == exact_kernel_gaps(client_models, after).tobytes()
+
+
+@pytest.mark.parametrize("edge", list(EDGE_ROWS))
+def test_local_updates_guards_each_iterate_as_the_exact_norms_do(edge):
+    """Three local steps on zero data with no regulariser: the first step
+    takes the rows from first_grad and the next two leave them as they are,
+    so the guard before each of them sees the edge row."""
+    row, passes = EDGE_ROWS[edge]
+    spec = ModelSpec(ModelKind.RIDGE, (4,), 0.0)
+    features, targets = np.zeros((3, 2, 4)), np.zeros((3, 2))
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], row, [-1.0, 0.0, 0.0, 0.0]])
+    if passes:
+        out = local_updates(spec, features, targets, np.zeros(4), 1.0, 3, round_index=7, first_grad=-rows)
+        assert out.tobytes() == rows.tobytes()
+        return
+    with pytest.raises(DivergedTrainingError) as exc:
+        local_updates(spec, features, targets, np.zeros(4), 1.0, 3, round_index=7, first_grad=-rows)
+    assert exc.value.round_index == 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    scales=st.lists(st.sampled_from([0.5, 1 - 2e-16, 1.0, 1 + 2e-16, 1 + 1e-9, 2.0]), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_gaps_meets_the_exact_rule_on_rows_near_the_bound(p, scales, seed):
+    """Six rounds of two clients whose first row sits at `scale` times the
+    norm 1e8, along a random direction or along one axis."""
+    rng = np.random.default_rng(seed)
+    client_models = rng.standard_normal((6, 2, p))
+    for block, scale in zip(client_models, scales):
+        direction = block[0] if rng.random() < 0.5 else np.eye(p)[rng.integers(p)]
+        block[0] = direction / np.linalg.norm(direction) * (1e8 * scale)
+    after = rng.standard_normal((6, p))
+    assert kernel_gaps(list(client_models), after).tobytes() == exact_kernel_gaps(client_models, after).tobytes()
+
+
+def exact_three_step_run(spec, fed, theta, rounds):
+    """The first round of a three-step run, client by client, in which an
+    iterate or the aggregate has a norm past 1e8 by models.norms, and which
+    of the three local steps (0, 1, 2) or the aggregate (3) failed first."""
+    for n in range(rounds):
+        failed, local_models = [], []
+        for c in range(fed.client_count):
+            local = theta
+            for step in range(3):
+                local = local - fed.eta * grad(spec, fed.features[c], fed.targets[c], local)
+                if not models.norms(local) <= 1e8:
+                    failed.append(step)
+            local_models.append(local)
+        theta = _accumulate(np.array(local_models), fed.weights)
+        if not models.norms(theta) <= 1e8:
+            failed.append(3)
+        if failed:
+            return n, min(failed)
+    raise AssertionError("no iterate left the norm")
+
+
+@pytest.mark.parametrize("seed,first_failing_step", [(5, 1), (0, 2)], ids=["an-iterate", "the-client-models"])
+def test_a_three_step_kernel_run_diverges_in_the_round_the_exact_norms_give(seed, first_failing_step, monkeypatch):
+    """eta l2 = 2.1 grows every model by 1.1 a local step.  Seed 5's first
+    model past the norm is a client's second iterate, which local_updates
+    guards, so the run stops in that round; seed 0's are the client models,
+    which the booking guards at the end of their chunk."""
+    spec, (X, y) = make_logistic(clients=3, samples=10, features=3, seed=seed, l2=0.2)
+    fed = FederationConfig(X, y, eta=10.5, local_steps=3)
+    theta0 = init_params(spec, 0)
+    expected, step = exact_three_step_run(spec, fed, theta0, 200)
+    assert step == first_failing_step
+    stepped = []
+    real = unlearn.kernel_round
+
+    def counted(*args):
+        stepped.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(unlearn, "kernel_round", counted)
+    history = TrainingHistory(theta0)
+    with pytest.raises(DivergedTrainingError) as exc, np.errstate(over="ignore", invalid="ignore"):
+        retrain_until(spec, fed, theta0, range(3), exactly(200), history=history)
+    assert exc.value.round_index == expected
+    assert history.end_position == expected
+    if step < 2:
+        assert stepped[-1] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """dumps17 against a frozen copy of its earlier, fully recursive form: the
-text it writes must not change by a byte."""
+text it writes must not change by a byte.  dumps17_rows against dumps17."""
 
 import enum
 import math
@@ -7,8 +7,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedunlearn.serialize import dumps17, fmt17
+from fedunlearn.serialize import dumps17, dumps17_rows, fmt17
 
 
 def frozen_dumps17(obj, *, indent: int = 0, _level: int = 0) -> str:
@@ -100,3 +102,59 @@ def test_dumps17_refuses_what_its_frozen_form_refuses():
             frozen_dumps17(doc)
         with pytest.raises(TypeError):
             dumps17(doc)
+
+
+# what train and unlearn write to metrics.jsonl: ints and floats, the
+# non-finite, signed zeros, subnormals and whole floats among them
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+VALUES = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(2**40), 2**40).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e17, math.nan, -math.inf]),
+    st.integers(),
+)
+
+
+@st.composite
+def row_lists(draw):
+    keys = draw(st.lists(st.text(max_size=6), min_size=0, max_size=5, unique=True))
+    return draw(st.lists(st.fixed_dictionaries({key: VALUES for key in keys}), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=row_lists())
+def test_each_line_of_dumps17_rows_is_dumps17_of_its_row(rows):
+    text = dumps17_rows(rows)
+    assert text.splitlines(keepends=True) == [dumps17(row) + "\n" for row in rows]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1.0, np.float64(2.5)], [1, 2.5], [True, 1], [None, 0.5], [Tag.A, "a"], [[1.5], {"k": -0.0}]],
+    ids=["float-and-np-float64", "int-and-float", "bool-and-int", "none-and-float", "str-enum", "containers"],
+)
+def test_a_column_of_mixed_types_writes_each_value_as_dumps17_does(column):
+    rows = [{"value": value, "%s": 1} for value in column]
+    assert dumps17_rows(rows) == "".join(dumps17(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"round": 0, "loss": 0.5}, {"round": 1}],
+        [{"round": 0, "loss": 0.5}, {"round": 1, "loss": 0.25, "psi": 0.0}],
+        [{"round": 0}, {"step": 1}],
+        [{1: 0.5}],
+        [{Tag.A: 0.5}],
+    ],
+    ids=["a-key-missing", "a-key-more", "another-key", "an-int-key", "a-str-enum-key"],
+)
+def test_dumps17_rows_refuses_rows_without_the_first_rows_str_keys(rows):
+    with pytest.raises(ValueError):
+        dumps17_rows(rows)
+
+
+def test_dumps17_rows_of_no_rows_or_no_keys():
+    assert dumps17_rows([]) == ""
+    assert dumps17_rows([{}, {}]) == "{}\n{}\n"
