@@ -404,7 +404,9 @@ def local_gaps(cohort: Cohort, thetas: np.ndarray) -> np.ndarray:
     thetas (rounds + 1, d) holds the global model before each round and the
     one after the last.  Client i's local model is A_i theta + b_i: one
     (chunk, d) @ (d, g d) product per chunk of at most d rounds, so no
-    temporary holds more values than the operators (g, d, d).
+    temporary holds more values than the operators (g, d, d).  The guard
+    decides as kernel_gaps' does (_sound_rows); the gaps are
+    sqrt((row * row) @ ones).
     """
     rounds, d = thetas.shape[0] - 1, thetas.shape[1]
     maps, offsets = cohort.operators
@@ -416,10 +418,9 @@ def local_gaps(cohort: Cohort, thetas: np.ndarray) -> np.ndarray:
         local = thetas[start:stop] @ maps.reshape(-1, d).T
         local = local.reshape(stop - start, -1, d)
         local += offsets
-        # one row per (round, client); an inf or nan entry makes its
-        # row's norm non-finite, which fails the comparison
+        # one row per (round, client)
         flat = local.reshape(-1, d)
-        sound = (np.sqrt((flat * flat) @ ones) <= _DIVERGENCE_NORM).reshape(shape).all(axis=1)
+        sound = _sound_rows(flat).reshape(shape).all(axis=1)
         local -= thetas[start + 1 : stop + 1, None]
         gaps[start:stop] = np.sqrt((flat * flat) @ ones).reshape(shape)
         if not sound.all():

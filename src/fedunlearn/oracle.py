@@ -96,7 +96,6 @@ def retrained_sensitivity(
             [c for c in everyone if c != client],
             StoppingRule(math.inf, rounds, rounds),
             history=without,
-            track_loss=False,
         )
         alphas[:, client] = [
             float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)

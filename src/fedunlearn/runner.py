@@ -6,18 +6,22 @@ config name:
     <run>/config.json                canonical config copy
     <run>/train/                     history.ckpt, ledger.ckpt, metrics.jsonl,
                                      timings.json, manifest
-    <run>/unlearn_<method>/          outcomes.json, metrics.jsonl,
-                                     final_model.ckpt, timings.json, manifest
+    <run>/unlearn_<method>/          outcomes.json, final_model.ckpt,
+                                     timings.json, manifest
     <run>/verify_report.json, timings.json
     <run>/report/                    *.csv, timings.json
 
 A manifest is written last and lists the files of its directory.
 
 Training, `_train`, is one fixed-round all-client `unlearn.retrain_until`
-call that records the ledger and every round's global model; train writes
-what it returns and verify re-runs it.  train's ledger file holds each
-round's deltas in the checkpoint format, and no Psi: loading checks the
-deltas as one block and rebuilds Psi from them (SensitivityLedger.from_deltas).
+call that records the ledger and every round's global model, and evaluates
+no loss; train writes what it returns and verify re-runs it.  train's
+metrics.jsonl holds each round's largest delta and Psi, the row maxima of
+its ledger.  The retained loss is read only where an unlearn run's stopping
+rule consults it (StoppingRule.reads_loss) and once per request, for the
+outcome's final_retained_loss.  train's ledger file holds each round's
+deltas in the checkpoint format, and no Psi: loading checks the deltas as
+one block and rebuilds Psi from them (SensitivityLedger.from_deltas).
 An unlearn run writes no ledger: its ledger follows from train's and the
 request sequence.
 
@@ -41,12 +45,12 @@ digest and to end where the outcomes' timeline does; both read the
 unlearn_<method> directory of each method in METHODS and no other.  verify
 hands the loaded ledger and history to the oracle, so it certifies the Psi
 that train wrote.  It re-runs train and requires every model, every delta
-and metrics.jsonl bit for bit, and re-runs every unlearning method from the
-loaded artifacts, requiring its outcomes and final model bit for bit and
-auditing the budget on the re-run's ledger.  Every unlearning method runs
-the same per-request step, `unlearn.sifu`; `_train_inputs` picks which train
-artifacts a method starts from (scratch none, finetune only the history, the
-ledger-backed methods the ledger too).
+and train's metrics.jsonl bit for bit, and re-runs every unlearning method
+from the loaded artifacts, requiring its outcomes and final model bit for
+bit and auditing the budget on the re-run's ledger.  Every unlearning
+method runs the same per-request step, `unlearn.sifu`; `_train_inputs`
+picks which train artifacts a method starts from (scratch none, finetune
+only the history, the ledger-backed methods the ledger too).
 
 Every result file is deterministic for a fixed config; wall-clock timings go
 to the separate timings.json files, which are the only non-reproducible
@@ -272,11 +276,11 @@ def cmd_train(config: ExperimentConfig, out_root: Path | None = None) -> Path:
 def _train(prepared: PreparedExperiment) -> tuple[TrainingHistory, SensitivityLedger, str]:
     """Train the full federation for the config's rounds in one fixed-round
     all-client `retrain_until` call; returns the model history, the ledger
-    and the text of train's metrics.jsonl."""
+    and the text of train's metrics.jsonl, each round's largest delta and Psi."""
     rounds = prepared.config.rounds
     history = TrainingHistory(prepared.theta0)
     ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
-    result = retrain_until(
+    retrain_until(
         prepared.spec,
         prepared.fed,
         prepared.theta0,
@@ -285,11 +289,8 @@ def _train(prepared: PreparedExperiment) -> tuple[TrainingHistory, SensitivityLe
         ledger=ledger,
         history=history,
     )
-    per_round = zip(result.loss_trace[1:], ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
-    rows = [
-        {"round": n, "global_loss": loss, "max_delta": delta, "max_psi": psi}
-        for n, ((_, loss), delta, psi) in enumerate(per_round)
-    ]
+    per_round = zip(ledger.deltas.max(axis=1).tolist(), ledger.psi[1:].max(axis=1).tolist())
+    rows = [{"round": n, "max_delta": delta, "max_psi": psi} for n, (delta, psi) in enumerate(per_round)]
     return history, ledger, dumps17_rows(rows)
 
 
@@ -371,9 +372,8 @@ def cmd_unlearn(config: ExperimentConfig, method: str, out_root: Path | None = N
     out_dir.mkdir(parents=True)
     _store_config(run_dir, config)
 
-    state, outcome_rows, metric_rows = _run_requests(prepared, *inputs, method)
+    state, outcome_rows = _run_requests(prepared, *inputs, method)
     _write_text(out_dir / "outcomes.json", dumps17({"method": method, "outcomes": outcome_rows}, indent=2) + "\n")
-    _write_text(out_dir / "metrics.jsonl", dumps17_rows(metric_rows))
     write_checkpoint(out_dir / "final_model.ckpt", state.history.end_position, state.history.final_model, prepared.digest)
     _write_timings(out_dir, {"unlearn_seconds": time.perf_counter() - t_start, "prepare_seconds": prepare_seconds})
     _write_manifest(out_dir, prepared, f"unlearn:{method}")
@@ -396,24 +396,20 @@ def _train_inputs(
 
 def _run_requests(
     prepared: PreparedExperiment, history: TrainingHistory, ledger: SensitivityLedger | None, method: str
-) -> tuple[UnlearningState, list[dict], list[dict]]:
+) -> tuple[UnlearningState, list[dict]]:
     """Process the config's request sequence on the loaded train artifacts,
-    which it extends in place; returns the state, outcome rows and metric rows."""
+    which it extends in place; returns the state and the outcome rows."""
     config = prepared.config
     state = UnlearningState.from_training(
         history, ledger, config.budget, prepared.client_count, config.federation_seed, method
     )
     outcome_rows = []
-    metric_rows = []
     for u, targets in enumerate(config.requests, start=1):
         outcome = sifu(
             state, UnlearningRequest(u, frozenset(targets)), prepared.spec, prepared.fed, config.stopping
         )
         outcome_rows.append(_outcome_row(outcome))
-        metric_rows.extend(
-            {"request": u, "position": pos, "retained_loss": loss} for pos, loss in outcome.loss_trace
-        )
-    return state, outcome_rows, metric_rows
+    return state, outcome_rows
 
 
 def _outcome_row(outcome) -> dict:
@@ -489,7 +485,7 @@ def _audit_unlearn_runs(
         outcomes, final_model = _load_unlearn(out_dir, prepared, method)
         # the same requests re-run on the same train inputs must give the same run
         inputs = _train_inputs(run_dir, prepared, method, (history, train_ledger))
-        state, rows, _ = _run_requests(prepared, *inputs, method)
+        state, rows = _run_requests(prepared, *inputs, method)
         reproduced = rows == outcomes and state.history.final_model.tobytes() == final_model.tobytes()
         checks.append(_audit_one_run(prepared, method, state.ledger, rows, reproduced))
     return checks

@@ -17,7 +17,7 @@ so add no noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .engine import (
     FederationConfig,
     affine_round,
     diverged,
+    federation_loss,
     federation_loss_and_grads,
     kernel_gaps,
     kernel_round,
@@ -49,7 +50,9 @@ class StoppingRule:
     """Stop retraining once the retained-client loss reaches the threshold.
 
     The threshold is only consulted after min_rounds rounds; max_rounds is a
-    hard cap.  threshold = +inf therefore means "run exactly min_rounds".
+    hard cap.  threshold = +inf therefore means "run exactly min_rounds", and
+    -inf "run exactly max_rounds": only a finite threshold reads the loss,
+    after min_rounds, ..., max_rounds - 1 rounds (reads_loss).
     """
 
     loss_threshold: float
@@ -64,12 +67,19 @@ class StoppingRule:
         if math.isnan(self.loss_threshold):
             raise ValueError("loss_threshold must not be NaN")
 
+    def reads_loss(self, rounds_done: int) -> bool:
+        """Whether stopping after rounds_done rounds depends on the loss."""
+        return self.min_rounds <= rounds_done < self.max_rounds and math.isfinite(self.loss_threshold)
+
 
 def stopping_criterion(rounds_done: int, retained_loss: float, rule: StoppingRule) -> bool:
-    """True when retraining may stop after rounds_done rounds."""
+    """True when retraining may stop after rounds_done rounds; retained_loss
+    is only read where rule.reads_loss(rounds_done), so it may be NaN elsewhere."""
     if rounds_done >= rule.max_rounds:
         return True
-    return rounds_done >= rule.min_rounds and retained_loss <= rule.loss_threshold
+    if rounds_done < rule.min_rounds:
+        return False
+    return rule.loss_threshold == math.inf or retained_loss <= rule.loss_threshold
 
 
 def perturbation_stream(seed: int, request_index: int) -> np.random.Generator:
@@ -154,16 +164,12 @@ class UnlearningOutcome:
     final_retained_loss: float
     converged: bool
     final_model: Params
-    loss_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
 class RetrainResult:
     final_model: Params
     rounds: int
-    converged: bool
-    final_loss: float
-    loss_trace: list[tuple[int, float]]
 
 
 def retrain_until(
@@ -176,7 +182,6 @@ def retrain_until(
     ledger: SensitivityLedger | None = None,
     history: TrainingHistory | None = None,
     start_position: int = 0,
-    track_loss: bool = True,
 ) -> RetrainResult:
     """Shared retraining loop; optionally records into a ledger and history.
 
@@ -185,31 +190,29 @@ def retrain_until(
     increments (zero for inactive clients).  Each round of the loop does
     only what the stopping rule needs: the next global model
     (engine.affine_round for a cohort with an aggregate map, else
-    engine.kernel_round, whose first local step takes the gradients of the
-    retained loss before it) and the retained loss.  A kernel run keeps its
-    client models until a chunk of rounds, as many as hold no more values
-    than the cohort's stacked features (n d // p, from the stack's shape, so
-    that an affine run reads no rows of the data), is booked (_book); an
-    affine run books its rounds at the end.  A run that diverges books the
-    rounds before the diverging one and raises with its index.  track_loss=False
-    skips the retained loss (final_loss is then NaN and the trace empty); it
-    needs a fixed-round rule, since the loss is what an early stop reads.
+    engine.kernel_round) and, only before the rounds where the rule reads it
+    (StoppingRule.reads_loss: none for a fixed-round rule), the retained
+    loss, whose forward pass also gives a kernel round its first local step.
+    A kernel run keeps its client models until a chunk of rounds, as many as
+    hold no more values than the cohort's stacked features (n d // p, from
+    the stack's shape, so that an affine run reads no rows of the data), is
+    booked (_book); an affine run books its rounds at the end.  A run that
+    diverges books the rounds before the diverging one and raises with its
+    index.
     """
-    if not track_loss and stopping.min_rounds != stopping.max_rounds:
-        raise ValueError("skipping the loss needs a fixed-round stopping rule")
     cohort = config.cohort(active, spec)
     theta = models.as_params(theta_start).copy()
     if theta.shape != (spec.param_count,):
         raise DimensionMismatchError(f"theta has shape {theta.shape}, spec expects {spec.param_count} entries")
 
-    def evaluate(theta: Params) -> tuple[float, np.ndarray | None]:
-        # the retained loss the stopping rule reads, and the gradients of the
-        # next round's first local step, from one forward pass at theta
-        return federation_loss_and_grads(cohort, theta) if track_loss else (math.nan, None)
+    def evaluate(done: int, theta: Params) -> tuple[float, np.ndarray | None]:
+        # the retained loss where the stopping rule reads it (NaN elsewhere)
+        # and the gradients of the next round's first local step, from one
+        # forward pass at theta
+        return federation_loss_and_grads(cohort, theta) if stopping.reads_loss(done) else (math.nan, None)
 
-    loss, grads = evaluate(theta)
     rounds = 0
-    trace: list[tuple[int, float]] = [(start_position, loss)] if track_loss else []
+    loss, grads = evaluate(rounds, theta)
     # the global model before the rounds not yet booked and after each, and
     # a kernel run's client models of those rounds
     thetas, pending = [theta], []
@@ -226,12 +229,10 @@ def retrain_until(
             if len(pending) == chunk:
                 block, thetas, pending = (thetas, pending), [theta], []
                 _book(cohort, *block, ledger, history, start_position + rounds - chunk)
-            loss, grads = evaluate(theta)
-            if track_loss:
-                trace.append((start_position + rounds, loss))
+            loss, grads = evaluate(rounds, theta)
     finally:
         _book(cohort, thetas, pending, ledger, history, start_position + rounds - len(thetas) + 1)
-    return RetrainResult(theta, rounds, loss <= stopping.loss_threshold, loss, trace)
+    return RetrainResult(theta, rounds)
 
 
 def _book(cohort: Cohort, thetas: list, pending: list, ledger, history, first_round: int) -> None:
@@ -316,16 +317,17 @@ def sifu(
         start_position=position,
     )
     state.next_request_index += 1
+    # the loss a finite threshold read last, bit for bit, when the run stopped on it
+    final_loss = federation_loss(retrain.cohort(survivors, spec), result.final_model)
     return UnlearningOutcome(
         request_index=request.request_index,
         targets=request.targets,
         rollback_position=position,
         noise_sigma=sigma,
         retrain_rounds=result.rounds,
-        final_retained_loss=result.final_loss,
-        converged=result.converged,
+        final_retained_loss=final_loss,
+        converged=final_loss <= stopping.loss_threshold,
         final_model=result.final_model,
-        loss_trace=result.loss_trace,
     )
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fedunlearn import models, runner
+from fedunlearn import models, runner, unlearn
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn.engine import FederationConfig, federation_loss, init_params, kernel_round, local_updates
 from fedunlearn.errors import DimensionMismatchError, DivergedTrainingError
@@ -244,6 +244,19 @@ def round_loop(spec, fed, theta0, active, stopping):
         kept.append(theta)
         losses.append(federation_loss(cohort, theta))
     return np.array(kept), np.array(deltas).reshape(len(deltas), fed.client_count), losses
+
+
+def counted_losses(monkeypatch):
+    """The (theta, loss) of each retained loss retrain_until evaluates, in order."""
+    read, real = [], unlearn.federation_loss_and_grads
+
+    def counted(cohort, theta):
+        value, grads = real(cohort, theta)
+        read.append((theta.copy(), value))
+        return value, grads
+
+    monkeypatch.setattr(unlearn, "federation_loss_and_grads", counted)
+    return read
 
 
 def reference_gd(spec, features, targets, theta0, eta, steps):

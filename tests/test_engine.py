@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import (
     assert_near,
+    counted_losses,
     exactly,
     fed_for,
     grad,
@@ -33,6 +34,7 @@ from fedunlearn.engine import (
     init_params,
     kernel_gaps,
     kernel_round,
+    local_gaps,
     local_updates,
     read_checkpoint,
     renormalized_weights,
@@ -160,6 +162,28 @@ def test_kernel_gaps_truncates_where_the_exact_norms_do(edge):
     gaps = kernel_gaps(client_models, after)
     assert len(gaps) == (5 if passes else 2)
     assert gaps.tobytes() == exact_kernel_gaps(client_models, after).tobytes()
+
+
+# an infinite global model has no product with the identity map (inf * 0)
+@pytest.mark.parametrize("edge", [edge for edge, (row, _) in EDGE_ROWS.items() if not np.isinf(row).any()])
+def test_local_gaps_truncates_where_the_exact_norms_do(edge):
+    """Zero data and no regulariser make every client's K-step map the
+    identity, so each client's local model of a round is the global model
+    it starts from: the edge row, before round 2, is every client's local
+    model of that round.  A block that fails the pre-check with every norm
+    at most 1e8 books all its rounds."""
+    row, passes = EDGE_ROWS[edge]
+    spec = ModelSpec(ModelKind.RIDGE, (4,), 0.0)
+    fed = FederationConfig(np.zeros((3, 6, 4)), np.zeros((3, 6)), eta=0.5, local_steps=2)
+    cohort = fed.cohort(range(3), spec)
+    maps, offsets = cohort.operators
+    assert (maps == np.eye(4)).all() and (offsets == 0.0).all()
+    thetas = np.random.default_rng(4).standard_normal((6, 4))
+    thetas[2] = row
+    gaps = local_gaps(cohort, thetas)
+    assert len(gaps) == (5 if passes else 2)
+    want = np.linalg.norm(thetas[:-1] - thetas[1:], axis=1)[: len(gaps), None].repeat(3, axis=1)
+    np.testing.assert_allclose(gaps, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("edge", list(EDGE_ROWS))
@@ -446,9 +470,7 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
     rounds = 4
     history = TrainingHistory(theta0)
     ledger = SensitivityLedger(0.9, local_steps, fed.client_count)
-    result = retrain_until(
-        spec, fed, theta0, active, exactly(rounds), ledger=ledger, history=history
-    )
+    retrain_until(spec, fed, theta0, active, exactly(rounds), ledger=ledger, history=history)
     theta, cohort = theta0, fed.cohort(active, spec)
 
     def same(got, want):
@@ -466,7 +488,7 @@ def test_stacked_round_matches_a_per_client_reference_bitwise(model, local_steps
         assert after.tobytes() == total.tobytes()
         same(history.models[n + 1], total)
         same(ledger.deltas[n], deltas)
-        same(np.float64(result.loss_trace[n + 1][1]), np.float64(retained))
+        same(np.float64(federation_loss(cohort, history.models[n + 1])), np.float64(retained))
         theta = total
 
 
@@ -740,6 +762,12 @@ def recorded_run(spec, fed, theta0, active, stopping, start_position=0):
     return result, np.array(history.models), ledger
 
 
+def reading(n):
+    """Stopping rule that runs exactly n rounds reading the retained loss
+    before each: a ridge loss is positive, so the threshold 0 is never met."""
+    return StoppingRule(0.0, 0, n)
+
+
 def assert_rows_near(got, want):
     """Row by row to rounding, so a row booked at another round fails."""
     assert got.shape == want.shape
@@ -761,8 +789,7 @@ def test_an_affine_run_meets_the_per_round_loop_to_rounding(local_steps, active)
     assert result.rounds == 11 and kept[0].tobytes() == theta0.tobytes()
     assert_rows_near(kept, want_models)
     assert_rows_near(ledger.deltas, want_deltas)
-    assert_near([loss for _, loss in result.loss_trace], want_losses)
-    assert [n for n, _ in result.loss_trace] == list(range(12))
+    assert_near(federation_loss(cohort, result.final_model), want_losses[-1])
     # the ledger's Psi is the recurrence over its own rows, bit for bit
     looped = SensitivityLedger(0.9, local_steps, fed.client_count)
     for row in ledger.deltas:
@@ -781,11 +808,12 @@ def test_an_affine_run_stops_at_a_finite_threshold_in_the_reference_round():
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
     assert len(want_losses) == 6
     result, kept, ledger = recorded_run(spec, fed, theta0, active, rule, start_position=3)
-    assert (result.rounds, result.converged) == (5, True)
-    assert [n for n, _ in result.loss_trace] == list(range(3, 9))
+    assert result.rounds == 5
     assert_rows_near(kept, want_models)
     assert_rows_near(ledger.deltas, want_deltas)
-    assert_near([loss for _, loss in result.loss_trace], want_losses)
+    final_loss = federation_loss(fed.cohort(active, spec), result.final_model)
+    assert final_loss <= rule.loss_threshold
+    assert_near(final_loss, want_losses[-1])
 
 
 @pytest.mark.parametrize("active", [None, 3], ids=["all", "one-removed"])
@@ -803,7 +831,8 @@ def test_a_kernel_run_books_what_the_per_round_loop_records_bit_for_bit(model, a
     assert kept.tobytes() == want_models.tobytes()
     assert ledger.deltas.tobytes() == want_deltas.tobytes()
     assert ledger.psi.tobytes() == looped.psi.tobytes()
-    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+    final_loss = np.float64(federation_loss(fed.cohort(active, spec), result.final_model))
+    assert final_loss.tobytes() == np.float64(want_losses[-1]).tobytes()
 
 
 @pytest.mark.parametrize("weights", [None, (0.32, 0.32, 0.04, 0.32)], ids=["by-samples", "light"])
@@ -855,11 +884,12 @@ def test_a_kernel_run_several_chunks_long_books_what_the_per_round_loop_records(
     looped = SensitivityLedger(0.9, fed.local_steps, fed.client_count)
     for row in want_deltas:
         looped.extend(row[None])
-    assert result.rounds == 40 and [n for n, _ in result.loss_trace] == list(range(2, 43))
+    assert result.rounds == 40
     assert kept.tobytes() == want_models.tobytes()
     assert ledger.deltas.tobytes() == want_deltas.tobytes()
     assert ledger.psi.tobytes() == looped.psi.tobytes()
-    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+    final_loss = np.float64(federation_loss(cohort, result.final_model))
+    assert final_loss.tobytes() == np.float64(want_losses[-1]).tobytes()
 
 
 def test_a_kernel_run_stops_at_a_finite_threshold_inside_a_later_chunk():
@@ -875,10 +905,12 @@ def test_a_kernel_run_stops_at_a_finite_threshold_inside_a_later_chunk():
     want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
     assert len(want_losses) == 21
     result, kept, ledger = recorded_run(spec, fed, theta0, active, rule)
-    assert (result.rounds, result.converged) == (20, True)
+    assert result.rounds == 20
     assert kept.tobytes() == want_models.tobytes()
     assert ledger.deltas.tobytes() == want_deltas.tobytes()
-    assert np.array([loss for _, loss in result.loss_trace]).tobytes() == np.array(want_losses).tobytes()
+    final_loss = np.float64(federation_loss(fed.cohort(active, spec), result.final_model))
+    assert final_loss <= rule.loss_threshold
+    assert final_loss.tobytes() == np.float64(want_losses[-1]).tobytes()
 
 
 def kernel_diverging_world(model):
@@ -1135,10 +1167,10 @@ def test_the_fused_pass_equals_the_separate_kernels_bitwise(model, removed, loca
 
 @pytest.mark.parametrize("local_steps", [1, 3])
 @pytest.mark.parametrize("model", ["ridge-wide", "logistic", "mlp2"])
-def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, local_steps):
+def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(monkeypatch, model, local_steps):
     """retrain_until with a finite loss threshold and min_rounds = 0 against
     a loop of separate kernel calls on a cohort missing one client: the same
-    rounds, losses and models, bit for bit."""
+    rounds, losses read and models, bit for bit."""
     spec, fed = fused_fed(model, local_steps)
     active = [c for c in range(fed.client_count) if c != 3]
     cohort = fed.cohort(active, spec)
@@ -1151,11 +1183,62 @@ def test_an_early_stop_on_the_fused_loss_matches_the_separate_kernels(model, loc
     rule = StoppingRule(losses[5], 0, 8)
     stop = next(n for n, value in enumerate(losses) if value <= rule.loss_threshold)
     assert stop >= 2
+    read = counted_losses(monkeypatch)
     history = TrainingHistory(thetas[0])
     result = retrain_until(spec, fed, thetas[0], active, rule, history=history)
-    assert (result.rounds, result.converged) == (stop, True)
-    assert np.array([value for _, value in result.loss_trace]).tobytes() == np.array(losses[: stop + 1]).tobytes()
+    assert result.rounds == stop
+    assert np.array([value for _, value in read]).tobytes() == np.array(losses[: stop + 1]).tobytes()
     assert np.array(history.models).tobytes() == np.array(thetas[: stop + 1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rule", [exactly(7), StoppingRule(float("inf"), 7, 7), StoppingRule(float("inf"), 3, 7)],
+    ids=["minus-inf", "fixed", "inf-before-the-cap"],
+)
+@pytest.mark.parametrize("model", ["ridge", "logistic"])
+def test_a_run_whose_rule_reads_no_loss_evaluates_none(monkeypatch, model, rule):
+    """An infinite threshold decides without the loss: -inf runs to
+    max_rounds, +inf stops at min_rounds, each with no loss evaluated, on
+    the affine path and through the kernel."""
+    spec, data = round_world(model)
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
+    read, kernel_losses = counted_losses(monkeypatch), []
+    for name in ("stacked_loss", "stacked_loss_and_grad"):
+        real = getattr(models, name)
+
+        def counted(*args, name=name, real=real):
+            kernel_losses.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    theta0 = 0.3 * np.random.default_rng(18).standard_normal(spec.param_count)
+    result, kept, ledger = recorded_run(spec, fed, theta0, range(1, 10), rule)
+    want = rule.min_rounds if rule.loss_threshold == float("inf") else rule.max_rounds
+    assert (result.rounds, len(kept), len(ledger)) == (want, want + 1, want)
+    assert read == [] and kernel_losses == []
+
+
+@pytest.mark.parametrize("min_rounds", [0, 4])
+def test_a_finite_threshold_reads_the_loss_from_min_rounds_to_its_stop(monkeypatch, min_rounds):
+    """The first loss read is that of the model after min_rounds rounds; the
+    run stops in round_loop's round, one read per round from there, with
+    round_loop's models, deltas and final loss bit for bit."""
+    spec, data = round_world("logistic")
+    fed = FederationConfig(*data, eta=0.05, local_steps=2, weights=ragged_weights(10))
+    active = [c for c in range(10) if c != 3]
+    theta0 = 0.3 * np.random.default_rng(19).standard_normal(spec.param_count)
+    _, _, losses = round_loop(spec, fed, theta0, active, exactly(30))
+    assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+    rule = StoppingRule(0.5 * (losses[11] + losses[12]), min_rounds, 30)
+    want_models, want_deltas, want_losses = round_loop(spec, fed, theta0, active, rule)
+    assert len(want_models) == 13
+    read = counted_losses(monkeypatch)
+    result, kept, ledger = recorded_run(spec, fed, theta0, active, rule)
+    assert result.rounds == 12
+    assert kept.tobytes() == want_models.tobytes()
+    assert ledger.deltas.tobytes() == want_deltas.tobytes()
+    assert np.array([theta for theta, _ in read]).tobytes() == want_models[min_rounds:].tobytes()
+    assert np.array([value for _, value in read]).tobytes() == np.array(want_losses[min_rounds:]).tobytes()
 
 
 def duplicated_column_world():
@@ -1300,7 +1383,7 @@ def test_a_second_run_on_the_same_clients_reads_its_cohort_constants_built(monke
     spec, data = make_ridge(clients=6, samples=20, features=4, seed=31)
     fed = FederationConfig(*data, eta=0.05, local_steps=2)
     theta0 = init_params(spec, 31)
-    first = recorded_run(spec, fed, theta0, (5, 0, 2, 3), exactly(6))
+    first = recorded_run(spec, fed, theta0, (5, 0, 2, 3), reading(6))
     calls = []
     for module, name in ((np.linalg, "solve"), (models, "ridge_operators"), (models, "stacked_loss")):
         real = getattr(module, name)
@@ -1312,16 +1395,16 @@ def test_a_second_run_on_the_same_clients_reads_its_cohort_constants_built(monke
         monkeypatch.setattr(module, name, counted)
     # the same clients in any order are one memo entry: no solve for the
     # anchor, no operators and no kernel call for the anchor's loss
-    second = recorded_run(spec, fed, theta0, (0, 2, 3, 5), exactly(6))
+    second = recorded_run(spec, fed, theta0, (0, 2, 3, 5), reading(6))
     assert calls == []
     assert second[1].tobytes() == first[1].tobytes()
     assert second[2].deltas.tobytes() == first[2].deltas.tobytes()
     # other clients build their own constants from the operators already built
-    recorded_run(spec, fed, theta0, (1, 2, 3), exactly(6))
+    recorded_run(spec, fed, theta0, (1, 2, 3), reading(6))
     assert calls == ["solve", "stacked_loss"]
     # a federation of its own builds everything again
     calls.clear()
-    recorded_run(spec, FederationConfig(*data, eta=0.05, local_steps=2), theta0, (0, 2, 3, 5), exactly(6))
+    recorded_run(spec, FederationConfig(*data, eta=0.05, local_steps=2), theta0, (0, 2, 3, 5), reading(6))
     assert calls == ["solve", "stacked_loss", "ridge_operators"]
 
 
@@ -1331,10 +1414,10 @@ def test_a_warm_ridge_run_over_a_subset_copies_none_of_its_data():
     spec, data = make_ridge(clients=10, samples=400, features=4, seed=32)
     fed = FederationConfig(*data, eta=0.05, local_steps=2)
     survivors, theta0 = range(1, 10), init_params(spec, 32)
-    recorded_run(spec, fed, theta0, survivors, exactly(8))
+    recorded_run(spec, fed, theta0, survivors, reading(8))
     tracemalloc.start()
     try:
-        recorded_run(spec, fed, theta0, survivors, exactly(8))
+        recorded_run(spec, fed, theta0, survivors, reading(8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -27,7 +27,7 @@ from fedunlearn.oracle import (
     ridge_sensitivity,
 )
 from fedunlearn.sensitivity import SensitivityLedger, contraction_factor
-from fedunlearn.unlearn import retrain_until
+from fedunlearn.unlearn import StoppingRule, retrain_until
 from conftest import exactly
 
 
@@ -164,19 +164,19 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
         traces = sensitivity(fed, spec, history, ledger)
         assert calls == [] and kernel_calls == []
         assert [t.client for t in traces] == [0, 1, 2, 3]
-    # the all-client run it checks does evaluate the loss every round, from
-    # the cohort's quadratic form, which train_world's run of the same
-    # cohort left built on the federation: no kernel call
+    # nor does the fixed-round all-client run it checks; a finite threshold
+    # reads the loss from min_rounds on, from the cohort's quadratic form,
+    # whose anchor takes one kernel call the first time
     retrain_until(spec, fed, history.models[0], range(4), exactly(5))
-    assert calls == [4] * 6
-    assert kernel_calls == []
-    # on a federation of its own, the anchor takes one kernel call
-    retrain_until(spec, fed_for(spec, *data, frac=0.9, local_steps=2)[0], history.models[0], range(4), exactly(5))
-    assert calls == [4] * 12
+    assert calls == [] and kernel_calls == []
+    reading = StoppingRule(0.0, 2, 5)
+    retrain_until(spec, fed, history.models[0], range(4), reading)
+    assert calls == [4] * 3
     assert kernel_calls == [4]
-    # skipping the loss is refused where the loss decides when to stop
-    with pytest.raises(ValueError, match="fixed-round"):
-        retrain_until(spec, fed, history.models[0], range(4), exactly(5), track_loss=False)
+    # a second run on the same federation reads the form built
+    retrain_until(spec, fed, history.models[0], range(4), reading)
+    assert calls == [4] * 6
+    assert kernel_calls == [4]
 
 
 def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():

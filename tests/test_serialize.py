@@ -104,7 +104,7 @@ def test_dumps17_refuses_what_its_frozen_form_refuses():
             dumps17(doc)
 
 
-# what train and unlearn write to metrics.jsonl: ints and floats, the
+# what train writes to metrics.jsonl: ints and floats, the
 # non-finite, signed zeros, subnormals and whole floats among them
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 VALUES = st.one_of(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     assert_near,
+    counted_losses,
     exactly,
     fed_for,
     local_update,
@@ -109,6 +110,12 @@ def test_stopping_criterion_edges():
     assert not stopping_criterion(2, 0.6, rule)
     assert stopping_criterion(10, 99.0, rule)
     assert stopping_criterion(0, 99.0, StoppingRule(float("-inf"), 0, 0))
+    assert [rule.reads_loss(n) for n in (0, 1, 2, 9, 10)] == [False, False, True, True, False]
+    # an infinite threshold reads no loss: +inf stops at min_rounds, -inf at max_rounds
+    for threshold, stops in ((float("inf"), [False, True, True]), (float("-inf"), [False, False, True])):
+        rule = StoppingRule(threshold, 6, 50)
+        assert not any(rule.reads_loss(n) for n in range(60))
+        assert [stopping_criterion(n, float("nan"), rule) for n in (5, 6, 50)] == stops
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +130,22 @@ def test_retrain_zero_rounds_returns_start():
     result = retrain_until(spec, fed, theta0, range(3), exactly(0))
     np.testing.assert_array_equal(result.final_model, theta0)
     assert result.rounds == 0
-    assert not result.converged
-    assert result.loss_trace == [(0, result.final_loss)]
 
 
-def test_retrain_trace_is_contiguous_and_starts_at_offset():
+def test_retrain_trace_is_contiguous_and_starts_at_offset(monkeypatch):
+    # the losses a finite threshold reads are those of the models at
+    # contiguous positions from start_position, one before each round
     spec, data = make_ridge(seed=2)
     fed, _ = fed_for(spec, *data, frac=0.5)
-    result = retrain_until(spec, fed, np.zeros(4), range(3), exactly(4), start_position=7)
-    positions = [p for p, _ in result.loss_trace]
-    assert positions == [7, 8, 9, 10, 11]
-    losses = [v for _, v in result.loss_trace]
+    _, _, history, _ = train_world(spec, fed, 7)
+    read = counted_losses(monkeypatch)
+    result = retrain_until(
+        spec, fed, history.final_model, range(3), StoppingRule(0.0, 0, 4), history=history, start_position=7
+    )
+    assert (result.rounds, history.end_position) == (4, 11)
+    positions = [history.model_at(p) for p in range(7, 11)]
+    assert np.array([theta for theta, _ in read]).tobytes() == np.array(positions).tobytes()
+    losses = [value for _, value in read]
     assert losses[-1] <= losses[0]
 
 
@@ -197,8 +209,7 @@ def test_retrain_converges_at_closed_form_threshold():
     _, floor = ridge_opt(*data, fed.weights, [0, 1, 2], spec.l2)
     rule = StoppingRule(floor * 1.01, 0, 500)
     result = retrain_until(spec, fed, np.zeros(4), range(3), rule)
-    assert result.converged
-    assert result.final_loss <= floor * 1.01
+    assert federation_loss(fed.cohort(range(3), spec), result.final_model) <= floor * 1.01
     assert result.rounds < 500
 
 
@@ -269,7 +280,42 @@ def test_sifu_perturbs_the_rollback_model_with_its_own_stream():
     sigma = noise_std(psi_at, budget.epsilon, budget.delta)
     want = gaussian_perturb(base, sigma, perturbation_stream(FED_SEED, 1))
     np.testing.assert_array_equal(outcome.final_model, want)
-    assert outcome.loss_trace[0][0] == outcome.rollback_position
+    assert outcome.retrain_rounds == 0
+    final_loss = federation_loss(fed.cohort({0, 1, 3}, spec), want)
+    assert np.float64(outcome.final_retained_loss).tobytes() == np.float64(final_loss).tobytes()
+    assert not outcome.converged  # exactly(n)'s threshold is -inf
+
+
+@pytest.mark.parametrize("model", ["ridge", "logistic"])
+def test_the_final_retained_loss_is_the_survivors_loss_bit_for_bit(monkeypatch, model):
+    """federation_loss of the survivors at the final model: the loss the
+    rule read last when the run stopped on the threshold, and evaluated once
+    when it stopped at max_rounds."""
+    make = make_ridge if model == "ridge" else make_logistic
+    spec, data = make(clients=4, samples=15, features=3, seed=23)
+    fed, _ = fed_for(spec, *data, frac=0.8)
+    budget = NoiseBudget(1.0, 0.05, 0.4)
+    _, _, history, ledger = train_world(spec, fed, 12, seed=FED_SEED)
+    survivors = fed.cohort({0, 1, 3}, spec)
+    read = counted_losses(monkeypatch)
+
+    def run(stopping):
+        state = UnlearningState.from_training(
+            copy.deepcopy(history), copy.deepcopy(ledger), budget, fed.client_count, FED_SEED
+        )
+        read.clear()
+        outcome = sifu(state, UnlearningRequest(1, frozenset({2})), spec, fed, stopping)
+        want = federation_loss(survivors, outcome.final_model)
+        assert np.float64(outcome.final_retained_loss).tobytes() == np.float64(want).tobytes()
+        return outcome, [value for _, value in read]
+
+    # a threshold no loss meets: 15 reads, none of the final model
+    capped, losses = run(StoppingRule(0.0, 0, 15))
+    assert (capped.retrain_rounds, len(losses), capped.converged) == (15, 15, False)
+    assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+    stopped, losses = run(StoppingRule(0.5 * (losses[9] + losses[10]), 0, 15))
+    assert (stopped.retrain_rounds, len(losses), stopped.converged) == (10, 11, True)
+    assert np.float64(stopped.final_retained_loss).tobytes() == np.float64(losses[-1]).tobytes()
 
 
 def test_sifu_truncates_history_and_ledger_consistently():
@@ -329,9 +375,11 @@ def test_sequential_requests_accumulate_segments():
         if owner == 0:
             assert history.model_at(p) is trained[p]
         else:
+            # the owner's retraining from its perturbed start, run to p
             outcome, survivors = outcomes[owner]
-            cohort = fed.cohort(survivors, spec)
-            assert dict(outcome.loss_trace)[p] == federation_loss(cohort, history.model_at(p))
+            start = outcome.rollback_position
+            rerun = retrain_until(spec, fed, history.model_at(start), survivors, exactly(p - start))
+            assert rerun.final_model.tobytes() == history.model_at(p).tobytes()
     np.testing.assert_array_equal(state.history.final_model, second.final_model)
 
 
