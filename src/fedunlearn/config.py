@@ -5,8 +5,6 @@ errors, required keys must be present, no number may be NaN (an infinite
 one goes on to the checks of the value it sets), and the step size may be
 given either as a number or as one of the symbolic forms "1/beta",
 "2/beta", "2/(beta+mu)" resolved against the computed curvature constants.
-A budget may carry an explicit psi_star, which is validated against the
-value derived from (epsilon, delta, sigma); the derivation wins.
 """
 
 from __future__ import annotations
@@ -244,18 +242,11 @@ def parse_config(text: str) -> ExperimentConfig:
         top["budget"],
         "budget",
         required={"epsilon": "float", "delta": "float", "sigma": "float"},
-        optional={"psi_star": "float"},
     )
     try:
         budget = NoiseBudget(budget_raw["epsilon"], budget_raw["delta"], budget_raw["sigma"])
     except ValueError as err:
         raise ConfigError(f"budget: {err}") from err
-    if "psi_star" in budget_raw:
-        stored = budget_raw["psi_star"]
-        if abs(stored - budget.psi_star) > 1e-12 * max(1.0, abs(budget.psi_star)):
-            raise ConfigError(
-                f"budget.psi_star = {stored!r} disagrees with the derived value {budget.psi_star!r}"
-            )
 
     requests = []
     for i, req in enumerate(top["requests"]):

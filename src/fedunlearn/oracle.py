@@ -155,8 +155,9 @@ def _rounds_of_one_run(config: FederationConfig, history: TrainingHistory, ledge
 
 
 def _traces(alphas: np.ndarray, ledger: SensitivityLedger) -> list[SensitivityTrace]:
+    psi = ledger.psi
     return [
-        SensitivityTrace(client, alphas[:, client], ledger.psi[:, client])
+        SensitivityTrace(client, alphas[:, client], psi[:, client])
         for client in range(ledger.client_count)
     ]
 

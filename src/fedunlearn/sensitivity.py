@@ -8,7 +8,11 @@ induces at round s, the bound after n rounds is
 
     Psi(n, c) = sum_{s=0}^{n-1} B^((n-s-1) * K) * Delta_c(s)
 
-which satisfies the online recurrence Psi(n+1, c) = B^K * Psi(n, c) + Delta_c(n).
+That explicit decayed sum is the definition; the program computes only the
+online recurrence Psi(n+1, c) = B^K * Psi(n, c) + Delta_c(n), which equals it
+in exact arithmetic, and reads a client set S through the one set rule
+Psi(n, S) = max over c in S of Psi(n, c).  The rollback scan, sigma and
+verify's budget audit all read that same float.
 A Gaussian perturbation with standard deviation
 
     noise_std(psi, eps, delta) = sqrt(2 * (ln 1.25 - ln delta)) / eps * psi
@@ -196,34 +200,28 @@ class SensitivityLedger:
         self._psi.extend(psi)
         self._deltas.extend(block)
 
-    def bounded_sensitivity(self, n: int, clients) -> np.ndarray:
-        """Psi(n, c) for each c in sorted(set(clients)) from the explicit
-        decayed sum over the first n increments (the value sigma is
-        calibrated from)."""
-        self._check_prefix(n)
-        clients = self._client_set(clients)
-        if not n:
-            return np.zeros(len(clients))
-        columns = np.array(self._deltas[:n])[:, clients]
-        # Python float ** int and a sum in round order, as a scalar fold makes them
-        decay = np.array([self.contraction ** ((n - s - 1) * self.local_steps) for s in range(n)])
-        return np.add.accumulate(decay[:, None] * columns, axis=0)[-1]
-
     def set_sensitivity(self, clients, n: int) -> float:
-        """Psi(n, S) = max over the client set of the individual bounds."""
-        return float(self.bounded_sensitivity(n, clients).max())
+        """Psi(n, S) of the recurrence: the float the rollback scan compares
+        with the threshold, that sigma is calibrated from and that verify's
+        budget audit reads."""
+        self._check_prefix(n)
+        return float(self._set_psi(clients, self._psi[n]))
 
     def rollback_index(self, clients, threshold: float) -> int:
-        """Largest position n with max over S of the recurrence Psi(n, c) <= threshold.
+        """Largest position n with Psi(n, S) <= threshold.
 
         Position 0 always qualifies (Psi(0, c) = 0), so the scan cannot fail
         for non-negative thresholds.
         """
-        clients = self._client_set(clients)
+        worst = self._set_psi(clients, self.psi)
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        worst = self.psi[:, clients].max(axis=1)
         return int(np.flatnonzero(worst <= threshold)[-1])
+
+    def _set_psi(self, clients, psi: np.ndarray) -> np.ndarray:
+        """The set rule Psi(n, S) = max over c in S of Psi(n, c), over the
+        last axis of psi (one Psi row, or the (rounds + 1, clients) array)."""
+        return psi[..., self._client_set(clients)].max(axis=-1)
 
     def truncate(self, position: int) -> None:
         """Drop the rounds at positions >= position."""

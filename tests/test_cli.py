@@ -285,6 +285,40 @@ def test_only_a_psi_star_comparison_reports_a_budget_slack(workdir, capsys):
     assert "PASS budget_audit:last worst_slack=None" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_the_budget_audit_reads_the_set_psi_of_the_rerun_ledger(workdir, monkeypatch, sigma):
+    """worst_slack is the max over requests u of Psi(min(positions[u:]), S_u)
+    - psi*, with Psi(n, S) the max over S of the re-run ledger's psi row.
+    sigma 1.0 rolls back inside the run, 2.0 to its end."""
+    doc = base_doc("cli_audit_set")
+    doc["data"]["clients"] = 5
+    doc["federation"]["rounds"] = 10
+    doc["budget"]["sigma"] = sigma
+    doc["requests"] = [[0, 3], [1]]
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    assert main(["unlearn", config, "--method", "sifu"]) == 0
+    reruns = []
+
+    def recording(*args):
+        state, rows = run_requests(*args)
+        reruns.append((state.ledger, rows))
+        return state, rows
+
+    run_requests = runner._run_requests
+    monkeypatch.setattr(runner, "_run_requests", recording)
+    assert main(["verify", config]) == 0
+    report = json.loads((run_dir(workdir, doc) / "verify_report.json").read_text())
+    (audit,) = [check for check in report["checks"] if check["name"] == "budget_audit:sifu"]
+    ((ledger, rows),) = reruns
+    psi, psi_star = ledger.psi, load_config(config).budget.psi_star
+    positions = [row["rollback_position"] for row in rows]
+    covering = [min(positions[u:]) for u in range(len(rows))]
+    worst = [float(psi[n, row["targets"]].max()) for n, row in zip(covering, rows)]
+    assert worst == [ledger.set_sensitivity(row["targets"], n) for n, row in zip(covering, rows)]
+    assert audit["worst_slack"] == max(value - psi_star for value in worst)
+
+
 def test_verify_passes_on_honest_runs(workdir, capsys):
     doc = base_doc()
     config = write_doc(workdir, doc)

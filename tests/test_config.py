@@ -237,12 +237,12 @@ def test_nan_numbers_and_negative_weights_are_refused_and_infinities_pass():
 
 
 def test_psi_star_cross_check():
+    # psi* is derived from (epsilon, delta, sigma) alone: a budget that also
+    # states it, even at the derived value, carries an unknown key
     doc = base_doc()
     config = parse(doc)
     doc["budget"]["psi_star"] = config.budget.psi_star
-    assert parse(doc) == config
-    doc["budget"]["psi_star"] = config.budget.psi_star * 1.5
-    with pytest.raises(ConfigError, match="psi_star"):
+    with pytest.raises(ConfigError, match=r"^budget: unknown keys \['psi_star'\]$"):
         parse(doc)
 
 

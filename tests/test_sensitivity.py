@@ -317,9 +317,15 @@ def test_a_block_names_the_first_round_with_a_bad_increment():
 def test_two_round_recurrence_by_hand():
     ledger = ledger_from_deltas(0.5, 1, [[1.0], [1.0]])
     assert ledger.psi[-1, 0] == 1.5
-    assert ledger.bounded_sensitivity(2, [0])[0] == 1.5
-    assert ledger.bounded_sensitivity(1, [0])[0] == 1.0
-    assert ledger.bounded_sensitivity(0, [0])[0] == 0.0
+    assert ledger.set_sensitivity([0], 2) == 1.5
+    assert ledger.set_sensitivity([0], 1) == 1.0
+    assert ledger.set_sensitivity([0], 0) == 0.0
+
+
+def test_set_sensitivity_reads_the_recurrence_not_the_explicit_sum():
+    # the explicit sum 0.81*0.1 + 0.9*0.2 + 0.3 rounds to 0.5609999999999999
+    ledger = ledger_from_deltas(0.9, 1, [[0.1], [0.2], [0.3]])
+    assert ledger.set_sensitivity({0}, 3) == ledger.psi[3, 0] == 0.561
 
 
 def test_no_decay_ledger_is_a_cumulative_sum():
@@ -337,10 +343,10 @@ def test_untracked_client_reads_zero():
     # client 1 never contributed an increment
     ledger = ledger_from_deltas(0.5, 1, [[1.0, 0.0]])
     assert ledger.psi[-1, 1] == 0.0
-    assert ledger.bounded_sensitivity(1, [1])[0] == 0.0
+    assert ledger.set_sensitivity([1], 1) == 0.0
     for outside in ([2], [-1], [0, 5]):
         with pytest.raises(IndexError):
-            ledger.bounded_sensitivity(1, outside)
+            ledger.set_sensitivity(outside, 1)
         with pytest.raises(IndexError):
             ledger.rollback_index(outside, 1.0)
 
@@ -370,10 +376,12 @@ def test_non_finite_increment_rejected(value):
 )
 def test_series_matches_explicit_decayed_sum(deltas, contraction, local_steps):
     ledger = ledger_from_deltas(contraction, local_steps, [[d] for d in deltas])
+    ref = ScalarLedger(contraction, local_steps, 1)
+    ref.rounds = [[d] for d in deltas]
     series = ledger.psi[:, 0]
     assert series.shape == (len(deltas) + 1,)
     for n in range(len(deltas) + 1):
-        explicit = ledger.bounded_sensitivity(n, [0])[0]
+        explicit = ref.bound(n, 0)
         assert series[n] == pytest.approx(explicit, rel=1e-12, abs=1e-15)
 
 
@@ -390,7 +398,7 @@ def test_series_is_monotone_without_contraction(deltas, contraction):
 def test_prefix_bounds_checked():
     ledger = ledger_from_deltas(1.0, 1, [[1.0]])
     with pytest.raises(IndexError):
-        ledger.bounded_sensitivity(2, [0])
+        ledger.set_sensitivity([0], 2)
     with pytest.raises(IndexError):
         ledger.truncate(5)
 
@@ -473,6 +481,7 @@ class ScalarLedger:
         return out
 
     def bound(self, n, client):
+        """Psi(n, c) by its definition, the explicit decayed sum."""
         total = 0.0
         for s in range(n):
             total += self.contraction ** ((n - s - 1) * self.local_steps) * self.rounds[s][client]
@@ -527,7 +536,7 @@ def test_dense_ledger_matches_a_scalar_reference_bitwise(script, contraction, lo
         assert ledger.psi[:, client].tolist() == ref.series(client)
     assert ledger.rollback_index(targets, threshold) == ref.rollback_index(targets, threshold)
     for m in range(n + 1):
-        assert ledger.set_sensitivity(targets, m) == max(ref.bound(m, c) for c in targets)
+        assert ledger.set_sensitivity(targets, m) == max(ref.series(c)[m] for c in targets)
 
 
 def test_ledger_constructor_validation():

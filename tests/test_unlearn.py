@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_sifu_rollback_matches_hand_scan():
     assert state.next_request_index == 2
     assert state.remaining == {0, 1, 3}
     assert state.processed == {2}
+
+
+@pytest.mark.parametrize("model", ["ridge", "logistic"])
+def test_every_ledger_method_calibrates_sigma_to_the_psi_its_scan_read(model):
+    """sigma is noise_std of max over S of the ledger's Psi row at the
+    rollback, bit for bit: the float sifu and ifu's scan compared with psi*."""
+    spec, data = make_ridge(clients=5, samples=15, features=3, seed=23)
+    if model == "logistic":
+        spec, data = make_logistic(clients=5, samples=15, features=3, seed=23, l2=0.1)
+    fed, _ = fed_for(spec, *data, frac=0.8)
+    _, _, history, ledger = train_world(spec, fed, 20, seed=FED_SEED)
+    # the budgets put sifu's rollbacks from near the start to the timeline end
+    for budget, method in itertools.product(
+        (NoiseBudget(1.0, 0.05, sigma) for sigma in (0.4, 1.5, 2.5)), ("sifu", "ifu", "last")
+    ):
+        state = UnlearningState.from_training(
+            copy.deepcopy(history), copy.deepcopy(ledger), budget, fed.client_count, FED_SEED, method
+        )
+        for u, targets in enumerate(([1, 3], [0]), start=1):
+            psi = state.ledger.psi
+            outcome = sifu(state, UnlearningRequest(u, frozenset(targets)), spec, fed, exactly(3))
+            worst = float(psi[outcome.rollback_position, targets].max())
+            assert outcome.noise_sigma == noise_std(worst, budget.epsilon, budget.delta)
 
 
 def test_sifu_perturbs_the_rollback_model_with_its_own_stream():
