@@ -74,6 +74,8 @@ class ExperimentConfig:
             for c in req:
                 if not 0 <= c < self.data.clients:
                     raise ConfigError(f"request names unknown client {c}")
+            if len(set(req)) != len(req):
+                raise ConfigError(f"request {list(req)} names a client more than once")
             repeated = named.intersection(req)
             if repeated:
                 raise ConfigError(f"clients {sorted(repeated)} are named by more than one request")

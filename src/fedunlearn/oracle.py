@@ -1,18 +1,19 @@
-"""Brute-force verification: train without each client and compare trajectories.
+"""Brute-force verification: train without each client and measure the gaps.
 
 empirical_sensitivity takes the all-client run as train wrote it (the model
-history and the sensitivity ledger, loaded from the run directory by verify),
-follows the federation from the same start once per client with that client
-removed (weights renormalised), and pairs the true model gap with the
-recorded ledger bound at every round.  When a ridge federation's clients
-have K-step operators (models.ridge_operators: d <= n for the federation's
-one data shape) the leave-one-out runs have a closed form
-(ridge_sensitivity) built on the operators the engine itself trains with,
-so tests hold the engine's fused rounds against the per-step kernel; every
-other model, and ridge with d > n, retrains through the engine
-(retrained_sensitivity).
-check_bound then asserts gap <= bound within a tolerance.  contraction_slack
-checks the premise the bound rests on, that one local step contracts by B.
+history, loaded from the run directory by verify), follows the federation
+from the same start once per client with that client removed (weights
+renormalised), and returns the true gaps alpha, one (rounds + 1, clients)
+array whose column c is ||theta_n - theta_n without c|| at every round n.
+When a ridge federation's clients have K-step operators
+(models.ridge_operators: d <= n for the federation's one data shape) the
+leave-one-out runs have a closed form (ridge_sensitivity) built on the
+operators the engine itself trains with, so tests hold the engine's fused
+rounds against the per-step kernel; every other model, and ridge with d > n,
+retrains through the engine (retrained_sensitivity).
+check_bound then asserts gap <= bound within a tolerance for one column of
+alpha and the matching column of a ledger's Psi.  contraction_slack checks
+the premise the bound rests on, that one local step contracts by B.
 """
 
 from __future__ import annotations
@@ -23,28 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .engine import _DIVERGENCE_NORM, FederationConfig, renormalized_weights
-from .errors import DivergedTrainingError
+from .engine import FederationConfig, _sound_rows, diverged, renormalized_weights
 from .history import TrainingHistory
 from .models import ModelSpec
-from .sensitivity import SensitivityLedger
 from .unlearn import StoppingRule, retrain_until
 
 _CONTRACTIVITY_SEED = 8_191
 _CONTRACTIVITY_PAIRS = 200
-
-
-@dataclass(frozen=True)
-class SensitivityTrace:
-    """Per-round true gap alpha(n) and ledger bound psi(n) for one client."""
-
-    client: int
-    alphas: np.ndarray
-    psis: np.ndarray
-
-    def __post_init__(self):
-        if self.alphas.shape != self.psis.shape:
-            raise ValueError("alpha and psi series must have equal length")
 
 
 @dataclass(frozen=True)
@@ -56,35 +42,25 @@ class BoundReport:
     checked_rounds: int
 
 
-def empirical_sensitivity(
-    config: FederationConfig,
-    spec: ModelSpec,
-    history: TrainingHistory,
-    ledger: SensitivityLedger,
-) -> list[SensitivityTrace]:
-    """True model sensitivity of every client along a recorded all-client run.
+def empirical_sensitivity(config: FederationConfig, spec: ModelSpec, history: TrainingHistory) -> np.ndarray:
+    """True model sensitivity alpha (rounds + 1, clients) of every client
+    along a recorded all-client run.
 
-    `history` and `ledger` are what train's fixed-round all-client
-    retrain_until recorded from history.models[0].  For each client c the
-    federation runs as many rounds without c from the same start; the trace
-    pairs alpha(n) = ||theta_n - theta_n_without_c|| with the ledger's
-    Psi(n, c).  Ridge takes the closed form when the clients have operators
-    (d <= n); everything else retrains through the engine.
+    `history` is what train's fixed-round all-client retrain_until recorded
+    from history.models[0].  For each client c the federation runs as many
+    rounds without c from the same start, and alpha[n, c] =
+    ||theta_n - theta_n_without_c||.  Ridge takes the closed form when the
+    clients have operators (d <= n); everything else retrains through the
+    engine.
     """
     if config.cohort(range(config.client_count), spec).affine is not None:
-        return ridge_sensitivity(config, spec, history, ledger)
-    return retrained_sensitivity(config, spec, history, ledger)
+        return ridge_sensitivity(config, spec, history)
+    return retrained_sensitivity(config, spec, history)
 
 
-def retrained_sensitivity(
-    config: FederationConfig,
-    spec: ModelSpec,
-    history: TrainingHistory,
-    ledger: SensitivityLedger,
-) -> list[SensitivityTrace]:
+def retrained_sensitivity(config: FederationConfig, spec: ModelSpec, history: TrainingHistory) -> np.ndarray:
     """empirical_sensitivity by retraining the federation once per client."""
-    rounds = _rounds_of_one_run(config, history, ledger)
-    theta0 = history.models[0]
+    rounds, theta0 = history.end_position, history.models[0]
     everyone = range(config.client_count)
     alphas = np.empty((rounds + 1, config.client_count))
     for client in everyone:
@@ -97,18 +73,11 @@ def retrained_sensitivity(
             StoppingRule(math.inf, rounds, rounds),
             history=without,
         )
-        alphas[:, client] = [
-            float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)
-        ]
-    return _traces(alphas, ledger)
+        alphas[:, client] = models.norms(np.subtract(history.models, without.models))
+    return alphas
 
 
-def ridge_sensitivity(
-    config: FederationConfig,
-    spec: ModelSpec,
-    history: TrainingHistory,
-    ledger: SensitivityLedger,
-) -> list[SensitivityTrace]:
+def ridge_sensitivity(config: FederationConfig, spec: ModelSpec, history: TrainingHistory) -> np.ndarray:
     """empirical_sensitivity for ridge in closed form, from the federation's
     operators.
 
@@ -116,11 +85,10 @@ def ridge_sensitivity(
     (models.ridge_operators).  Row c of Q holds the aggregation weights
     renormalised without client c, so the federation without c advances by
     theta -> M_c theta + m_c with M_c = sum_i Q_ci A_i and m_c = sum_i Q_ci b_i,
-    all C runs in one stacked product per round.  Every state must stay
-    finite and within the engine's divergence norm.
+    all C runs in one stacked product per round.  Every state must pass the
+    engine's divergence guard.
     """
-    rounds = _rounds_of_one_run(config, history, ledger)
-    count, d = config.client_count, spec.param_count
+    rounds, count, d = history.end_position, config.client_count, spec.param_count
     operators = config.cohort(range(count), spec).operators
     if operators is None:
         raise ValueError("the closed form needs the clients' operators (ridge, d <= n)")
@@ -136,38 +104,15 @@ def ridge_sensitivity(
     thetas = np.broadcast_to(history.models[0], (count, d))
     for n in range(rounds):
         thetas = (maps @ thetas[:, :, None])[:, :, 0] + offsets
-        sizes = np.linalg.norm(thetas, axis=1)
-        if not (np.isfinite(sizes).all() and (sizes <= _DIVERGENCE_NORM).all()):
-            raise DivergedTrainingError(
-                "leave-one-out training diverged: parameter vector is non-finite "
-                "or exceeds norm 1e8",
-                round_index=n,
-            )
+        if not _sound_rows(thetas).all():
+            raise diverged(n)
         alphas[n + 1] = np.linalg.norm(thetas - history.models[n + 1], axis=1)
-    return _traces(alphas, ledger)
+    return alphas
 
 
-def _rounds_of_one_run(config: FederationConfig, history: TrainingHistory, ledger: SensitivityLedger) -> int:
-    rounds = len(ledger)
-    if history.end_position != rounds or ledger.client_count != config.client_count:
-        raise ValueError("history, ledger and federation do not describe one run")
-    return rounds
-
-
-def _traces(alphas: np.ndarray, ledger: SensitivityLedger) -> list[SensitivityTrace]:
-    psi = ledger.psi
-    return [
-        SensitivityTrace(client, alphas[:, client], psi[:, client])
-        for client in range(ledger.client_count)
-    ]
-
-
-def check_bound(
-    trace: SensitivityTrace,
-    tol: float = 1e-8,
-    psi_cap: float | None = None,
-) -> BoundReport:
-    """Does alpha(n) <= psi(n) + tol hold at every round?
+def check_bound(alphas: np.ndarray, psis: np.ndarray, tol: float = 1e-8, psi_cap: float | None = None) -> BoundReport:
+    """Does alpha(n) <= psi(n) + tol hold at every round of two series of
+    one length, one client's column of alpha and of the ledger's Psi?
 
     psi_cap, when given, stops the comparison at the first round whose bound
     exceeds the cap; in the smooth regime the bound grows geometrically and
@@ -177,7 +122,8 @@ def check_bound(
     there is none).  A maximum over rounds would read 1 on every run, since
     alpha(1) equals the round-0 increment that psi(1) records.
     """
-    alphas, psis = trace.alphas, trace.psis
+    if alphas.shape != psis.shape:
+        raise ValueError("alpha and psi series must have equal length")
     horizon = alphas.shape[0]
     if psi_cap is not None:
         over = np.flatnonzero(psis > psi_cap)

@@ -43,9 +43,10 @@ unlearn and verify load the train artifacts through one loader,
 keys with a value of its type, and the final model to carry the config's
 digest and to end where the outcomes' timeline does; both read the
 unlearn_<method> directory of each method in METHODS and no other.  verify
-hands the loaded ledger and history to the oracle, so it certifies the Psi
-that train wrote.  It re-runs train and requires every model, every delta
-and train's metrics.jsonl bit for bit, and re-runs every unlearning method
+hands the loaded history to the oracle and checks each client's column of
+its gaps against that column of the loaded ledger's Psi, so it certifies
+the Psi that train wrote.  It re-runs train and requires every model, every
+delta and train's metrics.jsonl bit for bit, and re-runs every unlearning method
 from the loaded artifacts, requiring its outcomes and final model bit for
 bit and auditing the budget on the re-run's ledger.  Every unlearning
 method runs the same per-request step, `unlearn.sifu`; `_train_inputs`
@@ -444,10 +445,11 @@ def cmd_verify(config: ExperimentConfig, out_root: Path | None = None) -> tuple[
     psi_cap = None
     if prepared.constants.regime is Regime.SMOOTH:
         psi_cap = _PSI_CAP_FACTOR * max(1.0, float(np.linalg.norm(prepared.theta0)))
-    for trace in empirical_sensitivity(prepared.fed, prepared.spec, history, ledger):
-        report = check_bound(trace, tol=1e-8, psi_cap=psi_cap)
+    alphas, psi = empirical_sensitivity(prepared.fed, prepared.spec, history), ledger.psi
+    for client in range(prepared.client_count):
+        report = check_bound(alphas[:, client], psi[:, client], tol=1e-8, psi_cap=psi_cap)
         check = {
-            "name": f"bound:client{trace.client}",
+            "name": f"bound:client{client}",
             "pass": report.passed,
             "worst_slack": report.worst_slack,
             "tightness": report.tightness,
@@ -609,7 +611,9 @@ def cmd_report(run_dir: Path) -> Path:
     # the config leaves a client of positive weight after every request
     survivors = prepared.fed.cohort(set(range(prepared.client_count)) - set(forgotten), spec)
     report_dir = run_dir / "report"
-    report_dir.mkdir(exist_ok=True)
+    if report_dir.exists():  # no table of an earlier report may outlive it
+        shutil.rmtree(report_dir)
+    report_dir.mkdir()
 
     rounds_rows = []
     retained_rows = []

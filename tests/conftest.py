@@ -101,10 +101,11 @@ def train_world(spec, fed, rounds, *, seed=1, theta0=None, init_mode="normal"):
     return theta0, contraction, history, ledger
 
 
-def oracle_traces(spec, fed, rounds, theta0):
-    """Train `rounds` all-client rounds from theta0, then run the oracle on them."""
+def oracle_gaps(spec, fed, rounds, theta0):
+    """Train `rounds` all-client rounds from theta0, then run the oracle on
+    them: (alpha, the ledger's Psi), each (rounds + 1, clients)."""
     _, _, history, ledger = train_world(spec, fed, rounds, theta0=theta0)
-    return empirical_sensitivity(fed, spec, history, ledger)
+    return empirical_sensitivity(fed, spec, history), ledger.psi
 
 
 def ridge_opt(features, targets, weights, active, l2):

@@ -17,7 +17,7 @@ from conftest import (
     local_update,
     make_logistic,
     make_ridge,
-    oracle_traces,
+    oracle_gaps,
     ridge_opt,
     round_increments,
     segment_owner,
@@ -59,8 +59,9 @@ def test_criterion_1_logistic_sensitivity_bound():
     worst = -math.inf
     for local_steps in (1, 3):
         fed = FederationConfig(*data, eta=1.0 / constants.beta, local_steps=local_steps)
-        for trace in oracle_traces(spec, fed, 40, theta0):
-            report = check_bound(trace, tol=1e-8)
+        alphas, psi = oracle_gaps(spec, fed, 40, theta0)
+        for client in range(alphas.shape[1]):
+            report = check_bound(alphas[:, client], psi[:, client], tol=1e-8)
             assert report.checked_rounds == 41
             assert report.first_violation is None
             worst = max(worst, report.worst_slack)
@@ -81,8 +82,9 @@ def test_criterion_2_ridge_sensitivity_bound_and_tail_decay():
         for local_steps in (1, 5):
             fed, _ = fed_for(spec, *data, local_steps=local_steps)
             theta0 = init_params(spec, 3)
-            for trace in oracle_traces(spec, fed, 60, theta0):
-                report = check_bound(trace, tol=1e-8)
+            alphas, psi = oracle_gaps(spec, fed, 60, theta0)
+            for client in range(alphas.shape[1]):
+                report = check_bound(alphas[:, client], psi[:, client], tol=1e-8)
                 assert report.checked_rounds == 61
                 assert report.first_violation is None
                 worst = max(worst, report.worst_slack)

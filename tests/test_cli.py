@@ -234,6 +234,34 @@ def test_report_tabulates_only_the_runs_verify_audits(workdir):
     assert main(["verify", config]) == 0
 
 
+def test_report_drops_the_tables_of_a_run_deleted_since_the_last_report(workdir):
+    doc = base_doc("cli_report_fresh")
+    config = write_doc(workdir, doc)
+    assert main(["train", config]) == 0
+    for method in ("sifu", "scratch"):
+        assert main(["unlearn", config, "--method", method]) == 0
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+    report = run_dir(workdir, doc) / "report"
+    assert (report / "distance_to_scratch.csv").exists()
+    shutil.rmtree(run_dir(workdir, doc) / "unlearn_scratch")
+    (report / "stale.csv").write_text("method\n")
+    assert main(["report", str(run_dir(workdir, doc))]) == 0
+    # every table is of the runs the directory holds now
+    assert sorted(p.name for p in report.iterdir()) == ["forget.csv", "retained_loss.csv", "rounds.csv", "timings.json"]
+    for table in ("forget.csv", "retained_loss.csv", "rounds.csv"):
+        assert [line.split(",")[0] for line in (report / table).read_text().splitlines()[1:]] == ["sifu"]
+
+
+def test_a_request_naming_a_client_twice_is_refused(workdir, capsys):
+    doc = base_doc("cli_repeated_client")
+    doc["requests"] = [[1, 1], [2]]
+    config = write_doc(workdir, doc)
+    for command in (["train", config], ["unlearn", config, "--method", "sifu"], ["unlearn", config, "--method", "ifu"]):
+        assert main(command) == 2
+        assert "request [1, 1] names a client more than once" in capsys.readouterr().err
+    assert not run_dir(workdir, doc).exists()
+
+
 def test_scratch_needs_no_training_artifacts(workdir):
     doc = base_doc("cli_scratch")
     config = write_doc(workdir, doc)
@@ -714,12 +742,12 @@ def test_verify_names_the_first_violating_round(workdir, capsys, monkeypatch):
     prepared = prepare(load_config(config))
     train = run_dir(workdir, doc) / "train"
     history, ledger = runner._load_train(train, prepared, with_ledger=True)
-    traces = oracle.empirical_sensitivity(prepared.fed, prepared.spec, history, ledger)
+    alphas = oracle.empirical_sensitivity(prepared.fed, prepared.spec, history)
     failed = [check for check in report["checks"] if not check["pass"]]
     assert failed and all(check["name"].startswith("bound:client") for check in failed)
     for check in failed:
         client = int(check["name"].removeprefix("bound:client"))
-        first = oracle.check_bound(traces[client], tol=1e-8).first_violation
+        first = oracle.check_bound(alphas[:, client], ledger.psi[:, client], tol=1e-8).first_violation
         assert check["first_violation"] == first >= 1
         assert f"FAIL {check['name']} worst_slack=" in out
         assert f"first_violation=round {first}\n" in out
@@ -781,22 +809,29 @@ def test_verify_certifies_the_psi_that_train_records(workdir, monkeypatch):
     doc = base_doc("cli_same_psi")
     config = write_doc(workdir, doc)
     assert main(["train", config]) == 0
-    traces = []
-    original = runner.empirical_sensitivity
+    gaps, checked = [], []
+    original, original_check = runner.empirical_sensitivity, runner.check_bound
 
     def recording(*args):
-        traces.extend(original(*args))
-        return traces
+        gaps.append(original(*args))
+        return gaps[-1]
+
+    def recording_check(alphas, psis, **kwargs):
+        checked.append((alphas, psis))
+        return original_check(alphas, psis, **kwargs)
 
     monkeypatch.setattr(runner, "empirical_sensitivity", recording)
+    monkeypatch.setattr(runner, "check_bound", recording_check)
     assert main(["verify", config]) == 0
     prepared = prepare(load_config(config))
     ledger = SensitivityLedger(prepared.contraction, prepared.config.local_steps, prepared.client_count)
     for row in read_checkpoint(run_dir(workdir, doc) / "train" / "ledger.ckpt")[1]:
         ledger.extend([row])
-    assert [trace.client for trace in traces] == [0, 1, 2]
-    for trace in traces:
-        assert trace.psis.tobytes() == ledger.psi[:, trace.client].tobytes()
+    assert len(gaps) == 1 and gaps[0].shape == ledger.psi.shape == (doc["federation"]["rounds"] + 1, 3)
+    assert len(checked) == 3
+    for client, (alphas, psis) in enumerate(checked):
+        assert alphas.tobytes() == gaps[0][:, client].tobytes()
+        assert psis.tobytes() == ledger.psi[:, client].tobytes()
 
 
 def test_verify_and_report_refuse_unlearn_runs_of_another_config(workdir, capsys):

@@ -190,6 +190,10 @@ def test_requests_must_name_known_clients():
     doc["requests"] = [[0], [0]]
     with pytest.raises(ConfigError, match="more than one request"):
         parse(doc)
+    # [1, 1] would run as {1} under another config hash than [[1], [3]]
+    doc["requests"] = [[1, 1], [3]]
+    with pytest.raises(ConfigError, match=r"request \[1, 1\] names a client more than once"):
+        parse(doc)
     doc["requests"] = [[0, 1], [2, 3]]
     with pytest.raises(ConfigError, match="every client"):
         parse(doc)

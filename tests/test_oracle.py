@@ -7,19 +7,18 @@ from conftest import (
     local_update,
     make_logistic,
     make_ridge,
-    oracle_traces,
+    oracle_gaps,
     reference_gd,
     train_world,
 )
 from fedunlearn import models
 from fedunlearn.datagen import DataRecipe, generate_data
 from fedunlearn import oracle, unlearn
-from fedunlearn.engine import FederationConfig, init_params, kernel_round
+from fedunlearn.engine import FederationConfig, diverged, init_params, kernel_round
 from fedunlearn.errors import DivergedTrainingError
 from fedunlearn.history import TrainingHistory
 from fedunlearn.models import ModelKind, ModelSpec, regime_constants
 from fedunlearn.oracle import (
-    SensitivityTrace,
     check_bound,
     contraction_slack,
     empirical_sensitivity,
@@ -42,10 +41,10 @@ def test_bound_holds_for_strongly_convex_ridge(local_steps, clients):
     spec, data = make_ridge(clients=clients, samples=12, features=4, seed=60 + clients, l2=0.1)
     fed, _ = fed_for(spec, *data, frac=1.0, local_steps=local_steps)
     theta0 = init_params(spec, 2)
-    traces = oracle_traces(spec, fed, 20, theta0)
-    assert [trace.client for trace in traces] == list(range(clients))
-    for client, trace in enumerate(traces):
-        report = check_bound(trace, tol=1e-8)
+    alphas, psi = oracle_gaps(spec, fed, 20, theta0)
+    assert alphas.shape == psi.shape == (21, clients)
+    for client in range(clients):
+        report = check_bound(alphas[:, client], psi[:, client], tol=1e-8)
         assert report.passed, (client, report)
         assert report.checked_rounds == 21
         assert report.worst_slack <= 1e-8
@@ -56,8 +55,9 @@ def test_bound_holds_for_convex_logistic(local_steps):
     spec, data = make_logistic(clients=4, samples=12, features=4, seed=70)
     fed, _ = fed_for(spec, *data, frac=0.5, local_steps=local_steps)
     theta0 = init_params(spec, 3)
-    for client, trace in enumerate(oracle_traces(spec, fed, 20, theta0)):
-        report = check_bound(trace, tol=1e-8)
+    alphas, psi = oracle_gaps(spec, fed, 20, theta0)
+    for client in range(alphas.shape[1]):
+        report = check_bound(alphas[:, client], psi[:, client], tol=1e-8)
         assert report.passed, (client, report)
 
 
@@ -65,8 +65,9 @@ def test_bound_holds_under_skewed_weights():
     spec, data = make_ridge(clients=4, samples=10, features=3, seed=61, l2=0.1)
     fed = FederationConfig(*data, eta=0.3, local_steps=2, weights=[0.55, 0.25, 0.15, 0.05])
     theta0 = init_params(spec, 5)
-    for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
-        report = check_bound(trace, tol=1e-8)
+    alphas, psi = oracle_gaps(spec, fed, 15, theta0)
+    for client in range(alphas.shape[1]):
+        report = check_bound(alphas[:, client], psi[:, client], tol=1e-8)
         assert report.passed, (client, report)
 
 
@@ -79,8 +80,9 @@ def test_smooth_mlp_bound_with_horizon_cap():
     fed = FederationConfig(*data, eta=0.1 / constants.beta, local_steps=1)
     theta0 = init_params(spec, 4)
     cap = 1e6 * max(1.0, float(np.linalg.norm(theta0)))
-    for client, trace in enumerate(oracle_traces(spec, fed, 15, theta0)):
-        report = check_bound(trace, tol=1e-8, psi_cap=cap)
+    alphas, psi = oracle_gaps(spec, fed, 15, theta0)
+    for client in range(alphas.shape[1]):
+        report = check_bound(alphas[:, client], psi[:, client], tol=1e-8, psi_cap=cap)
         assert report.passed, (client, report)
         assert report.checked_rounds >= 2
 
@@ -90,15 +92,15 @@ def test_identical_twin_clients_have_zero_sensitivity():
     fed = FederationConfig(X[[0, 0]], y[[0, 0]], eta=0.3, local_steps=2, weights=[0.5, 0.5])
     _, _, history, ledger = train_world(spec, fed, 12, theta0=init_params(spec, 1))
     # the engine runs the twins' local updates alike bit for bit
-    trace = retrained_sensitivity(fed, spec, history, ledger)[0]
-    np.testing.assert_array_equal(trace.alphas, np.zeros(13))
-    report = check_bound(trace)
+    alphas, psis = retrained_sensitivity(fed, spec, history)[:, 0], ledger.psi[:, 0]
+    np.testing.assert_array_equal(alphas, np.zeros(13))
+    report = check_bound(alphas, psis)
     assert report.passed
     assert report.tightness == 0.0
     # the closed form differs from the engine only in rounding
-    closed = ridge_sensitivity(fed, spec, history, ledger)[0]
-    assert closed.alphas.max() < 1e-12
-    assert check_bound(closed).passed
+    closed = ridge_sensitivity(fed, spec, history)[:, 0]
+    assert closed.max() < 1e-12
+    assert check_bound(closed, psis).passed
 
 
 def test_strongly_convex_gap_contracts_once_the_target_is_gone():
@@ -120,15 +122,14 @@ def test_strongly_convex_gap_contracts_once_the_target_is_gone():
         assert after <= decay * before * (1.0 + 1e-10)
 
 
-def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_ledger():
+def test_empirical_sensitivity_reads_alpha_from_the_history():
     spec, data = make_ridge(clients=3, samples=12, features=4, seed=64, l2=0.1)
     fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2)
-    theta0, _, history, ledger = train_world(spec, fed, 6, theta0=init_params(spec, 64))
-    retrained = retrained_sensitivity(fed, spec, history, ledger)
-    closed = empirical_sensitivity(fed, spec, history, ledger)
-    for client, (trace, closed_trace) in enumerate(zip(retrained, closed)):
-        np.testing.assert_array_equal(trace.psis, ledger.psi[:, client])
-        np.testing.assert_array_equal(closed_trace.psis, ledger.psi[:, client])
+    theta0, _, history, _ = train_world(spec, fed, 6, theta0=init_params(spec, 64))
+    retrained = retrained_sensitivity(fed, spec, history)
+    closed = empirical_sensitivity(fed, spec, history)
+    assert retrained.shape == closed.shape == (7, 3)
+    for client, (trace, closed_trace) in enumerate(zip(retrained.T, closed.T)):
         without, by_round = [theta0], [theta0]
         survivors = fed.cohort((c for c in range(3) if c != client), spec)
         maps, offsets = survivors.affine
@@ -137,16 +138,30 @@ def test_empirical_sensitivity_reads_alpha_from_the_history_and_psi_from_the_led
             without.append(maps @ without[-1] + offsets)
             by_round.append(kernel_round(survivors, by_round[-1], n)[1])
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
-        np.testing.assert_array_equal(trace.alphas, want)
-        np.testing.assert_allclose(closed_trace.alphas, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(trace, want)
+        np.testing.assert_allclose(closed_trace, want, rtol=1e-12, atol=0)
         per_round = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, by_round)]
-        np.testing.assert_allclose(trace.alphas, per_round, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace, per_round, rtol=1e-12, atol=0)
+
+
+def test_empirical_sensitivity_of_a_logistic_federation_is_the_gap_to_each_run_without_a_client():
+    spec, data = make_logistic(clients=4, samples=12, features=3, seed=71)
+    fed, _ = fed_for(spec, *data, frac=0.5, local_steps=2)
+    theta0, _, history, _ = train_world(spec, fed, 9, theta0=init_params(spec, 71))
+    alphas = empirical_sensitivity(fed, spec, history)
+    assert alphas.shape == (10, 4)
+    for client in range(4):
+        without = TrainingHistory(theta0)
+        retrain_until(spec, fed, theta0, [c for c in range(4) if c != client], exactly(9), history=without)
+        assert without.end_position == 9
+        want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without.models)]
+        assert alphas[:, client].tobytes() == np.array(want).tobytes()
 
 
 def test_the_oracle_evaluates_no_loss(monkeypatch):
     spec, data = make_ridge(clients=4, samples=12, features=4, seed=65, l2=0.1)
     fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2)
-    _, _, history, ledger = train_world(spec, fed, 5, theta0=init_params(spec, 65))
+    _, _, history, _ = train_world(spec, fed, 5, theta0=init_params(spec, 65))
     calls, kernel_calls = [], []
     real, real_kernel = unlearn.federation_loss_and_grads, models.stacked_loss
 
@@ -161,9 +176,9 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
     monkeypatch.setattr(unlearn, "federation_loss_and_grads", counted)
     monkeypatch.setattr(models, "stacked_loss", counted_kernel)
     for sensitivity in (empirical_sensitivity, retrained_sensitivity):
-        traces = sensitivity(fed, spec, history, ledger)
+        alphas = sensitivity(fed, spec, history)
         assert calls == [] and kernel_calls == []
-        assert [t.client for t in traces] == [0, 1, 2, 3]
+        assert alphas.shape == (6, 4)
     # nor does the fixed-round all-client run it checks; a finite threshold
     # reads the loss from min_rounds on, from the cohort's quadratic form,
     # whose anchor takes one kernel call the first time
@@ -179,19 +194,23 @@ def test_the_oracle_evaluates_no_loss(monkeypatch):
     assert kernel_calls == [4]
 
 
-def test_empirical_sensitivity_rejects_a_history_and_ledger_of_different_runs():
+def test_check_bound_refuses_the_gaps_and_ledger_of_different_runs():
     spec, (X, y) = make_ridge(seed=64)
     fed, _ = fed_for(spec, X, y)
     _, _, history, ledger = train_world(spec, fed, 3)
     _, _, short_history, _ = train_world(spec, fed, 2)
-    with pytest.raises(ValueError, match="one run"):
-        empirical_sensitivity(fed, spec, short_history, ledger)
+    psi = ledger.psi
+    alphas = empirical_sensitivity(fed, spec, history)
+    assert alphas.shape == psi.shape
+    with pytest.raises(ValueError, match="equal length"):
+        check_bound(alphas[:, 0], psi[:-1, 0])
+    for sensitivity in (empirical_sensitivity, ridge_sensitivity, retrained_sensitivity):
+        short = sensitivity(fed, spec, short_history)
+        with pytest.raises(ValueError, match="equal length"):
+            check_bound(short[:, 0], psi[:, 0])
+    # a federation of other clients has as many columns as it has clients
     other, _ = fed_for(spec, X[:2], y[:2])
-    with pytest.raises(ValueError, match="one run"):
-        empirical_sensitivity(other, spec, history, ledger)
-    for sensitivity in (ridge_sensitivity, retrained_sensitivity):
-        with pytest.raises(ValueError, match="one run"):
-            sensitivity(fed, spec, short_history, ledger)
+    assert empirical_sensitivity(other, spec, history).shape == (4, 2) != psi.shape
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +229,9 @@ def uneven_ridge(counts, features=4, seed=90, l2=0.1):
 
 
 def assert_same_alphas(closed, retrained):
-    for a, b in zip(closed, retrained):
-        assert a.client == b.client
-        assert a.alphas[0] == b.alphas[0] == 0.0
-        np.testing.assert_allclose(a.alphas[1:], b.alphas[1:], rtol=1e-10, atol=0)
-        np.testing.assert_array_equal(a.psis, b.psis)
+    assert closed.shape == retrained.shape
+    assert (closed[0] == 0.0).all() and (retrained[0] == 0.0).all()
+    np.testing.assert_allclose(closed[1:], retrained[1:], rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("local_steps", [1, 5])
@@ -228,10 +245,10 @@ def test_closed_form_matches_the_engine_oracle(monkeypatch, local_steps, weights
     # the closed form takes the operators training built, and builds none
     calls = []
     monkeypatch.setattr(models, "ridge_operators", lambda *args: calls.append(args))
-    closed = ridge_sensitivity(fed, spec, history, ledger)
+    closed = ridge_sensitivity(fed, spec, history)
     assert calls == []
-    assert_same_alphas(closed, retrained_sensitivity(fed, spec, history, ledger))
-    assert all(check_bound(trace).passed for trace in closed)
+    assert_same_alphas(closed, retrained_sensitivity(fed, spec, history))
+    assert all(check_bound(alphas, psis).passed for alphas, psis in zip(closed.T, ledger.psi.T))
 
 
 def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
@@ -242,8 +259,8 @@ def test_both_oracles_flag_the_same_first_violation_of_a_shrunk_bound():
     shrunk = SensitivityLedger(0.2 * contraction, ledger.local_steps, ledger.client_count)
     for row in ledger.deltas:
         shrunk.extend([row])
-    closed = [check_bound(t) for t in ridge_sensitivity(fed, spec, history, shrunk)]
-    retrained = [check_bound(t) for t in retrained_sensitivity(fed, spec, history, shrunk)]
+    closed = [check_bound(a, p) for a, p in zip(ridge_sensitivity(fed, spec, history).T, shrunk.psi.T)]
+    retrained = [check_bound(a, p) for a, p in zip(retrained_sensitivity(fed, spec, history).T, shrunk.psi.T)]
     assert not all(report.passed for report in closed)
     for a, b in zip(closed, retrained):
         assert (a.passed, a.first_violation) == (b.passed, b.first_violation)
@@ -261,42 +278,40 @@ def test_ridge_wider_than_its_data_retrains_through_the_engine(monkeypatch):
     # d <= n, so every client has operators: closed form
     spec, data, weights = uneven_ridge([4, 5, 4])
     fed, _ = fed_for(spec, *data, frac=0.9, local_steps=2, weights=weights)
-    _, _, history, ledger = train_world(spec, fed, 4)
-    empirical_sensitivity(fed, spec, history, ledger)
+    _, _, history, _ = train_world(spec, fed, 4)
+    empirical_sensitivity(fed, spec, history)
     assert calls == []
     # clients of 3 samples have d > n and no operators, though the federation
     # holds 9 samples, more than d
     spec, (X, y) = make_ridge(clients=3, samples=3, features=4, seed=90, l2=0.1)
     fed, _ = fed_for(spec, X, y, frac=0.9, local_steps=2, weights=[0.25, 0.45, 0.3])
-    _, _, history, ledger = train_world(spec, fed, 4)
-    traces = empirical_sensitivity(fed, spec, history, ledger)
+    _, _, history, _ = train_world(spec, fed, 4)
+    alphas = empirical_sensitivity(fed, spec, history)
     assert calls == [[1, 2], [0, 2], [0, 1]]
     with pytest.raises(ValueError, match="operators"):
-        ridge_sensitivity(fed, spec, history, ledger)
+        ridge_sensitivity(fed, spec, history)
     # the per-step kernel, written out, gives the same leave-one-out runs
-    for trace in traces:
-        without, survivors = [history.models[0]], [c for c in range(3) if c != trace.client]
+    for client in range(3):
+        without, survivors = [history.models[0]], [c for c in range(3) if c != client]
         q = np.array([fed.weights[c] for c in survivors]) / sum(fed.weights[c] for c in survivors)
         for _ in range(4):
             local = [reference_gd(spec, X[c], y[c], without[-1], fed.eta, 2) for c in survivors]
             without.append(q @ np.array(local))
         want = [float(np.linalg.norm(a - b)) for a, b in zip(history.models, without)]
-        np.testing.assert_allclose(trace.alphas, want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(alphas[:, client], want, rtol=1e-10, atol=1e-14)
 
 
 def test_a_diverging_leave_one_out_run_raises():
     spec, data = make_ridge(clients=3, samples=10, features=3, seed=93, l2=0.1)
     fed = FederationConfig(*data, eta=50.0, local_steps=1)
-    # a recorded run of the right length; the oracle only follows its start
+    # a recorded run of 30 rounds; the oracle only follows its start
     history = TrainingHistory.from_models(np.zeros((31, 3)))
-    ledger = SensitivityLedger(1.0, 1, 3)
-    for _ in range(30):
-        ledger.extend([np.zeros(3)])
-    with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError) as err:
-        ridge_sensitivity(fed, spec, history, ledger)
-    assert err.value.round_index is not None
-    with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError):
-        retrained_sensitivity(fed, spec, history, ledger)
+    for sensitivity in (ridge_sensitivity, retrained_sensitivity):
+        with np.errstate(all="ignore"), pytest.raises(DivergedTrainingError) as err:
+            sensitivity(fed, spec, history)
+        # the engine's error, at a round of the run
+        assert str(err.value) == str(diverged(err.value.round_index))
+        assert 0 <= err.value.round_index < 30
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +348,7 @@ def test_the_exact_ridge_contraction_check_fails_below_the_largest_step_norm(loc
 
 
 def test_check_bound_flags_a_violation():
-    trace = SensitivityTrace(0, np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.5, 2.0]))
-    report = check_bound(trace)
+    report = check_bound(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.5, 2.0]))
     assert not report.passed
     assert report.first_violation == 1
     assert report.worst_slack == 0.5
@@ -344,23 +358,23 @@ def test_check_bound_flags_a_violation():
 def test_check_bound_respects_the_cap():
     alphas = np.array([0.0, 1.0, 5.0])
     psis = np.array([0.0, 2.0, 1e9])
-    capped = check_bound(SensitivityTrace(0, alphas, psis), psi_cap=1e6)
+    capped = check_bound(alphas, psis, psi_cap=1e6)
     assert capped.passed
     assert capped.checked_rounds == 2
     assert capped.tightness == 0.5  # the last round inside the cap
-    uncapped = check_bound(SensitivityTrace(0, alphas, psis))
+    uncapped = check_bound(alphas, psis)
     assert uncapped.checked_rounds == 3
 
 
 def test_check_bound_tolerance_is_respected():
-    trace = SensitivityTrace(0, np.array([0.0, 1.0 + 5e-9]), np.array([0.0, 1.0]))
-    assert check_bound(trace, tol=1e-8).passed
-    assert not check_bound(trace, tol=1e-9).passed
+    alphas, psis = np.array([0.0, 1.0 + 5e-9]), np.array([0.0, 1.0])
+    assert check_bound(alphas, psis, tol=1e-8).passed
+    assert not check_bound(alphas, psis, tol=1e-9).passed
 
 
 def test_trace_validation():
-    with pytest.raises(ValueError):
-        SensitivityTrace(0, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="equal length"):
+        check_bound(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
